@@ -169,7 +169,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetScaleDoc {
     for &n in sizes {
         // Legacy parity oracle at N = 64: big enough that a scheduling
         // divergence cannot hide, cheap enough to run the O(N·ticks)
-        // scan twice per sweep. (N = 256 legacy runs live in BENCH_net.)
+        // scan twice per sweep.
         let with_legacy = n == 64;
         points.push(scale_point(n, false, with_legacy, &base, &mut meta));
         points.push(scale_point(n, true, false, &base, &mut meta));

@@ -5,8 +5,8 @@
 //! release, §II-D2 ledger conservation, plaintext integrity, §II-B4
 //! escrow-backed completion, quarantine evidence — is normally only
 //! checked along the one interleaving a seed happens to produce. This
-//! module searches *orderings*: it drives [`SwarmHarness`] in
-//! [`SchedMode::Explore`], where the indexed scheduler's one decision
+//! module searches *orderings*: it drives [`SwarmHarness`] with
+//! [`SwarmConfig::explore`] set, so the indexed scheduler's one decision
 //! point (which due peer runs next) is answered by a `tchain-sim`
 //! [`SchedPerturber`] sampling PCT-style randomized priorities. Each
 //! run records its non-default decisions as a sparse, replayable
@@ -25,7 +25,7 @@
 //! [`SwarmHarness`]: crate::SwarmHarness
 //! [`SchedPerturber`]: tchain_sim::SchedPerturber
 
-use crate::harness::{run_swarm, SchedMode, SwarmConfig, SwarmReport};
+use crate::harness::{run_swarm, SwarmConfig, SwarmReport};
 use crate::strategy::{GroupId, Strategy};
 use tchain_obs::OracleKind;
 use tchain_sim::{ChaosPlan, ChurnPlan, ExplorePlan, FaultPlan, Schedule};
@@ -124,7 +124,6 @@ pub fn scenario_config(name: &str, seed: u64) -> Option<SwarmConfig> {
         pieces: 8,
         piece_len: 256,
         seed,
-        sched: SchedMode::Explore,
         max_ticks: 6000,
         trace_capacity: 0,
         ..SwarmConfig::default()
@@ -160,14 +159,10 @@ pub fn scenario_config(name: &str, seed: u64) -> Option<SwarmConfig> {
     Some(cfg)
 }
 
-/// Runs `base` under the given perturbation plan (forcing
-/// [`SchedMode::Explore`]) and returns the audited report.
+/// Runs `base` under the given perturbation plan and returns the
+/// audited report.
 pub fn run_with_plan(base: &SwarmConfig, plan: &ExplorePlan) -> SwarmReport {
-    let cfg = SwarmConfig {
-        sched: SchedMode::Explore,
-        explore: Some(plan.clone()),
-        ..base.clone()
-    };
+    let cfg = SwarmConfig { explore: Some(plan.clone()), ..base.clone() };
     run_swarm(cfg).expect("mesh transport cannot fail")
 }
 
@@ -411,9 +406,7 @@ mod tests {
     fn empty_replay_matches_indexed_bit_for_bit() {
         for scenario in ["baseline", "free-riders"] {
             let base = scenario_config(scenario, 0x5EED).expect("known scenario");
-            let indexed =
-                run_swarm(SwarmConfig { sched: SchedMode::Indexed, explore: None, ..base.clone() })
-                    .expect("indexed");
+            let indexed = run_swarm(base.clone()).expect("indexed");
             let replay = run_with_plan(&base, &ExplorePlan::Replay(Schedule::default()));
             assert_eq!(replay.fingerprint, indexed.fingerprint, "{scenario}");
             assert_eq!(replay.ticks, indexed.ticks, "{scenario}");

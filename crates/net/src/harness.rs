@@ -6,25 +6,17 @@
 //! (`tchain-obs`), and — the point of the exercise — an [`Observer`]
 //! that watches every delivered frame and checks the T-Chain incentive
 //! invariant on the wire: **no key travels without a reciprocation
-//! behind it**. A `KeyRelease` from `S` to `T` for piece `p` is legal
-//! only when
+//! behind it** (the release rules live in [`crate::observer`]).
 //!
-//! 1. the transaction `(S → T, p)` was reported by its designated payee
-//!    (the §II-B2 release, §II-D1 relays and duplicate re-sends), or
-//! 2. `T` is the designated payee of the unreported transaction
-//!    `(S → R, p)` named by the frame's escrow `requestor` marker — the
-//!    §II-B4 handoff of a departing donor, or
-//! 3. `S` holds such an escrow for a transaction `(D → T, p)` and `T`'s
-//!    reciprocation has been observed — the escrow release (marked with
-//!    `requestor = T`).
-//!
-//! Anything else is a violation and fails the run. The observer also
-//! reconstructs chains (an upload either opens one or extends the chain
-//! of the transaction it reciprocates) so chain-length statistics are
-//! comparable with the fluid simulator's.
+//! [`SwarmHarness::run`] is a staged tick loop — drain, dispatch, tick
+//! due peers, flush, membership, done check — and every membership
+//! change (boot, churn, crash-restart, whitewash, large-view re-query)
+//! is a composition of three primitives: `enroll`, `greet` and `evict`.
 
 use crate::content::{fingerprint, mix64, Content};
 use crate::frame::{CausalMeta, Frame, FrameError};
+use crate::observer::pack;
+pub use crate::observer::Observer;
 use crate::runtime::{Checkpoint, NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
 pub use crate::sched::SchedMode;
 use crate::sched::TimerWheel;
@@ -75,14 +67,13 @@ pub struct SwarmConfig {
     /// Membership churn schedule: staggered joins, flash crowds and
     /// voluntary §II-B4 departures. Composes with `plan` and `chaos`.
     pub churn: ChurnPlan,
-    /// Peer scheduler (indexed timer wheel vs legacy linear scan vs
-    /// perturbed exploration).
+    /// Peer scheduler (indexed timer wheel vs legacy linear scan).
     pub sched: SchedMode,
-    /// Perturbation plan for [`SchedMode::Explore`]: PCT priority
-    /// sampling or bit-exact replay of a recorded [`Schedule`]. `None`
-    /// under `Explore` degenerates to the empty replay — the default
-    /// indexed interleaving, fingerprint and all. Ignored by the other
-    /// modes.
+    /// Schedule exploration: `Some` hands the indexed scheduler's one
+    /// decision point — which due peer runs next — to a perturber doing
+    /// PCT priority sampling or bit-exact replay of a recorded
+    /// [`Schedule`] (the empty replay is the default interleaving,
+    /// fingerprint and all). Requires [`SchedMode::Indexed`].
     pub explore: Option<ExplorePlan>,
     /// Virtual seconds per tick (mesh transport).
     pub tick_dt: f64,
@@ -138,410 +129,6 @@ impl SwarmConfig {
     pub fn free_rider_count(&self) -> u32 {
         self.strategies.iter().filter(|(_, s)| s.is_free_rider()).count() as u32
     }
-}
-
-#[derive(Debug)]
-struct TxnObs {
-    payee: Option<u32>,
-    reported: bool,
-    escrowed: bool,
-    /// The report that closed this txn attested a reciprocation the
-    /// observer never saw on the wire (§IV-D collusion).
-    false_report: bool,
-    /// The forged report already unlocked a key (colluder gain is one
-    /// key per falsified txn — retransmitted releases are not extra
-    /// loot).
-    gain_booked: bool,
-    chain: usize,
-}
-
-#[derive(Debug, Default)]
-struct ChainObs {
-    len: u32,
-    terminated: bool,
-}
-
-/// Frame-level audit of the incentive invariant.
-#[derive(Debug, Default)]
-pub struct Observer {
-    /// `(donor, requestor, piece) -> state`.
-    txns: BTreeMap<(u32, u32, u32), TxnObs>,
-    /// Triples whose *earlier generation* was reported before a re-upload
-    /// replaced the entry. When a key release is lost in flight, the
-    /// requestor re-requests and the donor opens a fresh txn for the same
-    /// triple — but the donor's retry timer may still re-send the old
-    /// generation's key, which is backed by the delivered report of that
-    /// generation and must not audit against the new, unreported one.
-    reported_generations: BTreeSet<(u32, u32, u32)>,
-    /// `(donor, piece, requestor)` reciprocations seen on the wire.
-    recips: BTreeMap<(u32, u32), Vec<u32>>,
-    /// Peers that left the swarm. A report delivered to a departed donor
-    /// must *not* mark its transaction reported: the donor never acted on
-    /// it, so its §II-B4 handoff of that key (racing the report on the
-    /// wire) is the legitimate — and only — release path.
-    departed: std::collections::BTreeSet<u32>,
-    /// Wire identities run by a strategic operator → scenario label.
-    /// The incentive-economics ledger attributes per-frame flows
-    /// (leakage, Sybil trials, false reports) to these.
-    attackers: BTreeMap<u32, &'static str>,
-    /// Colluder/Sybil group of strategic identities.
-    groups: BTreeMap<u32, u32>,
-    /// Seeder ids, for attributing seeder-altruism leakage.
-    seeders: BTreeSet<u32>,
-    chains: Vec<ChainObs>,
-    /// Human-readable invariant violations (must stay empty).
-    pub violations: Vec<String>,
-    /// Encrypted uploads seen.
-    pub uploads: u64,
-    /// §II-B3 unencrypted gift uploads seen.
-    pub gifts: u64,
-    /// Reception reports seen.
-    pub reports: u64,
-    /// Key releases seen.
-    pub key_releases: u64,
-    /// Key releases classified as §II-B4 escrow handoffs.
-    pub escrow_transfers: u64,
-    /// False reception reports detected — reports attesting a
-    /// reciprocation that never crossed the wire — once per txn.
-    pub false_reports: u64,
-    /// `(reporter, donor, requestor, piece)` per detected false report.
-    pub false_report_log: Vec<(u32, u32, u32, u32)>,
-    /// Key releases a colluder extracted via a false report. The donor
-    /// acted in good faith on a payee-signed report, so these book as
-    /// colluder gain, not invariant violations.
-    pub colluder_gain: u64,
-    /// Designated-payee uploads non-attackers donated to attackers.
-    pub altruism_leaked: u64,
-    /// Uploads (encrypted or gift) seeders donated to attackers.
-    pub seeder_leakage: u64,
-    /// §II-B3 gifts that landed on attackers.
-    pub gift_leakage: u64,
-    /// Designated-payee uploads whose requestor sat in a Sybil group —
-    /// the §III-A4 trials.
-    pub sybil_checks: u64,
-    /// Trials where the payee landed in the requestor's own group.
-    pub sybil_collisions: u64,
-}
-
-impl Observer {
-    fn observe(&mut self, d: &Delivery, tracer: &mut Tracer, now: f64) {
-        // A chaos-fabricated duplicate is wire noise, not a sender action:
-        // auditing the second copy would re-register live transactions
-        // (erasing `reported` and flagging the donor's later, legal key
-        // release) and double-count protocol events. The schedule
-        // explorer found exactly that phantom; receivers still process
-        // the copy — only the audit skips it.
-        if d.duplicated {
-            return;
-        }
-        let (from, to) = (d.from.0, d.to.0);
-        let Frame::Control(msg) = &d.frame else { return };
-        match msg {
-            Message::PieceUpload { reciprocates, piece, payee, .. } => {
-                let p = piece.0;
-                let payee = payee.map(|n| n.0);
-                // Chain attribution: an upload either extends the chain
-                // of the transaction it reciprocates or opens a new one.
-                let chain = match reciprocates {
-                    Some((p0, d0)) => {
-                        let parent_key = (d0.0, from, p0.0);
-                        self.recips.entry((d0.0, p0.0)).or_default().push(from);
-                        if let Some(parent) = self.txns.get(&parent_key) {
-                            // Direct reciprocity: the donor is its own
-                            // payee, and this upload *is* the report
-                            // (unless the donor already left — then it
-                            // never learns of the reciprocation).
-                            if parent.payee == Some(d0.0)
-                                && d0.0 == to
-                                && !self.departed.contains(&to)
-                            {
-                                let c = parent.chain;
-                                self.txns.get_mut(&parent_key).expect("checked").reported = true;
-                                c
-                            } else {
-                                parent.chain
-                            }
-                        } else {
-                            self.new_chain()
-                        }
-                    }
-                    None => self.new_chain(),
-                };
-                if let Some(c) = self.chains.get_mut(chain) {
-                    c.len += 1;
-                }
-                match payee {
-                    Some(py) => {
-                        self.uploads += 1;
-                        if self.attackers.contains_key(&to) && !self.attackers.contains_key(&from) {
-                            self.altruism_leaked += 1;
-                        }
-                        // §III-A4 Sybil trial: the exploit fires only
-                        // when the requestor *and* the payee land in the
-                        // same group.
-                        if let Some(g) = self.groups.get(&to) {
-                            self.sybil_checks += 1;
-                            if self.groups.get(&py) == Some(g) {
-                                self.sybil_collisions += 1;
-                                trace_event!(tracer, now, Event::SybilCollision {
-                                    donor: from,
-                                    requestor: to,
-                                    payee: py,
-                                    piece: p,
-                                });
-                            }
-                        }
-                        // A re-upload of the same triple is a genuinely
-                        // new transaction (retry after loss or stall,
-                        // with a freshly designated payee) and replaces
-                        // the audit entry; chaos-fabricated duplicates
-                        // never reach this point. If the superseded
-                        // generation was already reported, remember it —
-                        // its key may still be retried legally.
-                        if self.txns.get(&(from, to, p)).is_some_and(|t| t.reported) {
-                            self.reported_generations.insert((from, to, p));
-                        }
-                        self.txns.insert(
-                            (from, to, p),
-                            TxnObs {
-                                payee,
-                                reported: false,
-                                escrowed: false,
-                                false_report: false,
-                                gain_booked: false,
-                                chain,
-                            },
-                        );
-                    }
-                    None => {
-                        // §II-B3 termination: no key, chain ends here.
-                        self.gifts += 1;
-                        if self.attackers.contains_key(&to) {
-                            self.gift_leakage += 1;
-                        }
-                        if let Some(c) = self.chains.get_mut(chain) {
-                            c.terminated = true;
-                        }
-                    }
-                }
-                if self.seeders.contains(&from) && self.attackers.contains_key(&to) {
-                    self.seeder_leakage += 1;
-                }
-                trace_event!(tracer, now, Event::TxnStart {
-                    txn: pack(from, to, p),
-                    chain: chain as u64,
-                    donor: from,
-                    requestor: to,
-                    payee,
-                    piece: p,
-                });
-            }
-            Message::ReceptionReport { requestor, piece } => {
-                self.reports += 1;
-                let mut falsified = false;
-                if !self.departed.contains(&to) {
-                    // Detection soundness: a truthful report is always
-                    // preceded on the wire by the reciprocation it
-                    // attests — the payee only learns of the txn from
-                    // that delivery — so a payee-signed report with no
-                    // observed reciprocation from the requestor toward
-                    // the donor is provably false (§IV-D).
-                    let truthful = self
-                        .recips
-                        .get(&(to, piece.0))
-                        .is_some_and(|rs| rs.contains(&requestor.0));
-                    if let Some(t) = self.txns.get_mut(&(to, requestor.0, piece.0)) {
-                        if t.payee == Some(from) {
-                            if !truthful {
-                                falsified = true;
-                                if !t.reported {
-                                    t.false_report = true;
-                                    self.false_reports += 1;
-                                    self.false_report_log.push((from, to, requestor.0, piece.0));
-                                    trace_event!(tracer, now, Event::FalseReport {
-                                        txn: pack(to, requestor.0, piece.0),
-                                        reporter: from,
-                                        donor: to,
-                                        requestor: requestor.0,
-                                        piece: piece.0,
-                                    });
-                                }
-                            }
-                            t.reported = true;
-                        }
-                    }
-                }
-                trace_event!(tracer, now, Event::ReportSent {
-                    txn: pack(to, requestor.0, piece.0),
-                    from,
-                    to,
-                    falsified,
-                });
-            }
-            Message::KeyRelease { piece, requestor, .. } => {
-                let p = piece.0;
-                self.key_releases += 1;
-                let escrowed = self.classify_key(from, to, p, requestor.map(|r| r.0));
-                match escrowed {
-                    Some(true) => self.escrow_transfers += 1,
-                    Some(false) => {}
-                    None => {
-                        let ctx: Vec<String> = self
-                            .txns
-                            .iter()
-                            .filter(|((d, r, tp), _)| {
-                                *tp == p && (*d == from || *r == to || *d == to || *r == from)
-                            })
-                            .map(|((d, r, tp), t)| {
-                                format!(
-                                    "txn {d}->{r} p{tp} payee={:?} reported={} escrowed={}",
-                                    t.payee, t.reported, t.escrowed
-                                )
-                            })
-                            .collect();
-                        self.violations.push(format!(
-                            "unreciprocated key release {from} -> {to} piece {p} tag={:?} [{}]",
-                            requestor.map(|r| r.0),
-                            ctx.join("; ")
-                        ));
-                    }
-                }
-                trace_event!(tracer, now, Event::KeySent {
-                    txn: pack(from, to, p),
-                    from,
-                    to,
-                    escrowed: escrowed == Some(true),
-                });
-            }
-            _ => {}
-        }
-    }
-
-    /// Applies release rules 1–3 from the module docs. `Some(true)` means
-    /// an escrow-path release, `Some(false)` a normal one, `None` a
-    /// violation. The wire `requestor` marker pins the escrow rules to
-    /// one specific transaction — an untagged release is only ever legal
-    /// under rule 1.
-    fn classify_key(
-        &mut self,
-        from: u32,
-        to: u32,
-        piece: u32,
-        requestor: Option<u32>,
-    ) -> Option<bool> {
-        match requestor {
-            // Rule 1: the release closes a reported txn (from -> to).
-            None => {
-                if let Some(t) = self.txns.get_mut(&(from, to, piece)) {
-                    if t.reported {
-                        // A falsely-reported txn still releases "legally":
-                        // the donor acted in good faith on a payee-signed
-                        // report. The audit books the extraction instead —
-                        // once per txn, so duplicate releases of the same
-                        // key never inflate the gain.
-                        if t.false_report && !t.gain_booked {
-                            t.gain_booked = true;
-                            self.colluder_gain += 1;
-                        }
-                        return Some(false);
-                    }
-                }
-                // A late retry of a superseded generation's key: that
-                // generation's report was delivered before a re-upload
-                // replaced the txn entry, so the release is still backed
-                // by observed reciprocation.
-                self.reported_generations.contains(&(from, to, piece)).then_some(false)
-            }
-            // Rule 2: a departing donor hands the key of its unreported
-            // txn `(from -> r, piece)` to that txn's payee `to`.
-            Some(r) if r != to => {
-                let t = self.txns.get_mut(&(from, r, piece))?;
-                if t.payee == Some(to) && !t.reported {
-                    t.escrowed = true;
-                    Some(true)
-                } else {
-                    None
-                }
-            }
-            // Rule 3: the payee `from` forwards an escrowed key to the
-            // requestor `to`, whose reciprocation has been seen.
-            Some(_) => {
-                let release = self.txns.iter().any(|((d, r, p), t)| {
-                    *r == to
-                        && *p == piece
-                        && t.payee == Some(from)
-                        && t.escrowed
-                        && self.recips.get(&(*d, *p)).is_some_and(|rs| rs.contains(&to))
-                });
-                release.then_some(true)
-            }
-        }
-    }
-
-    /// Records that `id` left the swarm; later frames addressed to it are
-    /// audited as delivered-but-unacted-on.
-    pub fn note_departed(&mut self, id: u32) {
-        self.departed.insert(id);
-    }
-
-    /// Records that a crashed `id` rejoined from a checkpoint: it acts on
-    /// delivered frames again, so the departed-peer audit carve-outs no
-    /// longer apply to it.
-    pub fn note_rejoined(&mut self, id: u32) {
-        self.departed.remove(&id);
-    }
-
-    /// Registers a strategic wire identity for the audit ledger, so
-    /// leakage and Sybil counters attribute per-frame flows to it.
-    pub fn note_attacker(&mut self, id: u32, label: &'static str, group: Option<u32>) {
-        self.attackers.insert(id, label);
-        if let Some(g) = group {
-            self.groups.insert(id, g);
-        }
-    }
-
-    /// Registers a seeder id for leakage attribution.
-    pub fn note_seeder(&mut self, id: u32) {
-        self.seeders.insert(id);
-    }
-
-    fn new_chain(&mut self) -> usize {
-        self.chains.push(ChainObs::default());
-        self.chains.len() - 1
-    }
-
-    /// Chains opened.
-    pub fn chains_started(&self) -> usize {
-        self.chains.len()
-    }
-
-    /// Mean transactions per chain.
-    pub fn mean_chain_len(&self) -> f64 {
-        if self.chains.is_empty() {
-            return 0.0;
-        }
-        self.chains.iter().map(|c| f64::from(c.len)).sum::<f64>() / self.chains.len() as f64
-    }
-
-    /// Longest chain observed.
-    pub fn max_chain_len(&self) -> u32 {
-        self.chains.iter().map(|c| c.len).max().unwrap_or(0)
-    }
-
-    /// Chains that ended in a §II-B3 unencrypted termination.
-    pub fn chains_terminated(&self) -> usize {
-        self.chains.iter().filter(|c| c.terminated).count()
-    }
-
-    /// Transactions per chain, in chain-open order (telemetry feeds its
-    /// chain-length histogram from this).
-    pub fn chain_lengths(&self) -> Vec<u32> {
-        self.chains.iter().map(|c| c.len).collect()
-    }
-}
-
-fn pack(a: u32, b: u32, p: u32) -> u64 {
-    (u64::from(a) << 42) | (u64::from(b) << 21) | u64::from(p)
 }
 
 /// Classifies a frame as a span-carrying wire message and derives its
@@ -884,7 +471,7 @@ pub struct SwarmReport {
     /// The effective schedule of an explore-mode run: every
     /// non-default scheduling action actually applied, replayable
     /// bit-for-bit via [`tchain_sim::ExplorePlan::Replay`]. `None`
-    /// outside [`SchedMode::Explore`].
+    /// without [`SwarmConfig::explore`].
     pub schedule: Option<Schedule>,
     /// Scheduling decision points consumed by an explore-mode run
     /// (default decisions included); 0 outside explore mode.
@@ -907,22 +494,58 @@ impl SwarmReport {
     }
 }
 
-/// A crashed peer waiting out its jittered outage before rejoining.
+/// A checkpointed peer waiting out a delay before it comes back: a
+/// crash victim's jittered outage or, inside a [`WhitewashSlot`], a
+/// whitewasher's rejoin delay.
 struct RejoinSlot {
     at: f64,
     generation: u32,
     checkpoint: Checkpoint,
 }
 
-/// A whitewashed operator waiting out its rejoin delay before coming
-/// back under a fresh identity — loot intact, ledgers wiped.
+/// A whitewashed operator waiting to come back under the fresh identity
+/// its checkpoint was re-keyed to — loot intact, ledgers wiped.
 struct WhitewashSlot {
-    at: f64,
+    rejoin: RejoinSlot,
     prior: u32,
-    new_id: u32,
     operator: usize,
-    generation: u32,
-    checkpoint: Checkpoint,
+}
+
+/// Splits the slots due at `now` out of `pending`, ordered by
+/// `(at, id)` so the comeback sequence never depends on the order the
+/// teardowns were drawn in.
+fn take_due<S>(pending: &mut Vec<S>, now: f64, slot: impl Fn(&S) -> &RejoinSlot) -> Vec<S> {
+    let (mut due, later): (Vec<S>, Vec<S>) =
+        std::mem::take(pending).into_iter().partition(|s| slot(s).at <= now);
+    *pending = later;
+    due.sort_by(|a, b| {
+        let (a, b) = (slot(a), slot(b));
+        a.at.total_cmp(&b.at).then(a.checkpoint.id().cmp(&b.checkpoint.id()))
+    });
+    due
+}
+
+/// Round-trips a checkpoint through its byte encoding, so a comeback
+/// exercises exactly what a process reloading a file on disk would.
+fn reload(checkpoint: &Checkpoint) -> Checkpoint {
+    Checkpoint::from_bytes(&checkpoint.to_bytes()).expect("own encoding")
+}
+
+/// Frames staged for the transport, `(from, to, frame)` in send order.
+type Staged = Vec<(NodeId, NodeId, Frame)>;
+
+/// Addresses one peer's outbox as staged frames.
+fn stage(from: NodeId, out: Outbox) -> impl Iterator<Item = (NodeId, NodeId, Frame)> {
+    out.into_iter().map(move |(to, frame)| (from, to, frame))
+}
+
+/// How [`SwarmHarness::enroll`] introduces a peer to the transport.
+enum Entry {
+    /// An id the transport has never seen: boot, churn join, whitewash
+    /// rebirth.
+    Fresh,
+    /// A crashed id coming back from its checkpoint.
+    Returning,
 }
 
 /// Adversary-engine state, alive only when some strategy manipulates
@@ -939,12 +562,36 @@ struct AttackState {
     operators: Vec<AttackerState>,
     /// Forged §IV-D reports staged during delivery audit, flushed
     /// through the normal send path next `handle_attacks`.
-    staged_reports: Vec<(NodeId, NodeId, Frame)>,
+    staged_reports: Staged,
     /// `(donor, requestor, piece)` txns already falsely reported —
     /// ring mates file one forged report per transaction.
     reported_txns: BTreeSet<(u32, u32, u32)>,
     pending_whitewash: Vec<WhitewashSlot>,
     whitewash_rejoins: u64,
+}
+
+impl AttackState {
+    /// The engine for the manipulating strategies among `strategy_of`;
+    /// `None` when there are none.
+    fn new(seed: u64, strategy_of: &BTreeMap<u32, Strategy>) -> Option<Self> {
+        let mut colluders = ColluderRegistry::new();
+        let mut operators = Vec::new();
+        for (&id, s) in strategy_of.iter().filter(|(_, s)| s.manipulates()) {
+            if let Some(g) = s.collusion_group() {
+                colluders.register(NodeId(id), g);
+            }
+            operators.push(AttackerState::new(id, *s, 0.0));
+        }
+        (!operators.is_empty()).then(|| AttackState {
+            rng: SimRng::new(seed ^ 0xA77A_C4E4),
+            colluders,
+            operators,
+            staged_reports: Vec::new(),
+            reported_txns: BTreeSet::new(),
+            pending_whitewash: Vec::new(),
+            whitewash_rejoins: 0,
+        })
+    }
 }
 
 /// N in-process peers over one transport.
@@ -958,7 +605,7 @@ pub struct SwarmHarness<T: Transport> {
     tracer: Tracer,
     rng: SimRng,
     fingerprint: u64,
-    departed_handled: BTreeMap<u32, ()>,
+    departed_handled: BTreeSet<u32>,
     /// Harness-side view of the chaos plan: crash schedule + backoff
     /// jitter. Frame-level injections live in the transport's own state.
     chaos: ChaosState,
@@ -967,13 +614,15 @@ pub struct SwarmHarness<T: Transport> {
     crashes: u64,
     rejoins: u64,
     telemetry: Option<TelemetryState>,
-    /// Timer index over peers ([`SchedMode::Indexed`]): each armed peer
-    /// has one authoritative wake time; `ready` collects peers that
-    /// received frames this tick and must run `on_tick` regardless.
+    /// Timer index over peers: each armed peer has one authoritative
+    /// wake time; `ready` collects peers that received frames this tick
+    /// and must run `on_tick` regardless. The legacy scan keeps both
+    /// written but never reads them.
     wheel: TimerWheel,
     ready: BTreeSet<u32>,
-    /// Scheduling decision stream for [`SchedMode::Explore`]; `None`
-    /// in the other modes, so they make zero extra work per tick.
+    /// Scheduling decision stream, alive only under
+    /// [`SwarmConfig::explore`], so plain runs make zero extra work per
+    /// tick.
     perturb: Option<SchedPerturber>,
     /// Expanded churn schedule; `None` when the plan is empty, so a
     /// churn-free run makes zero extra RNG draws and keeps its
@@ -998,8 +647,12 @@ pub struct SwarmHarness<T: Transport> {
 impl<T: Transport> SwarmHarness<T> {
     /// Builds the swarm: seeder is id 0, free-riders take the highest
     /// ids, everyone registers with transport and tracker.
-    pub fn new(mut transport: T, cfg: SwarmConfig) -> Result<Self, NetError> {
+    pub fn new(transport: T, cfg: SwarmConfig) -> Result<Self, NetError> {
         assert!(cfg.peers >= 2, "a swarm needs a seeder and a leecher");
+        assert!(
+            cfg.explore.is_none() || cfg.sched == SchedMode::Indexed,
+            "schedule exploration perturbs the indexed scheduler"
+        );
         let mut strategy_of: BTreeMap<u32, Strategy> = BTreeMap::new();
         for &(id, s) in &cfg.strategies {
             assert!(id != 0, "the seeder (id 0) cannot carry a strategy");
@@ -1010,14 +663,58 @@ impl<T: Transport> SwarmHarness<T> {
         assert!(boot_free_riders < cfg.peers, "leave at least the seeder compliant");
         cfg.churn.validate();
         let content = Content::new(cfg.seed ^ 0x0C04_7E47, cfg.pieces, cfg.piece_len);
-        let mut peers = BTreeMap::new();
         // Size tracker shards to the peak membership the scenario can
         // reach; ≤ 64 expected peers degenerates to the flat historical
         // layout (identical draw sequence, so 16-peer goldens hold).
         let expected_peak = cfg.peers + cfg.churn.total_joins();
-        let mut tracker = Tracker::with_shards(Tracker::shards_for(expected_peak));
-        let arm = !transport.reliable();
-        for id in 0..cfg.peers {
+        let mut observer = Observer::default();
+        observer.note_seeder(0);
+        for (&id, s) in strategy_of.iter().filter(|(_, s)| s.is_free_rider()) {
+            observer.note_attacker(id, strategy_label(s), s.collusion_group().map(|g| g.0));
+        }
+        // The harness forks its own chaos state for crash scheduling and
+        // backoff jitter; salting the seed keeps its draws independent of
+        // the transport's frame-level injection stream.
+        let mut chaos_plan = cfg.chaos.clone();
+        chaos_plan.seed ^= 0x0C_1A05_44A4;
+        let mut harness = SwarmHarness {
+            transport,
+            content,
+            peers: BTreeMap::new(),
+            tracker: Tracker::with_shards(Tracker::shards_for(expected_peak)),
+            observer,
+            tracer: if cfg.trace_capacity > 0 {
+                Tracer::with_capacity(cfg.trace_capacity)
+            } else {
+                Tracer::disabled()
+            },
+            rng: SimRng::new(cfg.seed ^ 0x7A_C4E4),
+            fingerprint: 0x5EED_F00D,
+            departed_handled: BTreeSet::new(),
+            chaos: ChaosState::new(chaos_plan),
+            pending_rejoin: Vec::new(),
+            chaos_injects: 0,
+            crashes: 0,
+            rejoins: 0,
+            telemetry: cfg.telemetry.then(|| {
+                TelemetryState::new(if cfg.trace_capacity > 0 { cfg.trace_capacity } else { 4096 })
+            }),
+            wheel: TimerWheel::new(),
+            ready: BTreeSet::new(),
+            perturb: cfg.explore.as_ref().map(SchedPerturber::new),
+            churn: (!cfg.churn.is_none()).then(|| ChurnState::new(&cfg.churn)),
+            next_id: cfg.peers,
+            churn_joined: 0,
+            churn_departed: 0,
+            // The adversary engine, like churn, only exists when asked
+            // for: its RNG is a salted fork so strategic draws never
+            // perturb the compliant stream.
+            attack: AttackState::new(cfg.seed, &strategy_of),
+            boot_free_riders,
+            churn_departed_incomplete: 0,
+            cfg,
+        };
+        for id in 0..harness.cfg.peers {
             let strategy = strategy_of.get(&id).copied().unwrap_or_default();
             let role = if id == 0 {
                 PeerRole::Seeder
@@ -1026,254 +723,31 @@ impl<T: Transport> SwarmHarness<T> {
             } else {
                 PeerRole::Compliant
             };
-            let mut peer =
-                PeerRuntime::with_strategy(NodeId(id), role, content, cfg.net, cfg.seed, strategy);
-            peer.set_arm_retries(arm);
-            transport.register(NodeId(id))?;
-            tracker.register(NodeId(id));
-            peers.insert(id, peer);
+            let (net, seed) = (harness.cfg.net, harness.cfg.seed);
+            let peer = PeerRuntime::with_strategy(NodeId(id), role, content, net, seed, strategy);
+            harness.enroll(id, peer, Entry::Fresh)?;
         }
-        let mut observer = Observer::default();
-        observer.note_seeder(0);
-        for (&id, s) in &strategy_of {
-            if s.is_free_rider() {
-                observer.note_attacker(id, strategy_label(s), s.collusion_group().map(|g| g.0));
-            }
-        }
-        // The adversary engine, like churn, only exists when asked for:
-        // its RNG is a salted fork so strategic draws never perturb the
-        // compliant stream.
-        let attack = cfg.strategies.iter().any(|(_, s)| s.manipulates()).then(|| {
-            let mut colluders = ColluderRegistry::new();
-            let mut operators = Vec::new();
-            for (&id, s) in &strategy_of {
-                if !s.manipulates() {
-                    continue;
-                }
-                if let Some(g) = s.collusion_group() {
-                    colluders.register(NodeId(id), g);
-                }
-                operators.push(AttackerState::new(id, *s, 0.0));
-            }
-            AttackState {
-                rng: SimRng::new(cfg.seed ^ 0xA77A_C4E4),
-                colluders,
-                operators,
-                staged_reports: Vec::new(),
-                reported_txns: BTreeSet::new(),
-                pending_whitewash: Vec::new(),
-                whitewash_rejoins: 0,
-            }
-        });
-        let tracer = if cfg.trace_capacity > 0 {
-            Tracer::with_capacity(cfg.trace_capacity)
-        } else {
-            Tracer::disabled()
-        };
-        let rng = SimRng::new(cfg.seed ^ 0x7A_C4E4);
-        // The harness forks its own chaos state for crash scheduling and
-        // backoff jitter; salting the seed keeps its draws independent of
-        // the transport's frame-level injection stream.
-        let mut chaos_plan = cfg.chaos.clone();
-        chaos_plan.seed ^= 0x0C_1A05_44A4;
-        let chaos = ChaosState::new(chaos_plan);
-        let telemetry = cfg.telemetry.then(|| {
-            TelemetryState::new(if cfg.trace_capacity > 0 { cfg.trace_capacity } else { 4096 })
-        });
-        let churn = (!cfg.churn.is_none()).then(|| ChurnState::new(&cfg.churn));
-        // Explore mode without a plan is the empty replay: every
-        // decision defaults, reproducing the indexed interleaving.
-        let perturb = (cfg.sched == SchedMode::Explore).then(|| match &cfg.explore {
-            Some(plan) => SchedPerturber::new(plan),
-            None => SchedPerturber::new(&ExplorePlan::Replay(Schedule::default())),
-        });
-        let next_id = cfg.peers;
-        Ok(SwarmHarness {
-            transport,
-            cfg,
-            content,
-            peers,
-            tracker,
-            observer,
-            tracer,
-            rng,
-            fingerprint: 0x5EED_F00D,
-            departed_handled: BTreeMap::new(),
-            chaos,
-            pending_rejoin: Vec::new(),
-            chaos_injects: 0,
-            crashes: 0,
-            rejoins: 0,
-            telemetry,
-            wheel: TimerWheel::new(),
-            ready: BTreeSet::new(),
-            perturb,
-            churn,
-            next_id,
-            churn_joined: 0,
-            churn_departed: 0,
-            attack,
-            boot_free_riders,
-            churn_departed_incomplete: 0,
-        })
+        Ok(harness)
     }
 
     /// Runs the swarm to completion (all compliant leechers hold the
     /// whole file) or to `max_ticks`, and audits the result.
+    ///
+    /// One tick is a fixed pipeline: drain the transport, dispatch the
+    /// deliveries (audit, then `on_frame`), tick the due peers, flush
+    /// what they staged, apply membership changes, check for completion.
     pub fn run(mut self) -> Result<SwarmReport, NetError> {
-        // Tracker rendezvous + bitfield handshake. Request the §IV-A
-        // policy list (50), not the whole swarm: for pools of ≤ 51 the
-        // tracker's `k.min(pool-1)` cap makes the two requests
-        // draw-identical (same sampling branch, same RNG stream — the
-        // 16-peer goldens depend on that), and at 256 peers the bounded
-        // list is what keeps per-peer neighbor state O(policy), not
-        // O(N).
-        let list_k = NeighborPolicy::default().list_size;
-        let mut staged: Vec<(NodeId, NodeId, Frame)> = Vec::new();
-        let ids: Vec<u32> = self.peers.keys().copied().collect();
-        for &id in &ids {
-            let members = self.tracker.random_members(NodeId(id), list_k, &mut self.rng);
-            let peer = self.peers.get_mut(&id).expect("registered");
-            let mut out: Outbox = Vec::new();
-            peer.bootstrap(&members, &mut out);
-            staged.extend(out.into_iter().map(|(to, f)| (NodeId(id), to, f)));
-        }
-        self.flush(staged)?;
-        if self.cfg.sched != SchedMode::LegacyLinear {
-            for &id in &ids {
-                self.wheel.schedule(id, 0.0);
-            }
-        }
-
+        self.boot()?;
         let mut ticks = 0u64;
         let mut grace = 0u32;
-        let mut batch: Vec<Delivery> = Vec::new();
         while ticks < self.cfg.max_ticks {
             ticks += 1;
             let deliveries = self.transport.advance()?;
             let now = self.transport.now();
-            let mut staged: Vec<(NodeId, NodeId, Frame)> = Vec::new();
-            // Batched dispatch: consecutive same-recipient deliveries
-            // share one peer lookup and one outbox. Audit (observer,
-            // telemetry, fingerprint fold) stays in exact delivery
-            // order, and the recipient's `on_frame`s run in that same
-            // order — the staged stream is byte-identical to the
-            // one-at-a-time path.
-            let mut it = deliveries.into_iter().peekable();
-            while let Some(first) = it.next() {
-                let to = first.to;
-                batch.clear();
-                batch.push(first);
-                while it.peek().is_some_and(|d| d.to == to) {
-                    batch.push(it.next().expect("peeked"));
-                }
-                for d in &batch {
-                    let violations_before = self.observer.violations.len();
-                    let false_before = self.observer.false_reports;
-                    self.observer.observe(d, &mut self.tracer, now);
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        tel.on_delivery(d, now);
-                        if self.observer.violations.len() > violations_before {
-                            tel.flight("violation", now);
-                        }
-                        // A detected false report trips the recorder:
-                        // the capture shows the collusion's causal
-                        // context (upload, forged report, key release).
-                        if self.observer.false_reports > false_before {
-                            tel.flight("collusion", now);
-                        }
-                    }
-                    self.stage_collusion(d);
-                    self.fold(d);
-                }
-                if let Some(peer) = self.peers.get_mut(&to.0) {
-                    let mut out: Outbox = Vec::new();
-                    for d in batch.drain(..) {
-                        peer.on_frame(now, d.from, d.frame, &mut out);
-                    }
-                    staged.extend(out.into_iter().map(|(t, f)| (to, t, f)));
-                    // A delivered frame can unlock same-tick work
-                    // (reciprocation, key relay): run this peer's
-                    // on_tick now, exactly when the legacy scan would.
-                    self.ready.insert(to.0);
-                }
-            }
-            // Peers whose departure flag may flip this tick — only
-            // `on_tick` (depart_on_complete) and churn `leave` set it,
-            // so the ticked set plus churn victims covers all of them.
-            let mut woke: BTreeSet<u32> = BTreeSet::new();
-            match self.cfg.sched {
-                SchedMode::LegacyLinear => {
-                    self.ready.clear();
-                    for (&id, peer) in self.peers.iter_mut() {
-                        let mut out: Outbox = Vec::new();
-                        peer.on_tick(now, &mut out);
-                        staged.extend(out.into_iter().map(|(to, f)| (NodeId(id), to, f)));
-                    }
-                }
-                SchedMode::Indexed | SchedMode::Explore => {
-                    // Union of due timers and frame receivers, visited
-                    // in ascending id order — the same order the legacy
-                    // scan used; every skipped peer is quiescent (see
-                    // `PeerRuntime::next_wake`), so the staged stream
-                    // matches the full scan's bit for bit.
-                    let mut due = std::mem::take(&mut self.ready);
-                    self.wheel.pop_due(now, &mut due);
-                    if self.perturb.is_none() {
-                        for id in due {
-                            self.tick_peer(id, now, &mut staged, &mut woke);
-                        }
-                    } else {
-                        // Explore: the run-order decision point goes
-                        // through the perturber. `Pick(0)` at every
-                        // step reproduces the loop above exactly.
-                        let mut pending: Vec<u32> = due.into_iter().collect();
-                        while !pending.is_empty() {
-                            let p = self.perturb.as_mut().expect("explore mode");
-                            let step = p.step();
-                            let arity = pending.len() as u32;
-                            match p.decide(&pending) {
-                                Act::Defer => {
-                                    trace_event!(self.tracer, now, Event::ScheduleChoice {
-                                        step,
-                                        arity,
-                                        pick: u32::MAX,
-                                    });
-                                    // Punt the whole due set a tick:
-                                    // the ready set re-runs them on
-                                    // the next transport poll.
-                                    for id in pending.drain(..) {
-                                        self.ready.insert(id);
-                                    }
-                                }
-                                Act::Pick(i) => {
-                                    if i != 0 {
-                                        trace_event!(self.tracer, now, Event::ScheduleChoice {
-                                            step,
-                                            arity,
-                                            pick: i,
-                                        });
-                                    }
-                                    let id = pending.remove(i as usize);
-                                    self.tick_peer(id, now, &mut staged, &mut woke);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            let mut staged = self.dispatch(deliveries, now);
+            let woke = self.tick_due(now, &mut staged);
             self.flush(staged)?;
-            self.handle_churn(now, &mut woke)?;
-            match self.cfg.sched {
-                SchedMode::Indexed | SchedMode::Explore => {
-                    self.handle_departures(now, Some(&woke))
-                }
-                SchedMode::LegacyLinear => self.handle_departures(now, None),
-            }
-            self.handle_chaos_records(now);
-            self.handle_rejoins(now)?;
-            self.handle_crashes(now);
-            self.handle_attacks(now)?;
+            self.membership(now, woke)?;
             if self.compliant_done() {
                 // A few grace ticks drain in-flight frames so trailing
                 // key releases still pass under the observer's eye.
@@ -1283,11 +757,612 @@ impl<T: Transport> SwarmHarness<T> {
                 }
             }
         }
+        Ok(self.report(ticks))
+    }
 
+    // ------------------------------------------------------------------
+    // Membership lifecycle: every admission and teardown path below is
+    // a composition of `enroll`, `greet` and `evict`.
+    // ------------------------------------------------------------------
+
+    /// Admits `peer` under `id`: transport endpoint, tracker entry and a
+    /// place in the swarm. The peer does not talk or tick yet — see
+    /// [`Self::greet`].
+    fn enroll(&mut self, id: u32, mut peer: PeerRuntime, entry: Entry) -> Result<(), NetError> {
+        peer.set_arm_retries(!self.transport.reliable());
+        match entry {
+            Entry::Fresh => self.transport.register(NodeId(id))?,
+            Entry::Returning => self.transport.reconnect(NodeId(id))?,
+        }
+        self.tracker.register(NodeId(id));
+        self.peers.insert(id, peer);
+        Ok(())
+    }
+
+    /// Completes an admission: the enrolled `id` meets the swarm
+    /// ([`Self::rendezvous`]) and starts ticking next round.
+    fn greet(&mut self, id: u32, rng: Option<&mut SimRng>, now: f64) -> Result<(), NetError> {
+        self.rendezvous(id, rng)?;
+        self.wheel.schedule(id, now);
+        Ok(())
+    }
+
+    /// Tracker query + bitfield handshake. The member list is drawn from
+    /// `rng` — the adversary engine passes its own fork — or from the
+    /// harness stream when `None`. A §IV-C re-query calls this directly
+    /// rather than [`Self::greet`]: the peer is already scheduled, and an
+    /// extra wake-up would shift the explore-mode decision stream (and
+    /// every recorded schedule).
+    ///
+    /// Requests the §IV-A policy list (50), not the whole swarm: for
+    /// pools of ≤ 51 the tracker's `k.min(pool-1)` cap makes the two
+    /// requests draw-identical (same sampling branch, same RNG stream —
+    /// the 16-peer goldens depend on that), and at 256 peers the bounded
+    /// list is what keeps per-peer neighbor state O(policy), not O(N).
+    fn rendezvous(&mut self, id: u32, rng: Option<&mut SimRng>) -> Result<(), NetError> {
+        let rng = rng.unwrap_or(&mut self.rng);
+        let members =
+            self.tracker.random_members(NodeId(id), NeighborPolicy::default().list_size, rng);
+        let mut out: Outbox = Vec::new();
+        self.peers.get_mut(&id).expect("enrolled").bootstrap(&members, &mut out);
+        self.flush(stage(NodeId(id), out))
+    }
+
+    /// Tears `id` out of transport, tracker and scheduler view and gives
+    /// every live neighbour the connection reset it would see: stop
+    /// serving the vanished peer and abandon transactions toward it
+    /// (otherwise a donor keeps donating to a ghost and later escrows
+    /// keys nobody can claim). The caller has already flagged `id`
+    /// departed or removed it from `peers`.
+    fn evict(&mut self, id: u32, now: f64) {
+        self.transport.disconnect(NodeId(id));
+        self.tracker.unregister(NodeId(id));
+        self.observer.note_departed(id);
+        self.wheel.cancel(id);
+        for (&pid, peer) in self.peers.iter_mut() {
+            if !peer.departed() {
+                peer.on_peer_gone(NodeId(id));
+                // State changed outside this peer's own on_tick (a
+                // freed donation slot can unlock work): wake it next
+                // tick. `hasten` never delays an earlier wake.
+                self.wheel.hasten(pid, now);
+            }
+        }
+    }
+
+    /// Rebuilds a runtime from its checkpoint under a fresh
+    /// generation-salted RNG and keyring.
+    fn revive(&self, slot: &RejoinSlot) -> PeerRuntime {
+        PeerRuntime::restore(
+            &slot.checkpoint,
+            self.content,
+            self.cfg.net,
+            self.cfg.seed,
+            slot.generation,
+        )
+        .expect("checkpoint was taken from this swarm's content")
+    }
+
+    fn mint_id(&mut self) -> u32 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    // ------------------------------------------------------------------
+    // Tick pipeline stages, in `run` order
+    // ------------------------------------------------------------------
+
+    /// Greets the boot population. Enrolment finished in `new`, so every
+    /// member-list draw sees the full tracker.
+    fn boot(&mut self) -> Result<(), NetError> {
+        let ids: Vec<u32> = self.peers.keys().copied().collect();
+        for id in ids {
+            self.greet(id, None, 0.0)?;
+        }
+        Ok(())
+    }
+
+    /// Audits and delivers one tick's frames, returning what the
+    /// recipients staged in reply.
+    ///
+    /// Batched: consecutive same-recipient deliveries share one peer
+    /// lookup and one outbox. Audit stays in exact delivery order, and
+    /// the recipient's `on_frame`s run in that same order — the staged
+    /// stream is byte-identical to the one-at-a-time path.
+    fn dispatch(&mut self, deliveries: Vec<Delivery>, now: f64) -> Staged {
+        let mut staged = Staged::new();
+        let mut batch: Vec<Delivery> = Vec::new();
+        let mut it = deliveries.into_iter().peekable();
+        while let Some(first) = it.next() {
+            let to = first.to;
+            batch.clear();
+            batch.push(first);
+            while let Some(d) = it.next_if(|d| d.to == to) {
+                batch.push(d);
+            }
+            for d in &batch {
+                self.audit(d, now);
+            }
+            if let Some(peer) = self.peers.get_mut(&to.0) {
+                let mut out: Outbox = Vec::new();
+                for d in batch.drain(..) {
+                    peer.on_frame(now, d.from, d.frame, &mut out);
+                }
+                staged.extend(stage(to, out));
+                // A delivered frame can unlock same-tick work
+                // (reciprocation, key relay): run this peer's on_tick
+                // now, exactly when the legacy scan would.
+                self.ready.insert(to.0);
+            }
+        }
+        staged
+    }
+
+    /// Shows one delivery to the observer, the telemetry, the collusion
+    /// hook and the fingerprint fold, in that order.
+    fn audit(&mut self, d: &Delivery, now: f64) {
+        let violations_before = self.observer.violations.len();
+        let false_before = self.observer.false_reports;
+        self.observer.observe(d, &mut self.tracer, now);
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.on_delivery(d, now);
+            if self.observer.violations.len() > violations_before {
+                tel.flight("violation", now);
+            }
+            // A detected false report trips the recorder: the capture
+            // shows the collusion's causal context (upload, forged
+            // report, key release).
+            if self.observer.false_reports > false_before {
+                tel.flight("collusion", now);
+            }
+        }
+        self.stage_collusion(d);
+        self.fold(d);
+    }
+
+    /// Runs `on_tick` on this tick's peers and returns who ran — the
+    /// only peers whose departure flag can have flipped (`on_tick` sets
+    /// it on depart-on-complete; churn adds its victims later).
+    fn tick_due(&mut self, now: f64, staged: &mut Staged) -> BTreeSet<u32> {
+        let mut woke = BTreeSet::new();
+        match self.cfg.sched {
+            // The reference scan: every peer, every tick.
+            SchedMode::LegacyLinear => {
+                self.ready.clear();
+                for (&id, peer) in self.peers.iter_mut() {
+                    let mut out: Outbox = Vec::new();
+                    peer.on_tick(now, &mut out);
+                    staged.extend(stage(NodeId(id), out));
+                    woke.insert(id);
+                }
+            }
+            // Union of due timers and frame receivers, visited in
+            // ascending id order — the same order the legacy scan
+            // uses; every skipped peer is quiescent (see
+            // `PeerRuntime::next_wake`), so the staged stream matches
+            // the full scan's bit for bit.
+            SchedMode::Indexed => {
+                let mut due = std::mem::take(&mut self.ready);
+                self.wheel.pop_due(now, &mut due);
+                if self.perturb.is_some() {
+                    self.tick_perturbed(due.into_iter().collect(), now, staged, &mut woke);
+                } else {
+                    for id in due {
+                        self.tick_peer(id, now, staged, &mut woke);
+                    }
+                }
+            }
+        }
+        woke
+    }
+
+    /// Explore mode: the run-order decision point goes through the
+    /// perturber. `Pick(0)` at every step reproduces the ascending-id
+    /// loop exactly.
+    fn tick_perturbed(
+        &mut self,
+        mut pending: Vec<u32>,
+        now: f64,
+        staged: &mut Staged,
+        woke: &mut BTreeSet<u32>,
+    ) {
+        while !pending.is_empty() {
+            let p = self.perturb.as_mut().expect("explore mode");
+            let (step, arity) = (p.step(), pending.len() as u32);
+            let act = p.decide(&pending);
+            let pick = match act {
+                Act::Defer => u32::MAX,
+                Act::Pick(i) => i,
+            };
+            // Only non-default decisions are worth a trace event.
+            if pick != 0 {
+                trace_event!(self.tracer, now, Event::ScheduleChoice { step, arity, pick });
+            }
+            match act {
+                // Punt the whole due set a tick: the ready set re-runs
+                // them on the next transport poll.
+                Act::Defer => self.ready.extend(pending.drain(..)),
+                Act::Pick(i) => {
+                    let id = pending.remove(i as usize);
+                    self.tick_peer(id, now, staged, woke);
+                }
+            }
+        }
+    }
+
+    /// Runs one due peer's `on_tick` and re-arms it — the body of the
+    /// indexed scheduler's visit, shared verbatim by explore mode so a
+    /// perturbed run differs from production only in visit *order*.
+    fn tick_peer(&mut self, id: u32, now: f64, staged: &mut Staged, woke: &mut BTreeSet<u32>) {
+        let Some(peer) = self.peers.get_mut(&id) else {
+            self.wheel.cancel(id);
+            return;
+        };
+        let mut out: Outbox = Vec::new();
+        peer.on_tick(now, &mut out);
+        // Re-arm. Output means the peer is mid-burst: tick it again
+        // next round, like the legacy scan. Quiet peers park on their
+        // earliest timer deadline, or disarm entirely until a frame
+        // arrives. `now` (not now + dt) marks "next transport poll" on
+        // wall-clock backends too — it pops on the following tick
+        // either way, since this tick's pop already ran.
+        if out.is_empty() {
+            match peer.next_wake() {
+                Some(w) if w > now => self.wheel.schedule(id, w),
+                Some(_) => self.wheel.schedule(id, now),
+                None => self.wheel.cancel(id),
+            }
+        } else {
+            self.wheel.schedule(id, now);
+            staged.extend(stage(NodeId(id), out));
+        }
+        woke.insert(id);
+    }
+
+    fn flush(
+        &mut self,
+        staged: impl IntoIterator<Item = (NodeId, NodeId, Frame)>,
+    ) -> Result<(), NetError> {
+        let now = self.transport.now();
+        for (from, to, frame) in staged {
+            let meta = self.telemetry.as_mut().map(|tel| tel.on_send(now, from.0, to.0, &frame));
+            match self.transport.send_meta(from, to, frame, meta) {
+                // A peer may address someone who already left the
+                // transport's view; that is a drop, not a failure.
+                Err(NetError::UnknownPeer(_)) => {}
+                other => other?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies this tick's membership changes, in a fixed order: the
+    /// churn, chaos and attack streams are each drawn from exactly once
+    /// per tick, and a peer torn down early in the list is gone for the
+    /// steps after it.
+    fn membership(&mut self, now: f64, mut woke: BTreeSet<u32>) -> Result<(), NetError> {
+        self.handle_churn(now, &mut woke)?;
+        self.handle_departures(now, &woke);
+        self.handle_chaos_records(now);
+        self.handle_rejoins(now)?;
+        self.handle_crashes(now);
+        self.handle_attacks(now)
+    }
+
+    /// Fires due churn events. Joins (staggered or flash-crowd) mint
+    /// fresh ids and enter like any newcomer; voluntary departures run
+    /// the §II-B4 escrow handoff via [`PeerRuntime::leave`] on victims
+    /// drawn from the churn stream's own seeded RNG. Victims land in
+    /// `woke` so the departure sweep handles them this tick.
+    fn handle_churn(&mut self, now: f64, woke: &mut BTreeSet<u32>) -> Result<(), NetError> {
+        let Some(mut churn) = self.churn.take() else { return Ok(()) };
+        for _ in 0..churn.joins_due(now) {
+            let id = self.mint_id();
+            let peer = PeerRuntime::new(
+                NodeId(id),
+                PeerRole::Compliant,
+                self.content,
+                self.cfg.net,
+                self.cfg.seed,
+            );
+            self.enroll(id, peer, Entry::Fresh)?;
+            trace_event!(self.tracer, now, Event::PeerJoin { peer: id, compliant: true });
+            self.greet(id, None, now)?;
+            self.churn_joined += 1;
+        }
+        for fraction in churn.departures_due(now) {
+            // Victims come from the live compliant leechers: the seeder
+            // stays (someone must hold the full file) and free-riders
+            // have nothing to hand off.
+            let eligible = self.live_compliant();
+            for victim in churn.pick_victims(fraction, &eligible) {
+                let Some(peer) = self.peers.get_mut(&victim.0) else { continue };
+                if !peer.is_complete() {
+                    self.churn_departed_incomplete += 1;
+                }
+                let mut out: Outbox = Vec::new();
+                peer.leave(&mut out);
+                self.flush(stage(victim, out))?;
+                self.churn_departed += 1;
+                woke.insert(victim.0);
+            }
+        }
+        self.churn = Some(churn);
+        Ok(())
+    }
+
+    /// Compliant leechers still in the swarm — the population churn
+    /// departures and crashes pick their victims from.
+    fn live_compliant(&self) -> Vec<NodeId> {
+        self.peers
+            .values()
+            .filter(|p| p.role() == PeerRole::Compliant && !p.departed())
+            .map(PeerRuntime::id)
+            .collect()
+    }
+
+    /// Sweeps newly departed peers out of transport/tracker view. The
+    /// departure flag only flips inside `on_tick` (depart-on-complete)
+    /// or a churn `leave`, so `woke` — the peers that ran this tick plus
+    /// the churn victims — holds everyone who can newly carry it.
+    fn handle_departures(&mut self, now: f64, woke: &BTreeSet<u32>) {
+        let departed: Vec<u32> = woke
+            .iter()
+            .filter(|id| {
+                !self.departed_handled.contains(id)
+                    && self.peers.get(id).is_some_and(PeerRuntime::departed)
+            })
+            .copied()
+            .collect();
+        for id in departed {
+            self.departed_handled.insert(id);
+            trace_event!(self.tracer, now, Event::PeerDepart { peer: id });
+            self.evict(id, now);
+        }
+    }
+
+    /// Drains the transport's chaos log: injections become trace events;
+    /// receiver-side rejects feed the receiving peer's strike counter and
+    /// may trip a quarantine.
+    fn handle_chaos_records(&mut self, now: f64) {
+        for rec in self.transport.take_chaos() {
+            match rec {
+                ChaosRecord::Inject { from, to, action } => {
+                    self.chaos_injects += 1;
+                    if let Some(kind) = chaos_kind(action) {
+                        trace_event!(self.tracer, now, Event::ChaosInject {
+                            from: from.0,
+                            to: to.0,
+                            kind,
+                        });
+                    }
+                }
+                ChaosRecord::Reject(rej) => {
+                    trace_event!(self.tracer, now, Event::FrameReject {
+                        peer: rej.to.0,
+                        offender: rej.from.0,
+                        kind: reject_kind(&rej.cause),
+                    });
+                    if let Some(peer) = self.peers.get_mut(&rej.to.0) {
+                        if let Some(until) = peer.on_frame_reject(now, rej.from) {
+                            trace_event!(self.tracer, now, Event::PeerQuarantine {
+                                peer: rej.to.0,
+                                offender: rej.from.0,
+                                until,
+                            });
+                            if let Some(tel) = self.telemetry.as_mut() {
+                                tel.on_quarantine(rej.to.0, now, until);
+                            }
+                        }
+                        // Strike/quarantine state changed outside the
+                        // peer's own on_tick: wake it so its next_wake
+                        // re-arms off the new quarantine deadline.
+                        self.wheel.hasten(rej.to.0, now);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Restores crashed peers whose outage has elapsed: rebuild the
+    /// runtime from its checkpoint, reconnect and re-bootstrap.
+    fn handle_rejoins(&mut self, now: f64) -> Result<(), NetError> {
+        for slot in take_due(&mut self.pending_rejoin, now, |s| s) {
+            let id = slot.checkpoint.id().0;
+            let peer = self.revive(&slot);
+            self.enroll(id, peer, Entry::Returning)?;
+            self.observer.note_rejoined(id);
+            self.rejoins += 1;
+            trace_event!(self.tracer, now, Event::PeerRejoin {
+                peer: id,
+                generation: slot.generation,
+            });
+            self.greet(id, None, now)?;
+        }
+        Ok(())
+    }
+
+    /// Fires due crash-restart events: victims are checkpointed, torn
+    /// out of the swarm with no §II-B4 goodbye, and scheduled to rejoin
+    /// after a jittered outage.
+    fn handle_crashes(&mut self, now: f64) {
+        if !self.chaos.crash_due(now) {
+            return;
+        }
+        let alive = self.live_compliant();
+        for (victim, restart_after) in self.chaos.crash_victims(now, &alive) {
+            let Some(peer) = self.peers.remove(&victim.0) else { continue };
+            let checkpoint = reload(&peer.checkpoint());
+            self.crashes += 1;
+            trace_event!(self.tracer, now, Event::PeerCrash { peer: victim.0 });
+            if let Some(tel) = self.telemetry.as_mut() {
+                tel.flight("crash", now);
+            }
+            self.evict(victim.0, now);
+            self.pending_rejoin.push(RejoinSlot {
+                at: now + self.chaos.backoff_jitter(restart_after),
+                generation: checkpoint.generation() + 1,
+                checkpoint,
+            });
+        }
+    }
+
+    /// Audits a delivered frame for the §IV-D collusion hook: when an
+    /// encrypted upload lands on a ring member whose designated payee
+    /// is a ring mate, the mate will forge a reception report on the
+    /// requestor's behalf — the donor then releases the key (and
+    /// clears a §II-D2 ledger slot) for a reciprocation that never
+    /// happened. One forged report per transaction.
+    fn stage_collusion(&mut self, d: &Delivery) {
+        let Some(attack) = self.attack.as_mut() else { return };
+        if attack.colluders.is_empty() {
+            return;
+        }
+        let Frame::Control(Message::PieceUpload { piece, payee: Some(py), .. }) = &d.frame else {
+            return;
+        };
+        let (donor, requestor) = (d.from, d.to);
+        if !attack.colluders.same_group(requestor, *py) {
+            return;
+        }
+        if !attack.reported_txns.insert((donor.0, requestor.0, piece.0)) {
+            return;
+        }
+        attack.staged_reports.push((
+            *py,
+            donor,
+            Frame::Control(Message::ReceptionReport { requestor, piece: *piece }),
+        ));
+    }
+
+    /// Runs every strategic operator's turn: flush forged collusion
+    /// reports, fire §IV-C large-view tracker re-queries, trigger and
+    /// settle whitewash identity resets. A no-op — zero draws, zero
+    /// branches on peer state — when no strategy manipulates.
+    fn handle_attacks(&mut self, now: f64) -> Result<(), NetError> {
+        let Some(mut attack) = self.attack.take() else { return Ok(()) };
+        self.flush(std::mem::take(&mut attack.staged_reports))?;
+        for op in 0..attack.operators.len() {
+            let Some(id) = attack.operators[op].live_id else { continue };
+            let Some(peer) = self.peers.get(&id) else { continue };
+            let state = &mut attack.operators[op];
+            state.note_progress(peer.have_count(), now);
+            if state.should_whitewash(now) {
+                self.whitewash(&mut attack, op, id, now);
+            } else if state.strategy.large_view() && now >= state.next_requery {
+                // §IV-C: re-query the tracker every rechoke period —
+                // "much more frequently than in normal BitTorrent
+                // operations" — and greet every returned member. The
+                // accept-all half is the runtime's default connection
+                // policy, so the engine only drives the schedule.
+                state.next_requery = now + RECHOKE_PERIOD;
+                self.rendezvous(id, Some(&mut attack.rng))?;
+            }
+        }
+        self.settle_whitewash(&mut attack, now)?;
+        self.attack = Some(attack);
+        Ok(())
+    }
+
+    /// §IV-C whitewash: tear the live identity `id` out with no §II-B4
+    /// goodbye (crash-style teardown), keep the loot via checkpoint,
+    /// and queue a rejoin under a fresh id. Neighbors see a vanished
+    /// peer; the returnee is "treated as another newcomer".
+    fn whitewash(&mut self, attack: &mut AttackState, op: usize, id: u32, now: f64) {
+        let peer = self.peers.remove(&id).expect("live identity");
+        let new_id = self.mint_id();
+        // `with_id` wipes the neighbor-facing ledgers that belonged to
+        // the dead identity.
+        let checkpoint = reload(&peer.checkpoint().with_id(new_id));
+        attack.colluders.unregister(NodeId(id));
+        attack.operators[op].live_id = None;
+        trace_event!(self.tracer, now, Event::PeerDepart { peer: id });
+        self.evict(id, now);
+        attack.pending_whitewash.push(WhitewashSlot {
+            rejoin: RejoinSlot {
+                at: now + WHITEWASH_REJOIN_DELAY,
+                generation: checkpoint.generation() + 1,
+                checkpoint,
+            },
+            prior: id,
+            operator: op,
+        });
+    }
+
+    /// Settles due whitewash rejoins: restore from the re-identified
+    /// checkpoint, re-adopt the operator's strategy and enter as a
+    /// newcomer — the transport has never seen the fresh id.
+    fn settle_whitewash(&mut self, attack: &mut AttackState, now: f64) -> Result<(), NetError> {
+        for slot in take_due(&mut attack.pending_whitewash, now, |w| &w.rejoin) {
+            let id = slot.rejoin.checkpoint.id().0;
+            let strategy = attack.operators[slot.operator].strategy;
+            let mut peer = self.revive(&slot.rejoin);
+            peer.adopt_strategy(strategy);
+            let held = peer.have_count();
+            self.enroll(id, peer, Entry::Fresh)?;
+            let group = strategy.collusion_group();
+            if let Some(g) = group {
+                attack.colluders.register(NodeId(id), g);
+            }
+            self.observer.note_attacker(id, strategy_label(&strategy), group.map(|g| g.0));
+            attack.operators[slot.operator].rebirth(id, held, now);
+            attack.whitewash_rejoins += 1;
+            trace_event!(self.tracer, now, Event::WhitewashRejoin {
+                peer: id,
+                prior: slot.prior,
+                generation: slot.rejoin.generation,
+            });
+            self.greet(id, Some(&mut attack.rng), now)?;
+        }
+        Ok(())
+    }
+
+    fn compliant_done(&self) -> bool {
+        self.pending_rejoin.is_empty()
+            && self.churn.as_ref().is_none_or(ChurnState::done)
+            && self
+                .peers
+                .values()
+                .filter(|p| p.role() == PeerRole::Compliant)
+                // A voluntary departure that left incomplete is out of
+                // the completion set — it can never finish. Without
+                // churn `departed` implies `is_complete`, so this is
+                // the historical predicate on every pre-churn scenario.
+                .all(|p| p.is_complete() || p.departed())
+    }
+
+    fn plaintexts_ok(&self) -> bool {
+        self.peers.values().all(|p| {
+            (0..self.content.pieces as u32).all(|i| match p.piece_bytes(i) {
+                Some(bytes) => bytes == self.content.piece(i).as_slice(),
+                None => true,
+            })
+        })
+    }
+
+    fn fold(&mut self, d: &Delivery) {
+        let enc = d.frame.encode();
+        self.fingerprint = mix64(
+            self.fingerprint
+                ^ fingerprint(&enc)
+                ^ (u64::from(d.from.0) << 32)
+                ^ u64::from(d.to.0),
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // Report assembly
+    // ------------------------------------------------------------------
+
+    /// Audits the finished run and assembles its [`SwarmReport`].
+    fn report(mut self, ticks: u64) -> SwarmReport {
         let plaintext_ok = self.plaintexts_ok();
-        let mut completion_times = Vec::new();
-        let mut peer_counters = Vec::new();
-        let mut completed_compliant = 0;
+        let completed = |role: PeerRole| {
+            self.peers.values().filter(|p| p.role() == role && p.is_complete()).count() as u32
+        };
+        let completed_compliant = completed(PeerRole::Compliant);
+        let completed_free_riders = completed(PeerRole::FreeRider);
         // From the scenario, not the survivors: a peer still waiting out
         // its crash outage at the deadline must count as incomplete.
         // Churn joins raise the target; a voluntary departure that left
@@ -1295,86 +1370,28 @@ impl<T: Transport> SwarmHarness<T> {
         let total_compliant = self.cfg.peers - 1 - self.boot_free_riders
             + self.churn_joined as u32
             - self.churn_departed_incomplete;
-        let mut completed_free_riders = 0;
-        for (&id, p) in &self.peers {
-            if let Some(t) = p.completion_time() {
-                completion_times.push((id, t));
-            }
-            peer_counters.push((id, p.counters()));
-            match p.role() {
-                PeerRole::Compliant => {
-                    if p.is_complete() {
-                        completed_compliant += 1;
-                    }
-                }
-                PeerRole::FreeRider => {
-                    if p.is_complete() {
-                        completed_free_riders += 1;
-                    }
-                }
-                PeerRole::Seeder => {}
-            }
-        }
-        // Per-strategy completion ledger: live (or completed-departed)
-        // leechers under their current strategy, plus any operator
-        // caught mid-whitewash at the deadline.
-        let mut completed_by_strategy: BTreeMap<&'static str, (u32, u32)> = BTreeMap::new();
-        for p in self.peers.values() {
-            if p.role() == PeerRole::Seeder || (p.departed() && !p.is_complete()) {
-                continue;
-            }
-            let e = completed_by_strategy.entry(strategy_label(&p.strategy())).or_insert((0, 0));
-            e.1 += 1;
-            if p.is_complete() {
-                e.0 += 1;
-            }
-        }
-        if let Some(attack) = &self.attack {
-            for slot in &attack.pending_whitewash {
-                let s = attack.operators[slot.operator].strategy;
-                let e = completed_by_strategy.entry(strategy_label(&s)).or_insert((0, 0));
-                e.1 += 1;
-                if slot.checkpoint.held_pieces() == self.cfg.pieces {
-                    e.0 += 1;
-                }
-            }
-        }
-        // Safety-oracle sweep: the invariant set the schedule explorer
-        // searches against, audited on *every* run (any mode). Each
-        // failure lands in the trace and trips the flight recorder, so
-        // a violating interleaving carries its causal context out.
-        let ledger_ok = self
+        let completion_times: Vec<(u32, f64)> = self
             .peers
-            .values()
-            .filter(|p| !p.departed())
-            .all(PeerRuntime::ledger_consistent);
+            .iter()
+            .filter_map(|(&id, p)| p.completion_time().map(|t| (id, t)))
+            .collect();
+        let peer_counters: Vec<(u32, PeerCounters)> =
+            self.peers.iter().map(|(&id, p)| (id, p.counters())).collect();
         let frame_rejects: u64 = peer_counters.iter().map(|(_, c)| c.frame_rejects).sum();
         let quarantines: u64 = peer_counters.iter().map(|(_, c)| c.quarantines).sum();
-        let mut failed_oracles = Vec::new();
-        if !self.observer.violations.is_empty() {
-            failed_oracles.push(OracleKind::KeyRelease);
-        }
-        if !ledger_ok {
-            failed_oracles.push(OracleKind::Ledger);
-        }
-        if !plaintext_ok {
-            failed_oracles.push(OracleKind::Plaintext);
-        }
-        if completed_compliant != total_compliant {
-            failed_oracles.push(OracleKind::Completion);
-        }
-        if quarantines > 0 && frame_rejects == 0 {
-            failed_oracles.push(OracleKind::Quarantine);
-        }
-        {
-            let now = self.transport.now();
-            for &oracle in &failed_oracles {
-                trace_event!(self.tracer, now, Event::OracleViolation { oracle });
-                if let Some(tel) = self.telemetry.as_mut() {
-                    tel.flight("oracle", now);
-                }
-            }
-        }
+        let ledger_ok =
+            self.peers.values().filter(|p| !p.departed()).all(PeerRuntime::ledger_consistent);
+        let failed_oracles: Vec<OracleKind> = [
+            (!self.observer.violations.is_empty(), OracleKind::KeyRelease),
+            (!ledger_ok, OracleKind::Ledger),
+            (!plaintext_ok, OracleKind::Plaintext),
+            (completed_compliant != total_compliant, OracleKind::Completion),
+            (quarantines > 0 && frame_rejects == 0, OracleKind::Quarantine),
+        ]
+        .into_iter()
+        .filter_map(|(failed, oracle)| failed.then_some(oracle))
+        .collect();
+        self.note_failed_oracles(&failed_oracles);
         let (schedule, sched_decisions) = match self.perturb.take() {
             Some(p) => {
                 let decisions = p.decisions();
@@ -1382,27 +1399,9 @@ impl<T: Transport> SwarmHarness<T> {
             }
             None => (None, 0),
         };
-        let (telemetry, peer_rings, flight_dumps) = match self.telemetry.take() {
-            Some(tel) => {
-                let now = self.transport.now();
-                let tel_peers: Vec<(u32, PeerCounters, i64)> = self
-                    .peers
-                    .iter()
-                    .map(|(&id, p)| (id, p.counters(), p.goodwill_balance()))
-                    .collect();
-                let terminations = [
-                    ("gift", self.observer.chains_terminated() as u64),
-                    ("departure", self.departed_handled.len() as u64),
-                    ("crash", self.crashes),
-                    ("quarantine", peer_counters.iter().map(|(_, c)| c.quarantines).sum()),
-                ];
-                let (swarm, rings, dumps) =
-                    tel.finish(now, &tel_peers, &self.observer.chain_lengths(), &terminations);
-                (Some(swarm), rings, dumps)
-            }
-            None => (None, Vec::new(), Vec::new()),
-        };
-        Ok(SwarmReport {
+        let completed_by_strategy = self.completed_by_strategy();
+        let (telemetry, peer_rings, flight_dumps) = self.finish_telemetry(quarantines);
+        SwarmReport {
             backend: self.transport.backend(),
             peers: self.cfg.peers,
             free_riders: self.boot_free_riders,
@@ -1453,521 +1452,71 @@ impl<T: Transport> SwarmHarness<T> {
             schedule,
             sched_decisions,
             failed_oracles,
-        })
-    }
-
-    /// Runs one due peer's `on_tick` and re-arms it — the body of the
-    /// indexed scheduler's visit, shared verbatim by explore mode so a
-    /// perturbed run differs from production only in visit *order*.
-    fn tick_peer(
-        &mut self,
-        id: u32,
-        now: f64,
-        staged: &mut Vec<(NodeId, NodeId, Frame)>,
-        woke: &mut BTreeSet<u32>,
-    ) {
-        let Some(peer) = self.peers.get_mut(&id) else {
-            self.wheel.cancel(id);
-            return;
-        };
-        let mut out: Outbox = Vec::new();
-        peer.on_tick(now, &mut out);
-        // Re-arm. Output means the peer is mid-burst: tick it again
-        // next round, like the legacy scan. Quiet peers park on their
-        // earliest timer deadline, or disarm entirely until a frame
-        // arrives. `now` (not now + dt) marks "next transport poll" on
-        // wall-clock backends too — it pops on the following tick
-        // either way, since this tick's pop already ran.
-        if out.is_empty() {
-            match peer.next_wake() {
-                Some(w) if w > now => self.wheel.schedule(id, w),
-                Some(_) => self.wheel.schedule(id, now),
-                None => self.wheel.cancel(id),
-            }
-        } else {
-            self.wheel.schedule(id, now);
-            staged.extend(out.into_iter().map(|(to, f)| (NodeId(id), to, f)));
         }
-        woke.insert(id);
     }
 
-    fn flush(&mut self, staged: Vec<(NodeId, NodeId, Frame)>) -> Result<(), NetError> {
+    /// Records the safety-oracle sweep — the invariant set the schedule
+    /// explorer searches against, audited on *every* run. Each failure
+    /// lands in the trace and trips the flight recorder, so a violating
+    /// interleaving carries its causal context out.
+    fn note_failed_oracles(&mut self, failed: &[OracleKind]) {
         let now = self.transport.now();
-        for (from, to, frame) in staged {
-            let meta = self.telemetry.as_mut().map(|tel| tel.on_send(now, from.0, to.0, &frame));
-            match self.transport.send_meta(from, to, frame, meta) {
-                // A peer may address someone who already left the
-                // transport's view; that is a drop, not a failure.
-                Err(NetError::UnknownPeer(_)) => {}
-                other => other?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Fires due churn events. Joins (staggered or flash-crowd) mint
-    /// fresh ids, register with transport and tracker, and bootstrap
-    /// off a policy-capped member list; voluntary departures run the
-    /// §II-B4 escrow handoff via [`PeerRuntime::leave`] on victims
-    /// drawn from the churn stream's own seeded RNG. Victims land in
-    /// `woke` so the departure sweep handles them this tick.
-    fn handle_churn(&mut self, now: f64, woke: &mut BTreeSet<u32>) -> Result<(), NetError> {
-        let Some(mut churn) = self.churn.take() else { return Ok(()) };
-        let list_k = NeighborPolicy::default().list_size;
-        let arm = !self.transport.reliable();
-        for _ in 0..churn.joins_due(now) {
-            let id = self.next_id;
-            self.next_id += 1;
-            let mut peer = PeerRuntime::new(
-                NodeId(id),
-                PeerRole::Compliant,
-                self.content,
-                self.cfg.net,
-                self.cfg.seed,
-            );
-            peer.set_arm_retries(arm);
-            self.transport.register(NodeId(id))?;
-            self.tracker.register(NodeId(id));
-            trace_event!(self.tracer, now, Event::PeerJoin { peer: id, compliant: true });
-            let members = self.tracker.random_members(NodeId(id), list_k, &mut self.rng);
-            let mut out: Outbox = Vec::new();
-            peer.bootstrap(&members, &mut out);
-            let staged: Vec<(NodeId, NodeId, Frame)> =
-                out.into_iter().map(|(to, f)| (NodeId(id), to, f)).collect();
-            self.peers.insert(id, peer);
-            self.flush(staged)?;
-            self.churn_joined += 1;
-            if self.cfg.sched != SchedMode::LegacyLinear {
-                self.wheel.schedule(id, now);
-            }
-        }
-        for fraction in churn.departures_due(now) {
-            // Victims come from the live compliant leechers: the seeder
-            // stays (someone must hold the full file) and free-riders
-            // have nothing to hand off.
-            let eligible: Vec<NodeId> = self
-                .peers
-                .values()
-                .filter(|p| p.role() == PeerRole::Compliant && !p.departed())
-                .map(PeerRuntime::id)
-                .collect();
-            for victim in churn.pick_victims(fraction, &eligible) {
-                let Some(peer) = self.peers.get_mut(&victim.0) else { continue };
-                if !peer.is_complete() {
-                    self.churn_departed_incomplete += 1;
-                }
-                let mut out: Outbox = Vec::new();
-                peer.leave(&mut out);
-                let staged: Vec<(NodeId, NodeId, Frame)> =
-                    out.into_iter().map(|(to, f)| (victim, to, f)).collect();
-                self.flush(staged)?;
-                self.churn_departed += 1;
-                woke.insert(victim.0);
-                self.wheel.cancel(victim.0);
-            }
-        }
-        self.churn = Some(churn);
-        Ok(())
-    }
-
-    /// Sweeps newly departed peers out of transport/tracker view.
-    ///
-    /// `candidates` is the indexed-scheduler fast path: the departure
-    /// flag only flips inside `on_tick` (depart-on-complete) or a churn
-    /// `leave`, so the peers that ran this tick are the only ones that
-    /// can newly carry it — no full scan needed. `None` (legacy mode)
-    /// checks everyone.
-    fn handle_departures(&mut self, now: f64, candidates: Option<&BTreeSet<u32>>) {
-        let departed: Vec<u32> = match candidates {
-            Some(c) => c
-                .iter()
-                .filter(|id| {
-                    !self.departed_handled.contains_key(id)
-                        && self.peers.get(id).is_some_and(PeerRuntime::departed)
-                })
-                .copied()
-                .collect(),
-            None => self
-                .peers
-                .iter()
-                .filter(|(id, p)| p.departed() && !self.departed_handled.contains_key(id))
-                .map(|(&id, _)| id)
-                .collect(),
-        };
-        for id in departed {
-            self.transport.disconnect(NodeId(id));
-            self.tracker.unregister(NodeId(id));
-            self.departed_handled.insert(id, ());
-            self.observer.note_departed(id);
-            trace_event!(self.tracer, now, Event::PeerDepart { peer: id });
-            self.wheel.cancel(id);
-            // The connection-reset every remaining peer would see: stop
-            // serving the departed peer and abandon transactions toward
-            // it (otherwise a donor keeps donating to a ghost and later
-            // escrows keys nobody can claim).
-            for (&pid, peer) in self.peers.iter_mut() {
-                if pid != id && !peer.departed() {
-                    peer.on_peer_gone(NodeId(id));
-                    // State changed outside this peer's own on_tick
-                    // (a freed donation slot can unlock work): wake it
-                    // next tick. `hasten` never delays an earlier wake.
-                    self.wheel.hasten(pid, now);
-                }
+        for &oracle in failed {
+            trace_event!(self.tracer, now, Event::OracleViolation { oracle });
+            if let Some(tel) = self.telemetry.as_mut() {
+                tel.flight("oracle", now);
             }
         }
     }
 
-    /// Drains the transport's chaos log: injections become trace events;
-    /// receiver-side rejects feed the receiving peer's strike counter and
-    /// may trip a quarantine.
-    fn handle_chaos_records(&mut self, now: f64) {
-        for rec in self.transport.take_chaos() {
-            match rec {
-                ChaosRecord::Inject { from, to, action } => {
-                    self.chaos_injects += 1;
-                    if let Some(kind) = chaos_kind(action) {
-                        trace_event!(self.tracer, now, Event::ChaosInject {
-                            from: from.0,
-                            to: to.0,
-                            kind,
-                        });
-                    }
-                }
-                ChaosRecord::Reject(rej) => {
-                    trace_event!(self.tracer, now, Event::FrameReject {
-                        peer: rej.to.0,
-                        offender: rej.from.0,
-                        kind: reject_kind(&rej.cause),
-                    });
-                    if let Some(peer) = self.peers.get_mut(&rej.to.0) {
-                        if let Some(until) = peer.on_frame_reject(now, rej.from) {
-                            trace_event!(self.tracer, now, Event::PeerQuarantine {
-                                peer: rej.to.0,
-                                offender: rej.from.0,
-                                until,
-                            });
-                            if let Some(tel) = self.telemetry.as_mut() {
-                                tel.on_quarantine(rej.to.0, now, until);
-                            }
-                        }
-                        // Strike/quarantine state changed outside the
-                        // peer's own on_tick: wake it so its next_wake
-                        // re-arms off the new quarantine deadline.
-                        self.wheel.hasten(rej.to.0, now);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fires due crash-restart events: victims are checkpointed, torn out
-    /// of transport/tracker/swarm with no §II-B4 goodbye, and scheduled to
-    /// rejoin after a jittered outage.
-    fn handle_crashes(&mut self, now: f64) {
-        if !self.chaos.crash_due(now) {
-            return;
-        }
-        let alive: Vec<NodeId> = self
+    /// Per-strategy completion ledger `(completed, total)`: live (or
+    /// completed-departed) leechers under their current strategy, plus
+    /// any operator caught mid-whitewash at the deadline.
+    fn completed_by_strategy(&self) -> BTreeMap<&'static str, (u32, u32)> {
+        let leechers = self
             .peers
             .values()
-            .filter(|p| p.role() == PeerRole::Compliant && !p.departed())
-            .map(PeerRuntime::id)
-            .collect();
-        for (victim, restart_after) in self.chaos.crash_victims(now, &alive) {
-            let Some(peer) = self.peers.remove(&victim.0) else { continue };
-            // Round-trip the checkpoint through its byte encoding so the
-            // rejoin path exercises exactly what a process reloading a
-            // file on disk would.
-            let bytes = peer.checkpoint().to_bytes();
-            let checkpoint = Checkpoint::from_bytes(&bytes).expect("own encoding");
-            self.crashes += 1;
-            self.transport.disconnect(victim);
-            self.tracker.unregister(victim);
-            self.observer.note_departed(victim.0);
-            self.wheel.cancel(victim.0);
-            trace_event!(self.tracer, now, Event::PeerCrash { peer: victim.0 });
-            if let Some(tel) = self.telemetry.as_mut() {
-                tel.flight("crash", now);
-            }
-            for (&pid, other) in self.peers.iter_mut() {
-                if pid != victim.0 && !other.departed() {
-                    other.on_peer_gone(victim);
-                    self.wheel.hasten(pid, now);
-                }
-            }
-            let generation = checkpoint.generation() + 1;
-            self.pending_rejoin.push(RejoinSlot {
-                at: now + self.chaos.backoff_jitter(restart_after),
-                generation,
-                checkpoint,
-            });
-        }
-    }
-
-    /// Restores crashed peers whose outage has elapsed: re-register with
-    /// transport and tracker, rebuild the runtime from its checkpoint
-    /// (fresh generation-salted RNG and keyring) and re-bootstrap.
-    fn handle_rejoins(&mut self, now: f64) -> Result<(), NetError> {
-        if self.pending_rejoin.is_empty() {
-            return Ok(());
-        }
-        let mut due: Vec<RejoinSlot> = Vec::new();
-        let mut later: Vec<RejoinSlot> = Vec::new();
-        for slot in self.pending_rejoin.drain(..) {
-            if slot.at <= now {
-                due.push(slot);
-            } else {
-                later.push(slot);
-            }
-        }
-        self.pending_rejoin = later;
-        // Deterministic rejoin order regardless of crash-draw order.
-        due.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.checkpoint.id().cmp(&b.checkpoint.id())));
-        let arm = !self.transport.reliable();
-        for slot in due {
-            let id = slot.checkpoint.id();
-            let mut peer = PeerRuntime::restore(
-                &slot.checkpoint,
-                self.content,
-                self.cfg.net,
-                self.cfg.seed,
-                slot.generation,
-            )
-            .expect("checkpoint was taken from this swarm's content");
-            peer.set_arm_retries(arm);
-            self.transport.reconnect(id)?;
-            self.tracker.register(id);
-            self.observer.note_rejoined(id.0);
-            self.rejoins += 1;
-            trace_event!(self.tracer, now, Event::PeerRejoin {
-                peer: id.0,
-                generation: slot.generation,
-            });
-            // Policy-capped list, same cap as the initial rendezvous:
-            // draw-identical to the old whole-swarm request for every
-            // pool the pre-scale scenarios reach (≤ 51 members).
-            let members = self
-                .tracker
-                .random_members(id, NeighborPolicy::default().list_size, &mut self.rng);
-            let mut out: Outbox = Vec::new();
-            peer.bootstrap(&members, &mut out);
-            let staged: Vec<(NodeId, NodeId, Frame)> =
-                out.into_iter().map(|(to, f)| (id, to, f)).collect();
-            self.peers.insert(id.0, peer);
-            // The restored peer starts ticking again next round.
-            self.wheel.schedule(id.0, now);
-            self.flush(staged)?;
-        }
-        Ok(())
-    }
-
-    /// Audits a delivered frame for the §IV-D collusion hook: when an
-    /// encrypted upload lands on a ring member whose designated payee
-    /// is a ring mate, the mate will forge a reception report on the
-    /// requestor's behalf — the donor then releases the key (and
-    /// clears a §II-D2 ledger slot) for a reciprocation that never
-    /// happened. One forged report per transaction.
-    fn stage_collusion(&mut self, d: &Delivery) {
-        let Some(attack) = self.attack.as_mut() else { return };
-        if attack.colluders.is_empty() {
-            return;
-        }
-        let Frame::Control(Message::PieceUpload { piece, payee: Some(py), .. }) = &d.frame else {
-            return;
-        };
-        let (donor, requestor) = (d.from, d.to);
-        if !attack.colluders.same_group(requestor, *py) {
-            return;
-        }
-        if !attack.reported_txns.insert((donor.0, requestor.0, piece.0)) {
-            return;
-        }
-        attack.staged_reports.push((
-            *py,
-            donor,
-            Frame::Control(Message::ReceptionReport { requestor, piece: *piece }),
-        ));
-    }
-
-    /// Runs every strategic operator's turn: flush forged collusion
-    /// reports, fire §IV-C large-view tracker re-queries, trigger and
-    /// settle whitewash identity resets. A no-op — zero draws, zero
-    /// branches on peer state — when no strategy manipulates.
-    fn handle_attacks(&mut self, now: f64) -> Result<(), NetError> {
-        let Some(mut attack) = self.attack.take() else { return Ok(()) };
-        let staged = std::mem::take(&mut attack.staged_reports);
-        self.flush(staged)?;
-        for op in 0..attack.operators.len() {
-            let Some(id) = attack.operators[op].live_id else { continue };
-            let Some(peer) = self.peers.get(&id) else { continue };
-            attack.operators[op].note_progress(peer.have_count(), now);
-            if attack.operators[op].should_whitewash(now) {
-                self.whitewash(&mut attack, op, id, now);
-                continue;
-            }
-            if attack.operators[op].strategy.large_view()
-                && now >= attack.operators[op].next_requery
-            {
-                // §IV-C: re-query the tracker every rechoke period —
-                // "much more frequently than in normal BitTorrent
-                // operations" — and greet every returned member. The
-                // accept-all half is the runtime's default connection
-                // policy, so the engine only drives the schedule.
-                attack.operators[op].next_requery = now + RECHOKE_PERIOD;
-                let members = self.tracker.random_members(
-                    NodeId(id),
-                    NeighborPolicy::default().list_size,
-                    &mut attack.rng,
-                );
-                let peer = self.peers.get_mut(&id).expect("live");
-                let mut out: Outbox = Vec::new();
-                peer.bootstrap(&members, &mut out);
-                let staged: Vec<(NodeId, NodeId, Frame)> =
-                    out.into_iter().map(|(to, f)| (NodeId(id), to, f)).collect();
-                self.flush(staged)?;
-            }
-        }
-        self.handle_whitewash_rejoins(&mut attack, now)?;
-        self.attack = Some(attack);
-        Ok(())
-    }
-
-    /// §IV-C whitewash: tear the identity out with no §II-B4 goodbye
-    /// (crash-style teardown), keep the loot via checkpoint, and queue
-    /// a rejoin under a fresh id. Neighbors see a vanished peer; the
-    /// returnee is "treated as another newcomer".
-    fn whitewash(&mut self, attack: &mut AttackState, op: usize, id: u32, now: f64) {
-        let Some(peer) = self.peers.remove(&id) else { return };
-        let new_id = self.next_id;
-        self.next_id += 1;
-        // Same byte round-trip as the crash path; `with_id` wipes the
-        // neighbor-facing ledgers that belonged to the dead identity.
-        let bytes = peer.checkpoint().with_id(new_id).to_bytes();
-        let checkpoint = Checkpoint::from_bytes(&bytes).expect("own encoding");
-        self.transport.disconnect(NodeId(id));
-        self.tracker.unregister(NodeId(id));
-        self.observer.note_departed(id);
-        self.wheel.cancel(id);
-        attack.colluders.unregister(NodeId(id));
-        attack.operators[op].live_id = None;
-        trace_event!(self.tracer, now, Event::PeerDepart { peer: id });
-        for (&pid, other) in self.peers.iter_mut() {
-            if !other.departed() {
-                other.on_peer_gone(NodeId(id));
-                self.wheel.hasten(pid, now);
-            }
-        }
-        let generation = checkpoint.generation() + 1;
-        attack.pending_whitewash.push(WhitewashSlot {
-            at: now + WHITEWASH_REJOIN_DELAY,
-            prior: id,
-            new_id,
-            operator: op,
-            generation,
-            checkpoint,
-        });
-    }
-
-    /// Settles due whitewash rejoins: restore from the re-identified
-    /// checkpoint, register the fresh id (`register`, not `reconnect`
-    /// — the transport has never seen it), re-adopt the operator's
-    /// strategy and bootstrap as a newcomer.
-    fn handle_whitewash_rejoins(
-        &mut self,
-        attack: &mut AttackState,
-        now: f64,
-    ) -> Result<(), NetError> {
-        if attack.pending_whitewash.is_empty() {
-            return Ok(());
-        }
-        let mut due: Vec<WhitewashSlot> = Vec::new();
-        let mut later: Vec<WhitewashSlot> = Vec::new();
-        for slot in attack.pending_whitewash.drain(..) {
-            if slot.at <= now {
-                due.push(slot);
-            } else {
-                later.push(slot);
-            }
-        }
-        attack.pending_whitewash = later;
-        due.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.new_id.cmp(&b.new_id)));
-        let arm = !self.transport.reliable();
-        for slot in due {
-            let mut peer = PeerRuntime::restore(
-                &slot.checkpoint,
-                self.content,
-                self.cfg.net,
-                self.cfg.seed,
-                slot.generation,
-            )
-            .expect("checkpoint was taken from this swarm's content");
-            let strategy = attack.operators[slot.operator].strategy;
-            peer.adopt_strategy(strategy);
-            peer.set_arm_retries(arm);
-            self.transport.register(NodeId(slot.new_id))?;
-            self.tracker.register(NodeId(slot.new_id));
-            if let Some(g) = strategy.collusion_group() {
-                attack.colluders.register(NodeId(slot.new_id), g);
-            }
-            self.observer.note_attacker(
-                slot.new_id,
-                strategy_label(&strategy),
-                strategy.collusion_group().map(|g| g.0),
-            );
-            attack.operators[slot.operator].rebirth(slot.new_id, peer.have_count(), now);
-            attack.whitewash_rejoins += 1;
-            trace_event!(self.tracer, now, Event::WhitewashRejoin {
-                peer: slot.new_id,
-                prior: slot.prior,
-                generation: slot.generation,
-            });
-            let members = self.tracker.random_members(
-                NodeId(slot.new_id),
-                NeighborPolicy::default().list_size,
-                &mut attack.rng,
-            );
-            let mut out: Outbox = Vec::new();
-            peer.bootstrap(&members, &mut out);
-            let staged: Vec<(NodeId, NodeId, Frame)> =
-                out.into_iter().map(|(to, f)| (NodeId(slot.new_id), to, f)).collect();
-            self.peers.insert(slot.new_id, peer);
-            self.wheel.schedule(slot.new_id, now);
-            self.flush(staged)?;
-        }
-        Ok(())
-    }
-
-    fn compliant_done(&self) -> bool {
-        self.pending_rejoin.is_empty()
-            && self.churn.as_ref().is_none_or(ChurnState::done)
-            && self
-                .peers
-                .values()
-                .filter(|p| p.role() == PeerRole::Compliant)
-                // A voluntary departure that left incomplete is out of
-                // the completion set — it can never finish. Without
-                // churn `departed` implies `is_complete`, so this is
-                // the historical predicate on every pre-churn scenario.
-                .all(|p| p.is_complete() || p.departed())
-    }
-
-    fn plaintexts_ok(&self) -> bool {
-        self.peers.values().all(|p| {
-            (0..self.content.pieces as u32).all(|i| match p.piece_bytes(i) {
-                Some(bytes) => bytes == self.content.piece(i).as_slice(),
-                None => true,
+            .filter(|p| p.role() != PeerRole::Seeder && (p.is_complete() || !p.departed()))
+            .map(|p| (p.strategy(), p.is_complete()));
+        let mid_whitewash = self.attack.iter().flat_map(|attack| {
+            attack.pending_whitewash.iter().map(|slot| {
+                let held = slot.rejoin.checkpoint.held_pieces();
+                (attack.operators[slot.operator].strategy, held == self.cfg.pieces)
             })
-        })
+        });
+        let mut ledger: BTreeMap<&'static str, (u32, u32)> = BTreeMap::new();
+        for (strategy, complete) in leechers.chain(mid_whitewash) {
+            let entry = ledger.entry(strategy_label(&strategy)).or_insert((0, 0));
+            entry.0 += u32::from(complete);
+            entry.1 += 1;
+        }
+        ledger
     }
 
-    fn fold(&mut self, d: &Delivery) {
-        let enc = d.frame.encode();
-        self.fingerprint = mix64(
-            self.fingerprint
-                ^ fingerprint(&enc)
-                ^ (u64::from(d.from.0) << 32)
-                ^ u64::from(d.to.0),
+    /// Folds the telemetry state, when present, into its report parts.
+    fn finish_telemetry(
+        &mut self,
+        quarantines: u64,
+    ) -> (Option<SwarmTelemetry>, Vec<PeerRing>, Vec<FlightDump>) {
+        let Some(tel) = self.telemetry.take() else { return (None, Vec::new(), Vec::new()) };
+        let tel_peers: Vec<(u32, PeerCounters, i64)> = self
+            .peers
+            .iter()
+            .map(|(&id, p)| (id, p.counters(), p.goodwill_balance()))
+            .collect();
+        let terminations = [
+            ("gift", self.observer.chains_terminated() as u64),
+            ("departure", self.departed_handled.len() as u64),
+            ("crash", self.crashes),
+            ("quarantine", quarantines),
+        ];
+        let (swarm, rings, dumps) = tel.finish(
+            self.transport.now(),
+            &tel_peers,
+            &self.observer.chain_lengths(),
+            &terminations,
         );
+        (Some(swarm), rings, dumps)
     }
 }
 
@@ -2285,32 +1834,75 @@ mod tests {
     }
 
     #[test]
-    fn indexed_scheduler_matches_legacy_fingerprint() {
-        let base = SwarmConfig { peers: 8, ..SwarmConfig::default() };
-        let a = run_swarm(SwarmConfig { sched: SchedMode::Indexed, ..base.clone() }).expect("a");
-        let b = run_swarm(SwarmConfig { sched: SchedMode::LegacyLinear, ..base }).expect("b");
-        assert_eq!(a.fingerprint, b.fingerprint, "skipping quiescent peers must be invisible");
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.completion_times, b.completion_times);
-    }
-
-    #[test]
-    fn indexed_scheduler_matches_legacy_under_chaos() {
-        // Chaos exercises every external-mutation poke: quarantines,
-        // crash teardown, rejoin bootstraps. A missed wake diverges the
-        // fingerprint immediately.
-        let base = SwarmConfig {
-            peers: 8,
-            chaos: ChaosPlan::byzantine(5, 0.06).with_crash_restart(6.0, 0.25, 5.0),
-            max_ticks: 8000,
-            ..SwarmConfig::default()
+    fn schedulers_agree_on_every_membership_path() {
+        // `Indexed`, the `LegacyLinear` reference scan and the empty
+        // explore replay must be one run, frame for frame, on every
+        // admission and teardown path. A missed wake (or a legacy-only
+        // branch) diverges the fingerprint immediately.
+        let base = SwarmConfig { peers: 12, max_ticks: 8000, ..SwarmConfig::default() };
+        let churn = ChurnPlan::none()
+            .with_joins(12.0, 4, 1.0)
+            .with_flash_crowd(40.0, 3)
+            .with_departures(25.0, 0.2);
+        let whitewashers: Vec<(u32, Strategy)> =
+            (9..12).map(|id| (id, Strategy::aggressive_free_rider())).collect();
+        let duplication = ChaosPlan { seed: 0xC4A0, duplicate_prob: 0.03, ..ChaosPlan::none() };
+        type Exercised = fn(&SwarmReport) -> bool;
+        let table: [(&str, SwarmConfig, Exercised); 5] = [
+            ("clean", SwarmConfig { peers: 8, ..base.clone() }, |_| true),
+            (
+                "chaos + crash-restart",
+                SwarmConfig {
+                    peers: 8,
+                    chaos: ChaosPlan::byzantine(5, 0.06).with_crash_restart(6.0, 0.25, 5.0),
+                    ..base.clone()
+                },
+                |r| r.crashes > 0 && r.rejoins == r.crashes,
+            ),
+            (
+                "churn",
+                SwarmConfig { churn: churn.clone(), ..base.clone() },
+                |r| r.churn_joins == 7 && r.churn_departs > 0,
+            ),
+            (
+                "whitewash",
+                SwarmConfig {
+                    pieces: 48,
+                    // A late join keeps the swarm alive long enough for
+                    // the whitewash patience clock to run out.
+                    churn: ChurnPlan::none().with_joins(60.0, 2, 20.0),
+                    strategies: whitewashers.clone(),
+                    ..base.clone()
+                },
+                |r| r.whitewash_rejoins > 0 && r.tracker_queries > u64::from(r.peers),
+            ),
+            (
+                "hostile composite",
+                SwarmConfig {
+                    chaos: duplication.with_crash_restart(8.0, 0.25, 6.0),
+                    churn,
+                    strategies: whitewashers,
+                    telemetry: true,
+                    ..base
+                },
+                |r| r.crashes > 0 && r.churn_departs > 0 && r.whitewash_rejoins > 0,
+            ),
+        ];
+        let outcome = |r: &SwarmReport| {
+            let counts = (r.crashes, r.churn_joins, r.churn_departs, r.whitewash_rejoins);
+            (r.fingerprint, r.ticks, r.completion_times.clone(), counts)
         };
-        let a = run_swarm(SwarmConfig { sched: SchedMode::Indexed, ..base.clone() }).expect("a");
-        let b = run_swarm(SwarmConfig { sched: SchedMode::LegacyLinear, ..base }).expect("b");
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.completion_times, b.completion_times);
+        for (name, cfg, exercised) in table {
+            let indexed = run_swarm(cfg.clone()).expect("indexed");
+            assert!(exercised(&indexed), "{name}: the scenario must reach its path");
+            let legacy = SwarmConfig { sched: SchedMode::LegacyLinear, ..cfg.clone() };
+            let replay =
+                SwarmConfig { explore: Some(ExplorePlan::Replay(Schedule::default())), ..cfg };
+            for (mode, other) in [("legacy", legacy), ("empty replay", replay)] {
+                let other = run_swarm(other).expect(mode);
+                assert_eq!(outcome(&indexed), outcome(&other), "{name}: indexed vs {mode}");
+            }
+        }
     }
 
     #[test]

@@ -25,29 +25,22 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 /// [`TimerWheel`]-armed ready set visits only the peers with due timers
 /// or freshly delivered frames, so a mostly-idle 256-peer swarm costs
 /// O(active) per tick instead of O(N). [`SchedMode::LegacyLinear`] is
-/// the original every-peer scan, kept as the parity oracle: the
-/// scale-equivalence test in `tests/net_swarm.rs` pins the two modes to
-/// the identical delivered-frame fingerprint (the quiescence invariant
-/// documented on `PeerRuntime::next_wake` is what makes that hold), and
-/// the oracle stays until that proof ages out. [`SchedMode::Explore`]
-/// is the indexed scheduler with its one decision point — which due
-/// peer runs next — handed to a `tchain-sim` [`SchedPerturber`]: PCT
-/// priority sampling or bit-exact schedule replay (see
-/// `crate::explore`). With no perturbation plan it is the indexed
-/// scheduler, fingerprint and all.
+/// the original every-peer scan, kept as the reference the quiescence
+/// invariant (documented on `PeerRuntime::next_wake`) is tested
+/// against: the parity tests pin the two modes to the identical
+/// delivered-frame fingerprint.
 ///
-/// [`SchedPerturber`]: tchain_sim::SchedPerturber
+/// Schedule exploration is not a mode: `SwarmConfig::explore` hands the
+/// indexed scheduler's one decision point — which due peer runs next —
+/// to a `tchain-sim` perturber (see `crate::explore`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
     /// Timer-wheel + ready-set scheduler (default).
     #[default]
     Indexed,
     /// Original O(N)-per-tick scan over every peer. Parity oracle for
-    /// equivalence tests and the scale bench's baseline leg.
+    /// equivalence tests and the `net_scale` experiment's baseline leg.
     LegacyLinear,
-    /// Indexed scheduler with the run-order decision point perturbed
-    /// (PCT sampling) or replayed from a recorded schedule.
-    Explore,
 }
 
 /// One pending wake-up: `peer` wants to run at time `at`.

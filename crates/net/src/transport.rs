@@ -189,16 +189,14 @@ pub trait Transport {
     /// wall for TCP).
     fn now(&self) -> f64;
 
-    /// Marks a peer departed. By default the cut is *bidirectional*: new
-    /// frames addressed to it **and** new frames it tries to send are
-    /// dropped — a departed peer has no working socket in either
-    /// direction. Frames already in flight still deliver, like bytes in
+    /// Marks a peer departed. The cut is *bidirectional*: new frames
+    /// addressed to it **and** new frames it tries to send are dropped
+    /// — a departed peer has no working socket in either direction.
+    /// Frames already in flight still deliver, like bytes in
     /// the pipe of a closing connection: that is what lets a §II-B4
     /// escrow handoff escape a departing donor, and what keeps the
     /// harness observer's ledger complete when a donation races a
-    /// departure within one tick. Backends may offer a half-open mode
-    /// (see [`ChannelMesh::set_half_open`]) that restores the historical
-    /// receive-only cut for experiments that need it.
+    /// departure within one tick.
     fn disconnect(&mut self, id: NodeId);
 
     /// Re-admits a previously disconnected peer (crash-restart rejoin).
@@ -260,7 +258,6 @@ pub struct ChannelMesh {
     link_floor: BTreeMap<(u32, u32), f64>,
     peers: BTreeSet<u32>,
     gone: BTreeSet<u32>,
-    half_open: bool,
     records: Vec<ChaosRecord>,
     stats: TransportStats,
 }
@@ -285,18 +282,9 @@ impl ChannelMesh {
             link_floor: BTreeMap::new(),
             peers: BTreeSet::new(),
             gone: BTreeSet::new(),
-            half_open: false,
             records: Vec::new(),
             stats: TransportStats::default(),
         }
-    }
-
-    /// Switches [`Transport::disconnect`] to the historical half-open
-    /// mode: only frames *to* a departed peer are dropped, its own sends
-    /// still go out. Kept for experiments that model receive-side-only
-    /// departure; the default is a full bidirectional cut.
-    pub fn set_half_open(&mut self, half_open: bool) {
-        self.half_open = half_open;
     }
 
     /// Frames currently in flight.
@@ -457,7 +445,7 @@ impl Transport for ChannelMesh {
             return Err(NetError::UnknownPeer(to));
         }
         self.stats.sent += 1;
-        if self.gone.contains(&to.0) || (!self.half_open && self.gone.contains(&from.0)) {
+        if self.gone.contains(&to.0) || self.gone.contains(&from.0) {
             self.stats.dropped += 1;
             return Ok(());
         }
@@ -628,21 +616,6 @@ mod tests {
         assert_eq!(got[0].to, NodeId(3), "escrow-style goodbye still delivers");
         assert_eq!(got[0].frame, ctrl(7));
         assert_eq!(m.stats().dropped, 2);
-    }
-
-    #[test]
-    fn half_open_mode_restores_send_side_liveness() {
-        let mut m = ChannelMesh::new(FaultPlan::none(), 0.1);
-        for i in 1..=3 {
-            m.register(NodeId(i)).unwrap();
-        }
-        m.set_half_open(true);
-        m.disconnect(NodeId(2));
-        m.send(NodeId(1), NodeId(2), ctrl(0)).unwrap();
-        m.send(NodeId(2), NodeId(3), ctrl(8)).unwrap();
-        let got = m.advance().unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].to, NodeId(3), "half-open: departed peer can still send");
     }
 
     #[test]
