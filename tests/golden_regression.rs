@@ -1,6 +1,6 @@
-//! Golden regression fixtures: one flash-crowd Fig. 3 cell and one
-//! Table II cell at fixed seeds, summarized with a hand-rolled JSON
-//! writer (no serde, so the bytes are identical under the offline stub
+//! Golden regression fixtures: one flash-crowd Fig. 3 cell, one
+//! Table II cell and one membership-lifecycle cell per fluid driver
+//! policy at fixed seeds, summarized with a hand-rolled JSON writer (no serde, so the bytes are identical under the offline stub
 //! harness and the real crates) and compared byte-for-byte against the
 //! committed files in `tests/golden/`.
 //!
@@ -19,9 +19,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tchain_attacks::FreeRiderConfig;
+use tchain_baselines::Baseline;
 use tchain_experiments::figures::table2::progress_ratio;
-use tchain_experiments::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts, RunOutcome};
-use tchain_sim::SimRng;
+use tchain_experiments::{
+    flash_plan, run_proto, run_proto_with_faults, Horizon, Proto, RiderMode, RunOpts, RunOutcome,
+};
+use tchain_sim::{FaultPlan, SimRng};
 
 /// FNV-1a over a fixed drawing pattern: identifies the numeric stream of
 /// the linked `rand` backend (real crates vs the offline stub).
@@ -159,7 +162,14 @@ fn golden_fixture_list_is_exactly_the_committed_set() {
     found.sort();
     assert_eq!(
         found,
-        ["fig03_flash_crowd.json", "table2_large_view_tchain.json"],
+        [
+            "baseline_bt_whitewash.json",
+            "baseline_fairtorrent_whitewash.json",
+            "baseline_randombt_whitewash.json",
+            "fig03_flash_crowd.json",
+            "table2_large_view_tchain.json",
+            "tchain_churn_crash.json",
+        ],
         "tests/golden/ drifted from the pinned fixture list; update both together"
     );
 }
@@ -201,6 +211,60 @@ fn table2_large_view_cell_matches_fixture() {
     assert!(ratio.is_finite(), "progress ratio must be a real number");
     assert!(ratio < 0.5, "T-Chain must resist the large-view exploit (got {ratio})");
     check_golden("table2_large_view_tchain.json", &s);
+}
+
+/// Seed and swarm size of the membership-lifecycle cells below.
+const LIFECYCLE_SEED: u64 = 0x11FE;
+const LIFECYCLE_SWARM: usize = 24;
+
+/// One cell per baseline policy under §IV-C aggressive free-riders:
+/// whitewash rejoins carry pieces and lineage across identities, so the
+/// fixture pins the deferred-join order and the per-lineage free-rider
+/// durations as well as the compliant outcome.
+#[test]
+fn baseline_whitewash_cells_match_fixtures() {
+    for (policy, name) in [
+        (Baseline::BitTorrent, "baseline_bt_whitewash.json"),
+        (Baseline::RandomBt, "baseline_randombt_whitewash.json"),
+        (Baseline::FairTorrent, "baseline_fairtorrent_whitewash.json"),
+    ] {
+        let plan = flash_plan(LIFECYCLE_SWARM, 0.25, RiderMode::Aggressive, LIFECYCLE_SEED);
+        let out = run_proto(
+            Proto::Baseline(policy),
+            1.0,
+            plan,
+            LIFECYCLE_SEED,
+            Horizon::ExtendForFreeRiders(1500.0),
+            RunOpts::default(),
+        );
+        assert_eq!(out.compliant_times.len(), 18, "{policy}: every compliant leecher finishes");
+        assert!(
+            out.free_rider_times.len() + out.unfinished_free_riders == 6,
+            "{policy}: whitewash identities collapse onto six lineages"
+        );
+        check_golden(name, &summarize(&out));
+    }
+}
+
+/// T-Chain under every membership event at once: Fig. 13 replacement
+/// churn, Fig. 6(b) pre-occupied pieces, a planned `crash_at` peer and a
+/// [`FaultPlan`] crash fraction.
+#[test]
+fn tchain_churn_crash_cell_matches_fixture() {
+    let mut plan = flash_plan(LIFECYCLE_SWARM, 0.25, RiderMode::Aggressive, LIFECYCLE_SEED);
+    plan[4] = plan[4].crashing_at(plan[4].at + 15.0);
+    let out = run_proto_with_faults(
+        Proto::TChain,
+        1.0,
+        plan,
+        LIFECYCLE_SEED,
+        Horizon::Fixed(400.0),
+        RunOpts { replace_on_finish: true, initial_piece_fraction: 0.1, ..Default::default() },
+        FaultPlan::lossy(LIFECYCLE_SEED, 0.05).with_crash(30.0, 0.2),
+    );
+    assert!(out.compliant_times.len() > 18, "replacements joined and finished too");
+    assert!(out.recovery.crashes >= 2, "the planned crash and the crash fraction both fired");
+    check_golden("tchain_churn_crash.json", &summarize(&out));
 }
 
 /// Re-running the same cell twice in one process yields the same summary
