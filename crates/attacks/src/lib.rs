@@ -21,9 +21,17 @@
 //! Strategies are *descriptions*; the protocol drivers consult them when a
 //! behavioural fork arises (upload nothing, re-query the tracker, lie in a
 //! report). Protocols never see the strategy directly — only its effects.
+//!
+//! [`Roster`] turns a `Vec<PeerPlan>` into a running swarm's membership:
+//! the one plan-driven lifecycle the fluid drivers of `tchain-core` and
+//! `tchain-baselines` share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod roster;
+
+pub use roster::Roster;
 
 use std::collections::HashMap;
 use tchain_sim::NodeId;

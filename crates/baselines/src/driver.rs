@@ -11,19 +11,17 @@
 
 use crate::config::{Baseline, BaselineConfig};
 use std::collections::{HashMap, HashSet};
-use tchain_attacks::{PeerPlan, Strategy};
+use tchain_attacks::{PeerPlan, Roster, Strategy};
 use tchain_metrics::{RecoveryCounters, TimeSeries};
 use tchain_obs::{
     trace_event, Event, ExportStats, MetricMap, Phase, PhaseProfile, PhaseProfiler, StatsRegistry,
     Tracer,
 };
-use tchain_proto::{PieceId, Role, SwarmBase, SwarmConfig};
+use tchain_proto::{Peer, PieceId, Role, SwarmBase, SwarmConfig};
 use tchain_sim::{FaultPlan, Flow, FlowId, NodeId, Periodic, Route};
 
 #[derive(Debug, Default)]
 struct BtState {
-    strategy: Strategy,
-    planned_capacity: f64,
     /// Regular unchoke set (upload recipients).
     unchoked: Vec<NodeId>,
     /// Optimistic unchoke set.
@@ -46,16 +44,6 @@ struct BtState {
     in_flight: HashSet<PieceId>,
     /// Completed pieces since the last whitewash.
     pieces_since_ww: u32,
-    /// Attacker lineage: first identity and original join time.
-    lineage: Option<(NodeId, f64)>,
-}
-
-#[derive(Debug)]
-struct PendingJoin {
-    at: f64,
-    plan: PeerPlan,
-    carry: Vec<PieceId>,
-    lineage: Option<(NodeId, f64)>,
 }
 
 /// A swarm running one of the four baseline protocols.
@@ -86,16 +74,14 @@ pub struct BaselineSwarm {
     policy: Baseline,
     seeder: NodeId,
     states: Vec<BtState>,
-    plan: Vec<PeerPlan>,
-    next_arrival: usize,
-    pending_joins: Vec<PendingJoin>,
+    /// Plan-driven membership lifecycle, shared with `TChainSwarm`.
+    roster: Roster,
     rechoke_timer: Periodic,
     optimistic_timer: Periodic,
     sample_timer: Periodic,
     leecher_series: TimeSeries,
     completed_buf: Vec<Flow>,
     blocks_moved: u64,
-    planned_crashes: Vec<(f64, NodeId)>,
     crashes: u64,
     /// Per-phase wall-clock profiler for [`BaselineSwarm::step`];
     /// disabled (branch-only) unless
@@ -129,12 +115,11 @@ impl BaselineSwarm {
         scfg: SwarmConfig,
         cfg: BaselineConfig,
         policy: Baseline,
-        mut plan: Vec<PeerPlan>,
+        plan: Vec<PeerPlan>,
         seed: u64,
         fplan: FaultPlan,
     ) -> Self {
         cfg.validate();
-        plan.sort_by(|a, b| a.at.total_cmp(&b.at));
         let mut base = SwarmBase::with_faults(scfg, seed, fplan);
         let seeder = base.admit_seeder();
         let mut sw = BaselineSwarm {
@@ -143,26 +128,22 @@ impl BaselineSwarm {
             policy,
             seeder,
             states: Vec::new(),
-            plan,
-            next_arrival: 0,
-            pending_joins: Vec::new(),
+            roster: Roster::new(plan, cfg.initial_piece_fraction, cfg.replace_on_finish),
             rechoke_timer: Periodic::new(cfg.rechoke_period),
             optimistic_timer: Periodic::new(cfg.optimistic_period),
             sample_timer: Periodic::new(cfg.sample_period),
             leecher_series: TimeSeries::new(),
             completed_buf: Vec::new(),
             blocks_moved: 0,
-            planned_crashes: Vec::new(),
             crashes: 0,
             profiler: PhaseProfiler::disabled(),
         };
-        sw.ensure_state(seeder);
+        sw.states.resize_with(sw.base.peers.len(), BtState::default);
         sw
     }
 
     // ------------------------------------------------------------------
-    // Accessors (mirroring `TChainSwarm` so experiments treat protocols
-    // uniformly)
+    // Accessors
     // ------------------------------------------------------------------
 
     /// The policy this swarm runs.
@@ -246,47 +227,19 @@ impl BaselineSwarm {
 
     /// Download completion times of finished leechers by compliance.
     pub fn completion_times(&self, compliant: bool) -> Vec<f64> {
-        self.base
-            .peers
-            .iter()
-            .filter(|p| p.role == Role::Leecher && p.compliant == compliant)
-            .filter_map(|p| p.done_time.map(|d| d - p.join_time))
-            .collect()
+        self.base.completion_times(compliant)
     }
 
     /// Free-rider outcomes by attacker lineage (whitewash resets collapse
-    /// onto the first identity): completed durations plus unfinished
-    /// lineage count.
+    /// onto the first identity): completed durations in ascending order
+    /// plus unfinished lineage count.
     pub fn free_rider_results(&self) -> (Vec<f64>, usize) {
-        let mut durations: std::collections::HashMap<NodeId, f64> =
-            std::collections::HashMap::new();
-        let mut lineages: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-        for p in self.base.peers.iter() {
-            if p.role != Role::Leecher || p.compliant {
-                continue;
-            }
-            let Some((root, first_join)) = self.states[p.id.index()].lineage else { continue };
-            lineages.insert(root);
-            if let Some(d) = p.done_time {
-                let dur = d - first_join;
-                durations
-                    .entry(root)
-                    .and_modify(|v| *v = v.min(dur))
-                    .or_insert(dur);
-            }
-        }
-        let unfinished = lineages.len() - durations.len();
-        (durations.into_values().collect(), unfinished)
+        self.roster.free_rider_results(&self.base)
     }
 
     /// Leechers (by compliance) that joined but never finished.
     pub fn unfinished(&self, compliant: bool) -> usize {
-        self.base
-            .peers
-            .iter()
-            .filter(|p| p.role == Role::Leecher && p.compliant == compliant)
-            .filter(|p| p.done_time.is_none())
-            .count()
+        self.base.unfinished(compliant)
     }
 
     /// Fairness factors (bytes downloaded / bytes uploaded, §IV-H) of
@@ -296,15 +249,15 @@ impl BaselineSwarm {
             .peers
             .iter()
             .filter(|p| p.role == Role::Leecher && p.compliant && p.done_time.is_some())
-            .filter_map(|p| {
-                let up = self.base.flows.uploaded(p.id);
-                if up > 0.0 {
-                    Some(self.base.flows.downloaded(p.id) / up)
-                } else {
-                    None
-                }
-            })
+            .filter_map(|p| self.fairness_of(p))
             .collect()
+    }
+
+    /// One peer's fairness factor: bytes downloaded per byte uploaded
+    /// (`None` before its first upload).
+    pub fn fairness_of(&self, p: &Peer) -> Option<f64> {
+        let up = self.base.flows.uploaded(p.id);
+        (up > 0.0).then(|| self.base.flows.downloaded(p.id) / up)
     }
 
     // ------------------------------------------------------------------
@@ -314,20 +267,9 @@ impl BaselineSwarm {
     /// Runs until every planned compliant leecher finished or departed,
     /// or `max_time` elapses.
     pub fn run_until_done(&mut self) {
-        loop {
+        self.step();
+        while !self.roster.settled(&self.base) {
             self.step();
-            let now = self.base.clock.now();
-            if now >= self.base.cfg.max_time {
-                break;
-            }
-            if self.next_arrival >= self.plan.len() && self.pending_joins.is_empty() {
-                let any_left = self.base.peers.iter().any(|p| {
-                    p.role == Role::Leecher && p.compliant && p.done_time.is_none() && p.alive()
-                });
-                if !any_left {
-                    break;
-                }
-            }
         }
     }
 
@@ -343,7 +285,8 @@ impl BaselineSwarm {
         let now = self.base.clock.tick();
         let p = self.profiler.begin();
         self.process_crashes(now);
-        self.process_arrivals(now);
+        self.roster.admit_due(&mut self.base, now);
+        self.states.resize_with(self.base.peers.len(), BtState::default);
         self.profiler.end(Phase::Membership, p);
         let p = self.profiler.begin();
         if self.rechoke_timer.fire(now) {
@@ -369,9 +312,7 @@ impl BaselineSwarm {
         self.completed_buf = completed;
         if self.sample_timer.fire(now) {
             let p = self.profiler.begin();
-            let leechers =
-                self.base.peers.iter_alive().filter(|p| p.role == Role::Leecher).count();
-            self.leecher_series.push(now, leechers as f64);
+            self.leecher_series.push(now, self.base.alive_leechers().len() as f64);
             self.profiler.end(Phase::Sampling, p);
         }
     }
@@ -380,120 +321,22 @@ impl BaselineSwarm {
     // Membership
     // ------------------------------------------------------------------
 
-    fn ensure_state(&mut self, id: NodeId) {
-        if id.index() >= self.states.len() {
-            self.states.resize_with(id.index() + 1, BtState::default);
-        }
-    }
-
     /// Fires due crash events ([`PeerPlan::crash_at`] schedules and
     /// [`FaultPlan`] fraction events). Baselines carry no escrowed keys,
     /// so a crash is a graceful departure minus the goodbye — the same
     /// state cleanup, counted separately.
     fn process_crashes(&mut self, now: f64) {
-        if !self.planned_crashes.is_empty() {
-            let mut i = 0;
-            while i < self.planned_crashes.len() {
-                if self.planned_crashes[i].0 <= now {
-                    let (_, id) = self.planned_crashes.swap_remove(i);
-                    if self.base.peers.alive(id) {
-                        self.crash_peer(id, now);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+        for id in self.roster.due_crashes(&self.base, now) {
+            self.crash_peer(id, now);
         }
-        if self.base.faults.crash_due(now) {
-            let alive: Vec<NodeId> = self
-                .base
-                .peers
-                .iter_alive()
-                .filter(|p| p.role == Role::Leecher)
-                .map(|p| p.id)
-                .collect();
-            let victims = self.base.faults.crash_victims(now, &alive);
-            for v in victims {
-                if self.base.peers.alive(v) {
-                    self.crash_peer(v, now);
-                }
-            }
+        for id in self.base.crash_victims(now) {
+            self.crash_peer(id, now);
         }
     }
 
     fn crash_peer(&mut self, id: NodeId, now: f64) {
         self.crashes += 1;
         trace_event!(self.base.trace, now, Event::PeerCrash { peer: id.0 });
-        self.remove_peer(id);
-    }
-
-    fn process_arrivals(&mut self, now: f64) {
-        while self.next_arrival < self.plan.len() && self.plan[self.next_arrival].at <= now {
-            let p = self.plan[self.next_arrival];
-            self.next_arrival += 1;
-            self.admit_plan(p, Vec::new(), now);
-        }
-        if !self.pending_joins.is_empty() {
-            let mut due = Vec::new();
-            let mut i = 0;
-            while i < self.pending_joins.len() {
-                if self.pending_joins[i].at <= now {
-                    due.push(self.pending_joins.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            for j in due {
-                self.admit_plan_lineage(j.plan, j.carry, now, j.lineage);
-            }
-        }
-    }
-
-    fn admit_plan(&mut self, plan: PeerPlan, carry: Vec<PieceId>, now: f64) -> NodeId {
-        self.admit_plan_lineage(plan, carry, now, None)
-    }
-
-    fn admit_plan_lineage(
-        &mut self,
-        plan: PeerPlan,
-        mut carry: Vec<PieceId>,
-        now: f64,
-        lineage: Option<(NodeId, f64)>,
-    ) -> NodeId {
-        let compliant = plan.strategy.uploads();
-        if compliant && self.cfg.initial_piece_fraction > 0.0 && carry.is_empty() {
-            let n = (self.cfg.initial_piece_fraction * self.base.cfg.file.pieces as f64) as usize;
-            let all: Vec<u32> = (0..self.base.cfg.file.pieces as u32).collect();
-            carry = self.base.rng.sample(&all, n).into_iter().map(PieceId).collect();
-        }
-        let id = self.base.admit_with_pieces(
-            Role::Leecher,
-            plan.effective_capacity(),
-            compliant,
-            carry.iter().copied(),
-        );
-        self.ensure_state(id);
-        let st = &mut self.states[id.index()];
-        st.strategy = plan.strategy;
-        st.planned_capacity = plan.capacity;
-        st.lineage = Some(lineage.unwrap_or((id, now)));
-        if let Some(at) = plan.crash_at {
-            self.planned_crashes.push((at.max(now), id));
-        }
-        id
-    }
-
-    fn finish_peer(&mut self, id: NodeId, now: f64) {
-        self.base.peers.get_mut(id).done_time = Some(now);
-        if self.cfg.replace_on_finish {
-            let cap = self.states[id.index()].planned_capacity;
-            self.pending_joins.push(PendingJoin {
-                at: now + self.base.cfg.dt,
-                plan: PeerPlan::compliant(now + self.base.cfg.dt, cap),
-                carry: Vec::new(),
-                lineage: None,
-            });
-        }
         self.remove_peer(id);
     }
 
@@ -522,20 +365,6 @@ impl BaselineSwarm {
         st.optimistic.clear();
     }
 
-    fn whitewash(&mut self, id: NodeId, now: f64) {
-        let carry: Vec<PieceId> = self.base.peers.get(id).have.iter_set().collect();
-        let plan = PeerPlan {
-            at: now + 5.0,
-            capacity: self.states[id.index()].planned_capacity,
-            strategy: self.states[id.index()].strategy,
-            crash_at: None,
-        };
-        let lineage = self.states[id.index()].lineage;
-        self.remove_peer(id);
-        self.base.peers.get_mut(id).left_time = Some(now);
-        self.pending_joins.push(PendingJoin { at: now + 5.0, plan, carry, lineage });
-    }
-
     // ------------------------------------------------------------------
     // Unchoking policies
     // ------------------------------------------------------------------
@@ -555,7 +384,7 @@ impl BaselineSwarm {
             if !compliant {
                 // Free-riders upload nothing; large-view attackers
                 // re-query the tracker every round (§IV-C).
-                if let Strategy::FreeRider(frc) = self.states[id.index()].strategy {
+                if let Strategy::FreeRider(frc) = self.roster.strategy(id) {
                     if frc.large_view {
                         self.base.acquire_neighbors(id, usize::MAX);
                     }
@@ -631,12 +460,15 @@ impl BaselineSwarm {
     /// PropShare: weights proportional to last-round contributions, with
     /// a fixed exploration share for one random non-contributor.
     fn propshare_allocate(&mut self, id: NodeId) -> Vec<NodeId> {
-        let contributors: Vec<(NodeId, f64)> = self.states[id.index()]
+        let mut contributors: Vec<(NodeId, f64)> = self.states[id.index()]
             .window_prev
             .iter()
             .filter(|(n, b)| self.base.peers.alive(**n) && **b > 0.0)
             .map(|(&n, &b)| (n, b))
             .collect();
+        // `HashMap` order differs run to run; the float `total` and the
+        // `try_start_block` order (which draws) must not.
+        contributors.sort_by_key(|&(n, _)| n);
         self.states[id.index()].weights.clear();
         if contributors.is_empty() {
             // Newcomer state: explore with plain optimistic unchokes.
@@ -892,7 +724,8 @@ impl BaselineSwarm {
             piece_done = true;
             let complete = self.base.grant_piece(d, piece);
             if complete {
-                self.finish_peer(d, now);
+                self.roster.finish(&mut self.base, d, now);
+                self.remove_peer(d);
                 if self.base.peers.alive(u) && self.policy == Baseline::FairTorrent {
                     self.fair_serve(u);
                 }
@@ -900,11 +733,12 @@ impl BaselineSwarm {
             }
             // Whitewashing free-riders reset identity after extracting
             // their batch of free pieces (§IV-C).
-            if let Strategy::FreeRider(frc) = self.states[d.index()].strategy {
+            if let Strategy::FreeRider(frc) = self.roster.strategy(d) {
                 if frc.whitewash {
                     self.states[d.index()].pieces_since_ww += 1;
                     if self.states[d.index()].pieces_since_ww >= self.cfg.whitewash_after_pieces {
-                        self.whitewash(d, now);
+                        self.remove_peer(d);
+                        self.roster.whitewash(&self.base, d, now);
                         if self.base.peers.alive(u) && self.policy == Baseline::FairTorrent {
                             self.fair_serve(u);
                         }
@@ -1089,19 +923,6 @@ mod tests {
             .filter(|p| p.role == Role::Leecher && !p.compliant)
             .count();
         assert!(identities > 1, "whitewashing spawned replacement identities: {identities}");
-    }
-
-    #[test]
-    fn churn_replacement_keeps_population() {
-        let mut sw = BaselineSwarm::new(
-            SwarmConfig::paper(small_file(4)),
-            BaselineConfig { replace_on_finish: true, ..Default::default() },
-            Baseline::BitTorrent,
-            flash_plan(6, 1200.0),
-            9,
-        );
-        sw.run_to(600.0);
-        assert!(sw.completion_times(true).len() > 6);
     }
 
     #[test]

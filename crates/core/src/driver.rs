@@ -38,14 +38,16 @@ use crate::config::{PieceSelection, TChainConfig};
 use crate::telemetry::Telemetry;
 use crate::txn::{Chain, ChainEnd, ChainId, ChainOrigin, ChainStats, Transaction, TxnId, TxnState};
 use std::collections::{HashMap, HashSet, VecDeque};
-use tchain_attacks::{ColluderRegistry, PeerPlan, Strategy};
+use tchain_attacks::{ColluderRegistry, PeerPlan, Roster, Strategy};
 use tchain_crypto::Keyring;
 use tchain_metrics::{RecoveryCounters, TimeSeries};
 use tchain_obs::{
     trace_event, EndCause, Event, ExportStats, MetricMap, Phase, PhaseProfile, PhaseProfiler,
     RetryMsg, StatsRegistry, Tracer,
 };
-use tchain_proto::{ControlMsg, Envelope, PieceId, Role, SendOutcome, SwarmBase, SwarmConfig};
+use tchain_proto::{
+    ControlMsg, Envelope, Peer, PieceId, Role, SendOutcome, SwarmBase, SwarmConfig,
+};
 use tchain_sim::{DelayQueue, FaultPlan, Flow, NodeId, Periodic};
 
 /// Maps the driver's [`ChainEnd`] onto the observability crate's
@@ -82,12 +84,8 @@ struct RetryEntry {
 }
 
 /// Per-peer protocol state, parallel to the [`tchain_proto::PeerTable`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PeerState {
-    strategy: Strategy,
-    /// Capacity the peer would contribute if compliant (kept for
-    /// whitewash rejoins and churn replacements).
-    planned_capacity: f64,
     /// Donor-side ledger (§II-D2): encrypted pieces uploaded to each
     /// neighbor and not yet covered by a reciprocation report.
     pending_to: HashMap<NodeId, u32>,
@@ -98,36 +96,6 @@ struct PeerState {
     expecting: HashSet<PieceId>,
     /// Last time this peer completed a piece (whitewash trigger clock).
     last_progress: f64,
-    /// The attacker's first identity and original join time (self for
-    /// fresh peers) — lets experiments report a whitewashing free-rider's
-    /// *true* download duration across identity resets.
-    lineage: (NodeId, f64),
-}
-
-impl Default for PeerState {
-    fn default() -> Self {
-        PeerState {
-            strategy: Strategy::default(),
-            planned_capacity: 0.0,
-            pending_to: HashMap::new(),
-            obligations: Vec::new(),
-            expecting: HashSet::new(),
-            last_progress: 0.0,
-            lineage: (NodeId(u32::MAX), 0.0),
-        }
-    }
-}
-
-/// A deferred join: churn replacement or whitewash rejoin, possibly
-/// carrying pieces across identities.
-#[derive(Debug)]
-struct PendingJoin {
-    at: f64,
-    plan: PeerPlan,
-    carry: Vec<PieceId>,
-    /// Whitewash continuity: the attacker's original identity and first
-    /// join time, threaded through identity resets.
-    lineage: Option<(NodeId, f64)>,
 }
 
 /// The T-Chain protocol driver.
@@ -151,9 +119,8 @@ pub struct TChainSwarm {
     cfg: TChainConfig,
     seeder: NodeId,
     states: Vec<PeerState>,
-    plan: Vec<PeerPlan>,
-    next_arrival: usize,
-    pending_joins: Vec<PendingJoin>,
+    /// Plan-driven membership lifecycle, shared with the baselines.
+    roster: Roster,
     txns: Arena<Transaction>,
     chains: Arena<Chain>,
     stats: ChainStats,
@@ -180,7 +147,6 @@ pub struct TChainSwarm {
     /// The watchdog only runs when a fault can actually occur (active
     /// plan or a scheduled crash), keeping fault-free runs bit-identical.
     watchdog_enabled: bool,
-    planned_crashes: Vec<(f64, NodeId)>,
     /// Per-phase wall-clock profiler for [`TChainSwarm::step`]; disabled
     /// (branch-only) unless [`TChainSwarm::enable_profiling`] is called.
     profiler: PhaseProfiler,
@@ -203,24 +169,21 @@ impl TChainSwarm {
     pub fn with_faults(
         scfg: SwarmConfig,
         cfg: TChainConfig,
-        mut plan: Vec<PeerPlan>,
+        plan: Vec<PeerPlan>,
         seed: u64,
         fplan: FaultPlan,
     ) -> Self {
         cfg.validate();
-        plan.sort_by(|a, b| a.at.total_cmp(&b.at));
-        let any_crash = plan.iter().any(|p| p.crash_at.is_some());
+        let roster = Roster::new(plan, cfg.initial_piece_fraction, cfg.replace_on_finish);
         let mut base = SwarmBase::with_faults(scfg, seed, fplan);
-        let watchdog_enabled = base.faults.active() || any_crash;
+        let watchdog_enabled = base.faults.active() || roster.plans_crash();
         let seeder = base.admit_seeder();
         let mut sw = TChainSwarm {
             base,
             cfg,
             seeder,
             states: Vec::new(),
-            plan,
-            next_arrival: 0,
-            pending_joins: Vec::new(),
+            roster,
             txns: Arena::new(),
             chains: Arena::new(),
             stats: ChainStats::default(),
@@ -243,10 +206,9 @@ impl TChainSwarm {
             repair_queue: Vec::new(),
             watchdog: Periodic::new(cfg.watchdog_period),
             watchdog_enabled,
-            planned_crashes: Vec::new(),
             profiler: PhaseProfiler::disabled(),
         };
-        sw.ensure_state(seeder);
+        sw.states.resize_with(sw.base.peers.len(), PeerState::default);
         sw
     }
 
@@ -386,47 +348,19 @@ impl TChainSwarm {
     /// Download completion times (seconds from join to finish) of leechers
     /// that finished, filtered to compliant or free-riding peers.
     pub fn completion_times(&self, compliant: bool) -> Vec<f64> {
-        self.base
-            .peers
-            .iter()
-            .filter(|p| p.role == Role::Leecher && p.compliant == compliant)
-            .filter_map(|p| p.done_time.map(|d| d - p.join_time))
-            .collect()
+        self.base.completion_times(compliant)
     }
 
     /// Free-rider outcomes by attacker *lineage* (whitewash resets
-    /// collapse onto the first identity): completed download durations,
-    /// and the number of lineages that never finished.
+    /// collapse onto the first identity): completed download durations
+    /// in ascending order, and the number of lineages that never finished.
     pub fn free_rider_results(&self) -> (Vec<f64>, usize) {
-        let mut durations: std::collections::HashMap<NodeId, f64> =
-            std::collections::HashMap::new();
-        let mut lineages: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-        for p in self.base.peers.iter() {
-            if p.role != Role::Leecher || p.compliant {
-                continue;
-            }
-            let (root, first_join) = self.states[p.id.index()].lineage;
-            lineages.insert(root);
-            if let Some(d) = p.done_time {
-                let dur = d - first_join;
-                durations
-                    .entry(root)
-                    .and_modify(|v| *v = v.min(dur))
-                    .or_insert(dur);
-            }
-        }
-        let unfinished = lineages.len() - durations.len();
-        (durations.into_values().collect(), unfinished)
+        self.roster.free_rider_results(&self.base)
     }
 
     /// Leechers (by compliance) that joined but never finished.
     pub fn unfinished(&self, compliant: bool) -> usize {
-        self.base
-            .peers
-            .iter()
-            .filter(|p| p.role == Role::Leecher && p.compliant == compliant)
-            .filter(|p| p.done_time.is_none())
-            .count()
+        self.base.unfinished(compliant)
     }
 
     /// Fairness factors (downloaded/uploaded pieces, §IV-H) of finished
@@ -436,8 +370,14 @@ impl TChainSwarm {
             .peers
             .iter()
             .filter(|p| p.role == Role::Leecher && p.compliant && p.done_time.is_some())
-            .filter_map(|p| p.fairness_factor())
+            .filter_map(|p| self.fairness_of(p))
             .collect()
+    }
+
+    /// One peer's fairness factor: pieces downloaded per piece uploaded
+    /// (`None` before its first upload).
+    pub fn fairness_of(&self, p: &Peer) -> Option<f64> {
+        p.fairness_factor()
     }
 
     // ------------------------------------------------------------------
@@ -447,20 +387,9 @@ impl TChainSwarm {
     /// Runs until every planned compliant leecher finished (or departed),
     /// or until `max_time`.
     pub fn run_until_done(&mut self) {
-        loop {
+        self.step();
+        while !self.roster.settled(&self.base) {
             self.step();
-            let now = self.base.clock.now();
-            if now >= self.base.cfg.max_time {
-                break;
-            }
-            if self.next_arrival >= self.plan.len() && self.pending_joins.is_empty() {
-                let any_compliant_left = self.base.peers.iter().any(|p| {
-                    p.role == Role::Leecher && p.compliant && p.done_time.is_none() && p.alive()
-                });
-                if !any_compliant_left {
-                    break;
-                }
-            }
         }
     }
 
@@ -525,13 +454,7 @@ impl TChainSwarm {
         if self.sample_timer.fire(now) {
             let p = self.profiler.begin();
             self.chain_series.push(now, self.stats.active as f64);
-            let leechers = self
-                .base
-                .peers
-                .iter_alive()
-                .filter(|p| p.role == Role::Leecher)
-                .count();
-            self.leecher_series.push(now, leechers as f64);
+            self.leecher_series.push(now, self.base.alive_leechers().len() as f64);
             self.profiler.end(Phase::Sampling, p);
         }
     }
@@ -540,125 +463,31 @@ impl TChainSwarm {
     // Membership
     // ------------------------------------------------------------------
 
-    fn ensure_state(&mut self, id: NodeId) {
-        if id.index() >= self.states.len() {
-            self.states.resize_with(id.index() + 1, PeerState::default);
-        }
-    }
-
     /// Fires due crash events: per-peer schedules from [`PeerPlan::crash_at`]
     /// and fraction-of-swarm events from the [`FaultPlan`]. No-op (and
     /// branch-only) when neither exists.
     fn process_crashes(&mut self, now: f64) {
-        if !self.planned_crashes.is_empty() {
-            let mut i = 0;
-            while i < self.planned_crashes.len() {
-                if self.planned_crashes[i].0 <= now {
-                    let (_, id) = self.planned_crashes.swap_remove(i);
-                    if self.base.peers.alive(id) {
-                        self.crash_peer(id, now);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+        for id in self.roster.due_crashes(&self.base, now) {
+            self.crash_peer(id, now);
         }
-        if self.base.faults.crash_due(now) {
-            let alive: Vec<NodeId> = self
-                .base
-                .peers
-                .iter_alive()
-                .filter(|p| p.role == Role::Leecher)
-                .map(|p| p.id)
-                .collect();
-            let victims = self.base.faults.crash_victims(now, &alive);
-            for v in victims {
-                if self.base.peers.alive(v) {
-                    self.crash_peer(v, now);
-                }
-            }
+        for id in self.base.crash_victims(now) {
+            self.crash_peer(id, now);
         }
     }
 
+    /// Admits the joins due at `now`, then sets up what T-Chain tracks per
+    /// peer: the whitewash clock, the colluder registry and — for a peer
+    /// with a scheduled crash — the watchdog.
     fn process_arrivals(&mut self, now: f64) {
-        while self.next_arrival < self.plan.len() && self.plan[self.next_arrival].at <= now {
-            let p = self.plan[self.next_arrival];
-            self.next_arrival += 1;
-            self.admit_plan(p, Vec::new(), now);
-        }
-        if !self.pending_joins.is_empty() {
-            let due: Vec<PendingJoin> = {
-                let mut due = Vec::new();
-                let mut i = 0;
-                while i < self.pending_joins.len() {
-                    if self.pending_joins[i].at <= now {
-                        due.push(self.pending_joins.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                due
-            };
-            for j in due {
-                self.admit_plan_lineage(j.plan, j.carry, now, j.lineage);
-            }
-        }
-    }
-
-    fn admit_plan(&mut self, plan: PeerPlan, carry: Vec<PieceId>, now: f64) -> NodeId {
-        self.admit_plan_lineage(plan, carry, now, None)
-    }
-
-    fn admit_plan_lineage(
-        &mut self,
-        plan: PeerPlan,
-        mut carry: Vec<PieceId>,
-        now: f64,
-        lineage: Option<(NodeId, f64)>,
-    ) -> NodeId {
-        let compliant = plan.strategy.uploads();
-        // Fig. 6(b): compliant leechers may start with pre-occupied pieces.
-        if compliant && self.cfg.initial_piece_fraction > 0.0 && carry.is_empty() {
-            let n = (self.cfg.initial_piece_fraction * self.base.cfg.file.pieces as f64) as usize;
-            let all: Vec<u32> = (0..self.base.cfg.file.pieces as u32).collect();
-            carry = self.base.rng.sample(&all, n).into_iter().map(PieceId).collect();
-        }
-        let id = self.base.admit_with_pieces(
-            Role::Leecher,
-            plan.effective_capacity(),
-            compliant,
-            carry.iter().copied(),
-        );
-        self.ensure_state(id);
-        let st = &mut self.states[id.index()];
-        st.strategy = plan.strategy;
-        st.planned_capacity = plan.capacity;
-        st.last_progress = now;
-        st.lineage = lineage.unwrap_or((id, now));
-        if let Some(fr) = plan.strategy.free_rider() {
-            if let Some(g) = fr.collude {
+        let admitted = self.roster.admit_due(&mut self.base, now);
+        self.states.resize_with(self.base.peers.len(), PeerState::default);
+        for (id, plan) in admitted {
+            self.states[id.index()].last_progress = now;
+            if let Some(g) = plan.strategy.free_rider().and_then(|fr| fr.collude) {
                 self.colluders.register(id, g);
             }
+            self.watchdog_enabled |= plan.crash_at.is_some();
         }
-        if let Some(at) = plan.crash_at {
-            self.planned_crashes.push((at.max(now), id));
-            self.watchdog_enabled = true;
-        }
-        id
-    }
-
-    fn finish_peer(&mut self, id: NodeId, now: f64) {
-        self.base.peers.get_mut(id).done_time = Some(now);
-        if self.cfg.replace_on_finish {
-            let cap = self.states[id.index()].planned_capacity;
-            self.pending_joins.push(PendingJoin {
-                at: now + self.base.cfg.dt,
-                plan: PeerPlan::compliant(now + self.base.cfg.dt, cap),
-                carry: Vec::new(),
-                lineage: None,
-            });
-        }
-        self.remove_peer(id, now);
     }
 
     /// Departure (completion, whitewash or forced): §II-B4 cleanup.
@@ -1224,7 +1053,7 @@ impl TChainSwarm {
         self.awaiting.push_back((t, now));
         self.states[requestor.index()].obligations.push(t);
         self.telemetry.on_encrypted(requestor, now);
-        match self.states[requestor.index()].strategy {
+        match self.roster.strategy(requestor) {
             Strategy::Compliant => self.attempt_reciprocation(t, now),
             Strategy::FreeRider(_) => {
                 // Cheating (§III-A2): hoard the encrypted piece. Colluders
@@ -1632,7 +1461,8 @@ impl TChainSwarm {
         self.states[id.index()].last_progress = now;
         let done = self.base.grant_piece(id, piece);
         if done {
-            self.finish_peer(id, now);
+            self.roster.finish(&mut self.base, id, now);
+            self.remove_peer(id, now);
         }
     }
 
@@ -1653,7 +1483,7 @@ impl TChainSwarm {
             }
             let requestor = txn.requestor;
             let stalled = !self.base.peers.alive(requestor)
-                || self.states[requestor.index()].strategy.is_free_rider();
+                || self.roster.strategy(requestor).is_free_rider();
             if stalled {
                 // The free-rider keeps the (useless) encrypted piece; the
                 // donor's ledger keeps the pending marks — the ban of
@@ -1675,14 +1505,7 @@ impl TChainSwarm {
     }
 
     fn refill_round(&mut self) {
-        let ids: Vec<NodeId> = self
-            .base
-            .peers
-            .iter_alive()
-            .filter(|p| p.role == Role::Leecher)
-            .map(|p| p.id)
-            .collect();
-        for id in ids {
+        for id in self.base.alive_leechers() {
             self.base.maybe_refill(id);
         }
     }
@@ -1696,26 +1519,13 @@ impl TChainSwarm {
             .map(|p| p.id)
             .collect();
         for id in riders {
-            let Strategy::FreeRider(frc) = self.states[id.index()].strategy else { continue };
+            let Strategy::FreeRider(frc) = self.roster.strategy(id) else { continue };
             if frc.whitewash && now - self.states[id.index()].last_progress > self.cfg.whitewash_patience
             {
-                // Abandon this identity, keep the downloaded pieces, and
-                // rejoin shortly as a "newcomer".
-                let carry: Vec<PieceId> = self.base.peers.get(id).have.iter_set().collect();
-                let plan = PeerPlan {
-                    at: now + 5.0,
-                    capacity: self.states[id.index()].planned_capacity,
-                    strategy: self.states[id.index()].strategy,
-                    crash_at: None,
-                };
-                let lineage = self.states[id.index()].lineage;
+                // Abandon this identity, keep the downloaded pieces (the
+                // bitfield outlives departure) and rejoin as a "newcomer".
                 self.remove_peer(id, now);
-                self.pending_joins.push(PendingJoin {
-                    at: now + 5.0,
-                    plan,
-                    carry,
-                    lineage: Some(lineage),
-                });
+                self.roster.whitewash(&self.base, id, now);
                 continue;
             }
             if frc.large_view {
@@ -1917,19 +1727,6 @@ mod tests {
         for p in sw.base().peers.iter().filter(|p| p.role == Role::Leecher) {
             assert!(p.have.count() >= 16, "half the pieces preloaded, got {}", p.have.count());
         }
-    }
-
-    #[test]
-    fn churn_replacement_keeps_population() {
-        let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(4)),
-            TChainConfig { replace_on_finish: true, ..Default::default() },
-            flash_plan(6, 1200.0),
-            41,
-        );
-        sw.run_to(400.0);
-        let finished = sw.completion_times(true).len();
-        assert!(finished > 6, "replacements joined and finished too: {finished}");
     }
 
     #[test]

@@ -9,40 +9,11 @@
 //! Exits nonzero if any scenario violates the compliant-peer incentive
 //! guarantee, so CI can gate on it directly.
 fn main() {
-    tchain_experiments::parse_jobs_args();
-    let mut scale = tchain_experiments::Scale::from_env();
-    let mut seed = 0xA77Cu64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => scale = tchain_experiments::Scale::Quick,
-            "--paper" => scale = tchain_experiments::Scale::Paper,
-            "--seed" => {
-                if let Some(v) = args.next() {
-                    seed = parse_seed(&v);
-                }
-            }
-            _ => {}
-        }
-    }
-    println!("[net_attacks | scale: {} | seed: {seed:#x}]", scale.name());
-    let doc = tchain_experiments::figures::net_attacks::run_with_seed(scale, seed);
+    let args = tchain_experiments::parse_net_args("net_attacks", 0xA77C);
+    println!("[net_attacks | scale: {} | seed: {:#x}]", args.scale.name(), args.seed);
+    let doc = tchain_experiments::figures::net_attacks::run_with_seed(args.scale, args.seed);
     if !doc.all_safe {
         eprintln!("net_attacks: INCENTIVE GUARANTEE VIOLATED — see table above");
         std::process::exit(1);
-    }
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    match parsed {
-        Ok(s) => s,
-        Err(_) => {
-            eprintln!("net_attacks: bad --seed {v:?}, expected a u64");
-            std::process::exit(2);
-        }
     }
 }

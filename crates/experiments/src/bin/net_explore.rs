@@ -12,28 +12,14 @@
 //! mutation drill) the crash scenario must instead FIND the seeded
 //! restore() ledger bug and shrink its witness to ≤ 50 choices.
 fn main() {
-    tchain_experiments::parse_jobs_args();
-    let mut scale = tchain_experiments::Scale::from_env();
-    let mut seed = 0xE5B0u64;
-    let mut budget = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => scale = tchain_experiments::Scale::Quick,
-            "--paper" => scale = tchain_experiments::Scale::Paper,
-            "--seed" => {
-                if let Some(v) = args.next() {
-                    seed = parse_num(&v, "--seed");
-                }
-            }
-            "--budget" => {
-                if let Some(v) = args.next() {
-                    budget = Some(parse_num(&v, "--budget") as u32);
-                }
-            }
-            _ => {}
-        }
-    }
+    let args = tchain_experiments::parse_net_args("net_explore", 0xE5B0);
+    let (scale, seed) = (args.scale, args.seed);
+    let budget = args
+        .rest
+        .iter()
+        .position(|a| a == "--budget")
+        .and_then(|i| args.rest.get(i + 1))
+        .map(|v| tchain_experiments::parse_u64_flag("net_explore", "--budget", v) as u32);
     let canary = tchain_net::canary_armed();
     println!(
         "[net_explore | scale: {} | seed: {seed:#x}{}]",
@@ -54,19 +40,5 @@ fn main() {
     }
     if canary {
         println!("net_explore: canary drill passed — the seeded bug was found and shrunk");
-    }
-}
-
-fn parse_num(v: &str, flag: &str) -> u64 {
-    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    match parsed {
-        Ok(s) => s,
-        Err(_) => {
-            eprintln!("net_explore: bad {flag} {v:?}, expected a u64");
-            std::process::exit(2);
-        }
     }
 }

@@ -12,27 +12,12 @@
 //!   schema (strict per-origin Lamport monotonicity included) and the
 //!   exposition for the headline series; exits nonzero on failure.
 fn main() {
-    tchain_experiments::parse_jobs_args();
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("check") {
-        check(args.get(2), args.get(3));
+    let args = tchain_experiments::parse_net_args("net_telemetry", 0x7E1E);
+    if args.rest.first().map(String::as_str) == Some("check") {
+        check(args.rest.get(1), args.rest.get(2));
         return;
     }
-    let mut scale = tchain_experiments::Scale::from_env();
-    let mut seed = 0x7E1Eu64;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => scale = tchain_experiments::Scale::Quick,
-            "--paper" => scale = tchain_experiments::Scale::Paper,
-            "--seed" => {
-                if let Some(v) = it.next() {
-                    seed = parse_seed(v);
-                }
-            }
-            _ => {}
-        }
-    }
+    let (scale, seed) = (args.scale, args.seed);
     println!("[net_telemetry | scale: {} | seed: {seed:#x}]", scale.name());
     let doc = tchain_experiments::figures::net_telemetry::run_with_seed(scale, seed);
     if !doc.safe {
@@ -76,20 +61,6 @@ fn read_or_die(path: &str) -> String {
         Ok(s) => s,
         Err(e) => {
             eprintln!("net_telemetry check: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    match parsed {
-        Ok(s) => s,
-        Err(_) => {
-            eprintln!("net_telemetry: bad --seed {v:?}, expected a u64");
             std::process::exit(2);
         }
     }

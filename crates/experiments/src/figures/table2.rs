@@ -12,14 +12,13 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, Proto, RiderMode};
+use crate::scenario::{build_swarm, flash_plan, Proto, RiderMode, RunOpts};
 use serde::Serialize;
 use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
 use tchain_baselines::dandelion::CreditServer;
 use tchain_baselines::eigentrust::{Actor, EigenTrustModel};
-use tchain_baselines::{BaselineConfig, BaselineSwarm};
-use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_proto::{Role, SwarmConfig};
+use tchain_sim::FaultPlan;
 
 /// A measured Table II cell.
 #[derive(Debug, Clone, Serialize)]
@@ -73,31 +72,11 @@ pub fn progress_ratio(
     let spec = proto.file_spec(2.0);
     let horizon = 900.0;
     let wall = std::time::Instant::now();
-    let (fr_rate, compliant_rate, metrics) = match proto {
-        Proto::TChain => {
-            let mut sw = TChainSwarm::new(
-                SwarmConfig::paper(spec),
-                TChainConfig::default(),
-                plan,
-                seed,
-            );
-            sw.run_to(horizon);
-            let (f, c) = rates(sw.base(), horizon);
-            (f, c, sw.metrics())
-        }
-        Proto::Baseline(b) => {
-            let mut sw = BaselineSwarm::new(
-                SwarmConfig::paper(spec),
-                BaselineConfig::default(),
-                b,
-                plan,
-                seed,
-            );
-            sw.run_to(horizon);
-            let (f, c) = rates(sw.base(), horizon);
-            (f, c, sw.metrics())
-        }
-    };
+    let scfg = SwarmConfig::paper(spec);
+    let mut sw = build_swarm(proto, scfg, RunOpts::default(), plan, seed, FaultPlan::none());
+    sw.run_to(horizon);
+    let (fr_rate, compliant_rate) = rates(sw.base(), horizon);
+    let metrics = sw.metrics();
     let ratio = if compliant_rate <= 0.0 { 0.0 } else { fr_rate / compliant_rate };
     (ratio, wall.elapsed().as_secs_f64(), metrics)
 }

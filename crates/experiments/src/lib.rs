@@ -24,7 +24,8 @@ pub use output::{
     deterministic_view, fmt_opt, persist, print_table, results_dir, save, save_with_meta, RunMeta,
 };
 pub use runner::{
-    effective_jobs, parse_jobs_args, set_jobs, sweep, take_failures, FailedCell, Sweep,
+    effective_jobs, parse_jobs_args, parse_net_args, parse_u64_flag, set_jobs, sweep,
+    take_failures, FailedCell, NetArgs, Sweep,
 };
 pub use scale::Scale;
 pub use scenario::{

@@ -27,6 +27,8 @@ use std::sync::Mutex;
 
 use serde::Serialize;
 
+use crate::scale::Scale;
+
 /// Process-wide `--jobs` override (0 = unset).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
@@ -60,6 +62,67 @@ pub fn parse_jobs_args() {
         }
         i += 1;
     }
+}
+
+/// The flags the `net_*` binaries share, plus whatever else was passed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NetArgs {
+    /// `--quick` / `--paper`; otherwise `TCHAIN_SCALE`.
+    pub scale: Scale,
+    /// `--seed N` (hex or decimal); otherwise the binary's default.
+    pub seed: u64,
+    /// Every other argument, in order, for the binary's own parsing
+    /// (`--budget N`, `check <files>`).
+    pub rest: Vec<String>,
+}
+
+/// Parses the process arguments of a `net_*` binary: applies `--jobs`
+/// (see [`parse_jobs_args`]), then `--quick` / `--paper` / `--seed N`.
+/// A malformed seed prints `<bin>: bad --seed …` and exits with status 2.
+pub fn parse_net_args(bin: &str, default_seed: u64) -> NetArgs {
+    parse_jobs_args();
+    net_flags(std::env::args().skip(1), Scale::from_env(), default_seed)
+        .unwrap_or_else(|bad| bad_flag(bin, "--seed", &bad))
+}
+
+/// Parses the value of a numeric flag a `net_*` binary handles itself,
+/// `0x`-prefixed hex or decimal; exits with status 2 on anything else.
+pub fn parse_u64_flag(bin: &str, flag: &str, v: &str) -> u64 {
+    parse_u64(v).unwrap_or_else(|| bad_flag(bin, flag, v))
+}
+
+fn bad_flag(bin: &str, flag: &str, v: &str) -> ! {
+    eprintln!("{bin}: bad {flag} {v:?}, expected a u64");
+    std::process::exit(2)
+}
+
+fn parse_u64(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
+}
+
+/// The pure half of [`parse_net_args`]; `Err` carries a bad seed value.
+fn net_flags(
+    mut args: impl Iterator<Item = String>,
+    mut scale: Scale,
+    mut seed: u64,
+) -> Result<NetArgs, String> {
+    let mut rest = Vec::new();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" => scale = Scale::Quick,
+            "--paper" => scale = Scale::Paper,
+            "--seed" => {
+                if let Some(v) = args.next() {
+                    seed = parse_u64(&v).ok_or(v)?;
+                }
+            }
+            _ => rest.push(a),
+        }
+    }
+    Ok(NetArgs { scale, seed, rest })
 }
 
 /// The worker count [`sweep`] will use: the [`set_jobs`] override if
@@ -219,6 +282,38 @@ mod tests {
         let r = f();
         JOBS_OVERRIDE.store(prev, Ordering::SeqCst);
         r
+    }
+
+    #[test]
+    fn net_flags_take_hex_and_decimal_seeds_and_keep_the_rest() {
+        let parse = |args: &[&str]| {
+            net_flags(args.iter().map(|a| a.to_string()), Scale::Quick, 0xC405)
+        };
+        assert_eq!(parse(&[]), Ok(NetArgs { scale: Scale::Quick, seed: 0xC405, rest: vec![] }));
+        assert_eq!(parse(&["--seed", "0xBEEF"]).unwrap().seed, 0xBEEF);
+        assert_eq!(parse(&["--seed", "0Xbeef"]).unwrap().seed, 0xBEEF);
+        assert_eq!(parse(&["--seed", "48879"]).unwrap().seed, 48879);
+        assert_eq!(parse(&["--seed"]).unwrap().seed, 0xC405, "a trailing --seed is ignored");
+        let mixed = parse(&["--jobs", "2", "--paper", "--budget", "9", "--seed", "7", "check"]);
+        assert_eq!(
+            mixed,
+            Ok(NetArgs {
+                scale: Scale::Paper,
+                seed: 7,
+                rest: ["--jobs", "2", "--budget", "9", "check"].map(String::from).to_vec(),
+            })
+        );
+        assert_eq!(parse(&["--paper", "--quick"]).unwrap().scale, Scale::Quick, "last wins");
+    }
+
+    #[test]
+    fn malformed_numbers_are_rejected_not_defaulted() {
+        for bad in ["zzz", "0x", "0xg1", "-1", "1.5", "", "18446744073709551616"] {
+            assert_eq!(parse_u64(bad), None, "{bad:?}");
+            let got = net_flags(["--seed".to_string(), bad.to_string()].into_iter(), Scale::Quick, 1);
+            assert_eq!(got, Err(bad.to_string()), "the bad value is what gets reported");
+        }
+        assert_eq!(parse_u64("18446744073709551615"), Some(u64::MAX));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::RecoveryCounters;
 use tchain_obs::{MetricMap, PhaseProfile, TraceRecord};
-use tchain_proto::{FileSpec, Role, SwarmConfig};
+use tchain_proto::{FileSpec, Peer, Role, SwarmBase, SwarmConfig};
 use tchain_sim::FaultPlan;
 use tchain_workloads::{flash_crowd, CapacityClasses, TraceModel};
 
@@ -249,8 +249,76 @@ pub fn run_proto_with_faults(
         }
         None => proto.file_spec(file_mib),
     };
-    let scfg = SwarmConfig::paper(spec);
     let wall_start = Instant::now();
+    let mut sw = build_swarm(proto, SwarmConfig::paper(spec), opts, plan, seed, faults);
+    if let Some(cap) = opts.trace_capacity {
+        sw.enable_tracing(cap);
+    }
+    if opts.profile {
+        sw.enable_profiling();
+    }
+    match horizon {
+        Horizon::CompliantDone => sw.run_until_done(),
+        Horizon::Fixed(t) => sw.run_to(t),
+        Horizon::ExtendForFreeRiders(t) => {
+            sw.run_until_done();
+            if sw.base().clock.now() < t {
+                sw.run_to(t);
+            }
+        }
+        Horizon::CompliantCount(k, max_t) => {
+            while sw.base().clock.now() < max_t && sw.base().completion_times(true).len() < k {
+                let t = sw.base().clock.now() + 25.0;
+                sw.run_to(t.min(max_t));
+            }
+        }
+    }
+    collect(&*sw, spec.piece_size, wall_start)
+}
+
+/// What the shared run path needs from a fluid swarm driver; both
+/// drivers already expose every method under the same name.
+pub(crate) trait FluidSwarm {
+    fn base(&self) -> &SwarmBase;
+    fn run_until_done(&mut self);
+    fn run_to(&mut self, t: f64);
+    fn enable_tracing(&mut self, capacity: usize);
+    fn enable_profiling(&mut self);
+    fn recovery_counters(&self) -> RecoveryCounters;
+    fn metrics(&self) -> MetricMap;
+    fn profile(&self) -> PhaseProfile;
+    fn free_rider_results(&self) -> (Vec<f64>, usize);
+    fn fairness_of(&self, p: &Peer) -> Option<f64>;
+}
+
+macro_rules! impl_fluid_swarm {
+    ($($ty:ty),*) => {$(
+        impl FluidSwarm for $ty {
+            fn base(&self) -> &SwarmBase { <$ty>::base(self) }
+            fn run_until_done(&mut self) { <$ty>::run_until_done(self) }
+            fn run_to(&mut self, t: f64) { <$ty>::run_to(self, t) }
+            fn enable_tracing(&mut self, capacity: usize) { <$ty>::enable_tracing(self, capacity) }
+            fn enable_profiling(&mut self) { <$ty>::enable_profiling(self) }
+            fn recovery_counters(&self) -> RecoveryCounters { <$ty>::recovery_counters(self) }
+            fn metrics(&self) -> MetricMap { <$ty>::metrics(self) }
+            fn profile(&self) -> PhaseProfile { <$ty>::profile(self) }
+            fn free_rider_results(&self) -> (Vec<f64>, usize) { <$ty>::free_rider_results(self) }
+            fn fairness_of(&self, p: &Peer) -> Option<f64> { <$ty>::fairness_of(self, p) }
+        }
+    )*};
+}
+impl_fluid_swarm!(TChainSwarm, BaselineSwarm);
+
+/// Constructs the driver for `proto` — the one place the two swarm types
+/// are told apart; everything after construction is shared.
+pub(crate) fn build_swarm(
+    proto: Proto,
+    scfg: SwarmConfig,
+    opts: RunOpts,
+    plan: Vec<PeerPlan>,
+    seed: u64,
+    faults: FaultPlan,
+) -> Box<dyn FluidSwarm> {
     match proto {
         Proto::TChain => {
             let cfg = TChainConfig {
@@ -258,40 +326,7 @@ pub fn run_proto_with_faults(
                 replace_on_finish: opts.replace_on_finish,
                 ..Default::default()
             };
-            let mut sw = TChainSwarm::with_faults(scfg, cfg, plan, seed, faults);
-            if let Some(cap) = opts.trace_capacity {
-                sw.enable_tracing(cap);
-            }
-            if opts.profile {
-                sw.enable_profiling();
-            }
-            match horizon {
-                Horizon::CompliantDone => sw.run_until_done(),
-                Horizon::Fixed(t) => sw.run_to(t),
-                Horizon::ExtendForFreeRiders(t) => {
-                    sw.run_until_done();
-                    if sw.base().clock.now() < t {
-                        sw.run_to(t);
-                    }
-                }
-                Horizon::CompliantCount(k, max_t) => {
-                    while sw.base().clock.now() < max_t
-                        && sw.completion_times(true).len() < k
-                    {
-                        let t = sw.base().clock.now() + 25.0;
-                        sw.run_to(t.min(max_t));
-                    }
-                }
-            }
-            let fr = sw.free_rider_results();
-            let mut out = collect(sw.base(), spec.piece_size, fr, |p| p.fairness_factor());
-            out.recovery = sw.recovery_counters();
-            out.metrics = sw.metrics();
-            out.phases = sw.profile();
-            out.peak_event_depth = sw.tracer().peak_depth();
-            out.trace_records = sw.tracer().records();
-            out.wall_clock_s = wall_start.elapsed().as_secs_f64();
-            out
+            Box::new(TChainSwarm::with_faults(scfg, cfg, plan, seed, faults))
         }
         Proto::Baseline(b) => {
             let cfg = BaselineConfig {
@@ -299,63 +334,16 @@ pub fn run_proto_with_faults(
                 replace_on_finish: opts.replace_on_finish,
                 ..Default::default()
             };
-            let mut sw = BaselineSwarm::with_faults(scfg, cfg, b, plan, seed, faults);
-            if let Some(cap) = opts.trace_capacity {
-                sw.enable_tracing(cap);
-            }
-            if opts.profile {
-                sw.enable_profiling();
-            }
-            match horizon {
-                Horizon::CompliantDone => sw.run_until_done(),
-                Horizon::Fixed(t) => sw.run_to(t),
-                Horizon::ExtendForFreeRiders(t) => {
-                    sw.run_until_done();
-                    if sw.base().clock.now() < t {
-                        sw.run_to(t);
-                    }
-                }
-                Horizon::CompliantCount(k, max_t) => {
-                    while sw.base().clock.now() < max_t
-                        && sw.completion_times(true).len() < k
-                    {
-                        let t = sw.base().clock.now() + 25.0;
-                        sw.run_to(t.min(max_t));
-                    }
-                }
-            }
-            let fr = sw.free_rider_results();
-            let mut out = {
-                let flows = &sw.base().flows;
-                collect(sw.base(), spec.piece_size, fr, |p| {
-                    let up = flows.uploaded(p.id);
-                    if up > 0.0 {
-                        Some(flows.downloaded(p.id) / up)
-                    } else {
-                        None
-                    }
-                })
-            };
-            out.recovery = sw.recovery_counters();
-            out.metrics = sw.metrics();
-            out.phases = sw.profile();
-            out.peak_event_depth = sw.tracer().peak_depth();
-            out.trace_records = sw.tracer().records();
-            out.wall_clock_s = wall_start.elapsed().as_secs_f64();
-            out
+            Box::new(BaselineSwarm::with_faults(scfg, cfg, b, plan, seed, faults))
         }
     }
 }
 
-fn collect(
-    base: &tchain_proto::SwarmBase,
-    piece_size: f64,
-    free_rider_results: (Vec<f64>, usize),
-    fairness_of: impl Fn(&tchain_proto::Peer) -> Option<f64>,
-) -> RunOutcome {
+fn collect(sw: &dyn FluidSwarm, piece_size: f64, wall_start: Instant) -> RunOutcome {
+    let base = sw.base();
     let now = base.clock.now();
     let mut compliant: Vec<(f64, f64, Option<f64>)> = Vec::new();
-    let (mut rider_durations, unfinished_free_riders) = free_rider_results;
+    let (rider_durations, unfinished_free_riders) = sw.free_rider_results();
     let mut unfinished_compliant = 0;
     let mut goodput_sum = 0.0;
     let mut goodput_n = 0usize;
@@ -364,7 +352,7 @@ fn collect(
             continue;
         }
         match (p.compliant, p.done_time) {
-            (true, Some(d)) => compliant.push((d, d - p.join_time, fairness_of(p))),
+            (true, Some(d)) => compliant.push((d, d - p.join_time, sw.fairness_of(p))),
             (true, None) => unfinished_compliant += 1,
             (false, _) => {} // free-riders handled by lineage above
         }
@@ -377,7 +365,6 @@ fn collect(
         }
     }
     compliant.sort_by(|a, b| a.0.total_cmp(&b.0));
-    rider_durations.sort_by(|a, b| a.total_cmp(b));
     RunOutcome {
         compliant_times: compliant.iter().map(|c| c.1).collect(),
         free_rider_times: rider_durations,
@@ -387,7 +374,13 @@ fn collect(
         fairness: compliant.iter().filter_map(|c| c.2).collect(),
         mean_goodput: if goodput_n == 0 { 0.0 } else { goodput_sum / goodput_n as f64 },
         sim_time: now,
-        ..RunOutcome::default()
+        recovery: sw.recovery_counters(),
+        peak_event_depth: base.trace.peak_depth(),
+        phases: sw.profile(),
+        metrics: sw.metrics(),
+        trace_records: base.trace.records(),
+        // Last, so the reading covers the collection above as well.
+        wall_clock_s: wall_start.elapsed().as_secs_f64(),
     }
 }
 

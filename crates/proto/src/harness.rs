@@ -4,7 +4,10 @@
 //! FairTorrent, Random BitTorrent) shares the same swarm mechanics: one
 //! persistent seeder, leechers that join via the tracker, maintain 30–55
 //! neighbors, announce completed pieces, and depart when done (§IV-A).
-//! [`SwarmBase`] bundles that state; the drivers in `tchain-core` and
+//! [`SwarmBase`] bundles that state and answers the questions that need
+//! nothing else (who finished and when, who never did, whom a
+//! [`FaultPlan`] crash event hits); `tchain_attacks::Roster` drives its
+//! plan-based membership, and the drivers in `tchain-core` and
 //! `tchain-baselines` layer their protocol logic on top.
 
 use crate::control::{Envelope, SendOutcome};
@@ -226,12 +229,40 @@ impl SwarmBase {
         &self.peers.get(id).have
     }
 
-    /// All leechers ever admitted have finished or left.
-    pub fn all_leechers_done(&self) -> bool {
+    /// Ids of the leechers currently in the swarm, in admission order.
+    pub fn alive_leechers(&self) -> Vec<NodeId> {
+        self.peers.iter_alive().filter(|p| p.role == Role::Leecher).map(|p| p.id).collect()
+    }
+
+    /// Download completion times (seconds from join to finish) of leechers
+    /// that finished, filtered to compliant or free-riding peers.
+    pub fn completion_times(&self, compliant: bool) -> Vec<f64> {
         self.peers
             .iter()
-            .filter(|p| p.role == Role::Leecher)
-            .all(|p| p.done_time.is_some() || !p.alive())
+            .filter(|p| p.role == Role::Leecher && p.compliant == compliant)
+            .filter_map(|p| p.done_time.map(|d| d - p.join_time))
+            .collect()
+    }
+
+    /// Leechers (by compliance) that joined but never finished.
+    pub fn unfinished(&self, compliant: bool) -> usize {
+        self.peers
+            .iter()
+            .filter(|p| p.role == Role::Leecher && p.compliant == compliant)
+            .filter(|p| p.done_time.is_none())
+            .count()
+    }
+
+    /// Victims of the [`FaultPlan`] crash-fraction events due at `now`,
+    /// drawn over the leechers alive at the call — so per-peer planned
+    /// crashes must be applied first. Empty (and draw-free) when no event
+    /// is due.
+    pub fn crash_victims(&mut self, now: f64) -> Vec<NodeId> {
+        if !self.faults.crash_due(now) {
+            return Vec::new();
+        }
+        let alive = self.alive_leechers();
+        self.faults.crash_victims(now, &alive)
     }
 
     /// Mean uplink utilization over compliant leechers that have departed

@@ -1,7 +1,8 @@
 //! Cross-crate integration: the same workload through every protocol
 //! driver, checking the paper's headline orderings end to end.
 
-use tchain_experiments::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
+use tchain_baselines::Baseline;
+use tchain_experiments::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts, RunOutcome};
 
 #[test]
 fn all_protocols_complete_a_clean_swarm() {
@@ -137,4 +138,67 @@ fn small_files_favour_tchain_over_block_protocols() {
         tc.mean_goodput,
         bt.mean_goodput
     );
+}
+
+/// The membership lifecycle (`tchain_attacks::Roster`) is one mechanism
+/// under every driver: each lifecycle event must show the same way in the
+/// outcome of T-Chain and of every baseline policy.
+#[test]
+fn membership_lifecycle_is_uniform_across_protocols() {
+    struct Case {
+        what: &'static str,
+        fr_fraction: f64,
+        crash: bool,
+        opts: RunOpts,
+        holds: fn(&RunOutcome) -> bool,
+    }
+    const N: usize = 12;
+    let churn = RunOpts { custom_pieces: Some(4), replace_on_finish: true, ..Default::default() };
+    let cases = [
+        Case {
+            what: "churn replacements join and finish too",
+            fr_fraction: 0.0,
+            crash: false,
+            opts: churn,
+            holds: |o| o.compliant_times.len() > N,
+        },
+        Case {
+            what: "whitewash identities collapse onto their three lineages",
+            fr_fraction: 0.25,
+            crash: false,
+            opts: RunOpts::default(),
+            holds: |o| o.free_rider_times.len() + o.unfinished_free_riders == 3,
+        },
+        Case {
+            what: "a crash_at peer crashes once and never finishes",
+            fr_fraction: 0.0,
+            crash: true,
+            opts: RunOpts::default(),
+            holds: |o| {
+                o.recovery.crashes == 1
+                    && o.unfinished_compliant == 1
+                    && o.compliant_times.len() == N - 1
+            },
+        },
+    ];
+    let protos = std::iter::once(Proto::TChain).chain(Baseline::all().map(Proto::Baseline));
+    for proto in protos {
+        for case in &cases {
+            let mut plan = flash_plan(N, case.fr_fraction, RiderMode::Aggressive, 7);
+            if case.crash {
+                plan[2] = plan[2].crashing_at(plan[2].at + 3.0);
+            }
+            let out = run_proto(proto, 1.0, plan, 7, Horizon::Fixed(600.0), case.opts);
+            assert!(
+                (case.holds)(&out),
+                "{proto}: {} (done {}, unfinished {}, riders {}+{}, crashes {})",
+                case.what,
+                out.compliant_times.len(),
+                out.unfinished_compliant,
+                out.free_rider_times.len(),
+                out.unfinished_free_riders,
+                out.recovery.crashes,
+            );
+        }
+    }
 }

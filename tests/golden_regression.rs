@@ -165,6 +165,7 @@ fn golden_fixture_list_is_exactly_the_committed_set() {
         [
             "baseline_bt_whitewash.json",
             "baseline_fairtorrent_whitewash.json",
+            "baseline_propshare_whitewash.json",
             "baseline_randombt_whitewash.json",
             "fig03_flash_crowd.json",
             "table2_large_view_tchain.json",
@@ -223,23 +224,27 @@ const LIFECYCLE_SWARM: usize = 24;
 /// durations as well as the compliant outcome.
 #[test]
 fn baseline_whitewash_cells_match_fixtures() {
-    for (policy, name) in [
-        (Baseline::BitTorrent, "baseline_bt_whitewash.json"),
-        (Baseline::RandomBt, "baseline_randombt_whitewash.json"),
-        (Baseline::FairTorrent, "baseline_fairtorrent_whitewash.json"),
+    // PropShare gets 4 MiB: with fewer pieces its windows rarely hold the
+    // several contributors whose order the fixture is there to pin.
+    for (policy, file_mib, name) in [
+        (Baseline::BitTorrent, 1.0, "baseline_bt_whitewash.json"),
+        (Baseline::RandomBt, 1.0, "baseline_randombt_whitewash.json"),
+        (Baseline::FairTorrent, 1.0, "baseline_fairtorrent_whitewash.json"),
+        (Baseline::PropShare, 4.0, "baseline_propshare_whitewash.json"),
     ] {
         let plan = flash_plan(LIFECYCLE_SWARM, 0.25, RiderMode::Aggressive, LIFECYCLE_SEED);
         let out = run_proto(
             Proto::Baseline(policy),
-            1.0,
+            file_mib,
             plan,
             LIFECYCLE_SEED,
             Horizon::ExtendForFreeRiders(1500.0),
             RunOpts::default(),
         );
         assert_eq!(out.compliant_times.len(), 18, "{policy}: every compliant leecher finishes");
-        assert!(
-            out.free_rider_times.len() + out.unfinished_free_riders == 6,
+        assert_eq!(
+            out.free_rider_times.len() + out.unfinished_free_riders,
+            6,
             "{policy}: whitewash identities collapse onto six lineages"
         );
         check_golden(name, &summarize(&out));
