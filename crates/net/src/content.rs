@@ -2,11 +2,20 @@
 //!
 //! A real swarm distributes bytes, so the net runtime needs actual piece
 //! plaintexts — and a way for a receiver to know it decrypted correctly.
-//! [`Content`] plays the role of a `.torrent`: every peer is constructed
-//! with the same `(seed, pieces, piece_len)` spec and therefore knows the
-//! expected fingerprint of every piece a priori. A piece counts as
-//! *completed* only when the decrypted bytes match that fingerprint, which
-//! makes the ChaCha20 key release self-verifying end to end.
+//! [`Content`] is the swarm's manifest (its `.torrent`): the
+//! `(seed, pieces, piece_len)` spec plus a table of expected piece
+//! digests that every clone shares. A piece counts as *completed* only
+//! when the decrypted bytes match their table entry, which makes the
+//! ChaCha20 key release self-verifying end to end.
+//!
+//! Two hashes live here and must not be confused. [`fingerprint`] is the
+//! frozen fold hash: the harness folds it over every delivered frame, so
+//! it is part of every swarm fingerprint, golden and witness and never
+//! changes. The piece digest behind [`Content::verify`] is process-local —
+//! it is never sent, checkpointed or folded — so it is free to be
+//! whatever checks a buffer fastest in one pass.
+
+use std::sync::{Arc, OnceLock};
 
 /// Stateless splitmix64 step, the generator behind piece bytes and
 /// fingerprints (no external hash crates).
@@ -29,23 +38,74 @@ pub fn fingerprint(bytes: &[u8]) -> u64 {
     mix64(acc ^ bytes.len() as u64)
 }
 
-/// The shared file: a deterministic generator every peer holds, standing
-/// in for the out-of-band metadata (infohash) of a real deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Content {
-    /// Content seed (independent of protocol RNG streams).
-    pub seed: u64,
-    /// Number of pieces in the file.
-    pub pieces: usize,
-    /// Bytes per piece.
-    pub piece_len: usize,
+/// Lane seeds of [`digest`] (fractional bits of √2, √3, √5, √7);
+/// distinct, so a word means something different in each lane.
+const LANE_SEEDS: [u64; 4] =
+    [0x6A09_E667_F3BC_C908, 0xBB67_AE85_84CA_A73B, 0x3C6E_F372_FE94_F82B, 0xA54F_F53A_5F1D_36F1];
+
+/// Order- and length-sensitive 64-bit piece digest, process-local.
+///
+/// Same per-word step as [`fingerprint`], but striped: word `j` of each
+/// 32-byte stripe feeds lane `j`, so four `mix64` chains run
+/// independently and the CPU overlaps them instead of waiting out one
+/// serial multiply chain. The lanes are then chained in order, followed
+/// by the sub-stripe tail and the length.
+fn digest(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+            *lane = mix64(*lane ^ word);
+        }
+    }
+    let mut acc = 0x510E_527F_ADE6_82D1u64;
+    for lane in lanes {
+        acc = mix64(acc ^ lane);
+    }
+    for chunk in stripes.remainder().chunks(8) {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        acc = mix64(acc ^ u64::from_le_bytes(w));
+    }
+    mix64(acc ^ bytes.len() as u64)
 }
 
+/// The shared file: a deterministic generator every peer holds, standing
+/// in for the out-of-band metadata (infohash + piece hashes) of a real
+/// deployment.
+///
+/// Cloning is cheap and shares the digest table: a swarm builds one
+/// `Content` and hands every peer a clone, so each expected digest is
+/// computed once per swarm, on first use. Equality is on the spec alone.
+#[derive(Debug, Clone)]
+pub struct Content {
+    seed: u64,
+    pieces: usize,
+    piece_len: usize,
+    /// Expected digest of piece `i`, filled on first use. The fields
+    /// above are private because the entries are a function of them.
+    digests: Arc<[OnceLock<u64>]>,
+}
+
+impl PartialEq for Content {
+    fn eq(&self, other: &Self) -> bool {
+        (self.seed, self.pieces, self.piece_len) == (other.seed, other.pieces, other.piece_len)
+    }
+}
+
+impl Eq for Content {}
+
 impl Content {
-    /// A new content spec.
+    /// A new content spec with an empty digest table.
     pub fn new(seed: u64, pieces: usize, piece_len: usize) -> Self {
         assert!(pieces > 0 && piece_len > 0, "content needs pieces and bytes");
-        Content { seed, pieces, piece_len }
+        Content { seed, pieces, piece_len, digests: (0..pieces).map(|_| OnceLock::new()).collect() }
+    }
+
+    /// Number of pieces in the file.
+    pub fn pieces(&self) -> usize {
+        self.pieces
     }
 
     /// The plaintext of piece `i`.
@@ -65,15 +125,28 @@ impl Content {
         out
     }
 
-    /// The expected fingerprint of piece `i` (what a real client reads
-    /// from the torrent metadata).
+    /// The expected digest of piece `i` (what a real client reads from
+    /// the torrent metadata). Process-local: comparable only with other
+    /// values this function returned, never with [`fingerprint`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
     pub fn expected(&self, i: u32) -> u64 {
-        fingerprint(&self.piece(i))
+        *self.digests[i as usize].get_or_init(|| digest(&self.piece(i)))
     }
 
-    /// Whether `bytes` are the correct plaintext of piece `i`.
+    /// Whether `bytes` are the correct plaintext of piece `i`: one pass
+    /// over `bytes`, compared with the shared table entry. An index
+    /// outside the file verifies nothing.
     pub fn verify(&self, i: u32, bytes: &[u8]) -> bool {
-        bytes.len() == self.piece_len && fingerprint(bytes) == self.expected(i)
+        (i as usize) < self.pieces && bytes.len() == self.piece_len && digest(bytes) == self.expected(i)
+    }
+
+    /// How many `Content`s share this one's digest table.
+    #[cfg(test)]
+    pub(crate) fn table_refs(&self) -> usize {
+        Arc::strong_count(&self.digests)
     }
 }
 
@@ -100,6 +173,85 @@ mod tests {
         assert!(!c.verify(1, &p));
         assert!(!c.verify(0, &c.piece(1)));
         assert!(!c.verify(1, &c.piece(1)[..63]));
+        assert!(!c.verify(2, &c.piece(1)), "an index outside the file verifies nothing");
+    }
+
+    /// `verify` also compares lengths, which would mask a digest that
+    /// ignores a truncated tail: a mutation must fail both.
+    fn assert_rejected(c: &Content, i: u32, bytes: &[u8], what: &str) {
+        assert!(!c.verify(i, bytes), "verify accepted: {what}");
+        assert_ne!(digest(bytes), c.expected(i), "digest collided: {what}");
+    }
+
+    #[test]
+    fn verify_rejects_every_single_bit_flip() {
+        let c = Content::new(0xB17, 2, 1024);
+        let mut p = c.piece(1);
+        for bit in 0..p.len() * 8 {
+            p[bit / 8] ^= 1 << (bit % 8);
+            assert_rejected(&c, 1, &p, &format!("bit {bit} flipped"));
+            p[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(c.verify(1, &p));
+    }
+
+    #[test]
+    fn verify_rejects_resizing_reordering_and_the_wrong_index() {
+        let c = Content::new(0xB17, 2, 1024);
+        let p = c.piece(1);
+        for cut in 1..=33 {
+            assert_rejected(&c, 1, &p[..p.len() - cut], &format!("truncated by {cut}"));
+        }
+        let mut longer = p.clone();
+        longer.push(0);
+        assert_rejected(&c, 1, &longer, "extended by a zero byte");
+
+        // Words 1 and 2 of stripe 5 sit in different lanes; stripes 3 and
+        // 4 put the same lanes in a different order.
+        let mut words = p.clone();
+        let (a, b) = (5 * 32 + 8, 5 * 32 + 16);
+        for k in 0..8 {
+            words.swap(a + k, b + k);
+        }
+        assert_rejected(&c, 1, &words, "two words swapped within a stripe");
+        let mut stripes = p.clone();
+        for k in 0..32 {
+            stripes.swap(3 * 32 + k, 4 * 32 + k);
+        }
+        assert_rejected(&c, 1, &stripes, "two whole stripes swapped");
+
+        assert_rejected(&c, 0, &p, "right bytes under the wrong index");
+    }
+
+    #[test]
+    fn every_tail_shape_round_trips() {
+        // No stripe, a lone byte, one byte short of a stripe, exactly one,
+        // one byte over, and the benchmark's 16 KiB.
+        for len in [1, 31, 32, 33, 16384] {
+            let c = Content::new(0x7A11, 2, len);
+            let mut p = c.piece(1);
+            assert!(c.verify(1, &p), "len {len}");
+            p[len - 1] ^= 0x80;
+            assert_rejected(&c, 1, &p, &format!("len {len}, last byte flipped"));
+        }
+        // A piece cannot be empty, but the digest still tells nothing
+        // from a zero byte.
+        assert_ne!(digest(&[]), digest(&[0]));
+    }
+
+    #[test]
+    fn clones_share_one_lazily_filled_table() {
+        let a = Content::new(9, 4, 128);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.digests, &b.digests));
+        assert!(a.digests.iter().all(|d| d.get().is_none()), "the table starts empty");
+        let d2 = a.expected(2);
+        assert_eq!(b.digests[2].get(), Some(&d2), "computed once, visible through every clone");
+        assert!(b.digests[3].get().is_none(), "only the entry that was asked for");
+        assert!(b.verify(2, &a.piece(2)));
+        // Equality is the spec, not the table.
+        assert_eq!(a, Content::new(9, 4, 128));
+        assert_ne!(a, Content::new(9, 4, 64));
     }
 
     #[test]

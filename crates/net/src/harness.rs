@@ -724,6 +724,7 @@ impl<T: Transport> SwarmHarness<T> {
                 PeerRole::Compliant
             };
             let (net, seed) = (harness.cfg.net, harness.cfg.seed);
+            let content = harness.content.clone();
             let peer = PeerRuntime::with_strategy(NodeId(id), role, content, net, seed, strategy);
             harness.enroll(id, peer, Entry::Fresh)?;
         }
@@ -835,7 +836,7 @@ impl<T: Transport> SwarmHarness<T> {
     fn revive(&self, slot: &RejoinSlot) -> PeerRuntime {
         PeerRuntime::restore(
             &slot.checkpoint,
-            self.content,
+            self.content.clone(),
             self.cfg.net,
             self.cfg.seed,
             slot.generation,
@@ -1062,7 +1063,7 @@ impl<T: Transport> SwarmHarness<T> {
             let peer = PeerRuntime::new(
                 NodeId(id),
                 PeerRole::Compliant,
-                self.content,
+                self.content.clone(),
                 self.cfg.net,
                 self.cfg.seed,
             );
@@ -1332,12 +1333,13 @@ impl<T: Transport> SwarmHarness<T> {
                 .all(|p| p.is_complete() || p.departed())
     }
 
+    /// Piece-major, so each plaintext is regenerated once per run; the
+    /// comparison is on the bytes themselves, independent of the digest
+    /// `Content::verify` relies on.
     fn plaintexts_ok(&self) -> bool {
-        self.peers.values().all(|p| {
-            (0..self.content.pieces as u32).all(|i| match p.piece_bytes(i) {
-                Some(bytes) => bytes == self.content.piece(i).as_slice(),
-                None => true,
-            })
+        (0..self.content.pieces() as u32).all(|i| {
+            let truth = self.content.piece(i);
+            self.peers.values().all(|p| p.piece_bytes(i).is_none_or(|bytes| bytes == truth))
         })
     }
 
@@ -1543,6 +1545,19 @@ mod tests {
         assert!(report.uploads > 0);
         assert!(report.key_releases > 0);
         assert!(report.events_recorded > 0, "obs tracing wired in");
+    }
+
+    #[test]
+    fn every_peer_and_every_revival_shares_the_harness_digest_table() {
+        let cfg = SwarmConfig::default();
+        let peers = cfg.peers as usize;
+        let mesh = ChannelMesh::with_chaos(cfg.plan.clone(), cfg.chaos.clone(), cfg.tick_dt);
+        let harness = SwarmHarness::new(mesh, cfg).expect("boot");
+        assert_eq!(harness.content.table_refs(), 1 + peers);
+        let slot = RejoinSlot { at: 0.0, generation: 1, checkpoint: harness.peers[&0].checkpoint() };
+        let revived = harness.revive(&slot);
+        assert_eq!(harness.content.table_refs(), 2 + peers, "restore keeps the clone it is handed");
+        assert!(revived.is_complete(), "the seeder's checkpoint restores against the shared manifest");
     }
 
     #[test]

@@ -281,7 +281,7 @@ impl PeerRuntime {
         seed: u64,
         strategy: Strategy,
     ) -> Self {
-        let pieces = content.pieces;
+        let pieces = content.pieces();
         let (have, plain) = if role == PeerRole::Seeder {
             let mut plain = Vec::with_capacity(pieces);
             for i in 0..pieces {
@@ -443,7 +443,7 @@ impl PeerRuntime {
             }
             self.neighbors
                 .entry(m.0)
-                .or_insert_with(|| Neighbor { have: Bitfield::new(self.content.pieces), known: false });
+                .or_insert_with(|| Neighbor { have: Bitfield::new(self.content.pieces()), known: false });
             out.push((m, Frame::Control(Message::bitfield(&self.have))));
         }
     }
@@ -451,6 +451,13 @@ impl PeerRuntime {
     // ------------------------------------------------------------------
     // Frame handling
     // ------------------------------------------------------------------
+
+    /// Whether a wire-supplied piece index names a piece of this swarm's
+    /// file. Everything past `on_control` / `on_piece_data` indexes
+    /// bitfields and `plain` with it unchecked.
+    fn in_file(&self, piece: PieceId) -> bool {
+        piece.index() < self.content.pieces()
+    }
 
     /// Processes one delivered frame.
     pub fn on_frame(&mut self, now: f64, from: NodeId, frame: Frame, out: &mut Outbox) {
@@ -464,9 +471,21 @@ impl PeerRuntime {
     }
 
     fn on_control(&mut self, now: f64, from: NodeId, msg: Message, out: &mut Outbox) {
+        let addressed_in_file = match msg {
+            Message::PieceUpload { piece, reciprocates, .. } => {
+                self.in_file(piece) && reciprocates.is_none_or(|(p, _)| self.in_file(p))
+            }
+            Message::Have { piece }
+            | Message::ReceptionReport { piece, .. }
+            | Message::KeyRelease { piece, .. } => self.in_file(piece),
+            Message::Bitfield { .. } | Message::NeighborRequest { .. } => true,
+        };
+        if !addressed_in_file {
+            return; // wrong swarm, like a bitfield of the wrong size
+        }
         match msg {
             Message::Bitfield { pieces, bits } => {
-                if pieces as usize != self.content.pieces {
+                if pieces as usize != self.content.pieces() {
                     return; // wrong swarm
                 }
                 let Some(bf) = Bitfield::from_packed_bytes(pieces as usize, &bits) else {
@@ -485,9 +504,7 @@ impl PeerRuntime {
             }
             Message::Have { piece } => {
                 if let Some(n) = self.neighbors.get_mut(&from.0) {
-                    if piece.index() < n.have.len() {
-                        n.have.set(piece);
-                    }
+                    n.have.set(piece);
                 }
             }
             Message::NeighborRequest { from: who } => {
@@ -496,7 +513,7 @@ impl PeerRuntime {
                 let who = if who.0 == from.0 { who } else { from };
                 self.neighbors
                     .entry(who.0)
-                    .or_insert_with(|| Neighbor { have: Bitfield::new(self.content.pieces), known: false });
+                    .or_insert_with(|| Neighbor { have: Bitfield::new(self.content.pieces()), known: false });
                 out.push((who, Frame::Control(Message::bitfield(&self.have))));
             }
             Message::PieceUpload { reciprocates, piece, payee, ciphertext_len } => {
@@ -525,6 +542,9 @@ impl PeerRuntime {
     /// guarantee header-first; an orphan payload means the header was
     /// lost, and the stall machinery owns that case).
     fn on_piece_data(&mut self, now: f64, from: NodeId, piece: PieceId, payload: Vec<u8>, out: &mut Outbox) {
+        if !self.in_file(piece) {
+            return;
+        }
         let key = (from.0, piece.0);
         let Some(entry) = self.pending_in.get_mut(&key) else {
             return; // orphan data: header dropped by the lossy control plane
@@ -1013,7 +1033,7 @@ impl PeerRuntime {
                     // §II-B1 neighboring request before serving a payee
                     // we have not met.
                     self.neighbors.entry(ob.payee).or_insert_with(|| Neighbor {
-                        have: Bitfield::new(self.content.pieces),
+                        have: Bitfield::new(self.content.pieces()),
                         known: false,
                     });
                     out.push((NodeId(ob.payee), Frame::Control(Message::NeighborRequest {
@@ -1136,24 +1156,20 @@ impl PeerRuntime {
             return false;
         }
         let payee = self.select_payee(to, piece);
-        let payload: Vec<u8> = if let Some(src) = source {
-            match self.pending_in.get(&src).and_then(|e| e.work.clone()) {
-                Some(w) => w,
-                None => return false,
-            }
-        } else {
-            match &self.plain[piece as usize] {
-                Some(p) => p.clone(),
-                None => return false,
-            }
+        let stored = match source {
+            Some(src) => self.pending_in.get(&src).and_then(|e| e.work.as_deref()),
+            None => self.plain[piece as usize].as_deref(),
         };
+        let Some(stored) = stored else { return false };
         let (payload, key_id) = match payee {
             Some(_) => {
                 let (kid, k) = self.keyring.mint();
-                (k.apply_to_vec(&payload), Some(kid))
+                let mut payload = stored.to_vec();
+                k.apply(&mut payload);
+                (payload, Some(kid))
             }
             None if source.is_some() => return false, // cannot gift ciphertext
-            None => (payload, None),
+            None => (stored.to_vec(), None),
         };
         let header = Message::PieceUpload {
             reciprocates: reciprocates.map(|(p, d)| (PieceId(p), NodeId(d))),
@@ -1321,10 +1337,10 @@ impl PeerRuntime {
             id: self.id.0,
             role: self.role,
             generation: self.generation,
-            pieces: self.content.pieces as u32,
+            pieces: self.content.pieces() as u32,
             complete_at: self.complete_at,
             counters: self.counters,
-            held: (0..self.content.pieces as u32)
+            held: (0..self.content.pieces() as u32)
                 .filter(|&i| self.plain[i as usize].is_some())
                 .collect(),
             ledger: self.ledger.iter().map(|(&n, &k)| (n, k)).collect(),
@@ -1362,13 +1378,13 @@ impl PeerRuntime {
         seed: u64,
         generation: u32,
     ) -> Result<Self, CheckpointError> {
-        if cp.pieces as usize != content.pieces {
+        if cp.pieces as usize != content.pieces() {
             return Err(CheckpointError::PieceOutOfRange);
         }
-        let mut have = Bitfield::new(content.pieces);
-        let mut plain = vec![None; content.pieces];
+        let mut have = Bitfield::new(content.pieces());
+        let mut plain = vec![None; content.pieces()];
         for &i in &cp.held {
-            if i as usize >= content.pieces {
+            if i as usize >= content.pieces() {
                 return Err(CheckpointError::PieceOutOfRange);
             }
             have.set(PieceId(i));
@@ -1739,7 +1755,7 @@ mod tests {
     use super::*;
 
     fn content() -> Content {
-        Content { seed: 0xC0FFEE, pieces: 8, piece_len: 256 }
+        Content::new(0xC0FFEE, 8, 256)
     }
 
     #[test]
@@ -1787,14 +1803,14 @@ mod tests {
     #[test]
     fn quarantined_peer_gets_no_new_donations() {
         let c = content();
-        let mut seeder = PeerRuntime::new(NodeId(0), PeerRole::Seeder, c, NetConfig::default(), 3);
+        let mut seeder = PeerRuntime::new(NodeId(0), PeerRole::Seeder, c.clone(), NetConfig::default(), 3);
         let mut out = Outbox::new();
         seeder.bootstrap(&[NodeId(1)], &mut out);
         // Teach the seeder that peer 1 wants everything.
         seeder.on_frame(
             0.5,
             NodeId(1),
-            Frame::Control(Message::Bitfield { pieces: c.pieces as u32, bits: vec![0u8; c.pieces.div_ceil(8)] }),
+            Frame::Control(Message::Bitfield { pieces: c.pieces() as u32, bits: vec![0u8; c.pieces().div_ceil(8)] }),
             &mut out,
         );
         // Quarantine peer 1, then run a donor round: nothing may go out.
@@ -1817,7 +1833,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrips_through_bytes() {
         let c = content();
-        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c, NetConfig::default(), 11);
+        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
         // Fabricate durable state across every checkpointed table.
         let mut out = Outbox::new();
         p.complete_piece(3.0, 2, c.piece(2), &mut out);
@@ -1838,12 +1854,12 @@ mod tests {
     #[test]
     fn restore_rebuilds_plaintext_and_salts_the_rng() {
         let c = content();
-        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c, NetConfig::default(), 11);
+        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
         let mut out = Outbox::new();
         p.complete_piece(3.0, 2, c.piece(2), &mut out);
         p.complete_piece(4.0, 6, c.piece(6), &mut out);
         let cp = p.checkpoint();
-        let mut r = PeerRuntime::restore(&cp, c, NetConfig::default(), 11, cp.generation() + 1)
+        let mut r = PeerRuntime::restore(&cp, c.clone(), NetConfig::default(), 11, cp.generation() + 1)
             .expect("restore");
         assert_eq!(r.generation(), 1);
         assert_eq!(r.have_count(), 2);
@@ -1863,8 +1879,7 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoints_are_typed_errors() {
-        let c = content();
-        let p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c, NetConfig::default(), 11);
+        let p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, content(), NetConfig::default(), 11);
         let bytes = p.checkpoint().to_bytes();
         assert_eq!(Checkpoint::from_bytes(&bytes[..3]), Err(CheckpointError::Truncated));
         let mut bad_magic = bytes.clone();
@@ -1880,10 +1895,51 @@ mod tests {
         trailing.push(0);
         assert_eq!(Checkpoint::from_bytes(&trailing), Err(CheckpointError::TrailingBytes));
         // A checkpoint for different content is refused at restore time.
-        let other = Content { seed: 1, pieces: 4, piece_len: 64 };
+        let other = Content::new(1, 4, 64);
         let err = PeerRuntime::restore(&p.checkpoint(), other, NetConfig::default(), 11, 1)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err, CheckpointError::PieceOutOfRange);
+    }
+
+    #[test]
+    fn out_of_range_piece_indices_are_dropped_at_the_door() {
+        // A well-formed PieceUpload naming a piece the file does not have,
+        // then its PieceData, used to panic in `Bitfield::has`; `Have` was
+        // the only message bounds-checked. Every wire-supplied index past
+        // the file is now the "wrong swarm" silent drop.
+        let c = Content::new(0xC0FFEE, 4, 64);
+        let mut p = PeerRuntime::new(NodeId(1), PeerRole::Compliant, c, NetConfig::default(), 7);
+        let mut out = Outbox::new();
+        p.bootstrap(&[NodeId(2)], &mut out);
+        out.clear();
+        let before = format!("{p:?}");
+        let from = NodeId(2);
+        for piece in [PieceId(4), PieceId(99), PieceId(u32::MAX)] {
+            for payee in [None, Some(NodeId(3))] {
+                let header = Message::PieceUpload { reciprocates: None, piece, payee, ciphertext_len: 64 };
+                p.on_frame(1.0, from, Frame::Control(header), &mut out);
+                p.on_frame(1.0, from, Frame::PieceData { piece, payload: vec![0; 64] }, &mut out);
+            }
+            let key = [0x11; KEY_WIRE_SIZE];
+            for requestor in [None, Some(NodeId(1)), Some(NodeId(3))] {
+                p.on_frame(1.0, from, Frame::Control(Message::KeyRelease { piece, requestor, key }), &mut out);
+            }
+            p.on_frame(1.0, from, Frame::Control(Message::ReceptionReport { requestor: from, piece }), &mut out);
+            p.on_frame(1.0, from, Frame::Control(Message::Have { piece }), &mut out);
+            // The reciprocated piece is an index off the wire too.
+            let header = Message::PieceUpload {
+                reciprocates: Some((piece, NodeId(3))),
+                piece: PieceId(0),
+                payee: None,
+                ciphertext_len: 64,
+            };
+            p.on_frame(1.0, from, Frame::Control(header), &mut out);
+        }
+        assert!(out.is_empty(), "dropped frames answer nothing: {out:?}");
+        assert_eq!(format!("{p:?}"), before, "dropped frames leave no state behind");
+        // The last in-range index still gets through.
+        p.on_frame(1.0, from, Frame::Control(Message::Have { piece: PieceId(3) }), &mut out);
+        assert!(p.neighbors[&2].have.has(PieceId(3)));
     }
 }

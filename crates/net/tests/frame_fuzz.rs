@@ -353,3 +353,60 @@ fn single_bit_flip_yields_typed_error_and_intact_prefix() {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// Past the codec: a frame that decodes cleanly can still name a piece
+// the swarm's file does not have. The codec cannot know the piece count,
+// so the runtime must drop such frames itself — without panicking and
+// without keeping anything from them.
+// ---------------------------------------------------------------------
+
+use tchain_net::{Content, NetConfig, Outbox, PeerRole, PeerRuntime};
+use tchain_proto::wire::KEY_WIRE_SIZE;
+
+#[test]
+fn well_formed_frames_naming_pieces_outside_the_file_change_nothing() {
+    const PIECES: u32 = 4;
+    let content = Content::new(0xF022, PIECES as usize, 64);
+    let mut peer = PeerRuntime::new(NodeId(1), PeerRole::Compliant, content, NetConfig::default(), 9);
+    let mut out = Outbox::new();
+    peer.bootstrap(&[NodeId(0), NodeId(2)], &mut out);
+    out.clear();
+    let before = format!("{peer:?}");
+
+    let mut rng = SimRng::new(0x00B0_B1D5);
+    let mut dec = FrameDecoder::new();
+    for round in 0..512u32 {
+        // Just past the end, far past it, and the wrap-around edge.
+        let piece = PieceId(match rng.below(3) {
+            0 => PIECES + rng.below(4) as u32,
+            1 => PIECES + rng.below(1 << 20) as u32,
+            _ => u32::MAX - rng.below(4) as u32,
+        });
+        let from = NodeId([0, 2, 7][rng.below(3)]);
+        let who = NodeId(rng.below(4) as u32);
+        let frames = match rng.below(5) {
+            0 => {
+                let payee = (rng.below(2) == 0).then_some(who);
+                let reciprocates = (rng.below(2) == 0).then_some((PieceId(rng.below(8) as u32), who));
+                let header = Message::PieceUpload { reciprocates, piece, payee, ciphertext_len: 64 };
+                vec![Frame::Control(header), Frame::PieceData { piece, payload: vec![round as u8; 64] }]
+            }
+            1 => vec![Frame::PieceData { piece, payload: vec![round as u8; rng.below(128)] }],
+            2 => {
+                let requestor = (rng.below(2) == 0).then_some(who);
+                vec![Frame::Control(Message::KeyRelease { piece, requestor, key: [round as u8; KEY_WIRE_SIZE] })]
+            }
+            3 => vec![Frame::Control(Message::ReceptionReport { requestor: who, piece })],
+            _ => vec![Frame::Control(Message::Have { piece })],
+        };
+        // Through the wire image, as a transport would deliver them.
+        for frame in frames {
+            dec.push(&frame.encode());
+            let decoded = dec.next_frame().expect("well-formed").expect("complete");
+            peer.on_frame(f64::from(round), from, decoded, &mut out);
+        }
+    }
+    assert!(out.is_empty(), "a dropped frame answers nothing: {out:?}");
+    assert_eq!(format!("{peer:?}"), before, "a dropped frame leaves no state behind");
+}
