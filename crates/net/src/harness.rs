@@ -605,6 +605,8 @@ pub struct SwarmHarness<T: Transport> {
     tracer: Tracer,
     rng: SimRng,
     fingerprint: u64,
+    /// Encoding buffer `fold` reuses for every delivered frame.
+    fold_buf: Vec<u8>,
     departed_handled: BTreeSet<u32>,
     /// Harness-side view of the chaos plan: crash schedule + backoff
     /// jitter. Frame-level injections live in the transport's own state.
@@ -690,6 +692,7 @@ impl<T: Transport> SwarmHarness<T> {
             },
             rng: SimRng::new(cfg.seed ^ 0x7A_C4E4),
             fingerprint: 0x5EED_F00D,
+            fold_buf: Vec::new(),
             departed_handled: BTreeSet::new(),
             chaos: ChaosState::new(chaos_plan),
             pending_rejoin: Vec::new(),
@@ -1344,10 +1347,11 @@ impl<T: Transport> SwarmHarness<T> {
     }
 
     fn fold(&mut self, d: &Delivery) {
-        let enc = d.frame.encode();
+        self.fold_buf.clear();
+        d.frame.encode_into(&mut self.fold_buf);
         self.fingerprint = mix64(
             self.fingerprint
-                ^ fingerprint(&enc)
+                ^ fingerprint(&self.fold_buf)
                 ^ (u64::from(d.from.0) << 32)
                 ^ u64::from(d.to.0),
         );

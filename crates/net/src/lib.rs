@@ -34,6 +34,7 @@ mod content;
 pub mod explore;
 mod frame;
 mod harness;
+mod neighbors;
 mod observer;
 mod runtime;
 pub mod sched;

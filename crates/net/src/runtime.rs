@@ -28,6 +28,7 @@
 
 use crate::content::{fingerprint, Content};
 use crate::frame::Frame;
+use crate::neighbors::Neighborhood;
 use crate::strategy::{NetStrategy, Strategy};
 use std::collections::BTreeMap;
 use tchain_crypto::{KeyId, Keyring, PieceKey};
@@ -103,15 +104,6 @@ impl Default for NetConfig {
             quarantine_secs: 30.0,
         }
     }
-}
-
-/// What a peer knows about a neighbor.
-#[derive(Debug)]
-struct Neighbor {
-    have: Bitfield,
-    /// `true` once an actual `Bitfield` message arrived (not a
-    /// placeholder from the tracker list or a `NeighborRequest`).
-    known: bool,
 }
 
 /// A transaction where this peer is the donor, keyed by
@@ -219,7 +211,7 @@ pub struct PeerRuntime {
     keyring: Keyring,
     have: Bitfield,
     plain: Vec<Option<Vec<u8>>>,
-    neighbors: BTreeMap<u32, Neighbor>,
+    neighbors: Neighborhood,
     donor_txns: BTreeMap<(u32, u32), DonorTxn>,
     active_donations: usize,
     ledger: BTreeMap<u32, u32>,
@@ -302,7 +294,7 @@ impl PeerRuntime {
             keyring: Keyring::new(seed ^ (u64::from(id.0) << 32) ^ 0x5EED),
             have,
             plain,
-            neighbors: BTreeMap::new(),
+            neighbors: Neighborhood::new(pieces),
             donor_txns: BTreeMap::new(),
             active_donations: 0,
             ledger: BTreeMap::new(),
@@ -441,9 +433,7 @@ impl PeerRuntime {
             if m == self.id {
                 continue;
             }
-            self.neighbors
-                .entry(m.0)
-                .or_insert_with(|| Neighbor { have: Bitfield::new(self.content.pieces()), known: false });
+            self.neighbors.meet(m.0);
             out.push((m, Frame::Control(Message::bitfield(&self.have))));
         }
     }
@@ -491,29 +481,18 @@ impl PeerRuntime {
                 let Some(bf) = Bitfield::from_packed_bytes(pieces as usize, &bits) else {
                     return;
                 };
-                match self.neighbors.get_mut(&from.0) {
-                    Some(n) => {
-                        n.have = bf;
-                        n.known = true;
-                    }
-                    None => {
-                        self.neighbors.insert(from.0, Neighbor { have: bf, known: true });
-                        out.push((from, Frame::Control(Message::bitfield(&self.have))));
-                    }
+                if self.neighbors.learn_bitfield(from.0, bf) {
+                    out.push((from, Frame::Control(Message::bitfield(&self.have))));
                 }
             }
             Message::Have { piece } => {
-                if let Some(n) = self.neighbors.get_mut(&from.0) {
-                    n.have.set(piece);
-                }
+                self.neighbors.learn_have(from.0, piece);
             }
             Message::NeighborRequest { from: who } => {
                 // §II-B1: a reciprocator introducing itself before serving
                 // us as payee. Learn it, tell it what we have.
                 let who = if who.0 == from.0 { who } else { from };
-                self.neighbors
-                    .entry(who.0)
-                    .or_insert_with(|| Neighbor { have: Bitfield::new(self.content.pieces()), known: false });
+                self.neighbors.meet(who.0);
                 out.push((who, Frame::Control(Message::bitfield(&self.have))));
             }
             Message::PieceUpload { reciprocates, piece, payee, ciphertext_len } => {
@@ -587,17 +566,9 @@ impl PeerRuntime {
                 }
             }
             Some(p) => {
-                if self.strategy.serve_uploads() && !self.have.has(piece) {
-                    self.obligations.push(Obligation {
-                        donor: from.0,
-                        piece: piece.0,
-                        payee: p,
-                        since: now,
-                        asked_neighbor: false,
-                    });
-                } else if self.strategy.serve_uploads() {
-                    // Already hold the piece via another chain: still owe
-                    // the reciprocation (the donor is waiting).
+                // Owed even when the piece is already held via another
+                // chain: the donor is waiting for the reciprocation.
+                if self.strategy.serve_uploads() {
                     self.obligations.push(Obligation {
                         donor: from.0,
                         piece: piece.0,
@@ -814,8 +785,7 @@ impl PeerRuntime {
         self.have.set(PieceId(piece));
         self.plain[piece as usize] = Some(bytes);
         if self.strategy.serve_uploads() {
-            let targets: Vec<u32> = self.neighbors.keys().copied().collect();
-            for t in targets {
+            for t in self.neighbors.ids() {
                 out.push((NodeId(t), Frame::Control(Message::Have { piece: PieceId(piece) })));
             }
         }
@@ -990,13 +960,9 @@ impl PeerRuntime {
     /// owed to a gone payee, and report retries toward a gone donor.
     pub fn on_peer_gone(&mut self, gone: NodeId) {
         let gone = gone.0;
-        self.neighbors.remove(&gone);
-        let dead: Vec<(u32, u32)> = self
-            .donor_txns
-            .keys()
-            .filter(|&&(r, _)| r == gone)
-            .copied()
-            .collect();
+        self.neighbors.forget(gone);
+        let dead: Vec<(u32, u32)> =
+            self.donor_txns.range((gone, 0)..=(gone, u32::MAX)).map(|(&k, _)| k).collect();
         for k in dead {
             if let Some(mut txn) = self.donor_txns.remove(&k) {
                 if !txn.reported {
@@ -1027,15 +993,11 @@ impl PeerRuntime {
             if now - ob.since > self.cfg.stall_timeout {
                 continue; // unfulfillable; the donor's sweep closes the chain
             }
-            let payee_known = self.neighbors.get(&ob.payee).is_some_and(|n| n.known);
-            if !payee_known {
+            if !self.neighbors.get(ob.payee).is_some_and(|n| n.known()) {
                 if !ob.asked_neighbor {
                     // §II-B1 neighboring request before serving a payee
                     // we have not met.
-                    self.neighbors.entry(ob.payee).or_insert_with(|| Neighbor {
-                        have: Bitfield::new(self.content.pieces()),
-                        known: false,
-                    });
+                    self.neighbors.meet(ob.payee);
                     out.push((NodeId(ob.payee), Frame::Control(Message::NeighborRequest {
                         from: self.id,
                     })));
@@ -1054,13 +1016,12 @@ impl PeerRuntime {
 
     fn fulfill_obligation(&mut self, now: f64, ob: &Obligation, out: &mut Outbox) -> bool {
         // Prefer a real piece the payee wants (§II-B2).
-        let payee_have = &self.neighbors[&ob.payee].have;
-        let wanted: Vec<u32> = payee_have
+        let payee_have = self.neighbors.get(ob.payee).expect("obligation payee is known").have();
+        let wanted = payee_have
             .missing_from(&self.have)
             .map(|p| p.0)
-            .filter(|&p| self.plain[p as usize].is_some())
-            .collect();
-        if let Some(q) = self.rarest_of(&wanted) {
+            .filter(|&p| self.plain[p as usize].is_some());
+        if let Some(q) = self.neighbors.rarest_of(wanted) {
             return self.donate(now, ob.payee, q, Some((ob.piece, ob.donor)), None, out);
         }
         // §II-D1 newcomer bootstrapping: forward the re-encrypted
@@ -1078,22 +1039,29 @@ impl PeerRuntime {
         false
     }
 
-    /// Picks the rarest piece (availability across known neighbors, ties
-    /// to the lowest index) from `candidates`.
-    fn rarest_of(&self, candidates: &[u32]) -> Option<u32> {
-        candidates
-            .iter()
-            .copied()
-            .map(|p| {
-                let avail = self
-                    .neighbors
-                    .values()
-                    .filter(|n| n.known && n.have.has(PieceId(p)))
-                    .count();
-                (avail, p)
-            })
-            .min()
-            .map(|(_, p)| p)
+    /// Interested neighbors under the §II-D2 ledger cap, each with the
+    /// rarest piece it could be sent: `(neighbor, piece)`, ascending by
+    /// id. A neighbor with a full bitfield wants nothing, so only the
+    /// incomplete ones are walked.
+    fn donor_candidates(&self) -> Vec<(u32, u32)> {
+        let mut cands = Vec::new();
+        for (nid, n) in self.neighbors.incomplete() {
+            if !n.known() || self.quarantined.contains_key(&nid) {
+                continue;
+            }
+            if self.ledger.get(&nid).copied().unwrap_or(0) >= self.cfg.k_pending {
+                continue;
+            }
+            let wants = n.have().missing_from(&self.have).map(|p| p.0).filter(|&p| {
+                self.plain[p as usize].is_some()
+                    && !self.donor_txns.contains_key(&(nid, p))
+                    && !self.gifted.contains_key(&(nid, p))
+            });
+            if let Some(p) = self.neighbors.rarest_of(wants) {
+                cands.push((nid, p));
+            }
+        }
+        cands
     }
 
     /// Seeder/opportunistic chain initiation (§II-B1, §II-D3).
@@ -1107,29 +1075,7 @@ impl PeerRuntime {
             if self.active_donations >= slots {
                 break;
             }
-            // Interested neighbors under the §II-D2 ledger cap.
-            let mut cands: Vec<(u32, u32)> = Vec::new(); // (neighbor, piece)
-            for (&nid, n) in &self.neighbors {
-                if !n.known || self.quarantined.contains_key(&nid) {
-                    continue;
-                }
-                if self.ledger.get(&nid).copied().unwrap_or(0) >= self.cfg.k_pending {
-                    continue;
-                }
-                let wants: Vec<u32> = n
-                    .have
-                    .missing_from(&self.have)
-                    .map(|p| p.0)
-                    .filter(|&p| {
-                        self.plain[p as usize].is_some()
-                            && !self.donor_txns.contains_key(&(nid, p))
-                            && !self.gifted.contains_key(&(nid, p))
-                    })
-                    .collect();
-                if let Some(p) = self.rarest_of(&wants) {
-                    cands.push((nid, p));
-                }
-            }
+            let cands = self.donor_candidates();
             if cands.is_empty() {
                 break;
             }
@@ -1214,27 +1160,34 @@ impl PeerRuntime {
         // Direct reciprocity: if the requestor has something we want,
         // name ourselves payee (§II-B2).
         if !self.is_complete() {
-            if let Some(n) = self.neighbors.get(&to) {
-                if n.known && self.have.wants_from(&n.have) {
+            if let Some(n) = self.neighbors.get(to) {
+                if n.known() && self.have.wants_from(n.have()) {
                     return Some(self.id.0);
                 }
             }
         }
-        let to_have = self.neighbors.get(&to).map(|n| n.have.clone());
-        let cands: Vec<u32> = self
-            .neighbors
-            .iter()
-            .filter(|&(&nid, n)| {
+        let cands = self.payee_candidates(to, piece);
+        self.rng.choose(&cands).copied()
+    }
+
+    /// Third parties eligible as payee for an upload of `piece` to `to`:
+    /// under the §II-D2 ledger cap and either lacking `piece` or wanting
+    /// something `to` holds, ascending by id. A neighbor with a full
+    /// bitfield is neither, so only the incomplete ones are walked.
+    fn payee_candidates(&self, to: u32, piece: u32) -> Vec<u32> {
+        let to_have = self.neighbors.get(to).map(|n| n.have());
+        self.neighbors
+            .incomplete()
+            .filter(|&(nid, n)| {
                 nid != to
                     && nid != self.id.0
                     && !self.quarantined.contains_key(&nid)
                     && self.ledger.get(&nid).copied().unwrap_or(0) < self.cfg.k_pending
-                    && ((piece as usize) < n.have.len() && !n.have.has(PieceId(piece))
-                        || to_have.as_ref().is_some_and(|th| n.have.wants_from(th)))
+                    && ((piece as usize) < n.have().len() && !n.have().has(PieceId(piece))
+                        || to_have.is_some_and(|th| n.have().wants_from(th)))
             })
-            .map(|(&nid, _)| nid)
-            .collect();
-        self.rng.choose(&cands).copied()
+            .map(|(nid, _)| nid)
+            .collect()
     }
 
     /// PR 1 stall sweep: close transactions whose reciprocation never
@@ -1414,7 +1367,7 @@ impl PeerRuntime {
             keyring: Keyring::new(seed ^ (u64::from(cp.id) << 32) ^ 0x5EED ^ salt),
             have,
             plain,
-            neighbors: BTreeMap::new(),
+            neighbors: Neighborhood::new(cp.pieces as usize),
             donor_txns: BTreeMap::new(),
             active_donations: 0,
             // The §II-D2 ledger counts *unreported donor transactions*,
@@ -1865,7 +1818,7 @@ mod tests {
         assert_eq!(r.have_count(), 2);
         assert_eq!(r.piece_bytes(2).unwrap(), &c.piece(2)[..], "plaintext regenerated");
         assert_eq!(r.piece_bytes(6).unwrap(), &c.piece(6)[..]);
-        assert!(r.neighbors.is_empty(), "rejoin starts with a fresh neighbor set");
+        assert_eq!(r.neighbors.len(), 0, "rejoin starts with a fresh neighbor set");
         assert!(!r.departed());
         // The restored incarnation's RNG stream must differ from the
         // original's (fresh generation salt), or restarted peers would
@@ -1940,6 +1893,320 @@ mod tests {
         assert_eq!(format!("{p:?}"), before, "dropped frames leave no state behind");
         // The last in-range index still gets through.
         p.on_frame(1.0, from, Frame::Control(Message::Have { piece: PieceId(3) }), &mut out);
-        assert!(p.neighbors[&2].have.has(PieceId(3)));
+        assert!(p.neighbors.get(2).expect("bootstrapped").have().has(PieceId(3)));
+    }
+
+    // ------------------------------------------------------------------
+    // Neighbourhood index: differential against the full scans it replaced
+    // ------------------------------------------------------------------
+
+    /// Reference `rarest_of`: availability re-counted over every known
+    /// neighbor for every candidate.
+    fn scan_rarest(p: &PeerRuntime, candidates: &[u32]) -> Option<u32> {
+        candidates
+            .iter()
+            .copied()
+            .map(|c| {
+                let avail = p
+                    .neighbors
+                    .all()
+                    .filter(|(_, n)| n.known() && n.have().has(PieceId(c)))
+                    .count();
+                (avail, c)
+            })
+            .min()
+            .map(|(_, c)| c)
+    }
+
+    /// Reference donor-round candidates: every neighbor scanned, a fresh
+    /// `wants` list each.
+    fn scan_donor_candidates(p: &PeerRuntime) -> Vec<(u32, u32)> {
+        let mut cands = Vec::new();
+        for (nid, n) in p.neighbors.all() {
+            if !n.known() || p.quarantined.contains_key(&nid) {
+                continue;
+            }
+            if p.ledger.get(&nid).copied().unwrap_or(0) >= p.cfg.k_pending {
+                continue;
+            }
+            let wants: Vec<u32> = n
+                .have()
+                .missing_from(&p.have)
+                .map(|q| q.0)
+                .filter(|&q| {
+                    p.plain[q as usize].is_some()
+                        && !p.donor_txns.contains_key(&(nid, q))
+                        && !p.gifted.contains_key(&(nid, q))
+                })
+                .collect();
+            if let Some(q) = scan_rarest(p, &wants) {
+                cands.push((nid, q));
+            }
+        }
+        cands
+    }
+
+    /// Reference payee candidates: every neighbor tested against the
+    /// two-armed predicate.
+    fn scan_payee_candidates(p: &PeerRuntime, to: u32, piece: u32) -> Vec<u32> {
+        let to_have = p.neighbors.get(to).map(|n| n.have().clone());
+        p.neighbors
+            .all()
+            .filter(|&(nid, n)| {
+                nid != to
+                    && nid != p.id.0
+                    && !p.quarantined.contains_key(&nid)
+                    && p.ledger.get(&nid).copied().unwrap_or(0) < p.cfg.k_pending
+                    && ((piece as usize) < n.have().len() && !n.have().has(PieceId(piece))
+                        || to_have.as_ref().is_some_and(|th| n.have().wants_from(th)))
+            })
+            .map(|(nid, _)| nid)
+            .collect()
+    }
+
+    const POOL: usize = 20; // neighbor ids 1..=POOL; the peer under test is 0
+    const PIECES: u32 = 12;
+
+    /// Index vs. recomputation and full scans; returns how many donor
+    /// and payee candidates the step exposed (the vacuity guard).
+    fn assert_index_matches_scans(p: &PeerRuntime, rng: &mut SimRng) -> (usize, usize) {
+        p.neighbors.assert_consistent();
+        let every: Vec<u32> = (0..PIECES).collect();
+        let some: Vec<u32> = every.iter().copied().filter(|_| rng.chance(0.4)).collect();
+        for cands in [&every, &some] {
+            assert_eq!(p.neighbors.rarest_of(cands.iter().copied()), scan_rarest(p, cands));
+        }
+        let donor = p.donor_candidates();
+        assert_eq!(donor, scan_donor_candidates(p));
+        let piece = rng.below(PIECES as usize) as u32;
+        let mut payees = 0;
+        for to in 0..=POOL as u32 + 1 {
+            let cands = p.payee_candidates(to, piece);
+            assert_eq!(cands, scan_payee_candidates(p, to, piece), "payees for {piece} to {to}");
+            payees += cands.len();
+        }
+        (donor.len(), payees)
+    }
+
+    fn random_bits(rng: &mut SimRng, density: f64) -> Bitfield {
+        let mut bf = Bitfield::new(PIECES as usize);
+        for q in 0..PIECES {
+            if rng.chance(density) {
+                bf.set(PieceId(q));
+            }
+        }
+        bf
+    }
+
+    fn differential_run(role: PeerRole, seed: u64, steps: usize) {
+        let c = Content::new(0xD1FF, PIECES as usize, 32);
+        let cfg = NetConfig { quarantine_secs: 12.0, ..NetConfig::default() };
+        let mut p = PeerRuntime::new(NodeId(0), role, c.clone(), cfg, seed);
+        let mut rng = SimRng::new(seed ^ 0x1D3A);
+        let mut out = Outbox::new();
+        let mut now = 0.0;
+        // One counter per situation the issue names; all must occur.
+        let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
+        let (mut donor_seen, mut payee_seen) = (0, 0);
+        for _ in 0..steps {
+            let who = 1 + rng.below(POOL) as u32;
+            let from = NodeId(who);
+            let before = p.neighbors.get(who).map(|n| (n.known(), n.have().clone()));
+            match rng.below(13) {
+                0 => {
+                    let members: Vec<NodeId> =
+                        (0..1 + rng.below(6)).map(|_| NodeId(rng.below(POOL + 1) as u32)).collect();
+                    p.bootstrap(&members, &mut out);
+                    if rng.chance(0.4) {
+                        // §IV-C large-view re-query: the same list again.
+                        let met = p.neighbors.len();
+                        p.bootstrap(&members, &mut out);
+                        assert_eq!(p.neighbors.len(), met);
+                        *seen.entry("bootstrap repeat").or_default() += 1;
+                    }
+                }
+                1..=3 => {
+                    let bf = match &before {
+                        Some((true, old)) if rng.chance(0.4) => {
+                            *seen.entry("bitfield replay, fewer bits").or_default() += 1;
+                            let mut bf = Bitfield::new(PIECES as usize);
+                            old.iter_set().filter(|_| rng.chance(0.5)).for_each(|q| {
+                                bf.set(q);
+                            });
+                            bf
+                        }
+                        Some((true, old)) => {
+                            *seen.entry("bitfield replay, more bits").or_default() += 1;
+                            let mut bf = old.clone();
+                            random_bits(&mut rng, 0.5).iter_set().for_each(|q| {
+                                bf.set(q);
+                            });
+                            bf
+                        }
+                        Some((false, _)) => {
+                            *seen.entry("bitfield from a placeholder").or_default() += 1;
+                            random_bits(&mut rng, 0.5)
+                        }
+                        None => {
+                            *seen.entry("bitfield from a stranger").or_default() += 1;
+                            let density = if rng.chance(0.3) { 1.0 } else { 0.5 };
+                            random_bits(&mut rng, density)
+                        }
+                    };
+                    p.on_frame(now, from, Frame::Control(Message::bitfield(&bf)), &mut out);
+                    let n = p.neighbors.get(who).expect("a bitfield makes a neighbor");
+                    assert!(n.known() && n.have() == &bf);
+                }
+                4 | 5 => {
+                    let piece = PieceId(rng.below(PIECES as usize) as u32);
+                    let repeats = if rng.chance(0.3) { 2 } else { 1 };
+                    for i in 0..repeats {
+                        let held = p.neighbors.get(who).map(|n| (n.known(), n.have().has(piece)));
+                        let what = match held {
+                            None => "have from a stranger",
+                            Some((_, true)) if i == 1 => "have sent twice",
+                            Some((_, true)) => "have already recorded",
+                            Some((false, false)) => "have before the bitfield",
+                            Some((true, false)) => "have after the bitfield",
+                        };
+                        *seen.entry(what).or_default() += 1;
+                        p.on_frame(now, from, Frame::Control(Message::Have { piece }), &mut out);
+                    }
+                }
+                6 => {
+                    p.on_frame(now, from, Frame::Control(Message::NeighborRequest { from }), &mut out);
+                    assert!(p.neighbors.get(who).is_some());
+                }
+                7 => {
+                    let what = match before {
+                        Some((true, _)) => "gone: known",
+                        Some((false, _)) => "gone: placeholder",
+                        None => "gone: unknown",
+                    };
+                    *seen.entry(what).or_default() += 1;
+                    p.on_peer_gone(from);
+                    assert!(p.neighbors.get(who).is_none());
+                }
+                8 | 9 => {
+                    now += rng.range(0.1, 8.0);
+                    p.on_tick(now, &mut out);
+                }
+                10 => {
+                    // An upload naming a payee we may never have met: the
+                    // next tick's obligation pass introduces it.
+                    let piece = PieceId(rng.below(PIECES as usize) as u32);
+                    let payee = 1 + rng.below(POOL) as u32;
+                    if p.neighbors.get(payee).is_none() {
+                        *seen.entry("obligation to an unmet payee").or_default() += 1;
+                    }
+                    let header = Message::PieceUpload {
+                        reciprocates: None,
+                        piece,
+                        payee: Some(NodeId(payee)),
+                        ciphertext_len: 32,
+                    };
+                    p.on_frame(now, from, Frame::Control(header), &mut out);
+                    p.on_frame(now, from, Frame::PieceData { piece, payload: vec![0; 32] }, &mut out);
+                }
+                11 => {
+                    if p.on_frame_reject(now, from).is_some() {
+                        *seen.entry("quarantine").or_default() += 1;
+                    }
+                }
+                _ => {
+                    // Settle one open donation (frees its slot and ledger
+                    // entry), and let a leecher's own bitfield grow.
+                    let open = p.donor_txns.iter().find(|(_, t)| !t.reported).map(|(&k, t)| (k, t.payee));
+                    if let Some(((requestor, piece), Some(payee))) = open {
+                        let report = Message::ReceptionReport {
+                            requestor: NodeId(requestor),
+                            piece: PieceId(piece),
+                        };
+                        p.on_frame(now, NodeId(payee), Frame::Control(report), &mut out);
+                    }
+                    if role != PeerRole::Seeder {
+                        let q = rng.below(PIECES as usize) as u32;
+                        p.complete_piece(now, q, c.piece(q), &mut out);
+                    }
+                }
+            }
+            out.clear();
+            let (d, y) = assert_index_matches_scans(&p, &mut rng);
+            donor_seen += d;
+            payee_seen += y;
+        }
+        for what in [
+            "bootstrap repeat",
+            "bitfield from a stranger",
+            "bitfield from a placeholder",
+            "bitfield replay, fewer bits",
+            "bitfield replay, more bits",
+            "have from a stranger",
+            "have before the bitfield",
+            "have after the bitfield",
+            "have sent twice",
+            "gone: known",
+            "gone: placeholder",
+            "gone: unknown",
+            "obligation to an unmet payee",
+            "quarantine",
+        ] {
+            assert!(seen.get(what).copied().unwrap_or(0) > 0, "{role:?}: never exercised {what}: {seen:?}");
+        }
+        assert!(donor_seen > steps / 4, "{role:?}: donor candidates compared {donor_seen} times");
+        assert!(payee_seen > steps, "{role:?}: payee candidates compared {payee_seen} times");
+    }
+
+    #[test]
+    fn neighborhood_index_matches_the_full_scans_for_a_seeder() {
+        differential_run(PeerRole::Seeder, 0x5EED, 2500);
+    }
+
+    #[test]
+    fn neighborhood_index_matches_the_full_scans_for_a_growing_leecher() {
+        differential_run(PeerRole::Compliant, 0xBEEF, 2500);
+    }
+
+    #[test]
+    fn a_complete_peer_walks_only_the_newcomer() {
+        let c = content();
+        let mut p = PeerRuntime::new(NodeId(0), PeerRole::Seeder, c.clone(), NetConfig::default(), 3);
+        let mut out = Outbox::new();
+        let full = Message::bitfield(&Bitfield::full(c.pieces()));
+        for id in 1..=200 {
+            p.on_frame(0.0, NodeId(id), Frame::Control(full.clone()), &mut out);
+        }
+        let empty = Message::bitfield(&Bitfield::new(c.pieces()));
+        p.on_frame(0.0, NodeId(201), Frame::Control(empty), &mut out);
+        assert_eq!(p.neighbors.len(), 201);
+        let walked: Vec<u32> = p.neighbors.incomplete().map(|(id, _)| id).collect();
+        assert_eq!(walked, [201], "200 full neighbors are never looked at");
+        assert_eq!(p.donor_candidates(), [(201, 0)], "all pieces equally common: lowest index");
+        assert_eq!(p.donor_candidates(), scan_donor_candidates(&p));
+        // Nobody but the requestor itself lacks anything: no payee, so
+        // the round ends in the §II-B3 gift the full scan produced too.
+        assert_eq!(p.payee_candidates(201, 0), [0u32; 0]);
+        out.clear();
+        p.on_tick(1.0, &mut out);
+        assert!(out.iter().all(|(to, _)| *to == NodeId(201)) && !out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn restore_comes_back_with_an_empty_consistent_index() {
+        let c = content();
+        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
+        let mut out = Outbox::new();
+        p.bootstrap(&[NodeId(1), NodeId(2)], &mut out);
+        p.on_frame(0.0, NodeId(1), Frame::Control(Message::bitfield(&Bitfield::full(c.pieces()))), &mut out);
+        p.on_frame(0.0, NodeId(3), Frame::Control(Message::bitfield(&Bitfield::new(c.pieces()))), &mut out);
+        p.neighbors.assert_consistent();
+        assert_eq!(p.neighbors.incomplete().count(), 2);
+        let cp = Checkpoint::from_bytes(&p.checkpoint().to_bytes()).expect("roundtrip");
+        let r = PeerRuntime::restore(&cp, c.clone(), NetConfig::default(), 11, 1).expect("restore");
+        assert_eq!(r.neighbors.len(), 0, "the index is derived state, not checkpointed");
+        assert_eq!(r.neighbors.incomplete().count(), 0);
+        r.neighbors.assert_consistent();
+        assert_eq!(r.neighbors.rarest_of(0..c.pieces() as u32), Some(0));
+        assert!(r.donor_candidates().is_empty() && r.payee_candidates(1, 0).is_empty());
     }
 }
