@@ -14,9 +14,7 @@
 //! form. All three agree that `P_s` is negligible unless the colluder set
 //! is a large fraction of the swarm.
 
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use tchain_sim::SimRng;
 
 /// The paper's closed-form expression for the collusion success
 /// probability (§III-A4).
@@ -55,17 +53,17 @@ pub fn ps_exact(n: usize, m: usize, b: usize) -> f64 {
 /// both collude.
 pub fn ps_monte_carlo(n: usize, m: usize, b: usize, trials: usize, seed: u64) -> f64 {
     validate(n, m, b);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = SimRng::new(seed);
     let mut pool: Vec<usize> = (0..n).collect();
     let mut hits = 0usize;
     for _ in 0..trials {
-        pool.shuffle(&mut rng);
+        rng.shuffle(&mut pool);
         // First b entries are the neighbor list; peers 0..m collude.
         // `validate` guarantees b >= 2, so both draws are from a
         // non-empty slice and the rejection loop terminates.
-        let Some(&requestor) = pool[..b].choose(&mut rng) else { continue };
+        let Some(&requestor) = rng.choose(&pool[..b]) else { continue };
         let payee = loop {
-            let Some(&p) = pool[..b].choose(&mut rng) else { break requestor };
+            let Some(&p) = rng.choose(&pool[..b]) else { break requestor };
             if p != requestor {
                 break p;
             }

@@ -14,8 +14,7 @@
 //! honest-looking free-riders, but **false praise** within a colluding
 //! clique inflates trust, and whitewashing resets to the newcomer share.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use tchain_sim::SimRng;
 
 /// Behaviour of a modelled peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +42,7 @@ pub struct EigenTrustModel {
     /// Damping toward the pre-trusted set (the honest seed peers).
     damping: f64,
     received: Vec<f64>,
-    rng: SmallRng,
+    rng: SimRng,
 }
 
 impl EigenTrustModel {
@@ -61,7 +60,7 @@ impl EigenTrustModel {
             newcomer_share: 0.1,
             damping: 0.15,
             received: vec![0.0; n],
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SimRng::new(seed),
             actors,
         }
     }
@@ -124,7 +123,7 @@ impl EigenTrustModel {
             let zeros: Vec<usize> =
                 (0..n).filter(|&j| j != i && self.global[j] < 1e-9).collect();
             if !zeros.is_empty() {
-                let j = zeros[self.rng.gen_range(0..zeros.len())];
+                let j = zeros[self.rng.below(zeros.len())];
                 self.received[j] += effort * self.newcomer_share;
             }
             // Uploaders earn truthful positive ratings in proportion to

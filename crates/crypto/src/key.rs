@@ -7,9 +7,8 @@
 //! releases it only when the reciprocation report arrives.
 
 use crate::chacha::{self, KeyBytes, Nonce};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use tchain_sim::SimRng;
 
 /// Opaque handle naming a minted key without revealing it, e.g. inside a
 /// simulated `[null | K[p]| payee]` message.
@@ -80,7 +79,7 @@ impl PieceKey {
 /// ```
 #[derive(Debug)]
 pub struct Keyring {
-    rng: SmallRng,
+    rng: SimRng,
     next: u64,
     held: HashMap<KeyId, PieceKey>,
 }
@@ -88,7 +87,7 @@ pub struct Keyring {
 impl Keyring {
     /// Creates a keyring seeded for reproducible simulations.
     pub fn new(seed: u64) -> Self {
-        Keyring { rng: SmallRng::seed_from_u64(seed), next: 0, held: HashMap::new() }
+        Keyring { rng: SimRng::new(seed), next: 0, held: HashMap::new() }
     }
 
     /// Mints a fresh key, storing it until release.
@@ -96,7 +95,7 @@ impl Keyring {
         let mut key = [0u8; 32];
         self.rng.fill(&mut key);
         let mut nonce = [0u8; 12];
-        self.rng.fill(&mut nonce[..]);
+        self.rng.fill(&mut nonce);
         let id = KeyId(self.next);
         self.next += 1;
         let pk = PieceKey { key, nonce };
@@ -182,5 +181,20 @@ mod tests {
         assert_eq!(back, k);
         let data = b"piece bytes over the wire".to_vec();
         assert_eq!(back.apply_to_vec(&k.apply_to_vec(&data)), data);
+    }
+
+    #[test]
+    fn seed_42_first_key_known_answer() {
+        // Two `SimRng::fill`s per mint: 32 key bytes (four words), then a
+        // 12-byte nonce (one word plus a 32-bit draw). Every `PieceData`
+        // body on the wire is a function of these bytes.
+        let (_, k) = Keyring::new(42).mint();
+        let expected: [u8; PieceKey::WIRE_SIZE] = [
+            0x9f, 0x68, 0x76, 0x44, 0x4f, 0x4d, 0x76, 0xd0, 0x91, 0x37, 0x6f, 0x57, 0x74, 0x41,
+            0x9e, 0x51, 0x8c, 0xed, 0x24, 0x0c, 0xfb, 0x7c, 0xe0, 0xfb, 0xb8, 0x35, 0xd8, 0x0c,
+            0x60, 0x9f, 0x7d, 0xb3, 0x73, 0x6a, 0x84, 0x74, 0x38, 0x1c, 0x23, 0xcb, 0x00, 0x9f,
+            0x8d, 0x96,
+        ];
+        assert_eq!(k.to_wire_bytes(), expected);
     }
 }

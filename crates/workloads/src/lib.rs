@@ -18,15 +18,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use tchain_sim::SimRng;
 
 /// Join times for `n` leechers arriving uniformly within `window` seconds
 /// (the paper's 10-second flash crowd), sorted ascending.
 pub fn flash_crowd(n: usize, window: f64, seed: u64) -> Vec<f64> {
     assert!(window >= 0.0, "window must be non-negative");
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xF1A5_4C12_0000_0000);
-    let mut t: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * window).collect();
+    let mut rng = SimRng::new(seed ^ 0xF1A5_4C12_0000_0000);
+    let mut t: Vec<f64> = (0..n).map(|_| rng.f64() * window).collect();
     t.sort_by(f64::total_cmp);
     t
 }
@@ -35,12 +34,11 @@ pub fn flash_crowd(n: usize, window: f64, seed: u64) -> Vec<f64> {
 /// second, truncated to `n` arrivals.
 pub fn poisson(n: usize, rate: f64, seed: u64) -> Vec<f64> {
     assert!(rate > 0.0, "rate must be positive");
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9015_5015_0000_0000);
+    let mut rng = SimRng::new(seed ^ 0x9015_5015_0000_0000);
     let mut t = 0.0;
     (0..n)
         .map(|_| {
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            t += -u.ln() / rate;
+            t += rng.exp(rate);
             t
         })
         .collect()
@@ -88,14 +86,13 @@ impl TraceModel {
     /// Generates the first `n` arrival times by thinning a dominating
     /// Poisson process (Lewis–Shedler).
     pub fn arrivals(&self, n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7AC3_0001_0000_0000);
+        let mut rng = SimRng::new(seed ^ 0x7AC3_0001_0000_0000);
         let lambda_max = self.peak_rate * (1.0 + self.diurnal_amplitude);
         let mut t = 0.0;
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
-            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            t += -u.ln() / lambda_max;
-            if rng.gen::<f64>() < self.rate_at(t) / lambda_max {
+            t += rng.exp(lambda_max);
+            if rng.chance(self.rate_at(t) / lambda_max) {
                 out.push(t);
             }
             // Rate decays to ~0 eventually; give up if thinning stalls so
@@ -156,9 +153,9 @@ impl CapacityClasses {
 
     /// Assigns capacities (bytes/s) to `n` peers, classes drawn uniformly.
     pub fn assign(&self, n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xCAB0_0001_0000_0000);
+        let mut rng = SimRng::new(seed ^ 0xCAB0_0001_0000_0000);
         (0..n)
-            .map(|_| self.classes_kbps[rng.gen_range(0..self.classes_kbps.len())] * 1000.0 / 8.0)
+            .map(|_| self.classes_kbps[rng.below(self.classes_kbps.len())] * 1000.0 / 8.0)
             .collect()
     }
 }
@@ -229,5 +226,27 @@ mod tests {
     #[should_panic(expected = "at least one class")]
     fn empty_classes_rejected() {
         CapacityClasses::new(vec![]);
+    }
+
+    #[test]
+    fn seed_42_streams_known_answers() {
+        // One line per seeded stream: the arrival plans and capacity
+        // columns of every golden cell start from these draws.
+        assert_eq!(
+            flash_crowd(3, 10.0, 42),
+            [4.223967777421491, 7.047523312485209, 7.340007793655231]
+        );
+        assert_eq!(
+            poisson(3, 2.0, 42),
+            [0.5625733811894549, 0.6490095914299095, 0.9710026403430118]
+        );
+        assert_eq!(
+            TraceModel::default().arrivals(3, 42),
+            [0.7152883020553132, 1.9001245116253735, 1.9666850591777754]
+        );
+        assert_eq!(
+            CapacityClasses::default().assign(8, 42),
+            [50_000.0, 150_000.0, 150_000.0, 125_000.0, 150_000.0, 100_000.0, 125_000.0, 150_000.0]
+        );
     }
 }
