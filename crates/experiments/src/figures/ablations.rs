@@ -6,22 +6,23 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
-use serde::Serialize;
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::{FileSpec, SwarmConfig};
 
-/// One ablation row.
-#[derive(Debug, Serialize)]
-pub struct Row {
-    /// Variant label.
-    pub variant: String,
-    /// Compliant completion time.
-    pub completion: Summary,
-    /// Mean uplink utilization.
-    pub utilization: f64,
-    /// Fraction of transactions using direct reciprocity.
-    pub direct_fraction: f64,
+tchain_obs::json_struct! {
+    /// One ablation row.
+    #[derive(Debug)]
+    pub struct Row {
+        /// Variant label.
+        pub variant: String,
+        /// Compliant completion time.
+        pub completion: Summary,
+        /// Mean uplink utilization.
+        pub utilization: f64,
+        /// Fraction of transactions using direct reciprocity.
+        pub direct_fraction: f64,
+    }
 }
 
 /// One ablation variant: a config/file-spec/workload combination whose

@@ -4,24 +4,25 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
-use serde::Serialize;
 use tchain_analysis::bootstrap::{trajectory, BootstrapParams, BootstrapState, PieceDistribution};
 use tchain_analysis::collusion::{ps_exact, ps_monte_carlo, ps_paper};
 use tchain_analysis::propositions::{prop31_condition, prop32_condition};
 
-/// Analytical results bundle.
-#[derive(Debug, Serialize)]
-pub struct Data {
-    /// `(t, BT un-bootstrapped fraction, T-Chain fraction)`.
-    pub trajectories: Vec<(usize, f64, f64)>,
-    /// ω′ and ω″ for M = 100.
-    pub omegas: (f64, f64),
-    /// Proposition III.1 holds in the flash-crowd example.
-    pub prop31: bool,
-    /// Proposition III.2 holds when Kω″ > δ.
-    pub prop32: bool,
-    /// `(N, m, b, paper Ps, exact Ps, Monte-Carlo Ps)` rows.
-    pub collusion: Vec<(usize, usize, usize, f64, f64, f64)>,
+tchain_obs::json_struct! {
+    /// Analytical results bundle.
+    #[derive(Debug)]
+    pub struct Data {
+        /// `(t, BT un-bootstrapped fraction, T-Chain fraction)`.
+        pub trajectories: Vec<(usize, f64, f64)>,
+        /// ω′ and ω″ for M = 100.
+        pub omegas: (f64, f64),
+        /// Proposition III.1 holds in the flash-crowd example.
+        pub prop31: bool,
+        /// Proposition III.2 holds when Kω″ > δ.
+        pub prop32: bool,
+        /// `(N, m, b, paper Ps, exact Ps, Monte-Carlo Ps)` rows.
+        pub collusion: Vec<(usize, usize, usize, f64, f64, f64)>,
+    }
 }
 
 /// Evaluates the §III models and prints their tables.

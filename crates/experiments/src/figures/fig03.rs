@@ -5,21 +5,22 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_metrics::Summary;
 use tchain_workloads::CapacityClasses;
 
-/// One data point of Fig. 3.
-#[derive(Debug, Serialize)]
-pub struct Point {
-    /// Protocol legend name.
-    pub proto: String,
-    /// Swarm size.
-    pub swarm: usize,
-    /// Mean ± CI completion time of compliant leechers (Fig. 3(a)).
-    pub completion: Summary,
-    /// Mean ± CI uplink utilization (Fig. 3(b)).
-    pub utilization: Summary,
+tchain_obs::json_struct! {
+    /// One data point of Fig. 3.
+    #[derive(Debug)]
+    pub struct Point {
+        /// Protocol legend name.
+        pub proto: String,
+        /// Swarm size.
+        pub swarm: usize,
+        /// Mean ± CI completion time of compliant leechers (Fig. 3(a)).
+        pub completion: Summary,
+        /// Mean ± CI uplink utilization (Fig. 3(b)).
+        pub utilization: Summary,
+    }
 }
 
 /// One runner cell: a single `(protocol, swarm size, repeat)` simulation.

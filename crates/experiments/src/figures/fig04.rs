@@ -4,16 +4,17 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_metrics::Summary;
 
-/// The two sweeps of Fig. 4.
-#[derive(Debug, Serialize)]
-pub struct Data {
-    /// Fig. 4(a): `(file MiB, completion)` at the standard swarm size.
-    pub file_sweep: Vec<(f64, Summary)>,
-    /// Fig. 4(b): `(swarm size, completion)` at the standard file size.
-    pub swarm_sweep: Vec<(usize, Summary)>,
+tchain_obs::json_struct! {
+    /// The two sweeps of Fig. 4.
+    #[derive(Debug)]
+    pub struct Data {
+        /// Fig. 4(a): `(file MiB, completion)` at the standard swarm size.
+        pub file_sweep: Vec<(f64, Summary)>,
+        /// Fig. 4(b): `(swarm size, completion)` at the standard file size.
+        pub swarm_sweep: Vec<(usize, Summary)>,
+    }
 }
 
 /// One runner cell of either sweep.

@@ -5,20 +5,21 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
-use serde::Serialize;
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_proto::SwarmConfig;
 use tchain_sim::{kbps, NodeId};
 
-/// One leecher's Fig. 5 data.
-#[derive(Debug, Serialize)]
-pub struct Timeline {
-    /// Leecher capacity label (Kbps).
-    pub capacity_kbps: f64,
-    /// `(time, cumulative encrypted pieces)` samples.
-    pub encrypted: Vec<(f64, f64)>,
-    /// `(time, cumulative keys)` samples.
-    pub decrypted: Vec<(f64, f64)>,
+tchain_obs::json_struct! {
+    /// One leecher's Fig. 5 data.
+    #[derive(Debug)]
+    pub struct Timeline {
+        /// Leecher capacity label (Kbps).
+        pub capacity_kbps: f64,
+        /// `(time, cumulative encrypted pieces)` samples.
+        pub encrypted: Vec<(f64, f64)>,
+        /// `(time, cumulative keys)` samples.
+        pub decrypted: Vec<(f64, f64)>,
+    }
 }
 
 /// Runs Fig. 5 for the two capacity extremes.

@@ -7,21 +7,22 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::{Role, SwarmConfig};
 use tchain_sim::SimRng;
 
-/// Fig. 6 data.
-#[derive(Debug, Serialize)]
-pub struct Data {
-    /// Fig. 6(a): `(time, mean piece difference, total pieces)` samples.
-    pub piece_differences: Vec<(f64, f64)>,
-    /// Total pieces in the measured swarm.
-    pub total_pieces: usize,
-    /// Fig. 6(b): `(initial fraction, completion)` sweep.
-    pub initial_fraction_sweep: Vec<(f64, Summary)>,
+tchain_obs::json_struct! {
+    /// Fig. 6 data.
+    #[derive(Debug)]
+    pub struct Data {
+        /// Fig. 6(a): `(time, mean piece difference, total pieces)` samples.
+        pub piece_differences: Vec<(f64, f64)>,
+        /// Total pieces in the measured swarm.
+        pub total_pieces: usize,
+        /// Fig. 6(b): `(initial fraction, completion)` sweep.
+        pub initial_fraction_sweep: Vec<(f64, Summary)>,
+    }
 }
 
 /// Runs both halves of Fig. 6.

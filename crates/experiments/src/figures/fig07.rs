@@ -5,23 +5,24 @@ use crate::output::{fmt_opt, persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_metrics::Summary;
 
-/// One Fig. 7 point.
-#[derive(Debug, Serialize)]
-pub struct Point {
-    /// Protocol legend name.
-    pub proto: String,
-    /// Swarm size (leechers incl. free-riders).
-    pub swarm: usize,
-    /// Compliant completion time.
-    pub compliant: Summary,
-    /// Free-rider completion time over finished lineages (`None` mean →
-    /// nobody finished; the T-Chain result).
-    pub free_rider: Option<Summary>,
-    /// Fraction of free-rider lineages that finished within the horizon.
-    pub fr_finish_fraction: f64,
+tchain_obs::json_struct! {
+    /// One Fig. 7 point.
+    #[derive(Debug)]
+    pub struct Point {
+        /// Protocol legend name.
+        pub proto: String,
+        /// Swarm size (leechers incl. free-riders).
+        pub swarm: usize,
+        /// Compliant completion time.
+        pub compliant: Summary,
+        /// Free-rider completion time over finished lineages (`None` mean →
+        /// nobody finished; the T-Chain result).
+        pub free_rider: Option<Summary>,
+        /// Fraction of free-rider lineages that finished within the horizon.
+        pub fr_finish_fraction: f64,
+    }
 }
 
 /// The shared engine for Figs. 7 and 8.

@@ -6,18 +6,19 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_metrics::Summary;
 
-/// One Fig. 9 point.
-#[derive(Debug, Serialize)]
-pub struct Point {
-    /// Protocol legend name.
-    pub proto: String,
-    /// Free-rider percentage.
-    pub fr_pct: u32,
-    /// Steady-state compliant completion time.
-    pub compliant: Summary,
+tchain_obs::json_struct! {
+    /// One Fig. 9 point.
+    #[derive(Debug)]
+    pub struct Point {
+        /// Protocol legend name.
+        pub proto: String,
+        /// Free-rider percentage.
+        pub fr_pct: u32,
+        /// Steady-state compliant completion time.
+        pub compliant: Summary,
+    }
 }
 
 /// Runs Fig. 9.

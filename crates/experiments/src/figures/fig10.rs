@@ -5,19 +5,20 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
-use serde::Serialize;
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_proto::SwarmConfig;
 
-/// One scenario's chain census.
-#[derive(Debug, Serialize)]
-pub struct Census {
-    /// Scenario label.
-    pub scenario: String,
-    /// `(time, active chains)`.
-    pub chains: Vec<(f64, f64)>,
-    /// `(time, alive leechers)`.
-    pub leechers: Vec<(f64, f64)>,
+tchain_obs::json_struct! {
+    /// One scenario's chain census.
+    #[derive(Debug)]
+    pub struct Census {
+        /// Scenario label.
+        pub scenario: String,
+        /// `(time, active chains)`.
+        pub chains: Vec<(f64, f64)>,
+        /// `(time, alive leechers)`.
+        pub leechers: Vec<(f64, f64)>,
+    }
 }
 
 /// Runs both halves of Fig. 10.

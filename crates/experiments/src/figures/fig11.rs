@@ -6,18 +6,19 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
-use serde::Serialize;
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_proto::SwarmConfig;
 
-/// Fig. 11 data.
-#[derive(Debug, Serialize)]
-pub struct Data {
-    /// Fig. 11(a): `(time, cumulative seeder chains, cumulative leecher
-    /// chains)`.
-    pub cumulative: Vec<(f64, u64, u64)>,
-    /// Fig. 11(b): `(free-rider %, opportunistic fraction)`.
-    pub opportunistic_by_fr: Vec<(u32, f64)>,
+tchain_obs::json_struct! {
+    /// Fig. 11 data.
+    #[derive(Debug)]
+    pub struct Data {
+        /// Fig. 11(a): `(time, cumulative seeder chains, cumulative leecher
+        /// chains)`.
+        pub cumulative: Vec<(f64, u64, u64)>,
+        /// Fig. 11(b): `(free-rider %, opportunistic fraction)`.
+        pub opportunistic_by_fr: Vec<(u32, f64)>,
+    }
 }
 
 /// Runs both halves of Fig. 11.

@@ -4,21 +4,22 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_metrics::Cdf;
 
-/// One protocol's fairness CDF under one free-rider share.
-#[derive(Debug, Serialize)]
-pub struct Curve {
-    /// Protocol legend name.
-    pub proto: String,
-    /// Free-rider percentage (0 or 25).
-    pub fr_pct: u32,
-    /// Deciles of the fairness factor (q10..q100).
-    pub deciles: Vec<f64>,
-    /// Fraction of leechers whose factor exceeds 1.25 (taking notably
-    /// more than they give — the Fig. 12(b) divergence).
-    pub over_125: f64,
+tchain_obs::json_struct! {
+    /// One protocol's fairness CDF under one free-rider share.
+    #[derive(Debug)]
+    pub struct Curve {
+        /// Protocol legend name.
+        pub proto: String,
+        /// Free-rider percentage (0 or 25).
+        pub fr_pct: u32,
+        /// Deciles of the fairness factor (q10..q100).
+        pub deciles: Vec<f64>,
+        /// Fraction of leechers whose factor exceeds 1.25 (taking notably
+        /// more than they give — the Fig. 12(b) divergence).
+        pub over_125: f64,
+    }
 }
 
 /// Runs Fig. 12.

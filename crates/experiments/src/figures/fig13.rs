@@ -6,20 +6,21 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_metrics::Summary;
 
-/// One Fig. 13 point.
-#[derive(Debug, Serialize)]
-pub struct Point {
-    /// Protocol legend name.
-    pub proto: String,
-    /// Free-rider percentage.
-    pub fr_pct: u32,
-    /// Number of 64 KB pieces in the shared file.
-    pub pieces: usize,
-    /// Mean per-leecher goodput in Kbps.
-    pub throughput_kbps: Summary,
+tchain_obs::json_struct! {
+    /// One Fig. 13 point.
+    #[derive(Debug)]
+    pub struct Point {
+        /// Protocol legend name.
+        pub proto: String,
+        /// Free-rider percentage.
+        pub fr_pct: u32,
+        /// Number of 64 KB pieces in the shared file.
+        pub pieces: usize,
+        /// Mean per-leecher goodput in Kbps.
+        pub throughput_kbps: Summary,
+    }
 }
 
 /// Runs Fig. 13.

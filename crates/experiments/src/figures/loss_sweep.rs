@@ -13,24 +13,25 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto_with_faults, Horizon, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_baselines::Baseline;
 use tchain_metrics::{RecoveryCounters, Summary};
 use tchain_sim::FaultPlan;
 
-/// One sweep point: a protocol at one loss rate, aggregated over seeds.
-#[derive(Debug, Serialize)]
-pub struct Point {
-    /// Protocol legend name.
-    pub proto: String,
-    /// Configured control-plane drop probability, percent.
-    pub loss_pct: u32,
-    /// Mean ± CI compliant completion time.
-    pub completion: Summary,
-    /// Compliant leechers that never finished (summed over runs).
-    pub unfinished: usize,
-    /// Recovery counters merged over runs.
-    pub recovery: RecoveryCounters,
+tchain_obs::json_struct! {
+    /// One sweep point: a protocol at one loss rate, aggregated over seeds.
+    #[derive(Debug)]
+    pub struct Point {
+        /// Protocol legend name.
+        pub proto: String,
+        /// Configured control-plane drop probability, percent.
+        pub loss_pct: u32,
+        /// Mean ± CI compliant completion time.
+        pub completion: Summary,
+        /// Compliant leechers that never finished (summed over runs).
+        pub unfinished: usize,
+        /// Recovery counters merged over runs.
+        pub recovery: RecoveryCounters,
+    }
 }
 
 /// Runs the loss sweep for T-Chain and the FairTorrent baseline.

@@ -43,7 +43,6 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use serde::Serialize;
 use std::time::Instant;
 use tchain_analysis::collusion::ps_exact;
 use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
@@ -52,123 +51,131 @@ use tchain_net::{run_swarm, SwarmConfig as NetSwarmConfig, SwarmReport};
 use tchain_proto::{FileSpec, SwarmConfig};
 use tchain_sim::kbps;
 
-/// One adversarial scenario's audited outcome.
-#[derive(Debug, Serialize)]
-pub struct AttackPoint {
-    /// Scenario label.
-    pub scenario: String,
-    /// Peers including the seeder.
-    pub peers: u32,
-    /// Strategic (non-compliant) peers in the boot population.
-    pub adversaries: u32,
-    /// Compliant leechers that completed / total.
-    pub completed_compliant: u32,
-    /// Compliant leechers in the scenario.
-    pub total_compliant: u32,
-    /// Adversaries that assembled the whole file.
-    pub adversaries_done: u32,
-    /// Completion breakdown per strategy label → (completed, total).
-    pub completed_by_strategy: Vec<(String, u32, u32)>,
-    /// Every decrypted piece matched the source bytes.
-    pub plaintext_ok: bool,
-    /// §II-D2 ledgers consistent on every survivor.
-    pub ledger_ok: bool,
-    /// Unreciprocated key releases seen by the observer (must stay 0).
-    pub violations: usize,
-    /// False reception reports detected and attributed (§IV-D).
-    pub false_reports: u64,
-    /// Key releases colluders extracted via false reports.
-    pub colluder_gain: u64,
-    /// Designated-payee uploads leaked from non-attackers to attackers.
-    pub altruism_leaked: u64,
-    /// Uploads leaked from the seeder to attackers (§II-D3 exposure).
-    pub seeder_leakage: u64,
-    /// §II-B3 gifts that landed on attackers.
-    pub gift_leakage: u64,
-    /// Uploads whose requestor sat in a Sybil group (§III-A4 trials).
-    pub sybil_checks: u64,
-    /// Trials where the payee landed in the requestor's group.
-    pub sybil_collisions: u64,
-    /// Whitewash identity resets completed (§IV-C).
-    pub whitewash_rejoins: u64,
-    /// Tracker member-list queries served (large-view signature).
-    pub tracker_queries: u64,
-    /// Encrypted uploads on the wire.
-    pub uploads: u64,
-    /// Key releases on the wire.
-    pub key_releases: u64,
-    /// Mean uploads per chain.
-    pub mean_chain_len: f64,
-    /// Transport-clock seconds to drain.
-    pub elapsed: f64,
-    /// Order-sensitive digest of every delivered frame (hex).
-    pub fingerprint: String,
-    /// Same-seed rerun reproduced the fingerprint bit-for-bit.
-    pub deterministic: bool,
-    /// Scenario-specific incentive guarantee held.
-    pub safe: bool,
+tchain_obs::json_struct! {
+    /// One adversarial scenario's audited outcome.
+    #[derive(Debug)]
+    pub struct AttackPoint {
+        /// Scenario label.
+        pub scenario: String,
+        /// Peers including the seeder.
+        pub peers: u32,
+        /// Strategic (non-compliant) peers in the boot population.
+        pub adversaries: u32,
+        /// Compliant leechers that completed / total.
+        pub completed_compliant: u32,
+        /// Compliant leechers in the scenario.
+        pub total_compliant: u32,
+        /// Adversaries that assembled the whole file.
+        pub adversaries_done: u32,
+        /// Completion breakdown per strategy label → (completed, total).
+        pub completed_by_strategy: Vec<(String, u32, u32)>,
+        /// Every decrypted piece matched the source bytes.
+        pub plaintext_ok: bool,
+        /// §II-D2 ledgers consistent on every survivor.
+        pub ledger_ok: bool,
+        /// Unreciprocated key releases seen by the observer (must stay 0).
+        pub violations: usize,
+        /// False reception reports detected and attributed (§IV-D).
+        pub false_reports: u64,
+        /// Key releases colluders extracted via false reports.
+        pub colluder_gain: u64,
+        /// Designated-payee uploads leaked from non-attackers to attackers.
+        pub altruism_leaked: u64,
+        /// Uploads leaked from the seeder to attackers (§II-D3 exposure).
+        pub seeder_leakage: u64,
+        /// §II-B3 gifts that landed on attackers.
+        pub gift_leakage: u64,
+        /// Uploads whose requestor sat in a Sybil group (§III-A4 trials).
+        pub sybil_checks: u64,
+        /// Trials where the payee landed in the requestor's group.
+        pub sybil_collisions: u64,
+        /// Whitewash identity resets completed (§IV-C).
+        pub whitewash_rejoins: u64,
+        /// Tracker member-list queries served (large-view signature).
+        pub tracker_queries: u64,
+        /// Encrypted uploads on the wire.
+        pub uploads: u64,
+        /// Key releases on the wire.
+        pub key_releases: u64,
+        /// Mean uploads per chain.
+        pub mean_chain_len: f64,
+        /// Transport-clock seconds to drain.
+        pub elapsed: f64,
+        /// Order-sensitive digest of every delivered frame (hex).
+        pub fingerprint: String,
+        /// Same-seed rerun reproduced the fingerprint bit-for-bit.
+        pub deterministic: bool,
+        /// Scenario-specific incentive guarantee held.
+        pub safe: bool,
+    }
 }
 
-/// Net-vs-fluid cross-check on the aggressive free-rider scenario.
-#[derive(Debug, Serialize)]
-pub struct FluidCrossCheck {
-    /// Seed shared by both runs.
-    pub seed: u64,
-    /// Net: completed compliant / total compliant.
-    pub net_compliant_rate: f64,
-    /// Fluid: completed compliant / total compliant.
-    pub sim_compliant_rate: f64,
-    /// Net adversaries that finished (starvation check).
-    pub net_free_riders_done: u32,
-    /// Fluid free-riders that finished.
-    pub sim_free_riders_done: usize,
-    /// Net mean uploads per chain.
-    pub net_mean_chain_len: f64,
-    /// Fluid mean transactions per ended chain.
-    pub sim_mean_chain_len: f64,
-    /// net/sim mean-chain-length ratio.
-    pub chain_len_ratio: f64,
-    /// Hard incentive invariants matched and the ratio is in band.
-    pub within_tolerance: bool,
+tchain_obs::json_struct! {
+    /// Net-vs-fluid cross-check on the aggressive free-rider scenario.
+    #[derive(Debug)]
+    pub struct FluidCrossCheck {
+        /// Seed shared by both runs.
+        pub seed: u64,
+        /// Net: completed compliant / total compliant.
+        pub net_compliant_rate: f64,
+        /// Fluid: completed compliant / total compliant.
+        pub sim_compliant_rate: f64,
+        /// Net adversaries that finished (starvation check).
+        pub net_free_riders_done: u32,
+        /// Fluid free-riders that finished.
+        pub sim_free_riders_done: usize,
+        /// Net mean uploads per chain.
+        pub net_mean_chain_len: f64,
+        /// Fluid mean transactions per ended chain.
+        pub sim_mean_chain_len: f64,
+        /// net/sim mean-chain-length ratio.
+        pub chain_len_ratio: f64,
+        /// Hard incentive invariants matched and the ratio is in band.
+        pub within_tolerance: bool,
+    }
 }
 
-/// Measured §III-A4 collision rate vs the closed forms.
-#[derive(Debug, Serialize)]
-pub struct SybilCheck {
-    /// Ring size `m`.
-    pub ring: u32,
-    /// Swarm size `N` (including the seeder).
-    pub peers: u32,
-    /// Trials: designated-payee uploads with a ring requestor.
-    pub checks: u64,
-    /// Hits: payee landed in the ring too.
-    pub collisions: u64,
-    /// collisions / checks.
-    pub measured_rate: f64,
-    /// Conditional closed form `(m−1)/(N−1)` given a ring requestor.
-    pub conditional_rate: f64,
-    /// Unconditional `P_s = m(m−1)/(N(N−1))` (§III-A4, `ps_exact`).
-    pub ps_exact: f64,
-    /// measured / conditional ratio (band [0.25, 5.0] — the §II-D2
-    /// pending-ledger payee assignment over-represents the ring).
-    pub ratio: f64,
-    /// Trials happened and the ratio landed in band.
-    pub within_band: bool,
+tchain_obs::json_struct! {
+    /// Measured §III-A4 collision rate vs the closed forms.
+    #[derive(Debug)]
+    pub struct SybilCheck {
+        /// Ring size `m`.
+        pub ring: u32,
+        /// Swarm size `N` (including the seeder).
+        pub peers: u32,
+        /// Trials: designated-payee uploads with a ring requestor.
+        pub checks: u64,
+        /// Hits: payee landed in the ring too.
+        pub collisions: u64,
+        /// collisions / checks.
+        pub measured_rate: f64,
+        /// Conditional closed form `(m−1)/(N−1)` given a ring requestor.
+        pub conditional_rate: f64,
+        /// Unconditional `P_s = m(m−1)/(N(N−1))` (§III-A4, `ps_exact`).
+        pub ps_exact: f64,
+        /// measured / conditional ratio (band [0.25, 5.0] — the §II-D2
+        /// pending-ledger payee assignment over-represents the ring).
+        pub ratio: f64,
+        /// Trials happened and the ratio landed in band.
+        pub within_band: bool,
+    }
 }
 
-/// The persisted document: scenarios plus both cross-checks.
-#[derive(Debug, Serialize)]
-pub struct NetAttacksDoc {
-    /// Master seed for every net leg.
-    pub seed: u64,
-    /// Audited adversarial scenarios.
-    pub scenarios: Vec<AttackPoint>,
-    /// Net-vs-fluid cross-check (aggressive scenario).
-    pub cross_check: FluidCrossCheck,
-    /// §III-A4 collision-rate regression (sybil scenario).
-    pub sybil: SybilCheck,
-    /// Every scenario safe, deterministic, and both checks in band.
-    pub all_safe: bool,
+tchain_obs::json_struct! {
+    /// The persisted document: scenarios plus both cross-checks.
+    #[derive(Debug)]
+    pub struct NetAttacksDoc {
+        /// Master seed for every net leg.
+        pub seed: u64,
+        /// Audited adversarial scenarios.
+        pub scenarios: Vec<AttackPoint>,
+        /// Net-vs-fluid cross-check (aggressive scenario).
+        pub cross_check: FluidCrossCheck,
+        /// §III-A4 collision-rate regression (sybil scenario).
+        pub sybil: SybilCheck,
+        /// Every scenario safe, deterministic, and both checks in band.
+        pub all_safe: bool,
+    }
 }
 
 /// Scenario-specific incentive guarantee, beyond the invariants every

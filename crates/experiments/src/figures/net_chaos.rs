@@ -14,63 +14,66 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use serde::Serialize;
 use std::time::Instant;
 use tchain_net::{run_swarm, SwarmConfig};
 use tchain_sim::ChaosPlan;
 
-/// One chaos scenario's audited outcome.
-#[derive(Debug, Serialize)]
-pub struct ChaosPoint {
-    /// Scenario label.
-    pub scenario: String,
-    /// Probability a frame is corrupted/duplicated/reordered/reset.
-    pub chaos_rate: f64,
-    /// Fraction of compliant leechers crash-restarted (0 when none).
-    pub crash_fraction: f64,
-    /// Peers including the seeder.
-    pub peers: u32,
-    /// Compliant leechers that completed.
-    pub completed_compliant: u32,
-    /// Compliant leechers in the scenario.
-    pub total_compliant: u32,
-    /// Every held piece matched the source bytes.
-    pub plaintext_ok: bool,
-    /// Unreciprocated key releases (must stay 0).
-    pub violations: usize,
-    /// Injections the chaos layer performed.
-    pub chaos_injects: u64,
-    /// Frames/streams receivers rejected as malformed or reset.
-    pub frame_rejects: u64,
-    /// Quarantines imposed by the strike policy.
-    pub quarantines: u64,
-    /// Abrupt crashes executed / checkpoint rejoins completed.
-    pub crashes: u64,
-    /// Checkpoint rejoins completed.
-    pub rejoins: u64,
-    /// Key releases over the §II-B4 escrow path.
-    pub escrow_transfers: u64,
-    /// Transport-clock seconds to drain.
-    pub elapsed: f64,
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Order-sensitive digest of every delivered frame (hex).
-    pub fingerprint: String,
-    /// Same-seed rerun produced a bit-identical fingerprint.
-    pub deterministic: bool,
-    /// Completion + plaintexts + zero violations + determinism.
-    pub safe: bool,
+tchain_obs::json_struct! {
+    /// One chaos scenario's audited outcome.
+    #[derive(Debug)]
+    pub struct ChaosPoint {
+        /// Scenario label.
+        pub scenario: String,
+        /// Probability a frame is corrupted/duplicated/reordered/reset.
+        pub chaos_rate: f64,
+        /// Fraction of compliant leechers crash-restarted (0 when none).
+        pub crash_fraction: f64,
+        /// Peers including the seeder.
+        pub peers: u32,
+        /// Compliant leechers that completed.
+        pub completed_compliant: u32,
+        /// Compliant leechers in the scenario.
+        pub total_compliant: u32,
+        /// Every held piece matched the source bytes.
+        pub plaintext_ok: bool,
+        /// Unreciprocated key releases (must stay 0).
+        pub violations: usize,
+        /// Injections the chaos layer performed.
+        pub chaos_injects: u64,
+        /// Frames/streams receivers rejected as malformed or reset.
+        pub frame_rejects: u64,
+        /// Quarantines imposed by the strike policy.
+        pub quarantines: u64,
+        /// Abrupt crashes executed / checkpoint rejoins completed.
+        pub crashes: u64,
+        /// Checkpoint rejoins completed.
+        pub rejoins: u64,
+        /// Key releases over the §II-B4 escrow path.
+        pub escrow_transfers: u64,
+        /// Transport-clock seconds to drain.
+        pub elapsed: f64,
+        /// Ticks executed.
+        pub ticks: u64,
+        /// Order-sensitive digest of every delivered frame (hex).
+        pub fingerprint: String,
+        /// Same-seed rerun produced a bit-identical fingerprint.
+        pub deterministic: bool,
+        /// Completion + plaintexts + zero violations + determinism.
+        pub safe: bool,
+    }
 }
 
-/// The persisted document.
-#[derive(Debug, Serialize)]
-pub struct NetChaosDoc {
-    /// Master seed of the sweep.
-    pub seed: u64,
-    /// Audited chaos scenarios.
-    pub points: Vec<ChaosPoint>,
-    /// Every scenario preserved every safety property.
-    pub all_safe: bool,
+tchain_obs::json_struct! {
+    /// The persisted document.
+    #[derive(Debug)]
+    pub struct NetChaosDoc {
+        /// Master seed of the sweep.
+        pub seed: u64,
+        /// Audited chaos scenarios.
+        pub points: Vec<ChaosPoint>,
+        /// Every scenario preserved every safety property.
+        pub all_safe: bool,
+    }
 }
 
 fn chaos_point(

@@ -20,7 +20,6 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use serde::Serialize;
 use std::time::Instant;
 use tchain_net::explore::{
     canary_armed, explore, run_with_plan, scenario_config, scenarios, ExploreConfig,
@@ -32,54 +31,58 @@ use tchain_sim::ExplorePlan;
 /// drill (the acceptance bound; real shrinks land far lower).
 pub const SHRUNK_WITNESS_MAX: usize = 50;
 
-/// One scenario's search outcome.
-#[derive(Debug, Serialize)]
-pub struct ExplorePoint {
-    /// Scenario grid name.
-    pub scenario: String,
-    /// PCT runs executed (stops early at the first failure).
-    pub runs: u32,
-    /// PCT run budget for the scenario.
-    pub budget: u32,
-    /// Scheduling decision points searched across all runs.
-    pub decisions: u64,
-    /// An oracle failed somewhere in the budget.
-    pub violation: bool,
-    /// Failed oracles of the shrunk witness (`pass` when clean).
-    pub oracles: String,
-    /// Recorded choices before shrinking (when a failure was found).
-    pub original_len: Option<usize>,
-    /// Choices in the shrunk witness.
-    pub witness_len: Option<usize>,
-    /// Replay runs the shrinker spent.
-    pub shrink_runs: Option<u32>,
-    /// Witness file dumped under `results/`.
-    pub witness_file: Option<String>,
-    /// Record → replay → replay kept one bit-identical fingerprint.
-    pub replay_identical: bool,
-    /// Wall seconds the scenario's search took.
-    pub wall_s: f64,
-    /// This build's expectation held (clean search normally; found +
-    /// shrunk ledger bug for the crash scenario under the canary).
-    pub safe: bool,
+tchain_obs::json_struct! {
+    /// One scenario's search outcome.
+    #[derive(Debug)]
+    pub struct ExplorePoint {
+        /// Scenario grid name.
+        pub scenario: String,
+        /// PCT runs executed (stops early at the first failure).
+        pub runs: u32,
+        /// PCT run budget for the scenario.
+        pub budget: u32,
+        /// Scheduling decision points searched across all runs.
+        pub decisions: u64,
+        /// An oracle failed somewhere in the budget.
+        pub violation: bool,
+        /// Failed oracles of the shrunk witness (`pass` when clean).
+        pub oracles: String,
+        /// Recorded choices before shrinking (when a failure was found).
+        pub original_len: Option<usize>,
+        /// Choices in the shrunk witness.
+        pub witness_len: Option<usize>,
+        /// Replay runs the shrinker spent.
+        pub shrink_runs: Option<u32>,
+        /// Witness file dumped under `results/`.
+        pub witness_file: Option<String>,
+        /// Record → replay → replay kept one bit-identical fingerprint.
+        pub replay_identical: bool,
+        /// Wall seconds the scenario's search took.
+        pub wall_s: f64,
+        /// This build's expectation held (clean search normally; found +
+        /// shrunk ledger bug for the crash scenario under the canary).
+        pub safe: bool,
+    }
 }
 
-/// The persisted document.
-#[derive(Debug, Serialize)]
-pub struct NetExploreDoc {
-    /// Master seed of the sweep (swarm seeds and search seeds fork
-    /// from it).
-    pub seed: u64,
-    /// Whether this build carries the `tchain_canary` mutation.
-    pub canary: bool,
-    /// PCT depth used throughout.
-    pub depth: u32,
-    /// Per-scenario PCT run budget.
-    pub budget: u32,
-    /// Scenario outcomes.
-    pub points: Vec<ExplorePoint>,
-    /// Every scenario met this build's expectation.
-    pub all_safe: bool,
+tchain_obs::json_struct! {
+    /// The persisted document.
+    #[derive(Debug)]
+    pub struct NetExploreDoc {
+        /// Master seed of the sweep (swarm seeds and search seeds fork
+        /// from it).
+        pub seed: u64,
+        /// Whether this build carries the `tchain_canary` mutation.
+        pub canary: bool,
+        /// PCT depth used throughout.
+        pub depth: u32,
+        /// Per-scenario PCT run budget.
+        pub budget: u32,
+        /// Scenario outcomes.
+        pub points: Vec<ExplorePoint>,
+        /// Every scenario met this build's expectation.
+        pub all_safe: bool,
+    }
 }
 
 /// SplitMix64, for forking per-scenario search seeds from the master.
@@ -164,7 +167,7 @@ fn explore_point(
                 f.witness
                     .oracles
                     .iter()
-                    .map(OracleKind::as_str)
+                    .map(OracleKind::name)
                     .collect::<Vec<_>>()
                     .join(",")
             },

@@ -12,64 +12,67 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use serde::Serialize;
 use std::time::Instant;
 use tchain_net::{run_swarm, SchedMode, SwarmConfig};
 use tchain_sim::ChurnPlan;
 
-/// One (N, churn) cell of the sweep.
-#[derive(Debug, Serialize)]
-pub struct ScalePoint {
-    /// Scenario label.
-    pub scenario: String,
-    /// Peers at boot (churn arrivals on top).
-    pub peers: u32,
-    /// Whether a churn schedule ran.
-    pub churn: bool,
-    /// Mid-run arrivals from the churn schedule.
-    pub churn_joins: u64,
-    /// Voluntary §II-B4 departures from the churn schedule.
-    pub churn_departs: u64,
-    /// Compliant leechers that completed / in the scenario.
-    pub completed_compliant: u32,
-    /// Compliant leechers in the scenario (boot + arrivals − departed).
-    pub total_compliant: u32,
-    /// Every held piece matched the source bytes.
-    pub plaintext_ok: bool,
-    /// Unreciprocated key releases (must stay 0).
-    pub violations: usize,
-    /// Every survivor's §II-D2 ledger matched its unreported txns.
-    pub ledger_ok: bool,
-    /// Key releases over the §II-B4 escrow path.
-    pub escrow_transfers: u64,
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Wall-clock seconds for the audited indexed run.
-    pub wall_s: f64,
-    /// Harness ticks per wall-clock second (indexed scheduler).
-    pub ticks_per_s: f64,
-    /// Order-sensitive digest of every delivered frame (hex).
-    pub fingerprint: String,
-    /// Same-seed rerun produced a bit-identical fingerprint.
-    pub deterministic: bool,
-    /// Legacy linear-scan wall-clock seconds (parity cells only).
-    pub legacy_wall_s: Option<f64>,
-    /// Indexed fingerprint == legacy fingerprint (parity cells only).
-    pub legacy_parity: Option<bool>,
-    /// Completion + plaintexts + ledger + zero violations + determinism
-    /// (+ parity where measured).
-    pub safe: bool,
+tchain_obs::json_struct! {
+    /// One (N, churn) cell of the sweep.
+    #[derive(Debug)]
+    pub struct ScalePoint {
+        /// Scenario label.
+        pub scenario: String,
+        /// Peers at boot (churn arrivals on top).
+        pub peers: u32,
+        /// Whether a churn schedule ran.
+        pub churn: bool,
+        /// Mid-run arrivals from the churn schedule.
+        pub churn_joins: u64,
+        /// Voluntary §II-B4 departures from the churn schedule.
+        pub churn_departs: u64,
+        /// Compliant leechers that completed / in the scenario.
+        pub completed_compliant: u32,
+        /// Compliant leechers in the scenario (boot + arrivals − departed).
+        pub total_compliant: u32,
+        /// Every held piece matched the source bytes.
+        pub plaintext_ok: bool,
+        /// Unreciprocated key releases (must stay 0).
+        pub violations: usize,
+        /// Every survivor's §II-D2 ledger matched its unreported txns.
+        pub ledger_ok: bool,
+        /// Key releases over the §II-B4 escrow path.
+        pub escrow_transfers: u64,
+        /// Ticks executed.
+        pub ticks: u64,
+        /// Wall-clock seconds for the audited indexed run.
+        pub wall_s: f64,
+        /// Harness ticks per wall-clock second (indexed scheduler).
+        pub ticks_per_s: f64,
+        /// Order-sensitive digest of every delivered frame (hex).
+        pub fingerprint: String,
+        /// Same-seed rerun produced a bit-identical fingerprint.
+        pub deterministic: bool,
+        /// Legacy linear-scan wall-clock seconds (parity cells only).
+        pub legacy_wall_s: Option<f64>,
+        /// Indexed fingerprint == legacy fingerprint (parity cells only).
+        pub legacy_parity: Option<bool>,
+        /// Completion + plaintexts + ledger + zero violations + determinism
+        /// (+ parity where measured).
+        pub safe: bool,
+    }
 }
 
-/// The persisted document.
-#[derive(Debug, Serialize)]
-pub struct NetScaleDoc {
-    /// Master seed of the sweep.
-    pub seed: u64,
-    /// Audited (N, churn) cells.
-    pub points: Vec<ScalePoint>,
-    /// Every cell preserved every safety property.
-    pub all_safe: bool,
+tchain_obs::json_struct! {
+    /// The persisted document.
+    #[derive(Debug)]
+    pub struct NetScaleDoc {
+        /// Master seed of the sweep.
+        pub seed: u64,
+        /// Audited (N, churn) cells.
+        pub points: Vec<ScalePoint>,
+        /// Every cell preserved every safety property.
+        pub all_safe: bool,
+    }
 }
 
 /// A churn schedule proportional to swarm size: N/8 staggered joins

@@ -20,7 +20,6 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use serde::Serialize;
 use std::time::Instant;
 use tchain_attacks::PeerPlan;
 use tchain_core::{TChainConfig, TChainSwarm};
@@ -28,81 +27,87 @@ use tchain_net::{run_swarm, NetConfig, SwarmConfig as NetSwarmConfig};
 use tchain_proto::{FileSpec, SwarmConfig};
 use tchain_sim::{kbps, FaultPlan};
 
-/// One net-runtime scenario's audited outcome.
-#[derive(Debug, Serialize)]
-pub struct NetPoint {
-    /// Scenario label.
-    pub scenario: String,
-    /// Peers including the seeder.
-    pub peers: u32,
-    /// Free-riding leechers.
-    pub free_riders: u32,
-    /// Pieces in the file.
-    pub pieces: usize,
-    /// Compliant leechers that completed / total.
-    pub completed_compliant: u32,
-    /// Compliant leechers in the scenario.
-    pub total_compliant: u32,
-    /// Free-riders that assembled the whole file (must stay 0).
-    pub completed_free_riders: u32,
-    /// Every decrypted piece matched the source bytes.
-    pub plaintext_ok: bool,
-    /// Unreciprocated key releases seen by the observer (must stay 0).
-    pub violations: usize,
-    /// Chains opened on the wire.
-    pub chains_started: usize,
-    /// Mean uploads per chain.
-    pub mean_chain_len: f64,
-    /// Longest chain.
-    pub max_chain_len: u32,
-    /// §II-B3 unencrypted terminations.
-    pub chains_terminated: usize,
-    /// Encrypted uploads / gifts / reports / key releases on the wire.
-    pub uploads: u64,
-    /// §II-B3 gift uploads.
-    pub gifts: u64,
-    /// Reception reports.
-    pub reports: u64,
-    /// Key releases.
-    pub key_releases: u64,
-    /// Key releases over the §II-B4 escrow path.
-    pub escrow_transfers: u64,
-    /// Transport-clock seconds to drain.
-    pub elapsed: f64,
-    /// Order-sensitive digest of every delivered frame (hex).
-    pub fingerprint: String,
+tchain_obs::json_struct! {
+    /// One net-runtime scenario's audited outcome.
+    #[derive(Debug)]
+    pub struct NetPoint {
+        /// Scenario label.
+        pub scenario: String,
+        /// Peers including the seeder.
+        pub peers: u32,
+        /// Free-riding leechers.
+        pub free_riders: u32,
+        /// Pieces in the file.
+        pub pieces: usize,
+        /// Compliant leechers that completed / total.
+        pub completed_compliant: u32,
+        /// Compliant leechers in the scenario.
+        pub total_compliant: u32,
+        /// Free-riders that assembled the whole file (must stay 0).
+        pub completed_free_riders: u32,
+        /// Every decrypted piece matched the source bytes.
+        pub plaintext_ok: bool,
+        /// Unreciprocated key releases seen by the observer (must stay 0).
+        pub violations: usize,
+        /// Chains opened on the wire.
+        pub chains_started: usize,
+        /// Mean uploads per chain.
+        pub mean_chain_len: f64,
+        /// Longest chain.
+        pub max_chain_len: u32,
+        /// §II-B3 unencrypted terminations.
+        pub chains_terminated: usize,
+        /// Encrypted uploads / gifts / reports / key releases on the wire.
+        pub uploads: u64,
+        /// §II-B3 gift uploads.
+        pub gifts: u64,
+        /// Reception reports.
+        pub reports: u64,
+        /// Key releases.
+        pub key_releases: u64,
+        /// Key releases over the §II-B4 escrow path.
+        pub escrow_transfers: u64,
+        /// Transport-clock seconds to drain.
+        pub elapsed: f64,
+        /// Order-sensitive digest of every delivered frame (hex).
+        pub fingerprint: String,
+    }
 }
 
-/// Net-vs-fluid comparison on the shared scenario shape.
-#[derive(Debug, Serialize)]
-pub struct CrossCheck {
-    /// Seed shared by both runs.
-    pub seed: u64,
-    /// Net: completed compliant / total compliant.
-    pub net_compliant_rate: f64,
-    /// Fluid: completed compliant / total compliant.
-    pub sim_compliant_rate: f64,
-    /// Net free-riders that finished (starvation check).
-    pub net_free_riders_done: u32,
-    /// Fluid free-riders that finished.
-    pub sim_free_riders_done: usize,
-    /// Net mean uploads per chain.
-    pub net_mean_chain_len: f64,
-    /// Fluid mean transactions per ended chain.
-    pub sim_mean_chain_len: f64,
-    /// net/sim mean-chain-length ratio (tolerance band [0.25, 4.0]).
-    pub chain_len_ratio: f64,
-    /// All hard invariants matched and the ratio is in band.
-    pub within_tolerance: bool,
+tchain_obs::json_struct! {
+    /// Net-vs-fluid comparison on the shared scenario shape.
+    #[derive(Debug)]
+    pub struct CrossCheck {
+        /// Seed shared by both runs.
+        pub seed: u64,
+        /// Net: completed compliant / total compliant.
+        pub net_compliant_rate: f64,
+        /// Fluid: completed compliant / total compliant.
+        pub sim_compliant_rate: f64,
+        /// Net free-riders that finished (starvation check).
+        pub net_free_riders_done: u32,
+        /// Fluid free-riders that finished.
+        pub sim_free_riders_done: usize,
+        /// Net mean uploads per chain.
+        pub net_mean_chain_len: f64,
+        /// Fluid mean transactions per ended chain.
+        pub sim_mean_chain_len: f64,
+        /// net/sim mean-chain-length ratio (tolerance band [0.25, 4.0]).
+        pub chain_len_ratio: f64,
+        /// All hard invariants matched and the ratio is in band.
+        pub within_tolerance: bool,
+    }
 }
 
-/// The persisted document: scenarios plus the cross-check.
-#[derive(Debug, Serialize)]
-pub struct NetSwarmDoc {
-    /// Audited net-runtime scenarios.
-    pub scenarios: Vec<NetPoint>,
-    /// Net-vs-fluid cross-check.
-    pub cross_check: CrossCheck,
+tchain_obs::json_struct! {
+    /// The persisted document: scenarios plus the cross-check.
+    #[derive(Debug)]
+    pub struct NetSwarmDoc {
+        /// Audited net-runtime scenarios.
+        pub scenarios: Vec<NetPoint>,
+        /// Net-vs-fluid cross-check.
+        pub cross_check: CrossCheck,
+    }
 }
 
 fn net_point(name: &str, cfg: NetSwarmConfig, meta: &mut RunMeta) -> NetPoint {

@@ -21,7 +21,6 @@
 
 use crate::output::{persist, print_table, results_dir, RunMeta};
 use crate::scale::Scale;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
@@ -29,60 +28,64 @@ use tchain_net::{run_swarm, SwarmConfig, SwarmReport};
 use tchain_obs::{merge_traces, to_causal_chrome_trace, to_jsonl, validate_causal};
 use tchain_sim::ChaosPlan;
 
-/// Per-peer telemetry row in the persisted document.
-#[derive(Debug, Serialize)]
-pub struct PeerRow {
-    /// Peer id (0 is the seeder).
-    pub peer: u32,
-    /// Piece bodies served.
-    pub uploads: u64,
-    /// Pieces obtained (reciprocations + gifts).
-    pub downloads: u64,
-    /// Uploads minus downloads.
-    pub goodwill: i64,
-    /// Median piece round-trip (upload → report), virtual ms.
-    pub piece_rtt_p50_ms: Option<u64>,
-    /// Median request→key latency (data → key), virtual ms.
-    pub key_latency_p50_ms: Option<u64>,
-    /// Causal trace events recorded in this peer's ring.
-    pub trace_events: usize,
+tchain_obs::json_struct! {
+    /// Per-peer telemetry row in the persisted document.
+    #[derive(Debug)]
+    pub struct PeerRow {
+        /// Peer id (0 is the seeder).
+        pub peer: u32,
+        /// Piece bodies served.
+        pub uploads: u64,
+        /// Pieces obtained (reciprocations + gifts).
+        pub downloads: u64,
+        /// Uploads minus downloads.
+        pub goodwill: i64,
+        /// Median piece round-trip (upload → report), virtual ms.
+        pub piece_rtt_p50_ms: Option<u64>,
+        /// Median request→key latency (data → key), virtual ms.
+        pub key_latency_p50_ms: Option<u64>,
+        /// Causal trace events recorded in this peer's ring.
+        pub trace_events: usize,
+    }
 }
 
-/// The persisted document.
-#[derive(Debug, Serialize)]
-pub struct NetTelemetryDoc {
-    /// Master seed of all four runs.
-    pub seed: u64,
-    /// Peers in the swarm (including the seeder).
-    pub peers: u32,
-    /// Baseline delivered-frame fingerprint (hex).
-    pub fingerprint: String,
-    /// Two telemetry-disabled runs agreed bit-for-bit.
-    pub disabled_deterministic: bool,
-    /// The telemetry-enabled run kept the baseline fingerprint.
-    pub telemetry_invisible: bool,
-    /// Records in the merged causal trace.
-    pub causal_records: usize,
-    /// Matched send→receive flow arrows (all strictly forward).
-    pub causal_arrows: usize,
-    /// Jain fairness index over upload/download ratios.
-    pub fairness_index: f64,
-    /// Incentive chains opened / mean length / longest.
-    pub chains_started: usize,
-    /// Mean transactions per chain.
-    pub mean_chain_len: f64,
-    /// Longest chain observed.
-    pub max_chain_len: u32,
-    /// Terminations by cause.
-    pub terminations: BTreeMap<String, u64>,
-    /// Per-peer metric rows.
-    pub per_peer: Vec<PeerRow>,
-    /// Bytes of Prometheus text exposition written.
-    pub prom_bytes: usize,
-    /// Flight-recorder captures from the chaos leg.
-    pub flight_dumps: usize,
-    /// Every acceptance invariant held.
-    pub safe: bool,
+tchain_obs::json_struct! {
+    /// The persisted document.
+    #[derive(Debug)]
+    pub struct NetTelemetryDoc {
+        /// Master seed of all four runs.
+        pub seed: u64,
+        /// Peers in the swarm (including the seeder).
+        pub peers: u32,
+        /// Baseline delivered-frame fingerprint (hex).
+        pub fingerprint: String,
+        /// Two telemetry-disabled runs agreed bit-for-bit.
+        pub disabled_deterministic: bool,
+        /// The telemetry-enabled run kept the baseline fingerprint.
+        pub telemetry_invisible: bool,
+        /// Records in the merged causal trace.
+        pub causal_records: usize,
+        /// Matched send→receive flow arrows (all strictly forward).
+        pub causal_arrows: usize,
+        /// Jain fairness index over upload/download ratios.
+        pub fairness_index: f64,
+        /// Incentive chains opened / mean length / longest.
+        pub chains_started: usize,
+        /// Mean transactions per chain.
+        pub mean_chain_len: f64,
+        /// Longest chain observed.
+        pub max_chain_len: u32,
+        /// Terminations by cause.
+        pub terminations: BTreeMap<String, u64>,
+        /// Per-peer metric rows.
+        pub per_peer: Vec<PeerRow>,
+        /// Bytes of Prometheus text exposition written.
+        pub prom_bytes: usize,
+        /// Flight-recorder captures from the chaos leg.
+        pub flight_dumps: usize,
+        /// Every acceptance invariant held.
+        pub safe: bool,
+    }
 }
 
 fn write_artifact(dir: &Path, name: &str, body: &str) {

@@ -4,24 +4,25 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
-use serde::Serialize;
 use tchain_analysis::EncryptionOverhead;
 use tchain_crypto::Keyring;
 
-/// Measured overhead summary.
-#[derive(Debug, Serialize)]
-pub struct Data {
-    /// Measured ChaCha20 throughput, bytes/second.
-    pub cipher_bytes_per_sec: f64,
-    /// Encryption+decryption overhead fraction for a 1 GB file at 8 Mbps
-    /// (the paper's §III-C1 scenario; paper: < 1.2 %).
-    pub encryption_overhead: f64,
-    /// Key-storage overhead fraction for 1 GB / 128 KB pieces / 256-bit
-    /// keys (paper: ~0.02 %).
-    pub space_overhead: f64,
-    /// Chain latency: piece-upload slots for a 100-transaction chain
-    /// (paper §III-C2: n + 2).
-    pub chain_slots_100: u64,
+tchain_obs::json_struct! {
+    /// Measured overhead summary.
+    #[derive(Debug)]
+    pub struct Data {
+        /// Measured ChaCha20 throughput, bytes/second.
+        pub cipher_bytes_per_sec: f64,
+        /// Encryption+decryption overhead fraction for a 1 GB file at 8 Mbps
+        /// (the paper's §III-C1 scenario; paper: < 1.2 %).
+        pub encryption_overhead: f64,
+        /// Key-storage overhead fraction for 1 GB / 128 KB pieces / 256-bit
+        /// keys (paper: ~0.02 %).
+        pub space_overhead: f64,
+        /// Chain latency: piece-upload slots for a 100-transaction chain
+        /// (paper §III-C2: n + 2).
+        pub chain_slots_100: u64,
+    }
 }
 
 /// Measures the cipher and prints the §III-C table.

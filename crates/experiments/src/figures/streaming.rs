@@ -12,14 +12,13 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
-use serde::Serialize;
 use tchain_core::{PieceSelection, TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::{PieceId, SwarmConfig};
 use tchain_sim::NodeId;
 
 /// Playback simulation of one leecher's completion log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Playback {
     /// Seconds from join until the startup buffer filled in order.
     pub startup_delay: f64,
@@ -72,19 +71,21 @@ pub fn simulate_playback(
     Some(Playback { startup_delay: start - join_time, rebuffer_events, rebuffer_time })
 }
 
-/// One policy's aggregated playback results.
-#[derive(Debug, Serialize)]
-pub struct Row {
-    /// Policy label.
-    pub policy: String,
-    /// Startup delay.
-    pub startup: Summary,
-    /// Rebuffer events per viewer.
-    pub rebuffers: Summary,
-    /// Stalled seconds per viewer.
-    pub stalled: Summary,
-    /// Download completion time (the price paid for in-order arrival).
-    pub completion: Summary,
+tchain_obs::json_struct! {
+    /// One policy's aggregated playback results.
+    #[derive(Debug)]
+    pub struct Row {
+        /// Policy label.
+        pub policy: String,
+        /// Startup delay.
+        pub startup: Summary,
+        /// Rebuffer events per viewer.
+        pub rebuffers: Summary,
+        /// Stalled seconds per viewer.
+        pub stalled: Summary,
+        /// Download completion time (the price paid for in-order arrival).
+        pub completion: Summary,
+    }
 }
 
 /// Runs the streaming comparison.

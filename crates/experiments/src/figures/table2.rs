@@ -13,30 +13,33 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{build_swarm, flash_plan, Proto, RiderMode, RunOpts};
-use serde::Serialize;
 use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
 use tchain_baselines::dandelion::CreditServer;
 use tchain_baselines::eigentrust::{Actor, EigenTrustModel};
 use tchain_proto::{Role, SwarmConfig};
 use tchain_sim::FaultPlan;
 
-/// A measured Table II cell.
-#[derive(Debug, Clone, Serialize)]
-pub struct Cell {
-    /// `√` / `·` (medium) / `×`.
-    pub mark: String,
-    /// The measured attacker progress ratio behind the mark.
-    pub ratio: f64,
+tchain_obs::json_struct! {
+    /// A measured Table II cell.
+    #[derive(Debug, Clone)]
+    pub struct Cell {
+        /// `√` / `·` (medium) / `×`.
+        pub mark: String,
+        /// The measured attacker progress ratio behind the mark.
+        pub ratio: f64,
+    }
 }
 
-/// One Table II row across the protocol columns.
-#[derive(Debug, Serialize)]
-pub struct Row {
-    /// Feature / attack name.
-    pub feature: String,
-    /// Cells keyed in column order (BT, PropShare, FairTorrent, T-Chain,
-    /// EigenTrust, Dandelion).
-    pub cells: Vec<Cell>,
+tchain_obs::json_struct! {
+    /// One Table II row across the protocol columns.
+    #[derive(Debug)]
+    pub struct Row {
+        /// Feature / attack name.
+        pub feature: String,
+        /// Cells keyed in column order (BT, PropShare, FairTorrent, T-Chain,
+        /// EigenTrust, Dandelion).
+        pub cells: Vec<Cell>,
+    }
 }
 
 fn mark(ratio: f64) -> Cell {

@@ -15,24 +15,25 @@ use crate::output::{persist, print_table, results_dir, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts, RunOutcome};
-use serde::Serialize;
 use tchain_obs::{to_chrome_trace, to_jsonl};
 
 /// Event-ring capacity for the demo: comfortably above what the small
 /// swarm emits, so nothing is overwritten and the JSONL log is complete.
 pub const RING_CAPACITY: usize = 1 << 16;
 
-/// Run summary persisted as `results/trace.<scale>.json`.
-#[derive(Debug, Serialize)]
-pub struct Data {
-    /// Leechers in the traced swarm.
-    pub swarm: u64,
-    /// Events captured in the ring (after any overwrite).
-    pub events_recorded: u64,
-    /// High-water mark of the event ring.
-    pub peak_event_depth: u64,
-    /// Simulated seconds covered by the trace.
-    pub sim_time: f64,
+tchain_obs::json_struct! {
+    /// Run summary persisted as `results/trace.<scale>.json`.
+    #[derive(Debug)]
+    pub struct Data {
+        /// Leechers in the traced swarm.
+        pub swarm: u64,
+        /// Events captured in the ring (after any overwrite).
+        pub events_recorded: u64,
+        /// High-water mark of the event ring.
+        pub peak_event_depth: u64,
+        /// Simulated seconds covered by the trace.
+        pub sim_time: f64,
+    }
 }
 
 /// Runs the traced flash crowd and writes the trace artifacts.

@@ -4,9 +4,9 @@
 //! a JSON document under `results/` so EXPERIMENTS.md numbers are
 //! regenerable and diffable.
 
-use serde::Serialize;
 use std::path::PathBuf;
 
+use tchain_obs::json::{self, ToJson};
 use tchain_obs::{MetricMap, PhaseProfile};
 
 use crate::runner::FailedCell;
@@ -22,7 +22,7 @@ use crate::scenario::RunOutcome;
 /// run to run and are emitted on a single strippable `"host"` line (see
 /// [`deterministic_view`]) or omitted entirely with
 /// `TCHAIN_HOST_META=off`.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMeta {
     /// Simulator runs absorbed into this record.
     pub runs: u64,
@@ -86,56 +86,48 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Serializes a figure's data to `results/<name>.<scale>.json`.
-pub fn save<T: Serialize>(name: &str, scale: &str, data: &T) -> std::io::Result<PathBuf> {
-    let json = to_json(data)?;
-    write_results_file(name, scale, json)
+pub fn save<T: ToJson>(name: &str, scale: &str, data: &T) -> std::io::Result<PathBuf> {
+    write_results_file(name, scale, json::to_string_pretty(data))
 }
 
 /// Serializes a figure's data plus its [`RunMeta`] as a two-field
 /// document `{"meta": …, "data": …}` to `results/<name>.<scale>.json`.
-pub fn save_with_meta<T: Serialize>(
+pub fn save_with_meta<T: ToJson>(
     name: &str,
     scale: &str,
     data: &T,
     meta: &RunMeta,
 ) -> std::io::Result<PathBuf> {
-    write_results_file(name, scale, meta_document(data, meta)?)
+    write_results_file(name, scale, meta_document(data, meta))
 }
 
 /// Hand-assembled `{"meta": {"host": …, "sim": …}, "data": …}` envelope.
 ///
 /// The two meta halves are built field-by-field from compactly
-/// serialized owned values — not via a borrowed wrapper struct — so the
-/// meta section's bytes do not depend on the serializer's pretty-printer
-/// and the host-measured fields stay on one strippable line (see
-/// [`deterministic_view`]). `TCHAIN_HOST_META=off` omits that line,
-/// making the whole document byte-identical across repeated runs.
-fn meta_document<T: Serialize>(data: &T, meta: &RunMeta) -> std::io::Result<String> {
+/// serialized values so the host-measured fields stay on one strippable
+/// line (see [`deterministic_view`]). `TCHAIN_HOST_META=off` omits that
+/// line, making the whole document byte-identical across repeated runs.
+fn meta_document<T: ToJson>(data: &T, meta: &RunMeta) -> String {
     let sim = format!(
         "{{\n\"runs\": {},\n\"peak_event_depth\": {},\n\"failed_cells\": {},\n\"metrics\": {}\n}}",
         meta.runs,
         meta.peak_event_depth,
-        to_compact(&meta.failed)?,
-        to_compact(&meta.metrics)?,
+        json::to_string(&meta.failed),
+        json::to_string(&meta.metrics),
     );
     let host_line = if host_meta_enabled() {
         format!(
             "\"host\": {{\"wall_clock_s\":{},\"phases\":{}}},\n",
-            to_compact(&meta.wall_clock_s)?,
-            to_compact(&meta.phases)?,
+            json::to_string(&meta.wall_clock_s),
+            json::to_string(&meta.phases),
         )
     } else {
         String::new()
     };
-    Ok(format!(
+    format!(
         "{{\n\"meta\": {{\n{host_line}\"sim\": {sim}\n}},\n\"data\": {}\n}}",
-        to_json(data)?
-    ))
-}
-
-fn to_compact<T: Serialize>(value: &T) -> std::io::Result<String> {
-    serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        json::to_string_pretty(data)
+    )
 }
 
 fn host_meta_enabled() -> bool {
@@ -159,15 +151,10 @@ pub fn deterministic_view(doc: &str) -> String {
 
 /// Saves a figure document with run metadata; failures are reported on
 /// stderr instead of panicking so a long sweep still prints its tables.
-pub fn persist<T: Serialize>(name: &str, scale: &str, data: &T, meta: &RunMeta) {
+pub fn persist<T: ToJson>(name: &str, scale: &str, data: &T, meta: &RunMeta) {
     if let Err(e) = save_with_meta(name, scale, data, meta) {
         eprintln!("warning: failed to write results/{name}.{scale}.json: {e}");
     }
-}
-
-fn to_json<T: Serialize>(data: &T) -> std::io::Result<String> {
-    serde_json::to_string_pretty(data)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 fn write_results_file(name: &str, scale: &str, json: String) -> std::io::Result<PathBuf> {
@@ -225,7 +212,7 @@ mod tests {
         std::env::set_var("TCHAIN_RESULTS", &dir);
         let path = save("unit", "quick", &vec![1.0, 2.0]).unwrap();
         let back: Vec<f64> =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, vec![1.0, 2.0]);
         std::env::remove_var("TCHAIN_RESULTS");
         std::fs::remove_dir_all(&dir).ok();
@@ -251,7 +238,7 @@ mod tests {
     fn meta_envelope_has_fixed_shape() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let meta = RunMeta { runs: 2, ..Default::default() };
-        let doc = meta_document(&vec![1u64, 2], &meta).unwrap();
+        let doc = meta_document(&vec![1u64, 2], &meta);
         assert!(doc.starts_with('{') && doc.ends_with('}'));
         assert!(doc.contains("\"meta\""));
         assert!(doc.contains("\"data\""));
@@ -265,7 +252,7 @@ mod tests {
     fn host_line_is_exactly_the_nondeterministic_part() {
         let _g = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let meta = RunMeta { runs: 3, wall_clock_s: 1.25, ..Default::default() };
-        let doc = meta_document(&vec![7u64], &meta).unwrap();
+        let doc = meta_document(&vec![7u64], &meta);
         // The host object lives on a single line…
         let host_lines: Vec<&str> =
             doc.lines().filter(|l| l.trim_start().starts_with("\"host\": ")).collect();
@@ -275,12 +262,12 @@ mod tests {
         let stripped = deterministic_view(&doc);
         assert!(!stripped.contains("wall_clock_s"));
         std::env::set_var("TCHAIN_HOST_META", "off");
-        let off = meta_document(&vec![7u64], &meta).unwrap();
+        let off = meta_document(&vec![7u64], &meta);
         std::env::remove_var("TCHAIN_HOST_META");
         assert_eq!(stripped, off);
         // Two metas differing only in host measurements agree after the strip.
         let slower = RunMeta { runs: 3, wall_clock_s: 99.0, ..Default::default() };
-        let doc2 = meta_document(&vec![7u64], &slower).unwrap();
+        let doc2 = meta_document(&vec![7u64], &slower);
         assert_ne!(doc, doc2);
         assert_eq!(deterministic_view(&doc), deterministic_view(&doc2));
     }
@@ -295,7 +282,7 @@ mod tests {
             seed: 42,
             panic: "boom".into(),
         }]);
-        let doc = meta_document(&Vec::<u64>::new(), &meta).unwrap();
+        let doc = meta_document(&Vec::<u64>::new(), &meta);
         assert!(doc.contains("figXX"));
         assert!(doc.contains("boom"));
     }

@@ -25,7 +25,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::Serialize;
 
 use crate::scale::Scale;
 
@@ -142,17 +141,19 @@ pub fn effective_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// One cell that panicked during a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FailedCell {
-    /// Figure / experiment the cell belongs to.
-    pub figure: String,
-    /// Scenario label (protocol, parameters).
-    pub scenario: String,
-    /// The cell's seed.
-    pub seed: u64,
-    /// Panic payload, stringified.
-    pub panic: String,
+tchain_obs::json_struct! {
+    /// One cell that panicked during a sweep.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FailedCell {
+        /// Figure / experiment the cell belongs to.
+        pub figure: String,
+        /// Scenario label (protocol, parameters).
+        pub scenario: String,
+        /// The cell's seed.
+        pub seed: u64,
+        /// Panic payload, stringified.
+        pub panic: String,
+    }
 }
 
 /// Result of one [`sweep`]: per-cell outputs in canonical (submission)

@@ -1,7 +1,7 @@
 //! Empirical cumulative distribution functions (Fig. 12's fairness CDFs).
 
 /// An empirical CDF over a finite sample.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

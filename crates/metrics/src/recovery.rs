@@ -1,36 +1,38 @@
 //! Retry / stall / recovery counters for fault-injected runs.
 
-/// What the recovery machinery did during one run: control-plane delivery
-/// outcomes, retransmissions, watchdog interventions and the §II-B4 repair
-/// actions (payee reassignment, key escrow). All zero on a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct RecoveryCounters {
-    /// Control messages handed to the fault layer.
-    pub ctrl_sent: u64,
-    /// Control messages lost (loss probability or partition).
-    pub ctrl_dropped: u64,
-    /// Control messages delivered late.
-    pub ctrl_delayed: u64,
-    /// Tracker queries lost.
-    pub tracker_dropped: u64,
-    /// Reports/keys retransmitted after a timeout.
-    pub retransmissions: u64,
-    /// Retry chains that hit the attempt cap and gave up.
-    pub retry_exhausted: u64,
-    /// Transactions closed by the watchdog (dead participant or terminal
-    /// stall).
-    pub watchdog_closures: u64,
-    /// §II-B4 payee reassignments (chain repaired past a gone payee).
-    pub payees_reassigned: u64,
-    /// §II-B4 key escrows (donor gone; payee releases the key).
-    pub keys_escrowed: u64,
-    /// Peers that crashed abruptly (distinct from graceful departures).
-    pub crashes: u64,
-    /// Chains force-closed because repair was impossible.
-    pub broken_chains: u64,
-    /// Transactions found referencing dead/stale protocol state and
-    /// discarded instead of panicking.
-    pub orphaned_txns: u64,
+tchain_obs::json_struct! {
+    /// What the recovery machinery did during one run: control-plane delivery
+    /// outcomes, retransmissions, watchdog interventions and the §II-B4 repair
+    /// actions (payee reassignment, key escrow). All zero on a fault-free run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RecoveryCounters {
+        /// Control messages handed to the fault layer.
+        pub ctrl_sent: u64,
+        /// Control messages lost (loss probability or partition).
+        pub ctrl_dropped: u64,
+        /// Control messages delivered late.
+        pub ctrl_delayed: u64,
+        /// Tracker queries lost.
+        pub tracker_dropped: u64,
+        /// Reports/keys retransmitted after a timeout.
+        pub retransmissions: u64,
+        /// Retry chains that hit the attempt cap and gave up.
+        pub retry_exhausted: u64,
+        /// Transactions closed by the watchdog (dead participant or terminal
+        /// stall).
+        pub watchdog_closures: u64,
+        /// §II-B4 payee reassignments (chain repaired past a gone payee).
+        pub payees_reassigned: u64,
+        /// §II-B4 key escrows (donor gone; payee releases the key).
+        pub keys_escrowed: u64,
+        /// Peers that crashed abruptly (distinct from graceful departures).
+        pub crashes: u64,
+        /// Chains force-closed because repair was impossible.
+        pub broken_chains: u64,
+        /// Transactions found referencing dead/stale protocol state and
+        /// discarded instead of panicking.
+        pub orphaned_txns: u64,
+    }
 }
 
 impl tchain_obs::ExportStats for RecoveryCounters {

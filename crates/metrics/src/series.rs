@@ -1,7 +1,7 @@
 //! Time series for "X over time" figures (active chains, piece timelines).
 
 /// A `(time, value)` series sampled during a run.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     times: Vec<f64>,
     values: Vec<f64>,

@@ -103,15 +103,17 @@ pub fn t_critical_95(df: u64) -> f64 {
     }
 }
 
-/// A mean with its 95 % confidence half-width, as plotted in every figure.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Summary {
-    /// Sample mean.
-    pub mean: f64,
-    /// Half-width of the 95 % confidence interval (0 for < 2 samples).
-    pub ci95: f64,
-    /// Number of samples (runs).
-    pub n: u64,
+tchain_obs::json_struct! {
+    /// A mean with its 95 % confidence half-width, as plotted in every figure.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Summary {
+        /// Sample mean.
+        pub mean: f64,
+        /// Half-width of the 95 % confidence interval (0 for < 2 samples).
+        pub ci95: f64,
+        /// Number of samples (runs).
+        pub n: u64,
+    }
 }
 
 impl Summary {

@@ -282,23 +282,11 @@ pub fn shrink(base: &SwarmConfig, schedule: &Schedule, budget: u32) -> (Schedule
     (Schedule { choices: cur }, spent.get())
 }
 
-/// Parses an [`OracleKind`] from its stable snake_case name.
-pub fn oracle_from_str(s: &str) -> Option<OracleKind> {
-    Some(match s {
-        "key_release" => OracleKind::KeyRelease,
-        "ledger" => OracleKind::Ledger,
-        "plaintext" => OracleKind::Plaintext,
-        "completion" => OracleKind::Completion,
-        "quarantine" => OracleKind::Quarantine,
-        _ => return None,
-    })
-}
-
 fn oracle_list(oracles: &[OracleKind]) -> String {
     if oracles.is_empty() {
         "pass".to_string()
     } else {
-        oracles.iter().map(OracleKind::as_str).collect::<Vec<_>>().join(",")
+        oracles.iter().map(OracleKind::name).collect::<Vec<_>>().join(",")
     }
 }
 
@@ -307,7 +295,7 @@ fn parse_oracle_list(s: &str) -> Result<Vec<OracleKind>, String> {
         return Ok(Vec::new());
     }
     s.split(',')
-        .map(|name| oracle_from_str(name.trim()).ok_or_else(|| format!("unknown oracle {name:?}")))
+        .map(|name| OracleKind::from_name(name.trim()).ok_or_else(|| format!("unknown oracle {name:?}")))
         .collect()
 }
 

@@ -1,34 +1,44 @@
-//! Property-based tests for the scale layer: the indexed scheduler's
-//! total order, and the §II-D2 ledger / §II-B4 escrow invariants under
-//! arbitrary churn schedules.
+//! Property tests (`tchain_sim::forall`) for the scale layer: the
+//! indexed scheduler's total order, and the §II-D2 ledger / §II-B4 escrow
+//! invariants under arbitrary churn schedules.
 //!
 //! The [`TimerWheel`] properties run against the data structure alone —
 //! hundreds of cases are cheap. The swarm-level properties each boot a
 //! real encrypted swarm per case, so they run fewer cases with tight
 //! piece counts; the point is the *randomised schedule*, not volume.
 
-use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tchain_net::{
     run_swarm, Checkpoint, Content, NetConfig, Outbox, PeerRole, PeerRuntime, SwarmConfig,
     TimerWheel,
 };
-use tchain_sim::{ChaosPlan, ChurnPlan, NodeId};
+use tchain_sim::{ensure, ensure_eq, forall, sized, ChaosPlan, ChurnPlan, NodeId, SimRng};
 
-/// Quantised wake time: keeps proptest away from NaN/∞ while still
+/// Quantised wake time: keeps the generator away from NaN/∞ while still
 /// exercising duplicate timestamps across distinct peers.
 fn grid(t: u8) -> f64 {
     f64::from(t) * 0.25
 }
 
-proptest! {
-    /// Popping the wheel yields a strictly increasing (time, peer)
-    /// sequence — the deterministic total order every indexed run
-    /// depends on — regardless of the order timers were armed in.
-    #[test]
-    fn wheel_pop_order_is_total_and_insertion_independent(
-        arms in proptest::collection::vec((0u32..64, 0u8..40), 1..80),
-    ) {
+/// Uniform integer in `lo..hi`.
+fn int(rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
+    lo + rng.below((hi - lo) as usize) as u64
+}
+
+/// A swarm seed in `1..2^40`.
+fn swarm_seed(rng: &mut SimRng) -> u64 {
+    int(rng, 1, 1 << 40)
+}
+
+/// Popping the wheel yields a strictly increasing (time, peer)
+/// sequence — the deterministic total order every indexed run
+/// depends on — regardless of the order timers were armed in.
+#[test]
+fn wheel_pop_order_is_total_and_insertion_independent() {
+    forall(0x3EE1, 256, |rng, size| {
+        let arms: Vec<(u32, u8)> = (0..sized(rng, size, 1, 80))
+            .map(|_| (int(rng, 0, 64) as u32, int(rng, 0, 40) as u8))
+            .collect();
         // Last arm per peer wins (schedule() replaces).
         let mut fwd = TimerWheel::new();
         let mut rev = TimerWheel::new();
@@ -51,27 +61,31 @@ proptest! {
         while let Some(w) = rev.pop_next() {
             seq_r.push(w);
         }
-        prop_assert_eq!(&seq_f, &seq_r, "pop order depends on insertion history");
+        ensure_eq!(&seq_f, &seq_r, "pop order depends on insertion history");
         // Strictly increasing under (time, peer): no duplicates, no
         // inversions, every armed peer exactly once.
         for w in seq_f.windows(2) {
             let ((t0, p0), (t1, p1)) = (w[0], w[1]);
-            prop_assert!(
+            ensure!(
                 t0 < t1 || (t0 == t1 && p0 < p1),
                 "inversion: ({t0}, {p0}) before ({t1}, {p1})"
             );
         }
         let armed: BTreeSet<u32> = arms.iter().map(|&(p, _)| p).collect();
         let popped: BTreeSet<u32> = seq_f.iter().map(|&(_, p)| p).collect();
-        prop_assert_eq!(armed, popped);
-    }
+        ensure_eq!(armed, popped);
+        Ok(())
+    });
+}
 
-    /// `hasten` never delays a wake and `cancel` always silences one,
-    /// no matter what sequence of operations preceded them.
-    #[test]
-    fn wheel_hasten_monotone_and_cancel_final(
-        ops in proptest::collection::vec((0u32..16, 0u8..3, 0u8..40), 1..60),
-    ) {
+/// `hasten` never delays a wake and `cancel` always silences one,
+/// no matter what sequence of operations preceded them.
+#[test]
+fn wheel_hasten_monotone_and_cancel_final() {
+    forall(0x4A57E2, 256, |rng, size| {
+        let ops: Vec<(u32, u8, u8)> = (0..sized(rng, size, 1, 60))
+            .map(|_| (int(rng, 0, 16) as u32, int(rng, 0, 3) as u8, int(rng, 0, 40) as u8))
+            .collect();
         let mut wheel = TimerWheel::new();
         let mut model: std::collections::BTreeMap<u32, f64> = Default::default();
         for &(p, op, t) in &ops {
@@ -93,10 +107,10 @@ proptest! {
                     model.remove(&p);
                 }
             }
-            prop_assert_eq!(wheel.len(), model.len());
+            ensure_eq!(wheel.len(), model.len());
         }
         for (&p, &at) in &model {
-            prop_assert_eq!(wheel.armed_at(p), Some(at), "peer {}", p);
+            ensure_eq!(wheel.armed_at(p), Some(at), "peer {}", p);
         }
         let mut popped = Vec::new();
         while let Some((at, p)) = wheel.pop_next() {
@@ -107,26 +121,22 @@ proptest! {
             v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             v
         };
-        prop_assert_eq!(popped, expect);
-    }
+        ensure_eq!(popped, expect);
+        Ok(())
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Any join/leave schedule leaves every surviving peer's §II-D2
-    /// k-pending ledger consistent with its unreported donor
-    /// transactions, and the swarm still drains to completion with zero
-    /// unreciprocated key releases.
-    #[test]
-    fn churn_preserves_ledger_invariant(
-        seed in 1u64..1 << 40,
-        join_at in 4u8..20,
-        joins in 1u32..4,
-        spacing in 1u8..4,
-        depart_at in 20u8..40,
-        fraction in 0.05f64..0.45,
-    ) {
+/// Any join/leave schedule leaves every surviving peer's §II-D2
+/// k-pending ledger consistent with its unreported donor
+/// transactions, and the swarm still drains to completion with zero
+/// unreciprocated key releases.
+#[test]
+fn churn_preserves_ledger_invariant() {
+    forall(0xC4024, 6, |rng, _| {
+        let seed = swarm_seed(rng);
+        let (join_at, joins, spacing) =
+            (int(rng, 4, 20) as u8, int(rng, 1, 4) as u32, int(rng, 1, 4) as u8);
+        let (depart_at, fraction) = (int(rng, 20, 40) as u8, rng.range(0.05, 0.45));
         let cfg = SwarmConfig {
             peers: 8,
             pieces: 12,
@@ -138,28 +148,29 @@ proptest! {
             ..SwarmConfig::default()
         };
         let report = run_swarm(cfg).expect("mesh transport");
-        prop_assert!(report.ledger_ok, "ledger drifted from unreported donor txns");
-        prop_assert!(
+        ensure!(report.ledger_ok, "ledger drifted from unreported donor txns");
+        ensure!(
             report.violations.is_empty(),
             "unreciprocated key release under churn: {:?}",
             report.violations
         );
-        prop_assert!(report.plaintext_ok);
-        prop_assert_eq!(report.churn_joins, u64::from(joins));
-        prop_assert_eq!(report.completed_compliant, report.total_compliant);
-    }
+        ensure!(report.plaintext_ok);
+        ensure_eq!(report.churn_joins, u64::from(joins));
+        ensure_eq!(report.completed_compliant, report.total_compliant);
+        Ok(())
+    });
+}
 
-    /// §II-B4: whatever the departure interleaving — voluntary churn
-    /// departures stacked on depart-on-complete — obligations held by
-    /// leaving donors are handed off, never dropped, and no payee is
-    /// left waiting on a key that a departed peer owed.
-    #[test]
-    fn escrow_obligations_survive_departure_interleavings(
-        seed in 1u64..1 << 40,
-        depart_at in 8u8..30,
-        fraction in 0.1f64..0.5,
-        second_wave in 0u8..2,
-    ) {
+/// §II-B4: whatever the departure interleaving — voluntary churn
+/// departures stacked on depart-on-complete — obligations held by
+/// leaving donors are handed off, never dropped, and no payee is
+/// left waiting on a key that a departed peer owed.
+#[test]
+fn escrow_obligations_survive_departure_interleavings() {
+    forall(0xE5C20, 6, |rng, _| {
+        let seed = swarm_seed(rng);
+        let (depart_at, fraction, second_wave) =
+            (int(rng, 8, 30) as u8, rng.range(0.1, 0.5), int(rng, 0, 2) as u8);
         let mut churn = ChurnPlan::none().with_departures(f64::from(depart_at), fraction);
         if second_wave == 1 {
             churn = churn.with_departures(f64::from(depart_at) + 9.0, fraction / 2.0);
@@ -174,36 +185,33 @@ proptest! {
             ..SwarmConfig::default()
         };
         let report = run_swarm(cfg).expect("mesh transport");
-        prop_assert!(
+        ensure!(
             report.violations.is_empty(),
             "escrow handoff broke an invariant: {:?}",
             report.violations
         );
-        prop_assert!(report.plaintext_ok);
-        prop_assert!(report.ledger_ok);
-        prop_assert!(report.churn_departs > 0, "schedule must actually remove peers");
+        ensure!(report.plaintext_ok);
+        ensure!(report.ledger_ok);
+        ensure!(report.churn_departs > 0, "schedule must actually remove peers");
         // Mass departures must travel the escrow path, not starve it.
-        prop_assert!(
+        ensure!(
             report.escrow_transfers > 0,
             "no §II-B4 escrow transfer despite {} departures",
             report.churn_departs
         );
-    }
+        Ok(())
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// TCKP v2: whatever state a driven peer has accumulated by a random
-    /// crash point, its checkpoint survives the byte codec bitwise, and
-    /// the restored incarnation keeps the counters and holdings while
-    /// bumping its generation (the keyring/RNG salt input).
-    #[test]
-    fn checkpoint_v2_roundtrip_survives_random_crash_points(
-        seed in 1u64..1 << 40,
-        pieces in 2usize..7,
-        crash_step in 2u32..48,
-    ) {
+/// TCKP v2: whatever state a driven peer has accumulated by a random
+/// crash point, its checkpoint survives the byte codec bitwise, and
+/// the restored incarnation keeps the counters and holdings while
+/// bumping its generation (the keyring/RNG salt input).
+#[test]
+fn checkpoint_v2_roundtrip_survives_random_crash_points() {
+    forall(0x7C4B2, 12, |rng, _| {
+        let seed = swarm_seed(rng);
+        let (pieces, crash_step) = (int(rng, 2, 7) as usize, int(rng, 2, 48) as u32);
         let mk = || Content::new(seed ^ 0xC047, pieces, 128);
         let mut seeder =
             PeerRuntime::new(NodeId(0), PeerRole::Seeder, mk(), NetConfig::default(), seed);
@@ -235,8 +243,8 @@ proptest! {
         let cp = leecher.checkpoint();
         let bytes = cp.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).expect("decode own encoding");
-        prop_assert_eq!(&back, &cp, "TCKP v2 byte round-trip drifted");
-        prop_assert_eq!(back.to_bytes(), bytes, "re-encode is not bitwise stable");
+        ensure_eq!(&back, &cp, "TCKP v2 byte round-trip drifted");
+        ensure_eq!(back.to_bytes(), bytes, "re-encode is not bitwise stable");
 
         let restored = PeerRuntime::restore(
             &cp,
@@ -246,44 +254,40 @@ proptest! {
             cp.generation() + 1,
         )
         .expect("restore from own checkpoint");
-        prop_assert_eq!(restored.generation(), cp.generation() + 1);
-        prop_assert_eq!(restored.counters(), leecher.counters(), "counters lost in restore");
-        prop_assert_eq!(restored.have_count(), cp.held_pieces());
+        ensure_eq!(restored.generation(), cp.generation() + 1);
+        ensure_eq!(restored.counters(), leecher.counters(), "counters lost in restore");
+        ensure_eq!(restored.have_count(), cp.held_pieces());
         let content = mk();
         for i in 0..pieces as u32 {
             if let Some(bytes) = restored.piece_bytes(i) {
-                prop_assert_eq!(bytes, &content.piece(i)[..], "piece {} corrupted", i);
+                ensure_eq!(bytes, &content.piece(i)[..], "piece {} corrupted", i);
             }
         }
         if !cfg!(tchain_canary) {
             // A restart forgives k-pending debt; the fresh ledger must be
             // trivially consistent (the canary mutation breaks exactly
             // this, which is how the explore drill finds it).
-            prop_assert!(restored.ledger_consistent());
+            ensure!(restored.ledger_consistent());
         }
-    }
+        Ok(())
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// Swarm-level crash-restore: random crash fraction/timing stacked on
-    /// a random join wave still drains to completion with every oracle
-    /// clean, and the whole run — checkpoints, generation-salted rejoin
-    /// keyrings included — is fingerprint-deterministic.
-    #[test]
-    fn crash_restore_under_churn_keeps_invariants_and_determinism(
-        seed in 1u64..1 << 40,
-        crash_at in 6u8..20,
-        fraction in 0.1f64..0.4,
-        restart_after in 2u8..6,
-        joins in 0u32..3,
-    ) {
-        if cfg!(tchain_canary) {
-            // The seeded restore() mutation makes these runs fail their
-            // ledger oracle on purpose; the drill asserts that elsewhere.
-            return;
-        }
+/// Swarm-level crash-restore: random crash fraction/timing stacked on
+/// a random join wave still drains to completion with every oracle
+/// clean, and the whole run — checkpoints, generation-salted rejoin
+/// keyrings included — is fingerprint-deterministic.
+#[test]
+fn crash_restore_under_churn_keeps_invariants_and_determinism() {
+    if cfg!(tchain_canary) {
+        // The seeded restore() mutation makes these runs fail their
+        // ledger oracle on purpose; the drill asserts that elsewhere.
+        return;
+    }
+    forall(0xC2A5E, 5, |rng, _| {
+        let seed = swarm_seed(rng);
+        let (crash_at, fraction) = (int(rng, 6, 20) as u8, rng.range(0.1, 0.4));
+        let (restart_after, joins) = (int(rng, 2, 6) as u8, int(rng, 0, 3) as u32);
         let mut churn = ChurnPlan::none();
         if joins > 0 {
             churn = churn.with_joins(8.0, joins, 2.0);
@@ -303,13 +307,14 @@ proptest! {
         };
         let a = run_swarm(cfg.clone()).expect("mesh transport");
         let b = run_swarm(cfg).expect("mesh transport");
-        prop_assert_eq!(a.fingerprint, b.fingerprint, "crash-restore made the run nondeterministic");
-        prop_assert_eq!(a.ticks, b.ticks);
-        prop_assert!(a.crashes > 0, "schedule must actually crash peers");
-        prop_assert_eq!(a.rejoins, a.crashes, "every crashed peer must restore and rejoin");
-        prop_assert!(a.violations.is_empty(), "key release violation: {:?}", a.violations);
-        prop_assert!(a.plaintext_ok);
-        prop_assert!(a.ledger_ok, "restored ledgers drifted");
-        prop_assert_eq!(a.completed_compliant, a.total_compliant);
-    }
+        ensure_eq!(a.fingerprint, b.fingerprint, "crash-restore made the run nondeterministic");
+        ensure_eq!(a.ticks, b.ticks);
+        ensure!(a.crashes > 0, "schedule must actually crash peers");
+        ensure_eq!(a.rejoins, a.crashes, "every crashed peer must restore and rejoin");
+        ensure!(a.violations.is_empty(), "key release violation: {:?}", a.violations);
+        ensure!(a.plaintext_ok);
+        ensure!(a.ledger_ok, "restored ledgers drifted");
+        ensure_eq!(a.completed_compliant, a.total_compliant);
+        Ok(())
+    });
 }

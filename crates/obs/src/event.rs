@@ -6,484 +6,423 @@
 //! §II-B (or a fault/recovery branch of the §II-B4 machinery); see
 //! DESIGN.md's Observability section for the span mapping.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{Error, Fields, FromJson, ToJson, Value, Writer};
 
-/// Why a transaction or chain ended — mirrors `tchain_core::ChainEnd`
-/// without depending on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum EndCause {
-    /// §II-B3 termination: no payee existed, the upload went unencrypted.
-    NoPayee,
-    /// A participant departed gracefully mid-transaction.
-    Departure,
-    /// The requestor never reciprocated (free-riding stall sweep).
-    Stalled,
-    /// A false reception report short-circuited the exchange (§IV-D).
-    Collusion,
-    /// A participant crashed abruptly (fault injection).
-    Crash,
-}
-
-/// Which control message a retransmission re-sent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum RetryMsg {
-    /// The reception report payee → donor (§II-B2 step 3).
-    Report,
-    /// The decryption key donor → requestor (§II-B2 step 4).
-    Key,
-}
-
-/// What the chaos layer did to a frame in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ChaosKind {
-    /// One byte of the encoding was XOR-mangled.
-    BitFlip,
-    /// The encoding was cut short.
-    Truncate,
-    /// The length prefix was rewritten past the codec bound.
-    OversizeLen,
-    /// The frame was delivered twice.
-    Duplicate,
-    /// The frame was held back past later traffic on its link.
-    Reorder,
-    /// The connection was reset mid-stream.
-    Reset,
-}
-
-/// Which protocol frame a causal send/receive telemetry event tagged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum WireMsg {
-    /// The §II-B2 step-1 upload header (`PieceUpload`).
-    Upload,
-    /// The encrypted bulk piece bytes (`PieceData`).
-    PieceData,
-    /// The §II-B2 step-3 reception report.
-    Report,
-    /// The §II-B2 step-4 key release (incl. §II-B4 escrow hops).
-    Key,
-}
-
-/// The closed set of per-peer telemetry metric names.
-///
-/// Telemetry samples serialize the metric as this enum, so
-/// [`crate::validate_jsonl`] rejects a line carrying a name outside the
-/// schema — the same typed-schema guarantee the event taxonomy gives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum MetricName {
-    /// Encrypted piece bodies this peer pushed onto the wire.
-    Uploads,
-    /// Piece bodies delivered to this peer.
-    Downloads,
-    /// Reception reports this peer sent.
-    ReportsSent,
-    /// Report retransmissions this peer sent.
-    ReportRetries,
-    /// Key releases this peer sent.
-    KeysSent,
-    /// Keys delivered to this peer (decryptions unlocked).
-    KeysReceived,
-    /// §II-B4 escrow handoffs this peer received as payee.
-    EscrowHeld,
-    /// Quarantines this peer imposed on offenders.
-    Quarantines,
-}
-
-impl MetricName {
-    /// Stable snake_case name (the serialized form, also the Prometheus
-    /// family suffix).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MetricName::Uploads => "uploads",
-            MetricName::Downloads => "downloads",
-            MetricName::ReportsSent => "reports_sent",
-            MetricName::ReportRetries => "report_retries",
-            MetricName::KeysSent => "keys_sent",
-            MetricName::KeysReceived => "keys_received",
-            MetricName::EscrowHeld => "escrow_held",
-            MetricName::Quarantines => "quarantines",
-        }
+json_enum! {
+    /// Why a transaction or chain ended — mirrors `tchain_core::ChainEnd`
+    /// without depending on it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum EndCause {
+        /// §II-B3 termination: no payee existed, the upload went unencrypted.
+        NoPayee,
+        /// A participant departed gracefully mid-transaction.
+        Departure,
+        /// The requestor never reciprocated (free-riding stall sweep).
+        Stalled,
+        /// A false reception report short-circuited the exchange (§IV-D).
+        Collusion,
+        /// A participant crashed abruptly (fault injection).
+        Crash,
     }
 }
 
-/// Which end-of-run safety oracle a schedule-exploration run failed.
-///
-/// The set mirrors the invariants the harness audits every run: the
-/// Observer's key-release legality, §II-D2 ledger conservation, piece
-/// plaintext integrity, §II-B4 escrow-backed completion, and the strike
-/// policy's quarantine/reject coupling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum OracleKind {
-    /// A key release travelled without a reciprocation behind it.
-    KeyRelease,
-    /// A surviving peer's §II-D2 sent/received ledger went inconsistent.
-    Ledger,
-    /// An assembled piece did not match the source bytes.
-    Plaintext,
-    /// A compliant leecher the scenario owed a completed file never got
-    /// one (escrow survival / liveness-within-budget).
-    Completion,
-    /// Quarantines were imposed with zero frame rejects on record — a
-    /// strike policy firing without evidence.
-    Quarantine,
-}
-
-impl OracleKind {
-    /// Stable snake_case name (the serialized form, also the witness
-    /// file vocabulary).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            OracleKind::KeyRelease => "key_release",
-            OracleKind::Ledger => "ledger",
-            OracleKind::Plaintext => "plaintext",
-            OracleKind::Completion => "completion",
-            OracleKind::Quarantine => "quarantine",
-        }
+json_enum! {
+    /// Which control message a retransmission re-sent.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RetryMsg {
+        /// The reception report payee → donor (§II-B2 step 3).
+        Report,
+        /// The decryption key donor → requestor (§II-B2 step 4).
+        Key,
     }
 }
 
-/// Why a receiver rejected a frame or stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum RejectKind {
-    /// Length prefix above the codec bound.
-    Oversized,
-    /// Unknown frame kind byte.
-    UnknownKind,
-    /// Header checksum did not match the body.
-    ChecksumMismatch,
-    /// Body failed strict decoding.
-    Malformed,
-    /// The stream ended inside a frame.
-    Truncated,
-    /// The connection was reset.
-    Reset,
+json_enum! {
+    /// What the chaos layer did to a frame in flight.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ChaosKind {
+        /// One byte of the encoding was XOR-mangled.
+        BitFlip,
+        /// The encoding was cut short.
+        Truncate,
+        /// The length prefix was rewritten past the codec bound.
+        OversizeLen,
+        /// The frame was delivered twice.
+        Duplicate,
+        /// The frame was held back past later traffic on its link.
+        Reorder,
+        /// The connection was reset mid-stream.
+        Reset,
+    }
 }
 
-/// One structured trace event.
-///
-/// The `type` tag in the serialized form is the variant name in
-/// `snake_case`; unknown fields are rejected on deserialization, so the
-/// enum itself *is* the JSONL schema ([`crate::validate_jsonl`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case", deny_unknown_fields)]
-pub enum Event {
-    /// A triangle transaction started: the donor's upload is in flight
-    /// (§II-B2 step 1; unencrypted when `payee` is absent, §II-B3).
-    TxnStart {
-        /// Packed transaction handle.
-        txn: u64,
-        /// Packed chain handle.
-        chain: u64,
-        /// Uploader (`D_j`).
-        donor: u32,
-        /// Recipient who owes reciprocation (`R_j`).
-        requestor: u32,
-        /// Designated payee (`P_j`); `None` for a termination upload.
-        payee: Option<u32>,
-        /// Piece index.
-        piece: u32,
-    },
-    /// The (encrypted) piece finished uploading (§II-B2 step 2).
-    UploadDone {
-        /// Packed transaction handle.
-        txn: u64,
-        /// Uploader.
-        donor: u32,
-        /// Recipient.
-        requestor: u32,
-    },
-    /// A reception report was sent toward the donor (§II-B2 step 3).
-    ReportSent {
-        /// Transaction the report closes.
-        txn: u64,
-        /// Reporting peer (the payee, or the escrow holder).
-        from: u32,
-        /// The donor.
-        to: u32,
-        /// The report is a collusion lie (§III-A4).
-        falsified: bool,
-    },
-    /// The decryption key was sent toward the requestor (§II-B2 step 4).
-    KeySent {
-        /// Transaction whose key is released.
-        txn: u64,
-        /// The donor, or the escrow-holding payee (§II-B4).
-        from: u32,
-        /// The requestor.
-        to: u32,
-        /// The key came out of §II-B4 escrow.
-        escrowed: bool,
-    },
-    /// The key arrived and the requestor decrypted the piece.
-    KeyDelivered {
-        /// The completed transaction.
-        txn: u64,
-        /// The decrypting requestor.
-        requestor: u32,
-        /// Piece index.
-        piece: u32,
-    },
-    /// A transaction reached a terminal state.
-    TxnEnd {
-        /// Packed transaction handle.
-        txn: u64,
-        /// Packed chain handle.
-        chain: u64,
-        /// `true` for completed, `false` for aborted.
-        completed: bool,
-        /// Terminal cause.
-        cause: EndCause,
-    },
-    /// A chain opened (§II-B1 initiation or §II-D3 opportunistic).
-    ChainOpen {
-        /// Packed chain handle.
-        chain: u64,
-        /// `true` when the seeder initiated it.
-        seeder: bool,
-    },
-    /// The chain's last live transaction retired.
-    ChainClose {
-        /// Packed chain handle.
-        chain: u64,
-        /// Transactions the chain spawned (its length).
-        length: u32,
-        /// Why it ended.
-        cause: EndCause,
-    },
-    /// A retransmission timer fired and re-sent a control message.
-    Retry {
-        /// The waiting transaction.
-        txn: u64,
-        /// Which message was re-sent.
-        msg: RetryMsg,
-        /// Attempt number (1-based over re-sends).
-        attempt: u32,
-    },
-    /// The donor died and the key moved into §II-B4 escrow with the payee.
-    KeyEscrowed {
-        /// The affected transaction.
-        txn: u64,
-    },
-    /// The watchdog closed a transaction stuck on a dead participant.
-    WatchdogClose {
-        /// The closed transaction.
-        txn: u64,
-    },
-    /// §II-B4 repair: the donor designated a replacement payee.
-    PayeeReassigned {
-        /// The repaired transaction.
-        txn: u64,
-    },
-    /// A baseline driver unchoked a neighbor (upload slot granted).
-    Unchoke {
-        /// The unchoking peer.
-        peer: u32,
-        /// The unchoked neighbor.
-        target: u32,
-        /// Optimistic (exploration) slot rather than a regular one.
-        optimistic: bool,
-    },
-    /// A baseline driver choked a neighbor (upload slot revoked).
-    Choke {
-        /// The choking peer.
-        peer: u32,
-        /// The choked neighbor.
-        target: u32,
-    },
-    /// A peer joined the swarm.
-    PeerJoin {
-        /// The new peer.
-        peer: u32,
-        /// Whether it follows the protocol (free-riders do not).
-        compliant: bool,
-    },
-    /// A peer left the swarm (graceful departure or completion).
-    PeerDepart {
-        /// The departed peer.
-        peer: u32,
-    },
-    /// A peer crashed abruptly (fault injection) — no §II-B4 goodbye.
-    PeerCrash {
-        /// The crashed peer.
-        peer: u32,
-    },
-    /// The fault layer dropped a control message.
-    CtrlDropped {
-        /// Sender.
-        from: u32,
-        /// Intended recipient.
-        to: u32,
-    },
-    /// The fault layer delayed a control message.
-    CtrlDelayed {
-        /// Sender.
-        from: u32,
-        /// Recipient.
-        to: u32,
-        /// Scheduled delivery time (simulated seconds).
-        until: f64,
-    },
-    /// The chaos layer injected a byzantine fault into a frame.
-    ChaosInject {
-        /// Sender of the targeted frame.
-        from: u32,
-        /// Intended recipient.
-        to: u32,
-        /// What was done to it.
-        kind: ChaosKind,
-    },
-    /// A receiver rejected a frame or stream from a peer.
-    FrameReject {
-        /// The rejecting receiver.
-        peer: u32,
-        /// The apparent offender (sending side of the link).
-        offender: u32,
-        /// Why it was rejected.
-        kind: RejectKind,
-    },
-    /// A peer crossed the strike limit and was quarantined.
-    PeerQuarantine {
-        /// The peer applying the quarantine.
-        peer: u32,
-        /// The quarantined offender.
-        offender: u32,
-        /// Quarantine expiry on the local clock, seconds.
-        until: f64,
-    },
-    /// A crashed peer rejoined the swarm from a checkpoint.
-    PeerRejoin {
-        /// The rejoining peer.
-        peer: u32,
-        /// Restart generation (0 = original incarnation).
-        generation: u32,
-    },
-    /// A causally tagged frame left this peer (telemetry layer).
-    FrameSent {
-        /// Transaction span the frame belongs to.
-        span: u64,
-        /// Intended recipient.
-        to: u32,
-        /// Which protocol frame it carried.
-        msg: WireMsg,
-    },
-    /// A causally tagged frame was delivered to this peer.
-    FrameReceived {
-        /// Transaction span the frame belongs to.
-        span: u64,
-        /// The sending origin peer.
-        from: u32,
-        /// Which protocol frame it carried.
-        msg: WireMsg,
-    },
-    /// A per-peer telemetry counter sample (emitted at snapshot time).
-    MetricSample {
-        /// The sampled peer.
-        peer: u32,
-        /// Which metric (closed schema — unknown names fail validation).
-        metric: MetricName,
-        /// The counter value.
-        value: u64,
-    },
-    /// A designated-payee upload landed with its requestor and payee in
-    /// the same Sybil/colluder group — the §III-A4 exploit precondition.
-    SybilCollision {
-        /// The (deceived) donor.
-        donor: u32,
-        /// The requestor identity.
-        requestor: u32,
-        /// The designated payee identity (same operator/ring).
-        payee: u32,
-        /// The piece in flight.
-        piece: u32,
-    },
-    /// A reception report not preceded by the reciprocation upload it
-    /// attests — a §IV-D collusive false report.
-    FalseReport {
-        /// Packed transaction id.
-        txn: u64,
-        /// The ring mate that filed the report (the designated payee).
-        reporter: u32,
-        /// The deceived donor the report was sent to.
-        donor: u32,
-        /// The requestor the report vouches for.
-        requestor: u32,
-        /// The piece whose reception was falsely attested.
-        piece: u32,
-    },
-    /// A whitewashing operator rejoined under a fresh identity,
-    /// carrying its pieces but presenting as a newcomer (§IV-C).
-    WhitewashRejoin {
-        /// The fresh identity.
-        peer: u32,
-        /// The discarded identity.
-        prior: u32,
-        /// Restart generation of the fresh incarnation.
-        generation: u32,
-    },
-    /// The explore-mode scheduler took a non-default action at a
-    /// decision point (default = run the lowest-id due peer). The
-    /// recorded stream of these choices *is* the replayable schedule.
-    ScheduleChoice {
-        /// Global decision index within the run (counts every decision,
-        /// default or not).
-        step: u64,
-        /// Runnable candidates at the decision point.
-        arity: u32,
-        /// Index picked into the ascending-id candidate list;
-        /// `u32::MAX` means the whole due set was deferred a tick.
-        pick: u32,
-    },
-    /// An end-of-run safety oracle failed. Emitted once per failed
-    /// oracle before the report is sealed, so traces and the flight
-    /// recorder capture the violation in causal context.
-    OracleViolation {
-        /// Which oracle failed.
-        oracle: OracleKind,
-    },
+json_enum! {
+    /// Which protocol frame a causal send/receive telemetry event tagged.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum WireMsg {
+        /// The §II-B2 step-1 upload header (`PieceUpload`).
+        Upload,
+        /// The encrypted bulk piece bytes (`PieceData`).
+        PieceData,
+        /// The §II-B2 step-3 reception report.
+        Report,
+        /// The §II-B2 step-4 key release (incl. §II-B4 escrow hops).
+        Key,
+    }
 }
 
-impl Event {
-    /// Short stable name of the variant (the serialized `type` tag).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::TxnStart { .. } => "txn_start",
-            Event::UploadDone { .. } => "upload_done",
-            Event::ReportSent { .. } => "report_sent",
-            Event::KeySent { .. } => "key_sent",
-            Event::KeyDelivered { .. } => "key_delivered",
-            Event::TxnEnd { .. } => "txn_end",
-            Event::ChainOpen { .. } => "chain_open",
-            Event::ChainClose { .. } => "chain_close",
-            Event::Retry { .. } => "retry",
-            Event::KeyEscrowed { .. } => "key_escrowed",
-            Event::WatchdogClose { .. } => "watchdog_close",
-            Event::PayeeReassigned { .. } => "payee_reassigned",
-            Event::Unchoke { .. } => "unchoke",
-            Event::Choke { .. } => "choke",
-            Event::PeerJoin { .. } => "peer_join",
-            Event::PeerDepart { .. } => "peer_depart",
-            Event::PeerCrash { .. } => "peer_crash",
-            Event::CtrlDropped { .. } => "ctrl_dropped",
-            Event::CtrlDelayed { .. } => "ctrl_delayed",
-            Event::ChaosInject { .. } => "chaos_inject",
-            Event::FrameReject { .. } => "frame_reject",
-            Event::PeerQuarantine { .. } => "peer_quarantine",
-            Event::PeerRejoin { .. } => "peer_rejoin",
-            Event::FrameSent { .. } => "frame_sent",
-            Event::FrameReceived { .. } => "frame_received",
-            Event::MetricSample { .. } => "metric_sample",
-            Event::SybilCollision { .. } => "sybil_collision",
-            Event::FalseReport { .. } => "false_report",
-            Event::WhitewashRejoin { .. } => "whitewash_rejoin",
-            Event::ScheduleChoice { .. } => "schedule_choice",
-            Event::OracleViolation { .. } => "oracle_violation",
-        }
+json_enum! {
+    /// The closed set of per-peer telemetry metric names.
+    ///
+    /// Telemetry samples serialize the metric as this enum, so
+    /// [`crate::validate_jsonl`] rejects a line carrying a name outside the
+    /// schema — the same typed-schema guarantee the event taxonomy gives.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum MetricName {
+        /// Encrypted piece bodies this peer pushed onto the wire.
+        Uploads,
+        /// Piece bodies delivered to this peer.
+        Downloads,
+        /// Reception reports this peer sent.
+        ReportsSent,
+        /// Report retransmissions this peer sent.
+        ReportRetries,
+        /// Key releases this peer sent.
+        KeysSent,
+        /// Keys delivered to this peer (decryptions unlocked).
+        KeysReceived,
+        /// §II-B4 escrow handoffs this peer received as payee.
+        EscrowHeld,
+        /// Quarantines this peer imposed on offenders.
+        Quarantines,
+    }
+}
+
+json_enum! {
+    /// Which end-of-run safety oracle a schedule-exploration run failed.
+    ///
+    /// The set mirrors the invariants the harness audits every run: the
+    /// Observer's key-release legality, §II-D2 ledger conservation, piece
+    /// plaintext integrity, §II-B4 escrow-backed completion, and the strike
+    /// policy's quarantine/reject coupling.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum OracleKind {
+        /// A key release travelled without a reciprocation behind it.
+        KeyRelease,
+        /// A surviving peer's §II-D2 sent/received ledger went inconsistent.
+        Ledger,
+        /// An assembled piece did not match the source bytes.
+        Plaintext,
+        /// A compliant leecher the scenario owed a completed file never got
+        /// one (escrow survival / liveness-within-budget).
+        Completion,
+        /// Quarantines were imposed with zero frame rejects on record — a
+        /// strike policy firing without evidence.
+        Quarantine,
+    }
+}
+
+json_enum! {
+    /// Why a receiver rejected a frame or stream.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RejectKind {
+        /// Length prefix above the codec bound.
+        Oversized,
+        /// Unknown frame kind byte.
+        UnknownKind,
+        /// Header checksum did not match the body.
+        ChecksumMismatch,
+        /// Body failed strict decoding.
+        Malformed,
+        /// The stream ended inside a frame.
+        Truncated,
+        /// The connection was reset.
+        Reset,
+    }
+}
+
+json_enum! {
+    /// One structured trace event.
+    ///
+    /// The `type` tag in the serialized form is the variant name in
+    /// `snake_case` ([`Event::name`]); unknown fields are rejected when
+    /// reading, so the enum itself *is* the JSONL schema
+    /// ([`crate::validate_jsonl`]).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Event {
+        /// A triangle transaction started: the donor's upload is in flight
+        /// (§II-B2 step 1; unencrypted when `payee` is absent, §II-B3).
+        TxnStart {
+            /// Packed transaction handle.
+            txn: u64,
+            /// Packed chain handle.
+            chain: u64,
+            /// Uploader (`D_j`).
+            donor: u32,
+            /// Recipient who owes reciprocation (`R_j`).
+            requestor: u32,
+            /// Designated payee (`P_j`); `None` for a termination upload.
+            payee: Option<u32>,
+            /// Piece index.
+            piece: u32,
+        },
+        /// The (encrypted) piece finished uploading (§II-B2 step 2).
+        UploadDone {
+            /// Packed transaction handle.
+            txn: u64,
+            /// Uploader.
+            donor: u32,
+            /// Recipient.
+            requestor: u32,
+        },
+        /// A reception report was sent toward the donor (§II-B2 step 3).
+        ReportSent {
+            /// Transaction the report closes.
+            txn: u64,
+            /// Reporting peer (the payee, or the escrow holder).
+            from: u32,
+            /// The donor.
+            to: u32,
+            /// The report is a collusion lie (§III-A4).
+            falsified: bool,
+        },
+        /// The decryption key was sent toward the requestor (§II-B2 step 4).
+        KeySent {
+            /// Transaction whose key is released.
+            txn: u64,
+            /// The donor, or the escrow-holding payee (§II-B4).
+            from: u32,
+            /// The requestor.
+            to: u32,
+            /// The key came out of §II-B4 escrow.
+            escrowed: bool,
+        },
+        /// The key arrived and the requestor decrypted the piece.
+        KeyDelivered {
+            /// The completed transaction.
+            txn: u64,
+            /// The decrypting requestor.
+            requestor: u32,
+            /// Piece index.
+            piece: u32,
+        },
+        /// A transaction reached a terminal state.
+        TxnEnd {
+            /// Packed transaction handle.
+            txn: u64,
+            /// Packed chain handle.
+            chain: u64,
+            /// `true` for completed, `false` for aborted.
+            completed: bool,
+            /// Terminal cause.
+            cause: EndCause,
+        },
+        /// A chain opened (§II-B1 initiation or §II-D3 opportunistic).
+        ChainOpen {
+            /// Packed chain handle.
+            chain: u64,
+            /// `true` when the seeder initiated it.
+            seeder: bool,
+        },
+        /// The chain's last live transaction retired.
+        ChainClose {
+            /// Packed chain handle.
+            chain: u64,
+            /// Transactions the chain spawned (its length).
+            length: u32,
+            /// Why it ended.
+            cause: EndCause,
+        },
+        /// A retransmission timer fired and re-sent a control message.
+        Retry {
+            /// The waiting transaction.
+            txn: u64,
+            /// Which message was re-sent.
+            msg: RetryMsg,
+            /// Attempt number (1-based over re-sends).
+            attempt: u32,
+        },
+        /// The donor died and the key moved into §II-B4 escrow with the payee.
+        KeyEscrowed {
+            /// The affected transaction.
+            txn: u64,
+        },
+        /// The watchdog closed a transaction stuck on a dead participant.
+        WatchdogClose {
+            /// The closed transaction.
+            txn: u64,
+        },
+        /// §II-B4 repair: the donor designated a replacement payee.
+        PayeeReassigned {
+            /// The repaired transaction.
+            txn: u64,
+        },
+        /// A baseline driver unchoked a neighbor (upload slot granted).
+        Unchoke {
+            /// The unchoking peer.
+            peer: u32,
+            /// The unchoked neighbor.
+            target: u32,
+            /// Optimistic (exploration) slot rather than a regular one.
+            optimistic: bool,
+        },
+        /// A baseline driver choked a neighbor (upload slot revoked).
+        Choke {
+            /// The choking peer.
+            peer: u32,
+            /// The choked neighbor.
+            target: u32,
+        },
+        /// A peer joined the swarm.
+        PeerJoin {
+            /// The new peer.
+            peer: u32,
+            /// Whether it follows the protocol (free-riders do not).
+            compliant: bool,
+        },
+        /// A peer left the swarm (graceful departure or completion).
+        PeerDepart {
+            /// The departed peer.
+            peer: u32,
+        },
+        /// A peer crashed abruptly (fault injection) — no §II-B4 goodbye.
+        PeerCrash {
+            /// The crashed peer.
+            peer: u32,
+        },
+        /// The fault layer dropped a control message.
+        CtrlDropped {
+            /// Sender.
+            from: u32,
+            /// Intended recipient.
+            to: u32,
+        },
+        /// The fault layer delayed a control message.
+        CtrlDelayed {
+            /// Sender.
+            from: u32,
+            /// Recipient.
+            to: u32,
+            /// Scheduled delivery time (simulated seconds).
+            until: f64,
+        },
+        /// The chaos layer injected a byzantine fault into a frame.
+        ChaosInject {
+            /// Sender of the targeted frame.
+            from: u32,
+            /// Intended recipient.
+            to: u32,
+            /// What was done to it.
+            kind: ChaosKind,
+        },
+        /// A receiver rejected a frame or stream from a peer.
+        FrameReject {
+            /// The rejecting receiver.
+            peer: u32,
+            /// The apparent offender (sending side of the link).
+            offender: u32,
+            /// Why it was rejected.
+            kind: RejectKind,
+        },
+        /// A peer crossed the strike limit and was quarantined.
+        PeerQuarantine {
+            /// The peer applying the quarantine.
+            peer: u32,
+            /// The quarantined offender.
+            offender: u32,
+            /// Quarantine expiry on the local clock, seconds.
+            until: f64,
+        },
+        /// A crashed peer rejoined the swarm from a checkpoint.
+        PeerRejoin {
+            /// The rejoining peer.
+            peer: u32,
+            /// Restart generation (0 = original incarnation).
+            generation: u32,
+        },
+        /// A causally tagged frame left this peer (telemetry layer).
+        FrameSent {
+            /// Transaction span the frame belongs to.
+            span: u64,
+            /// Intended recipient.
+            to: u32,
+            /// Which protocol frame it carried.
+            msg: WireMsg,
+        },
+        /// A causally tagged frame was delivered to this peer.
+        FrameReceived {
+            /// Transaction span the frame belongs to.
+            span: u64,
+            /// The sending origin peer.
+            from: u32,
+            /// Which protocol frame it carried.
+            msg: WireMsg,
+        },
+        /// A per-peer telemetry counter sample (emitted at snapshot time).
+        MetricSample {
+            /// The sampled peer.
+            peer: u32,
+            /// Which metric (closed schema — unknown names fail validation).
+            metric: MetricName,
+            /// The counter value.
+            value: u64,
+        },
+        /// A designated-payee upload landed with its requestor and payee in
+        /// the same Sybil/colluder group — the §III-A4 exploit precondition.
+        SybilCollision {
+            /// The (deceived) donor.
+            donor: u32,
+            /// The requestor identity.
+            requestor: u32,
+            /// The designated payee identity (same operator/ring).
+            payee: u32,
+            /// The piece in flight.
+            piece: u32,
+        },
+        /// A reception report not preceded by the reciprocation upload it
+        /// attests — a §IV-D collusive false report.
+        FalseReport {
+            /// Packed transaction id.
+            txn: u64,
+            /// The ring mate that filed the report (the designated payee).
+            reporter: u32,
+            /// The deceived donor the report was sent to.
+            donor: u32,
+            /// The requestor the report vouches for.
+            requestor: u32,
+            /// The piece whose reception was falsely attested.
+            piece: u32,
+        },
+        /// A whitewashing operator rejoined under a fresh identity,
+        /// carrying its pieces but presenting as a newcomer (§IV-C).
+        WhitewashRejoin {
+            /// The fresh identity.
+            peer: u32,
+            /// The discarded identity.
+            prior: u32,
+            /// Restart generation of the fresh incarnation.
+            generation: u32,
+        },
+        /// The explore-mode scheduler took a non-default action at a
+        /// decision point (default = run the lowest-id due peer). The
+        /// recorded stream of these choices *is* the replayable schedule.
+        ScheduleChoice {
+            /// Global decision index within the run (counts every decision,
+            /// default or not).
+            step: u64,
+            /// Runnable candidates at the decision point.
+            arity: u32,
+            /// Index picked into the ascending-id candidate list;
+            /// `u32::MAX` means the whole due set was deferred a tick.
+            pick: u32,
+        },
+        /// An end-of-run safety oracle failed. Emitted once per failed
+        /// oracle before the report is sealed, so traces and the flight
+        /// recorder capture the violation in causal context.
+        OracleViolation {
+            /// Which oracle failed.
+            oracle: OracleKind,
+        },
     }
 }
 
@@ -492,8 +431,21 @@ impl Event {
 /// The sequence number is assigned at record time and strictly increases,
 /// so two records at the same simulated instant still have a total order
 /// — the property the byte-identical-JSONL determinism tests rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
+///
+/// # Line format
+///
+/// One record is one compact JSON object, members in this order:
+///
+/// ```text
+/// {"t":…,"seq":…[,"origin":…,"lamport":…],"type":"txn_start",<the variant's fields in declaration order>}
+/// ```
+///
+/// `origin` and `lamport` are written only when set. Reading accepts the
+/// members in any order and rejects, with a typed [`Error`]: a member the
+/// record and its variant do not have, a missing member other than an
+/// `Option`, a `type` outside [`Event::NAMES`], an enum-valued member
+/// outside that enum's names (e.g. a metric outside [`MetricName`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceRecord {
     /// Simulated time of the event, seconds.
     pub t: f64,
@@ -502,15 +454,47 @@ pub struct TraceRecord {
     /// Peer whose ring recorded this event, when the tracer has a
     /// per-peer identity (causal swarm tracing). `None` for the classic
     /// single-run tracers.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub origin: Option<u32>,
     /// Lamport clock stamped at record time. Present exactly when
     /// `origin` is; strictly increases within one peer's ring.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub lamport: Option<u64>,
-    /// The event itself (flattened into the record's JSON object).
-    #[serde(flatten)]
+    /// The event itself (its members join the record's own object).
     pub event: Event,
+}
+
+impl ToJson for TraceRecord {
+    fn write_json(&self, w: &mut Writer) {
+        w.open('{');
+        w.key("t");
+        self.t.write_json(w);
+        w.key("seq");
+        self.seq.write_json(w);
+        if let Some(origin) = self.origin {
+            w.key("origin");
+            origin.write_json(w);
+        }
+        if let Some(lamport) = self.lamport {
+            w.key("lamport");
+            lamport.write_json(w);
+        }
+        self.event.write_members(w);
+        w.close('}');
+    }
+}
+
+impl FromJson for TraceRecord {
+    fn from_json(v: Value) -> Result<Self, Error> {
+        let mut fields = Fields::of(v)?;
+        let record = TraceRecord {
+            t: fields.take("t")?,
+            seq: fields.take("seq")?,
+            origin: fields.take("origin")?,
+            lamport: fields.take("lamport")?,
+            event: Event::take_members(&mut fields)?,
+        };
+        fields.finish()?;
+        Ok(record)
+    }
 }
 
 impl TraceRecord {
@@ -523,6 +507,7 @@ impl TraceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn roundtrips_through_json() {
@@ -538,23 +523,17 @@ mod tests {
                 piece: 6,
             },
         );
-        let s = serde_json::to_string(&r).unwrap();
-        if !crate::serde_backend_is_real() {
-            return; // stub serde has no tagged-enum support
-        }
+        let s = json::to_string(&r);
         assert!(s.contains("\"type\":\"txn_start\""), "{s}");
-        let back: TraceRecord = serde_json::from_str(&s).unwrap();
+        let back: TraceRecord = json::from_str(&s).unwrap();
         assert_eq!(back, r);
     }
 
     #[test]
-    fn kind_matches_serde_tag() {
-        if !crate::serde_backend_is_real() {
-            return;
-        }
+    fn name_is_the_type_tag() {
         let e = Event::CtrlDropped { from: 1, to: 2 };
-        let s = serde_json::to_string(&e).unwrap();
-        assert!(s.contains(&format!("\"type\":\"{}\"", e.kind())), "{s}");
+        let s = json::to_string(&e);
+        assert!(s.contains(&format!("\"type\":\"{}\"", e.name())), "{s}");
     }
 
     #[test]
@@ -564,17 +543,14 @@ mod tests {
             Event::FalseReport { txn: 77, reporter: 9, donor: 1, requestor: 8, piece: 3 },
             Event::WhitewashRejoin { peer: 12, prior: 8, generation: 2 },
         ];
-        assert_eq!(events[0].kind(), "sybil_collision");
-        assert_eq!(events[1].kind(), "false_report");
-        assert_eq!(events[2].kind(), "whitewash_rejoin");
-        if !crate::serde_backend_is_real() {
-            return;
-        }
+        assert_eq!(events[0].name(), "sybil_collision");
+        assert_eq!(events[1].name(), "false_report");
+        assert_eq!(events[2].name(), "whitewash_rejoin");
         for e in events {
             let r = TraceRecord::plain(1.0, 0, e);
-            let s = serde_json::to_string(&r).unwrap();
-            assert!(s.contains(&format!("\"type\":\"{}\"", r.event.kind())), "{s}");
-            let back: TraceRecord = serde_json::from_str(&s).unwrap();
+            let s = json::to_string(&r);
+            assert!(s.contains(&format!("\"type\":\"{}\"", r.event.name())), "{s}");
+            let back: TraceRecord = json::from_str(&s).unwrap();
             assert_eq!(back, r);
         }
     }
@@ -582,28 +558,25 @@ mod tests {
     #[test]
     fn unknown_fields_are_rejected() {
         let bogus = r#"{"t":0.0,"seq":0,"type":"peer_join","peer":1,"compliant":true,"x":1}"#;
-        assert!(serde_json::from_str::<TraceRecord>(bogus).is_err());
+        assert!(json::from_str::<TraceRecord>(bogus).is_err());
     }
 
     #[test]
     fn causal_fields_roundtrip_and_stay_optional() {
-        if !crate::serde_backend_is_real() {
-            return;
-        }
         let plain = TraceRecord::plain(1.0, 0, Event::PeerJoin { peer: 1, compliant: true });
-        let s = serde_json::to_string(&plain).unwrap();
+        let s = json::to_string(&plain);
         assert!(!s.contains("origin"), "plain records omit causal fields: {s}");
         let causal = TraceRecord {
             origin: Some(3),
             lamport: Some(17),
             ..plain
         };
-        let s = serde_json::to_string(&causal).unwrap();
+        let s = json::to_string(&causal);
         assert!(s.contains("\"origin\":3") && s.contains("\"lamport\":17"), "{s}");
-        let back: TraceRecord = serde_json::from_str(&s).unwrap();
+        let back: TraceRecord = json::from_str(&s).unwrap();
         assert_eq!(back, causal);
         // Legacy lines without the causal fields still deserialize.
-        let back: TraceRecord = serde_json::from_str(
+        let back: TraceRecord = json::from_str(
             r#"{"t":1.0,"seq":0,"type":"peer_join","peer":1,"compliant":true}"#,
         )
         .unwrap();
@@ -612,13 +585,10 @@ mod tests {
 
     #[test]
     fn metric_sample_rejects_unknown_metric_name() {
-        if !crate::serde_backend_is_real() {
-            return;
-        }
         let ok = r#"{"t":0.0,"seq":0,"type":"metric_sample","peer":1,"metric":"uploads","value":3}"#;
-        assert!(serde_json::from_str::<TraceRecord>(ok).is_ok());
+        assert!(json::from_str::<TraceRecord>(ok).is_ok());
         let bad =
             r#"{"t":0.0,"seq":0,"type":"metric_sample","peer":1,"metric":"bogus","value":3}"#;
-        assert!(serde_json::from_str::<TraceRecord>(bad).is_err());
+        assert!(json::from_str::<TraceRecord>(bad).is_err());
     }
 }

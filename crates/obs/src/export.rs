@@ -17,14 +17,15 @@
 //! Timestamps are simulated seconds scaled to microseconds (`ts` is µs
 //! in the trace_event spec), so one trace-second equals one sim-second.
 //! The Chrome document is assembled by hand rather than through a
-//! generic JSON value tree: the shapes are fixed and this keeps the
-//! crate's serde surface down to derive + `to_string`/`from_str`.
+//! generic JSON value tree: the shapes are fixed. Only the typed `args`
+//! payloads and the JSONL lines go through [`crate::json`].
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use crate::event::{EndCause, Event, TraceRecord, WireMsg};
+use crate::event::{Event, TraceRecord};
+use crate::json;
 
 /// Microseconds per simulated second in the Chrome export.
 const US_PER_S: f64 = 1_000_000.0;
@@ -33,11 +34,8 @@ const US_PER_S: f64 = 1_000_000.0;
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for rec in records {
-        // Compact serde_json of a plain struct cannot fail.
-        if let Ok(line) = serde_json::to_string(rec) {
-            out.push_str(&line);
-            out.push('\n');
-        }
+        out.push_str(&json::to_string(rec));
+        out.push('\n');
     }
     out
 }
@@ -58,7 +56,7 @@ pub fn validate_jsonl(jsonl: &str) -> Result<usize, String> {
             continue;
         }
         let rec: TraceRecord =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {}", i + 1, e))?;
+            json::from_str(line).map_err(|e| format!("line {}: {}", i + 1, e))?;
         if let Some(prev) = last_seq {
             if rec.seq <= prev {
                 return Err(format!(
@@ -142,15 +140,6 @@ pub fn merge_traces(rings: &[Vec<TraceRecord>]) -> Result<Vec<TraceRecord>, Stri
     Ok(all)
 }
 
-fn msg_name(m: WireMsg) -> &'static str {
-    match m {
-        WireMsg::Upload => "upload",
-        WireMsg::PieceData => "piece_data",
-        WireMsg::Report => "report",
-        WireMsg::Key => "key",
-    }
-}
-
 /// Convert a merged causal trace ([`merge_traces`]) to a Chrome
 /// `trace_event` document with one track (`tid`) per peer and flow
 /// arrows (`"s"`/`"f"` pairs) following each tagged frame from its
@@ -181,7 +170,7 @@ pub fn to_causal_chrome_trace(records: &[TraceRecord]) -> String {
         events.push(format!(
             "{{\"name\":\"{name}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
              \"ts\":{ts},\"pid\":1,\"tid\":{origin},\"args\":{args}}}",
-            name = rec.event.kind(),
+            name = rec.event.name(),
             args = args_json(&rec.event),
         ));
         match rec.event {
@@ -189,24 +178,24 @@ pub fn to_causal_chrome_trace(records: &[TraceRecord]) -> String {
                 let id = next_flow;
                 next_flow += 1;
                 pending
-                    .entry((origin, to, span, msg_name(msg)))
+                    .entry((origin, to, span, msg.name()))
                     .or_default()
                     .push_back(id);
                 events.push(format!(
                     "{{\"name\":\"{m} span {span}\",\"cat\":\"flow\",\"ph\":\"s\",\
                      \"id\":{id},\"ts\":{ts},\"pid\":1,\"tid\":{origin}}}",
-                    m = msg_name(msg),
+                    m = msg.name(),
                 ));
             }
             Event::FrameReceived { span, from, msg } => {
                 if let Some(id) = pending
-                    .get_mut(&(from, origin, span, msg_name(msg)))
+                    .get_mut(&(from, origin, span, msg.name()))
                     .and_then(VecDeque::pop_front)
                 {
                     events.push(format!(
                         "{{\"name\":\"{m} span {span}\",\"cat\":\"flow\",\"ph\":\"f\",\
                          \"bp\":\"e\",\"id\":{id},\"ts\":{ts},\"pid\":1,\"tid\":{origin}}}",
-                        m = msg_name(msg),
+                        m = msg.name(),
                     ));
                 }
             }
@@ -256,13 +245,13 @@ pub fn validate_causal(records: &[TraceRecord]) -> Result<usize, String> {
         match rec.event {
             Event::FrameSent { span, to, msg } => {
                 pending
-                    .entry((origin, to, span, msg_name(msg)))
+                    .entry((origin, to, span, msg.name()))
                     .or_default()
                     .push_back(lamport);
             }
             Event::FrameReceived { span, from, msg } => {
                 let sent = pending
-                    .get_mut(&(from, origin, span, msg_name(msg)))
+                    .get_mut(&(from, origin, span, msg.name()))
                     .and_then(VecDeque::pop_front)
                     .ok_or_else(|| {
                         format!(
@@ -286,20 +275,9 @@ pub fn validate_causal(records: &[TraceRecord]) -> Result<usize, String> {
     Ok(arrows)
 }
 
-fn cause_name(c: EndCause) -> &'static str {
-    match c {
-        EndCause::NoPayee => "no_payee",
-        EndCause::Departure => "departure",
-        EndCause::Stalled => "stalled",
-        EndCause::Collusion => "collusion",
-        EndCause::Crash => "crash",
-    }
-}
-
-/// `args` payload for an instant: the record's typed serialization, or
-/// an empty object if serde declines (it cannot for these types).
+/// `args` payload for an instant: the event's typed serialization.
 fn args_json(event: &Event) -> String {
-    serde_json::to_string(event).unwrap_or_else(|_| String::from("{}"))
+    json::to_string(event)
 }
 
 /// Convert records to a Chrome `trace_event` JSON document.
@@ -367,7 +345,7 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                         payee = payee,
                         piece = open.piece,
                         completed = completed,
-                        cause = cause_name(cause),
+                        cause = cause.name(),
                     );
                     events.push(e);
                 } else {
@@ -390,7 +368,7 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                     "{{\"name\":\"chain {chain}\",\"cat\":\"chain\",\"ph\":\"e\",\
                      \"id\":{chain},\"ts\":{ts},\"pid\":1,\"tid\":0,\
                      \"args\":{{\"length\":{length},\"cause\":\"{cause}\"}}}}",
-                    cause = cause_name(cause),
+                    cause = cause.name(),
                 ));
             }
             _ => events.push(instant(rec, ts)),
@@ -427,7 +405,7 @@ fn instant(rec: &TraceRecord, ts: f64) -> String {
     format!(
         "{{\"name\":\"{name}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"g\",\
          \"ts\":{ts},\"pid\":1,\"tid\":0,\"args\":{args}}}",
-        name = rec.event.kind(),
+        name = rec.event.name(),
         args = args_json(&rec.event),
     )
 }
@@ -435,6 +413,7 @@ fn instant(rec: &TraceRecord, ts: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{EndCause, WireMsg};
 
     fn sample() -> Vec<TraceRecord> {
         vec![
@@ -541,18 +520,12 @@ mod tests {
     fn jsonl_roundtrip_validates() {
         let jsonl = to_jsonl(&sample());
         assert_eq!(jsonl.lines().count(), 4);
-        if !crate::serde_backend_is_real() {
-            return; // stub serde_json cannot deserialize
-        }
         assert_eq!(validate_jsonl(&jsonl), Ok(4));
     }
 
     #[test]
     fn validate_rejects_garbage_and_bad_order() {
         assert!(validate_jsonl("{\"nope\":1}\n").is_err());
-        if !crate::serde_backend_is_real() {
-            return;
-        }
         let mut recs = sample();
         recs[2].seq = 0;
         assert!(validate_jsonl(&to_jsonl(&recs)).is_err());
@@ -597,9 +570,7 @@ mod tests {
         let seqs: Vec<u64> = merged.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
         assert_eq!(validate_causal(&merged), Ok(2));
-        if crate::serde_backend_is_real() {
-            assert_eq!(validate_jsonl(&to_jsonl(&merged)), Ok(4));
-        }
+        assert_eq!(validate_jsonl(&to_jsonl(&merged)), Ok(4));
     }
 
     #[test]
@@ -635,9 +606,6 @@ mod tests {
 
     #[test]
     fn validate_jsonl_rejects_lamport_regression_and_lone_stamps() {
-        if !crate::serde_backend_is_real() {
-            return;
-        }
         // Same origin, lamport goes 5 -> 5: rejected.
         let lines = "\
 {\"t\":0.0,\"seq\":0,\"origin\":2,\"lamport\":5,\"type\":\"peer_depart\",\"peer\":2}\n\

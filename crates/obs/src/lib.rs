@@ -1,6 +1,6 @@
 //! # tchain-obs — deterministic observability for the swarm simulator
 //!
-//! Three pieces, all zero-cost when switched off:
+//! Three observers, all zero-cost when switched off:
 //!
 //! * [`Tracer`] + [`Event`] — a typed event bus for transaction
 //!   lifecycle spans (request → encrypted upload → report → key →
@@ -21,11 +21,17 @@
 //!   graceful-degradation anomaly counters, snapshotted as a sorted
 //!   [`MetricMap`] into `results/*.json`.
 //!
+//! [`json`] is the workspace's JSON reader and writer: the JSONL trace
+//! schema and every `results/*.json` document go through it.
+//!
 //! This crate is a leaf: events carry raw `u32`/`u64` ids so `sim`,
 //! `proto`, `core` and `baselines` can all depend on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+#[macro_use]
+pub mod json;
 
 mod event;
 mod export;
@@ -49,12 +55,3 @@ pub use registry::{
 };
 pub use ring::EventRing;
 pub use tracer::Tracer;
-
-/// `true` when the real `serde_json` backend is present. The offline
-/// verification harness substitutes a serialization-only stub whose
-/// `from_str` always errors; deserialization-dependent tests skip
-/// themselves under it and run fully in CI.
-#[cfg(test)]
-pub(crate) fn serde_backend_is_real() -> bool {
-    serde_json::from_str::<u64>("1").is_ok()
-}

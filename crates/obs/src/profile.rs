@@ -13,88 +13,53 @@
 
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of log2-ns buckets: bucket `i` covers `[2^i, 2^(i+1))` ns,
 /// topping out at ~34 s — far beyond any single phase invocation.
 pub const HIST_BUCKETS: usize = 36;
 
-/// A named slice of the simulator main loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum Phase {
-    /// Arrivals, departures, crash processing, neighbor refills.
-    Membership,
-    /// Choke/unchoke recomputation (both drivers' rechoke rounds).
-    Rechoke,
-    /// T-Chain seeder + opportunistic chain initiation rounds.
-    ChainRounds,
-    /// Flow-solver recompute: the max-min water-filling advance.
-    FlowAdvance,
-    /// Upload/block completion handling after the flow advance.
-    Completions,
-    /// Control-queue drain: report/key envelope delivery.
-    ControlDrain,
-    /// Retransmission timer pops and re-sends.
-    Retries,
-    /// Free-rider stall sweep.
-    StallSweep,
-    /// Watchdog tick: §II-B4 dead-participant closure and repair.
-    Watchdog,
-    /// Periodic time-series sampling.
-    Sampling,
-}
-
-impl Phase {
-    /// Every phase, in main-loop order.
-    pub const ALL: [Phase; 10] = [
-        Phase::Membership,
-        Phase::Rechoke,
-        Phase::ChainRounds,
-        Phase::FlowAdvance,
-        Phase::Completions,
-        Phase::ControlDrain,
-        Phase::Retries,
-        Phase::StallSweep,
-        Phase::Watchdog,
-        Phase::Sampling,
-    ];
-
-    /// Stable snake_case name (matches the serde tag).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Phase::Membership => "membership",
-            Phase::Rechoke => "rechoke",
-            Phase::ChainRounds => "chain_rounds",
-            Phase::FlowAdvance => "flow_advance",
-            Phase::Completions => "completions",
-            Phase::ControlDrain => "control_drain",
-            Phase::Retries => "retries",
-            Phase::StallSweep => "stall_sweep",
-            Phase::Watchdog => "watchdog",
-            Phase::Sampling => "sampling",
-        }
-    }
-
-    fn index(&self) -> usize {
-        Phase::ALL.iter().position(|p| p == self).unwrap_or(0)
+json_enum! {
+    /// A named slice of the simulator main loop, in main-loop order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Phase {
+        /// Arrivals, departures, crash processing, neighbor refills.
+        Membership,
+        /// Choke/unchoke recomputation (both drivers' rechoke rounds).
+        Rechoke,
+        /// T-Chain seeder + opportunistic chain initiation rounds.
+        ChainRounds,
+        /// Flow-solver recompute: the max-min water-filling advance.
+        FlowAdvance,
+        /// Upload/block completion handling after the flow advance.
+        Completions,
+        /// Control-queue drain: report/key envelope delivery.
+        ControlDrain,
+        /// Retransmission timer pops and re-sends.
+        Retries,
+        /// Free-rider stall sweep.
+        StallSweep,
+        /// Watchdog tick: §II-B4 dead-participant closure and repair.
+        Watchdog,
+        /// Periodic time-series sampling.
+        Sampling,
     }
 }
 
-/// Aggregated timings for one phase.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSummary {
-    /// Phase name (snake_case).
-    pub phase: String,
-    /// Times the phase ran.
-    pub calls: u64,
-    /// Total wall-clock nanoseconds across all calls.
-    pub total_ns: u64,
-    /// Largest single invocation, nanoseconds.
-    pub max_ns: u64,
-    /// Invocation-latency histogram; bucket `i` counts calls in
-    /// `[2^i, 2^(i+1))` ns.
-    pub hist_log2_ns: Vec<u64>,
+json_struct! {
+    /// Aggregated timings for one phase.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct PhaseSummary {
+        /// Phase name (snake_case).
+        pub phase: String,
+        /// Times the phase ran.
+        pub calls: u64,
+        /// Total wall-clock nanoseconds across all calls.
+        pub total_ns: u64,
+        /// Largest single invocation, nanoseconds.
+        pub max_ns: u64,
+        /// Invocation-latency histogram; bucket `i` counts calls in
+        /// `[2^i, 2^(i+1))` ns.
+        pub hist_log2_ns: Vec<u64>,
+    }
 }
 
 impl PhaseSummary {
@@ -104,12 +69,14 @@ impl PhaseSummary {
     }
 }
 
-/// A whole run's phase profile, as attached to `RunOutcome`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseProfile {
-    /// Per-phase summaries in main-loop order; phases that never ran
-    /// are omitted.
-    pub phases: Vec<PhaseSummary>,
+json_struct! {
+    /// A whole run's phase profile, as attached to `RunOutcome`.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct PhaseProfile {
+        /// Per-phase summaries in main-loop order; phases that never ran
+        /// are omitted.
+        pub phases: Vec<PhaseSummary>,
+    }
 }
 
 impl PhaseProfile {
@@ -190,7 +157,7 @@ impl Default for PhaseAcc {
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
     enabled: bool,
-    acc: [PhaseAcc; 10],
+    acc: [PhaseAcc; Phase::ALL.len()],
 }
 
 impl PhaseProfiler {
@@ -229,7 +196,7 @@ impl PhaseProfiler {
     pub fn end(&mut self, phase: Phase, start: Option<Instant>) {
         if let Some(start) = start {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let acc = &mut self.acc[phase.index()];
+            let acc = &mut self.acc[phase as usize];
             acc.calls += 1;
             acc.total_ns += ns;
             acc.max_ns = acc.max_ns.max(ns);
@@ -241,8 +208,8 @@ impl PhaseProfiler {
     /// Snapshot all phases that ran at least once, in main-loop order.
     pub fn profile(&self) -> PhaseProfile {
         let mut phases = Vec::new();
-        for phase in Phase::ALL {
-            let acc = &self.acc[phase.index()];
+        for &phase in Phase::ALL {
+            let acc = &self.acc[phase as usize];
             if acc.calls == 0 {
                 continue;
             }

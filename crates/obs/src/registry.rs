@@ -407,70 +407,6 @@ mod tests {
         assert_eq!(reg.get("net.peer0.rtt.sum"), 16);
     }
 
-    /// Build a snapshot from a compact op list: `(name_idx, value,
-    /// is_histogram)` triples over a tiny closed name set.
-    fn snapshot_from_ops(ops: &[(u8, u64, bool)]) -> TelemetrySnapshot {
-        const NAMES: [&str; 3] = ["uploads", "rtt", "dwell"];
-        let mut s = TelemetrySnapshot::new();
-        for (n, v, hist) in ops {
-            let name = NAMES[(*n as usize) % NAMES.len()];
-            if *hist {
-                s.observe(name, *v);
-            } else {
-                s.add(name, *v);
-            }
-        }
-        s
-    }
-
-    proptest::proptest! {
-        /// Every value lands in the bucket whose `[lower, le]` range
-        /// contains it, and count/sum stay consistent with the buckets.
-        #[test]
-        fn prop_bucket_boundaries(values in proptest::collection::vec(0u64..u64::MAX, 1..64)) {
-            let mut h = Log2Histogram::new();
-            for &v in &values {
-                let i = Log2Histogram::bucket_index(v);
-                proptest::prop_assert!(i < LOG2_BUCKETS);
-                if let Some(le) = Log2Histogram::le_bound(i) {
-                    proptest::prop_assert!(v <= le, "v={v} above le={le} of bucket {i}");
-                } else {
-                    proptest::prop_assert!(v >= 1 << 31);
-                }
-                if i > 0 {
-                    let lower = if i == 1 { 1 } else { 1u64 << (i - 1) };
-                    proptest::prop_assert!(v >= lower, "v={v} below lower={lower} of bucket {i}");
-                }
-                h.observe(v);
-            }
-            proptest::prop_assert_eq!(h.count(), values.len() as u64);
-            proptest::prop_assert_eq!(h.buckets().iter().sum::<u64>(), values.len() as u64);
-        }
-
-        /// Snapshot merge is commutative and associative: any fold order
-        /// over three randomly built snapshots agrees.
-        #[test]
-        fn prop_merge_commutes_and_associates(
-            a in proptest::collection::vec((0u8..3, 0u64..1_000_000, proptest::any::<bool>()), 0..24),
-            b in proptest::collection::vec((0u8..3, 0u64..1_000_000, proptest::any::<bool>()), 0..24),
-            c in proptest::collection::vec((0u8..3, 0u64..1_000_000, proptest::any::<bool>()), 0..24),
-        ) {
-            let (sa, sb, sc) = (snapshot_from_ops(&a), snapshot_from_ops(&b), snapshot_from_ops(&c));
-            let mut ab = sa.clone();
-            ab.merge(&sb);
-            let mut ba = sb.clone();
-            ba.merge(&sa);
-            proptest::prop_assert_eq!(&ab, &ba);
-            let mut ab_c = ab.clone();
-            ab_c.merge(&sc);
-            let mut bc = sb.clone();
-            bc.merge(&sc);
-            let mut a_bc = sa.clone();
-            a_bc.merge(&bc);
-            proptest::prop_assert_eq!(ab_c, a_bc);
-        }
-    }
-
     /// Folding per-peer snapshots on 1, 2 or 4 threads gives identical
     /// aggregates — merge order independence in the concrete shape the
     /// parallel experiment runner uses.

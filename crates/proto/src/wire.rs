@@ -16,7 +16,6 @@
 //! ```
 
 use crate::{Bitfield, PieceId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tchain_sim::NodeId;
 
 /// Size in bytes of a key-release payload (256-bit key + 96-bit nonce),
@@ -143,11 +142,50 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn get_flag(buf: &mut &[u8]) -> Result<bool, DecodeError> {
-    match buf.get_u8() {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(DecodeError::Malformed("flag byte must be 0 or 1")),
+/// Read cursor over a message buffer: every read is bounds-checked, and
+/// running out of bytes is [`DecodeError::Truncated`].
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.0.len() < n {
+            return Err(DecodeError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn flag(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError::Malformed("flag byte must be 0 or 1")),
+        }
+    }
+}
+
+fn put_u32(b: &mut Vec<u8>, v: u32) {
+    b.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Writes a presence flag, then the node id when there is one.
+fn put_opt_node(b: &mut Vec<u8>, node: Option<NodeId>) {
+    match node {
+        Some(n) => {
+            b.push(1);
+            put_u32(b, n.0);
+        }
+        None => b.push(0),
     }
 }
 
@@ -158,61 +196,49 @@ impl Message {
     }
 
     /// Encodes the message into a fresh buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(self.encoded_len());
         match *self {
             Message::PieceUpload { reciprocates, piece, payee, ciphertext_len } => {
-                b.put_u8(TAG_PIECE_UPLOAD);
+                b.push(TAG_PIECE_UPLOAD);
                 match reciprocates {
                     Some((p, d)) => {
-                        b.put_u8(1);
-                        b.put_u32_le(p.0);
-                        b.put_u32_le(d.0);
+                        b.push(1);
+                        put_u32(&mut b, p.0);
+                        put_u32(&mut b, d.0);
                     }
-                    None => b.put_u8(0),
+                    None => b.push(0),
                 }
-                b.put_u32_le(piece.0);
-                match payee {
-                    Some(p) => {
-                        b.put_u8(1);
-                        b.put_u32_le(p.0);
-                    }
-                    None => b.put_u8(0),
-                }
-                b.put_u32_le(ciphertext_len);
+                put_u32(&mut b, piece.0);
+                put_opt_node(&mut b, payee);
+                put_u32(&mut b, ciphertext_len);
             }
             Message::ReceptionReport { requestor, piece } => {
-                b.put_u8(TAG_RECEPTION_REPORT);
-                b.put_u32_le(requestor.0);
-                b.put_u32_le(piece.0);
+                b.push(TAG_RECEPTION_REPORT);
+                put_u32(&mut b, requestor.0);
+                put_u32(&mut b, piece.0);
             }
             Message::KeyRelease { piece, requestor, ref key } => {
-                b.put_u8(TAG_KEY_RELEASE);
-                b.put_u32_le(piece.0);
-                match requestor {
-                    Some(r) => {
-                        b.put_u8(1);
-                        b.put_u32_le(r.0);
-                    }
-                    None => b.put_u8(0),
-                }
-                b.put_slice(key);
+                b.push(TAG_KEY_RELEASE);
+                put_u32(&mut b, piece.0);
+                put_opt_node(&mut b, requestor);
+                b.extend_from_slice(key);
             }
             Message::NeighborRequest { from } => {
-                b.put_u8(TAG_NEIGHBOR_REQUEST);
-                b.put_u32_le(from.0);
+                b.push(TAG_NEIGHBOR_REQUEST);
+                put_u32(&mut b, from.0);
             }
             Message::Have { piece } => {
-                b.put_u8(TAG_HAVE);
-                b.put_u32_le(piece.0);
+                b.push(TAG_HAVE);
+                put_u32(&mut b, piece.0);
             }
             Message::Bitfield { pieces, ref bits } => {
-                b.put_u8(TAG_BITFIELD);
-                b.put_u32_le(pieces);
-                b.put_slice(bits);
+                b.push(TAG_BITFIELD);
+                put_u32(&mut b, pieces);
+                b.extend_from_slice(bits);
             }
         }
-        b.freeze()
+        b
     }
 
     /// Exact encoded size in bytes.
@@ -242,36 +268,18 @@ impl Message {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] when the buffer is malformed.
-    pub fn decode(mut buf: &[u8]) -> Result<Message, DecodeError> {
-        fn need(buf: &[u8], n: usize) -> Result<(), DecodeError> {
-            if buf.remaining() < n {
-                Err(DecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
-        need(buf, 1)?;
-        let tag = buf.get_u8();
-        let msg = match tag {
+    pub fn decode(buf: &[u8]) -> Result<Message, DecodeError> {
+        let mut buf = Cursor(buf);
+        let msg = match buf.u8()? {
             TAG_PIECE_UPLOAD => {
-                need(buf, 1)?;
-                let reciprocates = if get_flag(&mut buf)? {
-                    need(buf, 8)?;
-                    Some((PieceId(buf.get_u32_le()), NodeId(buf.get_u32_le())))
+                let reciprocates = if buf.flag()? {
+                    Some((PieceId(buf.u32()?), NodeId(buf.u32()?)))
                 } else {
                     None
                 };
-                need(buf, 4)?;
-                let piece = PieceId(buf.get_u32_le());
-                need(buf, 1)?;
-                let payee = if get_flag(&mut buf)? {
-                    need(buf, 4)?;
-                    Some(NodeId(buf.get_u32_le()))
-                } else {
-                    None
-                };
-                need(buf, 4)?;
-                let ciphertext_len = buf.get_u32_le();
+                let piece = PieceId(buf.u32()?);
+                let payee = if buf.flag()? { Some(NodeId(buf.u32()?)) } else { None };
+                let ciphertext_len = buf.u32()?;
                 if ciphertext_len > MAX_CIPHERTEXT_LEN {
                     return Err(DecodeError::Oversized {
                         field: "ciphertext_len",
@@ -281,38 +289,21 @@ impl Message {
                 }
                 Message::PieceUpload { reciprocates, piece, payee, ciphertext_len }
             }
-            TAG_RECEPTION_REPORT => {
-                need(buf, 8)?;
-                Message::ReceptionReport {
-                    requestor: NodeId(buf.get_u32_le()),
-                    piece: PieceId(buf.get_u32_le()),
-                }
-            }
+            TAG_RECEPTION_REPORT => Message::ReceptionReport {
+                requestor: NodeId(buf.u32()?),
+                piece: PieceId(buf.u32()?),
+            },
             TAG_KEY_RELEASE => {
-                need(buf, 5)?;
-                let piece = PieceId(buf.get_u32_le());
-                let requestor = if get_flag(&mut buf)? {
-                    need(buf, 4)?;
-                    Some(NodeId(buf.get_u32_le()))
-                } else {
-                    None
-                };
-                need(buf, KEY_WIRE_SIZE)?;
+                let piece = PieceId(buf.u32()?);
+                let requestor = if buf.flag()? { Some(NodeId(buf.u32()?)) } else { None };
                 let mut key = [0u8; KEY_WIRE_SIZE];
-                buf.copy_to_slice(&mut key);
+                key.copy_from_slice(buf.take(KEY_WIRE_SIZE)?);
                 Message::KeyRelease { piece, requestor, key }
             }
-            TAG_NEIGHBOR_REQUEST => {
-                need(buf, 4)?;
-                Message::NeighborRequest { from: NodeId(buf.get_u32_le()) }
-            }
-            TAG_HAVE => {
-                need(buf, 4)?;
-                Message::Have { piece: PieceId(buf.get_u32_le()) }
-            }
+            TAG_NEIGHBOR_REQUEST => Message::NeighborRequest { from: NodeId(buf.u32()?) },
+            TAG_HAVE => Message::Have { piece: PieceId(buf.u32()?) },
             TAG_BITFIELD => {
-                need(buf, 4)?;
-                let pieces = buf.get_u32_le();
+                let pieces = buf.u32()?;
                 if pieces > MAX_BITFIELD_PIECES {
                     return Err(DecodeError::Oversized {
                         field: "bitfield pieces",
@@ -320,10 +311,7 @@ impl Message {
                         max: u64::from(MAX_BITFIELD_PIECES),
                     });
                 }
-                let nbytes = (pieces as usize).div_ceil(8);
-                need(buf, nbytes)?;
-                let mut bits = vec![0u8; nbytes];
-                buf.copy_to_slice(&mut bits);
+                let bits = buf.take((pieces as usize).div_ceil(8))?.to_vec();
                 // Reject set padding bits so every piece set has exactly
                 // one encoding (Bitfield::from_packed_bytes re-checks).
                 if Bitfield::from_packed_bytes(pieces as usize, &bits).is_none() {
@@ -333,8 +321,8 @@ impl Message {
             }
             t => return Err(DecodeError::UnknownTag(t)),
         };
-        if buf.remaining() != 0 {
-            return Err(DecodeError::TrailingBytes(buf.remaining()));
+        if !buf.0.is_empty() {
+            return Err(DecodeError::TrailingBytes(buf.0.len()));
         }
         Ok(msg)
     }
@@ -419,7 +407,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut enc = Message::NeighborRequest { from: NodeId(5) }.encode().to_vec();
+        let mut enc = Message::NeighborRequest { from: NodeId(5) }.encode();
         enc.push(0);
         assert_eq!(Message::decode(&enc), Err(DecodeError::TrailingBytes(1)));
     }
@@ -438,8 +426,7 @@ mod tests {
             payee: None,
             ciphertext_len: 0,
         }
-        .encode()
-        .to_vec();
+        .encode();
         let n = enc.len();
         enc[n - 4..].copy_from_slice(&(MAX_CIPHERTEXT_LEN + 1).to_le_bytes());
         assert!(matches!(
@@ -469,8 +456,7 @@ mod tests {
             payee: None,
             ciphertext_len: 8,
         }
-        .encode()
-        .to_vec();
+        .encode();
         enc[1] = 2; // reciprocates flag must be 0/1
         assert_eq!(Message::decode(&enc), Err(DecodeError::Malformed("flag byte must be 0 or 1")));
     }

@@ -1,48 +1,43 @@
-//! Property tests for the `proto::wire` codec: every well-formed
-//! [`Message`] round-trips byte-exactly, and no byte string — random,
-//! mutated, or truncated — can make the strict decoder panic; it may
-//! only return a typed [`DecodeError`].
-//!
-//! Strategies stay within the basic proptest vocabulary (ranges,
-//! `any`, `collection::vec`, `option::of`) and messages are assembled
-//! from sampled primitives inside the test body.
+//! Property tests (`tchain_sim::forall`) for the `proto::wire` codec:
+//! every well-formed [`Message`] round-trips byte-exactly, and no byte
+//! string — random, mutated, or truncated — can make the strict decoder
+//! panic; it may only return a typed [`DecodeError`].
 
-use proptest::prelude::*;
 use tchain_proto::wire::{DecodeError, Message, KEY_WIRE_SIZE, MAX_CIPHERTEXT_LEN};
 use tchain_proto::{Bitfield, PieceId};
-use tchain_sim::NodeId;
+use tchain_sim::{ensure, ensure_eq, forall, sized, NodeId, SimRng};
 
-/// Builds one message variant (picked by `kind`) from sampled fields,
-/// spanning the full accepted range of each: ciphertext_len up to its
-/// protocol bound, bitfields of 0..200 pieces in canonical packed form.
-#[allow(clippy::too_many_arguments)]
-fn build_message(
-    kind: u32,
-    a: u32,
-    b: u32,
-    rec: Option<(u32, u32)>,
-    opt: Option<u32>,
-    len: u32,
-    bits: &[bool],
-    key_bytes: &[u8],
-) -> Message {
-    let mut key = [0u8; KEY_WIRE_SIZE];
-    key.copy_from_slice(&key_bytes[..KEY_WIRE_SIZE]);
-    match kind % 6 {
+const CASES: u32 = 256;
+
+/// Draws one message of a uniformly picked variant, spanning the full
+/// accepted range of each field: ciphertext_len up to its protocol
+/// bound, bitfields of 0..200 pieces in canonical packed form.
+fn message(rng: &mut SimRng, size: usize) -> Message {
+    let node = |rng: &mut SimRng| NodeId(rng.u64() as u32);
+    let piece = |rng: &mut SimRng| PieceId(rng.u64() as u32);
+    match rng.below(6) {
         0 => Message::PieceUpload {
-            reciprocates: rec.map(|(p, d)| (PieceId(p), NodeId(d))),
-            piece: PieceId(a),
-            payee: opt.map(NodeId),
-            ciphertext_len: len % (MAX_CIPHERTEXT_LEN + 1),
+            reciprocates: rng.chance(0.5).then(|| (piece(rng), node(rng))),
+            piece: piece(rng),
+            payee: rng.chance(0.5).then(|| node(rng)),
+            ciphertext_len: rng.u64() as u32 % (MAX_CIPHERTEXT_LEN + 1),
         },
-        1 => Message::ReceptionReport { requestor: NodeId(a), piece: PieceId(b) },
-        2 => Message::KeyRelease { piece: PieceId(a), requestor: opt.map(NodeId), key },
-        3 => Message::NeighborRequest { from: NodeId(a) },
-        4 => Message::Have { piece: PieceId(a) },
+        1 => Message::ReceptionReport { requestor: node(rng), piece: piece(rng) },
+        2 => {
+            let mut key = [0u8; KEY_WIRE_SIZE];
+            rng.fill(&mut key);
+            Message::KeyRelease {
+                piece: piece(rng),
+                requestor: rng.chance(0.5).then(|| node(rng)),
+                key,
+            }
+        }
+        3 => Message::NeighborRequest { from: node(rng) },
+        4 => Message::Have { piece: piece(rng) },
         _ => {
-            let mut bf = Bitfield::new(bits.len());
-            for (i, s) in bits.iter().enumerate() {
-                if *s {
+            let mut bf = Bitfield::new(sized(rng, size, 0, 200));
+            for i in 0..bf.len() {
+                if rng.chance(0.5) {
                     bf.set(PieceId(i as u32));
                 }
             }
@@ -51,100 +46,70 @@ fn build_message(
     }
 }
 
-proptest! {
-    /// encode → decode is the identity, and `encoded_len` is exact.
-    #[test]
-    fn roundtrip_identity(
-        kind in 0u32..6,
-        a in any::<u32>(),
-        b in any::<u32>(),
-        rec in proptest::option::of((any::<u32>(), any::<u32>())),
-        opt in proptest::option::of(any::<u32>()),
-        len in any::<u32>(),
-        bits in proptest::collection::vec(any::<bool>(), 0..200),
-        key_bytes in proptest::collection::vec(any::<u8>(), KEY_WIRE_SIZE),
-    ) {
-        let m = build_message(kind, a, b, rec, opt, len, &bits, &key_bytes);
+/// encode → decode is the identity, and `encoded_len` is exact.
+#[test]
+fn roundtrip_identity() {
+    forall(0x1DE27, CASES, |rng, size| {
+        let m = message(rng, size);
         let enc = m.encode();
-        prop_assert_eq!(enc.len(), m.encoded_len());
-        prop_assert_eq!(Message::decode(&enc), Ok(m));
-    }
+        ensure_eq!(enc.len(), m.encoded_len());
+        ensure_eq!(Message::decode(&enc), Ok(m));
+        Ok(())
+    });
+}
 
-    /// Arbitrary byte soup never panics the decoder — it either parses
-    /// (re-encoding to the same canonical bytes) or errors.
-    #[test]
-    fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..160)) {
+/// Arbitrary byte soup never panics the decoder — it either parses
+/// (re-encoding to the same canonical bytes) or errors.
+#[test]
+fn random_bytes_never_panic() {
+    forall(0x50B9, CASES, |rng, size| {
+        let mut bytes = vec![0u8; sized(rng, size, 0, 160)];
+        rng.fill(&mut bytes);
         // Strict parsing means accepted bytes ARE the canonical
         // encoding: exactly one byte string per message value.
         if let Ok(m) = Message::decode(&bytes) {
-            prop_assert_eq!(m.encode().as_ref(), &bytes[..]);
+            ensure_eq!(m.encode(), bytes);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// A single mutated byte in a valid encoding never panics; if it
-    /// still parses, it parses strictly (canonical re-encode).
-    #[test]
-    fn mutated_encodings_never_panic(
-        kind in 0u32..6,
-        a in any::<u32>(),
-        b in any::<u32>(),
-        rec in proptest::option::of((any::<u32>(), any::<u32>())),
-        opt in proptest::option::of(any::<u32>()),
-        len in any::<u32>(),
-        bits in proptest::collection::vec(any::<bool>(), 0..200),
-        key_bytes in proptest::collection::vec(any::<u8>(), KEY_WIRE_SIZE),
-        idx in any::<usize>(),
-        xor in 1u32..256,
-    ) {
-        let m = build_message(kind, a, b, rec, opt, len, &bits, &key_bytes);
-        let mut enc = m.encode().to_vec();
-        if !enc.is_empty() {
-            let i = idx % enc.len();
-            enc[i] ^= xor as u8;
-            if let Ok(dm) = Message::decode(&enc) {
-                prop_assert_eq!(dm.encode().as_ref(), &enc[..]);
-            }
+/// A single mutated byte in a valid encoding never panics; if it
+/// still parses, it parses strictly (canonical re-encode).
+#[test]
+fn mutated_encodings_never_panic() {
+    forall(0x3B7A7E, CASES, |rng, size| {
+        let mut enc = message(rng, size).encode();
+        let i = rng.below(enc.len());
+        enc[i] ^= 1 + rng.below(255) as u8;
+        if let Ok(dm) = Message::decode(&enc) {
+            ensure_eq!(dm.encode(), enc);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// Every strict prefix of a valid encoding is rejected as truncated
-    /// (or, for an empty prefix, simply rejected) — never accepted.
-    #[test]
-    fn prefixes_rejected(
-        kind in 0u32..6,
-        a in any::<u32>(),
-        b in any::<u32>(),
-        rec in proptest::option::of((any::<u32>(), any::<u32>())),
-        opt in proptest::option::of(any::<u32>()),
-        len in any::<u32>(),
-        bits in proptest::collection::vec(any::<bool>(), 0..200),
-        key_bytes in proptest::collection::vec(any::<u8>(), KEY_WIRE_SIZE),
-        frac in 0.0f64..1.0,
-    ) {
-        let m = build_message(kind, a, b, rec, opt, len, &bits, &key_bytes);
-        let enc = m.encode();
-        let cut = ((enc.len() as f64) * frac) as usize;
-        if cut < enc.len() {
-            prop_assert_eq!(Message::decode(&enc[..cut]), Err(DecodeError::Truncated));
-        }
-    }
+/// Every strict prefix of a valid encoding is rejected as truncated
+/// (or, for an empty prefix, simply rejected) — never accepted.
+#[test]
+fn prefixes_rejected() {
+    forall(0x92EF1, CASES, |rng, size| {
+        let enc = message(rng, size).encode();
+        let cut = rng.below(enc.len());
+        ensure_eq!(Message::decode(&enc[..cut]), Err(DecodeError::Truncated), "cut {cut}");
+        Ok(())
+    });
+}
 
-    /// Appending junk to a valid encoding is always rejected.
-    #[test]
-    fn suffixes_rejected(
-        kind in 0u32..6,
-        a in any::<u32>(),
-        b in any::<u32>(),
-        rec in proptest::option::of((any::<u32>(), any::<u32>())),
-        opt in proptest::option::of(any::<u32>()),
-        len in any::<u32>(),
-        bits in proptest::collection::vec(any::<bool>(), 0..200),
-        key_bytes in proptest::collection::vec(any::<u8>(), KEY_WIRE_SIZE),
-        junk in proptest::collection::vec(any::<u8>(), 1..16),
-    ) {
-        let m = build_message(kind, a, b, rec, opt, len, &bits, &key_bytes);
-        let mut enc = m.encode().to_vec();
+/// Appending junk to a valid encoding is always rejected.
+#[test]
+fn suffixes_rejected() {
+    forall(0x5FF1, CASES, |rng, size| {
+        let mut enc = message(rng, size).encode();
+        let mut junk = vec![0u8; sized(rng, size, 1, 16)];
+        rng.fill(&mut junk);
         enc.extend_from_slice(&junk);
-        prop_assert!(Message::decode(&enc).is_err());
-    }
+        ensure!(Message::decode(&enc).is_err());
+        Ok(())
+    });
 }

@@ -11,8 +11,10 @@
 //!   max-min (water-filling) sharing. Completed flows are handed back to the
 //!   protocol driver.
 //! * [`Clock`] and [`Periodic`] — simulated time and rechoke-style timers.
-//! * [`SimRng`] — a small, seedable RNG wrapper so every experiment run is
+//! * [`SimRng`] — the seedable generator, so every experiment run is
 //!   reproducible from a single `u64` seed.
+//! * [`forall`] — the property-test loop the workspace's test suites run
+//!   on top of it (with [`ensure!`] / [`ensure_eq!`] for the checks).
 //!
 //! Control messages (reception reports, decryption keys, tracker queries)
 //! are "several orders of magnitude" smaller than file pieces (paper §III-C)
@@ -43,6 +45,7 @@ pub mod churn;
 mod clock;
 pub mod fault;
 mod flow;
+mod forall;
 pub mod perturb;
 mod queue;
 mod rng;
@@ -53,6 +56,7 @@ pub use churn::{ChurnEvent, ChurnPlan, ChurnState, ChurnStats};
 pub use clock::{Clock, Periodic};
 pub use fault::{CrashSpec, FaultPlan, FaultState, FaultStats, LatencyModel, Partition, Route};
 pub use flow::{Flow, FlowId, FlowScheduler, FlowStats};
+pub use forall::{forall, sized, FULL_SIZE};
 pub use perturb::{Act, Choice, ExplorePlan, SchedPerturber, Schedule};
 pub use queue::DelayQueue;
 pub use rng::SimRng;

@@ -53,9 +53,9 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// One xoshiro256++ step.
+    /// Uniform 64-bit word: one xoshiro256++ step.
     #[inline]
-    fn next_u64(&mut self) -> u64 {
+    pub fn u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -72,20 +72,20 @@ impl SimRng {
     /// dependencies).
     #[inline]
     fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
+        (self.u64() >> 32) as u32
     }
 
     /// Derives an independent child RNG, e.g. one per peer, so adding a
     /// draw in one component does not perturb another's stream.
     pub fn fork(&mut self, salt: u64) -> SimRng {
-        let s = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let s = self.u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::new(s)
     }
 
     /// Uniform value in `[0, 1)`.
     #[inline]
     pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[0, n)`.
@@ -99,7 +99,7 @@ impl SimRng {
         let range = n as u64;
         let zone = (range << range.leading_zeros()).wrapping_sub(1);
         loop {
-            let wide = u128::from(self.next_u64()) * u128::from(range);
+            let wide = u128::from(self.u64()) * u128::from(range);
             if wide as u64 <= zone {
                 return (wide >> 64) as usize;
             }
@@ -183,7 +183,7 @@ impl SimRng {
         assert!(lo < hi, "cannot sample empty range");
         let scale = hi - lo;
         loop {
-            let value1_2 = f64::from_bits((self.next_u64() >> 12) | (1023u64 << 52));
+            let value1_2 = f64::from_bits((self.u64() >> 12) | (1023u64 << 52));
             let res = (value1_2 - 1.0) * scale + lo;
             if res < hi {
                 return res;
@@ -195,12 +195,12 @@ impl SimRng {
     pub fn fill(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
         for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
+            chunk.copy_from_slice(&self.u64().to_le_bytes());
         }
         let tail = chunks.into_remainder();
         let n = tail.len();
         if n > 4 {
-            tail.copy_from_slice(&self.next_u64().to_le_bytes()[..n]);
+            tail.copy_from_slice(&self.u64().to_le_bytes()[..n]);
         } else if n > 0 {
             tail.copy_from_slice(&self.next_u32().to_le_bytes()[..n]);
         }
@@ -284,7 +284,7 @@ mod tests {
     fn first_words_of_seeds_0_and_42() {
         let first8 = |seed| {
             let mut r = SimRng::new(seed);
-            [(); 8].map(|()| r.next_u64())
+            [(); 8].map(|()| r.u64())
         };
         assert_eq!(
             first8(0),
@@ -327,7 +327,7 @@ mod tests {
         let first: u64 = 0x5555_5555_ffff_ffff;
         let crafted = SimRng { s: [0, 1, 2, first.rotate_right(23)] };
         let mut words = crafted.clone();
-        assert_eq!(words.next_u64(), first);
+        assert_eq!(words.u64(), first);
 
         let mut wide = crafted.clone();
         assert_eq!(wide.below(3), 1);
@@ -335,8 +335,8 @@ mod tests {
 
         let mut narrow = crafted;
         assert_eq!(narrow.choose(&[0u8, 1, 2]), Some(&2));
-        words.next_u64();
-        words.next_u64();
+        words.u64();
+        words.u64();
         assert_eq!(narrow.s, words.s, "choose: three words");
     }
 

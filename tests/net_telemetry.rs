@@ -20,15 +20,7 @@ use tchain::net::{run_swarm, SwarmConfig};
 use tchain::sim::ChaosPlan;
 use tchain_obs::{
     merge_traces, to_causal_chrome_trace, to_jsonl, validate_causal, validate_jsonl, Event,
-    TraceRecord,
 };
-
-/// The serialization-only serde stub cannot deserialize; skip the
-/// JSONL re-parse checks under it (CI uses the real backend).
-fn serde_backend_is_real() -> bool {
-    let probe = to_jsonl(&[TraceRecord::plain(0.0, 0, Event::PeerDepart { peer: 1 })]);
-    validate_jsonl(&probe).is_ok()
-}
 
 fn base16(telemetry: bool) -> SwarmConfig {
     SwarmConfig {
@@ -54,10 +46,8 @@ fn sixteen_peer_rings_merge_into_one_causally_consistent_trace() {
 
     // The merged trace is itself a valid JSONL log (global seq
     // renumbering + per-origin lamport monotonicity).
-    if serde_backend_is_real() {
-        let n = validate_jsonl(&to_jsonl(&merged)).expect("merged trace passes the validator");
-        assert_eq!(n, merged.len());
-    }
+    let n = validate_jsonl(&to_jsonl(&merged)).expect("merged trace passes the validator");
+    assert_eq!(n, merged.len());
 
     // And it renders as a Chrome trace with one track per peer plus
     // flow arrows.
