@@ -18,8 +18,8 @@ impl EncryptionOverhead {
         EncryptionOverhead { seconds_per_byte: 0.715e-3 / (128.0 * 1024.0) }
     }
 
-    /// From a measured cipher throughput in bytes/second (e.g. the
-    /// `crypto` criterion bench on this machine).
+    /// From a measured cipher throughput in bytes/second (e.g.
+    /// perfbench's `crypto.mib_s` on this machine).
     pub fn from_throughput(bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0, "throughput must be positive");
         EncryptionOverhead { seconds_per_byte: 1.0 / bytes_per_sec }

@@ -3,8 +3,9 @@
 //! T-Chain's almost-fair exchange rests on a *lightweight symmetric* cipher:
 //! the donor encrypts each piece with a fresh key and withholds the key
 //! until reciprocation (§II-B). §III-C argues the cost is negligible
-//! ("0.715 ms per 128 KB piece"); the `crypto` criterion bench measures the
-//! same quantity for this implementation.
+//! ("0.715 ms per 128 KB piece"); `perfbench/` reports the same quantity for
+//! this implementation as `crypto.mib_s` on `swarm_bulk`, and the `overhead`
+//! figure (`tchain-experiments --bin overhead`) times it per piece size.
 //!
 //! Because encryption is XOR with a keystream, `apply` both encrypts and
 //! decrypts. No external crypto crates are used.

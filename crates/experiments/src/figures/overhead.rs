@@ -1,5 +1,5 @@
 //! §III-C overhead accounting, with the cipher throughput *measured* on
-//! this machine (same code path as the `crypto` criterion bench).
+//! this machine (the code path perfbench's `crypto.mib_s` times).
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;

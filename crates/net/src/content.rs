@@ -1,4 +1,4 @@
-//! Deterministic shared-file content.
+//! Deterministic shared-file content, and the one digest of `crates/net`.
 //!
 //! A real swarm distributes bytes, so the net runtime needs actual piece
 //! plaintexts — and a way for a receiver to know it decrypted correctly.
@@ -8,34 +8,24 @@
 //! when the decrypted bytes match their table entry, which makes the
 //! ChaCha20 key release self-verifying end to end.
 //!
-//! Two hashes live here and must not be confused. [`fingerprint`] is the
-//! frozen fold hash: the harness folds it over every delivered frame, so
-//! it is part of every swarm fingerprint, golden and witness and never
-//! changes. The piece digest behind [`Content::verify`] is process-local —
-//! it is never sent, checkpointed or folded — so it is free to be
-//! whatever checks a buffer fastest in one pass.
+//! [`digest`] is the only hash in the crate, and it is frozen in two
+//! places: [`frame_checksum`](crate::frame_checksum) puts its value in
+//! every frame header (the wire image), and the harness folds it over
+//! every delivered frame (every swarm fingerprint, witness and CI pin).
+//! Changing it re-blesses both. It is free in the third: the piece table
+//! behind [`Content::verify`] is process-local — never sent,
+//! checkpointed or folded — and would follow a change silently.
 
 use std::sync::{Arc, OnceLock};
 
-/// Stateless splitmix64 step, the generator behind piece bytes and
-/// fingerprints (no external hash crates).
+/// Stateless splitmix64 step, the generator behind piece bytes and the
+/// digest (no external hash crates).
 #[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
+fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Order-sensitive 64-bit fingerprint of a byte string.
-pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut acc = 0xF1CE_F1CE_F1CE_F1CEu64;
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        acc = mix64(acc ^ u64::from_le_bytes(w));
-    }
-    mix64(acc ^ bytes.len() as u64)
 }
 
 /// Lane seeds of [`digest`] (fractional bits of √2, √3, √5, √7);
@@ -43,30 +33,46 @@ pub fn fingerprint(bytes: &[u8]) -> u64 {
 const LANE_SEEDS: [u64; 4] =
     [0x6A09_E667_F3BC_C908, 0xBB67_AE85_84CA_A73B, 0x3C6E_F372_FE94_F82B, 0xA54F_F53A_5F1D_36F1];
 
-/// Order- and length-sensitive 64-bit piece digest, process-local.
+/// Where the accumulator of [`digest`] starts, before the seed.
+const ACC_SEED: u64 = 0x510E_527F_ADE6_82D1;
+
+/// Seeded, order- and length-sensitive 64-bit digest of a byte string.
 ///
-/// Same per-word step as [`fingerprint`], but striped: word `j` of each
-/// 32-byte stripe feeds lane `j`, so four `mix64` chains run
-/// independently and the CPU overlaps them instead of waiting out one
-/// serial multiply chain. The lanes are then chained in order, followed
-/// by the sub-stripe tail and the length.
-fn digest(bytes: &[u8]) -> u64 {
-    let mut lanes = LANE_SEEDS;
+/// Striped: word `j` of each 32-byte stripe feeds lane `j`, so four
+/// `mix64` chains run independently and the CPU overlaps them instead of
+/// waiting out one serial multiply chain. The lanes are then chained in
+/// order into an accumulator that started from `seed`, followed by the
+/// sub-stripe tail and the length. Input shorter than one stripe — every
+/// control frame — never touches the lanes and skips their four
+/// finalisation steps.
+///
+/// Every step is a bijection of the accumulator, so two inputs that
+/// differ in one word, or two seeds over one input, always differ in the
+/// 64-bit value. Not cryptographic.
+pub fn digest(seed: u64, bytes: &[u8]) -> u64 {
+    let mut acc = ACC_SEED ^ seed;
     let mut stripes = bytes.chunks_exact(32);
-    for stripe in &mut stripes {
-        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
-            *lane = mix64(*lane ^ word);
+    if bytes.len() >= 32 {
+        let mut lanes = LANE_SEEDS;
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+                *lane = mix64(*lane ^ word);
+            }
+        }
+        for lane in lanes {
+            acc = mix64(acc ^ lane);
         }
     }
-    let mut acc = 0x510E_527F_ADE6_82D1u64;
-    for lane in lanes {
-        acc = mix64(acc ^ lane);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for word in &mut words {
+        acc = mix64(acc ^ u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")));
     }
-    for chunk in stripes.remainder().chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        acc = mix64(acc ^ u64::from_le_bytes(w));
+    // The last, partial word, zero-padded: shifted together because a
+    // copy of unknown length costs a call, and most frames end in one.
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        acc = mix64(acc ^ rest.iter().rev().fold(0, |word, &b| (word << 8) | u64::from(b)));
     }
     mix64(acc ^ bytes.len() as u64)
 }
@@ -126,21 +132,20 @@ impl Content {
     }
 
     /// The expected digest of piece `i` (what a real client reads from
-    /// the torrent metadata). Process-local: comparable only with other
-    /// values this function returned, never with [`fingerprint`].
+    /// the torrent metadata): [`digest`] of the plaintext under seed 0.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn expected(&self, i: u32) -> u64 {
-        *self.digests[i as usize].get_or_init(|| digest(&self.piece(i)))
+        *self.digests[i as usize].get_or_init(|| digest(0, &self.piece(i)))
     }
 
     /// Whether `bytes` are the correct plaintext of piece `i`: one pass
     /// over `bytes`, compared with the shared table entry. An index
     /// outside the file verifies nothing.
     pub fn verify(&self, i: u32, bytes: &[u8]) -> bool {
-        (i as usize) < self.pieces && bytes.len() == self.piece_len && digest(bytes) == self.expected(i)
+        (i as usize) < self.pieces && bytes.len() == self.piece_len && digest(0, bytes) == self.expected(i)
     }
 
     /// How many `Content`s share this one's digest table.
@@ -153,6 +158,60 @@ impl Content {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tchain_sim::{ensure_eq, forall};
+
+    /// [`digest`] one byte at a time: words are assembled by shifting,
+    /// stripes are a byte index, nothing is chunked.
+    fn digest_reference(seed: u64, bytes: &[u8]) -> u64 {
+        let striped = bytes.len() / 32 * 32;
+        let (mut lanes, mut acc, mut word) = (LANE_SEEDS, ACC_SEED ^ seed, 0u64);
+        for (i, &b) in bytes.iter().enumerate() {
+            word |= u64::from(b) << (i % 8 * 8);
+            if i % 8 == 7 || i + 1 == bytes.len() {
+                match i < striped {
+                    true => lanes[i / 8 % 4] = mix64(lanes[i / 8 % 4] ^ word),
+                    false => acc = mix64(acc ^ word),
+                }
+                word = 0;
+            }
+            if i + 1 == striped {
+                acc = lanes.iter().fold(acc, |acc, lane| mix64(acc ^ lane));
+            }
+        }
+        mix64(acc ^ bytes.len() as u64)
+    }
+
+    #[test]
+    fn striped_digest_equals_the_byte_serial_reference() {
+        // Every tail shape around zero to six stripes and around the
+        // benchmark's 16 KiB piece, under the seeds the crate uses: 0
+        // (pieces, keys), the four frame kinds, and a fold-sized one.
+        forall(0xD16E57, 8, |rng, _| {
+            for len in (0..=200).chain(16_384 - 33..=16_384 + 33) {
+                let mut bytes = vec![0u8; len];
+                rng.fill(&mut bytes);
+                for seed in [0, 1, 2, 3, 4, rng.u64()] {
+                    ensure_eq!(
+                        digest(seed, &bytes),
+                        digest_reference(seed, &bytes),
+                        "len {len} seed {seed:#x}"
+                    );
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn the_seed_and_the_short_path_both_count() {
+        let long = [7u8; 40];
+        for bytes in [&[][..], b"a", &long[..31], &long[..32], &long] {
+            assert_ne!(digest(1, bytes), digest(3, bytes), "len {}", bytes.len());
+        }
+        // A stripe of zeros is not nothing, on either side of the branch.
+        assert_ne!(digest(0, &[0; 31]), digest(0, &[0; 32]));
+        assert_ne!(digest(0, &[0; 32]), digest(0, &[0; 64]));
+    }
 
     #[test]
     fn pieces_are_deterministic_and_distinct() {
@@ -180,7 +239,7 @@ mod tests {
     /// ignores a truncated tail: a mutation must fail both.
     fn assert_rejected(c: &Content, i: u32, bytes: &[u8], what: &str) {
         assert!(!c.verify(i, bytes), "verify accepted: {what}");
-        assert_ne!(digest(bytes), c.expected(i), "digest collided: {what}");
+        assert_ne!(digest(0, bytes), c.expected(i), "digest collided: {what}");
     }
 
     #[test]
@@ -236,7 +295,7 @@ mod tests {
         }
         // A piece cannot be empty, but the digest still tells nothing
         // from a zero byte.
-        assert_ne!(digest(&[]), digest(&[0]));
+        assert_ne!(digest(0, &[]), digest(0, &[0]));
     }
 
     #[test]
@@ -255,9 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_length_and_order_sensitive() {
-        assert_ne!(fingerprint(b"ab"), fingerprint(b"ba"));
-        assert_ne!(fingerprint(b"a"), fingerprint(b"a\0"));
-        assert_ne!(fingerprint(b""), fingerprint(b"\0"));
+    fn digest_is_length_and_order_sensitive_below_a_stripe() {
+        assert_ne!(digest(0, b"ab"), digest(0, b"ba"));
+        assert_ne!(digest(0, b"a"), digest(0, b"a\0"));
+        assert_ne!(digest(0, b""), digest(0, b"\0"));
     }
 }

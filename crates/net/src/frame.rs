@@ -11,20 +11,26 @@
 //! ```
 //!
 //! with `kind` 1 = control (body is a strict [`Message`] encoding) and
-//! `kind` 2 = piece data (`[u32 piece LE][payload]`). The checksum is
-//! FNV-1a over `kind` and the body (see [`frame_checksum`]); it exists
-//! because byzantine corruption of some payloads — a flipped bit in a
-//! `KeyRelease` key, say — would otherwise be *silently absorbed* into a
-//! requestor's XOR work buffer and could never be detected or undone. With
-//! the checksum, any mutation of bytes in flight surfaces as a typed
-//! [`FrameError`], letting the receiver reject the frame, strike the
-//! sender, and recover through normal re-donation paths.
+//! `kind` 2 = piece data (`[u32 piece LE][payload]`); kinds 3 and 4 are
+//! their [`CausalMeta`]-stamped twins. The checksum is the crate's one
+//! [`digest`] over the body, seeded with `kind` and folded to 32 bits
+//! (see [`frame_checksum`]); it exists because byzantine corruption of
+//! some payloads — a flipped bit in a `KeyRelease` key, say — would
+//! otherwise be *silently absorbed* into a requestor's XOR work buffer
+//! and could never be detected or undone. With the checksum, a mutation
+//! of bytes in flight surfaces as a typed [`FrameError`], letting the
+//! receiver reject the frame, strike the sender, and recover through
+//! normal re-donation paths. The header is part of the wire image, so the
+//! checksum function is frozen with it: changing it moves every swarm
+//! fingerprint (the harness folds encoded frames).
 //!
 //! [`FrameDecoder`] is incremental — it accepts arbitrary byte fragments
 //! (as a TCP socket produces them) and yields complete frames — and
 //! strict: oversized lengths, unknown kinds, checksum mismatches and
 //! malformed control bodies are typed errors, never panics.
 
+use crate::content::digest;
+use std::io::Read;
 use tchain_proto::wire::{DecodeError, Message, MAX_CIPHERTEXT_LEN};
 use tchain_proto::PieceId;
 
@@ -82,7 +88,8 @@ impl CausalMeta {
     }
 }
 
-/// FNV-1a over the kind byte followed by the body bytes.
+/// The header checksum: [`digest`] of the body seeded with `kind`, its
+/// two halves folded into the 4-byte header field.
 ///
 /// Not cryptographic — a *strategic* adversary (large-view free-riders,
 /// whitewashers, Sybil groups, collusion rings) is modelled at the
@@ -90,19 +97,16 @@ impl CausalMeta {
 /// not the codec. The checksum's job is to make in-flight mutation (bit
 /// flips, truncation splices) detectable with near certainty so it can be
 /// handled as an explicit reject instead of silent state corruption.
+///
+/// The guarantee, precisely: the 64-bit digest tells any two bodies that
+/// differ in one word apart, but the fold to 32 bits keeps that only with
+/// probability 1 − 2⁻³². The 32-bit xor-multiply checksum this replaced
+/// took one bijective step per byte and so caught a single-byte
+/// substitution with certainty; every mutation touching more than one
+/// byte it caught with the same 1 − 2⁻³² this function gives all of them.
 pub fn frame_checksum(kind: u8, body: &[u8]) -> u32 {
-    const OFFSET: u32 = 0x811c_9dc5;
-    let h = fnv1a_step(OFFSET, &[kind]);
-    fnv1a_step(h, body)
-}
-
-#[inline]
-fn fnv1a_step(mut h: u32, bytes: &[u8]) -> u32 {
-    const PRIME: u32 = 0x0100_0193;
-    for &b in bytes {
-        h = (h ^ u32::from(b)).wrapping_mul(PRIME);
-    }
-    h
+    let h = digest(u64::from(kind), body);
+    (h ^ (h >> 32)) as u32
 }
 
 /// One unit of transmission.
@@ -174,33 +178,12 @@ impl From<DecodeError> for FrameError {
 impl Frame {
     /// Appends the framed encoding (`[len][kind][checksum][body]`) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Control(msg) => {
-                let body = msg.encode();
-                out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                out.push(KIND_CONTROL);
-                out.extend_from_slice(&frame_checksum(KIND_CONTROL, &body).to_le_bytes());
-                out.extend_from_slice(&body);
-            }
-            Frame::PieceData { piece, payload } => {
-                out.extend_from_slice(&((payload.len() + 4) as u32).to_le_bytes());
-                out.push(KIND_PIECE_DATA);
-                // Fold the checksum over [piece][payload] incrementally so
-                // a multi-MiB piece body is never copied just to hash it.
-                let mut h = frame_checksum(KIND_PIECE_DATA, &piece.0.to_le_bytes());
-                h = fnv1a_step(h, payload);
-                out.extend_from_slice(&h.to_le_bytes());
-                out.extend_from_slice(&piece.0.to_le_bytes());
-                out.extend_from_slice(payload);
-            }
-        }
+        self.encode_with_meta_into(None, out);
     }
 
     /// The framed encoding as a fresh vector.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        out
+        self.encode_with_meta(None)
     }
 
     /// Exact framed size in bytes, header included.
@@ -212,42 +195,36 @@ impl Frame {
             }
     }
 
-    /// Appends the framed encoding with an optional [`CausalMeta`] stamp.
+    /// Appends the framed encoding with an optional [`CausalMeta`] stamp:
+    /// the one encoder. The body is written straight into `out` behind a
+    /// reserved header, which is patched once the body can be checksummed
+    /// where it lies.
     ///
-    /// `None` degrades to [`Frame::encode_into`] — same bytes as a
-    /// telemetry-unaware sender, which is what keeps disabled runs
-    /// bit-identical on the wire.
+    /// `None` yields the same bytes as a telemetry-unaware sender, which
+    /// is what keeps disabled runs bit-identical on the wire.
     pub fn encode_with_meta_into(&self, meta: Option<&CausalMeta>, out: &mut Vec<u8>) {
-        let Some(meta) = meta else {
-            self.encode_into(out);
-            return;
+        let kind = match (self, meta) {
+            (Frame::Control(_), None) => KIND_CONTROL,
+            (Frame::PieceData { .. }, None) => KIND_PIECE_DATA,
+            (Frame::Control(_), Some(_)) => KIND_CONTROL_META,
+            (Frame::PieceData { .. }, Some(_)) => KIND_PIECE_META,
         };
-        let mb = meta.to_bytes();
+        let start = out.len();
+        out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        if let Some(meta) = meta {
+            out.extend_from_slice(&meta.to_bytes());
+        }
         match self {
-            Frame::Control(msg) => {
-                let body = msg.encode();
-                out.extend_from_slice(&((CAUSAL_META_LEN + body.len()) as u32).to_le_bytes());
-                out.push(KIND_CONTROL_META);
-                let mut h = frame_checksum(KIND_CONTROL_META, &mb);
-                h = fnv1a_step(h, &body);
-                out.extend_from_slice(&h.to_le_bytes());
-                out.extend_from_slice(&mb);
-                out.extend_from_slice(&body);
-            }
+            Frame::Control(msg) => msg.encode_into(out),
             Frame::PieceData { piece, payload } => {
-                out.extend_from_slice(
-                    &((CAUSAL_META_LEN + 4 + payload.len()) as u32).to_le_bytes(),
-                );
-                out.push(KIND_PIECE_META);
-                let mut h = frame_checksum(KIND_PIECE_META, &mb);
-                h = fnv1a_step(h, &piece.0.to_le_bytes());
-                h = fnv1a_step(h, payload);
-                out.extend_from_slice(&h.to_le_bytes());
-                out.extend_from_slice(&mb);
                 out.extend_from_slice(&piece.0.to_le_bytes());
                 out.extend_from_slice(payload);
             }
         }
+        let (header, body) = out[start..].split_at_mut(FRAME_HEADER_LEN);
+        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[4] = kind;
+        header[5..].copy_from_slice(&frame_checksum(kind, body).to_le_bytes());
     }
 
     /// The meta-stamped framed encoding as a fresh vector.
@@ -265,14 +242,23 @@ impl Frame {
 
 /// Incremental strict frame parser over a byte stream.
 ///
-/// Internally a `Vec<u8>` with a consumed-prefix cursor, compacted
-/// lazily so sustained streams do not reallocate per frame.
+/// The buffer is kept initialised to its whole length so a socket can
+/// read straight into the room behind the live bytes `buf[head..tail]`.
+/// It grows to what the frame at the front needs and no further, and
+/// rewinds to the start whenever it runs empty, so a sustained stream
+/// neither reallocates nor moves bytes per frame.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed as frames.
     head: usize,
+    /// End of the bytes received so far.
+    tail: usize,
 }
+
+/// Least room [`FrameDecoder::read_from`] offers a read: what an idle
+/// link's buffer stays at.
+const MIN_READ: usize = 4096;
 
 impl FrameDecoder {
     /// An empty decoder.
@@ -280,19 +266,53 @@ impl FrameDecoder {
         Self::default()
     }
 
-    /// Appends raw stream bytes (e.g. one TCP read).
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact once the dead prefix dominates, amortized O(1).
-        if self.head > 4096 && self.head * 2 > self.buf.len() {
-            self.buf.drain(..self.head);
+    /// Makes `buf[tail..]` at least `room` bytes long, sliding the live
+    /// bytes to the front before growing the buffer.
+    fn make_room(&mut self, room: usize) {
+        if self.buf.len() - self.tail >= room {
+            return;
+        }
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
             self.head = 0;
         }
-        self.buf.extend_from_slice(bytes);
+        if self.buf.len() - self.tail < room {
+            self.buf.resize(self.tail + room, 0);
+        }
+    }
+
+    /// Appends raw stream bytes.
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.make_room(bytes.len());
+        self.buf[self.tail..self.tail + bytes.len()].copy_from_slice(bytes);
+        self.tail += bytes.len();
+    }
+
+    /// Reads once from `src` straight into the buffer and returns the
+    /// byte count, `Ok(0)` meaning end of stream. The room offered is
+    /// what the frame at the front still lacks (bounded by
+    /// [`MAX_FRAME_BODY`], whatever the length prefix claims), so a
+    /// caller that decodes after every read holds about one frame.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` returns, `WouldBlock` included.
+    pub fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let avail = &self.buf[self.head..self.tail];
+        let lacking = avail.first_chunk::<4>().map_or(0, |len| {
+            let body = u32::from_le_bytes(*len).min(MAX_FRAME_BODY) as usize;
+            (FRAME_HEADER_LEN + body).saturating_sub(avail.len())
+        });
+        self.make_room(lacking.max(MIN_READ));
+        let n = src.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
     }
 
     /// Bytes buffered but not yet consumed as a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.head
+        self.tail - self.head
     }
 
     /// Pops the next complete frame, `Ok(None)` when more bytes are
@@ -322,7 +342,7 @@ impl FrameDecoder {
     /// Returns a [`FrameError`] on an oversized, unknown, corrupt or
     /// malformed frame.
     pub fn next_frame_meta(&mut self) -> Result<Option<(Frame, Option<CausalMeta>)>, FrameError> {
-        let avail = &self.buf[self.head..];
+        let avail = &self.buf[self.head..self.tail];
         if avail.len() < 4 {
             return Ok(None);
         }
@@ -372,6 +392,9 @@ impl FrameDecoder {
             }
         };
         self.head += total;
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+        }
         Ok(Some((frame, meta)))
     }
 
@@ -449,6 +472,104 @@ mod tests {
         assert_eq!(got, fs);
         assert_eq!(dec.buffered(), 0);
         assert_eq!(dec.finish(), Ok(()));
+    }
+
+    #[test]
+    fn the_in_place_checksum_is_frame_checksum_of_the_body_for_all_four_kinds() {
+        let meta = CausalMeta { origin: 7, lamport: 0x1234_5678_9ABC, span: 42 };
+        let mut kinds = Vec::new();
+        // Behind other bytes, so the header is patched at an offset.
+        let mut out = vec![0xEE; 5];
+        for f in frames() {
+            for meta in [None, Some(&meta)] {
+                let start = out.len();
+                f.encode_with_meta_into(meta, &mut out);
+                let enc = &out[start..];
+                assert_eq!(enc, f.encode_with_meta(meta));
+                assert_eq!(enc.len(), f.encoded_len_with_meta(meta.is_some()));
+                let body = &enc[FRAME_HEADER_LEN..];
+                assert_eq!(enc[..4], (body.len() as u32).to_le_bytes());
+                assert_eq!(enc[5..FRAME_HEADER_LEN], frame_checksum(enc[4], body).to_le_bytes());
+                kinds.push(enc[4]);
+            }
+        }
+        assert_eq!(out[..5], [0xEE; 5]);
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, [KIND_CONTROL, KIND_PIECE_DATA, KIND_CONTROL_META, KIND_PIECE_META]);
+    }
+
+    /// Decodes `wire` as one whole stream; a frame that never completes
+    /// counts as the truncation `finish` reports.
+    fn decode_whole(wire: &[u8]) -> Result<Frame, FrameError> {
+        let mut dec = FrameDecoder::new();
+        dec.push(wire);
+        match dec.next_frame()? {
+            Some(frame) => Ok(frame),
+            None => Err(dec.finish().expect_err("an incomplete frame is buffered")),
+        }
+    }
+
+    #[test]
+    fn the_digest_mutation_suite_holds_through_the_decoder() {
+        // content.rs's suite, on the body of a 1 KiB piece frame: each
+        // mutant goes out under the original checksum with a length
+        // prefix that matches it, so only the checksum can object.
+        let payload = crate::Content::new(0xB17, 2, 1024).piece(1);
+        let enc = Frame::PieceData { piece: PieceId(1), payload }.encode();
+        let (header, body) = enc.split_at(FRAME_HEADER_LEN);
+        let expect_mismatch = |mutant: &[u8], what: &str| {
+            let mut wire = (mutant.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&header[4..]);
+            wire.extend_from_slice(mutant);
+            let got = decode_whole(&wire);
+            assert!(matches!(got, Err(FrameError::ChecksumMismatch { .. })), "{what}: {got:?}");
+        };
+        let mut flipped = body.to_vec();
+        for bit in 0..body.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            expect_mismatch(&flipped, &format!("bit {bit} flipped"));
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 1..=33 {
+            expect_mismatch(&body[..body.len() - cut], &format!("truncated by {cut}"));
+        }
+        let mut longer = body.to_vec();
+        longer.push(0);
+        expect_mismatch(&longer, "extended by a zero byte");
+        let mut words = body.to_vec();
+        for k in 0..8 {
+            words.swap(5 * 32 + 8 + k, 5 * 32 + 16 + k);
+        }
+        expect_mismatch(&words, "two words swapped within a stripe");
+        let mut stripes = body.to_vec();
+        for k in 0..32 {
+            stripes.swap(3 * 32 + k, 4 * 32 + k);
+        }
+        expect_mismatch(&stripes, "two whole stripes swapped");
+    }
+
+    #[test]
+    fn bit_flips_anywhere_in_a_64_kib_piece_frame_are_rejected() {
+        let mut payload = vec![0u8; 64 * 1024];
+        tchain_sim::SimRng::new(0x64).fill(&mut payload);
+        let f = Frame::PieceData { piece: PieceId(77), payload };
+        let wire = f.encode();
+        let bits = wire.len() * 8;
+        let flip_is_rejected = |bit: usize| {
+            let mut mutant = wire.clone();
+            mutant[bit / 8] ^= 1 << (bit % 8);
+            decode_whole(&mutant).err().ok_or_else(|| format!("flip of bit {bit} decoded silently"))
+        };
+        // The whole header, the first stripe of the body, and the last 32
+        // bytes (the final stripe's end plus the sub-stripe tail).
+        for bit in (0..(FRAME_HEADER_LEN + 32) * 8).chain(bits - 32 * 8..bits) {
+            flip_is_rejected(bit).unwrap_or_else(|e| panic!("{e}"));
+        }
+        tchain_sim::forall(0xB175, 2048, |rng, _| {
+            flip_is_rejected(FRAME_HEADER_LEN * 8 + rng.below(bits - FRAME_HEADER_LEN * 8)).map(drop)
+        });
+        assert_eq!(decode_whole(&wire), Ok(f));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! change (boot, churn, crash-restart, whitewash, large-view re-query)
 //! is a composition of three primitives: `enroll`, `greet` and `evict`.
 
-use crate::content::{fingerprint, mix64, Content};
+use crate::content::{digest, Content};
 use crate::frame::{CausalMeta, Frame, FrameError};
 use crate::observer::pack;
 pub use crate::observer::Observer;
@@ -1349,12 +1349,8 @@ impl<T: Transport> SwarmHarness<T> {
     fn fold(&mut self, d: &Delivery) {
         self.fold_buf.clear();
         d.frame.encode_into(&mut self.fold_buf);
-        self.fingerprint = mix64(
-            self.fingerprint
-                ^ fingerprint(&self.fold_buf)
-                ^ (u64::from(d.from.0) << 32)
-                ^ u64::from(d.to.0),
-        );
+        let link = (u64::from(d.from.0) << 32) ^ u64::from(d.to.0);
+        self.fingerprint = digest(self.fingerprint ^ link, &self.fold_buf);
     }
 
     // ------------------------------------------------------------------

@@ -43,7 +43,7 @@ mod tcp;
 pub mod telemetry;
 mod transport;
 
-pub use content::{fingerprint, Content};
+pub use content::{digest, Content};
 pub use explore::{
     canary_armed, scenario_config, scenarios, ExploreConfig, ExploreOutcome, Witness,
 };

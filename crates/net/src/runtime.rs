@@ -26,7 +26,7 @@
 //! randomness comes from a forked [`SimRng`], so a peer's behavior is a
 //! function of (seed, delivered frames, tick times) alone.
 
-use crate::content::{fingerprint, Content};
+use crate::content::{digest, Content};
 use crate::frame::Frame;
 use crate::neighbors::Neighborhood;
 use crate::strategy::{NetStrategy, Strategy};
@@ -134,7 +134,7 @@ struct PendingPiece {
     ciphertext_len: u32,
     /// Working buffer: ciphertext with every received key applied.
     work: Option<Vec<u8>>,
-    /// Fingerprints of applied keys (XOR self-inverts, so a re-applied
+    /// Digests of applied keys (XOR self-inverts, so a re-applied
     /// duplicate would *undo* decryption — dedupe is correctness here).
     applied: Vec<u64>,
     /// The forward transaction sourcing this entry, if we re-encrypted
@@ -702,7 +702,7 @@ impl PeerRuntime {
                 k
             }
         };
-        let fp = fingerprint(&key);
+        let fp = digest(0, &key);
         let (verified, forward) = {
             let entry = self.pending_in.get_mut(&entry_key).expect("checked");
             if entry.applied.contains(&fp) {

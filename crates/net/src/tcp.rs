@@ -21,7 +21,7 @@
 //! action TCP cannot express (a stream cannot overtake itself) and
 //! delivers normally.
 
-use crate::frame::{CausalMeta, Frame, FrameDecoder};
+use crate::frame::{CausalMeta, Frame, FrameDecoder, FrameError};
 use crate::transport::{
     apply_mutation, ChaosRecord, Delivery, FrameReject, NetError, RejectCause, Transport,
     TransportStats,
@@ -45,47 +45,86 @@ fn is_reset(kind: ErrorKind) -> bool {
     )
 }
 
+/// Pending bytes past which [`TcpLoopback::send`] flushes by itself;
+/// below it the bytes wait for the next [`Transport::advance`], so small
+/// frames share one `write(2)`.
+const FLUSH_AT: usize = 64 * 1024;
+
+/// Bytes queued for a socket and how many of them it has taken.
+#[derive(Default)]
+struct WriteBuf {
+    bytes: Vec<u8>,
+    written: usize,
+}
+
+impl WriteBuf {
+    fn pending(&self) -> usize {
+        self.bytes.len() - self.written
+    }
+
+    /// Writes as much of the pending bytes as `dst` accepts.
+    fn flush(&mut self, dst: &mut impl Write) -> std::io::Result<()> {
+        while self.pending() > 0 {
+            match dst.write(&self.bytes[self.written..]) {
+                Ok(0) => break,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        // Rewind when drained; otherwise move the unsent tail down only
+        // once it is the smaller half, so fewer bytes move than were sent.
+        if self.written * 2 >= self.bytes.len() {
+            self.bytes.drain(..self.written);
+            self.written = 0;
+        }
+        Ok(())
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    write_buf: Vec<u8>,
+    out: WriteBuf,
+}
+
+/// How one poll of an inbound stream ended.
+enum ReadEnd {
+    /// Nothing more to read for now.
+    Open,
+    /// EOF or a reset-class error.
+    Closed,
+    /// The stream stopped decoding; strict framing has no resync point.
+    Corrupt(FrameError),
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Result<Self, NetError> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
-        Ok(Conn { stream, decoder: FrameDecoder::new(), write_buf: Vec::new() })
+        Ok(Conn { stream, decoder: FrameDecoder::new(), out: WriteBuf::default() })
     }
 
-    /// Flushes as much of the pending write buffer as the socket accepts.
-    fn flush(&mut self) -> Result<(), NetError> {
-        while !self.write_buf.is_empty() {
-            match self.stream.write(&self.write_buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    self.write_buf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads all currently-available bytes into the frame decoder.
-    /// Returns `true` when the stream has ended (EOF or a reset-class
-    /// error); what was buffered before the end is kept for decoding.
-    fn drain_read(&mut self) -> Result<bool, NetError> {
-        let mut chunk = [0u8; 16 * 1024];
+    /// Reads what the socket has into the frame decoder's own buffer,
+    /// decoding into `frames` after every read so the buffer holds about
+    /// one frame. Frames decoded before the stream ended or went corrupt
+    /// are in `frames` either way.
+    fn drain_read(
+        &mut self,
+        frames: &mut Vec<(Frame, Option<CausalMeta>)>,
+    ) -> Result<ReadEnd, NetError> {
         loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(true),
-                Ok(n) => self.decoder.push(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+            match self.decoder.read_from(&mut self.stream) {
+                Ok(0) => return Ok(ReadEnd::Closed),
+                Ok(_) => {
+                    if let Err(e) = self.decoder.drain_frames(frames) {
+                        return Ok(ReadEnd::Corrupt(e));
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(ReadEnd::Open),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if is_reset(e.kind()) => return Ok(true),
+                Err(e) if is_reset(e.kind()) => return Ok(ReadEnd::Closed),
                 Err(e) => return Err(e.into()),
             }
         }
@@ -152,7 +191,7 @@ impl TcpLoopback {
             let (_, addr) = self.listeners.get(&to.0).ok_or(NetError::UnknownPeer(to))?;
             let stream = TcpStream::connect(addr)?;
             let mut conn = Conn::new(stream)?;
-            conn.write_buf.extend_from_slice(&from.0.to_le_bytes());
+            conn.out.bytes.extend_from_slice(&from.0.to_le_bytes());
             self.outbound.insert(key, conn);
         }
         self.outbound
@@ -160,15 +199,23 @@ impl TcpLoopback {
             .ok_or(NetError::BackendState("outbound connection vanished after insert"))
     }
 
-    /// Appends `bytes` to the link's stream and flushes what the socket
-    /// accepts. A reset-class failure tears the connection down and is
-    /// reported as a link reset, not a transport error — the next send
-    /// reopens the socket.
-    fn write_bytes(&mut self, from: NodeId, to: NodeId, bytes: &[u8]) -> Result<(), NetError> {
+    /// Lets `append` add bytes to the link's stream, flushing once
+    /// [`FLUSH_AT`] are pending. A reset-class failure tears the
+    /// connection down and is reported as a link reset, not a transport
+    /// error — the next send reopens the socket.
+    fn write(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        append: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), NetError> {
         let attempt = (|| {
             let conn = self.connect(from, to)?;
-            conn.write_buf.extend_from_slice(bytes);
-            conn.flush()
+            append(&mut conn.out.bytes);
+            if conn.out.pending() >= FLUSH_AT {
+                conn.out.flush(&mut conn.stream)?;
+            }
+            Ok(())
         })();
         match attempt {
             Err(NetError::Io(e)) if is_reset(e.kind()) => {
@@ -212,11 +259,14 @@ impl TcpLoopback {
                     Err(e) => return Err(e.into()),
                 }
             }
-            if p.hello.len() == 4 {
-                let from = u32::from_le_bytes([p.hello[0], p.hello[1], p.hello[2], p.hello[3]]);
-                self.inbound.insert((owner, from), Conn::new(p.stream)?);
-            } else {
-                still.push((owner, p));
+            // A reopened link waits here until its predecessor has been
+            // read out and dropped, so the frames that made it onto the
+            // old socket are delivered, and delivered first.
+            match p.hello.first_chunk::<4>().map(|id| (owner, u32::from_le_bytes(*id))) {
+                Some(key) if !self.inbound.contains_key(&key) => {
+                    self.inbound.insert(key, Conn::new(p.stream)?);
+                }
+                _ => still.push((owner, p)),
             }
         }
         self.pending = still;
@@ -263,32 +313,35 @@ impl Transport for TcpLoopback {
         if action != ChaosAction::Deliver {
             self.records.push(ChaosRecord::Inject { from, to, action });
         }
+        // The chaos arms mangle the real wire image — meta block included
+        // when one is attached — so the checksum path under test is
+        // exactly what a receiver would run.
+        let wire = || frame.encode_with_meta(meta.as_ref());
         match action {
             // A TCP stream cannot overtake itself: Reorder is a no-op
             // here and the frame rides the stream in order.
             ChaosAction::Deliver | ChaosAction::Reorder => {
-                self.write_bytes(from, to, &frame.encode_with_meta(meta.as_ref()))
+                self.write(from, to, |buf| frame.encode_with_meta_into(meta.as_ref(), buf))
             }
             ChaosAction::Corrupt(m) => {
-                // The mutation mangles the real wire image — meta block
-                // included when one is attached — so the checksum path
-                // under test is exactly what a receiver would run.
-                let mut bytes = frame.encode_with_meta(meta.as_ref());
+                let mut bytes = wire();
                 apply_mutation(&mut bytes, m);
-                self.write_bytes(from, to, &bytes)
+                self.write(from, to, |buf| buf.extend_from_slice(&bytes))
             }
             ChaosAction::Duplicate => {
-                let bytes = frame.encode_with_meta(meta.as_ref());
-                self.write_bytes(from, to, &bytes)?;
-                self.write_bytes(from, to, &bytes)
+                let bytes = wire();
+                self.write(from, to, |buf| {
+                    buf.extend_from_slice(&bytes);
+                    buf.extend_from_slice(&bytes);
+                })
             }
             ChaosAction::Reset => {
                 // Push half the frame onto the wire, then kill the socket:
                 // the receiver sees a stream that dies mid-frame.
-                let bytes = frame.encode_with_meta(meta.as_ref());
-                self.write_bytes(from, to, &bytes[..bytes.len() / 2])?;
+                let bytes = wire();
+                self.write(from, to, |buf| buf.extend_from_slice(&bytes[..bytes.len() / 2]))?;
                 if let Some(mut conn) = self.outbound.remove(&(from.0, to.0)) {
-                    let _ = conn.flush();
+                    let _ = conn.out.flush(&mut conn.stream);
                 }
                 self.stats.dropped += 1;
                 Ok(())
@@ -297,13 +350,14 @@ impl Transport for TcpLoopback {
     }
 
     fn advance(&mut self) -> Result<Vec<Delivery>, NetError> {
-        self.accept_new()?;
+        // Flush first: a link opened by `send` since the last poll gets
+        // its hello out before `accept_new` looks for it.
         let mut dead_out = Vec::new();
         for (&key, conn) in self.outbound.iter_mut() {
-            match conn.flush() {
+            match conn.out.flush(&mut conn.stream) {
                 Ok(()) => {}
-                Err(NetError::Io(e)) if is_reset(e.kind()) => dead_out.push(key),
-                Err(e) => return Err(e),
+                Err(e) if is_reset(e.kind()) => dead_out.push(key),
+                Err(e) => return Err(e.into()),
             }
         }
         for key in dead_out {
@@ -314,31 +368,16 @@ impl Transport for TcpLoopback {
                 cause: RejectCause::Reset,
             }));
         }
+        self.accept_new()?;
         let mut out = Vec::new();
         let mut dead_in = Vec::new();
         let mut batch: Vec<(Frame, Option<CausalMeta>)> = Vec::new();
         for (&(owner, from), conn) in self.inbound.iter_mut() {
-            let closed = conn.drain_read()?;
             // Batched dispatch: one poll decodes every complete frame
-            // the read landed (merged reads yield several, split reads
+            // the reads landed (merged reads yield several, split reads
             // leave the partial tail buffered for the next poll).
             batch.clear();
-            let link_dead = match conn.decoder.drain_frames(&mut batch) {
-                Ok(()) => false,
-                Err(e) => {
-                    // Corrupt stream: no resync point, the connection is
-                    // dead. Frames decoded before the corruption still
-                    // deliver below; surface the typed cause and keep
-                    // every other link flowing.
-                    self.stats.dropped += 1;
-                    self.records.push(ChaosRecord::Reject(FrameReject {
-                        from: NodeId(from),
-                        to: NodeId(owner),
-                        cause: RejectCause::Malformed(e),
-                    }));
-                    true
-                }
-            };
+            let end = conn.drain_read(&mut batch)?;
             for (frame, meta) in batch.drain(..) {
                 if self.gone.contains(&owner) {
                     self.stats.dropped += 1;
@@ -348,21 +387,24 @@ impl Transport for TcpLoopback {
                 self.stats.bytes_delivered += frame.encoded_len() as u64;
                 out.push(Delivery { from: NodeId(from), to: NodeId(owner), frame, meta, duplicated: false });
             }
-            if link_dead {
-                dead_in.push((owner, from));
-            } else if closed {
-                if conn.decoder.finish().is_err() {
-                    // The stream ended inside a frame — a reset from the
-                    // receiver's point of view.
-                    self.stats.dropped += 1;
-                    self.records.push(ChaosRecord::Reject(FrameReject {
-                        from: NodeId(from),
-                        to: NodeId(owner),
-                        cause: RejectCause::Reset,
-                    }));
-                }
-                dead_in.push((owner, from));
+            // A corrupt stream has no resync point and a stream that
+            // ended inside a frame is a reset from the receiver's point
+            // of view: surface the typed cause, drop the connection and
+            // keep every other link flowing.
+            let cause = match end {
+                ReadEnd::Open => continue,
+                ReadEnd::Corrupt(e) => Some(RejectCause::Malformed(e)),
+                ReadEnd::Closed => conn.decoder.finish().is_err().then_some(RejectCause::Reset),
+            };
+            if let Some(cause) = cause {
+                self.stats.dropped += 1;
+                self.records.push(ChaosRecord::Reject(FrameReject {
+                    from: NodeId(from),
+                    to: NodeId(owner),
+                    cause,
+                }));
             }
+            dead_in.push((owner, from));
         }
         for key in dead_in {
             self.inbound.remove(&key);
@@ -463,6 +505,120 @@ mod tests {
             assert_eq!(&d.frame, f, "stream order and bytes preserved");
         }
         assert_eq!(t.stats().delivered, 3);
+    }
+
+    /// A sink that takes 1..=97 bytes per `write` and blocks every third.
+    struct Ragged {
+        taken: Vec<u8>,
+        rng: tchain_sim::SimRng,
+        calls: u32,
+    }
+
+    impl Write for Ragged {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = (1 + self.rng.below(97)).min(buf.len());
+            self.taken.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_write_cursor_survives_partial_writes_between_appends() {
+        let mut sink = Ragged { taken: Vec::new(), rng: tchain_sim::SimRng::new(0xC0450), calls: 0 };
+        let mut out = WriteBuf::default();
+        let mut sent = Vec::new();
+        for i in 0..400u32 {
+            let f = Frame::PieceData { piece: PieceId(i), payload: vec![i as u8; (i as usize * 7) % 300] };
+            f.encode_into(&mut out.bytes);
+            f.encode_into(&mut sent);
+            out.flush(&mut sink).expect("a blocked sink is not an error");
+            assert_eq!(out.pending(), sent.len() - sink.taken.len());
+            assert!(out.written * 2 < out.bytes.len().max(1), "the dead prefix stays the smaller half");
+        }
+        while out.pending() > 0 {
+            out.flush(&mut sink).expect("flush");
+        }
+        assert!(sink.taken == sent, "every byte once, in order");
+        assert!(out.bytes.is_empty() && out.written == 0, "a drained buffer rewinds");
+    }
+
+    #[test]
+    fn a_backlog_of_bulk_frames_crosses_many_partial_writes_intact() {
+        let Some(mut t) = try_pair() else {
+            eprintln!("skipping: loopback TCP unavailable");
+            return;
+        };
+        // 2 MiB queued before the first poll: where that is more than the
+        // socket takes at once, the write cursor stops and resumes
+        // mid-frame (the kernel decides; the test above does not depend
+        // on it).
+        let frames: Vec<Frame> = (0..32u32)
+            .map(|i| {
+                let mut payload = vec![0u8; 64 * 1024];
+                tchain_sim::SimRng::new(u64::from(i)).fill(&mut payload);
+                Frame::PieceData { piece: PieceId(i), payload }
+            })
+            .collect();
+        for f in &frames {
+            t.send(NodeId(1), NodeId(2), f.clone()).expect("send");
+        }
+        let mut got = pump(&mut t, frames.len());
+        got.extend(t.advance().expect("advance"));
+        let got: Vec<Frame> = got.into_iter().map(|d| d.frame).collect();
+        assert!(got == frames, "every frame once, in order, byte-equal ({} arrived)", got.len());
+    }
+
+    #[test]
+    fn small_frames_sent_without_a_poll_all_arrive_in_order() {
+        let Some(mut t) = try_pair() else {
+            eprintln!("skipping: loopback TCP unavailable");
+            return;
+        };
+        // 5 000 x 14 bytes crosses FLUSH_AT once; the rest waits for
+        // `advance`.
+        let frames: Vec<Frame> =
+            (0..5000u32).map(|i| Frame::Control(Message::Have { piece: PieceId(i) })).collect();
+        for f in &frames {
+            t.send(NodeId(1), NodeId(2), f.clone()).expect("send");
+        }
+        let got: Vec<Frame> = pump(&mut t, frames.len()).into_iter().map(|d| d.frame).collect();
+        assert!(got == frames, "all 5000, in order ({} arrived)", got.len());
+    }
+
+    #[test]
+    fn frames_around_a_reset_are_not_stranded_in_the_torn_down_link() {
+        let plan = ChaosPlan { seed: 0x2E5E7, reset_prob: 0.005, ..ChaosPlan::none() };
+        let Some(mut t) = try_pair_chaos(plan) else {
+            eprintln!("skipping: loopback TCP unavailable");
+            return;
+        };
+        // No poll between sends: frames queued behind a reset leave with
+        // its explicit flush, frames sent after it open a new socket.
+        let mut expect = Vec::new();
+        for i in 0..2000u32 {
+            let f = Frame::Control(Message::Have { piece: PieceId(i) });
+            t.send(NodeId(1), NodeId(2), f.clone()).expect("send");
+            if t.take_chaos().is_empty() {
+                expect.push(f);
+            }
+        }
+        let resets = 2000 - expect.len();
+        assert!((2..=40).contains(&resets), "the plan must reset a few links, not {resets}");
+        let got: Vec<Frame> = pump(&mut t, expect.len()).into_iter().map(|d| d.frame).collect();
+        assert!(
+            got == expect,
+            "every frame that was not itself reset, in order ({} of {} arrived)",
+            got.len(),
+            expect.len()
+        );
     }
 
     #[test]

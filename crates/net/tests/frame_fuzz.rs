@@ -354,6 +354,63 @@ fn single_bit_flip_yields_typed_error_and_intact_prefix() {
     }
 }
 
+/// A source that hands out 1..=97 bytes per `read`, then end of stream.
+struct Ragged<'a> {
+    bytes: &'a [u8],
+    rng: SimRng,
+}
+
+impl std::io::Read for Ragged<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (1 + self.rng.below(97)).min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn reading_from_a_ragged_source_equals_push_and_drain() {
+    // `read_from` is what the TCP transport calls; it must see the same
+    // frames, stop at the same frame with the same typed error, and
+    // leave the same verdict at end of stream as one big `push`.
+    let mut rng = SimRng::new(0x004A_66ED);
+    for round in 0..96u32 {
+        let n = 2 + rng.below(14);
+        let items: Vec<_> = (0..n).map(|i| gen_frame(&mut rng, round * 32 + i as u32)).collect();
+        let (mut stream, _) = encode_stream(&items);
+        // Two rounds in three carry one flipped bit.
+        if round % 3 != 0 {
+            let pos = rng.below(stream.len());
+            stream[pos] ^= 1 << rng.below(8);
+        }
+
+        let mut pushed = FrameDecoder::new();
+        let mut expect = Vec::new();
+        pushed.push(&stream);
+        let expect_end = pushed.drain_frames(&mut expect).and_then(|()| pushed.finish());
+
+        let mut dec = FrameDecoder::new();
+        let mut src = Ragged { bytes: &stream, rng: SimRng::new(u64::from(round)) };
+        let mut got = Vec::new();
+        let end = loop {
+            match dec.read_from(&mut src).expect("the source never fails") {
+                0 => break dec.finish(),
+                _ => {
+                    if let Err(e) = dec.drain_frames(&mut got) {
+                        break Err(e);
+                    }
+                }
+            }
+        };
+        assert_eq!(got, expect, "round {round}: frames before the end differ");
+        assert_eq!(end, expect_end, "round {round}: the stream ended differently");
+        if round % 3 == 0 {
+            assert_eq!((got, end), (items, Ok(())), "round {round}: clean stream");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Past the codec: a frame that decodes cleanly can still name a piece
 // the swarm's file does not have. The codec cannot know the piece count,

@@ -198,47 +198,52 @@ impl Message {
     /// Encodes the message into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Appends the encoding to `b`.
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match *self {
             Message::PieceUpload { reciprocates, piece, payee, ciphertext_len } => {
                 b.push(TAG_PIECE_UPLOAD);
                 match reciprocates {
                     Some((p, d)) => {
                         b.push(1);
-                        put_u32(&mut b, p.0);
-                        put_u32(&mut b, d.0);
+                        put_u32(b, p.0);
+                        put_u32(b, d.0);
                     }
                     None => b.push(0),
                 }
-                put_u32(&mut b, piece.0);
-                put_opt_node(&mut b, payee);
-                put_u32(&mut b, ciphertext_len);
+                put_u32(b, piece.0);
+                put_opt_node(b, payee);
+                put_u32(b, ciphertext_len);
             }
             Message::ReceptionReport { requestor, piece } => {
                 b.push(TAG_RECEPTION_REPORT);
-                put_u32(&mut b, requestor.0);
-                put_u32(&mut b, piece.0);
+                put_u32(b, requestor.0);
+                put_u32(b, piece.0);
             }
             Message::KeyRelease { piece, requestor, ref key } => {
                 b.push(TAG_KEY_RELEASE);
-                put_u32(&mut b, piece.0);
-                put_opt_node(&mut b, requestor);
+                put_u32(b, piece.0);
+                put_opt_node(b, requestor);
                 b.extend_from_slice(key);
             }
             Message::NeighborRequest { from } => {
                 b.push(TAG_NEIGHBOR_REQUEST);
-                put_u32(&mut b, from.0);
+                put_u32(b, from.0);
             }
             Message::Have { piece } => {
                 b.push(TAG_HAVE);
-                put_u32(&mut b, piece.0);
+                put_u32(b, piece.0);
             }
             Message::Bitfield { pieces, ref bits } => {
                 b.push(TAG_BITFIELD);
-                put_u32(&mut b, pieces);
+                put_u32(b, pieces);
                 b.extend_from_slice(bits);
             }
         }
-        b
     }
 
     /// Exact encoded size in bytes.
