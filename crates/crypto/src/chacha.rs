@@ -5,10 +5,19 @@
 //! until reciprocation (§II-B). §III-C argues the cost is negligible
 //! ("0.715 ms per 128 KB piece"); `perfbench/` reports the same quantity for
 //! this implementation as `crypto.mib_s` on `swarm_bulk`, and the `overhead`
-//! figure (`tchain-experiments --bin overhead`) times it per piece size.
+//! figure (`tchain-experiments --bin overhead`) times one pass over the
+//! paper's 128 KB piece.
 //!
 //! Because encryption is XOR with a keystream, `apply` both encrypts and
 //! decrypts. No external crypto crates are used.
+//!
+//! There is one scalar block function ([`block`], pinned to the RFC's
+//! vectors) and one wide kernel that produces eight blocks (512 B) per
+//! pass, written so that LLVM vectorises it from safe, portable Rust: no
+//! intrinsics, no target test, no build flag. `apply` uses the kernel for
+//! whole 512 B chunks and the block function for the rest; the tests hold
+//! the two equal byte for byte, and a release-only guard holds the kernel
+//! to being faster.
 
 /// A 256-bit ChaCha20 key.
 pub type KeyBytes = [u8; 32];
@@ -43,45 +52,120 @@ fn initial_state(key: &KeyBytes, counter: u32, nonce: &Nonce) -> [u32; 16] {
     s
 }
 
-/// Computes one 64-byte keystream block (the RFC 8439 `chacha20_block`
-/// function).
-pub fn block(key: &KeyBytes, counter: u32, nonce: &Nonce) -> [u8; 64] {
-    let init = initial_state(key, counter, nonce);
-    let mut s = init;
+/// One column round and one diagonal round over a single block's state.
+#[inline(always)]
+fn double_round(s: &mut [u32; 16]) {
+    quarter_round(s, 0, 4, 8, 12);
+    quarter_round(s, 1, 5, 9, 13);
+    quarter_round(s, 2, 6, 10, 14);
+    quarter_round(s, 3, 7, 11, 15);
+    quarter_round(s, 0, 5, 10, 15);
+    quarter_round(s, 1, 6, 11, 12);
+    quarter_round(s, 2, 7, 8, 13);
+    quarter_round(s, 3, 4, 9, 14);
+}
+
+/// The keystream block of an already parsed state (`init[12]` is the
+/// counter): the scalar path, and the reference the wide kernel is tested
+/// against.
+fn keystream_block(init: &[u32; 16]) -> [u8; 64] {
+    let mut s = *init;
     for _ in 0..10 {
-        // Column rounds.
-        quarter_round(&mut s, 0, 4, 8, 12);
-        quarter_round(&mut s, 1, 5, 9, 13);
-        quarter_round(&mut s, 2, 6, 10, 14);
-        quarter_round(&mut s, 3, 7, 11, 15);
-        // Diagonal rounds.
-        quarter_round(&mut s, 0, 5, 10, 15);
-        quarter_round(&mut s, 1, 6, 11, 12);
-        quarter_round(&mut s, 2, 7, 8, 13);
-        quarter_round(&mut s, 3, 4, 9, 14);
+        double_round(&mut s);
     }
     let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = s[i].wrapping_add(init[i]);
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+    for (o, (w, i)) in out.chunks_exact_mut(4).zip(s.iter().zip(init)) {
+        o.copy_from_slice(&w.wrapping_add(*i).to_le_bytes());
     }
     out
 }
 
+/// Computes one 64-byte keystream block (the RFC 8439 `chacha20_block`
+/// function).
+pub fn block(key: &KeyBytes, counter: u32, nonce: &Nonce) -> [u8; 64] {
+    keystream_block(&initial_state(key, counter, nonce))
+}
+
+/// Blocks per pass of the wide kernel.
+const LANES: usize = 8;
+/// Bytes per pass of the wide kernel.
+const WIDE: usize = 64 * LANES;
+
+/// XORs the keystream into `data`, a whole number of `WIDE`-byte chunks,
+/// starting at counter `init[12]`: `LANES` blocks per pass.
+///
+/// The shape is what makes LLVM vectorise it, and it is the only one of
+/// four measured that does (DESIGN.md §8 "Byte path"): the state lives in
+/// memory word-major and lane-minor, and the lane loop is the innermost
+/// one, its body the scalar double round over one lane's sixteen words.
+/// The loop vectoriser then turns `s[w][l]` for `l in 0..LANES` into one
+/// vector per word and the quarter-rounds into `paddd/pxor/pslld/psrld`.
+/// Lane arrays held in locals are unrolled before the vectoriser runs and
+/// stay scalar, as does a lane loop around the ten rounds.
+// `l` is the minor index of `s`, which no iterator over `s` walks.
+#[allow(clippy::needless_range_loop)]
+fn xor_wide(init: &[u32; 16], data: &mut [u8]) {
+    let mut first = [[0u32; LANES]; 16];
+    for (lanes, word) in first.iter_mut().zip(init) {
+        *lanes = [*word; LANES];
+    }
+    for (l, ctr) in first[12].iter_mut().enumerate() {
+        *ctr = ctr.wrapping_add(l as u32);
+    }
+    for chunk in data.chunks_exact_mut(WIDE) {
+        let mut s = first;
+        for _ in 0..10 {
+            for l in 0..LANES {
+                let mut x = [0u32; 16];
+                for w in 0..16 {
+                    x[w] = s[w][l];
+                }
+                double_round(&mut x);
+                for w in 0..16 {
+                    s[w][l] = x[w];
+                }
+            }
+        }
+        for l in 0..LANES {
+            for w in 0..16 {
+                let ks = s[w][l].wrapping_add(first[w][l]).to_le_bytes();
+                for (b, k) in chunk[64 * l + 4 * w..][..4].iter_mut().zip(ks) {
+                    *b ^= k;
+                }
+            }
+        }
+        for ctr in &mut first[12] {
+            *ctr = ctr.wrapping_add(LANES as u32);
+        }
+    }
+}
+
 /// XORs the ChaCha20 keystream into `data` in place, starting from block
 /// `counter` (1 in RFC 8439's encryption examples; we use 0 for pieces).
+/// The counter wraps modulo 2³², block by block.
 ///
 /// Applying the function twice with the same parameters restores the input,
 /// which is exactly the donor-withholds-the-key mechanism of §II-B: an
 /// encrypted piece is useless until the matching key arrives.
+///
+/// Key and nonce are parsed once. Whole 512-byte chunks go through the
+/// eight-block kernel; what is shorter than one, or left over, goes block
+/// by block through the same function [`block`] calls. The output does not
+/// depend on where the split falls.
 pub fn apply(key: &KeyBytes, counter: u32, nonce: &Nonce, data: &mut [u8]) {
-    let mut ctr = counter;
-    for chunk in data.chunks_mut(64) {
-        let ks = block(key, ctr, nonce);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+    let mut state = initial_state(key, counter, nonce);
+    let (wide, rest) = data.split_at_mut(data.len() - data.len() % WIDE);
+    // Short input (a 64 B piece) must not pay for the kernel's lane set-up.
+    if !wide.is_empty() {
+        xor_wide(&state, wide);
+        // Truncation is the wrap: the counter is modulo 2³² blocks.
+        state[12] = state[12].wrapping_add((wide.len() / 64) as u32);
+    }
+    for chunk in rest.chunks_mut(64) {
+        for (b, k) in chunk.iter_mut().zip(keystream_block(&state)) {
             *b ^= k;
         }
-        ctr = ctr.wrapping_add(1);
+        state[12] = state[12].wrapping_add(1);
     }
 }
 
@@ -95,6 +179,7 @@ pub fn apply_to_vec(key: &KeyBytes, counter: u32, nonce: &Nonce, data: &[u8]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tchain_sim::{ensure_eq, forall, sized};
 
     /// RFC 8439 §2.1.1 quarter-round test vector.
     #[test]
@@ -135,19 +220,147 @@ mod tests {
         assert_eq!(out, expected);
     }
 
-    /// RFC 8439 §2.4.2 encryption test vector (first block of ciphertext).
+    /// RFC 8439 §2.4.2 encryption test vector, all 114 bytes: counters 1
+    /// and 2, the second block partial.
     #[test]
-    fn rfc8439_encryption_prefix() {
+    fn rfc8439_encryption_vector() {
         let key = test_key();
         let nonce: Nonce = [0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0];
         let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
 only one tip for the future, sunscreen would be it.";
         let ct = apply_to_vec(&key, 1, &nonce, plaintext);
-        let expected_prefix: [u8; 16] = [
+        let expected: [u8; 114] = [
             0x6e, 0x2e, 0x35, 0x9a, 0x25, 0x68, 0xf9, 0x80, 0x41, 0xba, 0x07, 0x28, 0xdd, 0x0d,
-            0x69, 0x81,
+            0x69, 0x81, 0xe9, 0x7e, 0x7a, 0xec, 0x1d, 0x43, 0x60, 0xc2, 0x0a, 0x27, 0xaf, 0xcc,
+            0xfd, 0x9f, 0xae, 0x0b, 0xf9, 0x1b, 0x65, 0xc5, 0x52, 0x47, 0x33, 0xab, 0x8f, 0x59,
+            0x3d, 0xab, 0xcd, 0x62, 0xb3, 0x57, 0x16, 0x39, 0xd6, 0x24, 0xe6, 0x51, 0x52, 0xab,
+            0x8f, 0x53, 0x0c, 0x35, 0x9f, 0x08, 0x61, 0xd8, 0x07, 0xca, 0x0d, 0xbf, 0x50, 0x0d,
+            0x6a, 0x61, 0x56, 0xa3, 0x8e, 0x08, 0x8a, 0x22, 0xb6, 0x5e, 0x52, 0xbc, 0x51, 0x4d,
+            0x16, 0xcc, 0xf8, 0x06, 0x81, 0x8c, 0xe9, 0x1a, 0xb7, 0x79, 0x37, 0x36, 0x5a, 0xf9,
+            0x0b, 0xbf, 0x74, 0xa3, 0x5b, 0xe6, 0xb4, 0x0b, 0x8e, 0xed, 0xf2, 0x78, 0x5e, 0x42,
+            0x87, 0x4d,
         ];
-        assert_eq!(&ct[..16], &expected_prefix);
+        assert_eq!(ct, expected);
+    }
+
+    /// What `apply` must equal: XOR with [`block`], one block at a time,
+    /// key and nonce parsed per block.
+    fn block_by_block(key: &KeyBytes, counter: u32, nonce: &Nonce, data: &mut [u8]) {
+        for (chunk, i) in data.chunks_mut(64).zip(0u32..) {
+            let ks = block(key, counter.wrapping_add(i), nonce);
+            for (b, k) in chunk.iter_mut().zip(ks) {
+                *b ^= k;
+            }
+        }
+    }
+
+    /// `apply` over `data` equals the block-by-block reference, and equals
+    /// `apply` over the first `split` blocks followed by `apply` over the
+    /// rest with the counter advanced by `split`.
+    fn check_apply(
+        key: &KeyBytes,
+        counter: u32,
+        nonce: &Nonce,
+        data: &[u8],
+        split: usize,
+    ) -> Result<(), String> {
+        let mut want = data.to_vec();
+        block_by_block(key, counter, nonce, &mut want);
+        let first_wrong = |got: &[u8]| got.iter().zip(&want).position(|(g, w)| g != w);
+        let len = data.len();
+        ensure_eq!(
+            first_wrong(&apply_to_vec(key, counter, nonce, data)),
+            None,
+            "len {len}, counter {counter:#x}: first wrong byte"
+        );
+        let mut parts = data.to_vec();
+        let (head, tail) = parts.split_at_mut(64 * split);
+        apply(key, counter, nonce, head);
+        apply(key, counter.wrapping_add(split as u32), nonce, tail);
+        ensure_eq!(
+            first_wrong(&parts),
+            None,
+            "len {len}, counter {counter:#x}, split after {split} blocks: first wrong byte"
+        );
+        Ok(())
+    }
+
+    /// Lengths either side of one and two wide chunks.
+    const EDGES: [usize; 6] = [511, 512, 513, 1023, 1024, 1025];
+
+    /// The wide path against the reference and under every split, for
+    /// random key, nonce, start counter (a quarter of them within 40 blocks
+    /// of the wrap) and length (a quarter of them chunk-boundary edges).
+    #[test]
+    fn apply_equals_block_by_block_and_is_split_invariant() {
+        forall(0xC4AC_4A20, 256, |rng, size| {
+            let (mut key, mut nonce) = ([0u8; 32], [0u8; 12]);
+            rng.fill(&mut key);
+            rng.fill(&mut nonce);
+            let counter = match rng.below(4) {
+                0 => u32::MAX - rng.below(40) as u32,
+                _ => rng.u64() as u32,
+            };
+            let len = match rng.below(4) {
+                0 => EDGES[rng.below(EDGES.len())],
+                _ => sized(rng, size, 0, 2050),
+            };
+            let mut data = vec![0u8; len];
+            rng.fill(&mut data);
+            let split = rng.below(len / 64 + 1);
+            check_apply(&key, counter, &nonce, &data, split)
+        });
+    }
+
+    /// From `u32::MAX - 3` lanes 4–7 of the first wide chunk carry counters
+    /// 0–3: the wide kernel wraps per lane exactly as the block loop does,
+    /// wherever the buffer is split.
+    #[test]
+    fn counter_wraps_inside_a_wide_chunk() {
+        let key = test_key();
+        let nonce: Nonce = [9; 12];
+        for len in EDGES {
+            let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+            for split in 0..=len / 64 {
+                check_apply(&key, u32::MAX - 3, &nonce, &data, split).unwrap();
+            }
+        }
+    }
+
+    /// Release-only guard, run by name in CI (`cargo test --release -p
+    /// tchain-crypto -- --ignored`). The wide path is fast only because the
+    /// optimiser vectorises `xor_wide`'s lane loop; if a toolchain stops
+    /// doing so the output stays correct and every other test passes. Here
+    /// `apply` over a 16 KiB piece must beat the block-by-block loop in the
+    /// same process by 1.3× (1.9–2.1× when vectorised, ≤ 1.0× when not).
+    #[test]
+    #[ignore = "timing: meaningful in --release only"]
+    fn wide_path_beats_block_by_block() {
+        use std::hint::black_box;
+        let key = test_key();
+        let nonce: Nonce = [5; 12];
+        let mut piece = vec![0u8; 16 * 1024];
+        let mut fastest = |pass: fn(&KeyBytes, u32, &Nonce, &mut [u8])| {
+            (0..200)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    pass(black_box(&key), 0, &nonce, black_box(&mut piece));
+                    start.elapsed()
+                })
+                .min()
+                .expect("200 batches")
+        };
+        let (mut wide, mut scalar) = (std::time::Duration::MAX, std::time::Duration::MAX);
+        // Alternate, so a slow phase of a shared box cannot fall on one side only.
+        for _ in 0..5 {
+            wide = wide.min(fastest(apply));
+            scalar = scalar.min(fastest(block_by_block));
+        }
+        let ratio = scalar.as_secs_f64() / wide.as_secs_f64();
+        assert!(
+            ratio >= 1.3,
+            "apply {wide:?} vs block-by-block {scalar:?} per 16 KiB: {ratio:.2}x"
+        );
     }
 
     #[test]
