@@ -8,10 +8,72 @@
 //! bit-identical.
 
 use tchain::net::{run_swarm, SwarmConfig};
-use tchain::sim::ChaosPlan;
+use tchain::sim::{ChaosPlan, FaultPlan, LatencyModel};
 
 fn chaotic(chaos: ChaosPlan) -> SwarmConfig {
     SwarmConfig { peers: 10, seed: 0xC405, chaos, max_ticks: 20_000, ..SwarmConfig::default() }
+}
+
+/// A 24-peer swarm whose mesh applies every per-link rule at once:
+/// a latency model (so the per-link FIFO floor binds), 2 % control
+/// loss, reordering past the floor and duplication.
+fn latent(seed: u64, latency: LatencyModel) -> SwarmConfig {
+    SwarmConfig {
+        peers: 24,
+        pieces: 12,
+        seed,
+        plan: FaultPlan::lossy(seed ^ 0x1A7, 0.02).with_latency(latency),
+        chaos: ChaosPlan {
+            seed: seed ^ 0xC4,
+            reorder_prob: 0.03,
+            reorder_delay: 2.0,
+            duplicate_prob: 0.02,
+            ..ChaosPlan::none()
+        },
+        ..SwarmConfig::default()
+    }
+}
+
+fn check_latency_pins(latency: LatencyModel, pins: [(u64, u64); 3]) {
+    for (seed, (fingerprint, ticks)) in (1..=3).zip(pins) {
+        let report = run_swarm(latent(seed, latency)).expect("mesh transport");
+        assert_eq!((report.completed_compliant, report.total_compliant), (23, 23), "seed {seed}");
+        assert!(report.violations.is_empty(), "seed {seed}: {:?}", report.violations);
+        assert!(report.plaintext_ok, "seed {seed}");
+        assert_eq!(
+            (report.fingerprint, report.ticks),
+            (fingerprint, ticks),
+            "{latency:?} seed {seed}: the mesh delivered a different schedule"
+        );
+    }
+}
+
+// Pinned delivery schedules under each latency model: any change to the
+// mesh's delivery order, its per-link floors or its loss/chaos draws
+// moves these fingerprints.
+
+#[test]
+fn latency_pins_uniform() {
+    check_latency_pins(
+        LatencyModel::Uniform { lo: 0.0, hi: 3.0 },
+        [(0x35d5_002d_05a1_635f, 247), (0x4ad9_20b4_8507_0c00, 155), (0xba9e_80ab_3c37_225d, 169)],
+    );
+}
+
+#[test]
+fn latency_pins_exp() {
+    check_latency_pins(
+        LatencyModel::Exp { mean: 1.5 },
+        [(0xfce5_0c57_350f_622b, 243), (0xfda5_b8fd_a73d_8f20, 206), (0xa287_7f00_15bc_6d63, 269)],
+    );
+}
+
+#[test]
+fn latency_pins_fixed() {
+    check_latency_pins(
+        LatencyModel::Fixed(2.0),
+        [(0x40d1_32b4_8a50_6e83, 198), (0x75a6_388f_22ad_f170, 196), (0xeb75_f0e2_5b40_9217, 224)],
+    );
 }
 
 #[test]
