@@ -23,7 +23,7 @@ use crate::scale::Scale;
 use std::time::Instant;
 use tchain_attacks::PeerPlan;
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_net::{run_swarm, NetConfig, SwarmConfig as NetSwarmConfig};
+use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig as NetSwarmConfig};
 use tchain_proto::{FileSpec, SwarmConfig};
 use tchain_sim::{kbps, FaultPlan};
 
@@ -213,7 +213,13 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
         net_point("clean", base.clone(), &mut meta),
         net_point(
             "free-rider",
-            base.clone().with_free_riders(2),
+            NetSwarmConfig {
+                strategies: vec![
+                    (peers - 2, Strategy::zero_upload()),
+                    (peers - 1, Strategy::zero_upload()),
+                ],
+                ..base.clone()
+            },
             &mut meta,
         ),
         net_point(

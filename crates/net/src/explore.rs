@@ -130,7 +130,10 @@ pub fn scenario_config(name: &str, seed: u64) -> Option<SwarmConfig> {
     };
     let cfg = match name {
         "baseline" => base,
-        "free-riders" => base.with_free_riders(2),
+        "free-riders" => SwarmConfig {
+            strategies: vec![(6, Strategy::zero_upload()), (7, Strategy::zero_upload())],
+            ..base
+        },
         "lossy" => SwarmConfig { plan: FaultPlan::lossy(seed ^ 0x10_55, 0.05), ..base },
         "chaos" => SwarmConfig { chaos: ChaosPlan::byzantine(seed ^ 0xB42, 0.05), ..base },
         "crash" => SwarmConfig {

@@ -48,8 +48,7 @@ pub struct SwarmConfig {
     /// Per-peer behavioural strategies `(peer id, strategy)` — the
     /// shared `tchain-attacks` vocabulary, one entry per strategic
     /// peer. Absent ids are compliant; id 0 (the seeder) must not
-    /// appear. [`SwarmConfig::with_free_riders`] reproduces the
-    /// historical "n highest ids free-ride" count layout.
+    /// appear.
     pub strategies: Vec<(u32, Strategy)>,
     /// Pieces in the shared file.
     pub pieces: usize,
@@ -111,20 +110,6 @@ impl Default for SwarmConfig {
 }
 
 impl SwarmConfig {
-    /// Historical scenario shape: the `n` highest ids are plain
-    /// §III-A2 zero-upload free-riders. Role derivation then
-    /// reproduces the count-based peer layout exactly — same ids, same
-    /// roles, same draw sequence — so seeded fingerprints from the
-    /// `free_riders: n` era keep holding.
-    #[must_use]
-    pub fn with_free_riders(mut self, n: u32) -> Self {
-        assert!(n < self.peers, "leave at least the seeder compliant");
-        self.strategies.retain(|&(id, _)| id < self.peers - n);
-        self.strategies
-            .extend((self.peers - n..self.peers).map(|id| (id, Strategy::zero_upload())));
-        self
-    }
-
     /// Boot-time free-riders (any flavour) in the scenario.
     pub fn free_rider_count(&self) -> u32 {
         self.strategies.iter().filter(|(_, s)| s.is_free_rider()).count() as u32
@@ -1562,7 +1547,8 @@ mod tests {
 
     #[test]
     fn free_rider_is_starved() {
-        let cfg = SwarmConfig::default().with_free_riders(1);
+        let cfg =
+            SwarmConfig { strategies: vec![(7, Strategy::zero_upload())], ..SwarmConfig::default() };
         let report = run_swarm(cfg).expect("run");
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert_eq!(
@@ -1576,28 +1562,15 @@ mod tests {
     }
 
     #[test]
-    fn explicit_strategies_match_the_count_builder() {
-        // `with_free_riders(n)` is defined as sugar for zero-upload
-        // entries on the n highest ids — the two spellings must be the
-        // same run, frame for frame.
-        let by_count = SwarmConfig::default().with_free_riders(2);
-        let by_hand = SwarmConfig {
-            strategies: vec![(6, Strategy::zero_upload()), (7, Strategy::zero_upload())],
-            ..SwarmConfig::default()
-        };
-        let a = run_swarm(by_count).expect("a");
-        let b = run_swarm(by_hand).expect("b");
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.free_riders, 2);
-        assert_eq!(a.completion_times, b.completion_times);
-    }
-
-    #[test]
     fn plain_free_riders_build_no_attack_state() {
         // Zero-upload free-riders manipulate nothing: no engine, no
         // extra tracker traffic, no identity churn.
-        let report = run_swarm(SwarmConfig::default().with_free_riders(2)).expect("run");
+        let cfg = SwarmConfig {
+            strategies: vec![(6, Strategy::zero_upload()), (7, Strategy::zero_upload())],
+            ..SwarmConfig::default()
+        };
+        let report = run_swarm(cfg).expect("run");
+        assert_eq!(report.free_riders, 2);
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert_eq!(report.tracker_queries, u64::from(report.peers), "rendezvous only");
         assert_eq!(report.whitewash_rejoins, 0);

@@ -10,6 +10,12 @@
 //! overtaken by its own bulk data. Two meshes built from the same plan
 //! deliver byte-identical schedules.
 //!
+//! A mesh send and delivery cost O(1) per frame: frames wait in a
+//! time-bucketed [`DelayQueue`] (one FIFO per delivery time, so a tick's
+//! frames share one bucket), peers live in an endpoint table indexed by
+//! id, and the per-link FIFO floor is kept only when the plan has a
+//! latency model — the one input under which a floor can bind.
+//!
 //! A [`ChaosPlan`] layers *byzantine* behaviour on top of the fault model:
 //! frames can be corrupted in flight (bit flips, truncation, bogus length
 //! prefixes), duplicated, reordered past the per-link FIFO, or cut off by
@@ -20,10 +26,10 @@
 //! as a [`FrameReject`] through [`Transport::take_chaos`].
 
 use crate::frame::{CausalMeta, Frame, FrameDecoder, FrameError, MAX_FRAME_BODY};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use tchain_sim::{
-    ChaosAction, ChaosPlan, ChaosState, ChaosStats, DelayQueue, FaultPlan, FaultState,
-    FrameMutation, NodeId, Route,
+    ChaosAction, ChaosPlan, ChaosState, DelayQueue, FaultPlan, FaultState, FrameMutation, NodeId,
+    Route,
 };
 
 /// One delivered frame.
@@ -244,6 +250,17 @@ impl Queued {
     }
 }
 
+/// What the mesh knows about one peer id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Endpoint {
+    /// Never registered: frames addressed here are an error.
+    Unknown,
+    /// Registered and connected.
+    Live,
+    /// Disconnected: new frames to or from it are dropped.
+    Gone,
+}
+
 /// Deterministic in-process mesh with seeded loss/latency and optional
 /// byzantine chaos.
 #[derive(Debug)]
@@ -254,10 +271,12 @@ pub struct ChannelMesh {
     chaos: ChaosState,
     queue: DelayQueue<Queued>,
     /// Per-link FIFO floor: no frame may deliver earlier than the last
-    /// frame queued on the same `(from, to)` link.
-    link_floor: BTreeMap<(u32, u32), f64>,
-    peers: BTreeSet<u32>,
-    gone: BTreeSet<u32>,
+    /// frame queued on the same `(from, to)` link. `None` when the plan
+    /// has no latency model, where no floor can bind (see
+    /// [`ChannelMesh::with_chaos`]).
+    link_floor: Option<BTreeMap<(u32, u32), f64>>,
+    /// Endpoint state by peer id; the harness mints ids densely.
+    endpoints: Vec<Endpoint>,
     records: Vec<ChaosRecord>,
     stats: TransportStats,
 }
@@ -273,15 +292,21 @@ impl ChannelMesh {
     /// its own seeded stream.
     pub fn with_chaos(plan: FaultPlan, chaos: ChaosPlan, tick_dt: f64) -> Self {
         assert!(tick_dt > 0.0, "tick_dt must be positive");
+        // Per-link floors only where they can bind. Without a latency
+        // model every send is scheduled at `now + tick_dt`, so every
+        // floor a send raises is at most the current `now + tick_dt` and
+        // the clamp in `enqueue` never moves a frame; `Reorder` holds go
+        // through `enqueue_reordered`, which never raises a floor. A
+        // property of the plan, fixed for the mesh's lifetime.
+        let link_floor = plan.has_latency().then(BTreeMap::new);
         ChannelMesh {
             now: 0.0,
             tick_dt,
             fault: FaultState::new(plan),
             chaos: ChaosState::new(chaos),
             queue: DelayQueue::new(),
-            link_floor: BTreeMap::new(),
-            peers: BTreeSet::new(),
-            gone: BTreeSet::new(),
+            link_floor,
+            endpoints: Vec::new(),
             records: Vec::new(),
             stats: TransportStats::default(),
         }
@@ -292,20 +317,24 @@ impl ChannelMesh {
         self.queue.len()
     }
 
-    /// Injection counters from the chaos layer.
-    pub fn chaos_stats(&self) -> ChaosStats {
-        self.chaos.stats()
+    fn endpoint(&self, id: NodeId) -> Endpoint {
+        self.endpoints.get(id.index()).copied().unwrap_or(Endpoint::Unknown)
     }
 
     fn enqueue(&mut self, at: f64, q: Queued) {
-        let key = q.link();
-        // FIFO per link: clamp to the latest scheduled delivery, so a
-        // latency draw can delay but never reorder a link's stream.
-        // Receiver-side rejects obey the same floor — garbage arrives
-        // where the stream put it.
-        let floor = self.link_floor.get(&key).copied().unwrap_or(0.0);
-        let at = at.max(floor).max(self.now + self.tick_dt);
-        self.link_floor.insert(key, at);
+        let next_tick = self.now + self.tick_dt;
+        let at = match &mut self.link_floor {
+            // FIFO per link: clamp to the latest scheduled delivery, so a
+            // latency draw can delay but never reorder a link's stream.
+            // Receiver-side rejects obey the same floor — garbage arrives
+            // where the stream put it.
+            Some(floors) => {
+                let floor = floors.entry(q.link()).or_insert(0.0);
+                *floor = at.max(*floor).max(next_tick);
+                *floor
+            }
+            None => at.max(next_tick),
+        };
         self.queue.push(at, q);
     }
 
@@ -424,9 +453,11 @@ fn redecode(bytes: &[u8]) -> Redecode {
 
 impl Transport for ChannelMesh {
     fn register(&mut self, id: NodeId) -> Result<(), NetError> {
-        self.peers.insert(id.0);
+        if self.endpoints.len() <= id.index() {
+            self.endpoints.resize(id.index() + 1, Endpoint::Unknown);
+        }
         // Re-registering a departed peer revives it (crash-restart).
-        self.gone.remove(&id.0);
+        self.endpoints[id.index()] = Endpoint::Live;
         Ok(())
     }
 
@@ -441,11 +472,12 @@ impl Transport for ChannelMesh {
         frame: Frame,
         meta: Option<CausalMeta>,
     ) -> Result<(), NetError> {
-        if !self.peers.contains(&to.0) {
+        let recipient = self.endpoint(to);
+        if recipient == Endpoint::Unknown {
             return Err(NetError::UnknownPeer(to));
         }
         self.stats.sent += 1;
-        if self.gone.contains(&to.0) || self.gone.contains(&from.0) {
+        if recipient == Endpoint::Gone || self.endpoint(from) == Endpoint::Gone {
             self.stats.dropped += 1;
             return Ok(());
         }
@@ -503,7 +535,11 @@ impl Transport for ChannelMesh {
     }
 
     fn disconnect(&mut self, id: NodeId) {
-        self.gone.insert(id.0);
+        // A never-registered id stays unknown: frames to it remain an
+        // error, not a silent drop.
+        if self.endpoint(id) == Endpoint::Live {
+            self.endpoints[id.index()] = Endpoint::Gone;
+        }
     }
 
     fn take_chaos(&mut self) -> Vec<ChaosRecord> {
@@ -528,7 +564,7 @@ mod tests {
     use super::*;
     use tchain_proto::wire::Message;
     use tchain_proto::PieceId;
-    use tchain_sim::LatencyModel;
+    use tchain_sim::{ensure, ensure_eq, forall, sized, LatencyModel, SimRng};
 
     fn ctrl(p: u32) -> Frame {
         Frame::Control(Message::Have { piece: PieceId(p) })
@@ -564,24 +600,148 @@ mod tests {
     }
 
     #[test]
-    fn latency_never_reorders_a_link() {
-        let plan = FaultPlan { seed: 3, ..FaultPlan::none() }
-            .with_latency(LatencyModel::Uniform { lo: 0.0, hi: 2.0 });
-        let mut m = ChannelMesh::new(plan, 0.1);
+    fn disconnect_before_register_stays_unknown() {
+        let mut m = ChannelMesh::new(FaultPlan::none(), 0.1);
         m.register(NodeId(1)).unwrap();
-        m.register(NodeId(2)).unwrap();
-        for p in 0..50 {
-            m.send(NodeId(1), NodeId(2), ctrl(p)).unwrap();
+        m.disconnect(NodeId(4));
+        assert!(matches!(
+            m.send(NodeId(1), NodeId(4), ctrl(0)),
+            Err(NetError::UnknownPeer(NodeId(4)))
+        ));
+        m.register(NodeId(4)).unwrap();
+        m.send(NodeId(1), NodeId(4), ctrl(1)).unwrap();
+        assert_eq!(m.advance().unwrap().len(), 1);
+    }
+
+    /// The sequence number a test frame carries.
+    fn label(frame: &Frame) -> u32 {
+        match frame {
+            Frame::Control(Message::Have { piece }) | Frame::PieceData { piece, .. } => piece.0,
+            other => panic!("not a test frame: {other:?}"),
         }
-        let mut seen = Vec::new();
-        for _ in 0..100 {
-            for d in m.advance().unwrap() {
-                if let Frame::Control(Message::Have { piece }) = d.frame {
-                    seen.push(piece.0);
-                }
+    }
+
+    /// Frame labels per `(from, to)` link, in order.
+    type PerLink = BTreeMap<(u32, u32), Vec<u32>>;
+
+    fn per_link<'a>(deliveries: impl Iterator<Item = &'a Delivery>) -> PerLink {
+        let mut links = PerLink::new();
+        for d in deliveries {
+            links.entry((d.from.0, d.to.0)).or_default().push(label(&d.frame));
+        }
+        links
+    }
+
+    /// Sends labelled frames over 1–4 links of a 3-peer mesh in a random
+    /// send/advance interleaving, then drains it. Returns every delivery
+    /// in order, the labels sent per link and the labels of the bulk
+    /// frames among them.
+    fn random_traffic(
+        rng: &mut SimRng,
+        size: usize,
+        m: &mut ChannelMesh,
+    ) -> (Vec<Delivery>, PerLink, Vec<u32>) {
+        for i in 0..3 {
+            m.register(NodeId(i)).unwrap();
+        }
+        let mut pairs: Vec<(u32, u32)> =
+            (0..3).flat_map(|a| (0..3).filter(move |&b| b != a).map(move |b| (a, b))).collect();
+        rng.shuffle(&mut pairs);
+        pairs.truncate(1 + rng.below(4));
+        let mixed = rng.chance(0.5);
+        let (mut sent, mut bulk, mut log) = (PerLink::new(), Vec::new(), Vec::new());
+        for label in 0..sized(rng, size, 1, 300) as u32 {
+            let (a, b) = pairs[rng.below(pairs.len())];
+            let frame = if mixed && rng.chance(0.3) {
+                bulk.push(label);
+                Frame::PieceData { piece: PieceId(label), payload: vec![label as u8; 3] }
+            } else {
+                ctrl(label)
+            };
+            m.send(NodeId(a), NodeId(b), frame).unwrap();
+            sent.entry((a, b)).or_default().push(label);
+            if rng.chance(0.3) {
+                log.extend(m.advance().unwrap());
             }
         }
-        assert_eq!(seen, (0..50).collect::<Vec<_>>(), "per-link FIFO");
+        for _ in 0..100_000 {
+            if m.in_flight() == 0 {
+                break;
+            }
+            log.extend(m.advance().unwrap());
+        }
+        (log, sent, bulk)
+    }
+
+    fn random_latency(rng: &mut SimRng) -> LatencyModel {
+        match rng.below(3) {
+            0 => LatencyModel::Fixed(rng.range(0.0, 1.0)),
+            1 => LatencyModel::Uniform { lo: 0.0, hi: rng.range(0.05, 2.0) },
+            _ => LatencyModel::Exp { mean: rng.range(0.05, 1.0) },
+        }
+    }
+
+    #[test]
+    fn latency_never_reorders_a_link() {
+        forall(0x01A7_E4C7, 128, |rng, size| {
+            let latency = random_latency(rng);
+            let loss = if rng.chance(0.5) { 0.2 } else { 0.0 };
+            let plan = FaultPlan::lossy(rng.u64(), loss).with_latency(latency);
+            let mut m = ChannelMesh::new(plan, 0.1);
+            let (log, sent, bulk) = random_traffic(rng, size, &mut m);
+            ensure_eq!(m.in_flight(), 0, "{latency:?}: the mesh drains");
+            let mut got = per_link(log.iter());
+            for (link, labels) in &sent {
+                // Delivered = sent minus drops, in send order: labels rise
+                // along a link, so an in-order subsequence is exactly
+                // "strictly increasing and each one was sent there".
+                let delivered = got.remove(link).unwrap_or_default();
+                ensure!(
+                    delivered.windows(2).all(|w| w[0] < w[1]),
+                    "{latency:?}: link {link:?} reordered: {delivered:?}"
+                );
+                ensure!(delivered.iter().all(|l| labels.binary_search(l).is_ok()));
+                if loss == 0.0 {
+                    ensure_eq!(&delivered, labels, "{latency:?}: link {link:?}");
+                }
+            }
+            ensure!(got.is_empty(), "deliveries on links never sent on: {got:?}");
+            let delivered: Vec<u32> = log.iter().map(|d| label(&d.frame)).collect();
+            ensure!(bulk.iter().all(|l| delivered.contains(l)), "bulk data is never lost");
+            let stats = m.stats();
+            ensure_eq!(stats.delivered + stats.dropped, stats.sent);
+            ensure_eq!(stats.delivered, log.len() as u64);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn a_duplicate_arrives_right_after_its_original_under_latency() {
+        forall(0xD0B1E, 64, |rng, size| {
+            let latency = random_latency(rng);
+            let chaos = ChaosPlan { seed: rng.u64(), duplicate_prob: 0.3, ..ChaosPlan::none() };
+            let plan = FaultPlan { seed: rng.u64(), ..FaultPlan::none() }.with_latency(latency);
+            let mut m = ChannelMesh::with_chaos(plan, chaos, 0.1);
+            let (log, sent, _) = random_traffic(rng, size, &mut m);
+            ensure_eq!(m.in_flight(), 0);
+            for (i, d) in log.iter().enumerate().filter(|(_, d)| d.duplicated) {
+                let original = &log[i - 1];
+                ensure!(
+                    !original.duplicated && (original.from, original.to) == (d.from, d.to),
+                    "{latency:?}: copy {i} does not follow its original"
+                );
+                ensure_eq!(&original.frame, &d.frame);
+            }
+            let injected = m
+                .take_chaos()
+                .iter()
+                .filter(|r| matches!(r, ChaosRecord::Inject { action: ChaosAction::Duplicate, .. }))
+                .count();
+            ensure_eq!(log.iter().filter(|d| d.duplicated).count(), injected, "one copy per injection");
+            let got = per_link(log.iter().filter(|d| !d.duplicated));
+            ensure_eq!(got, sent, "{latency:?}: originals keep per-link send order");
+            Ok(())
+        });
     }
 
     #[test]

@@ -133,6 +133,12 @@ impl FaultPlan {
         self
     }
 
+    /// `true` when the plan has a latency model, i.e. a delivered control
+    /// message may be scheduled later than the next tick.
+    pub fn has_latency(&self) -> bool {
+        !self.latency.is_none()
+    }
+
     /// `true` when the plan injects no faults at all.
     pub fn is_none(&self) -> bool {
         self.drop_prob <= 0.0
@@ -343,6 +349,14 @@ mod tests {
         // The RNG stream was never consumed.
         assert_eq!(st.rng.f64().to_bits(), before.to_bits());
         assert_eq!(st.stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn has_latency_names_the_latency_model_only() {
+        assert!(!FaultPlan::none().has_latency());
+        assert!(!FaultPlan::lossy(1, 0.5).with_partition(1.0, 2.0, 0.5).has_latency());
+        assert!(FaultPlan::none().with_latency(LatencyModel::Fixed(0.0)).has_latency());
+        assert!(FaultPlan::none().with_latency(LatencyModel::Exp { mean: 1.0 }).has_latency());
     }
 
     #[test]

@@ -10,10 +10,15 @@
 //! against reception reports (§II-B), and one peer free-rides to show
 //! the incentive bite. Prints per-peer completions and chain stats.
 
-use tchain_net::{run_swarm, SwarmConfig};
+use tchain_net::{run_swarm, Strategy, SwarmConfig};
 
 fn main() {
-    let cfg = SwarmConfig { peers: 8, seed: 0xCAFE, ..SwarmConfig::default() }.with_free_riders(1);
+    let cfg = SwarmConfig {
+        peers: 8,
+        strategies: vec![(7, Strategy::zero_upload())],
+        seed: 0xCAFE,
+        ..SwarmConfig::default()
+    };
     let report = run_swarm(cfg).expect("mesh transport");
 
     println!(

@@ -7,12 +7,20 @@
 
 use tchain::attacks::PeerPlan;
 use tchain::core::{TChainConfig, TChainSwarm};
-use tchain::net::{run_swarm, NetConfig, SwarmConfig};
+use tchain::net::{run_swarm, NetConfig, Strategy, SwarmConfig};
 use tchain::proto::{FileSpec, SwarmConfig as FluidConfig};
 use tchain::sim::kbps;
 
 fn base16() -> SwarmConfig {
     SwarmConfig { peers: 16, seed: 0x4E75, ..SwarmConfig::default() }
+}
+
+/// `base16` with its two highest ids as zero-upload free-riders.
+fn base16_free_riders() -> SwarmConfig {
+    SwarmConfig {
+        strategies: vec![(14, Strategy::zero_upload()), (15, Strategy::zero_upload())],
+        ..base16()
+    }
 }
 
 #[test]
@@ -43,8 +51,7 @@ fn same_seed_runs_are_bit_identical() {
 
 #[test]
 fn free_riders_starve_at_scale() {
-    let cfg = base16().with_free_riders(2);
-    let report = run_swarm(cfg).expect("run");
+    let report = run_swarm(base16_free_riders()).expect("run");
     assert!(report.ok(), "violations: {:?}", report.violations);
     assert_eq!(report.completed_free_riders, 0, "free-riders never assemble the file");
 }
@@ -71,7 +78,7 @@ fn departure_escrow_holds_at_scale() {
 /// [0.25, 4.0] (documented in DESIGN.md §8).
 #[test]
 fn net_runtime_agrees_with_fluid_simulator() {
-    let net = run_swarm(base16().with_free_riders(2)).expect("run");
+    let net = run_swarm(base16_free_riders()).expect("run");
     assert!(net.ok(), "violations: {:?}", net.violations);
 
     let file = FileSpec::custom(net.pieces, 64.0 * 1024.0, 64.0 * 1024.0);
