@@ -3,17 +3,13 @@
 //! Not a paper figure — the PR 8 scale experiment. Sweeps swarm size
 //! with and without a membership churn schedule (staggered joins, a
 //! flash crowd, a voluntary §II-B4 departure wave, all proportional to
-//! N), audits every frame, and reruns each point at the same seed to
-//! pin bit-identity. At N = 64 the sweep additionally replays the
-//! no-churn point under the legacy linear-scan scheduler and demands a
-//! byte-identical frame-stream fingerprint — the in-tree parity oracle
-//! for the timer-wheel rewrite — and records the wall-clock speedup of
-//! the indexed path at every N as the scan cost grows quadratic.
+//! N), audits every frame, reruns each point at the same seed to pin
+//! bit-identity, and records ticks per wall-clock second at every N.
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
 use std::time::Instant;
-use tchain_net::{run_swarm, SchedMode, SwarmConfig};
+use tchain_net::{run_swarm, SwarmConfig};
 use tchain_sim::ChurnPlan;
 
 tchain_obs::json_struct! {
@@ -52,12 +48,7 @@ tchain_obs::json_struct! {
         pub fingerprint: String,
         /// Same-seed rerun produced a bit-identical fingerprint.
         pub deterministic: bool,
-        /// Legacy linear-scan wall-clock seconds (parity cells only).
-        pub legacy_wall_s: Option<f64>,
-        /// Indexed fingerprint == legacy fingerprint (parity cells only).
-        pub legacy_parity: Option<bool>,
-        /// Completion + plaintexts + ledger + zero violations + determinism
-        /// (+ parity where measured).
+        /// Completion + plaintexts + ledger + zero violations + determinism.
         pub safe: bool,
     }
 }
@@ -86,13 +77,7 @@ fn churn_for(peers: u32) -> ChurnPlan {
         .with_departures(55.0, 0.15)
 }
 
-fn scale_point(
-    peers: u32,
-    churn: bool,
-    with_legacy: bool,
-    base: &SwarmConfig,
-    meta: &mut RunMeta,
-) -> ScalePoint {
+fn scale_point(peers: u32, churn: bool, base: &SwarmConfig, meta: &mut RunMeta) -> ScalePoint {
     let cfg = SwarmConfig {
         peers,
         churn: if churn { churn_for(peers) } else { ChurnPlan::none() },
@@ -101,29 +86,17 @@ fn scale_point(
     let t = Instant::now();
     let report = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
     let wall_s = t.elapsed().as_secs_f64();
-    let rerun = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
+    let rerun = run_swarm(cfg).expect("mesh transport cannot fail");
     meta.note_run(wall_s);
     let deterministic = report.fingerprint == rerun.fingerprint
         && report.ticks == rerun.ticks
         && report.completion_times == rerun.completion_times;
 
-    let (legacy_wall_s, legacy_parity) = if with_legacy {
-        let t = Instant::now();
-        let legacy = run_swarm(SwarmConfig { sched: SchedMode::LegacyLinear, ..cfg })
-            .expect("mesh transport cannot fail");
-        let lw = t.elapsed().as_secs_f64();
-        meta.note_run(lw);
-        (Some(lw), Some(legacy.fingerprint == report.fingerprint && legacy.ticks == report.ticks))
-    } else {
-        (None, None)
-    };
-
     let safe = report.completed_compliant == report.total_compliant
         && report.plaintext_ok
         && report.violations.is_empty()
         && report.ledger_ok
-        && deterministic
-        && legacy_parity.unwrap_or(true);
+        && deterministic;
     ScalePoint {
         scenario: format!("n{peers}{}", if churn { "-churn" } else { "" }),
         peers,
@@ -141,8 +114,6 @@ fn scale_point(
         ticks_per_s: report.ticks as f64 / wall_s.max(1e-9),
         fingerprint: format!("{:016x}", report.fingerprint),
         deterministic,
-        legacy_wall_s,
-        legacy_parity,
         safe,
     }
 }
@@ -170,12 +141,8 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetScaleDoc {
     let mut meta = RunMeta::default();
     let mut points = Vec::new();
     for &n in sizes {
-        // Legacy parity oracle at N = 64: big enough that a scheduling
-        // divergence cannot hide, cheap enough to run the O(N·ticks)
-        // scan twice per sweep.
-        let with_legacy = n == 64;
-        points.push(scale_point(n, false, with_legacy, &base, &mut meta));
-        points.push(scale_point(n, true, false, &base, &mut meta));
+        points.push(scale_point(n, false, &base, &mut meta));
+        points.push(scale_point(n, true, &base, &mut meta));
     }
     let all_safe = points.iter().all(|p| p.safe);
     let rows: Vec<Vec<String>> = points
@@ -189,11 +156,6 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetScaleDoc {
                 if p.ledger_ok { "ok" } else { "DRIFT" }.to_string(),
                 p.escrow_transfers.to_string(),
                 format!("{:.0}", p.ticks_per_s),
-                match p.legacy_parity {
-                    Some(true) => "bit-equal".to_string(),
-                    Some(false) => "DIVERGED".to_string(),
-                    None => "-".to_string(),
-                },
                 if p.deterministic { "yes" } else { "NO" }.to_string(),
                 if p.safe { "ok" } else { "UNSAFE" }.to_string(),
             ]
@@ -203,7 +165,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetScaleDoc {
         "net_scale: swarm size × churn (indexed scheduler, audited)",
         &[
             "scenario", "compliant", "peers±churn", "violations", "ledger", "escrow",
-            "ticks/s", "legacy", "deterministic", "safety",
+            "ticks/s", "deterministic", "safety",
         ],
         &rows,
     );

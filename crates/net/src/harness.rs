@@ -18,7 +18,6 @@ use crate::frame::{CausalMeta, Frame, FrameError};
 use crate::observer::pack;
 pub use crate::observer::Observer;
 use crate::runtime::{Checkpoint, NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
-pub use crate::sched::SchedMode;
 use crate::sched::TimerWheel;
 use crate::strategy::{
     strategy_label, AttackerState, ColluderRegistry, NetStrategy, Strategy, RECHOKE_PERIOD,
@@ -66,13 +65,11 @@ pub struct SwarmConfig {
     /// Membership churn schedule: staggered joins, flash crowds and
     /// voluntary §II-B4 departures. Composes with `plan` and `chaos`.
     pub churn: ChurnPlan,
-    /// Peer scheduler (indexed timer wheel vs legacy linear scan).
-    pub sched: SchedMode,
-    /// Schedule exploration: `Some` hands the indexed scheduler's one
-    /// decision point — which due peer runs next — to a perturber doing
-    /// PCT priority sampling or bit-exact replay of a recorded
-    /// [`Schedule`] (the empty replay is the default interleaving,
-    /// fingerprint and all). Requires [`SchedMode::Indexed`].
+    /// Schedule exploration: `Some` hands the scheduler's one decision
+    /// point — which due peer runs next — to a perturber doing PCT
+    /// priority sampling or bit-exact replay of a recorded [`Schedule`]
+    /// (the empty replay is the default interleaving, fingerprint and
+    /// all).
     pub explore: Option<ExplorePlan>,
     /// Virtual seconds per tick (mesh transport).
     pub tick_dt: f64,
@@ -99,7 +96,6 @@ impl Default for SwarmConfig {
             plan: FaultPlan::none(),
             chaos: ChaosPlan::none(),
             churn: ChurnPlan::none(),
-            sched: SchedMode::Indexed,
             explore: None,
             tick_dt: 1.0,
             max_ticks: 4000,
@@ -603,8 +599,7 @@ pub struct SwarmHarness<T: Transport> {
     telemetry: Option<TelemetryState>,
     /// Timer index over peers: each armed peer has one authoritative
     /// wake time; `ready` collects peers that received frames this tick
-    /// and must run `on_tick` regardless. The legacy scan keeps both
-    /// written but never reads them.
+    /// and must run `on_tick` regardless.
     wheel: TimerWheel,
     ready: BTreeSet<u32>,
     /// Scheduling decision stream, alive only under
@@ -636,10 +631,6 @@ impl<T: Transport> SwarmHarness<T> {
     /// ids, everyone registers with transport and tracker.
     pub fn new(transport: T, cfg: SwarmConfig) -> Result<Self, NetError> {
         assert!(cfg.peers >= 2, "a swarm needs a seeder and a leecher");
-        assert!(
-            cfg.explore.is_none() || cfg.sched == SchedMode::Indexed,
-            "schedule exploration perturbs the indexed scheduler"
-        );
         let mut strategy_of: BTreeMap<u32, Strategy> = BTreeMap::new();
         for &(id, s) in &cfg.strategies {
             assert!(id != 0, "the seeder (id 0) cannot carry a strategy");
@@ -881,7 +872,7 @@ impl<T: Transport> SwarmHarness<T> {
                 staged.extend(stage(to, out));
                 // A delivered frame can unlock same-tick work
                 // (reciprocation, key relay): run this peer's on_tick
-                // now, exactly when the legacy scan would.
+                // now, exactly when an every-peer scan would.
                 self.ready.insert(to.0);
             }
         }
@@ -913,34 +904,23 @@ impl<T: Transport> SwarmHarness<T> {
     /// Runs `on_tick` on this tick's peers and returns who ran — the
     /// only peers whose departure flag can have flipped (`on_tick` sets
     /// it on depart-on-complete; churn adds its victims later).
+    ///
+    /// That is the union of due timers and frame receivers, visited in
+    /// ascending id order — the order an every-peer scan uses; every
+    /// skipped peer is quiescent (see `PeerRuntime::next_wake`), so the
+    /// staged stream matches the full scan's bit for bit. The scan
+    /// survives as the reference in this module's tests.
     fn tick_due(&mut self, now: f64, staged: &mut Staged) -> BTreeSet<u32> {
+        #[cfg(test)]
+        if tests::SCAN_EVERY_PEER.get() { return tests::scan_every_peer(self, now, staged); }
         let mut woke = BTreeSet::new();
-        match self.cfg.sched {
-            // The reference scan: every peer, every tick.
-            SchedMode::LegacyLinear => {
-                self.ready.clear();
-                for (&id, peer) in self.peers.iter_mut() {
-                    let mut out: Outbox = Vec::new();
-                    peer.on_tick(now, &mut out);
-                    staged.extend(stage(NodeId(id), out));
-                    woke.insert(id);
-                }
-            }
-            // Union of due timers and frame receivers, visited in
-            // ascending id order — the same order the legacy scan
-            // uses; every skipped peer is quiescent (see
-            // `PeerRuntime::next_wake`), so the staged stream matches
-            // the full scan's bit for bit.
-            SchedMode::Indexed => {
-                let mut due = std::mem::take(&mut self.ready);
-                self.wheel.pop_due(now, &mut due);
-                if self.perturb.is_some() {
-                    self.tick_perturbed(due.into_iter().collect(), now, staged, &mut woke);
-                } else {
-                    for id in due {
-                        self.tick_peer(id, now, staged, &mut woke);
-                    }
-                }
+        let mut due = std::mem::take(&mut self.ready);
+        self.wheel.pop_due(now, &mut due);
+        if self.perturb.is_some() {
+            self.tick_perturbed(due.into_iter().collect(), now, staged, &mut woke);
+        } else {
+            for id in due {
+                self.tick_peer(id, now, staged, &mut woke);
             }
         }
         woke
@@ -981,7 +961,7 @@ impl<T: Transport> SwarmHarness<T> {
     }
 
     /// Runs one due peer's `on_tick` and re-arms it — the body of the
-    /// indexed scheduler's visit, shared verbatim by explore mode so a
+    /// scheduler's visit, shared verbatim by explore mode so a
     /// perturbed run differs from production only in visit *order*.
     fn tick_peer(&mut self, id: u32, now: f64, staged: &mut Staged, woke: &mut BTreeSet<u32>) {
         let Some(peer) = self.peers.get_mut(&id) else {
@@ -991,7 +971,7 @@ impl<T: Transport> SwarmHarness<T> {
         let mut out: Outbox = Vec::new();
         peer.on_tick(now, &mut out);
         // Re-arm. Output means the peer is mid-burst: tick it again
-        // next round, like the legacy scan. Quiet peers park on their
+        // next round, like an every-peer scan. Quiet peers park on their
         // earliest timer deadline, or disarm entirely until a frame
         // arrives. `now` (not now + dt) marks "next transport poll" on
         // wall-clock backends too — it pops on the following tick
@@ -1521,6 +1501,38 @@ pub fn run_swarm(cfg: SwarmConfig) -> Result<SwarmReport, NetError> {
 mod tests {
     use super::*;
     use crate::strategy::{FreeRiderConfig, GroupId};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Swaps `tick_due` for [`scan_every_peer`] on this test's thread.
+        pub(super) static SCAN_EVERY_PEER: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The reference scheduler: every peer, every tick, in ascending id
+    /// order. The timer wheel must reproduce its frame stream exactly.
+    pub(super) fn scan_every_peer<T: Transport>(
+        h: &mut SwarmHarness<T>,
+        now: f64,
+        staged: &mut Staged,
+    ) -> BTreeSet<u32> {
+        h.ready.clear();
+        let mut woke = BTreeSet::new();
+        for (&id, peer) in h.peers.iter_mut() {
+            let mut out: Outbox = Vec::new();
+            peer.on_tick(now, &mut out);
+            staged.extend(stage(NodeId(id), out));
+            woke.insert(id);
+        }
+        woke
+    }
+
+    /// `run_swarm` under [`scan_every_peer`].
+    fn run_scanning(cfg: SwarmConfig) -> SwarmReport {
+        SCAN_EVERY_PEER.set(true);
+        let report = run_swarm(cfg);
+        SCAN_EVERY_PEER.set(false);
+        report.expect("every-peer scan")
+    }
 
     #[test]
     fn small_swarm_completes_cleanly() {
@@ -1823,9 +1835,9 @@ mod tests {
 
     #[test]
     fn schedulers_agree_on_every_membership_path() {
-        // `Indexed`, the `LegacyLinear` reference scan and the empty
+        // The timer wheel, the every-peer reference scan and the empty
         // explore replay must be one run, frame for frame, on every
-        // admission and teardown path. A missed wake (or a legacy-only
+        // admission and teardown path. A missed wake (or a scan-only
         // branch) diverges the fingerprint immediately.
         let base = SwarmConfig { peers: 12, max_ticks: 8000, ..SwarmConfig::default() };
         let churn = ChurnPlan::none()
@@ -1836,7 +1848,7 @@ mod tests {
             (9..12).map(|id| (id, Strategy::aggressive_free_rider())).collect();
         let duplication = ChaosPlan { seed: 0xC4A0, duplicate_prob: 0.03, ..ChaosPlan::none() };
         type Exercised = fn(&SwarmReport) -> bool;
-        let table: [(&str, SwarmConfig, Exercised); 5] = [
+        let table: [(&str, SwarmConfig, Exercised); 6] = [
             ("clean", SwarmConfig { peers: 8, ..base.clone() }, |_| true),
             (
                 "chaos + crash-restart",
@@ -1875,21 +1887,32 @@ mod tests {
                 },
                 |r| r.crashes > 0 && r.churn_departs > 0 && r.whitewash_rejoins > 0,
             ),
+            (
+                // Big enough that a scheduling divergence cannot hide.
+                "64 peers",
+                SwarmConfig {
+                    peers: 64,
+                    pieces: 12,
+                    piece_len: 256,
+                    seed: 0x5CA1E64,
+                    ..SwarmConfig::default()
+                },
+                |r| r.ok(),
+            ),
         ];
         let outcome = |r: &SwarmReport| {
             let counts = (r.crashes, r.churn_joins, r.churn_departs, r.whitewash_rejoins);
-            (r.fingerprint, r.ticks, r.completion_times.clone(), counts)
+            (r.fingerprint, r.ticks, r.completion_times.clone(), counts, r.peer_counters.clone())
         };
         for (name, cfg, exercised) in table {
-            let indexed = run_swarm(cfg.clone()).expect("indexed");
-            assert!(exercised(&indexed), "{name}: the scenario must reach its path");
-            let legacy = SwarmConfig { sched: SchedMode::LegacyLinear, ..cfg.clone() };
+            let wheel = run_swarm(cfg.clone()).expect("wheel");
+            assert!(exercised(&wheel), "{name}: the scenario must reach its path");
+            let scan = run_scanning(cfg.clone());
+            assert_eq!(outcome(&wheel), outcome(&scan), "{name}: wheel vs every-peer scan");
             let replay =
                 SwarmConfig { explore: Some(ExplorePlan::Replay(Schedule::default())), ..cfg };
-            for (mode, other) in [("legacy", legacy), ("empty replay", replay)] {
-                let other = run_swarm(other).expect(mode);
-                assert_eq!(outcome(&indexed), outcome(&other), "{name}: indexed vs {mode}");
-            }
+            let replay = run_swarm(replay).expect("empty replay");
+            assert_eq!(outcome(&wheel), outcome(&replay), "{name}: wheel vs empty replay");
         }
     }
 

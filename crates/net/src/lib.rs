@@ -14,14 +14,16 @@
 //! and a [`SwarmHarness`] that boots N peers in one process, runs a
 //! flash crowd to completion and audits every key release on the wire.
 //!
-//! On top of that sits a chaos layer: both transports compose a
+//! On top of that sits a chaos layer: the [`ChannelMesh`] composes a
 //! `tchain-sim` `ChaosPlan` that corrupts, duplicates, reorders and
 //! resets frames in flight; the checksummed codec turns every mutation
-//! into a typed [`FrameError`]; receivers convert rejects into strikes
-//! and temporary quarantines; and a crash-restart schedule kills peers
-//! abruptly and rejoins them from a serialized [`Checkpoint`]. The
-//! harness orchestrates all of it and asserts that safety (byte-exact
-//! plaintexts, zero unreciprocated key releases) survives.
+//! into a typed [`FrameError`], and [`TcpLoopback`] surfaces a real
+//! stream that stops decoding or dies mid-frame the same way; receivers
+//! convert rejects into strikes and temporary quarantines; and a
+//! crash-restart schedule kills peers abruptly and rejoins them from a
+//! serialized [`Checkpoint`]. The harness orchestrates all of it and
+//! asserts that safety (byte-exact plaintexts, zero unreciprocated key
+//! releases) survives.
 //!
 //! The crate depends only on `tchain-{crypto,proto,sim,obs}` — the
 //! fluid drivers in `tchain-core` know nothing about it, which is what
@@ -51,7 +53,7 @@ pub use frame::{
     frame_checksum, CausalMeta, Frame, FrameDecoder, FrameError, CAUSAL_META_LEN,
     FRAME_HEADER_LEN, MAX_FRAME_BODY,
 };
-pub use harness::{run_swarm, Observer, SchedMode, SwarmConfig, SwarmHarness, SwarmReport};
+pub use harness::{run_swarm, Observer, SwarmConfig, SwarmHarness, SwarmReport};
 pub use sched::TimerWheel;
 pub use strategy::{
     strategy_label, AttackerState, ColluderRegistry, FreeRiderConfig, GroupId, NetStrategy,

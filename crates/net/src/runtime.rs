@@ -838,11 +838,11 @@ impl PeerRuntime {
 
     /// Earliest future time at which this peer's *timers* require an
     /// `on_tick`, or `None` when the peer is purely reactive (nothing
-    /// will happen until a frame arrives). The indexed harness
-    /// scheduler parks peers on this: the quiescence invariant — an
-    /// `on_tick` that emits nothing draws no RNG and mutates nothing
-    /// except timer expirations — is what makes skipping idle peers
-    /// bit-identical to the legacy every-peer scan.
+    /// will happen until a frame arrives). The harness scheduler parks
+    /// peers on this: the quiescence invariant — an `on_tick` that
+    /// emits nothing draws no RNG and mutates nothing except timer
+    /// expirations — is what makes skipping idle peers bit-identical to
+    /// an every-peer scan.
     ///
     /// The timer sources, each with its wake deadline:
     /// * quarantine expiry (`until`) — re-enables donor candidates,
@@ -854,7 +854,7 @@ impl PeerRuntime {
     /// Strict-`>` deadlines (stall sweeps) fire on the first tick
     /// *after* the deadline; waking exactly at the deadline is a
     /// harmless no-op and the harness re-arms one tick later, which
-    /// lands on the same tick the legacy scan acted on.
+    /// lands on the same tick an every-peer scan acts on.
     pub fn next_wake(&self) -> Option<f64> {
         if self.departed {
             return None;

@@ -1,89 +1,30 @@
 //! Deterministic wake-up scheduling for the swarm harness.
 //!
-//! The legacy harness loop called `on_tick` on every peer every tick —
-//! O(N) per tick even when all but a handful of peers are idle, which
-//! is exactly the regime a 256-peer churning swarm spends most of its
-//! life in. [`TimerWheel`] replaces that scan with a binary-heap timer
-//! index: each peer is *armed* with at most one authoritative wake
-//! time, and a tick only visits the peers whose wake time has come due
-//! (plus any peers the harness force-readies because a frame arrived).
+//! Calling `on_tick` on every peer every tick is O(N) per tick even when
+//! all but a handful of peers are idle, which is exactly the regime a
+//! 256-peer churning swarm spends most of its life in. [`TimerWheel`]
+//! is the index that avoids the scan: each peer is *armed* with at most
+//! one wake time, and a tick only visits the peers whose wake time has
+//! come due (plus any peers the harness force-readies because a frame
+//! arrived).
 //!
 //! Determinism is the whole point, so ordering is total and explicit:
-//! heap entries compare by `(time, peer-id, seq)` with `f64::total_cmp`
-//! for the time leg — no partial-order surprises, no insertion-order
-//! dependence. Re-arming a peer pushes a fresh heap entry and bumps the
-//! authoritative map; stale entries are dropped lazily when popped
-//! (standard lazy-deletion heap), so `schedule`/`hasten`/`cancel` are
-//! all O(log N) and never rebuild the heap.
+//! wakes pop by `(time, peer-id)`, the time leg in `f64::total_cmp`
+//! order through [`rank`]. The index is exact — re-arming or cancelling
+//! a peer moves or removes its one entry — so there is no stale entry to
+//! skip and no insertion-order dependence.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
+use tchain_sim::queue::{rank, time_of};
 
-/// Which per-tick peer scheduler the harness runs.
+/// Timer index over peers, popped in `(time, peer)` order.
 ///
-/// [`SchedMode::Indexed`] is the production scheduler: a
-/// [`TimerWheel`]-armed ready set visits only the peers with due timers
-/// or freshly delivered frames, so a mostly-idle 256-peer swarm costs
-/// O(active) per tick instead of O(N). [`SchedMode::LegacyLinear`] is
-/// the original every-peer scan, kept as the reference the quiescence
-/// invariant (documented on `PeerRuntime::next_wake`) is tested
-/// against: the parity tests pin the two modes to the identical
-/// delivered-frame fingerprint.
-///
-/// Schedule exploration is not a mode: `SwarmConfig::explore` hands the
-/// indexed scheduler's one decision point — which due peer runs next —
-/// to a `tchain-sim` perturber (see `crate::explore`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Timer-wheel + ready-set scheduler (default).
-    #[default]
-    Indexed,
-    /// Original O(N)-per-tick scan over every peer. Parity oracle for
-    /// equivalence tests and the `net_scale` experiment's baseline leg.
-    LegacyLinear,
-}
-
-/// One pending wake-up: `peer` wants to run at time `at`.
-///
-/// `seq` is a global insertion counter. It never decides *which* peers
-/// run (the authoritative map does) — it only makes the heap's internal
-/// order a total one, so two wheels built by different call sequences
-/// still pop identically once stale entries are filtered.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Wake {
-    at: f64,
-    peer: u32,
-    seq: u64,
-}
-
-impl Eq for Wake {}
-
-impl Ord for Wake {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.at
-            .total_cmp(&other.at)
-            .then_with(|| self.peer.cmp(&other.peer))
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for Wake {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Binary-heap timer index over peers (min-heap by `(time, peer, seq)`).
-///
-/// Invariant: `armed` maps each scheduled peer to its single
-/// authoritative wake time; the heap may additionally hold stale
-/// entries from earlier `schedule`/`hasten` calls, which are discarded
-/// on pop by checking them against `armed`.
+/// Invariant: `order` holds exactly one `(rank(at), peer)` for each
+/// `(peer, at)` in `armed`.
 #[derive(Debug, Default)]
 pub struct TimerWheel {
-    heap: BinaryHeap<std::cmp::Reverse<Wake>>,
     armed: BTreeMap<u32, f64>,
-    seq: u64,
+    order: BTreeSet<(u64, u32)>,
 }
 
 impl TimerWheel {
@@ -96,8 +37,10 @@ impl TimerWheel {
     /// (later *or* earlier — this is the authoritative reschedule used
     /// after a peer's `on_tick`).
     pub fn schedule(&mut self, peer: u32, at: f64) {
-        self.armed.insert(peer, at);
-        self.push(peer, at);
+        if let Some(old) = self.armed.insert(peer, at) {
+            self.order.remove(&(rank(old), peer));
+        }
+        self.order.insert((rank(at), peer));
     }
 
     /// Arms `peer` to wake no later than `at`: keeps an existing
@@ -105,24 +48,16 @@ impl TimerWheel {
     /// (peer-gone notifications, rejoin bootstraps, frame rejects) that
     /// must not *delay* an already-imminent wake.
     pub fn hasten(&mut self, peer: u32, at: f64) {
-        match self.armed.get(&peer) {
-            Some(&cur) if cur <= at => {}
-            _ => {
-                self.armed.insert(peer, at);
-                self.push(peer, at);
-            }
+        if !self.armed.get(&peer).is_some_and(|&cur| cur <= at) {
+            self.schedule(peer, at);
         }
     }
 
-    /// Disarms `peer` (no-op if not armed). The stale heap entry is
-    /// dropped lazily.
+    /// Disarms `peer` (no-op if not armed).
     pub fn cancel(&mut self, peer: u32) {
-        self.armed.remove(&peer);
-    }
-
-    /// Whether `peer` currently has a wake time armed.
-    pub fn is_armed(&self, peer: u32) -> bool {
-        self.armed.contains_key(&peer)
+        if let Some(at) = self.armed.remove(&peer) {
+            self.order.remove(&(rank(at), peer));
+        }
     }
 
     /// The currently armed wake time for `peer`, if any.
@@ -140,26 +75,18 @@ impl TimerWheel {
         self.armed.is_empty()
     }
 
-    /// Earliest armed wake time, if any.
-    pub fn next_at(&mut self) -> Option<f64> {
-        self.skim();
-        self.heap.peek().map(|std::cmp::Reverse(w)| w.at)
-    }
-
     /// Disarms every peer whose wake time is `<= now` and adds them to
     /// `due`. Using a `BTreeSet` makes the union with the harness's
-    /// ready set iterate in ascending peer-id order — the same order
-    /// the legacy full scan visited peers in.
+    /// ready set iterate in ascending peer-id order — the order an
+    /// every-peer scan visits peers in.
     pub fn pop_due(&mut self, now: f64, due: &mut BTreeSet<u32>) {
-        while let Some(std::cmp::Reverse(w)) = self.heap.peek().copied() {
-            if w.at > now {
+        while let Some(&(key, peer)) = self.order.first() {
+            // The float comparison, not the rank: `0.0 <= -0.0` holds.
+            if time_of(key) > now {
                 break;
             }
-            self.heap.pop();
-            if self.live(&w) {
-                self.armed.remove(&w.peer);
-                due.insert(w.peer);
-            }
+            self.pop_next();
+            due.insert(peer);
         }
     }
 
@@ -167,34 +94,9 @@ impl TimerWheel {
     /// regardless of the current time. Exposed for the property tests,
     /// which check the pop sequence is a total deterministic order.
     pub fn pop_next(&mut self) -> Option<(f64, u32)> {
-        while let Some(std::cmp::Reverse(w)) = self.heap.pop() {
-            if self.live(&w) {
-                self.armed.remove(&w.peer);
-                return Some((w.at, w.peer));
-            }
-        }
-        None
-    }
-
-    fn push(&mut self, peer: u32, at: f64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(std::cmp::Reverse(Wake { at, peer, seq }));
-    }
-
-    /// Is this heap entry the authoritative one for its peer?
-    fn live(&self, w: &Wake) -> bool {
-        self.armed.get(&w.peer).is_some_and(|&at| at.to_bits() == w.at.to_bits())
-    }
-
-    /// Drops stale entries off the top so `peek` sees a live one.
-    fn skim(&mut self) {
-        while let Some(std::cmp::Reverse(w)) = self.heap.peek().copied() {
-            if self.live(&w) {
-                break;
-            }
-            self.heap.pop();
-        }
+        let (key, peer) = self.order.pop_first()?;
+        self.armed.remove(&peer);
+        Some((time_of(key), peer))
     }
 }
 
@@ -241,14 +143,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_disarms_lazily() {
+    fn cancel_disarms() {
         let mut w = TimerWheel::new();
         w.schedule(1, 1.0);
         w.schedule(2, 2.0);
         w.cancel(1);
-        assert!(!w.is_armed(1));
+        w.cancel(5); // never armed: no-op
+        assert_eq!(w.armed_at(1), None);
         assert_eq!(w.len(), 1);
-        assert_eq!(w.next_at(), Some(2.0));
         assert_eq!(drain(&mut w), vec![(2.0, 2)]);
     }
 
@@ -269,12 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn stale_entries_never_resurrect_a_peer() {
+    fn a_moved_wake_never_fires_at_its_old_time() {
         let mut w = TimerWheel::new();
         w.schedule(1, 1.0);
         w.schedule(1, 4.0);
         let mut due = BTreeSet::new();
-        w.pop_due(2.0, &mut due); // stale 1.0 entry must not fire
+        w.pop_due(2.0, &mut due); // the replaced 1.0 must not fire
         assert!(due.is_empty());
         assert_eq!(w.armed_at(1), Some(4.0));
         w.pop_due(4.0, &mut due);
@@ -295,11 +197,15 @@ mod tests {
     }
 
     #[test]
-    fn next_at_skips_stale_tops(){
-        let mut w = TimerWheel::new();
-        w.schedule(1, 1.0);
-        w.schedule(2, 5.0);
-        w.schedule(1, 9.0); // 1.0 entry now stale
-        assert_eq!(w.next_at(), Some(5.0));
+    fn both_zeros_are_due_at_either_zero() {
+        // `-0.0` ranks below `0.0`, yet each is `<=` the other.
+        for now in [0.0, -0.0] {
+            let mut w = TimerWheel::new();
+            w.schedule(1, 0.0);
+            w.schedule(2, -0.0);
+            let mut due = BTreeSet::new();
+            w.pop_due(now, &mut due);
+            assert_eq!(due.into_iter().collect::<Vec<_>>(), vec![1, 2], "now = {now:?}");
+        }
     }
 }

@@ -15,22 +15,19 @@
 //! or dies mid-frame is torn down and surfaced as a
 //! [`FrameReject`] via [`Transport::take_chaos`], while every other link
 //! keeps flowing. A sender whose socket comes back reset reopens it on
-//! the next send. Chaos injection ([`ChaosPlan`]) mangles the sender-side
-//! wire bytes before they hit the socket, so detection exercises the same
-//! checksum path a genuinely byzantine peer would; `Reorder` is the one
-//! action TCP cannot express (a stream cannot overtake itself) and
-//! delivers normally.
+//! the next send. The backend injects no chaos of its own: a send writes
+//! the frame's encoding as is. Byzantine schedules belong to the
+//! deterministic [`ChannelMesh`](crate::ChannelMesh).
 
 use crate::frame::{CausalMeta, Frame, FrameDecoder, FrameError};
 use crate::transport::{
-    apply_mutation, ChaosRecord, Delivery, FrameReject, NetError, RejectCause, Transport,
-    TransportStats,
+    ChaosRecord, Delivery, FrameReject, NetError, RejectCause, Transport, TransportStats,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Instant;
-use tchain_sim::{ChaosAction, ChaosPlan, ChaosState, NodeId};
+use tchain_sim::NodeId;
 
 /// `true` for I/O errors meaning "this connection is dead", which the
 /// backend absorbs as a link reset rather than a transport failure.
@@ -146,39 +143,25 @@ pub struct TcpLoopback {
     inbound: BTreeMap<(u32, u32), Conn>,
     pending: Vec<(u32, PendingAccept)>,
     gone: BTreeSet<u32>,
-    chaos: ChaosState,
     records: Vec<ChaosRecord>,
     started: Instant,
     stats: TransportStats,
 }
 
 impl TcpLoopback {
-    /// A fresh loopback transport with no endpoints and no chaos.
+    /// A fresh loopback transport with no endpoints.
     ///
     /// # Errors
     ///
     /// Currently infallible; kept fallible for parity with binding on
     /// registration.
     pub fn new() -> Result<Self, NetError> {
-        Self::with_chaos(ChaosPlan::none())
-    }
-
-    /// A loopback transport that mangles sender-side wire bytes per the
-    /// chaos plan. Crash schedules in the plan are ignored here — crash
-    /// orchestration belongs to the harness.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; kept fallible for parity with binding on
-    /// registration.
-    pub fn with_chaos(chaos: ChaosPlan) -> Result<Self, NetError> {
         Ok(TcpLoopback {
             listeners: BTreeMap::new(),
             outbound: BTreeMap::new(),
             inbound: BTreeMap::new(),
             pending: Vec::new(),
             gone: BTreeSet::new(),
-            chaos: ChaosState::new(chaos),
             records: Vec::new(),
             started: Instant::now(),
             stats: TransportStats::default(),
@@ -307,46 +290,7 @@ impl Transport for TcpLoopback {
             self.stats.dropped += 1;
             return Ok(());
         }
-        // The chaos draw keys on the bare frame length so telemetry
-        // stamps cannot change which frames get hit.
-        let action = self.chaos.action(frame.encoded_len());
-        if action != ChaosAction::Deliver {
-            self.records.push(ChaosRecord::Inject { from, to, action });
-        }
-        // The chaos arms mangle the real wire image — meta block included
-        // when one is attached — so the checksum path under test is
-        // exactly what a receiver would run.
-        let wire = || frame.encode_with_meta(meta.as_ref());
-        match action {
-            // A TCP stream cannot overtake itself: Reorder is a no-op
-            // here and the frame rides the stream in order.
-            ChaosAction::Deliver | ChaosAction::Reorder => {
-                self.write(from, to, |buf| frame.encode_with_meta_into(meta.as_ref(), buf))
-            }
-            ChaosAction::Corrupt(m) => {
-                let mut bytes = wire();
-                apply_mutation(&mut bytes, m);
-                self.write(from, to, |buf| buf.extend_from_slice(&bytes))
-            }
-            ChaosAction::Duplicate => {
-                let bytes = wire();
-                self.write(from, to, |buf| {
-                    buf.extend_from_slice(&bytes);
-                    buf.extend_from_slice(&bytes);
-                })
-            }
-            ChaosAction::Reset => {
-                // Push half the frame onto the wire, then kill the socket:
-                // the receiver sees a stream that dies mid-frame.
-                let bytes = wire();
-                self.write(from, to, |buf| buf.extend_from_slice(&bytes[..bytes.len() / 2]))?;
-                if let Some(mut conn) = self.outbound.remove(&(from.0, to.0)) {
-                    let _ = conn.out.flush(&mut conn.stream);
-                }
-                self.stats.dropped += 1;
-                Ok(())
-            }
-        }
+        self.write(from, to, |buf| frame.encode_with_meta_into(meta.as_ref(), buf))
     }
 
     fn advance(&mut self) -> Result<Vec<Delivery>, NetError> {
@@ -429,7 +373,7 @@ impl Transport for TcpLoopback {
     }
 
     fn reliable(&self) -> bool {
-        !self.chaos.active()
+        true
     }
 
     fn stats(&self) -> TransportStats {
@@ -446,11 +390,7 @@ mod tests {
     /// Loopback sockets may be unavailable in sandboxed environments;
     /// skip rather than fail so the suite stays hermetic.
     fn try_pair() -> Option<TcpLoopback> {
-        try_pair_chaos(ChaosPlan::none())
-    }
-
-    fn try_pair_chaos(chaos: ChaosPlan) -> Option<TcpLoopback> {
-        let mut t = TcpLoopback::with_chaos(chaos).ok()?;
+        let mut t = TcpLoopback::new().ok()?;
         match (t.register(NodeId(1)), t.register(NodeId(2))) {
             (Ok(()), Ok(())) => Some(t),
             _ => None,
@@ -469,18 +409,35 @@ mod tests {
         got
     }
 
-    /// Pumps until at least `want` chaos records accumulate.
-    fn pump_records(t: &mut TcpLoopback, want: usize) -> Vec<ChaosRecord> {
-        let mut records = Vec::new();
-        for _ in 0..2000 {
-            t.advance().expect("advance");
-            records.extend(t.take_chaos());
-            if records.len() >= want {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        records
+    /// Puts `bytes` on the `1 → 2` link's wire and drops its socket, as
+    /// a sender that dies after writing them would. The next send opens
+    /// a fresh link.
+    fn write_and_drop(t: &mut TcpLoopback, bytes: &[u8]) {
+        t.write(NodeId(1), NodeId(2), |buf| buf.extend_from_slice(bytes)).expect("write");
+        let mut conn = t.outbound.remove(&(1, 2)).expect("the write opened the link");
+        conn.out.flush(&mut conn.stream).expect("flush");
+        assert_eq!(conn.out.pending(), 0, "every injected byte reached the socket");
+    }
+
+    /// A stream that dies inside `frame`: half its encoding, then EOF.
+    fn cut_mid_frame(t: &mut TcpLoopback, frame: &Frame) {
+        let bytes = frame.encode();
+        write_and_drop(t, &bytes[..bytes.len() / 2]);
+    }
+
+    fn have(i: u32) -> Frame {
+        Frame::Control(Message::Have { piece: PieceId(i) })
+    }
+
+    /// The reject causes surfaced so far.
+    fn rejects(t: &mut TcpLoopback) -> Vec<RejectCause> {
+        t.take_chaos()
+            .into_iter()
+            .map(|r| match r {
+                ChaosRecord::Reject(rj) => rj.cause,
+                other => panic!("a clean sender injects nothing: {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
@@ -489,6 +446,7 @@ mod tests {
             eprintln!("skipping: loopback TCP unavailable");
             return;
         };
+        assert!(t.reliable(), "real sockets lose no control frame");
         let frames = vec![
             Frame::Control(Message::NeighborRequest { from: NodeId(1) }),
             Frame::PieceData { piece: PieceId(4), payload: vec![9; 70_000] },
@@ -595,30 +553,36 @@ mod tests {
 
     #[test]
     fn frames_around_a_reset_are_not_stranded_in_the_torn_down_link() {
-        let plan = ChaosPlan { seed: 0x2E5E7, reset_prob: 0.005, ..ChaosPlan::none() };
-        let Some(mut t) = try_pair_chaos(plan) else {
+        let Some(mut t) = try_pair() else {
             eprintln!("skipping: loopback TCP unavailable");
             return;
         };
-        // No poll between sends: frames queued behind a reset leave with
-        // its explicit flush, frames sent after it open a new socket.
+        // No poll between sends: frames queued behind a cut leave with
+        // its flush, frames sent after it open a new socket, which must
+        // wait for the old one to be read out. Back-to-back cuts make a
+        // link that carries nothing but its hello and half a frame.
+        const CUTS: [u32; 6] = [0, 1, 137, 500, 501, 1999];
         let mut expect = Vec::new();
         for i in 0..2000u32 {
-            let f = Frame::Control(Message::Have { piece: PieceId(i) });
-            t.send(NodeId(1), NodeId(2), f.clone()).expect("send");
-            if t.take_chaos().is_empty() {
-                expect.push(f);
+            if CUTS.contains(&i) {
+                cut_mid_frame(&mut t, &have(i));
+            } else {
+                t.send(NodeId(1), NodeId(2), have(i)).expect("send");
+                expect.push(have(i));
             }
         }
-        let resets = 2000 - expect.len();
-        assert!((2..=40).contains(&resets), "the plan must reset a few links, not {resets}");
+        // A last frame on a fresh link: everything before it has been
+        // read once it arrives.
+        t.send(NodeId(1), NodeId(2), have(2000)).expect("send");
+        expect.push(have(2000));
         let got: Vec<Frame> = pump(&mut t, expect.len()).into_iter().map(|d| d.frame).collect();
         assert!(
             got == expect,
-            "every frame that was not itself reset, in order ({} of {} arrived)",
+            "every frame that was not itself cut, in order ({} of {} arrived)",
             got.len(),
             expect.len()
         );
+        assert_eq!(rejects(&mut t), vec![RejectCause::Reset; CUTS.len()], "one reset per cut");
     }
 
     #[test]
@@ -639,49 +603,38 @@ mod tests {
 
     #[test]
     fn corrupted_stream_rejects_and_link_recovers() {
-        // Corrupt exactly the early frames: with p=1.0 every send is
-        // mangled, so nothing may ever deliver and each doomed stream
-        // must surface a typed reject instead of erroring the transport.
-        let Some(mut t) = try_pair_chaos(ChaosPlan::corrupting(13, 1.0)) else {
+        let Some(mut t) = try_pair() else {
             eprintln!("skipping: loopback TCP unavailable");
             return;
         };
-        assert!(!t.reliable());
-        t.send(NodeId(1), NodeId(2), Frame::Control(Message::Have { piece: PieceId(3) }))
-            .expect("send");
-        let records = pump_records(&mut t, 2);
+        // One flipped body bit: the checksum must catch it, the stream
+        // has no resync point, and the link that replaces it delivers.
+        let mut bytes = have(3).encode();
+        *bytes.last_mut().expect("a frame has a body") ^= 0x10;
+        write_and_drop(&mut t, &bytes);
+        t.send(NodeId(1), NodeId(2), have(5)).expect("send");
+        let got = pump(&mut t, 1);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].frame, have(5), "only the clean frame delivers");
+        let causes = rejects(&mut t);
         assert!(
-            records.iter().any(|r| matches!(r, ChaosRecord::Inject { .. })),
-            "injection must be logged: {records:?}"
+            matches!(causes[..], [RejectCause::Malformed(_)]),
+            "the corrupt stream rejects once, as malformed: {causes:?}"
         );
-        // A truncate-to-nothing mutation leaves no receiver-side evidence;
-        // any other mutation must produce a reject. Either way the
-        // transport stayed alive:
-        t.send(NodeId(2), NodeId(1), Frame::Control(Message::Have { piece: PieceId(5) }))
-            .expect("transport must survive a poisoned link");
-        assert_eq!(t.stats().delivered, 0, "no corrupted frame may deliver silently");
     }
 
     #[test]
-    fn chaos_reset_kills_the_stream_mid_frame() {
-        let plan = ChaosPlan { reset_prob: 1.0, ..ChaosPlan::none() };
-        let Some(mut t) = try_pair_chaos(plan) else {
+    fn a_stream_cut_mid_frame_rejects_as_a_reset() {
+        let Some(mut t) = try_pair() else {
             eprintln!("skipping: loopback TCP unavailable");
             return;
         };
-        t.send(NodeId(1), NodeId(2), Frame::PieceData { piece: PieceId(0), payload: vec![7; 512] })
-            .expect("send");
-        let records = pump_records(&mut t, 2);
-        assert!(records
-            .iter()
-            .any(|r| matches!(r, ChaosRecord::Inject { action: ChaosAction::Reset, .. })));
-        assert!(
-            records.iter().any(
-                |r| matches!(r, ChaosRecord::Reject(rj) if rj.cause == RejectCause::Reset)
-            ),
-            "receiver must observe the mid-frame cut: {records:?}"
-        );
-        assert_eq!(t.stats().delivered, 0);
+        cut_mid_frame(&mut t, &Frame::PieceData { piece: PieceId(0), payload: vec![7; 512] });
+        t.send(NodeId(1), NodeId(2), have(1)).expect("send");
+        let got = pump(&mut t, 1);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].frame, have(1), "the half frame never delivers");
+        assert_eq!(rejects(&mut t), vec![RejectCause::Reset], "the receiver sees the cut");
     }
 
     #[test]

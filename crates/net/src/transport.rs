@@ -49,9 +49,8 @@ pub struct Delivery {
     /// second copy of a duplicated frame, not an action the sender took.
     /// Receivers must ignore it (to them a duplicate is indistinguishable
     /// from a retransmission); the god's-eye observer uses it to keep
-    /// chaos noise out of the protocol audit. `TcpLoopback` cannot mark
-    /// copies (duplicates ride the real byte stream) and always reports
-    /// `false`.
+    /// chaos noise out of the protocol audit. Only [`ChannelMesh`]
+    /// injects chaos, so `TcpLoopback` always reports `false`.
     pub duplicated: bool,
 }
 
@@ -414,7 +413,7 @@ impl ChannelMesh {
 }
 
 /// Applies a drawn [`FrameMutation`] to a frame's wire encoding.
-pub(crate) fn apply_mutation(bytes: &mut Vec<u8>, m: FrameMutation) {
+fn apply_mutation(bytes: &mut Vec<u8>, m: FrameMutation) {
     match m {
         FrameMutation::BitFlip { offset, mask } => {
             if let Some(b) = bytes.get_mut(offset) {

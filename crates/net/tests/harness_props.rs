@@ -7,7 +7,7 @@
 //! real encrypted swarm per case, so they run fewer cases with tight
 //! piece counts; the point is the *randomised schedule*, not volume.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use tchain_net::{
     run_swarm, Checkpoint, Content, NetConfig, Outbox, PeerRole, PeerRuntime, SwarmConfig,
     TimerWheel,
@@ -122,6 +122,58 @@ fn wheel_hasten_monotone_and_cancel_final() {
             v
         };
         ensure_eq!(popped, expect);
+        Ok(())
+    });
+}
+
+/// The path the harness drives: `schedule`, `hasten` and `cancel`
+/// interleaved with `pop_due(now)` under a clock that stands still or
+/// creeps forward, with tied times and re-arms below `now`. After every
+/// `pop_due`, the due set (on top of a pre-filled ready set) and every
+/// remaining wake agree with a `BTreeMap` model.
+#[test]
+fn wheel_pop_due_matches_a_map_model() {
+    const PEERS: u32 = 12;
+    forall(0x90B_D0E, 256, |rng, size| {
+        let mut wheel = TimerWheel::new();
+        let mut model: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut now = 0.0f64;
+        for _ in 0..sized(rng, size, 1, 200) {
+            let p = int(rng, 0, u64::from(PEERS)) as u32;
+            // Up to a second behind `now` to two ahead, on the grid.
+            let at = now + grid(int(rng, 0, 13) as u8) - 1.0;
+            match rng.below(6) {
+                0 => {
+                    wheel.schedule(p, at);
+                    model.insert(p, at);
+                }
+                1 => {
+                    wheel.hasten(p, at);
+                    let e = model.entry(p).or_insert(at);
+                    *e = e.min(at);
+                }
+                2 => {
+                    wheel.cancel(p);
+                    model.remove(&p);
+                }
+                _ => {
+                    now += grid(int(rng, 0, 3) as u8);
+                    let mut due = BTreeSet::new();
+                    if rng.below(3) == 0 {
+                        due.insert(p); // a frame receiver, already ready
+                    }
+                    let mut expect = due.clone();
+                    wheel.pop_due(now, &mut due);
+                    expect.extend(model.iter().filter(|&(_, &w)| w <= now).map(|(&q, _)| q));
+                    model.retain(|_, w| *w > now);
+                    ensure_eq!(due, expect, "pop_due({now})");
+                    ensure_eq!(wheel.len(), model.len());
+                    for q in 0..PEERS {
+                        ensure_eq!(wheel.armed_at(q), model.get(&q).copied(), "peer {q} at {now}");
+                    }
+                }
+            }
+        }
         Ok(())
     });
 }

@@ -240,11 +240,6 @@ impl FaultState {
         self.active
     }
 
-    /// The plan this state was built from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Delivery counters.
     pub fn stats(&self) -> FaultStats {
         self.stats

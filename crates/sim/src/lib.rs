@@ -47,11 +47,11 @@ pub mod fault;
 mod flow;
 mod forall;
 pub mod perturb;
-mod queue;
+pub mod queue;
 mod rng;
 mod units;
 
-pub use chaos::{ChaosAction, ChaosPlan, ChaosState, ChaosStats, CrashRestart, FrameMutation};
+pub use chaos::{ChaosAction, ChaosPlan, ChaosState, CrashRestart, FrameMutation};
 pub use churn::{ChurnEvent, ChurnPlan, ChurnState, ChurnStats};
 pub use clock::{Clock, Periodic};
 pub use fault::{CrashSpec, FaultPlan, FaultState, FaultStats, LatencyModel, Partition, Route};

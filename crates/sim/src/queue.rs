@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// An integer with the order of `f64::total_cmp`: negative values have
 /// all bits flipped, non-negative ones the sign bit set. A bijection, so
 /// [`time_of`] recovers the exact bits (`-0.0`, NaN payloads and all).
-fn rank(at: f64) -> u64 {
+pub fn rank(at: f64) -> u64 {
     let bits = at.to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -28,7 +28,7 @@ fn rank(at: f64) -> u64 {
 }
 
 /// The inverse of [`rank`].
-fn time_of(rank: u64) -> f64 {
+pub fn time_of(rank: u64) -> f64 {
     f64::from_bits(if rank >> 63 == 1 { rank & !(1 << 63) } else { !rank })
 }
 

@@ -116,34 +116,13 @@ fn net_runtime_agrees_with_fluid_simulator() {
 }
 
 // ---------------------------------------------------------------------
-// Scale & churn (indexed scheduler, ChurnPlan membership).
+// Scale & churn (indexed scheduler, ChurnPlan membership). That the
+// timer wheel reproduces an every-peer scan frame for frame, at 64
+// peers among other rows, is `tchain-net`'s lib test
+// `schedulers_agree_on_every_membership_path`.
 // ---------------------------------------------------------------------
 
-use tchain::net::SchedMode;
 use tchain::sim::ChurnPlan;
-
-/// The indexed timer-wheel scheduler is a pure optimisation: at 64
-/// peers with no churn it must reproduce the legacy linear scan's
-/// frame stream bit for bit. The legacy path survives only as this
-/// parity oracle.
-#[test]
-fn sixty_four_peer_indexed_fingerprint_matches_legacy_linear_scan() {
-    let cfg = |sched| SwarmConfig {
-        peers: 64,
-        pieces: 12,
-        piece_len: 256,
-        seed: 0x5CA1E64,
-        sched,
-        ..SwarmConfig::default()
-    };
-    let indexed = run_swarm(cfg(SchedMode::Indexed)).expect("indexed run");
-    let legacy = run_swarm(cfg(SchedMode::LegacyLinear)).expect("legacy run");
-    assert_eq!(indexed.fingerprint, legacy.fingerprint, "frame-stream digest diverged");
-    assert_eq!(indexed.ticks, legacy.ticks);
-    assert_eq!(indexed.completion_times, legacy.completion_times);
-    assert_eq!(indexed.peer_counters, legacy.peer_counters);
-    assert!(indexed.ok(), "violations: {:?}", indexed.violations);
-}
 
 /// 64 peers under full churn — staggered joins, a flash crowd and a
 /// departure wave — still drain with zero unreciprocated key releases,
