@@ -12,12 +12,14 @@
 //! decrypts. No external crypto crates are used.
 //!
 //! There is one scalar block function ([`block`], pinned to the RFC's
-//! vectors) and one wide kernel that produces eight blocks (512 B) per
-//! pass, written so that LLVM vectorises it from safe, portable Rust: no
-//! intrinsics, no target test, no build flag. `apply` uses the kernel for
-//! whole 512 B chunks and the block function for the rest; the tests hold
-//! the two equal byte for byte, and a release-only guard holds the kernel
-//! to being faster.
+//! vectors) and one wide kernel body that produces sixteen blocks (1 KiB)
+//! per pass, written so that LLVM vectorises it from safe Rust, without
+//! intrinsics. That body is compiled three times: for the default target,
+//! for AVX2 and for AVX-512. `apply` runs whole 1 KiB chunks through the
+//! widest build the CPU reports at run time ([`kernel`] names it) and the
+//! rest through the block function. The tests hold every build the CPU can
+//! run equal to the block function byte for byte, and a release-only guard
+//! holds the kernels to being faster.
 
 /// A 256-bit ChaCha20 key.
 pub type KeyBytes = [u8; 32];
@@ -87,7 +89,7 @@ pub fn block(key: &KeyBytes, counter: u32, nonce: &Nonce) -> [u8; 64] {
 }
 
 /// Blocks per pass of the wide kernel.
-const LANES: usize = 8;
+const LANES: usize = 16;
 /// Bytes per pass of the wide kernel.
 const WIDE: usize = 64 * LANES;
 
@@ -98,12 +100,18 @@ const WIDE: usize = 64 * LANES;
 /// four measured that does (DESIGN.md §8 "Byte path"): the state lives in
 /// memory word-major and lane-minor, and the lane loop is the innermost
 /// one, its body the scalar double round over one lane's sixteen words.
-/// The loop vectoriser then turns `s[w][l]` for `l in 0..LANES` into one
-/// vector per word and the quarter-rounds into `paddd/pxor/pslld/psrld`.
-/// Lane arrays held in locals are unrolled before the vectoriser runs and
-/// stay scalar, as does a lane loop around the ten rounds.
+/// The loop vectoriser then turns `s[w][l]` for `l in 0..LANES` into
+/// vectors per word and the quarter-rounds into vector adds, XORs and
+/// shifts (or rotates): four lanes a register at the default x86-64
+/// target, eight under AVX2, sixteen under AVX-512. Lane arrays held in
+/// locals are unrolled before the vectoriser runs and stay scalar, as does
+/// a lane loop around the ten rounds.
+///
+/// Always inlined, so that each `target_feature` wrapper below compiles
+/// its own copy of this one body for its features.
 // `l` is the minor index of `s`, which no iterator over `s` walks.
 #[allow(clippy::needless_range_loop)]
+#[inline(always)]
 fn xor_wide(init: &[u32; 16], data: &mut [u8]) {
     let mut first = [[0u32; LANES]; 16];
     for (lanes, word) in first.iter_mut().zip(init) {
@@ -140,6 +148,60 @@ fn xor_wide(init: &[u32; 16], data: &mut [u8]) {
     }
 }
 
+/// [`xor_wide`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn xor_wide_avx2(init: &[u32; 16], data: &mut [u8]) {
+    xor_wide(init, data);
+}
+
+/// [`xor_wide`] compiled for AVX-512 (`avx512vl` lets the narrower
+/// registers use its rotate too).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl")]
+fn xor_wide_avx512(init: &[u32; 16], data: &mut [u8]) {
+    xor_wide(init, data);
+}
+
+/// A build of the wide kernel that is safe to call on this CPU.
+type Kernel = fn(&[u32; 16], &mut [u8]);
+
+/// The builds of [`xor_wide`] this CPU runs, widest first and by name:
+/// AVX-512 and AVX2 where `std` detects their features (it caches what it
+/// detects), then the portable build, which runs everywhere. `apply` takes
+/// the first; the tests run each.
+#[allow(unsafe_code)]
+fn kernels() -> impl Iterator<Item = (&'static str, Kernel)> {
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
+    let mut simd: [Option<(&'static str, Kernel)>; 2] = [None; 2];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl") {
+            // SAFETY: this pointer is built only once `avx512f` and
+            // `avx512vl` are detected, the features `xor_wide_avx512` enables.
+            simd[0] = Some(("avx512", |init, data| unsafe { xor_wide_avx512(init, data) }));
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: this pointer is built only once `avx2` is detected,
+            // the feature `xor_wide_avx2` enables.
+            simd[1] = Some(("avx2", |init, data| unsafe { xor_wide_avx2(init, data) }));
+        }
+    }
+    simd.into_iter().flatten().chain([("portable", xor_wide as Kernel)])
+}
+
+/// The widest build this CPU runs.
+fn widest() -> (&'static str, Kernel) {
+    kernels().next().expect("the portable build runs everywhere")
+}
+
+/// The name of the kernel build `apply` runs whole chunks through on this
+/// CPU: `"avx512"`, `"avx2"` or `"portable"`. The ciphertext is the same
+/// under each; the throughput differs by 2–3×.
+pub fn kernel() -> &'static str {
+    widest().0
+}
+
 /// XORs the ChaCha20 keystream into `data` in place, starting from block
 /// `counter` (1 in RFC 8439's encryption examples; we use 0 for pieces).
 /// The counter wraps modulo 2³², block by block.
@@ -148,16 +210,24 @@ fn xor_wide(init: &[u32; 16], data: &mut [u8]) {
 /// which is exactly the donor-withholds-the-key mechanism of §II-B: an
 /// encrypted piece is useless until the matching key arrives.
 ///
-/// Key and nonce are parsed once. Whole 512-byte chunks go through the
-/// eight-block kernel; what is shorter than one, or left over, goes block
-/// by block through the same function [`block`] calls. The output does not
-/// depend on where the split falls.
+/// Key and nonce are parsed once. Whole 1 KiB chunks go through the
+/// sixteen-block kernel, in the widest build this CPU runs ([`kernel`]);
+/// what is shorter than one, or left over, goes block by block through
+/// the same function [`block`] calls. The output does not depend on where
+/// the split falls, nor on the build.
 pub fn apply(key: &KeyBytes, counter: u32, nonce: &Nonce, data: &mut [u8]) {
+    // Input under one chunk (a 64 B piece) reaches no kernel: skip the lookup.
+    let kernel = if data.len() < WIDE { xor_wide } else { widest().1 };
+    apply_with(kernel, key, counter, nonce, data);
+}
+
+/// [`apply`], with the whole chunks through `kernel`.
+fn apply_with(kernel: Kernel, key: &KeyBytes, counter: u32, nonce: &Nonce, data: &mut [u8]) {
     let mut state = initial_state(key, counter, nonce);
     let (wide, rest) = data.split_at_mut(data.len() - data.len() % WIDE);
     // Short input (a 64 B piece) must not pay for the kernel's lane set-up.
     if !wide.is_empty() {
-        xor_wide(&state, wide);
+        kernel(&state, wide);
         // Truncation is the wrap: the counter is modulo 2³² blocks.
         state[12] = state[12].wrapping_add((wide.len() / 64) as u32);
     }
@@ -254,10 +324,12 @@ only one tip for the future, sunscreen would be it.";
         }
     }
 
-    /// `apply` over `data` equals the block-by-block reference, and equals
-    /// `apply` over the first `split` blocks followed by `apply` over the
-    /// rest with the counter advanced by `split`.
+    /// With the whole chunks through `kernel`, `apply` over `data` equals
+    /// the block-by-block reference, and equals `apply` over the first
+    /// `split` blocks followed by `apply` over the rest with the counter
+    /// advanced by `split`.
     fn check_apply(
+        (name, kernel): (&str, Kernel),
         key: &KeyBytes,
         counter: u32,
         nonce: &Nonce,
@@ -268,71 +340,90 @@ only one tip for the future, sunscreen would be it.";
         block_by_block(key, counter, nonce, &mut want);
         let first_wrong = |got: &[u8]| got.iter().zip(&want).position(|(g, w)| g != w);
         let len = data.len();
+        let mut whole = data.to_vec();
+        apply_with(kernel, key, counter, nonce, &mut whole);
         ensure_eq!(
-            first_wrong(&apply_to_vec(key, counter, nonce, data)),
+            first_wrong(&whole),
             None,
-            "len {len}, counter {counter:#x}: first wrong byte"
+            "{name}: len {len}, counter {counter:#x}: first wrong byte"
         );
         let mut parts = data.to_vec();
         let (head, tail) = parts.split_at_mut(64 * split);
-        apply(key, counter, nonce, head);
-        apply(key, counter.wrapping_add(split as u32), nonce, tail);
+        apply_with(kernel, key, counter, nonce, head);
+        apply_with(kernel, key, counter.wrapping_add(split as u32), nonce, tail);
         ensure_eq!(
             first_wrong(&parts),
             None,
-            "len {len}, counter {counter:#x}, split after {split} blocks: first wrong byte"
+            "{name}: len {len}, counter {counter:#x}, split after {split} blocks: first wrong byte"
         );
         Ok(())
     }
 
     /// Lengths either side of one and two wide chunks.
-    const EDGES: [usize; 6] = [511, 512, 513, 1023, 1024, 1025];
+    const EDGES: [usize; 6] = [1023, 1024, 1025, 2047, 2048, 2049];
 
-    /// The wide path against the reference and under every split, for
-    /// random key, nonce, start counter (a quarter of them within 40 blocks
-    /// of the wrap) and length (a quarter of them chunk-boundary edges).
+    /// Every kernel build this CPU runs, against the reference and under
+    /// every split, for random key, nonce, start counter (a quarter of them
+    /// within 40 blocks of the wrap) and length (up to four chunks and a
+    /// bit; a quarter of them chunk-boundary edges).
     #[test]
     fn apply_equals_block_by_block_and_is_split_invariant() {
-        forall(0xC4AC_4A20, 256, |rng, size| {
-            let (mut key, mut nonce) = ([0u8; 32], [0u8; 12]);
-            rng.fill(&mut key);
-            rng.fill(&mut nonce);
-            let counter = match rng.below(4) {
-                0 => u32::MAX - rng.below(40) as u32,
-                _ => rng.u64() as u32,
-            };
-            let len = match rng.below(4) {
-                0 => EDGES[rng.below(EDGES.len())],
-                _ => sized(rng, size, 0, 2050),
-            };
-            let mut data = vec![0u8; len];
-            rng.fill(&mut data);
-            let split = rng.below(len / 64 + 1);
-            check_apply(&key, counter, &nonce, &data, split)
-        });
+        for kernel in kernels() {
+            forall(0xC4AC_4A20, 256, |rng, size| {
+                let (mut key, mut nonce) = ([0u8; 32], [0u8; 12]);
+                rng.fill(&mut key);
+                rng.fill(&mut nonce);
+                let counter = match rng.below(4) {
+                    0 => u32::MAX - rng.below(40) as u32,
+                    _ => rng.u64() as u32,
+                };
+                let len = match rng.below(4) {
+                    0 => EDGES[rng.below(EDGES.len())],
+                    _ => sized(rng, size, 0, 4200),
+                };
+                let mut data = vec![0u8; len];
+                rng.fill(&mut data);
+                let split = rng.below(len / 64 + 1);
+                check_apply(kernel, &key, counter, &nonce, &data, split)
+            });
+        }
     }
 
-    /// From `u32::MAX - 3` lanes 4–7 of the first wide chunk carry counters
-    /// 0–3: the wide kernel wraps per lane exactly as the block loop does,
-    /// wherever the buffer is split.
+    /// From `u32::MAX - 3` lanes 4–15 of the first wide chunk carry
+    /// counters 0–11: every kernel build wraps per lane exactly as the
+    /// block loop does, wherever the buffer is split.
     #[test]
     fn counter_wraps_inside_a_wide_chunk() {
         let key = test_key();
         let nonce: Nonce = [9; 12];
-        for len in EDGES {
-            let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
-            for split in 0..=len / 64 {
-                check_apply(&key, u32::MAX - 3, &nonce, &data, split).unwrap();
+        for kernel in kernels() {
+            for len in EDGES {
+                let data: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+                for split in 0..=len / 64 {
+                    check_apply(kernel, &key, u32::MAX - 3, &nonce, &data, split).unwrap();
+                }
             }
         }
     }
 
+    /// The portable build is always on the list, last, so it keeps its
+    /// coverage on machines that dispatch to a wider one.
+    #[test]
+    fn portable_build_is_always_listed_and_apply_takes_the_first() {
+        let names: Vec<&str> = kernels().map(|(name, _)| name).collect();
+        assert_eq!(names.last(), Some(&"portable"), "{names:?}");
+        assert_eq!(names[0], kernel());
+    }
+
     /// Release-only guard, run by name in CI (`cargo test --release -p
     /// tchain-crypto -- --ignored`). The wide path is fast only because the
-    /// optimiser vectorises `xor_wide`'s lane loop; if a toolchain stops
-    /// doing so the output stays correct and every other test passes. Here
-    /// `apply` over a 16 KiB piece must beat the block-by-block loop in the
-    /// same process by 1.3× (1.9–2.1× when vectorised, ≤ 1.0× when not).
+    /// optimiser vectorises `xor_wide`'s lane loop, and fastest where the
+    /// CPU has wide registers; if a toolchain stops vectorising, or the
+    /// dispatch stops picking the wide build, the output stays correct and
+    /// every other test passes. Here `apply` over a 16 KiB piece must beat
+    /// the block-by-block loop in the same process by 1.3× (≈ 1.9× for the
+    /// portable build, ≤ 1.0× when nothing is vectorised), and, where the
+    /// CPU has AVX2, the portable build by 1.5× (2–3× measured).
     #[test]
     #[ignore = "timing: meaningful in --release only"]
     fn wide_path_beats_block_by_block() {
@@ -350,16 +441,28 @@ only one tip for the future, sunscreen would be it.";
                 .min()
                 .expect("200 batches")
         };
-        let (mut wide, mut scalar) = (std::time::Duration::MAX, std::time::Duration::MAX);
+        let [mut wide, mut scalar, mut portable] = [std::time::Duration::MAX; 3];
         // Alternate, so a slow phase of a shared box cannot fall on one side only.
         for _ in 0..5 {
             wide = wide.min(fastest(apply));
             scalar = scalar.min(fastest(block_by_block));
+            portable = portable.min(fastest(|k, c, n, d| apply_with(xor_wide, k, c, n, d)));
         }
+        let name = kernel();
+        println!("per 16 KiB: apply ({name}) {wide:?}, portable build {portable:?}, block by block {scalar:?}");
         let ratio = scalar.as_secs_f64() / wide.as_secs_f64();
         assert!(
             ratio >= 1.3,
             "apply {wide:?} vs block-by-block {scalar:?} per 16 KiB: {ratio:.2}x"
+        );
+        if name == "portable" {
+            println!("no AVX2 detected: skipped the dispatched-vs-portable check");
+            return;
+        }
+        let ratio = portable.as_secs_f64() / wide.as_secs_f64();
+        assert!(
+            ratio >= 1.5,
+            "apply ({name}) {wide:?} vs the portable build {portable:?} per 16 KiB: {ratio:.2}x"
         );
     }
 

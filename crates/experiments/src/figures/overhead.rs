@@ -15,6 +15,9 @@ tchain_obs::json_struct! {
         /// Measured ChaCha20 throughput, bytes/second, over one 128 KiB
         /// piece: the fastest of [`BATCHES`] batches.
         pub cipher_bytes_per_sec: f64,
+        /// The ChaCha20 kernel build that figure was measured with
+        /// ([`tchain_crypto::chacha::kernel`]): it moves the figure 2–3×.
+        pub cipher_kernel: String,
         /// Encryption+decryption overhead fraction for a 1 GB file at 8 Mbps
         /// (the paper's §III-C1 scenario; paper: < 1.2 %).
         pub encryption_overhead: f64,
@@ -64,6 +67,7 @@ pub fn run(scale: Scale) -> Data {
             let gb = 1024.0 * 1024.0 * 1024.0;
             let data = Data {
                 cipher_bytes_per_sec: throughput,
+                cipher_kernel: tchain_crypto::chacha::kernel().to_string(),
                 encryption_overhead: enc.overhead_fraction(gb, 1_000_000.0),
                 space_overhead: tchain_analysis::overhead::space_overhead_fraction(
                     gb,
@@ -83,6 +87,7 @@ pub fn run(scale: Scale) -> Data {
         }
         None => Data {
             cipher_bytes_per_sec: 0.0,
+            cipher_kernel: String::new(),
             encryption_overhead: 0.0,
             space_overhead: 0.0,
             chain_slots_100: 0,
@@ -95,9 +100,10 @@ pub fn run(scale: Scale) -> Data {
             vec![
                 "cipher pass, 128 KB piece".into(),
                 format!(
-                    "{:.3} ms ({:.0} MB/s)",
+                    "{:.3} ms ({:.0} MB/s, {} kernel)",
                     PIECE as f64 / data.cipher_bytes_per_sec * 1e3,
-                    data.cipher_bytes_per_sec / 1e6
+                    data.cipher_bytes_per_sec / 1e6,
+                    data.cipher_kernel
                 ),
                 "0.715 ms (179 MB/s)".into(),
             ],
