@@ -10,40 +10,59 @@
 //! differences.
 
 use crate::config::{Baseline, BaselineConfig};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use tchain_attacks::{PeerPlan, Roster, Strategy};
 use tchain_metrics::{RecoveryCounters, TimeSeries};
 use tchain_obs::{
     trace_event, Event, ExportStats, MetricMap, Phase, PhaseProfile, PhaseProfiler, StatsRegistry,
     Tracer,
 };
-use tchain_proto::{Peer, PieceId, Role, SwarmBase, SwarmConfig};
-use tchain_sim::{FaultPlan, Flow, FlowId, NodeId, Periodic, Route};
+use tchain_proto::{Bitfield, Peer, PieceId, Role, SwarmBase, SwarmConfig};
+use tchain_sim::{FaultPlan, Flow, FlowId, IdHash, NodeId, Periodic, Route};
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct BtState {
     /// Regular unchoke set (upload recipients).
     unchoked: Vec<NodeId>,
     /// Optimistic unchoke set.
     optimistic: Vec<NodeId>,
     /// PropShare per-recipient bandwidth weights.
-    weights: HashMap<NodeId, f64>,
+    weights: HashMap<NodeId, f64, IdHash>,
     /// Active block flow per recipient.
-    serving: HashMap<NodeId, FlowId>,
+    serving: HashMap<NodeId, FlowId, IdHash>,
     /// Bytes received per neighbor in the current 10 s window.
-    window: HashMap<NodeId, f64>,
+    window: HashMap<NodeId, f64, IdHash>,
     /// Previous completed window (the TFT ranking input).
-    window_prev: HashMap<NodeId, f64>,
+    window_prev: HashMap<NodeId, f64, IdHash>,
     /// FairTorrent ledger: bytes sent minus bytes received, per neighbor.
-    deficits: HashMap<NodeId, f64>,
+    deficits: HashMap<NodeId, f64, IdHash>,
     /// Blocks received per partially downloaded piece.
     piece_progress: HashMap<PieceId, u32>,
     /// Which piece we are pulling from each uploader.
-    pulling: HashMap<NodeId, PieceId>,
-    /// Pieces currently assigned to some uploader (duplicate guard).
-    in_flight: HashSet<PieceId>,
+    pulling: HashMap<NodeId, PieceId, IdHash>,
+    /// Bitfield over the file of the pieces currently assigned to some
+    /// uploader (duplicate guard).
+    in_flight: Bitfield,
     /// Completed pieces since the last whitewash.
     pieces_since_ww: u32,
+}
+
+impl BtState {
+    fn new(pieces: usize) -> Self {
+        BtState {
+            unchoked: Vec::new(),
+            optimistic: Vec::new(),
+            weights: HashMap::default(),
+            serving: HashMap::default(),
+            window: HashMap::default(),
+            window_prev: HashMap::default(),
+            deficits: HashMap::default(),
+            piece_progress: HashMap::new(),
+            pulling: HashMap::default(),
+            in_flight: Bitfield::new(pieces),
+            pieces_since_ww: 0,
+        }
+    }
 }
 
 /// A swarm running one of the four baseline protocols.
@@ -138,7 +157,8 @@ impl BaselineSwarm {
             crashes: 0,
             profiler: PhaseProfiler::disabled(),
         };
-        sw.states.resize_with(sw.base.peers.len(), BtState::default);
+        let pieces = sw.base.cfg.file.pieces;
+        sw.states.resize_with(sw.base.peers.len(), || BtState::new(pieces));
         sw
     }
 
@@ -286,7 +306,8 @@ impl BaselineSwarm {
         let p = self.profiler.begin();
         self.process_crashes(now);
         self.roster.admit_due(&mut self.base, now);
-        self.states.resize_with(self.base.peers.len(), BtState::default);
+        let pieces = self.base.cfg.file.pieces;
+        self.states.resize_with(self.base.peers.len(), || BtState::new(pieces));
         self.profiler.end(Phase::Membership, p);
         let p = self.profiler.begin();
         if self.rechoke_timer.fire(now) {
@@ -348,7 +369,7 @@ impl BaselineSwarm {
             if self.base.peers.alive(f.dst) {
                 let ds = &mut self.states[f.dst.index()];
                 ds.pulling.remove(&id);
-                ds.in_flight.remove(&piece);
+                ds.in_flight.unset(piece);
             }
         }
         // Uploads toward us die; uploaders' serving entries clear.
@@ -360,7 +381,7 @@ impl BaselineSwarm {
         let st = &mut self.states[id.index()];
         st.serving.clear();
         st.pulling.clear();
-        st.in_flight.clear();
+        st.in_flight = Bitfield::new(st.in_flight.len());
         st.unchoked.clear();
         st.optimistic.clear();
     }
@@ -643,13 +664,13 @@ impl BaselineSwarm {
                     let u_have = &self.base.peers.get(u).have;
                     let in_flight = &self.states[d.index()].in_flight;
                     self.base.mesh.lrf_pick_where(d, d_have, u_have, &mut self.base.rng, |p| {
-                        !in_flight.contains(&p)
+                        !in_flight.has(p)
                     })
                 };
                 match picked {
                     Some(p) => {
                         self.states[d.index()].pulling.insert(u, p);
-                        self.states[d.index()].in_flight.insert(p);
+                        self.states[d.index()].in_flight.set(p);
                         p
                     }
                     None => return false,
@@ -688,7 +709,7 @@ impl BaselineSwarm {
         if self.base.peers.alive(d) {
             let ds = &mut self.states[d.index()];
             if let Some(p) = ds.pulling.remove(&u) {
-                ds.in_flight.remove(&p);
+                ds.in_flight.unset(p);
             }
         }
     }
@@ -718,7 +739,7 @@ impl BaselineSwarm {
         let mut piece_done = false;
         if progress >= blocks_needed {
             self.states[d.index()].piece_progress.remove(&piece);
-            self.states[d.index()].in_flight.remove(&piece);
+            self.states[d.index()].in_flight.unset(piece);
             self.states[d.index()].pulling.remove(&u);
             self.base.peers.get_mut(u).pieces_up += 1;
             piece_done = true;
@@ -754,7 +775,7 @@ impl BaselineSwarm {
             if !piece_done {
                 let ds = &mut self.states[d.index()];
                 if let Some(p) = ds.pulling.remove(&u) {
-                    ds.in_flight.remove(&p);
+                    ds.in_flight.unset(p);
                 }
             }
             return;
@@ -767,7 +788,7 @@ impl BaselineSwarm {
                 if !piece_done {
                     let ds = &mut self.states[d.index()];
                     if let Some(p) = ds.pulling.remove(&u) {
-                        ds.in_flight.remove(&p);
+                        ds.in_flight.unset(p);
                     }
                 }
                 if self.base.peers.get(u).role == Role::Seeder || self.base.peers.get(u).compliant
@@ -785,7 +806,7 @@ impl BaselineSwarm {
                 if !continued && !piece_done {
                     let ds = &mut self.states[d.index()];
                     if let Some(p) = ds.pulling.remove(&u) {
-                        ds.in_flight.remove(&p);
+                        ds.in_flight.unset(p);
                     }
                 }
             }

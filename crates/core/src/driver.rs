@@ -37,18 +37,17 @@ use crate::arena::{Arena, Handle};
 use crate::config::{PieceSelection, TChainConfig};
 use crate::telemetry::Telemetry;
 use crate::txn::{Chain, ChainEnd, ChainId, ChainOrigin, ChainStats, Transaction, TxnId, TxnState};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use tchain_attacks::{ColluderRegistry, PeerPlan, Roster, Strategy};
-use tchain_crypto::Keyring;
 use tchain_metrics::{RecoveryCounters, TimeSeries};
 use tchain_obs::{
     trace_event, EndCause, Event, ExportStats, MetricMap, Phase, PhaseProfile, PhaseProfiler,
     RetryMsg, StatsRegistry, Tracer,
 };
 use tchain_proto::{
-    ControlMsg, Envelope, Peer, PieceId, Role, SendOutcome, SwarmBase, SwarmConfig,
+    Bitfield, ControlMsg, Envelope, Peer, PieceId, Role, SendOutcome, SwarmBase, SwarmConfig,
 };
-use tchain_sim::{DelayQueue, FaultPlan, Flow, NodeId, Periodic};
+use tchain_sim::{DelayQueue, FaultPlan, Flow, IdHash, NodeId, Periodic};
 
 /// Maps the driver's [`ChainEnd`] onto the observability crate's
 /// dependency-free mirror.
@@ -84,18 +83,30 @@ struct RetryEntry {
 }
 
 /// Per-peer protocol state, parallel to the [`tchain_proto::PeerTable`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PeerState {
     /// Donor-side ledger (§II-D2): encrypted pieces uploaded to each
     /// neighbor and not yet covered by a reciprocation report.
-    pending_to: HashMap<NodeId, u32>,
+    pending_to: HashMap<NodeId, u32, IdHash>,
     /// Encrypted pieces received and not yet keyed (self is requestor).
     obligations: Vec<TxnId>,
-    /// Pieces in flight toward us or held encrypted — excluded from our
-    /// piece requests so donors do not upload duplicates.
-    expecting: HashSet<PieceId>,
+    /// Bitfield over the file of the pieces in flight toward us or held
+    /// encrypted — excluded from our piece requests so donors do not
+    /// upload duplicates.
+    expecting: Bitfield,
     /// Last time this peer completed a piece (whitewash trigger clock).
     last_progress: f64,
+}
+
+impl PeerState {
+    fn new(pieces: usize) -> Self {
+        PeerState {
+            pending_to: HashMap::default(),
+            obligations: Vec::new(),
+            expecting: Bitfield::new(pieces),
+            last_progress: 0.0,
+        }
+    }
 }
 
 /// The T-Chain protocol driver.
@@ -124,7 +135,6 @@ pub struct TChainSwarm {
     txns: Arena<Transaction>,
     chains: Arena<Chain>,
     stats: ChainStats,
-    keyring: Keyring,
     colluders: ColluderRegistry,
     awaiting: VecDeque<(TxnId, f64)>,
     telemetry: Telemetry,
@@ -187,7 +197,6 @@ impl TChainSwarm {
             txns: Arena::new(),
             chains: Arena::new(),
             stats: ChainStats::default(),
-            keyring: Keyring::new(seed ^ 0x4B45_5952_494E_4721),
             colluders: ColluderRegistry::new(),
             awaiting: VecDeque::new(),
             telemetry: Telemetry::new(),
@@ -208,7 +217,8 @@ impl TChainSwarm {
             watchdog_enabled,
             profiler: PhaseProfiler::disabled(),
         };
-        sw.states.resize_with(sw.base.peers.len(), PeerState::default);
+        let pieces = sw.base.cfg.file.pieces;
+        sw.states.resize_with(sw.base.peers.len(), || PeerState::new(pieces));
         sw
     }
 
@@ -480,7 +490,8 @@ impl TChainSwarm {
     /// with a scheduled crash — the watchdog.
     fn process_arrivals(&mut self, now: f64) {
         let admitted = self.roster.admit_due(&mut self.base, now);
-        self.states.resize_with(self.base.peers.len(), PeerState::default);
+        let pieces = self.base.cfg.file.pieces;
+        self.states.resize_with(self.base.peers.len(), || PeerState::new(pieces));
         for (id, plan) in admitted {
             self.states[id.index()].last_progress = now;
             if let Some(g) = plan.strategy.free_rider().and_then(|fr| fr.collude) {
@@ -501,10 +512,10 @@ impl TChainSwarm {
             let t = Handle::unpack(f.tag);
             let Some(txn) = self.txns.get(t) else { continue };
             let (req, piece, parent, donor, enc) =
-                (txn.requestor, txn.piece, txn.parent, txn.donor, txn.encrypted());
+                (txn.requestor, txn.piece, txn.parent, txn.donor, txn.encrypted);
             debug_assert_eq!(donor, id);
             if self.base.peers.alive(req) {
-                self.states[req.index()].expecting.remove(&piece);
+                self.states[req.index()].expecting.unset(piece);
             }
             if enc {
                 self.pending_dec(donor, req);
@@ -524,7 +535,7 @@ impl TChainSwarm {
         for f in inb {
             let t = Handle::unpack(f.tag);
             let Some(txn) = self.txns.get(t) else { continue };
-            let (donor, req, parent, enc) = (txn.donor, txn.requestor, txn.parent, txn.encrypted());
+            let (donor, req, parent, enc) = (txn.donor, txn.requestor, txn.parent, txn.encrypted);
             debug_assert_eq!(req, id);
             if enc {
                 self.pending_dec(donor, req);
@@ -559,9 +570,9 @@ impl TChainSwarm {
         for f in out {
             let t = Handle::unpack(f.tag);
             let Some(txn) = self.txns.get(t) else { continue };
-            let (req, piece, donor, enc) = (txn.requestor, txn.piece, txn.donor, txn.encrypted());
+            let (req, piece, donor, enc) = (txn.requestor, txn.piece, txn.donor, txn.encrypted);
             if self.base.peers.alive(req) {
-                self.states[req.index()].expecting.remove(&piece);
+                self.states[req.index()].expecting.unset(piece);
             }
             if enc {
                 self.pending_dec(donor, req);
@@ -577,7 +588,7 @@ impl TChainSwarm {
         for f in inb {
             let t = Handle::unpack(f.tag);
             let Some(txn) = self.txns.get(t) else { continue };
-            let (donor, req, parent, enc) = (txn.donor, txn.requestor, txn.parent, txn.encrypted());
+            let (donor, req, parent, enc) = (txn.donor, txn.requestor, txn.parent, txn.encrypted);
             if enc {
                 self.pending_dec(donor, req);
             }
@@ -660,7 +671,7 @@ impl TChainSwarm {
                 let wants_direct = d
                     .have
                     .missing_from(&r.have)
-                    .any(|p| !self.states[donor.index()].expecting.contains(&p));
+                    .any(|p| !self.states[donor.index()].expecting.has(p));
                 if wants_direct {
                     return (Some(donor), false);
                 }
@@ -731,7 +742,7 @@ impl TChainSwarm {
                         r_have,
                         d_have,
                         &mut self.base.rng,
-                        |p| p.0 < bound && !x_have.has(p) && !expecting.contains(&p),
+                        |p| p.0 < bound && !x_have.has(p) && !expecting.has(p),
                     )
                 };
                 if let Some(p) = piece {
@@ -768,7 +779,7 @@ impl TChainSwarm {
                     r_have,
                     d_have,
                     &mut self.base.rng,
-                    |p| p.0 < bound && !expecting.contains(&p),
+                    |p| p.0 < bound && !expecting.has(p),
                 )
             };
             return piece.map(|p| (p, None));
@@ -779,7 +790,7 @@ impl TChainSwarm {
             let d_have = &self.base.peers.get(donor).have;
             let expecting = &self.states[requestor.index()].expecting;
             self.base.mesh.lrf_pick_where(requestor, r_have, d_have, &mut self.base.rng, |p| {
-                p.0 < bound && !expecting.contains(&p)
+                p.0 < bound && !expecting.has(p)
             })
         }?;
         let (payee, banned) = self.select_payee(donor, requestor, piece);
@@ -802,7 +813,6 @@ impl TChainSwarm {
         now: f64,
     ) -> TxnId {
         let encrypted = payee.is_some();
-        let key = if encrypted { Some(self.keyring.mint().0) } else { None };
         let forward = encrypted && self.base.peers.get(requestor).have.count() == 0;
         if let Some(c) = self.chains.get_mut(chain) {
             c.txns += 1;
@@ -819,7 +829,7 @@ impl TChainSwarm {
             requestor,
             payee,
             piece,
-            key,
+            encrypted,
             parent,
             state: TxnState::Uploading,
             started: now,
@@ -842,7 +852,7 @@ impl TChainSwarm {
             }
         );
         self.base.flows.start(donor, requestor, self.base.cfg.file.piece_size, 1.0, t.pack());
-        self.states[requestor.index()].expecting.insert(piece);
+        self.states[requestor.index()].expecting.set(piece);
         if encrypted {
             self.pending_inc(donor, requestor);
         }
@@ -1009,7 +1019,7 @@ impl TChainSwarm {
         let t = Handle::unpack(f.tag);
         let Some(txn) = self.txns.get(t) else { return };
         let (donor, requestor, piece, payee, parent, encrypted) =
-            (txn.donor, txn.requestor, txn.piece, txn.payee, txn.parent, txn.encrypted());
+            (txn.donor, txn.requestor, txn.piece, txn.payee, txn.parent, txn.encrypted);
         trace_event!(
             self.base.trace,
             now,
@@ -1034,7 +1044,7 @@ impl TChainSwarm {
         if !encrypted {
             // Unencrypted upload: the recipient is released from any
             // obligation and the chain terminates (§II-B3).
-            self.states[requestor.index()].expecting.remove(&piece);
+            self.states[requestor.index()].expecting.unset(piece);
             self.txn_terminal(t, TxnState::Completed, ChainEnd::NoPayee);
             self.complete_piece_for(requestor, piece, now);
             return;
@@ -1216,7 +1226,7 @@ impl TChainSwarm {
         self.txn_terminal(parent, TxnState::Completed, cause);
         if self.base.peers.alive(requestor) {
             self.telemetry.on_decrypted(requestor, now);
-            self.states[requestor.index()].expecting.remove(&piece);
+            self.states[requestor.index()].expecting.unset(piece);
             self.complete_piece_for(requestor, piece, now);
         }
     }
@@ -1365,7 +1375,7 @@ impl TChainSwarm {
                     let r_have = &self.base.peers.get(r).have;
                     let expecting = &self.states[payee.index()].expecting;
                     self.base.mesh.lrf_pick_where(payee, p_have, r_have, &mut self.base.rng, |p| {
-                        p.0 < bound && !expecting.contains(&p)
+                        p.0 < bound && !expecting.has(p)
                     })
                 };
                 if let Some(p2) = piece2 {
@@ -1448,7 +1458,7 @@ impl TChainSwarm {
         self.txn_terminal(t, TxnState::Completed, cause);
         if self.base.peers.alive(requestor) {
             self.telemetry.on_decrypted(requestor, now);
-            self.states[requestor.index()].expecting.remove(&piece);
+            self.states[requestor.index()].expecting.unset(piece);
             self.complete_piece_for(requestor, piece, now);
         }
     }
@@ -1490,7 +1500,7 @@ impl TChainSwarm {
                 // §II-D2. The piece may be re-served by someone else.
                 if self.base.peers.alive(requestor) {
                     let piece = txn.piece;
-                    self.states[requestor.index()].expecting.remove(&piece);
+                    self.states[requestor.index()].expecting.unset(piece);
                 }
                 self.txn_terminal(t, TxnState::Aborted, ChainEnd::Stalled);
             } else {

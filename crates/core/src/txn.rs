@@ -8,7 +8,6 @@
 //! and termination phases (Fig. 1).
 
 use crate::arena::Handle;
-use tchain_crypto::KeyId;
 use tchain_proto::PieceId;
 use tchain_sim::NodeId;
 
@@ -51,8 +50,10 @@ pub struct Transaction {
     pub payee: Option<NodeId>,
     /// The piece uploaded donor → requestor (`p_{ij}`).
     pub piece: PieceId,
-    /// The donor's key for this piece; `None` when unencrypted.
-    pub key: Option<KeyId>,
+    /// Whether the donor encrypted the piece, i.e. the requestor owes
+    /// reciprocation before the key is released. The fluid driver moves
+    /// accounting, not bytes, so it holds no key material.
+    pub encrypted: bool,
     /// The transaction this upload reciprocates, if any (`t_{j-1}`).
     pub parent: Option<TxnId>,
     /// Current lifecycle state.
@@ -79,11 +80,6 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Whether the upload was encrypted (requires reciprocation).
-    pub fn encrypted(&self) -> bool {
-        self.key.is_some()
-    }
-
     /// Whether this transaction uses direct reciprocity (payee == donor).
     pub fn direct(&self) -> bool {
         self.payee == Some(self.donor)
@@ -235,7 +231,7 @@ mod tests {
             requestor: NodeId(2),
             payee: Some(donor),
             piece: PieceId(0),
-            key: Some(KeyId(0)),
+            encrypted: true,
             parent: None,
             state: TxnState::Uploading,
             started: 0.0,
@@ -245,10 +241,10 @@ mod tests {
             child_active: false,
             collusion: false,
         };
-        assert!(t.encrypted());
+        assert!(t.encrypted);
         assert!(t.direct());
-        let plain = Transaction { key: None, payee: None, ..t };
-        assert!(!plain.encrypted());
+        let plain = Transaction { encrypted: false, payee: None, ..t };
+        assert!(!plain.encrypted);
         assert!(!plain.direct());
     }
 

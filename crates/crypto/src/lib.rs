@@ -11,10 +11,13 @@
 //! * [`Keyring`]/[`PieceKey`]/[`KeyId`] — per-transaction key management
 //!   with the "one key per piece, never reused" policy of §II-B.
 //!
-//! The swarm simulator moves *accounting* rather than real bytes, but it
-//! still mints real keys through [`Keyring`] so that the exchange-protocol
-//! invariants (no decryption before release, unique keys, replayed-release
-//! detection) are enforced by the same code a real client would run.
+//! The fluid simulator (`tchain-core`) moves *accounting* rather than
+//! real bytes and holds no key material: a transaction records only
+//! whether its piece was encrypted. The wire runtime (`tchain-net`) moves
+//! real bytes and mints real keys through [`Keyring`], so the
+//! exchange-protocol invariants (no decryption before release, unique
+//! keys, replayed-release detection) are enforced by the same code a real
+//! client would run.
 
 // Denied, not forbidden: `chacha`'s kernel dispatch is the one function
 // allowed `unsafe`, for its two calls into builds of the kernel compiled

@@ -95,17 +95,28 @@ impl Mesh {
     }
 
     /// Disconnects `id` from everyone (departure). Returns its former
-    /// neighbors. The departed peer's availability table is freed — with
+    /// neighbors. Only the neighbors' side is updated: each drops its edge
+    /// to `id` and its counts of `id`'s pieces. The departed peer's own
+    /// availability table is freed without being walked — with
     /// whitewashing attackers minting thousands of identities, per-dead-id
-    /// storage would otherwise dominate memory.
+    /// storage would otherwise dominate memory. A later
+    /// [`Mesh::connect`] of the same id starts it from a zeroed table.
     pub fn remove(&mut self, id: NodeId, peers: &PeerTable) -> Vec<NodeId> {
-        let ns: Vec<NodeId> = self.neighbors(id).to_vec();
+        let Some(ns) = self.neighbors.get_mut(id.index()).map(std::mem::take) else {
+            return Vec::new();
+        };
+        let have = &peers.get(id).have;
         for &n in &ns {
-            self.disconnect(id, n, peers);
+            let list = &mut self.neighbors[n.index()];
+            if let Some(p) = list.iter().position(|&x| x == id) {
+                list.swap_remove(p);
+            }
+            let avail = &mut self.avail[n.index()];
+            for p in have.iter_set() {
+                avail[p.index()] -= 1;
+            }
         }
-        if let Some(a) = self.avail.get_mut(id.index()) {
-            *a = Vec::new();
-        }
+        self.avail[id.index()] = Vec::new();
         ns
     }
 
@@ -192,6 +203,7 @@ impl Mesh {
 mod tests {
     use super::*;
     use crate::peer::Role;
+    use tchain_sim::{ensure, ensure_eq, forall, sized};
 
     fn setup(pieces: usize) -> (PeerTable, Mesh, SimRng) {
         (PeerTable::new(), Mesh::new(pieces), SimRng::new(1))
@@ -246,6 +258,82 @@ mod tests {
         assert_eq!(m.degree(a), 0);
         assert_eq!(m.degree(b), 0);
         assert_eq!(m.degree(c), 0);
+    }
+
+    /// The mesh's invariants against `t`: live peers have only live,
+    /// symmetric neighbors and counts equal to a recount over those
+    /// neighbors' bitfields; a removed peer holds no edge and no table.
+    fn check_against_recount(m: &Mesh, t: &PeerTable) -> Result<(), String> {
+        for peer in t.iter() {
+            let id = peer.id;
+            let table = m.avail.get(id.index());
+            if !peer.alive() {
+                ensure_eq!(m.degree(id), 0, "removed {id} keeps edges");
+                ensure!(table.is_none_or(|a| a.capacity() == 0), "removed {id} keeps its table");
+                continue;
+            }
+            let ns = m.neighbors(id);
+            for &x in ns {
+                ensure!(t.alive(x), "{id} still lists removed {x}");
+                let back = m.neighbors(x).iter().filter(|&&y| y == id).count();
+                ensure_eq!(back, 1, "edges {x} -> {id}");
+            }
+            match table.filter(|a| !a.is_empty()) {
+                None => ensure_eq!(ns.len(), 0, "{id} has neighbors but no table"),
+                Some(a) => {
+                    let holders = |p| ns.iter().filter(|&&x| t.get(x).have.has(PieceId(p))).count();
+                    let recount: Vec<u16> = (0..m.pieces as u32).map(|p| holders(p) as u16).collect();
+                    ensure_eq!(a, &recount, "availability of {id}");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn availability_equals_a_recount_under_membership_churn() {
+        forall(0x3E5B_A7A1, 256, |rng, size| {
+            let pieces = 1 + rng.below(130);
+            let n = 2 + rng.below(11);
+            let (mut t, mut m) = (PeerTable::new(), Mesh::new(pieces));
+            for _ in 0..n {
+                let role = if rng.below(4) == 0 { Role::Seeder } else { Role::Leecher };
+                let id = t.add(role, 1.0, 0.0, pieces, true);
+                for _ in 0..rng.below(pieces + 1) {
+                    t.get_mut(id).have.set(PieceId(rng.below(pieces) as u32));
+                }
+            }
+            for _ in 0..sized(rng, size, 1, 200) {
+                let (a, b) = (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32));
+                match rng.below(10) {
+                    0..=3 => {
+                        if t.alive(a) && t.alive(b) {
+                            m.connect(a, b, &t);
+                        }
+                    }
+                    4 | 5 => {
+                        m.disconnect(a, b, &t);
+                    }
+                    6 | 7 => {
+                        let p = PieceId(rng.below(pieces) as u32);
+                        // A peer with no neighbors has nobody to tell.
+                        if t.alive(a) && t.get_mut(a).have.set(p) && m.degree(a) > 0 {
+                            m.announce(a, p);
+                        }
+                    }
+                    8 => {
+                        if t.alive(a) {
+                            m.remove(a, &t);
+                            t.get_mut(a).left_time = Some(0.0);
+                        }
+                    }
+                    // Re-admission under the same id.
+                    _ => t.get_mut(a).left_time = None,
+                }
+                check_against_recount(&m, &t)?;
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -160,6 +160,22 @@ impl Bitfield {
         }
     }
 
+    /// Clears piece `p`; returns `true` if it was held. The mirror of
+    /// [`Bitfield::set`], with the same range check.
+    pub fn unset(&mut self, p: PieceId) -> bool {
+        let i = p.index();
+        assert!(i < self.len, "piece {i} out of range {}", self.len);
+        let w = &mut self.words[i / 64];
+        let mask = 1u64 << (i % 64);
+        if *w & mask != 0 {
+            *w &= !mask;
+            self.count -= 1;
+            true
+        } else {
+            false
+        }
+    }
+
     /// Iterates over held pieces.
     pub fn iter_set(&self) -> impl Iterator<Item = PieceId> + '_ {
         self.words.iter().enumerate().flat_map(move |(wi, &w)| {
@@ -261,6 +277,8 @@ impl Iterator for BitIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use tchain_sim::{ensure, ensure_eq, forall, sized};
 
     #[test]
     fn file_spec_bittorrent_defaults() {
@@ -311,6 +329,57 @@ mod tests {
     fn out_of_range_panics() {
         let b = Bitfield::new(10);
         b.has(PieceId(10));
+    }
+
+    #[test]
+    fn out_of_range_unset_panics_like_set() {
+        let message = |op: fn(&mut Bitfield)| {
+            let panic = std::panic::catch_unwind(|| op(&mut Bitfield::new(10)));
+            panic.expect_err("must panic").downcast_ref::<String>().cloned()
+        };
+        let set = message(|b| {
+            b.set(PieceId(10));
+        });
+        assert_eq!(set.as_deref(), Some("piece 10 out of range 10"));
+        assert_eq!(
+            message(|b| {
+                b.unset(PieceId(10));
+            }),
+            set
+        );
+    }
+
+    /// `set` / `unset` sequences on two bitfields against two `BTreeSet`
+    /// models, at lengths around the 64-bit word edges.
+    #[test]
+    fn set_and_unset_agree_with_a_set_model() {
+        forall(0xB17F_1E1D, 256, |rng, size| {
+            let len = 1 + rng.below(130);
+            let mut bfs = [Bitfield::new(len), Bitfield::new(len)];
+            let mut models = [BTreeSet::new(), BTreeSet::new()];
+            for _ in 0..sized(rng, size, 1, 400) {
+                let side = rng.below(2);
+                let i = rng.below(len) as u32;
+                // Setting twice as often as clearing lets short fields fill.
+                if rng.below(3) < 2 {
+                    ensure_eq!(bfs[side].set(PieceId(i)), models[side].insert(i), "set({i})");
+                } else {
+                    ensure_eq!(bfs[side].unset(PieceId(i)), models[side].remove(&i), "unset({i})");
+                }
+                for (bf, model) in bfs.iter().zip(&models) {
+                    ensure_eq!(bf.count(), model.len());
+                    ensure_eq!(bf.is_complete(), model.len() == len);
+                    ensure!((0..len as u32).all(|i| bf.has(PieceId(i)) == model.contains(&i)));
+                    let held: Vec<u32> = bf.iter_set().map(|p| p.0).collect();
+                    ensure_eq!(held, model.iter().copied().collect::<Vec<_>>());
+                }
+                let wanted: Vec<u32> = models[1].difference(&models[0]).copied().collect();
+                let missing: Vec<u32> = bfs[0].missing_from(&bfs[1]).map(|p| p.0).collect();
+                ensure_eq!(missing, wanted, "missing_from");
+                ensure_eq!(bfs[0].wants_from(&bfs[1]), !wanted.is_empty(), "wants_from");
+            }
+            Ok(())
+        });
     }
 
     #[test]

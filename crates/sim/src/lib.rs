@@ -90,3 +90,35 @@ impl From<u32> for NodeId {
         NodeId(v)
     }
 }
+
+/// A multiply–rotate [`Hasher`](std::hash::Hasher) for maps keyed by
+/// [`NodeId`]. Ids are minted by the simulator, never read from outside
+/// input, so SipHash's resistance to crafted collisions buys nothing here.
+/// Iteration order is arbitrary, as with std's randomised default: sort
+/// before letting it reach an output.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`IdHasher`]:
+/// `HashMap<NodeId, V, IdHash>`.
+pub type IdHash = std::hash::BuildHasherDefault<IdHasher>;
