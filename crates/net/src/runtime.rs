@@ -171,7 +171,10 @@ struct ReportRetry {
 /// Per-peer counters surfaced in the swarm report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeerCounters {
-    /// Pieces completed by hash-verified decryption.
+    /// Hash-verified key completions: one per pending ciphertext whose
+    /// keys decrypt it to the right bytes, including pieces already
+    /// held through another chain (those bytes are then dropped). Not a
+    /// count of distinct pieces obtained.
     pub decrypted: u64,
     /// Pieces completed from §II-B3 unencrypted uploads.
     pub unencrypted: u64,

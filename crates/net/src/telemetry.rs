@@ -18,8 +18,8 @@
 use crate::runtime::PeerCounters;
 use std::collections::BTreeMap;
 use tchain_obs::{
-    merge_traces, to_jsonl, Log2Histogram, PrometheusWriter, StatsRegistry, TelemetrySnapshot,
-    TraceRecord,
+    to_jsonl, Log2Histogram, PrometheusWriter, StatsRegistry, TelemetrySnapshot, TraceRecord,
+    Tracer,
 };
 
 /// Histogram name: PieceData arrival → KeyRelease arrival at the
@@ -74,8 +74,9 @@ impl PeerTelemetry {
         PeerTelemetry { peer, ..Self::default() }
     }
 
-    /// Pieces this peer obtained (decrypted reciprocations plus §II-B3
-    /// gifts).
+    /// Verified key completions plus §II-B3 gifts taken. A piece that
+    /// completes through two chains counts twice (see
+    /// [`PeerCounters::decrypted`]); a gift counts only when new.
     pub fn downloads(&self) -> u64 {
         self.counters.decrypted + self.counters.unencrypted
     }
@@ -293,15 +294,36 @@ impl FlightRecorder {
         self.dumps.len() >= self.max_dumps
     }
 
-    /// Merges `rings` causally and keeps the last `window` records as a
-    /// new dump. A no-op when full; malformed rings capture empty.
-    pub fn capture(&mut self, reason: &'static str, at: f64, rings: &[Vec<TraceRecord>]) {
+    /// Keeps the last `window` records of the causal merge
+    /// ([`tchain_obs::merge_traces`]) of `rings` as a new dump, numbered
+    /// as that merge numbers them. A no-op when full.
+    ///
+    /// `rings` are per-peer tracers ([`Tracer::for_peer`]), whose Lamport
+    /// clocks strictly increase, so the merge's last `window` records by
+    /// `(lamport, origin, seq)` all lie in the rings' last `window`
+    /// records: only those tails are copied and sorted, and the whole
+    /// rings are only counted.
+    pub fn capture<'a>(
+        &mut self,
+        reason: &'static str,
+        at: f64,
+        rings: impl IntoIterator<Item = &'a Tracer>,
+    ) {
         if self.full() {
             return;
         }
-        let merged = merge_traces(rings).unwrap_or_default();
-        let tail = merged.len().saturating_sub(self.window);
-        self.dumps.push(FlightDump { reason, at, records: merged[tail..].to_vec() });
+        let (mut tails, mut total) = (Vec::new(), 0);
+        for ring in rings {
+            total += ring.len();
+            tails.extend(ring.tail(self.window).copied());
+        }
+        tails.sort_unstable_by_key(|r| (r.lamport, r.origin, r.seq));
+        let mut records = tails[tails.len().saturating_sub(self.window)..].to_vec();
+        let first = (total - records.len()) as u64;
+        for (j, rec) in records.iter_mut().enumerate() {
+            rec.seq = first + j as u64;
+        }
+        self.dumps.push(FlightDump { reason, at, records });
     }
 
     /// Captures so far, in trigger order.
@@ -318,7 +340,9 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tchain_obs::Event;
+    use std::cell::Cell;
+    use tchain_obs::{merge_traces, Event};
+    use tchain_sim::{ensure_eq, forall, sized};
 
     fn peer(id: u32, up: u64, down: u64) -> PeerTelemetry {
         let mut p = PeerTelemetry::new(id);
@@ -393,22 +417,69 @@ mod tests {
     #[test]
     fn flight_recorder_keeps_the_tail_and_caps_captures() {
         let mut rec = FlightRecorder::new(2, 2);
-        let ring: Vec<TraceRecord> = (0..4)
-            .map(|i| TraceRecord {
-                t: i as f64,
-                seq: i,
-                origin: Some(7),
-                lamport: Some(i + 1),
-                event: Event::PeerDepart { peer: 7 },
-            })
-            .collect();
-        rec.capture("quarantine", 1.0, std::slice::from_ref(&ring));
+        let mut ring = Tracer::for_peer(7, 16);
+        for i in 0..4 {
+            ring.record(i as f64, Event::PeerDepart { peer: 7 });
+        }
+        rec.capture("quarantine", 1.0, [&ring]);
         assert_eq!(rec.dumps()[0].records.len(), 2, "window trims to last N");
         assert_eq!(rec.dumps()[0].records[0].lamport, Some(3));
-        rec.capture("crash", 2.0, std::slice::from_ref(&ring));
-        rec.capture("violation", 3.0, std::slice::from_ref(&ring));
+        assert_eq!(rec.dumps()[0].records[0].seq, 2, "numbered as a full merge");
+        rec.capture("crash", 2.0, [&ring]);
+        rec.capture("violation", 3.0, [&ring]);
         assert_eq!(rec.dumps().len(), 2, "capture budget caps dumps");
         assert!(!rec.dumps()[0].to_jsonl().is_empty());
+    }
+
+    /// The reference capture: a full causal merge of every ring, trimmed
+    /// to `window`.
+    fn full_merge_capture(window: usize, rings: &[Vec<TraceRecord>]) -> Vec<TraceRecord> {
+        let merged = merge_traces(rings).unwrap_or_default();
+        let tail = merged.len().saturating_sub(window);
+        merged[tail..].to_vec()
+    }
+
+    #[test]
+    fn tail_only_capture_equals_the_full_merge() {
+        let (gaps, ties, short) = (Cell::new(0u32), Cell::new(0u32), Cell::new(0u32));
+        forall(0xF117_4A11, 256, |rng, size| {
+            let window = 1 + rng.below(80);
+            let mut rings = Vec::new();
+            for i in 0..rng.below(13) {
+                // Distinct origins; a small cap makes the ring
+                // overwrite, so its seqs start past zero.
+                let origin = 3 * i as u32 + rng.below(3) as u32;
+                let mut ring = Tracer::for_peer(origin, 1 + rng.below(300));
+                ring.witness(rng.below(4) as u64);
+                for _ in 0..sized(rng, size, 0, 301) {
+                    if rng.chance(0.3) {
+                        let jump = 1 + rng.below(6) as u64;
+                        ring.witness(ring.lamport() + jump);
+                        gaps.set(gaps.get() + 1);
+                    }
+                    ring.record(0.0, Event::PeerDepart { peer: origin });
+                }
+                rings.push(ring);
+            }
+            rng.shuffle(&mut rings);
+            let whole: Vec<Vec<TraceRecord>> = rings.iter().map(Tracer::records).collect();
+            let want = full_merge_capture(window, &whole);
+            let clocks = want.iter().map(|r| r.lamport);
+            if clocks.clone().zip(clocks.skip(1)).any(|(a, b)| a == b) {
+                ties.set(ties.get() + 1);
+            }
+            if whole.iter().map(Vec::len).sum::<usize>() < window {
+                short.set(short.get() + 1);
+            }
+            let mut rec = FlightRecorder::new(window, 1);
+            rec.capture("crash", 0.0, &rings);
+            let n = rings.len();
+            ensure_eq!(rec.dumps()[0].records, want, "window {window}, {n} rings");
+            Ok(())
+        });
+        let counts = (gaps.get(), ties.get(), short.get());
+        let drawn = counts.0 > 0 && counts.1 > 0 && counts.2 > 0;
+        assert!(drawn, "(gaps, ties, short) = {counts:?}");
     }
 
     #[test]

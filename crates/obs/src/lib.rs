@@ -6,7 +6,7 @@
 //!   lifecycle spans (request → encrypted upload → report → key →
 //!   decrypt, §II-B, including the retry/escrow/watchdog branches),
 //!   chain lineage, choke/unchoke decisions, and fault events. Events
-//!   land in a preallocated overwrite-oldest [`EventRing`] and export as
+//!   land in a bounded overwrite-oldest [`EventRing`] and export as
 //!   JSONL ([`to_jsonl`]) or Chrome `trace_event` JSON
 //!   ([`to_chrome_trace`]) loadable in Perfetto. The [`trace_event!`]
 //!   macro compiles to a branch on [`Tracer::is_enabled`], so disabled

@@ -8,7 +8,7 @@
 use crate::event::{Event, TraceRecord};
 use crate::ring::EventRing;
 
-/// Records [`Event`]s into a preallocated ring when enabled.
+/// Records [`Event`]s into a bounded ring when enabled.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     ring: Option<EventRing>,
@@ -101,6 +101,28 @@ impl Tracer {
             Some(ring) => ring.iter().copied().collect(),
             None => Vec::new(),
         }
+    }
+
+    /// The newest `n` buffered records, oldest-first, without copying.
+    /// Empty when disabled.
+    pub fn tail(&self, n: usize) -> impl Iterator<Item = &TraceRecord> {
+        self.ring.iter().flat_map(move |ring| ring.tail(n))
+    }
+
+    /// Consumes the tracer, yielding its buffered records oldest-first
+    /// without copying them. Empty when disabled.
+    pub fn into_records(self) -> Vec<TraceRecord> {
+        self.ring.map_or_else(Vec::new, EventRing::into_vec)
+    }
+
+    /// Number of records currently buffered, zero when disabled.
+    pub fn len(&self) -> usize {
+        self.ring.as_ref().map_or(0, EventRing::len)
+    }
+
+    /// `true` when nothing is buffered (always, when disabled).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Total events emitted while enabled (recorded + overwritten).
@@ -210,6 +232,21 @@ mod tests {
         let rec = tr.records()[0];
         assert_eq!(rec.origin, None);
         assert_eq!(rec.lamport, None);
+    }
+
+    #[test]
+    fn tail_and_into_records_agree_with_records() {
+        let mut tr = Tracer::for_peer(2, 3);
+        for i in 0..5 {
+            tr.record(i as f64, Event::PeerDepart { peer: i });
+        }
+        let all = tr.records();
+        assert_eq!(tr.len(), 3);
+        assert_eq!(tr.tail(2).copied().collect::<Vec<_>>(), all[1..]);
+        assert_eq!(tr.tail(9).copied().collect::<Vec<_>>(), all);
+        assert_eq!(tr.into_records(), all);
+        assert_eq!(Tracer::disabled().tail(4).count(), 0);
+        assert!(Tracer::disabled().into_records().is_empty());
     }
 
     #[test]
