@@ -590,12 +590,60 @@ impl AttackState {
     }
 }
 
+/// The live peers, indexed by the ids the harness mints in sequence
+/// (0..peers at boot, then `next_id`), so the table is dense and index
+/// order is ascending-id order. A crash or whitewash empties its id's
+/// slot; a restore refills it under the same id. Ids off the wire never
+/// index it: only `get`/`get_mut` see outside ids, and read `None` past
+/// the end.
+#[derive(Default)]
+struct PeerTable(Vec<Option<PeerRuntime>>);
+
+impl PeerTable {
+    fn get(&self, id: u32) -> Option<&PeerRuntime> {
+        self.0.get(id as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u32) -> Option<&mut PeerRuntime> {
+        self.0.get_mut(id as usize)?.as_mut()
+    }
+
+    fn insert(&mut self, id: u32, peer: PeerRuntime) {
+        let i = id as usize;
+        if self.0.len() <= i {
+            self.0.resize_with(i + 1, || None);
+        }
+        self.0[i] = Some(peer);
+    }
+
+    fn remove(&mut self, id: u32) -> Option<PeerRuntime> {
+        self.0.get_mut(id as usize)?.take()
+    }
+
+    /// Live peers, ascending by id.
+    fn iter(&self) -> impl Iterator<Item = (u32, &PeerRuntime)> {
+        self.0.iter().enumerate().filter_map(|(id, p)| Some((id as u32, p.as_ref()?)))
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut PeerRuntime)> {
+        self.0.iter_mut().enumerate().filter_map(|(id, p)| Some((id as u32, p.as_mut()?)))
+    }
+
+    fn keys(&self) -> impl Iterator<Item = u32> + '_ {
+        self.iter().map(|(id, _)| id)
+    }
+
+    fn values(&self) -> impl Iterator<Item = &PeerRuntime> {
+        self.0.iter().flatten()
+    }
+}
+
 /// N in-process peers over one transport.
 pub struct SwarmHarness<T: Transport> {
     transport: T,
     cfg: SwarmConfig,
     content: Content,
-    peers: BTreeMap<u32, PeerRuntime>,
+    peers: PeerTable,
     tracker: Tracker,
     observer: Observer,
     tracer: Tracer,
@@ -673,7 +721,7 @@ impl<T: Transport> SwarmHarness<T> {
         let mut harness = SwarmHarness {
             transport,
             content,
-            peers: BTreeMap::new(),
+            peers: PeerTable::default(),
             tracker: Tracker::with_shards(Tracker::shards_for(expected_peak)),
             observer,
             tracer: if cfg.trace_capacity > 0 {
@@ -799,7 +847,7 @@ impl<T: Transport> SwarmHarness<T> {
         let members =
             self.tracker.random_members(NodeId(id), NeighborPolicy::default().list_size, rng);
         let mut out: Outbox = Vec::new();
-        self.peers.get_mut(&id).expect("enrolled").bootstrap(&members, &mut out);
+        self.peers.get_mut(id).expect("enrolled").bootstrap(&members, &mut out);
         self.flush(stage(NodeId(id), out))
     }
 
@@ -814,7 +862,7 @@ impl<T: Transport> SwarmHarness<T> {
         self.tracker.unregister(NodeId(id));
         self.observer.note_departed(id);
         self.wheel.cancel(id);
-        for (&pid, peer) in self.peers.iter_mut() {
+        for (pid, peer) in self.peers.iter_mut() {
             if !peer.departed() {
                 peer.on_peer_gone(NodeId(id));
                 // State changed outside this peer's own on_tick (a
@@ -851,7 +899,7 @@ impl<T: Transport> SwarmHarness<T> {
     /// Greets the boot population. Enrolment finished in `new`, so every
     /// member-list draw sees the full tracker.
     fn boot(&mut self) -> Result<(), NetError> {
-        let ids: Vec<u32> = self.peers.keys().copied().collect();
+        let ids: Vec<u32> = self.peers.keys().collect();
         for id in ids {
             self.greet(id, None, 0.0)?;
         }
@@ -879,7 +927,7 @@ impl<T: Transport> SwarmHarness<T> {
             for d in &batch {
                 self.audit(d, now);
             }
-            if let Some(peer) = self.peers.get_mut(&to.0) {
+            if let Some(peer) = self.peers.get_mut(to.0) {
                 let mut out: Outbox = Vec::new();
                 for d in batch.drain(..) {
                     peer.on_frame(now, d.from, d.frame, &mut out);
@@ -979,7 +1027,7 @@ impl<T: Transport> SwarmHarness<T> {
     /// scheduler's visit, shared verbatim by explore mode so a
     /// perturbed run differs from production only in visit *order*.
     fn tick_peer(&mut self, id: u32, now: f64, staged: &mut Staged, woke: &mut BTreeSet<u32>) {
-        let Some(peer) = self.peers.get_mut(&id) else {
+        let Some(peer) = self.peers.get_mut(id) else {
             self.wheel.cancel(id);
             return;
         };
@@ -1061,7 +1109,7 @@ impl<T: Transport> SwarmHarness<T> {
             // have nothing to hand off.
             let eligible = self.live_compliant();
             for victim in churn.pick_victims(fraction, &eligible) {
-                let Some(peer) = self.peers.get_mut(&victim.0) else { continue };
+                let Some(peer) = self.peers.get_mut(victim.0) else { continue };
                 if !peer.is_complete() {
                     self.churn_departed_incomplete += 1;
                 }
@@ -1095,7 +1143,7 @@ impl<T: Transport> SwarmHarness<T> {
             .iter()
             .filter(|id| {
                 !self.departed_handled.contains(id)
-                    && self.peers.get(id).is_some_and(PeerRuntime::departed)
+                    && self.peers.get(**id).is_some_and(PeerRuntime::departed)
             })
             .copied()
             .collect();
@@ -1128,7 +1176,7 @@ impl<T: Transport> SwarmHarness<T> {
                         offender: rej.from.0,
                         kind: reject_kind(&rej.cause),
                     });
-                    if let Some(peer) = self.peers.get_mut(&rej.to.0) {
+                    if let Some(peer) = self.peers.get_mut(rej.to.0) {
                         if let Some(until) = peer.on_frame_reject(now, rej.from) {
                             trace_event!(self.tracer, now, Event::PeerQuarantine {
                                 peer: rej.to.0,
@@ -1176,7 +1224,7 @@ impl<T: Transport> SwarmHarness<T> {
         }
         let alive = self.live_compliant();
         for (victim, restart_after) in self.chaos.crash_victims(now, &alive) {
-            let Some(peer) = self.peers.remove(&victim.0) else { continue };
+            let Some(peer) = self.peers.remove(victim.0) else { continue };
             let checkpoint = reload(&peer.checkpoint());
             self.crashes += 1;
             trace_event!(self.tracer, now, Event::PeerCrash { peer: victim.0 });
@@ -1229,7 +1277,7 @@ impl<T: Transport> SwarmHarness<T> {
         self.flush(std::mem::take(&mut attack.staged_reports))?;
         for op in 0..attack.operators.len() {
             let Some(id) = attack.operators[op].live_id else { continue };
-            let Some(peer) = self.peers.get(&id) else { continue };
+            let Some(peer) = self.peers.get(id) else { continue };
             let state = &mut attack.operators[op];
             state.note_progress(peer.have_count(), now);
             if state.should_whitewash(now) {
@@ -1254,7 +1302,7 @@ impl<T: Transport> SwarmHarness<T> {
     /// and queue a rejoin under a fresh id. Neighbors see a vanished
     /// peer; the returnee is "treated as another newcomer".
     fn whitewash(&mut self, attack: &mut AttackState, op: usize, id: u32, now: f64) {
-        let peer = self.peers.remove(&id).expect("live identity");
+        let peer = self.peers.remove(id).expect("live identity");
         let new_id = self.mint_id();
         // `with_id` wipes the neighbor-facing ledgers that belonged to
         // the dead identity.
@@ -1355,10 +1403,10 @@ impl<T: Transport> SwarmHarness<T> {
         let completion_times: Vec<(u32, f64)> = self
             .peers
             .iter()
-            .filter_map(|(&id, p)| p.completion_time().map(|t| (id, t)))
+            .filter_map(|(id, p)| p.completion_time().map(|t| (id, t)))
             .collect();
         let peer_counters: Vec<(u32, PeerCounters)> =
-            self.peers.iter().map(|(&id, p)| (id, p.counters())).collect();
+            self.peers.iter().map(|(id, p)| (id, p.counters())).collect();
         let frame_rejects: u64 = peer_counters.iter().map(|(_, c)| c.frame_rejects).sum();
         let quarantines: u64 = peer_counters.iter().map(|(_, c)| c.quarantines).sum();
         let ledger_ok =
@@ -1484,7 +1532,7 @@ impl<T: Transport> SwarmHarness<T> {
         let tel_peers: Vec<(u32, PeerCounters, i64)> = self
             .peers
             .iter()
-            .map(|(&id, p)| (id, p.counters(), p.goodwill_balance()))
+            .map(|(id, p)| (id, p.counters(), p.goodwill_balance()))
             .collect();
         let terminations = [
             ("gift", self.observer.chains_terminated() as u64),
@@ -1532,7 +1580,7 @@ mod tests {
     ) -> BTreeSet<u32> {
         h.ready.clear();
         let mut woke = BTreeSet::new();
-        for (&id, peer) in h.peers.iter_mut() {
+        for (id, peer) in h.peers.iter_mut() {
             let mut out: Outbox = Vec::new();
             peer.on_tick(now, &mut out);
             staged.extend(stage(NodeId(id), out));
@@ -1560,13 +1608,47 @@ mod tests {
     }
 
     #[test]
+    fn peer_table_iterates_ascending_through_crash_restore_and_rebirth() {
+        let content = Content::new(1, 4, 16);
+        let peer =
+            |id| PeerRuntime::new(NodeId(id), PeerRole::Compliant, content.clone(), NetConfig::default(), 1);
+        // `keys`, `iter` and `values` walk the same peers, each under its
+        // own id.
+        let ids = |t: &PeerTable| {
+            let keys: Vec<u32> = t.keys().collect();
+            assert!(t.iter().all(|(id, p)| p.id().0 == id));
+            assert!(t.values().map(|p| p.id().0).eq(keys.iter().copied()));
+            keys
+        };
+        let mut t = PeerTable::default();
+        for id in 0..5 {
+            t.insert(id, peer(id));
+        }
+        // A crash empties the slot; the id reads `None` until it returns.
+        let crashed = t.remove(2).expect("live");
+        assert!(t.get(2).is_none() && t.get_mut(2).is_none() && t.remove(2).is_none());
+        assert_eq!(ids(&t), [0, 1, 3, 4]);
+        // The restore comes back under the same id.
+        t.insert(2, crashed);
+        assert_eq!(ids(&t), [0, 1, 2, 3, 4]);
+        // A whitewash leaves id 3 and is reborn under the next minted id.
+        assert!(t.remove(3).is_some());
+        t.insert(5, peer(5));
+        assert_eq!(ids(&t), [0, 1, 2, 4, 5]);
+        assert!(t.get(3).is_none());
+        // Ids nobody minted read `None` too, however large.
+        assert!(t.get(6).is_none() && t.get_mut(u32::MAX).is_none() && t.remove(u32::MAX).is_none());
+    }
+
+    #[test]
     fn every_peer_and_every_revival_shares_the_harness_digest_table() {
         let cfg = SwarmConfig::default();
         let peers = cfg.peers as usize;
         let mesh = ChannelMesh::with_chaos(cfg.plan.clone(), cfg.chaos.clone(), cfg.tick_dt);
         let harness = SwarmHarness::new(mesh, cfg).expect("boot");
         assert_eq!(harness.content.table_refs(), 1 + peers);
-        let slot = RejoinSlot { at: 0.0, generation: 1, checkpoint: harness.peers[&0].checkpoint() };
+        let checkpoint = harness.peers.get(0).expect("seeder").checkpoint();
+        let slot = RejoinSlot { at: 0.0, generation: 1, checkpoint };
         let revived = harness.revive(&slot);
         assert_eq!(harness.content.table_refs(), 2 + peers, "restore keeps the clone it is handed");
         assert!(revived.is_complete(), "the seeder's checkpoint restores against the shared manifest");

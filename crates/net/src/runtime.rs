@@ -484,7 +484,7 @@ impl PeerRuntime {
                 let Some(bf) = Bitfield::from_packed_bytes(pieces as usize, &bits) else {
                     return;
                 };
-                if self.neighbors.learn_bitfield(from.0, bf) {
+                if self.neighbors.learn_bitfield(from.0, &bf) {
                     out.push((from, Frame::Control(Message::bitfield(&self.have))));
                 }
             }
@@ -1019,8 +1019,8 @@ impl PeerRuntime {
 
     fn fulfill_obligation(&mut self, now: f64, ob: &Obligation, out: &mut Outbox) -> bool {
         // Prefer a real piece the payee wants (§II-B2).
-        let payee_have = self.neighbors.get(ob.payee).expect("obligation payee is known").have();
-        let wanted = payee_have
+        let payee = self.neighbors.get(ob.payee).expect("obligation payee is known");
+        let wanted = payee
             .missing_from(&self.have)
             .map(|p| p.0)
             .filter(|&p| self.plain[p as usize].is_some());
@@ -1034,8 +1034,7 @@ impl PeerRuntime {
             .pending_in
             .get(&entry_key)
             .is_some_and(|e| e.work.is_some() && e.forward_txn.is_none());
-        let payee_wants_piece =
-            (ob.piece as usize) < payee_have.len() && !payee_have.has(PieceId(ob.piece));
+        let payee_wants_piece = (ob.piece as usize) < self.have.len() && !payee.has(PieceId(ob.piece));
         if entry_forwardable && payee_wants_piece {
             return self.donate(now, ob.payee, ob.piece, Some((ob.piece, ob.donor)), Some(entry_key), out);
         }
@@ -1055,7 +1054,7 @@ impl PeerRuntime {
             if self.ledger.get(&nid).copied().unwrap_or(0) >= self.cfg.k_pending {
                 continue;
             }
-            let wants = n.have().missing_from(&self.have).map(|p| p.0).filter(|&p| {
+            let wants = n.missing_from(&self.have).map(|p| p.0).filter(|&p| {
                 self.plain[p as usize].is_some()
                     && !self.donor_txns.contains_key(&(nid, p))
                     && !self.gifted.contains_key(&(nid, p))
@@ -1164,7 +1163,7 @@ impl PeerRuntime {
         // name ourselves payee (§II-B2).
         if !self.is_complete() {
             if let Some(n) = self.neighbors.get(to) {
-                if n.known() && self.have.wants_from(n.have()) {
+                if n.known() && n.offers_to(&self.have) {
                     return Some(self.id.0);
                 }
             }
@@ -1178,7 +1177,7 @@ impl PeerRuntime {
     /// something `to` holds, ascending by id. A neighbor with a full
     /// bitfield is neither, so only the incomplete ones are walked.
     fn payee_candidates(&self, to: u32, piece: u32) -> Vec<u32> {
-        let to_have = self.neighbors.get(to).map(|n| n.have());
+        let to_n = self.neighbors.get(to);
         self.neighbors
             .incomplete()
             .filter(|&(nid, n)| {
@@ -1186,8 +1185,8 @@ impl PeerRuntime {
                     && nid != self.id.0
                     && !self.quarantined.contains_key(&nid)
                     && self.ledger.get(&nid).copied().unwrap_or(0) < self.cfg.k_pending
-                    && ((piece as usize) < n.have().len() && !n.have().has(PieceId(piece))
-                        || to_have.is_some_and(|th| n.have().wants_from(th)))
+                    && ((piece as usize) < self.have.len() && !n.has(PieceId(piece))
+                        || to_n.is_some_and(|t| n.wants_from(t)))
             })
             .map(|(nid, _)| nid)
             .collect()
@@ -1896,7 +1895,7 @@ mod tests {
         assert_eq!(format!("{p:?}"), before, "dropped frames leave no state behind");
         // The last in-range index still gets through.
         p.on_frame(1.0, from, Frame::Control(Message::Have { piece: PieceId(3) }), &mut out);
-        assert!(p.neighbors.get(2).expect("bootstrapped").have().has(PieceId(3)));
+        assert!(p.neighbors.get(2).expect("bootstrapped").has(PieceId(3)));
     }
 
     // ------------------------------------------------------------------
@@ -1913,7 +1912,7 @@ mod tests {
                 let avail = p
                     .neighbors
                     .all()
-                    .filter(|(_, n)| n.known() && n.have().has(PieceId(c)))
+                    .filter(|(_, n)| n.known() && n.has(PieceId(c)))
                     .count();
                 (avail, c)
             })
@@ -1922,7 +1921,7 @@ mod tests {
     }
 
     /// Reference donor-round candidates: every neighbor scanned, a fresh
-    /// `wants` list each.
+    /// `wants` list each from a rebuilt `Bitfield`.
     fn scan_donor_candidates(p: &PeerRuntime) -> Vec<(u32, u32)> {
         let mut cands = Vec::new();
         for (nid, n) in p.neighbors.all() {
@@ -1933,7 +1932,7 @@ mod tests {
                 continue;
             }
             let wants: Vec<u32> = n
-                .have()
+                .to_bitfield(p.have.len())
                 .missing_from(&p.have)
                 .map(|q| q.0)
                 .filter(|&q| {
@@ -1950,38 +1949,40 @@ mod tests {
     }
 
     /// Reference payee candidates: every neighbor tested against the
-    /// two-armed predicate.
+    /// two-armed predicate on rebuilt `Bitfield`s.
     fn scan_payee_candidates(p: &PeerRuntime, to: u32, piece: u32) -> Vec<u32> {
-        let to_have = p.neighbors.get(to).map(|n| n.have().clone());
+        let pieces = p.have.len();
+        let to_have = p.neighbors.get(to).map(|n| n.to_bitfield(pieces));
         p.neighbors
             .all()
             .filter(|&(nid, n)| {
+                let have = n.to_bitfield(pieces);
                 nid != to
                     && nid != p.id.0
                     && !p.quarantined.contains_key(&nid)
                     && p.ledger.get(&nid).copied().unwrap_or(0) < p.cfg.k_pending
-                    && ((piece as usize) < n.have().len() && !n.have().has(PieceId(piece))
-                        || to_have.as_ref().is_some_and(|th| n.have().wants_from(th)))
+                    && ((piece as usize) < have.len() && !have.has(PieceId(piece))
+                        || to_have.as_ref().is_some_and(|th| have.wants_from(th)))
             })
             .map(|(nid, _)| nid)
             .collect()
     }
 
     const POOL: usize = 20; // neighbor ids 1..=POOL; the peer under test is 0
-    const PIECES: u32 = 12;
 
     /// Index vs. recomputation and full scans; returns how many donor
     /// and payee candidates the step exposed (the vacuity guard).
     fn assert_index_matches_scans(p: &PeerRuntime, rng: &mut SimRng) -> (usize, usize) {
         p.neighbors.assert_consistent();
-        let every: Vec<u32> = (0..PIECES).collect();
+        let pieces = p.have.len();
+        let every: Vec<u32> = (0..pieces as u32).collect();
         let some: Vec<u32> = every.iter().copied().filter(|_| rng.chance(0.4)).collect();
         for cands in [&every, &some] {
             assert_eq!(p.neighbors.rarest_of(cands.iter().copied()), scan_rarest(p, cands));
         }
         let donor = p.donor_candidates();
         assert_eq!(donor, scan_donor_candidates(p));
-        let piece = rng.below(PIECES as usize) as u32;
+        let piece = rng.below(pieces) as u32;
         let mut payees = 0;
         for to in 0..=POOL as u32 + 1 {
             let cands = p.payee_candidates(to, piece);
@@ -1991,9 +1992,9 @@ mod tests {
         (donor.len(), payees)
     }
 
-    fn random_bits(rng: &mut SimRng, density: f64) -> Bitfield {
-        let mut bf = Bitfield::new(PIECES as usize);
-        for q in 0..PIECES {
+    fn random_bits(rng: &mut SimRng, pieces: usize, density: f64) -> Bitfield {
+        let mut bf = Bitfield::new(pieces);
+        for q in 0..pieces as u32 {
             if rng.chance(density) {
                 bf.set(PieceId(q));
             }
@@ -2001,8 +2002,8 @@ mod tests {
         bf
     }
 
-    fn differential_run(role: PeerRole, seed: u64, steps: usize) {
-        let c = Content::new(0xD1FF, PIECES as usize, 32);
+    fn differential_run(role: PeerRole, seed: u64, steps: usize, pieces: usize) {
+        let c = Content::new(0xD1FF, pieces, 32);
         let cfg = NetConfig { quarantine_secs: 12.0, ..NetConfig::default() };
         let mut p = PeerRuntime::new(NodeId(0), role, c.clone(), cfg, seed);
         let mut rng = SimRng::new(seed ^ 0x1D3A);
@@ -2014,7 +2015,7 @@ mod tests {
         for _ in 0..steps {
             let who = 1 + rng.below(POOL) as u32;
             let from = NodeId(who);
-            let before = p.neighbors.get(who).map(|n| (n.known(), n.have().clone()));
+            let before = p.neighbors.get(who).map(|n| (n.known(), n.to_bitfield(pieces)));
             match rng.below(13) {
                 0 => {
                     let members: Vec<NodeId> =
@@ -2032,7 +2033,7 @@ mod tests {
                     let bf = match &before {
                         Some((true, old)) if rng.chance(0.4) => {
                             *seen.entry("bitfield replay, fewer bits").or_default() += 1;
-                            let mut bf = Bitfield::new(PIECES as usize);
+                            let mut bf = Bitfield::new(pieces);
                             old.iter_set().filter(|_| rng.chance(0.5)).for_each(|q| {
                                 bf.set(q);
                             });
@@ -2041,30 +2042,30 @@ mod tests {
                         Some((true, old)) => {
                             *seen.entry("bitfield replay, more bits").or_default() += 1;
                             let mut bf = old.clone();
-                            random_bits(&mut rng, 0.5).iter_set().for_each(|q| {
+                            random_bits(&mut rng, pieces, 0.5).iter_set().for_each(|q| {
                                 bf.set(q);
                             });
                             bf
                         }
                         Some((false, _)) => {
                             *seen.entry("bitfield from a placeholder").or_default() += 1;
-                            random_bits(&mut rng, 0.5)
+                            random_bits(&mut rng, pieces, 0.5)
                         }
                         None => {
                             *seen.entry("bitfield from a stranger").or_default() += 1;
                             let density = if rng.chance(0.3) { 1.0 } else { 0.5 };
-                            random_bits(&mut rng, density)
+                            random_bits(&mut rng, pieces, density)
                         }
                     };
                     p.on_frame(now, from, Frame::Control(Message::bitfield(&bf)), &mut out);
                     let n = p.neighbors.get(who).expect("a bitfield makes a neighbor");
-                    assert!(n.known() && n.have() == &bf);
+                    assert!(n.known() && n.to_bitfield(pieces) == bf);
                 }
                 4 | 5 => {
-                    let piece = PieceId(rng.below(PIECES as usize) as u32);
+                    let piece = PieceId(rng.below(pieces) as u32);
                     let repeats = if rng.chance(0.3) { 2 } else { 1 };
                     for i in 0..repeats {
-                        let held = p.neighbors.get(who).map(|n| (n.known(), n.have().has(piece)));
+                        let held = p.neighbors.get(who).map(|n| (n.known(), n.has(piece)));
                         let what = match held {
                             None => "have from a stranger",
                             Some((_, true)) if i == 1 => "have sent twice",
@@ -2097,7 +2098,7 @@ mod tests {
                 10 => {
                     // An upload naming a payee we may never have met: the
                     // next tick's obligation pass introduces it.
-                    let piece = PieceId(rng.below(PIECES as usize) as u32);
+                    let piece = PieceId(rng.below(pieces) as u32);
                     let payee = 1 + rng.below(POOL) as u32;
                     if p.neighbors.get(payee).is_none() {
                         *seen.entry("obligation to an unmet payee").or_default() += 1;
@@ -2128,7 +2129,7 @@ mod tests {
                         p.on_frame(now, NodeId(payee), Frame::Control(report), &mut out);
                     }
                     if role != PeerRole::Seeder {
-                        let q = rng.below(PIECES as usize) as u32;
+                        let q = rng.below(pieces) as u32;
                         p.complete_piece(now, q, c.piece(q), &mut out);
                     }
                 }
@@ -2162,12 +2163,20 @@ mod tests {
 
     #[test]
     fn neighborhood_index_matches_the_full_scans_for_a_seeder() {
-        differential_run(PeerRole::Seeder, 0x5EED, 2500);
+        differential_run(PeerRole::Seeder, 0x5EED, 2500, 12);
     }
 
     #[test]
     fn neighborhood_index_matches_the_full_scans_for_a_growing_leecher() {
-        differential_run(PeerRole::Compliant, 0xBEEF, 2500);
+        differential_run(PeerRole::Compliant, 0xBEEF, 2500, 12);
+    }
+
+    /// Two words per slot: a piece past the first word must land in, and
+    /// be read from, the slot's second word.
+    #[test]
+    fn neighborhood_index_matches_the_full_scans_at_65_pieces() {
+        differential_run(PeerRole::Seeder, 0x65_5EED, 1000, 65);
+        differential_run(PeerRole::Compliant, 0x65_BEEF, 1000, 65);
     }
 
     #[test]

@@ -121,6 +121,13 @@ impl Bitfield {
         self.len == 0
     }
 
+    /// The packed words, LSB-first: piece `i` is bit `i % 64` of word
+    /// `i / 64`. Padding bits past [`Bitfield::len`] are zero.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of pieces held.
     #[inline]
     pub fn count(&self) -> usize {
