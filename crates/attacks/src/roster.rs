@@ -9,7 +9,7 @@
 
 use crate::{PeerPlan, Strategy};
 use std::collections::BTreeMap;
-use tchain_proto::{Peer, PieceId, Role, SwarmBase};
+use tchain_proto::{Peer, PieceId, Role, SwarmBase, DT, MAX_TIME};
 use tchain_sim::NodeId;
 
 /// Seconds a whitewashing attacker stays away before rejoining as a
@@ -132,8 +132,8 @@ impl Roster {
         let compliant = plan.strategy.uploads();
         // Fig. 6(b): compliant leechers may start with pre-occupied pieces.
         if compliant && self.initial_piece_fraction > 0.0 && carry.is_empty() {
-            let n = (self.initial_piece_fraction * base.cfg.file.pieces as f64) as usize;
-            let all: Vec<u32> = (0..base.cfg.file.pieces as u32).collect();
+            let n = (self.initial_piece_fraction * base.file.pieces as f64) as usize;
+            let all: Vec<u32> = (0..base.file.pieces as u32).collect();
             carry = base.rng.sample(&all, n).into_iter().map(PieceId).collect();
         }
         let id = base.admit_with_pieces(Role::Leecher, plan.effective_capacity(), compliant, carry);
@@ -151,7 +151,7 @@ impl Roster {
     pub fn finish(&mut self, base: &mut SwarmBase, id: NodeId, now: f64) {
         base.peers.get_mut(id).done_time = Some(now);
         if self.replace_on_finish {
-            let plan = PeerPlan::compliant(now + base.cfg.dt, self.member(id).plan.capacity);
+            let plan = PeerPlan::compliant(now + DT, self.member(id).plan.capacity);
             self.pending.push(PendingJoin { plan, carry: Vec::new(), lineage: None });
         }
     }
@@ -169,14 +169,14 @@ impl Roster {
         });
     }
 
-    /// The `run_until_done` stop condition: `max_time` reached, or nobody
+    /// The `run_until_done` stop condition: [`MAX_TIME`] reached, or nobody
     /// is left to arrive or rejoin and every compliant leecher finished or
     /// left.
     pub fn settled(&self, base: &SwarmBase) -> bool {
         let waiting = |p: &Peer| {
             p.role == Role::Leecher && p.compliant && p.done_time.is_none() && p.alive()
         };
-        base.clock.now() >= base.cfg.max_time
+        base.clock.now() >= MAX_TIME
             || (self.next_arrival >= self.plan.len()
                 && self.pending.is_empty()
                 && !base.peers.iter().any(waiting))
@@ -221,12 +221,12 @@ fn take_due<T>(v: &mut Vec<T>, is_due: impl Fn(&T) -> bool) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tchain_proto::{FileSpec, SwarmConfig};
+    use tchain_proto::FileSpec;
 
     /// A seeded substrate with its seeder admitted, clock at `t`.
     fn base_at(t: f64) -> SwarmBase {
         let file = FileSpec::custom(8, 65536.0, 65536.0);
-        let mut b = SwarmBase::new(SwarmConfig::paper(file), 7);
+        let mut b = SwarmBase::new(file, 7);
         b.admit_seeder();
         tick_to(&mut b, t);
         b
@@ -273,7 +273,7 @@ mod tests {
         assert_eq!(b.peers.get(id).done_time, Some(10.0));
         assert!(r.admit_due(&mut b, 10.0).is_empty(), "not in the step that finished");
         assert!(!r.settled(&b), "a pending replacement keeps the run going");
-        let next_step = 10.0 + b.cfg.dt;
+        let next_step = 10.0 + DT;
         tick_to(&mut b, next_step);
         let joined = r.admit_due(&mut b, next_step);
         assert_eq!(joined.len(), 1, "exactly one newcomer, at now + dt");
@@ -374,10 +374,9 @@ mod tests {
 
         let mut late = Roster::new(vec![PeerPlan::compliant(1e9, 100.0)], 0.0, false);
         let mut b = base_at(0.0);
-        b.cfg.max_time = 2.0;
         assert!(late.admit_due(&mut b, 0.0).is_empty());
         assert!(!late.settled(&b));
-        tick_to(&mut b, 2.0);
-        assert!(late.settled(&b), "max_time ends the run regardless");
+        tick_to(&mut b, MAX_TIME);
+        assert!(late.settled(&b), "MAX_TIME ends the run regardless");
     }
 }

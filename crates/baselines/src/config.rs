@@ -43,54 +43,14 @@ impl std::fmt::Display for Baseline {
     }
 }
 
-/// Tunables for the baseline drivers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Tunables for the baseline drivers. The unchoke, PropShare and seeder
+/// parameters the paper fixes (§II-A, §IV-A) are constants of the driver.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BaselineConfig {
-    /// Regular unchoke slots (`k`, usually 4).
-    pub unchoke_slots: usize,
-    /// Optimistic unchoke slots (usually 1 — i.e. ~20 % of slots).
-    pub optimistic_slots: usize,
-    /// Rechoke period in seconds (10 s).
-    pub rechoke_period: f64,
-    /// Optimistic rotation period in seconds (30 s).
-    pub optimistic_period: f64,
-    /// Concurrent uploads the seeder maintains.
-    pub seeder_slots: usize,
-    /// Blocks pipelined per request (a flow carries this many blocks), as
-    /// real clients keep several outstanding requests per peer. Prevents
-    /// one-block-per-tick quantization from idling uplinks.
-    pub pipeline_blocks: usize,
-    /// PropShare's exploration share of upload bandwidth (0.2).
-    pub propshare_explore: f64,
     /// Replace each finishing leecher with a fresh newcomer (§IV-I churn).
     pub replace_on_finish: bool,
     /// Fraction of the file pre-loaded into each compliant joiner.
     pub initial_piece_fraction: f64,
-    /// A whitewashing free-rider resets its identity after this many
-    /// completed pieces. §IV-C describes per-piece resets ("as soon as it
-    /// gets one (free) piece"), the default; raise it to bound identity
-    /// churn in very large runs.
-    pub whitewash_after_pieces: u32,
-    /// Seconds between census samples.
-    pub sample_period: f64,
-}
-
-impl Default for BaselineConfig {
-    fn default() -> Self {
-        BaselineConfig {
-            unchoke_slots: 4,
-            optimistic_slots: 1,
-            rechoke_period: 10.0,
-            optimistic_period: 30.0,
-            seeder_slots: 16,
-            pipeline_blocks: 4,
-            propshare_explore: 0.2,
-            replace_on_finish: false,
-            initial_piece_fraction: 0.0,
-            whitewash_after_pieces: 1,
-            sample_period: 5.0,
-        }
-    }
 }
 
 impl BaselineConfig {
@@ -98,19 +58,12 @@ impl BaselineConfig {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range values.
+    /// Panics on an initial piece fraction outside `[0, 1]`.
     pub fn validate(&self) {
-        assert!(self.unchoke_slots >= 1, "need at least one unchoke slot");
-        assert!(self.rechoke_period > 0.0 && self.optimistic_period > 0.0, "positive periods");
-        assert!(self.seeder_slots >= 1, "seeder needs a slot");
-        assert!(self.pipeline_blocks >= 1, "pipeline at least one block");
-        assert!((0.0..1.0).contains(&self.propshare_explore), "explore share in [0,1)");
         assert!(
             (0.0..=1.0).contains(&self.initial_piece_fraction),
             "initial piece fraction in [0,1]"
         );
-        assert!(self.whitewash_after_pieces >= 1, "whitewash batch of at least one piece");
-        assert!(self.sample_period > 0.0, "positive sample period");
     }
 }
 
@@ -121,11 +74,8 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = BaselineConfig::default();
-        assert_eq!(c.unchoke_slots, 4, "top-4 TFT unchoking");
-        assert_eq!(c.optimistic_slots, 1);
-        assert_eq!(c.rechoke_period, 10.0);
-        assert_eq!(c.optimistic_period, 30.0);
-        assert!((c.propshare_explore - 0.2).abs() < 1e-12, "20% pre-allocated");
+        assert!(!c.replace_on_finish);
+        assert_eq!(c.initial_piece_fraction, 0.0);
         c.validate();
     }
 
@@ -134,11 +84,5 @@ mod tests {
         assert_eq!(Baseline::BitTorrent.name(), "Original BT");
         assert_eq!(Baseline::all().len(), 4);
         assert_eq!(format!("{}", Baseline::FairTorrent), "FairTorrent");
-    }
-
-    #[test]
-    #[should_panic(expected = "explore share")]
-    fn bad_explore_rejected() {
-        BaselineConfig { propshare_explore: 1.0, ..Default::default() }.validate();
     }
 }

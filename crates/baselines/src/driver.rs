@@ -17,8 +17,33 @@ use tchain_obs::{
     trace_event, Event, ExportStats, MetricMap, Phase, PhaseProfile, PhaseProfiler, StatsRegistry,
     Tracer,
 };
-use tchain_proto::{Bitfield, Peer, PieceId, Role, SwarmBase, SwarmConfig};
+use tchain_proto::{Bitfield, FileSpec, Peer, PieceId, Role, SwarmBase, DT, SAMPLE_PERIOD};
 use tchain_sim::{FaultPlan, Flow, FlowId, IdHash, NodeId, Periodic, Route};
+
+/// Regular unchoke slots: BitTorrent unchokes its top 4 contributors
+/// (§II-A).
+const UNCHOKE_SLOTS: usize = 4;
+
+/// Optimistic unchoke slots (one, i.e. ~20 % of the slots, §II-A).
+const OPTIMISTIC_SLOTS: usize = 1;
+
+/// Rechoke period in seconds (every 10 s, §II-A).
+const RECHOKE_PERIOD: f64 = 10.0;
+
+/// Optimistic rotation period in seconds (every 30 s, §II-A).
+const OPTIMISTIC_PERIOD: f64 = 30.0;
+
+/// Concurrent uploads the seeder maintains.
+const SEEDER_SLOTS: usize = 16;
+
+/// Blocks pipelined per request (a flow carries this many blocks), as
+/// real clients keep several outstanding requests per peer. Prevents
+/// one-block-per-tick quantization from idling uplinks.
+const PIPELINE_BLOCKS: u32 = 4;
+
+/// PropShare's exploration share of upload bandwidth (20 %, Levin et
+/// al., §V).
+const PROPSHARE_EXPLORE: f64 = 0.2;
 
 #[derive(Debug)]
 struct BtState {
@@ -43,8 +68,6 @@ struct BtState {
     /// Bitfield over the file of the pieces currently assigned to some
     /// uploader (duplicate guard).
     in_flight: Bitfield,
-    /// Completed pieces since the last whitewash.
-    pieces_since_ww: u32,
 }
 
 impl BtState {
@@ -60,7 +83,6 @@ impl BtState {
             piece_progress: HashMap::new(),
             pulling: HashMap::default(),
             in_flight: Bitfield::new(pieces),
-            pieces_since_ww: 0,
         }
     }
 }
@@ -69,7 +91,7 @@ impl BtState {
 ///
 /// ```
 /// use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
-/// use tchain_proto::{FileSpec, SwarmConfig};
+/// use tchain_proto::FileSpec;
 /// use tchain_attacks::PeerPlan;
 /// use tchain_sim::kbps;
 ///
@@ -77,7 +99,7 @@ impl BtState {
 /// let plan: Vec<PeerPlan> =
 ///     (0..6).map(|i| PeerPlan::compliant(i as f64 * 0.1, kbps(800.0))).collect();
 /// let mut swarm = BaselineSwarm::new(
-///     SwarmConfig::paper(file),
+///     file,
 ///     BaselineConfig::default(),
 ///     Baseline::BitTorrent,
 ///     plan,
@@ -89,7 +111,6 @@ impl BtState {
 #[derive(Debug)]
 pub struct BaselineSwarm {
     base: SwarmBase,
-    cfg: BaselineConfig,
     policy: Baseline,
     seeder: NodeId,
     states: Vec<BtState>,
@@ -109,19 +130,20 @@ pub struct BaselineSwarm {
 }
 
 impl BaselineSwarm {
-    /// Builds a baseline swarm: one seeder plus planned leecher arrivals.
+    /// Builds a baseline swarm sharing `file`: one seeder plus planned
+    /// leecher arrivals.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
     pub fn new(
-        scfg: SwarmConfig,
+        file: FileSpec,
         cfg: BaselineConfig,
         policy: Baseline,
         plan: Vec<PeerPlan>,
         seed: u64,
     ) -> Self {
-        Self::with_faults(scfg, cfg, policy, plan, seed, FaultPlan::none())
+        Self::with_faults(file, cfg, policy, plan, seed, FaultPlan::none())
     }
 
     /// Builds a baseline swarm under a fault-injection plan. Baselines
@@ -131,7 +153,7 @@ impl BaselineSwarm {
     /// queries, and abrupt peer crashes. [`FaultPlan::none()`] reproduces
     /// [`BaselineSwarm::new`] bit for bit.
     pub fn with_faults(
-        scfg: SwarmConfig,
+        file: FileSpec,
         cfg: BaselineConfig,
         policy: Baseline,
         plan: Vec<PeerPlan>,
@@ -139,25 +161,24 @@ impl BaselineSwarm {
         fplan: FaultPlan,
     ) -> Self {
         cfg.validate();
-        let mut base = SwarmBase::with_faults(scfg, seed, fplan);
+        let mut base = SwarmBase::with_faults(file, seed, fplan);
         let seeder = base.admit_seeder();
         let mut sw = BaselineSwarm {
             base,
-            cfg,
             policy,
             seeder,
             states: Vec::new(),
             roster: Roster::new(plan, cfg.initial_piece_fraction, cfg.replace_on_finish),
-            rechoke_timer: Periodic::new(cfg.rechoke_period),
-            optimistic_timer: Periodic::new(cfg.optimistic_period),
-            sample_timer: Periodic::new(cfg.sample_period),
+            rechoke_timer: Periodic::new(RECHOKE_PERIOD),
+            optimistic_timer: Periodic::new(OPTIMISTIC_PERIOD),
+            sample_timer: Periodic::new(SAMPLE_PERIOD),
             leecher_series: TimeSeries::new(),
             completed_buf: Vec::new(),
             blocks_moved: 0,
             crashes: 0,
             profiler: PhaseProfiler::disabled(),
         };
-        let pieces = sw.base.cfg.file.pieces;
+        let pieces = sw.base.file.pieces;
         sw.states.resize_with(sw.base.peers.len(), || BtState::new(pieces));
         sw
     }
@@ -285,7 +306,7 @@ impl BaselineSwarm {
     // ------------------------------------------------------------------
 
     /// Runs until every planned compliant leecher finished or departed,
-    /// or `max_time` elapses.
+    /// or [`MAX_TIME`](tchain_proto::MAX_TIME) elapses.
     pub fn run_until_done(&mut self) {
         self.step();
         while !self.roster.settled(&self.base) {
@@ -306,7 +327,7 @@ impl BaselineSwarm {
         let p = self.profiler.begin();
         self.process_crashes(now);
         self.roster.admit_due(&mut self.base, now);
-        let pieces = self.base.cfg.file.pieces;
+        let pieces = self.base.file.pieces;
         self.states.resize_with(self.base.peers.len(), || BtState::new(pieces));
         self.profiler.end(Phase::Membership, p);
         let p = self.profiler.begin();
@@ -323,7 +344,7 @@ impl BaselineSwarm {
         let mut completed = std::mem::take(&mut self.completed_buf);
         completed.clear();
         let p = self.profiler.begin();
-        self.base.flows.advance(self.base.cfg.dt, &mut completed);
+        self.base.flows.advance(DT, &mut completed);
         self.profiler.end(Phase::FlowAdvance, p);
         let p = self.profiler.begin();
         for f in completed.drain(..) {
@@ -416,13 +437,13 @@ impl BaselineSwarm {
                 continue; // FairTorrent leechers schedule per block.
             }
             let new_unchoked = if is_seeder {
-                self.pick_random_interested(id, self.cfg.seeder_slots)
+                self.pick_random_interested(id, SEEDER_SLOTS)
             } else {
                 match self.policy {
-                    Baseline::BitTorrent => self.pick_top_contributors(id, self.cfg.unchoke_slots),
+                    Baseline::BitTorrent => self.pick_top_contributors(id, UNCHOKE_SLOTS),
                     Baseline::RandomBt => self.pick_random_interested(
                         id,
-                        self.cfg.unchoke_slots + self.cfg.optimistic_slots,
+                        UNCHOKE_SLOTS + OPTIMISTIC_SLOTS,
                     ),
                     Baseline::PropShare => self.propshare_allocate(id),
                     Baseline::FairTorrent => unreachable!("handled above"),
@@ -493,7 +514,7 @@ impl BaselineSwarm {
         self.states[id.index()].weights.clear();
         if contributors.is_empty() {
             // Newcomer state: explore with plain optimistic unchokes.
-            return self.pick_random_interested(id, self.cfg.unchoke_slots);
+            return self.pick_random_interested(id, UNCHOKE_SLOTS);
         }
         let total: f64 = contributors.iter().map(|(_, b)| b).sum();
         let mut set: Vec<NodeId> = Vec::with_capacity(contributors.len() + 1);
@@ -503,7 +524,7 @@ impl BaselineSwarm {
         }
         // Exploration: one random interested non-contributor gets the
         // reserved share (20 % of bandwidth → weight e/(1-e) × total).
-        let explore_weight = self.cfg.propshare_explore / (1.0 - self.cfg.propshare_explore) * total;
+        let explore_weight = PROPSHARE_EXPLORE / (1.0 - PROPSHARE_EXPLORE) * total;
         let candidates: Vec<NodeId> = self
             .base
             .mesh
@@ -575,7 +596,7 @@ impl BaselineSwarm {
                         && pn.have.wants_from(&self.base.peers.get(id).have)
                 })
                 .collect();
-            let picks = self.base.rng.sample(&candidates, self.cfg.optimistic_slots);
+            let picks = self.base.rng.sample(&candidates, OPTIMISTIC_SLOTS);
             self.states[id.index()].optimistic = picks.clone();
             for d in picks {
                 trace_event!(
@@ -680,13 +701,13 @@ impl BaselineSwarm {
         let weight = self.states[u.index()].weights.get(&d).copied().unwrap_or(1.0);
         // Pipeline several blocks per request, bounded by what the piece
         // still needs.
-        let blocks_needed = self.base.cfg.file.blocks_per_piece() as u32;
+        let blocks_needed = self.base.file.blocks_per_piece() as u32;
         let progress = self.states[d.index()].piece_progress.get(&piece).copied().unwrap_or(0);
-        let blocks = (blocks_needed - progress).min(self.cfg.pipeline_blocks as u32).max(1);
+        let blocks = (blocks_needed - progress).clamp(1, PIPELINE_BLOCKS);
         let fid = self.base.flows.start(
             u,
             d,
-            self.base.cfg.file.block_size * blocks as f64,
+            self.base.file.block_size * blocks as f64,
             weight.max(1e-6),
             piece.0 as u64,
         );
@@ -719,7 +740,7 @@ impl BaselineSwarm {
         let piece = PieceId(f.tag as u32);
         let block = f.size;
         let blocks_in_flow =
-            (f.size / self.base.cfg.file.block_size).round().max(1.0) as u32;
+            (f.size / self.base.file.block_size).round().max(1.0) as u32;
         self.blocks_moved += blocks_in_flow as u64;
         self.states[u.index()].serving.remove(&d);
         if !self.base.peers.alive(d) {
@@ -730,7 +751,7 @@ impl BaselineSwarm {
         *self.states[u.index()].deficits.entry(d).or_insert(0.0) += block;
         *self.states[d.index()].deficits.entry(u).or_insert(0.0) -= block;
         // Piece assembly.
-        let blocks_needed = self.base.cfg.file.blocks_per_piece() as u32;
+        let blocks_needed = self.base.file.blocks_per_piece() as u32;
         let progress = {
             let e = self.states[d.index()].piece_progress.entry(piece).or_insert(0);
             *e += blocks_in_flow;
@@ -752,19 +773,16 @@ impl BaselineSwarm {
                 }
                 return;
             }
-            // Whitewashing free-riders reset identity after extracting
-            // their batch of free pieces (§IV-C).
+            // A whitewashing free-rider resets its identity "as soon as it
+            // gets one (free) piece" (§IV-C).
             if let Strategy::FreeRider(frc) = self.roster.strategy(d) {
                 if frc.whitewash {
-                    self.states[d.index()].pieces_since_ww += 1;
-                    if self.states[d.index()].pieces_since_ww >= self.cfg.whitewash_after_pieces {
-                        self.remove_peer(d);
-                        self.roster.whitewash(&self.base, d, now);
-                        if self.base.peers.alive(u) && self.policy == Baseline::FairTorrent {
-                            self.fair_serve(u);
-                        }
-                        return;
+                    self.remove_peer(d);
+                    self.roster.whitewash(&self.base, d, now);
+                    if self.base.peers.alive(u) && self.policy == Baseline::FairTorrent {
+                        self.fair_serve(u);
                     }
+                    return;
                 }
             }
         }
@@ -817,7 +835,6 @@ impl BaselineSwarm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tchain_proto::FileSpec;
     use tchain_sim::{kbps, kib};
 
     fn small_file(pieces: usize) -> FileSpec {
@@ -830,7 +847,7 @@ mod tests {
 
     fn run_policy(policy: Baseline, n: usize, seed: u64) -> BaselineSwarm {
         let mut sw = BaselineSwarm::new(
-            SwarmConfig::paper(small_file(32)),
+            small_file(32),
             BaselineConfig::default(),
             policy,
             flash_plan(n, 800.0),
@@ -874,7 +891,7 @@ mod tests {
             plan.push(PeerPlan::free_rider(0.7 + i as f64 * 0.01, kbps(800.0)));
         }
         let mut sw = BaselineSwarm::new(
-            SwarmConfig::paper(small_file(16)),
+            small_file(16),
             BaselineConfig::default(),
             Baseline::BitTorrent,
             plan,
@@ -900,7 +917,7 @@ mod tests {
             plan.push(PeerPlan::free_rider(0.7 + i as f64 * 0.01, kbps(800.0)));
         }
         let mut sw = BaselineSwarm::new(
-            SwarmConfig::paper(small_file(32)),
+            small_file(32),
             BaselineConfig::default(),
             Baseline::BitTorrent,
             plan,
@@ -930,8 +947,8 @@ mod tests {
         let mut plan = flash_plan(10, 800.0);
         plan.push(PeerPlan::free_rider(0.7, kbps(800.0)));
         let mut sw = BaselineSwarm::new(
-            SwarmConfig::paper(small_file(32)),
-            BaselineConfig { whitewash_after_pieces: 2, ..Default::default() },
+            small_file(32),
+            BaselineConfig::default(),
             Baseline::FairTorrent,
             plan,
             8,

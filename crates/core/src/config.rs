@@ -19,18 +19,15 @@ pub enum PieceSelection {
     },
 }
 
-/// Tunables of the T-Chain protocol layer (on top of the generic
-/// [`tchain_proto::SwarmConfig`]).
+/// Tunables of the T-Chain protocol layer, on top of the shared
+/// [`tchain_proto::SwarmBase`]. Parameters the paper fixes are constants
+/// of the driver, not fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TChainConfig {
     /// Flow-control bound `k` (§II-D2): a neighbor with `k` or more
     /// pending (un-reciprocated) pieces from us is neither served nor
     /// designated as a payee. The paper fixes `k = 2`.
     pub k_pending: u32,
-    /// Concurrent chain-initiation uploads the seeder keeps in flight
-    /// ("the seeder will likely initiate as many chains as possible given
-    /// its upload … capacities", §II-B1 fn. 3).
-    pub seeder_slots: usize,
     /// Seconds an `AwaitingReciprocation` transaction may stall before the
     /// sweep declares the chain dead (free-riding, §IV-F: "each instance
     /// of free-riding will terminate a chain").
@@ -48,45 +45,24 @@ pub struct TChainConfig {
     /// Fraction of the file granted to each compliant leecher at join
     /// time, as randomly selected pre-occupied pieces (Fig. 6(b)).
     pub initial_piece_fraction: f64,
-    /// Seconds between chain/leecher census samples for Fig. 10/11.
-    pub sample_period: f64,
     /// Seconds of no progress after which a whitewashing free-rider
     /// abandons its identity and rejoins fresh.
     pub whitewash_patience: f64,
     /// Requestor piece-selection policy.
     pub piece_selection: PieceSelection,
-    /// Seconds before the first retransmission of an unacknowledged
-    /// report/key under fault injection; subsequent attempts back off by
-    /// [`TChainConfig::retry_backoff`].
-    pub retry_base: f64,
-    /// Multiplicative backoff factor between retransmissions (≥ 1).
-    pub retry_backoff: f64,
-    /// Retransmission attempts before the sender gives up and leaves the
-    /// transaction to the watchdog.
-    pub max_retries: u32,
-    /// Seconds between watchdog sweeps that close transactions stuck on
-    /// crashed participants and trigger §II-B4 escrow repair. The
-    /// watchdog only runs once a fault (crash or active plan) exists.
-    pub watchdog_period: f64,
 }
 
 impl Default for TChainConfig {
     fn default() -> Self {
         TChainConfig {
             k_pending: 2,
-            seeder_slots: 10,
             stall_timeout: 60.0,
             opportunistic_seeding: true,
             direct_reciprocity: true,
             replace_on_finish: false,
             initial_piece_fraction: 0.0,
-            sample_period: 5.0,
             whitewash_patience: 45.0,
             piece_selection: PieceSelection::Rarest,
-            retry_base: 2.0,
-            retry_backoff: 2.0,
-            max_retries: 6,
-            watchdog_period: 5.0,
         }
     }
 }
@@ -100,20 +76,15 @@ impl TChainConfig {
     /// an initial piece fraction outside `[0, 1]`).
     pub fn validate(&self) {
         assert!(self.k_pending >= 1, "k must be at least 1");
-        assert!(self.seeder_slots >= 1, "seeder needs at least one slot");
         assert!(self.stall_timeout > 0.0, "stall timeout must be positive");
         assert!(
             (0.0..=1.0).contains(&self.initial_piece_fraction),
             "initial piece fraction in [0,1]"
         );
-        assert!(self.sample_period > 0.0, "sample period must be positive");
         assert!(self.whitewash_patience > 0.0, "whitewash patience must be positive");
         if let PieceSelection::Streaming { window } = self.piece_selection {
             assert!(window >= 1, "streaming window of at least one piece");
         }
-        assert!(self.retry_base > 0.0, "retry base must be positive");
-        assert!(self.retry_backoff >= 1.0, "retry backoff must not shrink");
-        assert!(self.watchdog_period > 0.0, "watchdog period must be positive");
     }
 }
 

@@ -3,8 +3,8 @@
 //! Implements §II (basic protocol, incentives, additional features) and the
 //! attack responses of §III-A on top of the `tchain-proto` substrate:
 //!
-//! * **Initiation** — the seeder keeps [`TChainConfig::seeder_slots`]
-//!   chain-opening uploads in flight, each to a randomly chosen interested
+//! * **Initiation** — the seeder keeps [`SEEDER_SLOTS`] chain-opening
+//!   uploads in flight, each to a randomly chosen interested
 //!   neighbor (§II-B1).
 //! * **Continuation** — when an encrypted piece arrives, a compliant
 //!   requestor immediately reciprocates toward the designated payee,
@@ -45,9 +45,32 @@ use tchain_obs::{
     RetryMsg, StatsRegistry, Tracer,
 };
 use tchain_proto::{
-    Bitfield, ControlMsg, Envelope, Peer, PieceId, Role, SendOutcome, SwarmBase, SwarmConfig,
+    Bitfield, ControlMsg, Envelope, FileSpec, Peer, PieceId, Role, SendOutcome, SwarmBase, DT,
+    SAMPLE_PERIOD,
 };
 use tchain_sim::{DelayQueue, FaultPlan, Flow, IdHash, NodeId, Periodic};
+
+/// Concurrent chain-initiation uploads the seeder keeps in flight ("the
+/// seeder will likely initiate as many chains as possible given its
+/// upload … capacities", §II-B1 fn. 3).
+const SEEDER_SLOTS: usize = 10;
+
+/// Seconds before the first retransmission of an unacknowledged
+/// report/key under fault injection; later attempts back off by
+/// [`RETRY_BACKOFF`].
+const RETRY_BASE: f64 = 2.0;
+
+/// Multiplicative backoff factor between retransmissions.
+const RETRY_BACKOFF: f64 = 2.0;
+
+/// Retransmission attempts before the sender gives up and leaves the
+/// transaction to the watchdog.
+const MAX_RETRIES: u32 = 6;
+
+/// Seconds between watchdog sweeps that close transactions stuck on
+/// crashed participants and trigger §II-B4 escrow repair. The watchdog
+/// only runs once a fault (crash or active plan) exists.
+const WATCHDOG_PERIOD: f64 = 5.0;
 
 /// Maps the driver's [`ChainEnd`] onto the observability crate's
 /// dependency-free mirror.
@@ -113,14 +136,14 @@ impl PeerState {
 ///
 /// ```
 /// use tchain_core::{TChainSwarm, TChainConfig};
-/// use tchain_proto::{FileSpec, SwarmConfig};
+/// use tchain_proto::FileSpec;
 /// use tchain_attacks::PeerPlan;
 /// use tchain_sim::kbps;
 ///
 /// let file = FileSpec::custom(16, 64.0 * 1024.0, 64.0 * 1024.0);
 /// let plan: Vec<PeerPlan> =
 ///     (0..8).map(|i| PeerPlan::compliant(i as f64, kbps(800.0))).collect();
-/// let mut swarm = TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, 1);
+/// let mut swarm = TChainSwarm::new(file, TChainConfig::default(), plan, 1);
 /// swarm.run_until_done();
 /// assert_eq!(swarm.completion_times(true).len(), 8);
 /// ```
@@ -163,21 +186,22 @@ pub struct TChainSwarm {
 }
 
 impl TChainSwarm {
-    /// Builds a swarm: one seeder plus the planned leecher arrivals.
+    /// Builds a swarm sharing `file`: one seeder plus the planned leecher
+    /// arrivals.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see
     /// [`TChainConfig::validate`]).
-    pub fn new(scfg: SwarmConfig, cfg: TChainConfig, plan: Vec<PeerPlan>, seed: u64) -> Self {
-        Self::with_faults(scfg, cfg, plan, seed, FaultPlan::none())
+    pub fn new(file: FileSpec, cfg: TChainConfig, plan: Vec<PeerPlan>, seed: u64) -> Self {
+        Self::with_faults(file, cfg, plan, seed, FaultPlan::none())
     }
 
     /// Builds a swarm with a fault-injection plan. [`FaultPlan::none()`]
     /// reproduces [`TChainSwarm::new`] bit for bit: the fault layer draws
     /// no randomness and the recovery machinery stays dormant.
     pub fn with_faults(
-        scfg: SwarmConfig,
+        file: FileSpec,
         cfg: TChainConfig,
         plan: Vec<PeerPlan>,
         seed: u64,
@@ -185,7 +209,7 @@ impl TChainSwarm {
     ) -> Self {
         cfg.validate();
         let roster = Roster::new(plan, cfg.initial_piece_fraction, cfg.replace_on_finish);
-        let mut base = SwarmBase::with_faults(scfg, seed, fplan);
+        let mut base = SwarmBase::with_faults(file, seed, fplan);
         let watchdog_enabled = base.faults.active() || roster.plans_crash();
         let seeder = base.admit_seeder();
         let mut sw = TChainSwarm {
@@ -202,7 +226,7 @@ impl TChainSwarm {
             telemetry: Telemetry::new(),
             chain_series: TimeSeries::new(),
             leecher_series: TimeSeries::new(),
-            sample_timer: Periodic::new(cfg.sample_period),
+            sample_timer: Periodic::new(SAMPLE_PERIOD),
             rechoke_timer: Periodic::new(10.0),
             completed_buf: Vec::new(),
             txns_completed: 0,
@@ -213,11 +237,11 @@ impl TChainSwarm {
             recovery: RecoveryCounters::default(),
             retries: DelayQueue::new(),
             repair_queue: Vec::new(),
-            watchdog: Periodic::new(cfg.watchdog_period),
+            watchdog: Periodic::new(WATCHDOG_PERIOD),
             watchdog_enabled,
             profiler: PhaseProfiler::disabled(),
         };
-        let pieces = sw.base.cfg.file.pieces;
+        let pieces = sw.base.file.pieces;
         sw.states.resize_with(sw.base.peers.len(), || PeerState::new(pieces));
         sw
     }
@@ -395,7 +419,7 @@ impl TChainSwarm {
     // ------------------------------------------------------------------
 
     /// Runs until every planned compliant leecher finished (or departed),
-    /// or until `max_time`.
+    /// or until [`MAX_TIME`](tchain_proto::MAX_TIME).
     pub fn run_until_done(&mut self) {
         self.step();
         while !self.roster.settled(&self.base) {
@@ -432,7 +456,7 @@ impl TChainSwarm {
         let mut completed = std::mem::take(&mut self.completed_buf);
         completed.clear();
         let p = self.profiler.begin();
-        self.base.flows.advance(self.base.cfg.dt, &mut completed);
+        self.base.flows.advance(DT, &mut completed);
         self.profiler.end(Phase::FlowAdvance, p);
         let p = self.profiler.begin();
         for f in completed.drain(..) {
@@ -490,7 +514,7 @@ impl TChainSwarm {
     /// with a scheduled crash — the watchdog.
     fn process_arrivals(&mut self, now: f64) {
         let admitted = self.roster.admit_due(&mut self.base, now);
-        let pieces = self.base.cfg.file.pieces;
+        let pieces = self.base.file.pieces;
         self.states.resize_with(self.base.peers.len(), || PeerState::new(pieces));
         for (id, plan) in admitted {
             self.states[id.index()].last_progress = now;
@@ -851,7 +875,7 @@ impl TChainSwarm {
                 piece: piece.0,
             }
         );
-        self.base.flows.start(donor, requestor, self.base.cfg.file.piece_size, 1.0, t.pack());
+        self.base.flows.start(donor, requestor, self.base.file.piece_size, 1.0, t.pack());
         self.states[requestor.index()].expecting.set(piece);
         if encrypted {
             self.pending_inc(donor, requestor);
@@ -934,9 +958,9 @@ impl TChainSwarm {
     fn seeder_round(&mut self, now: f64) {
         let seeder = self.seeder;
         let mut guard = 0;
-        while self.base.flows.count_from(seeder) < self.cfg.seeder_slots {
+        while self.base.flows.count_from(seeder) < SEEDER_SLOTS {
             guard += 1;
-            if guard > self.cfg.seeder_slots * 4 {
+            if guard > SEEDER_SLOTS * 4 {
                 break;
             }
             let mut requestor = None;
@@ -1238,11 +1262,11 @@ impl TChainSwarm {
         if !self.base.faults.active() {
             return;
         }
-        if attempt >= self.cfg.max_retries {
+        if attempt >= MAX_RETRIES {
             self.recovery.retry_exhausted += 1;
             return;
         }
-        let delay = self.cfg.retry_base * self.cfg.retry_backoff.powi(attempt as i32);
+        let delay = RETRY_BASE * RETRY_BACKOFF.powi(attempt as i32);
         self.retries.push(now + delay, RetryEntry { txn: t, kind, attempt });
     }
 
@@ -1280,7 +1304,7 @@ impl TChainSwarm {
         }
     }
 
-    /// Watchdog sweep (runs every [`TChainConfig::watchdog_period`] when
+    /// Watchdog sweep (runs every [`WATCHDOG_PERIOD`] seconds when
     /// faults are possible): repairs reciprocations interrupted by a
     /// payee crash (§II-B4 reassignment), escrows keys whose donor died
     /// with the key in flight, closes transactions stuck on a crashed
@@ -1548,7 +1572,6 @@ impl TChainSwarm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tchain_proto::FileSpec;
     use tchain_sim::kbps;
 
     fn small_file(pieces: usize) -> FileSpec {
@@ -1564,7 +1587,7 @@ mod tests {
         // §II-B3 extreme case: one seeder, one leecher → the seeder
         // effectively uploads the file unencrypted.
         let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(8)),
+            small_file(8),
             TChainConfig::default(),
             vec![PeerPlan::compliant(1.0, kbps(400.0))],
             7,
@@ -1577,12 +1600,8 @@ mod tests {
 
     #[test]
     fn compliant_swarm_all_finish() {
-        let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(32)),
-            TChainConfig::default(),
-            flash_plan(20, 800.0),
-            11,
-        );
+        let mut sw =
+            TChainSwarm::new(small_file(32), TChainConfig::default(), flash_plan(20, 800.0), 11);
         sw.run_until_done();
         assert_eq!(sw.completion_times(true).len(), 20, "everyone finishes");
         assert!(sw.txns_completed() > 0);
@@ -1597,12 +1616,7 @@ mod tests {
         for i in 0..4 {
             plan.push(PeerPlan::free_rider(0.6 + i as f64 * 0.01, kbps(800.0)));
         }
-        let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(32)),
-            TChainConfig::default(),
-            plan,
-            13,
-        );
+        let mut sw = TChainSwarm::new(small_file(32), TChainConfig::default(), plan, 13);
         // Measure while the swarm is populated, as §IV-C does. (Once every
         // compliant leecher has drained, a tiny swarm degenerates to the
         // §II-B3 seeder-to-single-leecher case and the seeder legitimately
@@ -1625,7 +1639,7 @@ mod tests {
             });
         }
         let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(16)),
+            small_file(16),
             TChainConfig { whitewash_patience: 1e9, ..Default::default() },
             plan,
             17,
@@ -1654,12 +1668,8 @@ mod tests {
 
     #[test]
     fn direct_and_indirect_reciprocity_both_occur() {
-        let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(32)),
-            TChainConfig::default(),
-            flash_plan(20, 800.0),
-            19,
-        );
+        let mut sw =
+            TChainSwarm::new(small_file(32), TChainConfig::default(), flash_plan(20, 800.0), 19);
         sw.run_until_done();
         let (direct, indirect) = sw.reciprocity_split();
         assert!(direct > 0, "direct reciprocity used");
@@ -1668,12 +1678,8 @@ mod tests {
 
     #[test]
     fn fairness_factors_near_one_without_free_riders() {
-        let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(32)),
-            TChainConfig::default(),
-            flash_plan(20, 800.0),
-            23,
-        );
+        let mut sw =
+            TChainSwarm::new(small_file(32), TChainConfig::default(), flash_plan(20, 800.0), 23);
         sw.run_until_done();
         let ff = sw.fairness_factors();
         assert!(!ff.is_empty());
@@ -1686,7 +1692,7 @@ mod tests {
         let mut plan = flash_plan(8, 800.0);
         plan.push(PeerPlan::free_rider(0.6, kbps(800.0)));
         let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(16)),
+            small_file(16),
             TChainConfig { whitewash_patience: 1e9, ..Default::default() },
             plan,
             29,
@@ -1712,12 +1718,8 @@ mod tests {
 
     #[test]
     fn chains_close_when_swarm_drains() {
-        let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(16)),
-            TChainConfig::default(),
-            flash_plan(10, 800.0),
-            31,
-        );
+        let mut sw =
+            TChainSwarm::new(small_file(16), TChainConfig::default(), flash_plan(10, 800.0), 31);
         sw.run_until_done();
         sw.run_to(sw.base().clock.now() + sw.cfg.stall_timeout * 2.0);
         assert_eq!(sw.chains.len(), 0, "no chains outlive the swarm");
@@ -1728,7 +1730,7 @@ mod tests {
     #[test]
     fn initial_piece_fraction_preloads_peers() {
         let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(32)),
+            small_file(32),
             TChainConfig { initial_piece_fraction: 0.5, ..Default::default() },
             flash_plan(6, 800.0),
             37,
@@ -1745,7 +1747,7 @@ mod tests {
         let mut plan = flash_plan(8, 800.0);
         plan.push(PeerPlan::free_rider(0.6, kbps(800.0)));
         let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(16)),
+            small_file(16),
             TChainConfig { whitewash_patience: 1e9, stall_timeout: 30.0, ..Default::default() },
             plan,
             seed,
@@ -1787,7 +1789,7 @@ mod tests {
         // High churn: replacements join constantly; after draining, no
         // transaction or chain may remain live.
         let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(8)),
+            small_file(8),
             TChainConfig { replace_on_finish: true, ..Default::default() },
             flash_plan(10, 1200.0),
             53,
@@ -1805,7 +1807,7 @@ mod tests {
         use crate::config::PieceSelection;
         let mk = |policy| {
             let mut sw = TChainSwarm::new(
-                SwarmConfig::paper(small_file(64)),
+                small_file(64),
                 TChainConfig { piece_selection: policy, ..Default::default() },
                 flash_plan(12, 800.0),
                 59,
@@ -1834,12 +1836,8 @@ mod tests {
 
     #[test]
     fn telemetry_timelines_track_backlog() {
-        let mut sw = TChainSwarm::new(
-            SwarmConfig::paper(small_file(32)),
-            TChainConfig::default(),
-            flash_plan(12, 400.0),
-            43,
-        );
+        let mut sw =
+            TChainSwarm::new(small_file(32), TChainConfig::default(), flash_plan(12, 400.0), 43);
         // The first planned leecher will be admitted as NodeId(1); watch it
         // from the very beginning so both timelines are complete.
         let target = tchain_sim::NodeId(1);

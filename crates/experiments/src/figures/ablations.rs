@@ -8,7 +8,7 @@ use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
-use tchain_proto::{FileSpec, SwarmConfig};
+use tchain_proto::FileSpec;
 
 tchain_obs::json_struct! {
     /// One ablation row.
@@ -95,7 +95,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
         |&(vi, seed)| {
             let v = &variants[vi];
             let plan = flash_plan(scale.standard_swarm() / 2, v.fr, RiderMode::Aggressive, seed);
-            let mut sw = TChainSwarm::new(SwarmConfig::paper(v.spec), v.cfg, plan, seed);
+            let mut sw = TChainSwarm::new(v.spec, v.cfg, plan, seed);
             let wall = std::time::Instant::now();
             sw.run_until_done();
             let ct = sw.completion_times(true);

@@ -6,7 +6,6 @@ use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_proto::SwarmConfig;
 use tchain_sim::{kbps, NodeId};
 
 tchain_obs::json_struct! {
@@ -37,8 +36,7 @@ pub fn run(scale: Scale) -> Vec<Timeline> {
             let slow = plan.iter().position(|p| (p.capacity - kbps(400.0)).abs() < 1.0);
             let fast = plan.iter().position(|p| (p.capacity - kbps(1200.0)).abs() < 1.0);
             let spec = Proto::TChain.file_spec(scale.file_mib());
-            let mut sw =
-                TChainSwarm::new(SwarmConfig::paper(spec), TChainConfig::default(), plan, seed);
+            let mut sw = TChainSwarm::new(spec, TChainConfig::default(), plan, seed);
             let mut targets = Vec::new();
             for (idx, cap) in [(slow, 400.0), (fast, 1200.0)] {
                 if let Some(i) = idx {

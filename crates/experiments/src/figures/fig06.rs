@@ -9,7 +9,7 @@ use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
 use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_metrics::Summary;
-use tchain_proto::{Role, SwarmConfig};
+use tchain_proto::Role;
 use tchain_sim::SimRng;
 
 tchain_obs::json_struct! {
@@ -39,7 +39,7 @@ pub fn run(scale: Scale) -> Data {
         |_| ("BitTorrent instrumented crawl".to_string(), seed),
         |_| {
             let mut sw = BaselineSwarm::new(
-                SwarmConfig::paper(spec),
+                spec,
                 BaselineConfig::default(),
                 Baseline::BitTorrent,
                 trace_plan(n, 0.0, RiderMode::Aggressive, seed),

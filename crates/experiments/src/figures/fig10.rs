@@ -6,7 +6,6 @@ use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_proto::SwarmConfig;
 
 tchain_obs::json_struct! {
     /// One scenario's chain census.
@@ -44,7 +43,7 @@ pub fn run(scale: Scale) -> Vec<Census> {
                 }
             };
             let mut sw =
-                TChainSwarm::new(SwarmConfig::paper(spec), TChainConfig::default(), plan, seed);
+                TChainSwarm::new(spec, TChainConfig::default(), plan, seed);
             let wall = std::time::Instant::now();
             match stop {
                 None => sw.run_until_done(),

@@ -7,7 +7,6 @@ use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_proto::SwarmConfig;
 
 tchain_obs::json_struct! {
     /// Fig. 11 data.
@@ -33,7 +32,7 @@ pub fn run(scale: Scale) -> Data {
         |_| ("chains by origin (flash crowd)".to_string(), seed),
         |_| {
             let mut sw = TChainSwarm::new(
-                SwarmConfig::paper(spec),
+                spec,
                 TChainConfig::default(),
                 flash_plan(scale.standard_swarm(), 0.0, RiderMode::Aggressive, seed),
                 seed,
@@ -78,7 +77,7 @@ pub fn run(scale: Scale) -> Data {
         |&(fr_pct, seed)| {
             let n = scale.standard_swarm();
             let mut sw = TChainSwarm::new(
-                SwarmConfig::paper(spec),
+                spec,
                 TChainConfig::default(),
                 trace_plan(n, fr_pct as f64 / 100.0, RiderMode::Aggressive, seed),
                 seed,

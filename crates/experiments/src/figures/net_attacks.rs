@@ -45,11 +45,9 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
 use std::time::Instant;
 use tchain_analysis::collusion::ps_exact;
-use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
-use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_net::{run_swarm, SwarmConfig as NetSwarmConfig, SwarmReport};
-use tchain_proto::{FileSpec, SwarmConfig};
-use tchain_sim::kbps;
+use super::net_swarm::fluid_leg;
+use tchain_attacks::{FreeRiderConfig, GroupId, Strategy};
+use tchain_net::{run_swarm, SwarmConfig, SwarmReport};
 
 tchain_obs::json_struct! {
     /// One adversarial scenario's audited outcome.
@@ -219,7 +217,7 @@ fn scenario_safe(name: &str, r: &SwarmReport) -> bool {
 }
 
 /// Runs one adversarial scenario twice (determinism gate) and audits it.
-fn attack_point(name: &str, cfg: &NetSwarmConfig, meta: &mut RunMeta) -> (AttackPoint, SwarmReport) {
+fn attack_point(name: &str, cfg: &SwarmConfig, meta: &mut RunMeta) -> (AttackPoint, SwarmReport) {
     let t = Instant::now();
     let report = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
     let rerun = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
@@ -263,25 +261,6 @@ fn attack_point(name: &str, cfg: &NetSwarmConfig, meta: &mut RunMeta) -> (Attack
         safe,
     };
     (point, report)
-}
-
-/// Fluid-simulator leg of the cross-check: same compliant/free-rider
-/// split and piece count, driven to compliant completion. Returns
-/// (compliant rate, free-riders done, mean chain length).
-fn fluid_leg(compliant: usize, free_riders: usize, pieces: usize, seed: u64) -> (f64, usize, f64) {
-    let file = FileSpec::custom(pieces, 64.0 * 1024.0, 64.0 * 1024.0);
-    let mut plan: Vec<PeerPlan> = (0..compliant)
-        .map(|i| PeerPlan::compliant(0.4 + i as f64 * 0.05, kbps(800.0)))
-        .collect();
-    for i in 0..free_riders {
-        plan.push(PeerPlan::free_rider(0.5 + i as f64 * 0.05, kbps(800.0)));
-    }
-    let mut sw = TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, seed);
-    sw.run_until_done();
-    let rate = sw.completion_times(true).len() as f64 / compliant as f64;
-    let fr_done =
-        sw.base().peers.iter().filter(|p| !p.compliant && p.done_time.is_some()).count();
-    (rate, fr_done, sw.chain_stats().mean_length())
 }
 
 /// Cross-checks the aggressive net scenario against the fluid
@@ -356,13 +335,13 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetAttacksDoc {
     let aggressive = peers / 4; // 25 % of the swarm (§IV-C scenario).
     let ring = (peers / 8).max(3); // §IV-D collusion ring.
     let sybil_ring = peers / 4; // §III-A4 measurement ring.
-    let base = NetSwarmConfig {
+    let base = SwarmConfig {
         peers,
         pieces,
         piece_len,
         seed,
         max_ticks,
-        ..NetSwarmConfig::default()
+        ..SwarmConfig::default()
     };
     let top_ids = |n: u32, s: fn(u32) -> Strategy| -> Vec<(u32, Strategy)> {
         (peers - n..peers).map(|id| (id, s(id))).collect()
@@ -371,7 +350,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetAttacksDoc {
     let (baseline, _) = attack_point("baseline", &base, &mut meta);
     let (aggressive_pt, _) = attack_point(
         "aggressive-25pct",
-        &NetSwarmConfig {
+        &SwarmConfig {
             strategies: top_ids(aggressive, |_| Strategy::aggressive_free_rider()),
             ..base.clone()
         },
@@ -379,7 +358,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetAttacksDoc {
     );
     let (collusion_pt, _) = attack_point(
         "collusion-ring",
-        &NetSwarmConfig {
+        &SwarmConfig {
             strategies: top_ids(ring, |_| Strategy::colluding_free_rider(GroupId(0))),
             ..base.clone()
         },
@@ -389,7 +368,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetAttacksDoc {
     // measured against a constant (m, N).
     let (sybil_pt, _) = attack_point(
         "sybil",
-        &NetSwarmConfig {
+        &SwarmConfig {
             strategies: top_ids(sybil_ring, |_| {
                 Strategy::FreeRider(FreeRiderConfig {
                     collude: Some(GroupId(0)),

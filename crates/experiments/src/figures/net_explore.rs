@@ -25,7 +25,7 @@ use tchain_net::explore::{
     canary_armed, explore, run_with_plan, scenario_config, scenarios, ExploreConfig,
 };
 use tchain_obs::OracleKind;
-use tchain_sim::ExplorePlan;
+use tchain_sim::{splitmix64, ExplorePlan};
 
 /// Witnesses at or below this size count as "shrunk" for the canary
 /// drill (the acceptance bound; real shrinks land far lower).
@@ -83,14 +83,6 @@ tchain_obs::json_struct! {
         /// Every scenario met this build's expectation.
         pub all_safe: bool,
     }
-}
-
-/// SplitMix64, for forking per-scenario search seeds from the master.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn explore_point(

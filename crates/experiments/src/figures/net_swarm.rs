@@ -23,8 +23,8 @@ use crate::scale::Scale;
 use std::time::Instant;
 use tchain_attacks::PeerPlan;
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig as NetSwarmConfig};
-use tchain_proto::{FileSpec, SwarmConfig};
+use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig};
+use tchain_proto::FileSpec;
 use tchain_sim::{kbps, FaultPlan};
 
 tchain_obs::json_struct! {
@@ -110,7 +110,7 @@ tchain_obs::json_struct! {
     }
 }
 
-fn net_point(name: &str, cfg: NetSwarmConfig, meta: &mut RunMeta) -> NetPoint {
+fn net_point(name: &str, cfg: SwarmConfig, meta: &mut RunMeta) -> NetPoint {
     let t = Instant::now();
     let report = run_swarm(cfg).expect("mesh transport cannot fail");
     meta.note_run(t.elapsed().as_secs_f64());
@@ -138,11 +138,16 @@ fn net_point(name: &str, cfg: NetSwarmConfig, meta: &mut RunMeta) -> NetPoint {
     }
 }
 
-/// Fluid-simulator leg of the cross-check: a flash crowd with the same
-/// compliant/free-rider split and piece count, driven to compliant
-/// completion. Returns (compliant rate, free-riders done, mean chain
-/// length over ended chains).
-fn fluid_leg(compliant: usize, free_riders: usize, pieces: usize, seed: u64) -> (f64, usize, f64) {
+/// Fluid-simulator leg of a sim-vs-net cross-check (here and in
+/// `net_attacks`): a flash crowd with the same compliant/free-rider split
+/// and piece count, driven to compliant completion. Returns (compliant
+/// rate, free-riders done, mean chain length over ended chains).
+pub(crate) fn fluid_leg(
+    compliant: usize,
+    free_riders: usize,
+    pieces: usize,
+    seed: u64,
+) -> (f64, usize, f64) {
     let file = FileSpec::custom(pieces, 64.0 * 1024.0, 64.0 * 1024.0);
     let mut plan: Vec<PeerPlan> = (0..compliant)
         .map(|i| PeerPlan::compliant(0.4 + i as f64 * 0.05, kbps(800.0)))
@@ -150,7 +155,7 @@ fn fluid_leg(compliant: usize, free_riders: usize, pieces: usize, seed: u64) -> 
     for i in 0..free_riders {
         plan.push(PeerPlan::free_rider(0.5 + i as f64 * 0.05, kbps(800.0)));
     }
-    let mut sw = TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, seed);
+    let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, seed);
     sw.run_until_done();
     let rate = sw.completion_times(true).len() as f64 / compliant as f64;
     let fr_done =
@@ -201,19 +206,19 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
         Scale::Paper => (48u32, 64usize, 4096usize),
     };
     let seed = 0x4E75;
-    let base = NetSwarmConfig {
+    let base = SwarmConfig {
         peers,
         pieces,
         piece_len,
         seed,
-        ..NetSwarmConfig::default()
+        ..SwarmConfig::default()
     };
     let mut meta = RunMeta::default();
     let scenarios = vec![
         net_point("clean", base.clone(), &mut meta),
         net_point(
             "free-rider",
-            NetSwarmConfig {
+            SwarmConfig {
                 strategies: vec![
                     (peers - 2, Strategy::zero_upload()),
                     (peers - 1, Strategy::zero_upload()),
@@ -224,7 +229,7 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
         ),
         net_point(
             "lossy-10pct",
-            NetSwarmConfig {
+            SwarmConfig {
                 plan: FaultPlan::lossy(seed ^ 0x1055, 0.10),
                 ..base.clone()
             },
@@ -232,7 +237,7 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
         ),
         net_point(
             "departure-escrow",
-            NetSwarmConfig {
+            SwarmConfig {
                 net: NetConfig { depart_on_complete: true, ..NetConfig::default() },
                 ..base.clone()
             },

@@ -14,7 +14,7 @@ use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
 use tchain_core::{PieceSelection, TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
-use tchain_proto::{PieceId, SwarmConfig};
+use tchain_proto::PieceId;
 use tchain_sim::NodeId;
 
 /// Playback simulation of one leecher's completion log.
@@ -117,7 +117,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
         |&(_, policy, seed)| {
             let plan = flash_plan(n, 0.0, RiderMode::Aggressive, seed);
             let cfg = TChainConfig { piece_selection: policy, ..Default::default() };
-            let mut sw = TChainSwarm::new(SwarmConfig::paper(spec), cfg, plan, seed);
+            let mut sw = TChainSwarm::new(spec, cfg, plan, seed);
             // Watch a sample of viewers (every 6th leecher).
             let viewers: Vec<NodeId> = (1..=n as u32).step_by(6).map(NodeId).collect();
             for &v in &viewers {

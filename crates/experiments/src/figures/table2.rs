@@ -16,7 +16,7 @@ use crate::scenario::{build_swarm, flash_plan, Proto, RiderMode, RunOpts};
 use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
 use tchain_baselines::dandelion::CreditServer;
 use tchain_baselines::eigentrust::{Actor, EigenTrustModel};
-use tchain_proto::{Role, SwarmConfig};
+use tchain_proto::Role;
 use tchain_sim::FaultPlan;
 
 tchain_obs::json_struct! {
@@ -75,8 +75,7 @@ pub fn progress_ratio(
     let spec = proto.file_spec(2.0);
     let horizon = 900.0;
     let wall = std::time::Instant::now();
-    let scfg = SwarmConfig::paper(spec);
-    let mut sw = build_swarm(proto, scfg, RunOpts::default(), plan, seed, FaultPlan::none());
+    let mut sw = build_swarm(proto, spec, RunOpts::default(), plan, seed, FaultPlan::none());
     sw.run_to(horizon);
     let (fr_rate, compliant_rate) = rates(sw.base(), horizon);
     let metrics = sw.metrics();

@@ -8,7 +8,7 @@ use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::RecoveryCounters;
 use tchain_obs::{MetricMap, PhaseProfile, TraceRecord};
-use tchain_proto::{FileSpec, Peer, Role, SwarmBase, SwarmConfig};
+use tchain_proto::{FileSpec, Peer, Role, SwarmBase};
 use tchain_sim::FaultPlan;
 use tchain_workloads::{flash_crowd, CapacityClasses, TraceModel};
 
@@ -250,7 +250,7 @@ pub fn run_proto_with_faults(
         None => proto.file_spec(file_mib),
     };
     let wall_start = Instant::now();
-    let mut sw = build_swarm(proto, SwarmConfig::paper(spec), opts, plan, seed, faults);
+    let mut sw = build_swarm(proto, spec, opts, plan, seed, faults);
     if let Some(cap) = opts.trace_capacity {
         sw.enable_tracing(cap);
     }
@@ -313,7 +313,7 @@ impl_fluid_swarm!(TChainSwarm, BaselineSwarm);
 /// are told apart; everything after construction is shared.
 pub(crate) fn build_swarm(
     proto: Proto,
-    scfg: SwarmConfig,
+    file: FileSpec,
     opts: RunOpts,
     plan: Vec<PeerPlan>,
     seed: u64,
@@ -326,15 +326,14 @@ pub(crate) fn build_swarm(
                 replace_on_finish: opts.replace_on_finish,
                 ..Default::default()
             };
-            Box::new(TChainSwarm::with_faults(scfg, cfg, plan, seed, faults))
+            Box::new(TChainSwarm::with_faults(file, cfg, plan, seed, faults))
         }
         Proto::Baseline(b) => {
             let cfg = BaselineConfig {
                 initial_piece_fraction: opts.initial_piece_fraction,
                 replace_on_finish: opts.replace_on_finish,
-                ..Default::default()
             };
-            Box::new(BaselineSwarm::with_faults(scfg, cfg, b, plan, seed, faults))
+            Box::new(BaselineSwarm::with_faults(file, cfg, b, plan, seed, faults))
         }
     }
 }

@@ -17,16 +17,7 @@
 //! checkpointed or folded — and would follow a change silently.
 
 use std::sync::{Arc, OnceLock};
-
-/// Stateless splitmix64 step, the generator behind piece bytes and the
-/// digest (no external hash crates).
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use tchain_sim::splitmix64;
 
 /// Lane seeds of [`digest`] (fractional bits of √2, √3, √5, √7);
 /// distinct, so a word means something different in each lane.
@@ -39,8 +30,8 @@ const ACC_SEED: u64 = 0x510E_527F_ADE6_82D1;
 /// Seeded, order- and length-sensitive 64-bit digest of a byte string.
 ///
 /// Striped: word `j` of each 32-byte stripe feeds lane `j`, so four
-/// `mix64` chains run independently and the CPU overlaps them instead of
-/// waiting out one serial multiply chain. The lanes are then chained in
+/// `splitmix64` chains run independently and the CPU overlaps them
+/// instead of waiting out one serial multiply chain. The lanes are then chained in
 /// order into an accumulator that started from `seed`, followed by the
 /// sub-stripe tail and the length. Input shorter than one stripe — every
 /// control frame — never touches the lanes and skips their four
@@ -57,24 +48,24 @@ pub fn digest(seed: u64, bytes: &[u8]) -> u64 {
         for stripe in &mut stripes {
             for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
                 let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
-                *lane = mix64(*lane ^ word);
+                *lane = splitmix64(*lane ^ word);
             }
         }
         for lane in lanes {
-            acc = mix64(acc ^ lane);
+            acc = splitmix64(acc ^ lane);
         }
     }
     let mut words = stripes.remainder().chunks_exact(8);
     for word in &mut words {
-        acc = mix64(acc ^ u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")));
+        acc = splitmix64(acc ^ u64::from_le_bytes(word.try_into().expect("chunks_exact(8)")));
     }
     // The last, partial word, zero-padded: shifted together because a
     // copy of unknown length costs a call, and most frames end in one.
     let rest = words.remainder();
     if !rest.is_empty() {
-        acc = mix64(acc ^ rest.iter().rev().fold(0, |word, &b| (word << 8) | u64::from(b)));
+        acc = splitmix64(acc ^ rest.iter().rev().fold(0, |word, &b| (word << 8) | u64::from(b)));
     }
-    mix64(acc ^ bytes.len() as u64)
+    splitmix64(acc ^ bytes.len() as u64)
 }
 
 /// The shared file: a deterministic generator every peer holds, standing
@@ -122,9 +113,9 @@ impl Content {
     pub fn piece(&self, i: u32) -> Vec<u8> {
         assert!((i as usize) < self.pieces, "piece {i} out of range {}", self.pieces);
         let mut out = Vec::with_capacity(self.piece_len);
-        let mut state = mix64(self.seed ^ (u64::from(i) << 32) ^ 0x7EC4);
+        let mut state = splitmix64(self.seed ^ (u64::from(i) << 32) ^ 0x7EC4);
         while out.len() < self.piece_len {
-            state = mix64(state);
+            state = splitmix64(state);
             let take = (self.piece_len - out.len()).min(8);
             out.extend_from_slice(&state.to_le_bytes()[..take]);
         }
@@ -169,16 +160,16 @@ mod tests {
             word |= u64::from(b) << (i % 8 * 8);
             if i % 8 == 7 || i + 1 == bytes.len() {
                 match i < striped {
-                    true => lanes[i / 8 % 4] = mix64(lanes[i / 8 % 4] ^ word),
-                    false => acc = mix64(acc ^ word),
+                    true => lanes[i / 8 % 4] = splitmix64(lanes[i / 8 % 4] ^ word),
+                    false => acc = splitmix64(acc ^ word),
                 }
                 word = 0;
             }
             if i + 1 == striped {
-                acc = lanes.iter().fold(acc, |acc, lane| mix64(acc ^ lane));
+                acc = lanes.iter().fold(acc, |acc, lane| splitmix64(acc ^ lane));
             }
         }
-        mix64(acc ^ bytes.len() as u64)
+        splitmix64(acc ^ bytes.len() as u64)
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::harness::{run_swarm, SwarmConfig, SwarmReport};
 use crate::strategy::{GroupId, Strategy};
 use tchain_obs::OracleKind;
-use tchain_sim::{ChaosPlan, ChurnPlan, ExplorePlan, FaultPlan, Schedule};
+use tchain_sim::{splitmix64, ChaosPlan, ChurnPlan, ExplorePlan, FaultPlan, Schedule};
 
 /// `true` when this build carries the seeded `restore()` ledger
 /// mutation (`RUSTFLAGS="--cfg tchain_canary"`). The canary drill
@@ -167,14 +167,6 @@ pub fn scenario_config(name: &str, seed: u64) -> Option<SwarmConfig> {
 pub fn run_with_plan(base: &SwarmConfig, plan: &ExplorePlan) -> SwarmReport {
     let cfg = SwarmConfig { explore: Some(plan.clone()), ..base.clone() };
     run_swarm(cfg).expect("mesh transport cannot fail")
-}
-
-/// SplitMix64: decorrelates per-run PCT seeds from one search seed.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Budgeted PCT search over one scenario: sample up to `cfg.budget`

@@ -32,7 +32,7 @@ use tchain_obs::{
     trace_event, ChaosKind, Event, MetricName, OracleKind, RejectKind, TraceRecord, Tracer,
     WireMsg,
 };
-use tchain_proto::{NeighborPolicy, Tracker};
+use tchain_proto::{Tracker, LIST_SIZE};
 use tchain_proto::wire::Message;
 use tchain_sim::{
     Act, ChaosAction, ChaosPlan, ChaosState, ChurnPlan, ChurnState, ExplorePlan, FaultPlan,
@@ -844,8 +844,7 @@ impl<T: Transport> SwarmHarness<T> {
     /// list is what keeps per-peer neighbor state O(policy), not O(N).
     fn rendezvous(&mut self, id: u32, rng: Option<&mut SimRng>) -> Result<(), NetError> {
         let rng = rng.unwrap_or(&mut self.rng);
-        let members =
-            self.tracker.random_members(NodeId(id), NeighborPolicy::default().list_size, rng);
+        let members = self.tracker.random_members(NodeId(id), LIST_SIZE, rng);
         let mut out: Outbox = Vec::new();
         self.peers.get_mut(id).expect("enrolled").bootstrap(&members, &mut out);
         self.flush(stage(NodeId(id), out))

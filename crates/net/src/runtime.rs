@@ -50,37 +50,45 @@ pub enum PeerRole {
     FreeRider,
 }
 
-/// Tunables of the net runtime (the PR 1/fluid-driver parameters that
-/// survive the move from accounting to bytes).
+/// §II-D2 flow-control bound: a neighbor with `k` un-reciprocated pieces
+/// from us is neither served nor designated payee. The paper fixes
+/// `k = 2`.
+const K_PENDING: u32 = 2;
+
+/// Concurrent chain initiations a seeder keeps in flight (§II-B1).
+const SEEDER_SLOTS: usize = 4;
+
+/// Chain initiations a completed leecher keeps in flight (§II-D3
+/// opportunistic seeding).
+const OPPORTUNISTIC_SLOTS: usize = 1;
+
+/// Seconds before a donor closes an un-reciprocated transaction
+/// (free-riding stall, §IV-F) and a requestor abandons an unfulfillable
+/// obligation.
+const STALL_TIMEOUT: f64 = 25.0;
+
+/// Seconds before the first report retransmission (unreliable transports
+/// only).
+const RETRY_BASE: f64 = 2.0;
+
+/// Multiplicative backoff between retransmissions.
+const RETRY_BACKOFF: f64 = 2.0;
+
+/// Report retransmission attempts before giving up.
+const MAX_RETRIES: u32 = 4;
+
+/// Frame rejects tolerated from one neighbor before it is quarantined
+/// (byzantine strike policy).
+const STRIKE_LIMIT: u32 = 3;
+
+/// Tunables of the net runtime. The protocol parameters the paper fixes
+/// are the constants above; completed, non-departing leechers always keep
+/// seeding (§II-D3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
-    /// §II-D2 flow-control bound: a neighbor with `k` un-reciprocated
-    /// pieces from us is neither served nor designated payee.
-    pub k_pending: u32,
-    /// Concurrent chain initiations a seeder keeps in flight (§II-B1).
-    pub seeder_slots: usize,
-    /// Chain initiations a completed leecher keeps in flight (§II-D3
-    /// opportunistic seeding).
-    pub opportunistic_slots: usize,
-    /// Seconds before a donor closes an un-reciprocated transaction
-    /// (free-riding stall, §IV-F) and a requestor abandons an
-    /// unfulfillable obligation.
-    pub stall_timeout: f64,
-    /// Seconds before the first report retransmission (unreliable
-    /// transports only).
-    pub retry_base: f64,
-    /// Multiplicative backoff between retransmissions.
-    pub retry_backoff: f64,
-    /// Report retransmission attempts before giving up.
-    pub max_retries: u32,
     /// Leechers depart the moment they complete, handing §II-B4 escrow
     /// keys to the designated payees.
     pub depart_on_complete: bool,
-    /// Completed, non-departing leechers keep seeding (§II-D3).
-    pub opportunistic: bool,
-    /// Frame rejects tolerated from one neighbor before it is
-    /// quarantined (byzantine strike policy).
-    pub strike_limit: u32,
     /// Seconds a quarantined neighbor is excluded from donor rounds and
     /// payee designation. Quarantine is deliberately temporary: under
     /// injected chaos the "offender" is innocent, so a bounded exclusion
@@ -90,19 +98,7 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
-        NetConfig {
-            k_pending: 2,
-            seeder_slots: 4,
-            opportunistic_slots: 1,
-            stall_timeout: 25.0,
-            retry_base: 2.0,
-            retry_backoff: 2.0,
-            max_retries: 4,
-            depart_on_complete: false,
-            opportunistic: true,
-            strike_limit: 3,
-            quarantine_secs: 30.0,
-        }
+        NetConfig { depart_on_complete: false, quarantine_secs: 30.0 }
     }
 }
 
@@ -233,7 +229,7 @@ pub struct PeerRuntime {
     recips_seen: BTreeMap<(u32, u32), std::collections::BTreeSet<u32>>,
     /// `(requestor, piece)` gift uploads already sent (§II-B3) → send
     /// time, so the donor round does not re-gift while data is in
-    /// flight. Entries expire after `stall_timeout`: a gift is
+    /// flight. Entries expire after [`STALL_TIMEOUT`]: a gift is
     /// fire-and-forget, and on a byzantine transport the one gift a
     /// requestor's endgame depends on can be corrupted in flight —
     /// suppressing re-gifts forever would wedge the swarm.
@@ -405,7 +401,7 @@ impl PeerRuntime {
 
     /// Records a rejected frame (or reset) attributed to `offender`.
     ///
-    /// Every reject is a strike; at [`NetConfig::strike_limit`] strikes
+    /// Every reject is a strike; at `STRIKE_LIMIT` strikes
     /// the offender enters quarantine for [`NetConfig::quarantine_secs`]
     /// and the counter resets. Returns the quarantine expiry when this
     /// reject tripped the limit. Quarantine only withholds *new goodwill*
@@ -419,7 +415,7 @@ impl PeerRuntime {
         self.counters.frame_rejects += 1;
         let strikes = self.strikes.entry(offender.0).or_insert(0);
         *strikes += 1;
-        if *strikes >= self.cfg.strike_limit {
+        if *strikes >= STRIKE_LIMIT {
             *strikes = 0;
             let until = now + self.cfg.quarantine_secs;
             self.quarantined.insert(offender.0, until);
@@ -643,7 +639,7 @@ impl PeerRuntime {
             piece: PieceId(piece),
         })));
         if self.arm_retries {
-            let delay = self.jittered(self.cfg.retry_base);
+            let delay = self.jittered(RETRY_BASE);
             self.retries.push(ReportRetry {
                 donor,
                 requestor,
@@ -818,7 +814,6 @@ impl PeerRuntime {
         let donating = self.role == PeerRole::Seeder
             || (self.role == PeerRole::Compliant
                 && self.is_complete()
-                && self.cfg.opportunistic
                 && !self.cfg.depart_on_complete);
         if donating {
             self.donor_round(now, out);
@@ -849,10 +844,10 @@ impl PeerRuntime {
     ///
     /// The timer sources, each with its wake deadline:
     /// * quarantine expiry (`until`) — re-enables donor candidates,
-    /// * obligation expiry (`since + stall_timeout`),
+    /// * obligation expiry (`since + STALL_TIMEOUT`),
     /// * report retransmissions (`next_at`),
-    /// * donor-transaction stall sweep (`started + stall_timeout`),
-    /// * gift-suppression expiry (`sent + stall_timeout`).
+    /// * donor-transaction stall sweep (`started + STALL_TIMEOUT`),
+    /// * gift-suppression expiry (`sent + STALL_TIMEOUT`).
     ///
     /// Strict-`>` deadlines (stall sweeps) fire on the first tick
     /// *after* the deadline; waking exactly at the deadline is a
@@ -870,20 +865,19 @@ impl PeerRuntime {
         for &until in self.quarantined.values() {
             fold(until);
         }
-        let stall = self.cfg.stall_timeout;
         for ob in &self.obligations {
-            fold(ob.since + stall);
+            fold(ob.since + STALL_TIMEOUT);
         }
         for r in &self.retries {
             fold(r.next_at);
         }
         for txn in self.donor_txns.values() {
             if !txn.reported {
-                fold(txn.started + stall);
+                fold(txn.started + STALL_TIMEOUT);
             }
         }
         for &sent in self.gifted.values() {
-            fold(sent + stall);
+            fold(sent + STALL_TIMEOUT);
         }
         wake
     }
@@ -993,7 +987,7 @@ impl PeerRuntime {
         let mut keep = Vec::new();
         let obligations = std::mem::take(&mut self.obligations);
         for mut ob in obligations {
-            if now - ob.since > self.cfg.stall_timeout {
+            if now - ob.since > STALL_TIMEOUT {
                 continue; // unfulfillable; the donor's sweep closes the chain
             }
             if !self.neighbors.get(ob.payee).is_some_and(|n| n.known()) {
@@ -1051,7 +1045,7 @@ impl PeerRuntime {
             if !n.known() || self.quarantined.contains_key(&nid) {
                 continue;
             }
-            if self.ledger.get(&nid).copied().unwrap_or(0) >= self.cfg.k_pending {
+            if self.ledger.get(&nid).copied().unwrap_or(0) >= K_PENDING {
                 continue;
             }
             let wants = n.missing_from(&self.have).map(|p| p.0).filter(|&p| {
@@ -1068,11 +1062,7 @@ impl PeerRuntime {
 
     /// Seeder/opportunistic chain initiation (§II-B1, §II-D3).
     fn donor_round(&mut self, now: f64, out: &mut Outbox) {
-        let slots = if self.role == PeerRole::Seeder {
-            self.cfg.seeder_slots
-        } else {
-            self.cfg.opportunistic_slots
-        };
+        let slots = if self.role == PeerRole::Seeder { SEEDER_SLOTS } else { OPPORTUNISTIC_SLOTS };
         for _ in 0..slots {
             if self.active_donations >= slots {
                 break;
@@ -1184,7 +1174,7 @@ impl PeerRuntime {
                 nid != to
                     && nid != self.id.0
                     && !self.quarantined.contains_key(&nid)
-                    && self.ledger.get(&nid).copied().unwrap_or(0) < self.cfg.k_pending
+                    && self.ledger.get(&nid).copied().unwrap_or(0) < K_PENDING
                     && ((piece as usize) < self.have.len() && !n.has(PieceId(piece))
                         || to_n.is_some_and(|t| n.wants_from(t)))
             })
@@ -1207,11 +1197,11 @@ impl PeerRuntime {
     /// nothing (the requestor can never reciprocate to them) instead of
     /// falling through to the §II-B3 termination gift.
     fn stall_sweep(&mut self, now: f64, out: &mut Outbox) {
-        self.gifted.retain(|_, &mut sent| now - sent <= self.cfg.stall_timeout);
+        self.gifted.retain(|_, &mut sent| now - sent <= STALL_TIMEOUT);
         let stalled: Vec<(u32, u32)> = self
             .donor_txns
             .iter()
-            .filter(|(_, t)| !t.reported && now - t.started > self.cfg.stall_timeout)
+            .filter(|(_, t)| !t.reported && now - t.started > STALL_TIMEOUT)
             .map(|(&k, _)| k)
             .collect();
         let mut refresh: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
@@ -1253,10 +1243,10 @@ impl PeerRuntime {
             }
             r.attempt += 1;
             due.push((r.donor, r.requestor, r.piece));
-            if r.attempt >= self.cfg.max_retries {
+            if r.attempt >= MAX_RETRIES {
                 return false;
             }
-            let backoff = self.cfg.retry_base * self.cfg.retry_backoff.powi(r.attempt as i32);
+            let backoff = RETRY_BASE * RETRY_BACKOFF.powi(r.attempt as i32);
             r.next_at = now + self.jittered(backoff);
             true
         });
@@ -1734,7 +1724,7 @@ mod tests {
 
     #[test]
     fn strike_limit_quarantines_then_expires() {
-        let cfg = NetConfig { strike_limit: 3, quarantine_secs: 10.0, ..NetConfig::default() };
+        let cfg = NetConfig { quarantine_secs: 10.0, ..NetConfig::default() };
         let mut p = PeerRuntime::new(NodeId(1), PeerRole::Compliant, content(), cfg, 7);
         let bad = NodeId(9);
         assert_eq!(p.on_frame_reject(1.0, bad), None);
@@ -1928,7 +1918,7 @@ mod tests {
             if !n.known() || p.quarantined.contains_key(&nid) {
                 continue;
             }
-            if p.ledger.get(&nid).copied().unwrap_or(0) >= p.cfg.k_pending {
+            if p.ledger.get(&nid).copied().unwrap_or(0) >= K_PENDING {
                 continue;
             }
             let wants: Vec<u32> = n
@@ -1960,7 +1950,7 @@ mod tests {
                 nid != to
                     && nid != p.id.0
                     && !p.quarantined.contains_key(&nid)
-                    && p.ledger.get(&nid).copied().unwrap_or(0) < p.cfg.k_pending
+                    && p.ledger.get(&nid).copied().unwrap_or(0) < K_PENDING
                     && ((piece as usize) < have.len() && !have.has(PieceId(piece))
                         || to_have.as_ref().is_some_and(|th| have.wants_from(th)))
             })

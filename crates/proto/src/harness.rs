@@ -11,45 +11,40 @@
 //! `tchain-baselines` layer their protocol logic on top.
 
 use crate::control::{Envelope, SendOutcome};
-use crate::{Bitfield, FileSpec, Mesh, NeighborPolicy, PeerTable, PieceId, Role, Tracker};
+use crate::{Bitfield, FileSpec, Mesh, PeerTable, PieceId, Role, Tracker};
 use tchain_obs::{trace_event, Event, Tracer};
 use tchain_sim::{Clock, DelayQueue, FaultPlan, FaultState, Flow, FlowScheduler, NodeId, Route, SimRng};
 
-/// Static configuration for one simulation run.
-#[derive(Debug, Clone, Copy)]
-pub struct SwarmConfig {
-    /// The shared file.
-    pub file: FileSpec,
-    /// Seeder upload capacity in bytes/s (paper: 6000 Kbps).
-    pub seeder_capacity: f64,
-    /// Neighbor-management constants.
-    pub policy: NeighborPolicy,
-    /// Simulation step in seconds.
-    pub dt: f64,
-    /// Hard stop for the run, in seconds.
-    pub max_time: f64,
-}
+/// Members returned per tracker query (§IV-A: "a list of 50 randomly
+/// selected neighbors").
+pub const LIST_SIZE: usize = 50;
 
-impl SwarmConfig {
-    /// Paper defaults (§IV-A) for a given file size, with the piece layout
-    /// chosen per protocol family by the caller.
-    pub fn paper(file: FileSpec) -> Self {
-        SwarmConfig {
-            file,
-            seeder_capacity: tchain_sim::kbps(6000.0),
-            policy: NeighborPolicy::default(),
-            dt: 1.0,
-            max_time: 50_000.0,
-        }
-    }
-}
+/// Re-query the tracker when the neighbor count falls below this
+/// (§IV-A: "whenever its list of neighbors falls below 30").
+const REFILL_BELOW: usize = 30;
+
+/// Hard cap on concurrent neighbors (§IV-A: "at most 55 neighbors").
+const MAX_NEIGHBORS: usize = 55;
+
+/// Seeder upload capacity in bytes/s (paper: 6000 Kbps, §IV-A).
+const SEEDER_CAPACITY: f64 = tchain_sim::kbps(6000.0);
+
+/// Simulation step in seconds.
+pub const DT: f64 = 1.0;
+
+/// Hard stop for a run, in seconds.
+pub const MAX_TIME: f64 = 50_000.0;
+
+/// Seconds between the chain/leecher census samples of Fig. 10/11, in
+/// both fluid drivers.
+pub const SAMPLE_PERIOD: f64 = 5.0;
 
 /// The state every swarm driver owns: membership, mesh, tracker, bandwidth
 /// scheduler, clock and the run's RNG.
 #[derive(Debug)]
 pub struct SwarmBase {
-    /// Run configuration.
-    pub cfg: SwarmConfig,
+    /// The shared file.
+    pub file: FileSpec,
     /// Simulated clock.
     pub clock: Clock,
     /// All peers ever admitted.
@@ -72,20 +67,21 @@ pub struct SwarmBase {
 }
 
 impl SwarmBase {
-    /// Creates an empty swarm (no seeder yet) for a seeded run.
-    pub fn new(cfg: SwarmConfig, seed: u64) -> Self {
-        SwarmBase::with_faults(cfg, seed, FaultPlan::none())
+    /// Creates an empty swarm (no seeder yet) sharing `file`, for a
+    /// seeded run.
+    pub fn new(file: FileSpec, seed: u64) -> Self {
+        SwarmBase::with_faults(file, seed, FaultPlan::none())
     }
 
     /// Creates an empty swarm with a fault-injection plan. The fault RNG
     /// stream is derived from the plan's own seed, so the same `seed`
     /// produces the same swarm dynamics whether or not faults are active.
-    pub fn with_faults(cfg: SwarmConfig, seed: u64, plan: FaultPlan) -> Self {
+    pub fn with_faults(file: FileSpec, seed: u64, plan: FaultPlan) -> Self {
         SwarmBase {
-            cfg,
-            clock: Clock::new(cfg.dt),
+            file,
+            clock: Clock::new(DT),
             peers: PeerTable::new(),
-            mesh: Mesh::new(cfg.file.pieces),
+            mesh: Mesh::new(file.pieces),
             tracker: Tracker::new(),
             flows: FlowScheduler::new(),
             rng: SimRng::new(seed),
@@ -136,7 +132,7 @@ impl SwarmBase {
 
     /// Admits the (single) seeder. Must be called before leechers join.
     pub fn admit_seeder(&mut self) -> NodeId {
-        self.admit(Role::Seeder, self.cfg.seeder_capacity, true)
+        self.admit(Role::Seeder, SEEDER_CAPACITY, true)
     }
 
     /// Admits a peer: registers it with the tracker, installs its upload
@@ -157,13 +153,13 @@ impl SwarmBase {
         pieces: impl IntoIterator<Item = PieceId>,
     ) -> NodeId {
         let now = self.clock.now();
-        let id = self.peers.add(role, capacity, now, self.cfg.file.pieces, compliant);
+        let id = self.peers.add(role, capacity, now, self.file.pieces, compliant);
         for p in pieces {
             self.peers.get_mut(id).have.set(p);
         }
         self.flows.set_capacity(id, capacity);
         self.tracker.register(id);
-        self.acquire_neighbors(id, self.cfg.policy.max_neighbors);
+        self.acquire_neighbors(id, MAX_NEIGHBORS);
         trace_event!(self.trace, now, Event::PeerJoin { peer: id.0, compliant });
         id
     }
@@ -172,12 +168,12 @@ impl SwarmBase {
     /// `cap` neighbors for `id` (pass `usize::MAX` for large-view
     /// attackers who ignore the cap; the *other* side's cap still holds).
     pub fn acquire_neighbors(&mut self, id: NodeId, cap: usize) {
-        let list = self.tracker.random_members(id, self.cfg.policy.list_size, &mut self.rng);
+        let list = self.tracker.random_members(id, LIST_SIZE, &mut self.rng);
         for m in list {
             if self.mesh.degree(id) >= cap {
                 break;
             }
-            if self.peers.alive(m) && self.mesh.degree(m) < self.cfg.policy.max_neighbors {
+            if self.peers.alive(m) && self.mesh.degree(m) < MAX_NEIGHBORS {
                 self.mesh.connect(id, m, &self.peers);
             }
         }
@@ -187,11 +183,11 @@ impl SwarmBase {
     /// refill threshold (§IV-A). Under fault injection the query itself
     /// can be lost, in which case the peer retries on a later tick.
     pub fn maybe_refill(&mut self, id: NodeId) {
-        if self.mesh.degree(id) < self.cfg.policy.refill_below {
+        if self.mesh.degree(id) < REFILL_BELOW {
             if self.faults.tracker_query_lost(self.clock.now()) {
                 return;
             }
-            self.acquire_neighbors(id, self.cfg.policy.max_neighbors);
+            self.acquire_neighbors(id, MAX_NEIGHBORS);
         }
     }
 
@@ -297,8 +293,7 @@ mod tests {
     use tchain_sim::kbps;
 
     fn base() -> SwarmBase {
-        let cfg = SwarmConfig::paper(FileSpec::tchain(1.0));
-        SwarmBase::new(cfg, 42)
+        SwarmBase::new(FileSpec::tchain(1.0), 42)
     }
 
     #[test]
@@ -317,7 +312,7 @@ mod tests {
         let mut b = base();
         let _s = b.admit_seeder();
         let l = b.admit(Role::Leecher, kbps(400.0), true);
-        let pieces = b.cfg.file.pieces;
+        let pieces = b.file.pieces;
         for i in 0..pieces as u32 {
             let done = b.grant_piece(l, PieceId(i));
             assert_eq!(done, i as usize == pieces - 1);
@@ -348,14 +343,14 @@ mod tests {
             b.admit(Role::Leecher, kbps(400.0), true);
         }
         let l = b.admit(Role::Leecher, kbps(400.0), true);
-        // Disconnect everyone; refill should restore at least refill_below.
+        // Disconnect everyone; refill should restore at least REFILL_BELOW.
         let ns: Vec<_> = b.mesh.neighbors(l).to_vec();
         for n in ns {
             b.mesh.disconnect(l, n, &b.peers);
         }
         assert_eq!(b.mesh.degree(l), 0);
         b.maybe_refill(l);
-        assert!(b.mesh.degree(l) >= 30, "degree {}", b.mesh.degree(l));
+        assert!(b.mesh.degree(l) >= REFILL_BELOW, "degree {}", b.mesh.degree(l));
     }
 
     #[test]
@@ -374,10 +369,9 @@ mod tests {
 
     #[test]
     fn delayed_control_is_queued_and_drained() {
-        let cfg = SwarmConfig::paper(FileSpec::tchain(1.0));
         let plan = tchain_sim::FaultPlan { seed: 3, ..tchain_sim::FaultPlan::none() }
             .with_latency(tchain_sim::LatencyModel::Fixed(2.5));
-        let mut b = SwarmBase::with_faults(cfg, 42, plan);
+        let mut b = SwarmBase::with_faults(FileSpec::tchain(1.0), 42, plan);
         let env = Envelope {
             from: NodeId(1),
             to: NodeId(2),

@@ -10,8 +10,12 @@
 //!   and completion bookkeeping;
 //! * [`Mesh`] — neighbor relations plus incremental piece-availability
 //!   counts and Local-Rarest-First selection;
-//! * [`Tracker`]/[`NeighborPolicy`] — 50-member random lists, refill below
-//!   30 neighbors, 55-neighbor cap.
+//! * [`Tracker`] — sharded membership with random member lists;
+//! * [`SwarmBase`] — the state every driver shares, with the paper's
+//!   fixed parameters as constants: [`LIST_SIZE`]-member tracker lists,
+//!   refill below 30 neighbors, a 55-neighbor cap and a 6000 Kbps seeder
+//!   (§IV-A), plus the clock step [`DT`], the run horizon [`MAX_TIME`]
+//!   and the census period [`SAMPLE_PERIOD`].
 //!
 //! Protocol logic (unchoking, deficits, T-Chain transactions) lives in
 //! `tchain-baselines` and `tchain-core`, in drivers layered on this crate
@@ -29,8 +33,8 @@ mod tracker;
 pub mod wire;
 
 pub use control::{ControlMsg, Envelope, SendOutcome};
-pub use harness::{SwarmBase, SwarmConfig};
+pub use harness::{SwarmBase, DT, LIST_SIZE, MAX_TIME, SAMPLE_PERIOD};
 pub use mesh::Mesh;
 pub use peer::{Peer, PeerTable, Role};
 pub use piece::{Bitfield, FileSpec, PieceId};
-pub use tracker::{NeighborPolicy, Tracker};
+pub use tracker::Tracker;

@@ -19,23 +19,6 @@
 use std::collections::HashMap;
 use tchain_sim::{NodeId, SimRng};
 
-/// Neighbor-management constants from §IV-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NeighborPolicy {
-    /// Members returned per tracker query.
-    pub list_size: usize,
-    /// Re-query the tracker when the neighbor count falls below this.
-    pub refill_below: usize,
-    /// Hard cap on concurrent neighbors.
-    pub max_neighbors: usize,
-}
-
-impl Default for NeighborPolicy {
-    fn default() -> Self {
-        NeighborPolicy { list_size: 50, refill_below: 30, max_neighbors: 55 }
-    }
-}
-
 /// One membership shard: a dense vector with swap-remove deletion plus
 /// the position index that makes it O(1).
 #[derive(Debug, Default)]
@@ -286,12 +269,6 @@ mod tests {
             }
         }
         assert!(seen.len() > 150, "sampling should reach most members, got {}", seen.len());
-    }
-
-    #[test]
-    fn default_policy_matches_paper() {
-        let p = NeighborPolicy::default();
-        assert_eq!((p.list_size, p.refill_below, p.max_neighbors), (50, 30, 55));
     }
 
     #[test]

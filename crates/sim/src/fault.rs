@@ -12,7 +12,7 @@
 //! nothing, keeping fault-free runs bit-identical to a build without this
 //! module.
 
-use crate::rng::SimRng;
+use crate::rng::{splitmix64, SimRng};
 use crate::NodeId;
 
 /// Latency distribution for delivered (non-dropped) control messages.
@@ -214,14 +214,6 @@ pub struct FaultState {
     stats: FaultStats,
 }
 
-/// Stateless splitmix64 hash used for stable partition-side assignment.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultState {
     /// Instantiates runtime state for a plan. Crash events are sorted by
     /// time so they fire in order regardless of how the plan was built.
@@ -247,7 +239,7 @@ impl FaultState {
 
     /// Which partition side a peer is on (stable per plan seed).
     fn side(&self, id: NodeId, p: &Partition) -> bool {
-        let h = mix64(self.plan.seed ^ 0x5EED ^ u64::from(id.0));
+        let h = splitmix64(self.plan.seed ^ 0x5EED ^ u64::from(id.0));
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p.fraction
     }
 

@@ -59,7 +59,7 @@ pub use flow::{Flow, FlowId, FlowScheduler, FlowStats};
 pub use forall::{forall, sized, FULL_SIZE};
 pub use perturb::{Act, Choice, ExplorePlan, SchedPerturber, Schedule};
 pub use queue::DelayQueue;
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use units::{kbps, kib, mib, BYTES_PER_KIB, BYTES_PER_MIB};
 
 /// Identifier of a simulated node (peer, seeder, tracker-side entity).

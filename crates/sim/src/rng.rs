@@ -25,6 +25,22 @@
 //! * **`fill`** — little-endian 8-byte words; a 5–7 byte tail takes the
 //!   low bytes of one more word, a 1–4 byte tail those of a 32-bit draw.
 
+/// The SplitMix64 increment γ = ⌊2⁶⁴/φ⌋.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele, Lea & Flood): the output of one generator step from
+/// state `x`, i.e. its finaliser applied to `x + γ`. Stateless, so it is
+/// also the workspace's 64-bit mixing hash: [`SimRng`] seed expansion, the
+/// wire runtime's piece bytes and content digest, partition sides and
+/// search-seed forks all call this one function.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A deterministic random source for one simulation run.
 ///
 /// Every experiment in the harness is reproducible from a single `u64`
@@ -40,17 +56,9 @@ pub struct SimRng {
 impl SimRng {
     /// Creates an RNG from an experiment seed.
     pub fn new(seed: u64) -> Self {
-        // SplitMix64 expansion of the seed, one output per state word.
-        let mut state = seed;
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            *word = z ^ (z >> 31);
-        }
-        SimRng { s }
+        // SplitMix64 expansion of the seed: word i is splitmix64(seed + i·γ).
+        let word = |i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(GOLDEN_GAMMA)));
+        SimRng { s: [word(0), word(1), word(2), word(3)] }
     }
 
     /// Uniform 64-bit word: one xoshiro256++ step.
@@ -78,7 +86,7 @@ impl SimRng {
     /// Derives an independent child RNG, e.g. one per peer, so adding a
     /// draw in one component does not perturb another's stream.
     pub fn fork(&mut self, salt: u64) -> SimRng {
-        let s = self.u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let s = self.u64() ^ salt.wrapping_mul(GOLDEN_GAMMA);
         SimRng::new(s)
     }
 
@@ -268,6 +276,12 @@ mod tests {
     // Known answers. The stream is pinned here rather than by a tag on
     // each fixture: if one of these fails, every golden, witness and
     // wire-image identity in the repository has moved with it.
+
+    #[test]
+    fn splitmix64_known_answers() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6e78_9e6a_a1b9_65f4);
+    }
 
     #[test]
     fn seed_zero_state_is_the_published_splitmix64_sequence() {

@@ -17,7 +17,7 @@ pub const BYTES_PER_MIB: f64 = 1024.0 * 1024.0;
 /// assert_eq!(tchain_sim::kbps(400.0), 50_000.0);
 /// ```
 #[inline]
-pub fn kbps(v: f64) -> f64 {
+pub const fn kbps(v: f64) -> f64 {
     v * 1000.0 / 8.0
 }
 

@@ -12,7 +12,7 @@
 use tchain_analysis::bootstrap::{trajectory, BootstrapParams, BootstrapState, PieceDistribution};
 use tchain_attacks::PeerPlan;
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_proto::{FileSpec, Role, SwarmConfig};
+use tchain_proto::{FileSpec, Role};
 use tchain_workloads::{flash_crowd, CapacityClasses};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     let caps = CapacityClasses::default().assign(n, 5);
     let plan: Vec<PeerPlan> =
         times.into_iter().zip(caps).map(|(at, c)| PeerPlan::compliant(at, c)).collect();
-    let mut sw = TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, 5);
+    let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, 5);
     // Track first-piece times by sampling.
     let mut first_piece: Vec<Option<f64>> = vec![None; n + 1];
     while sw.base().peers.iter_alive().any(|p| p.role == Role::Leecher)

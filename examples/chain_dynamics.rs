@@ -7,7 +7,7 @@
 
 use tchain_attacks::PeerPlan;
 use tchain_core::{ChainOrigin, TChainConfig, TChainSwarm};
-use tchain_proto::{FileSpec, Role, SwarmConfig};
+use tchain_proto::{FileSpec, Role};
 use tchain_workloads::{flash_crowd, CapacityClasses};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         .zip(caps)
         .map(|(at, c)| PeerPlan::compliant(at, c))
         .collect();
-    let mut sw = TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, 3);
+    let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, 3);
 
     println!("Active chains (#) and alive leechers (o) over time — flash crowd of {n}\n");
     let mut peak = 1.0f64;

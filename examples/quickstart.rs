@@ -12,7 +12,7 @@
 use tchain_attacks::PeerPlan;
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
-use tchain_proto::{FileSpec, SwarmConfig};
+use tchain_proto::FileSpec;
 use tchain_workloads::{flash_crowd, CapacityClasses};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         .map(|(at, capacity)| PeerPlan::compliant(at, capacity))
         .collect();
 
-    let mut swarm = TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, 7);
+    let mut swarm = TChainSwarm::new(file, TChainConfig::default(), plan, 7);
     swarm.run_until_done();
 
     let completions = swarm.completion_times(true);

@@ -3,7 +3,7 @@
 
 use tchain::attacks::PeerPlan;
 use tchain::core::{TChainConfig, TChainSwarm};
-use tchain::proto::{FileSpec, Role, SwarmConfig};
+use tchain::proto::{FileSpec, Role};
 use tchain::sim::kbps;
 
 fn mixed_swarm(seed: u64) -> TChainSwarm {
@@ -13,7 +13,7 @@ fn mixed_swarm(seed: u64) -> TChainSwarm {
     for i in 0..6 {
         plan.push(PeerPlan::free_rider(0.5 + i as f64 * 0.02, kbps(800.0)));
     }
-    TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, seed)
+    TChainSwarm::new(file, TChainConfig::default(), plan, seed)
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn compliant_leechers_unharmed_by_free_riders() {
         let file = FileSpec::custom(24, 64.0 * 1024.0, 64.0 * 1024.0);
         let plan: Vec<PeerPlan> =
             (0..18).map(|i| PeerPlan::compliant(0.4 + i as f64 * 0.02, kbps(800.0))).collect();
-        TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, 23)
+        TChainSwarm::new(file, TChainConfig::default(), plan, 23)
     };
     clean.run_until_done();
     let mut dirty = mixed_swarm(23);

@@ -5,7 +5,7 @@
 
 use tchain::attacks::PeerPlan;
 use tchain::core::{TChainConfig, TChainSwarm};
-use tchain::proto::{FileSpec, SwarmConfig};
+use tchain::proto::FileSpec;
 use tchain::sim::{kbps, FaultPlan};
 
 fn compliant_plan(n: usize) -> Vec<PeerPlan> {
@@ -34,7 +34,7 @@ fn lossy_control_plane_with_crashes_recovers() {
         plan.push(PeerPlan::compliant(0.5 + i as f64 * 0.02, kbps(800.0)).crashing_at(*at));
     }
     let mut sw = TChainSwarm::with_faults(
-        SwarmConfig::paper(file),
+        file,
         TChainConfig::default(),
         plan,
         31,
@@ -71,7 +71,7 @@ fn donor_crashes_trigger_key_escrow_not_leaks() {
         plan.push(PeerPlan::compliant(0.45 + i as f64 * 0.02, kbps(800.0)).crashing_at(*at));
     }
     let mut sw = TChainSwarm::with_faults(
-        SwarmConfig::paper(file),
+        file,
         TChainConfig::default(),
         plan,
         37,
@@ -101,7 +101,7 @@ fn graceful_departure_churn_balances_chains() {
     let file = FileSpec::custom(16, 64.0 * 1024.0, 64.0 * 1024.0);
     let plan = compliant_plan(14);
     let mut sw = TChainSwarm::new(
-        SwarmConfig::paper(file),
+        file,
         TChainConfig { replace_on_finish: true, ..Default::default() },
         plan,
         41,
@@ -121,10 +121,9 @@ fn graceful_departure_churn_balances_chains() {
 #[test]
 fn none_plan_is_dormant() {
     let file = FileSpec::custom(16, 64.0 * 1024.0, 64.0 * 1024.0);
-    let mut plain =
-        TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), compliant_plan(10), 43);
+    let mut plain = TChainSwarm::new(file, TChainConfig::default(), compliant_plan(10), 43);
     let mut gated = TChainSwarm::with_faults(
-        SwarmConfig::paper(file),
+        file,
         TChainConfig::default(),
         compliant_plan(10),
         43,

@@ -14,7 +14,7 @@ use tchain::analysis::collusion::{ps_exact, ps_monte_carlo};
 use tchain::attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
 use tchain::core::{TChainConfig, TChainSwarm};
 use tchain::net::{run_swarm, SwarmConfig};
-use tchain::proto::{FileSpec, SwarmConfig as FluidConfig};
+use tchain::proto::FileSpec;
 use tchain::sim::kbps;
 
 /// The §IV-C acceptance shape: 32 peers, a quarter of them aggressive.
@@ -58,7 +58,7 @@ fn aggressive_quarter_starves_on_the_wire_and_matches_the_fluid_driver() {
         plan.push(PeerPlan::free_rider(0.5 + f64::from(i) * 0.05, kbps(800.0)));
     }
     let mut sim =
-        TChainSwarm::new(FluidConfig::paper(file), TChainConfig::default(), plan, 0xA77C);
+        TChainSwarm::new(file, TChainConfig::default(), plan, 0xA77C);
     sim.run_until_done();
     assert_eq!(
         sim.completion_times(true).len(),

@@ -8,7 +8,7 @@
 use tchain::attacks::PeerPlan;
 use tchain::core::{TChainConfig, TChainSwarm};
 use tchain::net::{run_swarm, NetConfig, Strategy, SwarmConfig};
-use tchain::proto::{FileSpec, SwarmConfig as FluidConfig};
+use tchain::proto::FileSpec;
 use tchain::sim::kbps;
 
 fn base16() -> SwarmConfig {
@@ -89,7 +89,7 @@ fn net_runtime_agrees_with_fluid_simulator() {
         plan.push(PeerPlan::free_rider(0.5 + f64::from(i) * 0.05, kbps(800.0)));
     }
     let mut sim =
-        TChainSwarm::new(FluidConfig::paper(file), TChainConfig::default(), plan, 0x4E75);
+        TChainSwarm::new(file, TChainConfig::default(), plan, 0x4E75);
     sim.run_until_done();
 
     // Hard invariants agree exactly.

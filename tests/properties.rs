@@ -235,13 +235,13 @@ fn tracker_sampling() {
 fn small_swarm_always_drains() {
     use tchain::attacks::PeerPlan;
     use tchain::core::{TChainConfig, TChainSwarm};
-    use tchain::proto::{FileSpec, Role, SwarmConfig};
+    use tchain::proto::{FileSpec, Role};
     forall(0x5A11, 12, |rng, _| {
         let (n, pieces, seed) = (2 + rng.below(12), 2 + rng.below(22), rng.below(500) as u64);
         let file = FileSpec::custom(pieces, 64.0 * 1024.0, 64.0 * 1024.0);
         let plan: Vec<PeerPlan> =
             (0..n).map(|i| PeerPlan::compliant(i as f64 * 0.3, 100_000.0)).collect();
-        let mut sw = TChainSwarm::new(SwarmConfig::paper(file), TChainConfig::default(), plan, seed);
+        let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, seed);
         sw.run_until_done();
         let done = sw.completion_times(true);
         ensure_eq!(done.len(), n, "all leechers finish (n {n}, pieces {pieces}, seed {seed})");
