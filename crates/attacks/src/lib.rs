@@ -24,14 +24,15 @@
 //!
 //! [`Roster`] turns a `Vec<PeerPlan>` into a running swarm's membership:
 //! the one plan-driven lifecycle the fluid drivers of `tchain-core` and
-//! `tchain-baselines` share.
+//! `tchain-baselines` share. [`FluidDriver`] is the surface both drivers
+//! implement: the run loops and summaries over that lifecycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod roster;
 
-pub use roster::Roster;
+pub use roster::{FluidDriver, Roster};
 
 use std::collections::HashMap;
 use tchain_sim::NodeId;

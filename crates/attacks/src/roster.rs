@@ -4,11 +4,14 @@
 //! (§IV-A): planned arrivals, whitewash rejoins, Fig. 13 replacement
 //! churn and crashes. [`Roster`] states them once; `TChainSwarm` and
 //! `BaselineSwarm` keep only what a join, departure or crash does to
-//! their own protocol state. The order of the run's RNG draws is part of
-//! the contract (goldens depend on it): see DESIGN.md §4.
+//! their own protocol state, and share the run loops and summaries of
+//! [`FluidDriver`]. The order of the run's RNG draws is part of the
+//! contract (goldens depend on it): see DESIGN.md §4.
 
 use crate::{PeerPlan, Strategy};
 use std::collections::BTreeMap;
+use tchain_metrics::RecoveryCounters;
+use tchain_obs::{ExportStats, MetricMap, StatsRegistry};
 use tchain_proto::{Peer, PieceId, Role, SwarmBase, DT, MAX_TIME};
 use tchain_sim::NodeId;
 
@@ -59,6 +62,7 @@ pub struct Roster {
     members: Vec<Member>,
     initial_piece_fraction: f64,
     replace_on_finish: bool,
+    crashes: u64,
 }
 
 impl Roster {
@@ -80,6 +84,7 @@ impl Roster {
             members: Vec::new(),
             initial_piece_fraction,
             replace_on_finish,
+            crashes: 0,
         }
     }
 
@@ -98,12 +103,28 @@ impl Roster {
         self.member(id).plan.strategy
     }
 
-    /// Removes the [`PeerPlan::crash_at`] events due at `now` and returns
-    /// their peers, skipping any that already left. The caller crashes
-    /// them *before* drawing [`SwarmBase::crash_victims`].
-    pub fn due_crashes(&mut self, base: &SwarmBase, now: f64) -> Vec<NodeId> {
+    /// The crash victims of the step at `now`, in DESIGN.md §4's draw
+    /// order: first the peers whose [`PeerPlan::crash_at`] is due
+    /// (skipping any that already left), then the victims of the
+    /// `FaultPlan` fraction events due, drawn over the leechers still alive
+    /// once those planned victims are gone. Empty, and draw-free, when
+    /// nothing is due. The caller crashes every returned peer, in order.
+    pub fn due_crashes(&mut self, base: &mut SwarmBase, now: f64) -> Vec<NodeId> {
         let due = take_due(&mut self.planned_crashes, |c| c.0 <= now);
-        due.into_iter().map(|c| c.1).filter(|&id| base.peers.alive(id)).collect()
+        let mut victims: Vec<NodeId> =
+            due.into_iter().map(|c| c.1).filter(|&id| base.peers.alive(id)).collect();
+        if base.faults.crash_due(now) {
+            let mut alive = base.alive_leechers();
+            alive.retain(|id| !victims.contains(id));
+            victims.extend(base.faults.crash_victims(now, &alive));
+        }
+        self.crashes += victims.len() as u64;
+        victims
+    }
+
+    /// Peers [`Roster::due_crashes`] has handed out to crash so far.
+    pub fn crashes(&self) -> u64 {
+        self.crashes
     }
 
     /// Admits every join due at `now` — plan arrivals first, then deferred
@@ -202,6 +223,102 @@ impl Roster {
     }
 }
 
+/// The surface both fluid drivers share. A driver supplies its substrate,
+/// its roster, one simulation step and its protocol's own figures; the run
+/// loops, the free-rider and fairness summaries, and the crash and fault
+/// half of the counters are stated here once.
+pub trait FluidDriver {
+    /// The shared substrate: peers, mesh, flows, clock, tracer, profiler.
+    fn base(&self) -> &SwarmBase;
+
+    /// The substrate, mutably: for switching on tracing or profiling
+    /// before a run. Membership changed through it bypasses the driver.
+    fn base_mut(&mut self) -> &mut SwarmBase;
+
+    /// The plan-driven membership lifecycle.
+    fn roster(&self) -> &Roster;
+
+    /// Advances the simulation by one step.
+    fn step(&mut self);
+
+    /// One peer's fairness factor under this protocol's accounting
+    /// (`None` before its first upload).
+    fn fairness_of(&self, p: &Peer) -> Option<f64>;
+
+    /// Adds the protocol's own counters to `reg`.
+    fn export_protocol_stats(&self, reg: &mut StatsRegistry);
+
+    /// The driver's retry and repair tallies (none by default);
+    /// [`FluidDriver::recovery_counters`] fills in the crashes and the
+    /// fault layer's delivery statistics.
+    fn recovery_tallies(&self) -> RecoveryCounters {
+        RecoveryCounters::default()
+    }
+
+    /// Runs until every planned compliant leecher finished or departed,
+    /// or [`MAX_TIME`] elapses.
+    fn run_until_done(&mut self) {
+        self.step();
+        while !self.roster().settled(self.base()) {
+            self.step();
+        }
+    }
+
+    /// Runs until simulated time `t`.
+    fn run_to(&mut self, t: f64) {
+        while self.base().clock.now() < t {
+            self.step();
+        }
+    }
+
+    /// Free-rider outcomes by attacker lineage (see
+    /// [`Roster::free_rider_results`]).
+    fn free_rider_results(&self) -> (Vec<f64>, usize) {
+        self.roster().free_rider_results(self.base())
+    }
+
+    /// Fairness factors (§IV-H) of finished compliant leechers.
+    fn fairness_factors(&self) -> Vec<f64> {
+        self.base()
+            .peers
+            .iter()
+            .filter(|p| p.role == Role::Leecher && p.compliant && p.done_time.is_some())
+            .filter_map(|p| self.fairness_of(p))
+            .collect()
+    }
+
+    /// Recovery/fault counters: the driver's tallies, the crashes and the
+    /// fault layer's delivery statistics.
+    fn recovery_counters(&self) -> RecoveryCounters {
+        let fs = self.base().faults.stats();
+        RecoveryCounters {
+            ctrl_sent: fs.sent,
+            ctrl_dropped: fs.dropped,
+            ctrl_delayed: fs.delayed,
+            tracker_dropped: fs.tracker_dropped,
+            crashes: self.roster().crashes(),
+            ..self.recovery_tallies()
+        }
+    }
+
+    /// Every counter the run can report, as one flat named-metric map:
+    /// recovery and flow-scheduler counters, the protocol's own, and the
+    /// tracer's gauges when tracing is on.
+    fn metrics(&self) -> MetricMap {
+        let base = self.base();
+        let mut reg = StatsRegistry::new();
+        self.recovery_counters().export_stats("recovery.", &mut reg);
+        base.flows.stats().export_stats("flows.", &mut reg);
+        self.export_protocol_stats(&mut reg);
+        if base.trace.is_enabled() {
+            reg.set("trace.emitted", base.trace.emitted());
+            reg.set("trace.peak_depth", base.trace.peak_depth() as u64);
+            reg.set("trace.overwritten", base.trace.overwritten());
+        }
+        reg.snapshot()
+    }
+}
+
 /// Removes the entries `is_due` accepts, in `swap_remove` scan order —
 /// the admission order of deferred joins, which the run's RNG draw
 /// sequence (and so every golden) is pinned to.
@@ -222,14 +339,19 @@ fn take_due<T>(v: &mut Vec<T>, is_due: impl Fn(&T) -> bool) -> Vec<T> {
 mod tests {
     use super::*;
     use tchain_proto::FileSpec;
+    use tchain_sim::FaultPlan;
 
-    /// A seeded substrate with its seeder admitted, clock at `t`.
-    fn base_at(t: f64) -> SwarmBase {
+    /// A seeded substrate under `faults`, clock at `t`.
+    fn faulty_base_at(t: f64, faults: FaultPlan) -> SwarmBase {
         let file = FileSpec::custom(8, 65536.0, 65536.0);
-        let mut b = SwarmBase::new(file, 7);
-        b.admit_seeder();
+        let mut b = SwarmBase::with_faults(file, 7, faults);
         tick_to(&mut b, t);
         b
+    }
+
+    /// A seeded fault-free substrate, clock at `t`.
+    fn base_at(t: f64) -> SwarmBase {
+        faulty_base_at(t, FaultPlan::none())
     }
 
     fn tick_to(b: &mut SwarmBase, t: f64) {
@@ -341,14 +463,37 @@ mod tests {
         let mut b = base_at(5.0);
         let mut r = Roster::new(plan, 0.0, false);
         assert!(r.plans_crash());
-        assert!(r.due_crashes(&b, 5.0).is_empty(), "nothing is scheduled before admission");
+        assert!(r.due_crashes(&mut b, 5.0).is_empty(), "nothing is scheduled before admission");
         let ids: Vec<NodeId> = r.admit_due(&mut b, 5.0).into_iter().map(|(id, _)| id).collect();
-        assert!(r.due_crashes(&b, 4.0).is_empty(), "a past crash time clamps up to the join");
-        assert_eq!(r.due_crashes(&b, 5.0), [ids[0]]);
-        assert!(r.due_crashes(&b, 8.0).is_empty());
-        assert_eq!(r.due_crashes(&b, 9.0), [ids[1]]);
-        assert!(r.due_crashes(&b, 1e9).is_empty(), "each crash fires once; the third has none");
+        assert!(r.due_crashes(&mut b, 4.0).is_empty(), "a past crash time clamps up to the join");
+        assert_eq!(r.due_crashes(&mut b, 5.0), [ids[0]]);
+        assert!(r.due_crashes(&mut b, 8.0).is_empty());
+        assert_eq!(r.due_crashes(&mut b, 9.0), [ids[1]]);
+        assert!(r.due_crashes(&mut b, 1e9).is_empty(), "each crash fires once; the third has none");
+        assert_eq!(r.crashes(), 2);
         assert!(!Roster::new(vec![PeerPlan::compliant(0.0, 1.0)], 0.0, false).plans_crash());
+    }
+
+    #[test]
+    fn planned_crashes_go_first_and_sit_out_the_fraction_draw() {
+        // Five leechers; the second plans a crash at t = 5, the step in
+        // which the fault plan also crashes a fraction of the leechers.
+        let mut plan = vec![PeerPlan::compliant(1.0, 100.0); 5];
+        plan[1] = plan[1].crashing_at(5.0);
+        // round(0.5 × 4) = 2 but round(0.5 × 5) = 3; at 1.0 a pool that
+        // still held the planned victim would hand it out twice.
+        for (fraction, drawn) in [(0.5, 2), (1.0, 4)] {
+            let mut b = faulty_base_at(1.0, FaultPlan::none().with_crash(5.0, fraction));
+            let mut r = Roster::new(plan.clone(), 0.0, false);
+            let ids: Vec<NodeId> = r.admit_due(&mut b, 1.0).into_iter().map(|(id, _)| id).collect();
+            assert!(r.due_crashes(&mut b, 4.0).is_empty(), "nothing due before t = 5");
+            tick_to(&mut b, 5.0);
+            let victims = r.due_crashes(&mut b, 5.0);
+            assert_eq!(victims[0], ids[1], "the planned victim crashes first");
+            assert!(!victims[1..].contains(&ids[1]), "and is absent from the fraction draw");
+            assert_eq!(victims.len(), 1 + drawn, "the draw is over the other four leechers");
+            assert_eq!(r.crashes(), victims.len() as u64);
+        }
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl CreditServer {
         *self.credit.entry(uploader).or_insert(0) += 1;
         true
     }
-
-    /// Credits a whitewashing attacker can farm by cycling identities:
-    /// `identities × initial_grant`.
-    pub fn farmable_credit(&self, identities: u64) -> i64 {
-        identities as i64 * self.initial_grant
-    }
 }
 
 #[cfg(test)]

@@ -11,13 +11,9 @@
 
 use crate::config::{Baseline, BaselineConfig};
 use std::collections::HashMap;
-use tchain_attacks::{PeerPlan, Roster, Strategy};
-use tchain_metrics::{RecoveryCounters, TimeSeries};
-use tchain_obs::{
-    trace_event, Event, ExportStats, MetricMap, Phase, PhaseProfile, PhaseProfiler, StatsRegistry,
-    Tracer,
-};
-use tchain_proto::{Bitfield, FileSpec, Peer, PieceId, Role, SwarmBase, DT, SAMPLE_PERIOD};
+use tchain_attacks::{FluidDriver, PeerPlan, Roster, Strategy};
+use tchain_obs::{trace_event, Event, Phase, StatsRegistry};
+use tchain_proto::{Bitfield, FileSpec, Peer, PieceId, Role, SwarmBase, DT};
 use tchain_sim::{FaultPlan, Flow, FlowId, IdHash, NodeId, Periodic, Route};
 
 /// Regular unchoke slots: BitTorrent unchokes its top 4 contributors
@@ -92,7 +88,7 @@ impl BtState {
 /// ```
 /// use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 /// use tchain_proto::FileSpec;
-/// use tchain_attacks::PeerPlan;
+/// use tchain_attacks::{FluidDriver, PeerPlan};
 /// use tchain_sim::kbps;
 ///
 /// let file = FileSpec::custom(8, 64.0 * 1024.0, 16.0 * 1024.0);
@@ -106,27 +102,19 @@ impl BtState {
 ///     1,
 /// );
 /// swarm.run_until_done();
-/// assert_eq!(swarm.completion_times(true).len(), 6);
+/// assert_eq!(swarm.base().completion_times(true).len(), 6);
 /// ```
 #[derive(Debug)]
 pub struct BaselineSwarm {
     base: SwarmBase,
     policy: Baseline,
-    seeder: NodeId,
     states: Vec<BtState>,
     /// Plan-driven membership lifecycle, shared with `TChainSwarm`.
     roster: Roster,
     rechoke_timer: Periodic,
     optimistic_timer: Periodic,
-    sample_timer: Periodic,
-    leecher_series: TimeSeries,
     completed_buf: Vec<Flow>,
     blocks_moved: u64,
-    crashes: u64,
-    /// Per-phase wall-clock profiler for [`BaselineSwarm::step`];
-    /// disabled (branch-only) unless
-    /// [`BaselineSwarm::enable_profiling`] is called.
-    profiler: PhaseProfiler,
 }
 
 impl BaselineSwarm {
@@ -161,22 +149,15 @@ impl BaselineSwarm {
         fplan: FaultPlan,
     ) -> Self {
         cfg.validate();
-        let mut base = SwarmBase::with_faults(file, seed, fplan);
-        let seeder = base.admit_seeder();
         let mut sw = BaselineSwarm {
-            base,
+            base: SwarmBase::with_faults(file, seed, fplan),
             policy,
-            seeder,
             states: Vec::new(),
             roster: Roster::new(plan, cfg.initial_piece_fraction, cfg.replace_on_finish),
             rechoke_timer: Periodic::new(RECHOKE_PERIOD),
             optimistic_timer: Periodic::new(OPTIMISTIC_PERIOD),
-            sample_timer: Periodic::new(SAMPLE_PERIOD),
-            leecher_series: TimeSeries::new(),
             completed_buf: Vec::new(),
             blocks_moved: 0,
-            crashes: 0,
-            profiler: PhaseProfiler::disabled(),
         };
         let pieces = sw.base.file.pieces;
         sw.states.resize_with(sw.base.peers.len(), || BtState::new(pieces));
@@ -192,192 +173,19 @@ impl BaselineSwarm {
         self.policy
     }
 
-    /// The underlying substrate.
-    pub fn base(&self) -> &SwarmBase {
-        &self.base
-    }
-
-    /// The seeder's id.
-    pub fn seeder(&self) -> NodeId {
-        self.seeder
-    }
-
     /// Blocks transferred so far.
     pub fn blocks_moved(&self) -> u64 {
         self.blocks_moved
-    }
-
-    /// Recovery/fault counters (delivery statistics from the fault layer
-    /// plus crash tallies). Baselines have no retry machinery — a lost
-    /// block-start is simply retried at the next rechoke round.
-    pub fn recovery_counters(&self) -> RecoveryCounters {
-        let fs = self.base.faults.stats();
-        RecoveryCounters {
-            ctrl_sent: fs.sent,
-            ctrl_dropped: fs.dropped + fs.partition_dropped,
-            ctrl_delayed: fs.delayed,
-            tracker_dropped: fs.tracker_dropped,
-            crashes: self.crashes,
-            ..RecoveryCounters::default()
-        }
-    }
-
-    /// `(time, alive leechers)` census samples.
-    pub fn leecher_series(&self) -> &TimeSeries {
-        &self.leecher_series
-    }
-
-    /// Turns on structured event tracing with a ring buffer of `capacity`
-    /// records. Tracing only observes the run; traced and untraced runs
-    /// with the same seed stay bit-identical.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.base.enable_tracing(capacity);
-    }
-
-    /// Turns on per-phase wall-clock profiling of
-    /// [`BaselineSwarm::step`].
-    pub fn enable_profiling(&mut self) {
-        self.profiler = PhaseProfiler::enabled();
-    }
-
-    /// The event tracer (disabled unless
-    /// [`BaselineSwarm::enable_tracing`] was called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.base.trace
-    }
-
-    /// Per-phase timing summary accumulated so far (empty when profiling
-    /// is off).
-    pub fn profile(&self) -> PhaseProfile {
-        self.profiler.profile()
-    }
-
-    /// Every counter the run can report, as one flat named-metric map.
-    pub fn metrics(&self) -> MetricMap {
-        let mut reg = StatsRegistry::new();
-        self.recovery_counters().export_stats("recovery.", &mut reg);
-        self.base.flows.stats().export_stats("flows.", &mut reg);
-        reg.set("blocks.moved", self.blocks_moved);
-        if self.base.trace.is_enabled() {
-            reg.set("trace.emitted", self.base.trace.emitted());
-            reg.set("trace.peak_depth", self.base.trace.peak_depth() as u64);
-            reg.set("trace.overwritten", self.base.trace.overwritten());
-        }
-        reg.snapshot()
-    }
-
-    /// Download completion times of finished leechers by compliance.
-    pub fn completion_times(&self, compliant: bool) -> Vec<f64> {
-        self.base.completion_times(compliant)
-    }
-
-    /// Free-rider outcomes by attacker lineage (whitewash resets collapse
-    /// onto the first identity): completed durations in ascending order
-    /// plus unfinished lineage count.
-    pub fn free_rider_results(&self) -> (Vec<f64>, usize) {
-        self.roster.free_rider_results(&self.base)
-    }
-
-    /// Leechers (by compliance) that joined but never finished.
-    pub fn unfinished(&self, compliant: bool) -> usize {
-        self.base.unfinished(compliant)
-    }
-
-    /// Fairness factors (bytes downloaded / bytes uploaded, §IV-H) of
-    /// finished compliant leechers.
-    pub fn fairness_factors(&self) -> Vec<f64> {
-        self.base
-            .peers
-            .iter()
-            .filter(|p| p.role == Role::Leecher && p.compliant && p.done_time.is_some())
-            .filter_map(|p| self.fairness_of(p))
-            .collect()
-    }
-
-    /// One peer's fairness factor: bytes downloaded per byte uploaded
-    /// (`None` before its first upload).
-    pub fn fairness_of(&self, p: &Peer) -> Option<f64> {
-        let up = self.base.flows.uploaded(p.id);
-        (up > 0.0).then(|| self.base.flows.downloaded(p.id) / up)
-    }
-
-    // ------------------------------------------------------------------
-    // Run loop
-    // ------------------------------------------------------------------
-
-    /// Runs until every planned compliant leecher finished or departed,
-    /// or [`MAX_TIME`](tchain_proto::MAX_TIME) elapses.
-    pub fn run_until_done(&mut self) {
-        self.step();
-        while !self.roster.settled(&self.base) {
-            self.step();
-        }
-    }
-
-    /// Runs until simulated time `t`.
-    pub fn run_to(&mut self, t: f64) {
-        while self.base.clock.now() < t {
-            self.step();
-        }
-    }
-
-    /// Advances the simulation by one step.
-    pub fn step(&mut self) {
-        let now = self.base.clock.tick();
-        let p = self.profiler.begin();
-        self.process_crashes(now);
-        self.roster.admit_due(&mut self.base, now);
-        let pieces = self.base.file.pieces;
-        self.states.resize_with(self.base.peers.len(), || BtState::new(pieces));
-        self.profiler.end(Phase::Membership, p);
-        let p = self.profiler.begin();
-        if self.rechoke_timer.fire(now) {
-            self.rechoke_round(now);
-        }
-        if self.optimistic_timer.fire(now) && self.policy == Baseline::BitTorrent {
-            self.optimistic_round();
-        }
-        if self.policy == Baseline::FairTorrent {
-            self.fairtorrent_kick();
-        }
-        self.profiler.end(Phase::Rechoke, p);
-        let mut completed = std::mem::take(&mut self.completed_buf);
-        completed.clear();
-        let p = self.profiler.begin();
-        self.base.flows.advance(DT, &mut completed);
-        self.profiler.end(Phase::FlowAdvance, p);
-        let p = self.profiler.begin();
-        for f in completed.drain(..) {
-            self.on_block_complete(f, now);
-        }
-        self.profiler.end(Phase::Completions, p);
-        self.completed_buf = completed;
-        if self.sample_timer.fire(now) {
-            let p = self.profiler.begin();
-            self.leecher_series.push(now, self.base.alive_leechers().len() as f64);
-            self.profiler.end(Phase::Sampling, p);
-        }
     }
 
     // ------------------------------------------------------------------
     // Membership
     // ------------------------------------------------------------------
 
-    /// Fires due crash events ([`PeerPlan::crash_at`] schedules and
-    /// [`FaultPlan`] fraction events). Baselines carry no escrowed keys,
-    /// so a crash is a graceful departure minus the goodbye — the same
-    /// state cleanup, counted separately.
-    fn process_crashes(&mut self, now: f64) {
-        for id in self.roster.due_crashes(&self.base, now) {
-            self.crash_peer(id, now);
-        }
-        for id in self.base.crash_victims(now) {
-            self.crash_peer(id, now);
-        }
-    }
-
+    /// Baselines carry no escrowed keys, so a crash is a graceful
+    /// departure minus the goodbye: the same state cleanup, traced (and
+    /// counted by the roster) separately.
     fn crash_peer(&mut self, id: NodeId, now: f64) {
-        self.crashes += 1;
         trace_event!(self.base.trace, now, Event::PeerCrash { peer: id.0 });
         self.remove_peer(id);
     }
@@ -669,10 +477,10 @@ impl BaselineSwarm {
         // message. A dropped one means the block does not start this
         // round; the next rechoke (or FairTorrent kick) is the natural
         // retry. Latency models do not delay data-plane starts — only
-        // drops and partitions apply. No-op on the fault-free path.
+        // drops apply. No-op on the fault-free path.
         if self.base.faults.active() {
             let now = self.base.clock.now();
-            if matches!(self.base.faults.route(u, d, now), Route::Dropped) {
+            if matches!(self.base.faults.route(now), Route::Dropped) {
                 return false;
             }
         }
@@ -832,6 +640,64 @@ impl BaselineSwarm {
     }
 }
 
+impl FluidDriver for BaselineSwarm {
+    fn base(&self) -> &SwarmBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut SwarmBase {
+        &mut self.base
+    }
+
+    fn roster(&self) -> &Roster {
+        &self.roster
+    }
+
+    fn step(&mut self) {
+        let now = self.base.clock.tick();
+        let p = self.base.profiler.begin();
+        for id in self.roster.due_crashes(&mut self.base, now) {
+            self.crash_peer(id, now);
+        }
+        self.roster.admit_due(&mut self.base, now);
+        let pieces = self.base.file.pieces;
+        self.states.resize_with(self.base.peers.len(), || BtState::new(pieces));
+        self.base.profiler.end(Phase::Membership, p);
+        let p = self.base.profiler.begin();
+        if self.rechoke_timer.fire(now) {
+            self.rechoke_round(now);
+        }
+        if self.optimistic_timer.fire(now) && self.policy == Baseline::BitTorrent {
+            self.optimistic_round();
+        }
+        if self.policy == Baseline::FairTorrent {
+            self.fairtorrent_kick();
+        }
+        self.base.profiler.end(Phase::Rechoke, p);
+        let mut completed = std::mem::take(&mut self.completed_buf);
+        completed.clear();
+        let p = self.base.profiler.begin();
+        self.base.flows.advance(DT, &mut completed);
+        self.base.profiler.end(Phase::FlowAdvance, p);
+        let p = self.base.profiler.begin();
+        for f in completed.drain(..) {
+            self.on_block_complete(f, now);
+        }
+        self.base.profiler.end(Phase::Completions, p);
+        self.completed_buf = completed;
+    }
+
+    /// Bytes downloaded per byte uploaded.
+    fn fairness_of(&self, p: &Peer) -> Option<f64> {
+        let up = self.base.flows.uploaded(p.id);
+        (up > 0.0).then(|| self.base.flows.downloaded(p.id) / up)
+    }
+
+    fn export_protocol_stats(&self, reg: &mut StatsRegistry) {
+        reg.set("blocks.moved", self.blocks_moved);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,26 +726,26 @@ mod tests {
     #[test]
     fn bittorrent_compliant_swarm_finishes() {
         let sw = run_policy(Baseline::BitTorrent, 16, 1);
-        assert_eq!(sw.completion_times(true).len(), 16);
+        assert_eq!(sw.base().completion_times(true).len(), 16);
         assert!(sw.blocks_moved() > 0);
     }
 
     #[test]
     fn propshare_compliant_swarm_finishes() {
         let sw = run_policy(Baseline::PropShare, 16, 2);
-        assert_eq!(sw.completion_times(true).len(), 16);
+        assert_eq!(sw.base().completion_times(true).len(), 16);
     }
 
     #[test]
     fn fairtorrent_compliant_swarm_finishes() {
         let sw = run_policy(Baseline::FairTorrent, 16, 3);
-        assert_eq!(sw.completion_times(true).len(), 16);
+        assert_eq!(sw.base().completion_times(true).len(), 16);
     }
 
     #[test]
     fn random_bt_compliant_swarm_finishes() {
         let sw = run_policy(Baseline::RandomBt, 16, 4);
-        assert_eq!(sw.completion_times(true).len(), 16);
+        assert_eq!(sw.base().completion_times(true).len(), 16);
     }
 
     #[test]
@@ -898,9 +764,9 @@ mod tests {
             5,
         );
         sw.run_to(6000.0);
-        assert_eq!(sw.completion_times(true).len(), 16);
+        assert_eq!(sw.base().completion_times(true).len(), 16);
         assert!(
-            !sw.completion_times(false).is_empty(),
+            !sw.base().completion_times(false).is_empty(),
             "free-riders eventually finish in BitTorrent"
         );
     }
@@ -909,7 +775,7 @@ mod tests {
     fn free_riders_slow_down_compliant_leechers() {
         let clean = run_policy(Baseline::BitTorrent, 12, 6);
         let t_clean: f64 = {
-            let v = clean.completion_times(true);
+            let v = clean.base().completion_times(true);
             v.iter().sum::<f64>() / v.len() as f64
         };
         let mut plan = flash_plan(12, 800.0);
@@ -924,7 +790,7 @@ mod tests {
             6,
         );
         sw.run_to(8000.0);
-        let v = sw.completion_times(true);
+        let v = sw.base().completion_times(true);
         assert_eq!(v.len(), 12);
         let t_fr: f64 = v.iter().sum::<f64>() / v.len() as f64;
         assert!(

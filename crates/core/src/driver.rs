@@ -38,15 +38,11 @@ use crate::config::{PieceSelection, TChainConfig};
 use crate::telemetry::Telemetry;
 use crate::txn::{Chain, ChainEnd, ChainId, ChainOrigin, ChainStats, Transaction, TxnId, TxnState};
 use std::collections::{HashMap, VecDeque};
-use tchain_attacks::{ColluderRegistry, PeerPlan, Roster, Strategy};
+use tchain_attacks::{ColluderRegistry, FluidDriver, PeerPlan, Roster, Strategy};
 use tchain_metrics::{RecoveryCounters, TimeSeries};
-use tchain_obs::{
-    trace_event, EndCause, Event, ExportStats, MetricMap, Phase, PhaseProfile, PhaseProfiler,
-    RetryMsg, StatsRegistry, Tracer,
-};
+use tchain_obs::{trace_event, EndCause, Event, ExportStats, Phase, RetryMsg, StatsRegistry};
 use tchain_proto::{
     Bitfield, ControlMsg, Envelope, FileSpec, Peer, PieceId, Role, SendOutcome, SwarmBase, DT,
-    SAMPLE_PERIOD,
 };
 use tchain_sim::{DelayQueue, FaultPlan, Flow, IdHash, NodeId, Periodic};
 
@@ -71,6 +67,9 @@ const MAX_RETRIES: u32 = 6;
 /// crashed participants and trigger §II-B4 escrow repair. The watchdog
 /// only runs once a fault (crash or active plan) exists.
 const WATCHDOG_PERIOD: f64 = 5.0;
+
+/// Seconds between the chain/leecher census samples of Fig. 10/11.
+const SAMPLE_PERIOD: f64 = 5.0;
 
 /// Maps the driver's [`ChainEnd`] onto the observability crate's
 /// dependency-free mirror.
@@ -137,7 +136,7 @@ impl PeerState {
 /// ```
 /// use tchain_core::{TChainSwarm, TChainConfig};
 /// use tchain_proto::FileSpec;
-/// use tchain_attacks::PeerPlan;
+/// use tchain_attacks::{FluidDriver, PeerPlan};
 /// use tchain_sim::kbps;
 ///
 /// let file = FileSpec::custom(16, 64.0 * 1024.0, 64.0 * 1024.0);
@@ -145,13 +144,12 @@ impl PeerState {
 ///     (0..8).map(|i| PeerPlan::compliant(i as f64, kbps(800.0))).collect();
 /// let mut swarm = TChainSwarm::new(file, TChainConfig::default(), plan, 1);
 /// swarm.run_until_done();
-/// assert_eq!(swarm.completion_times(true).len(), 8);
+/// assert_eq!(swarm.base().completion_times(true).len(), 8);
 /// ```
 #[derive(Debug)]
 pub struct TChainSwarm {
     base: SwarmBase,
     cfg: TChainConfig,
-    seeder: NodeId,
     states: Vec<PeerState>,
     /// Plan-driven membership lifecycle, shared with the baselines.
     roster: Roster,
@@ -180,9 +178,6 @@ pub struct TChainSwarm {
     /// The watchdog only runs when a fault can actually occur (active
     /// plan or a scheduled crash), keeping fault-free runs bit-identical.
     watchdog_enabled: bool,
-    /// Per-phase wall-clock profiler for [`TChainSwarm::step`]; disabled
-    /// (branch-only) unless [`TChainSwarm::enable_profiling`] is called.
-    profiler: PhaseProfiler,
 }
 
 impl TChainSwarm {
@@ -209,13 +204,11 @@ impl TChainSwarm {
     ) -> Self {
         cfg.validate();
         let roster = Roster::new(plan, cfg.initial_piece_fraction, cfg.replace_on_finish);
-        let mut base = SwarmBase::with_faults(file, seed, fplan);
+        let base = SwarmBase::with_faults(file, seed, fplan);
         let watchdog_enabled = base.faults.active() || roster.plans_crash();
-        let seeder = base.admit_seeder();
         let mut sw = TChainSwarm {
             base,
             cfg,
-            seeder,
             states: Vec::new(),
             roster,
             txns: Arena::new(),
@@ -239,7 +232,6 @@ impl TChainSwarm {
             repair_queue: Vec::new(),
             watchdog: Periodic::new(WATCHDOG_PERIOD),
             watchdog_enabled,
-            profiler: PhaseProfiler::disabled(),
         };
         let pieces = sw.base.file.pieces;
         sw.states.resize_with(sw.base.peers.len(), || PeerState::new(pieces));
@@ -249,16 +241,6 @@ impl TChainSwarm {
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
-
-    /// The underlying swarm substrate (peers, mesh, flows, clock).
-    pub fn base(&self) -> &SwarmBase {
-        &self.base
-    }
-
-    /// The seeder's id.
-    pub fn seeder(&self) -> NodeId {
-        self.seeder
-    }
 
     /// Protocol configuration.
     pub fn config(&self) -> &TChainConfig {
@@ -300,64 +282,6 @@ impl TChainSwarm {
         self.false_reports
     }
 
-    /// Recovery/fault counters: driver-side retry and repair tallies
-    /// merged with the fault layer's delivery statistics.
-    pub fn recovery_counters(&self) -> RecoveryCounters {
-        let mut c = self.recovery;
-        let fs = self.base.faults.stats();
-        c.ctrl_sent = fs.sent;
-        c.ctrl_dropped = fs.dropped + fs.partition_dropped;
-        c.ctrl_delayed = fs.delayed;
-        c.tracker_dropped = fs.tracker_dropped;
-        c
-    }
-
-    /// Turns on structured event tracing with a ring buffer of `capacity`
-    /// records. Tracing only *observes* the run — wall-clock time never
-    /// feeds back into protocol decisions, so traced and untraced runs
-    /// with the same seed stay bit-identical.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.base.enable_tracing(capacity);
-    }
-
-    /// Turns on per-phase wall-clock profiling of [`TChainSwarm::step`].
-    pub fn enable_profiling(&mut self) {
-        self.profiler = PhaseProfiler::enabled();
-    }
-
-    /// The event tracer (disabled unless
-    /// [`TChainSwarm::enable_tracing`] was called).
-    pub fn tracer(&self) -> &Tracer {
-        &self.base.trace
-    }
-
-    /// Per-phase timing summary accumulated so far (empty when profiling
-    /// is off).
-    pub fn profile(&self) -> PhaseProfile {
-        self.profiler.profile()
-    }
-
-    /// Every counter the run can report, as one flat named-metric map:
-    /// chain statistics, recovery/fault counters, flow-scheduler and
-    /// fault-layer tallies, transaction totals and tracer gauges.
-    pub fn metrics(&self) -> MetricMap {
-        let mut reg = StatsRegistry::new();
-        self.stats.export_stats("chains.", &mut reg);
-        self.recovery_counters().export_stats("recovery.", &mut reg);
-        self.base.flows.stats().export_stats("flows.", &mut reg);
-        reg.set("txns.completed", self.txns_completed);
-        reg.set("txns.aborted", self.txns_aborted);
-        reg.set("txns.direct", self.direct_txns);
-        reg.set("txns.indirect", self.indirect_txns);
-        reg.set("txns.false_reports", self.false_reports);
-        if self.base.trace.is_enabled() {
-            reg.set("trace.emitted", self.base.trace.emitted());
-            reg.set("trace.peak_depth", self.base.trace.peak_depth() as u64);
-            reg.set("trace.overwritten", self.base.trace.overwritten());
-        }
-        reg.snapshot()
-    }
-
     /// Transactions currently live (for leak checks).
     pub fn live_transactions(&self) -> usize {
         self.txns.len()
@@ -379,135 +303,9 @@ impl TChainSwarm {
         &self.telemetry
     }
 
-    /// Download completion times (seconds from join to finish) of leechers
-    /// that finished, filtered to compliant or free-riding peers.
-    pub fn completion_times(&self, compliant: bool) -> Vec<f64> {
-        self.base.completion_times(compliant)
-    }
-
-    /// Free-rider outcomes by attacker *lineage* (whitewash resets
-    /// collapse onto the first identity): completed download durations
-    /// in ascending order, and the number of lineages that never finished.
-    pub fn free_rider_results(&self) -> (Vec<f64>, usize) {
-        self.roster.free_rider_results(&self.base)
-    }
-
-    /// Leechers (by compliance) that joined but never finished.
-    pub fn unfinished(&self, compliant: bool) -> usize {
-        self.base.unfinished(compliant)
-    }
-
-    /// Fairness factors (downloaded/uploaded pieces, §IV-H) of finished
-    /// compliant leechers.
-    pub fn fairness_factors(&self) -> Vec<f64> {
-        self.base
-            .peers
-            .iter()
-            .filter(|p| p.role == Role::Leecher && p.compliant && p.done_time.is_some())
-            .filter_map(|p| self.fairness_of(p))
-            .collect()
-    }
-
-    /// One peer's fairness factor: pieces downloaded per piece uploaded
-    /// (`None` before its first upload).
-    pub fn fairness_of(&self, p: &Peer) -> Option<f64> {
-        p.fairness_factor()
-    }
-
-    // ------------------------------------------------------------------
-    // Run loop
-    // ------------------------------------------------------------------
-
-    /// Runs until every planned compliant leecher finished (or departed),
-    /// or until [`MAX_TIME`](tchain_proto::MAX_TIME).
-    pub fn run_until_done(&mut self) {
-        self.step();
-        while !self.roster.settled(&self.base) {
-            self.step();
-        }
-    }
-
-    /// Runs until simulated time `t`.
-    pub fn run_to(&mut self, t: f64) {
-        while self.base.clock.now() < t {
-            self.step();
-        }
-    }
-
-    /// Advances the simulation by one step.
-    pub fn step(&mut self) {
-        let now = self.base.clock.tick();
-        let p = self.profiler.begin();
-        self.process_crashes(now);
-        self.process_arrivals(now);
-        self.profiler.end(Phase::Membership, p);
-        if self.rechoke_timer.fire(now) {
-            let p = self.profiler.begin();
-            self.free_rider_round(now);
-            self.refill_round();
-            self.profiler.end(Phase::Rechoke, p);
-        }
-        let p = self.profiler.begin();
-        self.seeder_round(now);
-        if self.cfg.opportunistic_seeding {
-            self.opportunistic_round(now);
-        }
-        self.profiler.end(Phase::ChainRounds, p);
-        let mut completed = std::mem::take(&mut self.completed_buf);
-        completed.clear();
-        let p = self.profiler.begin();
-        self.base.flows.advance(DT, &mut completed);
-        self.profiler.end(Phase::FlowAdvance, p);
-        let p = self.profiler.begin();
-        for f in completed.drain(..) {
-            self.on_upload_complete(f, now);
-        }
-        self.profiler.end(Phase::Completions, p);
-        self.completed_buf = completed;
-        // Delayed control messages whose delivery time has come (empty on
-        // the fault-free path: everything was delivered synchronously).
-        let p = self.profiler.begin();
-        while let Some(env) = self.base.poll_control() {
-            self.handle_ctrl(env, now);
-        }
-        self.profiler.end(Phase::ControlDrain, p);
-        // Retransmission timers (armed only under active faults).
-        let p = self.profiler.begin();
-        while let Some(e) = self.retries.pop_due(now) {
-            self.fire_retry(e, now);
-        }
-        self.profiler.end(Phase::Retries, p);
-        let p = self.profiler.begin();
-        self.stall_sweep(now);
-        self.profiler.end(Phase::StallSweep, p);
-        if self.watchdog_enabled && self.watchdog.fire(now) {
-            let p = self.profiler.begin();
-            self.watchdog_sweep(now);
-            self.profiler.end(Phase::Watchdog, p);
-        }
-        if self.sample_timer.fire(now) {
-            let p = self.profiler.begin();
-            self.chain_series.push(now, self.stats.active as f64);
-            self.leecher_series.push(now, self.base.alive_leechers().len() as f64);
-            self.profiler.end(Phase::Sampling, p);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Membership
     // ------------------------------------------------------------------
-
-    /// Fires due crash events: per-peer schedules from [`PeerPlan::crash_at`]
-    /// and fraction-of-swarm events from the [`FaultPlan`]. No-op (and
-    /// branch-only) when neither exists.
-    fn process_crashes(&mut self, now: f64) {
-        for id in self.roster.due_crashes(&self.base, now) {
-            self.crash_peer(id, now);
-        }
-        for id in self.base.crash_victims(now) {
-            self.crash_peer(id, now);
-        }
-    }
 
     /// Admits the joins due at `now`, then sets up what T-Chain tracks per
     /// peer: the whitewash clock, the colluder registry and — for a peer
@@ -585,7 +383,6 @@ impl TChainSwarm {
     /// live — the watchdog discovers them by timeout, and §II-B4 repair of
     /// interrupted reciprocations is deferred to the next sweep.
     fn crash_peer(&mut self, id: NodeId, now: f64) {
-        self.recovery.crashes += 1;
         trace_event!(self.base.trace, now, Event::PeerCrash { peer: id.0 });
         let (out, inb) = self.base.depart(id);
         self.colluders.unregister(id);
@@ -688,7 +485,7 @@ impl TChainSwarm {
         piece: PieceId,
     ) -> (Option<NodeId>, bool) {
         // Direct reciprocity: the requestor has a piece the donor needs.
-        if self.cfg.direct_reciprocity && donor != self.seeder {
+        if self.cfg.direct_reciprocity && donor != self.base.seeder {
             let d = self.base.peers.get(donor);
             let r = self.base.peers.get(requestor);
             if !d.have.is_complete() {
@@ -956,7 +753,7 @@ impl TChainSwarm {
     // ------------------------------------------------------------------
 
     fn seeder_round(&mut self, now: f64) {
-        let seeder = self.seeder;
+        let seeder = self.base.seeder;
         let mut guard = 0;
         while self.base.flows.count_from(seeder) < SEEDER_SLOTS {
             guard += 1;
@@ -1569,6 +1366,98 @@ impl TChainSwarm {
     }
 }
 
+impl FluidDriver for TChainSwarm {
+    fn base(&self) -> &SwarmBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut SwarmBase {
+        &mut self.base
+    }
+
+    fn roster(&self) -> &Roster {
+        &self.roster
+    }
+
+    fn step(&mut self) {
+        let now = self.base.clock.tick();
+        let p = self.base.profiler.begin();
+        for id in self.roster.due_crashes(&mut self.base, now) {
+            self.crash_peer(id, now);
+        }
+        self.process_arrivals(now);
+        self.base.profiler.end(Phase::Membership, p);
+        if self.rechoke_timer.fire(now) {
+            let p = self.base.profiler.begin();
+            self.free_rider_round(now);
+            self.refill_round();
+            self.base.profiler.end(Phase::Rechoke, p);
+        }
+        let p = self.base.profiler.begin();
+        self.seeder_round(now);
+        if self.cfg.opportunistic_seeding {
+            self.opportunistic_round(now);
+        }
+        self.base.profiler.end(Phase::ChainRounds, p);
+        let mut completed = std::mem::take(&mut self.completed_buf);
+        completed.clear();
+        let p = self.base.profiler.begin();
+        self.base.flows.advance(DT, &mut completed);
+        self.base.profiler.end(Phase::FlowAdvance, p);
+        let p = self.base.profiler.begin();
+        for f in completed.drain(..) {
+            self.on_upload_complete(f, now);
+        }
+        self.base.profiler.end(Phase::Completions, p);
+        self.completed_buf = completed;
+        // Delayed control messages whose delivery time has come (empty on
+        // the fault-free path: everything was delivered synchronously).
+        let p = self.base.profiler.begin();
+        while let Some(env) = self.base.poll_control() {
+            self.handle_ctrl(env, now);
+        }
+        self.base.profiler.end(Phase::ControlDrain, p);
+        // Retransmission timers (armed only under active faults).
+        let p = self.base.profiler.begin();
+        while let Some(e) = self.retries.pop_due(now) {
+            self.fire_retry(e, now);
+        }
+        self.base.profiler.end(Phase::Retries, p);
+        let p = self.base.profiler.begin();
+        self.stall_sweep(now);
+        self.base.profiler.end(Phase::StallSweep, p);
+        if self.watchdog_enabled && self.watchdog.fire(now) {
+            let p = self.base.profiler.begin();
+            self.watchdog_sweep(now);
+            self.base.profiler.end(Phase::Watchdog, p);
+        }
+        if self.sample_timer.fire(now) {
+            let p = self.base.profiler.begin();
+            self.chain_series.push(now, self.stats.active as f64);
+            self.leecher_series.push(now, self.base.alive_leechers().len() as f64);
+            self.base.profiler.end(Phase::Sampling, p);
+        }
+    }
+
+    /// Pieces downloaded per piece uploaded.
+    fn fairness_of(&self, p: &Peer) -> Option<f64> {
+        p.fairness_factor()
+    }
+
+    fn export_protocol_stats(&self, reg: &mut StatsRegistry) {
+        self.stats.export_stats("chains.", reg);
+        reg.set("txns.completed", self.txns_completed);
+        reg.set("txns.aborted", self.txns_aborted);
+        reg.set("txns.direct", self.direct_txns);
+        reg.set("txns.indirect", self.indirect_txns);
+        reg.set("txns.false_reports", self.false_reports);
+    }
+
+    fn recovery_tallies(&self) -> RecoveryCounters {
+        self.recovery
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1593,9 +1482,9 @@ mod tests {
             7,
         );
         sw.run_until_done();
-        let times = sw.completion_times(true);
+        let times = sw.base().completion_times(true);
         assert_eq!(times.len(), 1, "the lone leecher finishes");
-        assert_eq!(sw.unfinished(true), 0);
+        assert_eq!(sw.base().unfinished(true), 0);
     }
 
     #[test]
@@ -1603,7 +1492,7 @@ mod tests {
         let mut sw =
             TChainSwarm::new(small_file(32), TChainConfig::default(), flash_plan(20, 800.0), 11);
         sw.run_until_done();
-        assert_eq!(sw.completion_times(true).len(), 20, "everyone finishes");
+        assert_eq!(sw.base().completion_times(true).len(), 20, "everyone finishes");
         assert!(sw.txns_completed() > 0);
         // Chains were actually used: both seeder and opportunistic.
         assert!(sw.chain_stats().created_by_seeder > 0);
@@ -1622,8 +1511,8 @@ mod tests {
         // §II-B3 seeder-to-single-leecher case and the seeder legitimately
         // uploads unencrypted pieces — see the module docs.)
         sw.run_until_done();
-        assert_eq!(sw.completion_times(true).len(), 16, "compliant leechers finish");
-        assert_eq!(sw.completion_times(false).len(), 0, "free-riders never do");
+        assert_eq!(sw.base().completion_times(true).len(), 16, "compliant leechers finish");
+        assert_eq!(sw.base().completion_times(false).len(), 0, "free-riders never do");
     }
 
     #[test]
@@ -1645,7 +1534,7 @@ mod tests {
             17,
         );
         sw.run_to(8000.0);
-        let compliant = sw.completion_times(true);
+        let compliant = sw.base().completion_times(true);
         assert_eq!(compliant.len(), 24);
         assert!(sw.false_reports() > 0, "collusion produced false reports");
         // Colluders make *some* progress (unlike plain free-riders), even
@@ -1658,9 +1547,9 @@ mod tests {
             .map(|p| p.pieces_down)
             .sum();
         assert!(colluder_pieces > 0, "collusion yields some pieces");
-        if !sw.completion_times(false).is_empty() {
+        if !sw.base().completion_times(false).is_empty() {
             let mean_c = compliant.iter().sum::<f64>() / compliant.len() as f64;
-            let fr = sw.completion_times(false);
+            let fr = sw.base().completion_times(false);
             let mean_f = fr.iter().sum::<f64>() / fr.len() as f64;
             assert!(mean_f > mean_c, "colluders are slower than compliant leechers");
         }
@@ -1767,7 +1656,7 @@ mod tests {
             "free-riding must terminate chains via the sweep (§IV-F)"
         );
         // Opportunistic seeding compensates: compliant leechers finish.
-        assert_eq!(sw.completion_times(true).len(), 8);
+        assert_eq!(sw.base().completion_times(true).len(), 8);
     }
 
     /// Asserts the correct outcome; today the run ends 7/8 and stays there
@@ -1781,7 +1670,7 @@ mod tests {
     #[ignore = "ROADMAP 2(b): tail deadlock, 9 peers × 16 pieces"]
     fn seed_47_last_leecher_deadlocks_behind_an_unfulfillable_obligation() {
         let sw = free_rider_stall_swarm(47);
-        assert_eq!(sw.completion_times(true).len(), 8);
+        assert_eq!(sw.base().completion_times(true).len(), 8);
     }
 
     #[test]
@@ -1795,7 +1684,7 @@ mod tests {
             53,
         );
         sw.run_to(300.0);
-        assert!(sw.completion_times(true).len() > 10, "churn kept the swarm busy");
+        assert!(sw.base().completion_times(true).len() > 10, "churn kept the swarm busy");
         // Consistency: created == ended + active at all times.
         let s = *sw.chain_stats();
         assert_eq!(s.created_total(), s.ended + s.active);

@@ -6,6 +6,7 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
+use tchain_attacks::FluidDriver;
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::FileSpec;
@@ -98,7 +99,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
             let mut sw = TChainSwarm::new(v.spec, v.cfg, plan, seed);
             let wall = std::time::Instant::now();
             sw.run_until_done();
-            let ct = sw.completion_times(true);
+            let ct = sw.base().completion_times(true);
             let time =
                 (!ct.is_empty()).then(|| ct.iter().sum::<f64>() / ct.len() as f64);
             let util = sw.base().mean_uplink_utilization();

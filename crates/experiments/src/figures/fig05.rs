@@ -5,6 +5,7 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
+use tchain_attacks::FluidDriver;
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_sim::{kbps, NodeId};
 

@@ -7,6 +7,7 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
+use tchain_attacks::FluidDriver;
 use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::Role;

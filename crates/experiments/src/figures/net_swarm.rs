@@ -21,7 +21,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
 use std::time::Instant;
-use tchain_attacks::PeerPlan;
+use tchain_attacks::{FluidDriver, PeerPlan};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig};
 use tchain_proto::FileSpec;
@@ -157,7 +157,7 @@ pub(crate) fn fluid_leg(
     }
     let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, seed);
     sw.run_until_done();
-    let rate = sw.completion_times(true).len() as f64 / compliant as f64;
+    let rate = sw.base().completion_times(true).len() as f64 / compliant as f64;
     let fr_done =
         sw.base().peers.iter().filter(|p| !p.compliant && p.done_time.is_some()).count();
     (rate, fr_done, sw.chain_stats().mean_length())

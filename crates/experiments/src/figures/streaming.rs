@@ -12,6 +12,7 @@ use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
+use tchain_attacks::FluidDriver;
 use tchain_core::{PieceSelection, TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::PieceId;
@@ -125,7 +126,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
             }
             let wall = std::time::Instant::now();
             sw.run_until_done();
-            let completion: Vec<f64> = sw.completion_times(true);
+            let completion: Vec<f64> = sw.base().completion_times(true);
             let mut playbacks = Vec::new();
             for &v in &viewers {
                 let Some(tl) = sw.telemetry().timeline(v) else { continue };

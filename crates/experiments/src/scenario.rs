@@ -3,12 +3,12 @@
 
 use std::time::Instant;
 
-use tchain_attacks::{GroupId, PeerPlan, Strategy};
+use tchain_attacks::{FluidDriver, GroupId, PeerPlan, Strategy};
 use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::RecoveryCounters;
 use tchain_obs::{MetricMap, PhaseProfile, TraceRecord};
-use tchain_proto::{FileSpec, Peer, Role, SwarmBase};
+use tchain_proto::{FileSpec, Role};
 use tchain_sim::FaultPlan;
 use tchain_workloads::{flash_crowd, CapacityClasses, TraceModel};
 
@@ -252,10 +252,10 @@ pub fn run_proto_with_faults(
     let wall_start = Instant::now();
     let mut sw = build_swarm(proto, spec, opts, plan, seed, faults);
     if let Some(cap) = opts.trace_capacity {
-        sw.enable_tracing(cap);
+        sw.base_mut().enable_tracing(cap);
     }
     if opts.profile {
-        sw.enable_profiling();
+        sw.base_mut().enable_profiling();
     }
     match horizon {
         Horizon::CompliantDone => sw.run_until_done(),
@@ -276,39 +276,6 @@ pub fn run_proto_with_faults(
     collect(&*sw, spec.piece_size, wall_start)
 }
 
-/// What the shared run path needs from a fluid swarm driver; both
-/// drivers already expose every method under the same name.
-pub(crate) trait FluidSwarm {
-    fn base(&self) -> &SwarmBase;
-    fn run_until_done(&mut self);
-    fn run_to(&mut self, t: f64);
-    fn enable_tracing(&mut self, capacity: usize);
-    fn enable_profiling(&mut self);
-    fn recovery_counters(&self) -> RecoveryCounters;
-    fn metrics(&self) -> MetricMap;
-    fn profile(&self) -> PhaseProfile;
-    fn free_rider_results(&self) -> (Vec<f64>, usize);
-    fn fairness_of(&self, p: &Peer) -> Option<f64>;
-}
-
-macro_rules! impl_fluid_swarm {
-    ($($ty:ty),*) => {$(
-        impl FluidSwarm for $ty {
-            fn base(&self) -> &SwarmBase { <$ty>::base(self) }
-            fn run_until_done(&mut self) { <$ty>::run_until_done(self) }
-            fn run_to(&mut self, t: f64) { <$ty>::run_to(self, t) }
-            fn enable_tracing(&mut self, capacity: usize) { <$ty>::enable_tracing(self, capacity) }
-            fn enable_profiling(&mut self) { <$ty>::enable_profiling(self) }
-            fn recovery_counters(&self) -> RecoveryCounters { <$ty>::recovery_counters(self) }
-            fn metrics(&self) -> MetricMap { <$ty>::metrics(self) }
-            fn profile(&self) -> PhaseProfile { <$ty>::profile(self) }
-            fn free_rider_results(&self) -> (Vec<f64>, usize) { <$ty>::free_rider_results(self) }
-            fn fairness_of(&self, p: &Peer) -> Option<f64> { <$ty>::fairness_of(self, p) }
-        }
-    )*};
-}
-impl_fluid_swarm!(TChainSwarm, BaselineSwarm);
-
 /// Constructs the driver for `proto` — the one place the two swarm types
 /// are told apart; everything after construction is shared.
 pub(crate) fn build_swarm(
@@ -318,7 +285,7 @@ pub(crate) fn build_swarm(
     plan: Vec<PeerPlan>,
     seed: u64,
     faults: FaultPlan,
-) -> Box<dyn FluidSwarm> {
+) -> Box<dyn FluidDriver> {
     match proto {
         Proto::TChain => {
             let cfg = TChainConfig {
@@ -338,7 +305,7 @@ pub(crate) fn build_swarm(
     }
 }
 
-fn collect(sw: &dyn FluidSwarm, piece_size: f64, wall_start: Instant) -> RunOutcome {
+fn collect(sw: &dyn FluidDriver, piece_size: f64, wall_start: Instant) -> RunOutcome {
     let base = sw.base();
     let now = base.clock.now();
     let mut compliant: Vec<(f64, f64, Option<f64>)> = Vec::new();
@@ -375,7 +342,7 @@ fn collect(sw: &dyn FluidSwarm, piece_size: f64, wall_start: Instant) -> RunOutc
         sim_time: now,
         recovery: sw.recovery_counters(),
         peak_event_depth: base.trace.peak_depth(),
-        phases: sw.profile(),
+        phases: base.profiler.profile(),
         metrics: sw.metrics(),
         trace_records: base.trace.records(),
         // Last, so the reading covers the collection above as well.

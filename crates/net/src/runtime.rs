@@ -902,11 +902,6 @@ impl PeerRuntime {
                 .all(|(&n, &k)| self.ledger.get(&n).copied().unwrap_or(0) == k)
     }
 
-    /// Reciprocations currently owed (§II-B2 obligations outstanding).
-    pub fn pending_obligations(&self) -> usize {
-        self.obligations.len()
-    }
-
     /// Escrowed keys currently held as payee for departed donors
     /// (§II-B4), counted across all `(donor, piece)` entries.
     pub fn escrow_held(&self) -> usize {

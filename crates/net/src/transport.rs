@@ -289,8 +289,19 @@ impl ChannelMesh {
 
     /// A mesh with both a fault plan and a byzantine chaos plan, each on
     /// its own seeded stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick_dt` is not positive, or if `plan` schedules crash
+    /// events: the mesh only routes frames, so they would never fire. Crash
+    /// peers on the wire with `ChaosPlan::with_crash_restart`.
     pub fn with_chaos(plan: FaultPlan, chaos: ChaosPlan, tick_dt: f64) -> Self {
         assert!(tick_dt > 0.0, "tick_dt must be positive");
+        assert!(
+            plan.crashes.is_empty(),
+            "ChannelMesh ignores FaultPlan crash events; crash peers with \
+             ChaosPlan::with_crash_restart"
+        );
         // Per-link floors only where they can bind. Without a latency
         // model every send is scheduled at `now + tick_dt`, so every
         // floor a send raises is at most the current `now + tick_dt` and
@@ -481,18 +492,12 @@ impl Transport for ChannelMesh {
             return Ok(());
         }
         let route = match frame {
-            // Control plane: subject to the full fault model (loss,
-            // partition, latency) — the PR 1 assumption under test.
-            Frame::Control(_) => self.fault.route(from, to, self.now),
-            // Bulk data rides a reliable stream: delayed and
-            // partition-blocked, but never randomly lost.
-            Frame::PieceData { .. } => {
-                if self.fault.partitioned(from, to, self.now) {
-                    Route::Dropped
-                } else {
-                    Route::Now
-                }
-            }
+            // Control plane: subject to the full fault model (loss and
+            // latency) — the PR 1 assumption under test.
+            Frame::Control(_) => self.fault.route(self.now),
+            // Bulk data rides a reliable stream: never lost, and delayed
+            // only behind its link's FIFO floor.
+            Frame::PieceData { .. } => Route::Now,
         };
         match route {
             Route::Dropped => {
@@ -596,6 +601,12 @@ mod tests {
             m.send(NodeId(1), NodeId(9), ctrl(0)),
             Err(NetError::UnknownPeer(NodeId(9)))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "crash peers with ChaosPlan::with_crash_restart")]
+    fn fault_plan_crash_events_are_rejected() {
+        ChannelMesh::new(FaultPlan::none().with_crash(5.0, 0.25), 0.1);
     }
 
     #[test]

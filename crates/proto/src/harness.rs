@@ -4,15 +4,15 @@
 //! FairTorrent, Random BitTorrent) shares the same swarm mechanics: one
 //! persistent seeder, leechers that join via the tracker, maintain 30–55
 //! neighbors, announce completed pieces, and depart when done (§IV-A).
-//! [`SwarmBase`] bundles that state and answers the questions that need
-//! nothing else (who finished and when, who never did, whom a
-//! [`FaultPlan`] crash event hits); `tchain_attacks::Roster` drives its
+//! [`SwarmBase`] bundles that state, with the run's tracer and phase
+//! profiler, and answers the questions that need nothing else (who
+//! finished and when, who never did); `tchain_attacks::Roster` drives its
 //! plan-based membership, and the drivers in `tchain-core` and
 //! `tchain-baselines` layer their protocol logic on top.
 
 use crate::control::{Envelope, SendOutcome};
 use crate::{Bitfield, FileSpec, Mesh, PeerTable, PieceId, Role, Tracker};
-use tchain_obs::{trace_event, Event, Tracer};
+use tchain_obs::{trace_event, Event, PhaseProfiler, Tracer};
 use tchain_sim::{Clock, DelayQueue, FaultPlan, FaultState, Flow, FlowScheduler, NodeId, Route, SimRng};
 
 /// Members returned per tracker query (§IV-A: "a list of 50 randomly
@@ -35,12 +35,8 @@ pub const DT: f64 = 1.0;
 /// Hard stop for a run, in seconds.
 pub const MAX_TIME: f64 = 50_000.0;
 
-/// Seconds between the chain/leecher census samples of Fig. 10/11, in
-/// both fluid drivers.
-pub const SAMPLE_PERIOD: f64 = 5.0;
-
 /// The state every swarm driver owns: membership, mesh, tracker, bandwidth
-/// scheduler, clock and the run's RNG.
+/// scheduler, clock, the run's RNG and its instrumentation.
 #[derive(Debug)]
 pub struct SwarmBase {
     /// The shared file.
@@ -64,20 +60,26 @@ pub struct SwarmBase {
     pub ctrl: DelayQueue<Envelope>,
     /// Structured event tracer (disabled by default; see `tchain-obs`).
     pub trace: Tracer,
+    /// Per-phase wall-clock profiler of the driver's step (disabled, so
+    /// branch-only, by default).
+    pub profiler: PhaseProfiler,
+    /// The single persistent seeder, admitted at construction.
+    pub seeder: NodeId,
 }
 
 impl SwarmBase {
-    /// Creates an empty swarm (no seeder yet) sharing `file`, for a
-    /// seeded run.
+    /// Creates a swarm sharing `file` whose only member is its seeder, for
+    /// a seeded run.
     pub fn new(file: FileSpec, seed: u64) -> Self {
         SwarmBase::with_faults(file, seed, FaultPlan::none())
     }
 
-    /// Creates an empty swarm with a fault-injection plan. The fault RNG
-    /// stream is derived from the plan's own seed, so the same `seed`
-    /// produces the same swarm dynamics whether or not faults are active.
+    /// Creates a swarm (its seeder admitted) with a fault-injection plan.
+    /// The fault RNG stream is derived from the plan's own seed, so the
+    /// same `seed` produces the same swarm dynamics whether or not faults
+    /// are active.
     pub fn with_faults(file: FileSpec, seed: u64, plan: FaultPlan) -> Self {
-        SwarmBase {
+        let mut base = SwarmBase {
             file,
             clock: Clock::new(DT),
             peers: PeerTable::new(),
@@ -88,7 +90,11 @@ impl SwarmBase {
             faults: FaultState::new(plan),
             ctrl: DelayQueue::new(),
             trace: Tracer::disabled(),
-        }
+            profiler: PhaseProfiler::disabled(),
+            seeder: NodeId(0),
+        };
+        base.seeder = base.admit(Role::Seeder, SEEDER_CAPACITY, true);
+        base
     }
 
     /// Switches on structured event tracing with the given ring capacity.
@@ -97,13 +103,19 @@ impl SwarmBase {
         self.trace = Tracer::with_capacity(capacity);
     }
 
+    /// Switches on per-phase wall-clock profiling of the driver's step.
+    /// Like tracing, it only observes the run.
+    pub fn enable_profiling(&mut self) {
+        self.profiler = PhaseProfiler::enabled();
+    }
+
     /// Routes a control message through the fault layer. Returns
     /// [`SendOutcome::Delivered`] with the envelope when it should be
     /// handled synchronously (always the case without faults), otherwise
     /// parks or drops it.
     pub fn send_control(&mut self, env: Envelope) -> SendOutcome {
         let now = self.clock.now();
-        match self.faults.route(env.from, env.to, now) {
+        match self.faults.route(now) {
             Route::Now => SendOutcome::Delivered(env),
             Route::At(t) => {
                 trace_event!(
@@ -128,11 +140,6 @@ impl SwarmBase {
     /// Pops the next delayed control message due at the current time.
     pub fn poll_control(&mut self) -> Option<Envelope> {
         self.ctrl.pop_due(self.clock.now())
-    }
-
-    /// Admits the (single) seeder. Must be called before leechers join.
-    pub fn admit_seeder(&mut self) -> NodeId {
-        self.admit(Role::Seeder, SEEDER_CAPACITY, true)
     }
 
     /// Admits a peer: registers it with the tracker, installs its upload
@@ -249,18 +256,6 @@ impl SwarmBase {
             .count()
     }
 
-    /// Victims of the [`FaultPlan`] crash-fraction events due at `now`,
-    /// drawn over the leechers alive at the call — so per-peer planned
-    /// crashes must be applied first. Empty (and draw-free) when no event
-    /// is due.
-    pub fn crash_victims(&mut self, now: f64) -> Vec<NodeId> {
-        if !self.faults.crash_due(now) {
-            return Vec::new();
-        }
-        let alive = self.alive_leechers();
-        self.faults.crash_victims(now, &alive)
-    }
-
     /// Mean uplink utilization over compliant leechers that have departed
     /// or finished: bytes uploaded divided by capacity × residence time
     /// (Fig. 3(b)).
@@ -299,7 +294,7 @@ mod tests {
     #[test]
     fn seeder_then_leechers_connect() {
         let mut b = base();
-        let s = b.admit_seeder();
+        let s = b.seeder;
         assert!(b.peers.get(s).have.is_complete());
         let l1 = b.admit(Role::Leecher, kbps(400.0), true);
         assert!(b.mesh.are_neighbors(l1, s), "first leecher connects to the only member");
@@ -310,7 +305,6 @@ mod tests {
     #[test]
     fn grant_piece_announces_and_completes() {
         let mut b = base();
-        let _s = b.admit_seeder();
         let l = b.admit(Role::Leecher, kbps(400.0), true);
         let pieces = b.file.pieces;
         for i in 0..pieces as u32 {
@@ -323,8 +317,7 @@ mod tests {
     #[test]
     fn depart_cleans_up() {
         let mut b = base();
-        let s = b.admit_seeder();
-        let l = b.admit(Role::Leecher, kbps(400.0), true);
+        let (s, l) = (b.seeder, b.admit(Role::Leecher, kbps(400.0), true));
         b.flows.start(s, l, 100.0, 1.0, 0);
         b.flows.start(l, s, 100.0, 1.0, 0);
         let (out, inb) = b.depart(l);
@@ -338,7 +331,6 @@ mod tests {
     #[test]
     fn refill_queries_when_below_threshold() {
         let mut b = base();
-        b.admit_seeder();
         for _ in 0..40 {
             b.admit(Role::Leecher, kbps(400.0), true);
         }
@@ -390,8 +382,7 @@ mod tests {
     #[test]
     fn utilization_counts_only_compliant_leechers() {
         let mut b = base();
-        let s = b.admit_seeder();
-        let l = b.admit(Role::Leecher, 100.0, true);
+        let (s, l) = (b.seeder, b.admit(Role::Leecher, 100.0, true));
         let f = b.admit(Role::Leecher, 0.0, false);
         // l uploads at full capacity for 10 s.
         b.flows.start(l, s, 2000.0, 1.0, 0);

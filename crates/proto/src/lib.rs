@@ -14,8 +14,8 @@
 //! * [`SwarmBase`] — the state every driver shares, with the paper's
 //!   fixed parameters as constants: [`LIST_SIZE`]-member tracker lists,
 //!   refill below 30 neighbors, a 55-neighbor cap and a 6000 Kbps seeder
-//!   (§IV-A), plus the clock step [`DT`], the run horizon [`MAX_TIME`]
-//!   and the census period [`SAMPLE_PERIOD`].
+//!   (§IV-A), plus the clock step [`DT`] and the run horizon
+//!   [`MAX_TIME`]; it also owns the run's tracer and phase profiler.
 //!
 //! Protocol logic (unchoking, deficits, T-Chain transactions) lives in
 //! `tchain-baselines` and `tchain-core`, in drivers layered on this crate
@@ -33,7 +33,7 @@ mod tracker;
 pub mod wire;
 
 pub use control::{ControlMsg, Envelope, SendOutcome};
-pub use harness::{SwarmBase, DT, LIST_SIZE, MAX_TIME, SAMPLE_PERIOD};
+pub use harness::{SwarmBase, DT, LIST_SIZE, MAX_TIME};
 pub use mesh::Mesh;
 pub use peer::{Peer, PeerTable, Role};
 pub use piece::{Bitfield, FileSpec, PieceId};

@@ -1,18 +1,17 @@
-//! Fault injection: lossy/delayed control plane, peer crashes, partitions.
+//! Fault injection: lossy/delayed control plane and peer crashes.
 //!
 //! The paper (§III-C) treats reception reports, decryption keys and
 //! tracker queries as instantaneous and reliable. A [`FaultPlan`] breaks
 //! that assumption deterministically: control messages can be dropped with
 //! a configured probability or delayed by a configured latency
-//! distribution, peers can crash abruptly mid-transaction (distinct from
-//! the graceful §II-B4 departure), and the swarm can be partitioned for an
-//! interval. All randomness comes from a dedicated RNG stream seeded by
+//! distribution, and peers can crash abruptly mid-transaction (distinct
+//! from the graceful §II-B4 departure). All randomness comes from a dedicated RNG stream seeded by
 //! the plan itself, so enabling faults never perturbs the driver's main
 //! RNG — and `FaultPlan::none()` takes a branch-only fast path that draws
 //! nothing, keeping fault-free runs bit-identical to a build without this
 //! module.
 
-use crate::rng::{splitmix64, SimRng};
+use crate::rng::SimRng;
 use crate::NodeId;
 
 /// Latency distribution for delivered (non-dropped) control messages.
@@ -62,20 +61,6 @@ pub struct CrashSpec {
     pub fraction: f64,
 }
 
-/// A network partition: for `start ≤ now < end`, control messages between
-/// the two sides are dropped. Peers are assigned to side A with
-/// probability `fraction` by a seeded hash of their id, so membership is
-/// stable for the partition's whole lifetime.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Partition {
-    /// Partition start time.
-    pub start: f64,
-    /// Partition end time (healing).
-    pub end: f64,
-    /// Fraction of peers on side A, in `[0, 1]`.
-    pub fraction: f64,
-}
-
 /// A deterministic fault-injection schedule for one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -87,8 +72,6 @@ pub struct FaultPlan {
     pub latency: LatencyModel,
     /// Scheduled crash events.
     pub crashes: Vec<CrashSpec>,
-    /// Scheduled partitions.
-    pub partitions: Vec<Partition>,
 }
 
 impl Default for FaultPlan {
@@ -106,7 +89,6 @@ impl FaultPlan {
             drop_prob: 0.0,
             latency: LatencyModel::None,
             crashes: Vec::new(),
-            partitions: Vec::new(),
         }
     }
 
@@ -127,12 +109,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a partition interval.
-    pub fn with_partition(mut self, start: f64, end: f64, fraction: f64) -> Self {
-        self.partitions.push(Partition { start, end, fraction });
-        self
-    }
-
     /// `true` when the plan has a latency model, i.e. a delivered control
     /// message may be scheduled later than the next tick.
     pub fn has_latency(&self) -> bool {
@@ -141,10 +117,7 @@ impl FaultPlan {
 
     /// `true` when the plan injects no faults at all.
     pub fn is_none(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.latency.is_none()
-            && self.crashes.is_empty()
-            && self.partitions.is_empty()
+        self.drop_prob <= 0.0 && self.latency.is_none() && self.crashes.is_empty()
     }
 
     /// Panics if any parameter is out of range.
@@ -153,10 +126,6 @@ impl FaultPlan {
         for c in &self.crashes {
             assert!(c.at.is_finite() && c.at >= 0.0, "crash time must be finite");
             assert!((0.0..=1.0).contains(&c.fraction), "crash fraction must be in [0,1]");
-        }
-        for p in &self.partitions {
-            assert!(p.start.is_finite() && p.end.is_finite() && p.start < p.end);
-            assert!((0.0..=1.0).contains(&p.fraction), "partition fraction in [0,1]");
         }
         if let LatencyModel::Uniform { lo, hi } = self.latency {
             assert!(lo >= 0.0 && lo < hi, "uniform latency needs 0 <= lo < hi");
@@ -185,22 +154,10 @@ pub struct FaultStats {
     pub sent: u64,
     /// Messages dropped by loss probability.
     pub dropped: u64,
-    /// Messages dropped by an active partition.
-    pub partition_dropped: u64,
     /// Messages delivered with a nonzero delay.
     pub delayed: u64,
     /// Tracker queries lost.
     pub tracker_dropped: u64,
-}
-
-impl tchain_obs::ExportStats for FaultStats {
-    fn export_stats(&self, prefix: &str, reg: &mut tchain_obs::StatsRegistry) {
-        reg.add(&format!("{prefix}ctrl_sent"), self.sent);
-        reg.add(&format!("{prefix}ctrl_dropped"), self.dropped);
-        reg.add(&format!("{prefix}partition_dropped"), self.partition_dropped);
-        reg.add(&format!("{prefix}ctrl_delayed"), self.delayed);
-        reg.add(&format!("{prefix}tracker_dropped"), self.tracker_dropped);
-    }
 }
 
 /// Runtime state of a [`FaultPlan`]: its private RNG stream, the crash
@@ -237,33 +194,15 @@ impl FaultState {
         self.stats
     }
 
-    /// Which partition side a peer is on (stable per plan seed).
-    fn side(&self, id: NodeId, p: &Partition) -> bool {
-        let h = splitmix64(self.plan.seed ^ 0x5EED ^ u64::from(id.0));
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p.fraction
-    }
-
-    /// `true` when an active partition separates `a` and `b` at `now`.
-    pub fn partitioned(&self, a: NodeId, b: NodeId, now: f64) -> bool {
-        self.plan
-            .partitions
-            .iter()
-            .any(|p| now >= p.start && now < p.end && self.side(a, p) != self.side(b, p))
-    }
-
-    /// Routes one control message from `from` to `to` at time `now`.
+    /// Routes one control message sent at time `now`.
     ///
     /// On the fault-free path this returns [`Route::Now`] without touching
     /// the RNG.
-    pub fn route(&mut self, from: NodeId, to: NodeId, now: f64) -> Route {
+    pub fn route(&mut self, now: f64) -> Route {
         if !self.active {
             return Route::Now;
         }
         self.stats.sent += 1;
-        if self.partitioned(from, to, now) {
-            self.stats.partition_dropped += 1;
-            return Route::Dropped;
-        }
         if self.plan.drop_prob > 0.0 && self.rng.chance(self.plan.drop_prob) {
             self.stats.dropped += 1;
             return Route::Dropped;
@@ -280,9 +219,8 @@ impl FaultState {
         }
     }
 
-    /// Whether a tracker query issued at `now` is lost. Queries are not
-    /// subject to partitions (the tracker is assumed reachable) but share
-    /// the loss probability.
+    /// Whether a tracker query issued at `now` is lost. Queries share the
+    /// control plane's loss probability.
     pub fn tracker_query_lost(&mut self, _now: f64) -> bool {
         if !self.active || self.plan.drop_prob <= 0.0 {
             return false;
@@ -329,7 +267,7 @@ mod tests {
         assert!(!st.active());
         let before = st.rng.clone().f64();
         for i in 0..100u32 {
-            assert_eq!(st.route(NodeId(i), NodeId(i + 1), i as f64), Route::Now);
+            assert_eq!(st.route(i as f64), Route::Now);
             assert!(!st.tracker_query_lost(i as f64));
             assert!(!st.crash_due(i as f64));
         }
@@ -341,7 +279,7 @@ mod tests {
     #[test]
     fn has_latency_names_the_latency_model_only() {
         assert!(!FaultPlan::none().has_latency());
-        assert!(!FaultPlan::lossy(1, 0.5).with_partition(1.0, 2.0, 0.5).has_latency());
+        assert!(!FaultPlan::lossy(1, 0.5).with_crash(1.0, 0.5).has_latency());
         assert!(FaultPlan::none().with_latency(LatencyModel::Fixed(0.0)).has_latency());
         assert!(FaultPlan::none().with_latency(LatencyModel::Exp { mean: 1.0 }).has_latency());
     }
@@ -352,8 +290,8 @@ mod tests {
         let mut a = FaultState::new(plan.clone());
         let mut b = FaultState::new(plan);
         for i in 0..500u32 {
-            let ra = a.route(NodeId(i % 7), NodeId(i % 5), i as f64);
-            let rb = b.route(NodeId(i % 7), NodeId(i % 5), i as f64);
+            let ra = a.route(i as f64);
+            let rb = b.route(i as f64);
             match (ra, rb) {
                 (Route::At(x), Route::At(y)) => assert_eq!(x.to_bits(), y.to_bits()),
                 (x, y) => assert_eq!(x, y),
@@ -367,7 +305,7 @@ mod tests {
         let mut st = FaultState::new(FaultPlan::lossy(4, 0.2));
         let n = 20_000;
         for i in 0..n {
-            st.route(NodeId(0), NodeId(1), i as f64);
+            st.route(i as f64);
         }
         let observed = st.stats().dropped as f64 / n as f64;
         assert!((observed - 0.2).abs() < 0.02, "observed loss {observed}");
@@ -382,7 +320,7 @@ mod tests {
             });
         let mut st = FaultState::new(plan);
         for i in 0..200 {
-            match st.route(NodeId(1), NodeId(2), i as f64) {
+            match st.route(i as f64) {
                 Route::At(t) => assert!(t > i as f64 && t < i as f64 + 2.0),
                 Route::Now => {}
                 Route::Dropped => panic!("no loss configured"),
@@ -418,30 +356,6 @@ mod tests {
         assert!(st.crash_victims(5.0, &[NodeId(1)]).is_empty(), "0% event kills nobody");
         assert!(!st.crash_due(29.9));
         assert_eq!(st.crash_victims(30.0, &[NodeId(1)]), vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn partition_splits_and_heals() {
-        let plan = FaultPlan { seed: 7, ..FaultPlan::none() }.with_partition(10.0, 20.0, 0.5);
-        let mut st = FaultState::new(plan);
-        let ids: Vec<NodeId> = (0..40).map(NodeId).collect();
-        // During the partition some pair must be split; sides are stable.
-        let split: Vec<(NodeId, NodeId)> = ids
-            .iter()
-            .flat_map(|&a| ids.iter().map(move |&b| (a, b)))
-            .filter(|&(a, b)| a != b && st.partitioned(a, b, 15.0))
-            .collect();
-        assert!(!split.is_empty(), "a 50/50 partition must split some pair");
-        let (a, b) = split[0];
-        assert_eq!(st.route(a, b, 15.0), Route::Dropped);
-        assert!(st.partitioned(a, b, 19.9));
-        assert!(!st.partitioned(a, b, 20.0), "heals at end");
-        assert!(!st.partitioned(a, b, 9.9), "not yet active before start");
-        // Same-side pairs still communicate during the partition.
-        let joined = ids.iter().flat_map(|&x| ids.iter().map(move |&y| (x, y))).find(|&(x, y)| {
-            x != y && !st.partitioned(x, y, 15.0)
-        });
-        assert!(joined.is_some());
     }
 
     #[test]

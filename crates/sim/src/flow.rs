@@ -266,11 +266,6 @@ impl FlowScheduler {
         self.by_src.get(n.index()).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Live flows destined to `n`.
-    pub fn flows_to(&self, n: NodeId) -> &[FlowId] {
-        self.by_dst.get(n.index()).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Number of live flows uploaded by `n`.
     pub fn count_from(&self, n: NodeId) -> usize {
         self.flows_from(n).len()

@@ -10,7 +10,7 @@
 //! made tangible.
 
 use tchain_analysis::bootstrap::{trajectory, BootstrapParams, BootstrapState, PieceDistribution};
-use tchain_attacks::PeerPlan;
+use tchain_attacks::{FluidDriver, PeerPlan};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_proto::{FileSpec, Role};
 use tchain_workloads::{flash_crowd, CapacityClasses};

@@ -5,7 +5,7 @@
 //! cargo run --release --example chain_dynamics
 //! ```
 
-use tchain_attacks::PeerPlan;
+use tchain_attacks::{FluidDriver, PeerPlan};
 use tchain_core::{ChainOrigin, TChainConfig, TChainSwarm};
 use tchain_proto::{FileSpec, Role};
 use tchain_workloads::{flash_crowd, CapacityClasses};

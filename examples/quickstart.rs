@@ -9,7 +9,7 @@
 //! pay-it-forward chains, flow control, opportunistic seeding) to
 //! completion, and prints per-peer and chain-level statistics.
 
-use tchain_attacks::PeerPlan;
+use tchain_attacks::{FluidDriver, PeerPlan};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::FileSpec;
@@ -29,7 +29,7 @@ fn main() {
     let mut swarm = TChainSwarm::new(file, TChainConfig::default(), plan, 7);
     swarm.run_until_done();
 
-    let completions = swarm.completion_times(true);
+    let completions = swarm.base().completion_times(true);
     let summary = Summary::of(&completions);
     println!("T-Chain quickstart — {n} leechers sharing {} MiB", file.file_size() / 1048576.0);
     println!("  finished leechers       : {}/{n}", completions.len());

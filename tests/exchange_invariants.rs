@@ -1,7 +1,7 @@
 //! End-to-end invariants of the almost-fair exchange: accounting across
 //! the whole stack for mixed compliant/free-riding swarms.
 
-use tchain::attacks::PeerPlan;
+use tchain::attacks::{FluidDriver, PeerPlan};
 use tchain::core::{TChainConfig, TChainSwarm};
 use tchain::proto::{FileSpec, Role};
 use tchain::sim::kbps;
@@ -61,8 +61,8 @@ fn compliant_leechers_unharmed_by_free_riders() {
     let mut dirty = mixed_swarm(23);
     dirty.run_until_done();
     let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-    let t_clean = mean(clean.completion_times(true));
-    let t_dirty = mean(dirty.completion_times(true));
+    let t_clean = mean(clean.base().completion_times(true));
+    let t_dirty = mean(dirty.base().completion_times(true));
     assert!(
         t_dirty < t_clean * 1.6,
         "free-riders must not substantially slow compliant leechers: {t_dirty:.0} vs {t_clean:.0}"
@@ -94,8 +94,8 @@ fn ledger_bounds_pending_uploads() {
 fn seeder_never_counts_as_leecher_metrics() {
     let mut sw = mixed_swarm(25);
     sw.run_until_done();
-    assert_eq!(sw.completion_times(true).len(), 18);
-    let seeder = sw.seeder();
+    assert_eq!(sw.base().completion_times(true).len(), 18);
+    let seeder = sw.base().seeder;
     assert_eq!(sw.base().peers.get(seeder).role, Role::Seeder);
     assert!(sw.base().peers.get(seeder).done_time.is_none());
 }

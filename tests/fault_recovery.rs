@@ -3,7 +3,7 @@
 //! the timeout/retry/watchdog/§II-B4-escrow machinery keeps the books
 //! balanced.
 
-use tchain::attacks::PeerPlan;
+use tchain::attacks::{FluidDriver, PeerPlan};
 use tchain::core::{TChainConfig, TChainSwarm};
 use tchain::proto::FileSpec;
 use tchain::sim::{kbps, FaultPlan};
@@ -56,7 +56,7 @@ fn lossy_control_plane_with_crashes_recovers() {
     assert_eq!(r.retry_exhausted, 0, "12% loss never exhausts 6 retries here");
 
     // Compliant survivors still finish despite loss and churn.
-    assert!(sw.completion_times(true).len() >= 12, "survivors complete their downloads");
+    assert!(sw.base().completion_times(true).len() >= 12, "survivors complete their downloads");
 }
 
 /// §II-B4 escrow: when a donor dies with the reception report or key in
@@ -131,8 +131,8 @@ fn none_plan_is_dormant() {
     );
     plain.run_until_done();
     gated.run_until_done();
-    let a = plain.completion_times(true);
-    let b = gated.completion_times(true);
+    let a = plain.base().completion_times(true);
+    let b = gated.base().completion_times(true);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.to_bits(), y.to_bits(), "bit-identical completions");

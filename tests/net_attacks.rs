@@ -11,7 +11,7 @@
 //! `tchain::analysis` at shape level.
 
 use tchain::analysis::collusion::{ps_exact, ps_monte_carlo};
-use tchain::attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
+use tchain::attacks::{FluidDriver, FreeRiderConfig, GroupId, PeerPlan, Strategy};
 use tchain::core::{TChainConfig, TChainSwarm};
 use tchain::net::{run_swarm, SwarmConfig};
 use tchain::proto::FileSpec;
@@ -61,7 +61,7 @@ fn aggressive_quarter_starves_on_the_wire_and_matches_the_fluid_driver() {
         TChainSwarm::new(file, TChainConfig::default(), plan, 0xA77C);
     sim.run_until_done();
     assert_eq!(
-        sim.completion_times(true).len(),
+        sim.base().completion_times(true).len(),
         net.total_compliant as usize,
         "fluid sim: every compliant leecher completes"
     );

@@ -5,7 +5,7 @@
 //! only against reception reports (§II-B), every frame audited by the
 //! harness observer.
 
-use tchain::attacks::PeerPlan;
+use tchain::attacks::{FluidDriver, PeerPlan};
 use tchain::core::{TChainConfig, TChainSwarm};
 use tchain::net::{run_swarm, NetConfig, Strategy, SwarmConfig};
 use tchain::proto::FileSpec;
@@ -94,7 +94,7 @@ fn net_runtime_agrees_with_fluid_simulator() {
 
     // Hard invariants agree exactly.
     assert_eq!(
-        sim.completion_times(true).len(),
+        sim.base().completion_times(true).len(),
         net.total_compliant as usize,
         "fluid sim: every compliant leecher completes"
     );

@@ -233,7 +233,7 @@ fn tracker_sampling() {
 /// decrypts more pieces than exist.
 #[test]
 fn small_swarm_always_drains() {
-    use tchain::attacks::PeerPlan;
+    use tchain::attacks::{FluidDriver, PeerPlan};
     use tchain::core::{TChainConfig, TChainSwarm};
     use tchain::proto::{FileSpec, Role};
     forall(0x5A11, 12, |rng, _| {
@@ -243,7 +243,7 @@ fn small_swarm_always_drains() {
             (0..n).map(|i| PeerPlan::compliant(i as f64 * 0.3, 100_000.0)).collect();
         let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, seed);
         sw.run_until_done();
-        let done = sw.completion_times(true);
+        let done = sw.base().completion_times(true);
         ensure_eq!(done.len(), n, "all leechers finish (n {n}, pieces {pieces}, seed {seed})");
         for p in sw.base().peers.iter() {
             if p.role == Role::Leecher {
