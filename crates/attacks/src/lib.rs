@@ -90,6 +90,22 @@ impl Strategy {
         }
     }
 
+    /// Whether the peer re-queries the tracker every rechoke period and
+    /// accepts every connection (§IV-C large view).
+    pub fn large_view(&self) -> bool {
+        self.free_rider().is_some_and(|c| c.large_view)
+    }
+
+    /// Whether the peer discards its identity to shed penalties (§IV-C).
+    pub fn whitewash(&self) -> bool {
+        self.free_rider().is_some_and(|c| c.whitewash)
+    }
+
+    /// The colluder/Sybil set the peer belongs to (§III-A4, §IV-D).
+    pub fn collusion_group(&self) -> Option<GroupId> {
+        self.free_rider().and_then(|c| c.collude)
+    }
+
     /// Whether the strategy mounts any manipulation beyond zero upload
     /// (large-view, whitewashing, or collusion). Drivers use this to gate
     /// attack machinery so manipulation-free runs stay draw-for-draw
@@ -173,7 +189,6 @@ impl ColluderRegistry {
     }
 }
 
-
 /// One planned arrival: who joins, when, with what capacity and behaviour.
 ///
 /// Experiment harnesses build a `Vec<PeerPlan>` from a workload (flash
@@ -243,6 +258,18 @@ mod tests {
         assert!(Strategy::aggressive_free_rider().manipulates());
         assert!(Strategy::colluding_free_rider(GroupId(0)).manipulates());
         assert!(!Strategy::Compliant.manipulates());
+    }
+
+    #[test]
+    fn capabilities_follow_the_config() {
+        let c = Strategy::Compliant;
+        assert!(!c.large_view() && !c.whitewash() && c.collusion_group().is_none());
+        let plain = Strategy::zero_upload();
+        assert!(!plain.large_view() && !plain.whitewash() && plain.collusion_group().is_none());
+        let a = Strategy::aggressive_free_rider();
+        assert!(a.large_view() && a.whitewash() && a.collusion_group().is_none());
+        let k = Strategy::colluding_free_rider(GroupId(7));
+        assert_eq!(k.collusion_group(), Some(GroupId(7)));
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Telemetry {
         self.dec_counts.entry(id).or_insert(0);
     }
 
-    /// Whether `id` is being recorded.
-    pub fn watching(&self, id: NodeId) -> bool {
-        self.timelines.contains_key(&id)
-    }
-
     /// Records an encrypted-piece arrival for a watched peer (no-op for
     /// unwatched peers).
     pub fn on_encrypted(&mut self, id: NodeId, now: f64) {
@@ -91,7 +86,6 @@ mod tests {
         t.on_encrypted(NodeId(1), 0.0);
         t.on_decrypted(NodeId(1), 1.0);
         assert!(t.timeline(NodeId(1)).is_none());
-        assert!(!t.watching(NodeId(1)));
     }
 
     #[test]

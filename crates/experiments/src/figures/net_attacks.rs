@@ -176,14 +176,10 @@ tchain_obs::json_struct! {
     }
 }
 
-/// Scenario-specific incentive guarantee, beyond the invariants every
-/// run must satisfy (compliant rate 1.0, plaintexts exact, ledgers
-/// consistent, zero unreciprocated key releases).
+/// Scenario-specific incentive guarantee, beyond the safety oracles
+/// every run must pass ([`SwarmReport::ok`]).
 fn scenario_safe(name: &str, r: &SwarmReport) -> bool {
-    let base = r.completed_compliant == r.total_compliant
-        && r.plaintext_ok
-        && r.ledger_ok
-        && r.violations.is_empty();
+    let base = r.ok();
     let attributed = r.false_report_log.len() as u64 == r.false_reports;
     match name {
         // Control leg: the attack engine must not even construct.

@@ -58,7 +58,7 @@ tchain_obs::json_struct! {
         pub fingerprint: String,
         /// Same-seed rerun produced a bit-identical fingerprint.
         pub deterministic: bool,
-        /// Completion + plaintexts + zero violations + determinism.
+        /// Every safety oracle passed (`SwarmReport::ok`) + determinism.
         pub safe: bool,
     }
 }
@@ -90,10 +90,7 @@ fn chaos_point(
     let deterministic = report.fingerprint == rerun.fingerprint
         && report.ticks == rerun.ticks
         && report.chaos_injects == rerun.chaos_injects;
-    let safe = report.completed_compliant == report.total_compliant
-        && report.plaintext_ok
-        && report.violations.is_empty()
-        && deterministic;
+    let safe = report.ok() && deterministic;
     ChaosPoint {
         scenario: name.to_string(),
         chaos_rate,

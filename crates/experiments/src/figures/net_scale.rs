@@ -48,7 +48,7 @@ tchain_obs::json_struct! {
         pub fingerprint: String,
         /// Same-seed rerun produced a bit-identical fingerprint.
         pub deterministic: bool,
-        /// Completion + plaintexts + ledger + zero violations + determinism.
+        /// Every safety oracle passed (`SwarmReport::ok`) + determinism.
         pub safe: bool,
     }
 }
@@ -92,11 +92,7 @@ fn scale_point(peers: u32, churn: bool, base: &SwarmConfig, meta: &mut RunMeta) 
         && report.ticks == rerun.ticks
         && report.completion_times == rerun.completion_times;
 
-    let safe = report.completed_compliant == report.total_compliant
-        && report.plaintext_ok
-        && report.violations.is_empty()
-        && report.ledger_ok
-        && deterministic;
+    let safe = report.ok() && deterministic;
     ScalePoint {
         scenario: format!("n{peers}{}", if churn { "-churn" } else { "" }),
         peers,
@@ -135,7 +131,6 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetScaleDoc {
         piece_len,
         seed,
         max_ticks: 40_000,
-        trace_capacity: 0,
         ..SwarmConfig::default()
     };
     let mut meta = RunMeta::default();

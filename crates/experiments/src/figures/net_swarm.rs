@@ -238,7 +238,7 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
         net_point(
             "departure-escrow",
             SwarmConfig {
-                net: NetConfig { depart_on_complete: true, ..NetConfig::default() },
+                net: NetConfig { depart_on_complete: true },
                 ..base.clone()
             },
             &mut meta,

@@ -68,21 +68,6 @@ impl RecoveryCounters {
         self.broken_chains += other.broken_chains;
         self.orphaned_txns += other.orphaned_txns;
     }
-
-    /// Fraction of sent control messages that were lost.
-    pub fn loss_rate(&self) -> f64 {
-        if self.ctrl_sent == 0 {
-            0.0
-        } else {
-            self.ctrl_dropped as f64 / self.ctrl_sent as f64
-        }
-    }
-
-    /// `true` when nothing fault-related happened (the expected state of
-    /// every fault-free run).
-    pub fn is_quiet(&self) -> bool {
-        *self == RecoveryCounters::default()
-    }
 }
 
 #[cfg(test)]
@@ -103,16 +88,5 @@ mod tests {
         assert_eq!(a.ctrl_dropped, 2);
         assert_eq!(a.retransmissions, 3);
         assert_eq!(a.keys_escrowed, 1);
-    }
-
-    #[test]
-    fn loss_rate_and_quiet() {
-        let mut c = RecoveryCounters::default();
-        assert!(c.is_quiet());
-        assert_eq!(c.loss_rate(), 0.0);
-        c.ctrl_sent = 8;
-        c.ctrl_dropped = 2;
-        assert!(!c.is_quiet());
-        assert!((c.loss_rate() - 0.25).abs() < 1e-12);
     }
 }

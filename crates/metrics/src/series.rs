@@ -46,11 +46,6 @@ impl TimeSeries {
         Some((*self.times.last()?, *self.values.last()?))
     }
 
-    /// The maximum value, if any.
-    pub fn max_value(&self) -> Option<f64> {
-        self.values.iter().copied().fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
     /// Downsamples to at most `n` evenly spaced samples — used when
     /// printing a long run's series as a figure's worth of rows.
     pub fn downsample(&self, n: usize) -> TimeSeries {
@@ -87,7 +82,6 @@ mod tests {
         let s: TimeSeries = vec![(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)].into_iter().collect();
         assert_eq!(s.len(), 3);
         assert_eq!(s.last(), Some((2.0, 2.0)));
-        assert_eq!(s.max_value(), Some(3.0));
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v[1], (1.0, 3.0));
     }
@@ -117,6 +111,5 @@ mod tests {
     fn downsample_noop_when_short() {
         let s: TimeSeries = vec![(0.0, 1.0)].into_iter().collect();
         assert_eq!(s.downsample(10), s);
-        assert!(TimeSeries::new().max_value().is_none());
     }
 }

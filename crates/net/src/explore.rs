@@ -115,9 +115,9 @@ pub fn scenarios() -> &'static [&'static str] {
 }
 
 /// Builds the [`SwarmConfig`] for a named grid scenario at `seed`;
-/// `None` for unknown names. Tracing and telemetry stay off — the
-/// search wants raw throughput, and a witness replay can switch them
-/// on after the fact.
+/// `None` for unknown names. Telemetry stays off — the search wants
+/// raw throughput, and a witness replay can switch it on after the
+/// fact.
 pub fn scenario_config(name: &str, seed: u64) -> Option<SwarmConfig> {
     let base = SwarmConfig {
         peers: 8,
@@ -125,7 +125,6 @@ pub fn scenario_config(name: &str, seed: u64) -> Option<SwarmConfig> {
         piece_len: 256,
         seed,
         max_ticks: 6000,
-        trace_capacity: 0,
         ..SwarmConfig::default()
     };
     let cfg = match name {

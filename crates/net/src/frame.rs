@@ -93,8 +93,8 @@ impl CausalMeta {
 ///
 /// Not cryptographic — a *strategic* adversary (large-view free-riders,
 /// whitewashers, Sybil groups, collusion rings) is modelled at the
-/// protocol layer by [`crate::strategy`]'s [`crate::NetStrategy`] engine,
-/// not the codec. The checksum's job is to make in-flight mutation (bit
+/// protocol layer by the [`crate::strategy`] adversary engine, not the
+/// codec. The checksum's job is to make in-flight mutation (bit
 /// flips, truncation splices) detectable with near certainty so it can be
 /// handled as an explicit reject instead of silent state corruption.
 ///

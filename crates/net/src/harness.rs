@@ -2,11 +2,11 @@
 //! real protocol to completion, audit every frame.
 //!
 //! The harness owns the things a peer cannot see: the transport, the
-//! tracker rendezvous (`tchain-proto`), an event [`Tracer`]
-//! (`tchain-obs`), and — the point of the exercise — an [`Observer`]
-//! that watches every delivered frame and checks the T-Chain incentive
-//! invariant on the wire: **no key travels without a reciprocation
-//! behind it** (the release rules live in [`crate::observer`]).
+//! tracker rendezvous (`tchain-proto`), the optional per-peer telemetry
+//! and — the point of the exercise — an [`Observer`] that watches every
+//! delivered frame and checks the T-Chain incentive invariant on the
+//! wire: **no key travels without a reciprocation behind it** (the
+//! release rules live in [`crate::observer`]).
 //!
 //! [`SwarmHarness::run`] is a staged tick loop — drain, dispatch, tick
 //! due peers, flush, membership, done check — and every membership
@@ -14,29 +14,23 @@
 //! is a composition of three primitives: `enroll`, `greet` and `evict`.
 
 use crate::content::{digest, Content};
-use crate::frame::{CausalMeta, Frame, FrameError};
-use crate::observer::pack;
+use crate::frame::{CausalMeta, Frame};
 pub use crate::observer::Observer;
 use crate::runtime::{Checkpoint, NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
 use crate::sched::TimerWheel;
 use crate::strategy::{
-    strategy_label, AttackerState, ColluderRegistry, NetStrategy, Strategy, RECHOKE_PERIOD,
+    strategy_label, AttackerState, ColluderRegistry, Strategy, RECHOKE_PERIOD,
     WHITEWASH_REJOIN_DELAY,
 };
 use crate::telemetry::{virt_ms, FlightDump, FlightRecorder, PeerTelemetry, SwarmTelemetry};
-use crate::transport::{
-    ChannelMesh, ChaosRecord, Delivery, NetError, RejectCause, Transport, TransportStats,
-};
+use crate::transport::{ChannelMesh, ChaosRecord, Delivery, NetError, Transport, TransportStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use tchain_obs::{
-    trace_event, ChaosKind, Event, MetricName, OracleKind, RejectKind, TraceRecord, Tracer,
-    WireMsg,
-};
+use tchain_obs::{Event, MetricName, OracleKind, TraceRecord, Tracer, WireMsg};
 use tchain_proto::{Tracker, LIST_SIZE};
 use tchain_proto::wire::Message;
 use tchain_sim::{
-    Act, ChaosAction, ChaosPlan, ChaosState, ChurnPlan, ChurnState, ExplorePlan, FaultPlan,
-    FrameMutation, IdHash, NodeId, SchedPerturber, Schedule, SimRng,
+    Act, ChaosPlan, ChaosState, ChurnPlan, ChurnState, ExplorePlan, FaultPlan, IdHash, NodeId,
+    SchedPerturber, Schedule, SimRng,
 };
 
 /// Scenario parameters for one swarm run.
@@ -75,7 +69,8 @@ pub struct SwarmConfig {
     pub tick_dt: f64,
     /// Hard stop if the swarm has not drained by then.
     pub max_ticks: u64,
-    /// Capacity of the obs event ring (0 disables tracing).
+    /// Capacity of each per-peer telemetry ring (0 means the default,
+    /// 4096). Read only when `telemetry` is set.
     pub trace_capacity: usize,
     /// Swarm telemetry: per-peer causal tracers (Lamport-stamped frame
     /// metadata on the wire), metric histograms, swarm aggregation and
@@ -112,6 +107,11 @@ impl SwarmConfig {
     }
 }
 
+/// Packs a `(donor, requestor, piece)` triple into one transaction id.
+fn pack(a: u32, b: u32, p: u32) -> u64 {
+    (u64::from(a) << 42) | (u64::from(b) << 21) | u64::from(p)
+}
+
 /// Classifies a frame as a span-carrying wire message and derives its
 /// transaction span id. Both endpoints compute the same span because
 /// the sender stamps it into the [`CausalMeta`] the receiver reads —
@@ -135,7 +135,7 @@ fn wire_view(from: u32, to: u32, frame: &Frame) -> Option<(WireMsg, u64)> {
 /// One peer's causal trace ring, keyed by peer id.
 pub type PeerRing = (u32, Vec<TraceRecord>);
 
-/// Delivery times keyed by an `observer::pack`ed id;
+/// Delivery times keyed by a [`pack`]ed id;
 /// only ever probed, never iterated.
 type SeenAt = HashMap<u64, f64, IdHash>;
 
@@ -269,14 +269,15 @@ impl TelemetryState {
 
     /// End-of-run fold: stamps one `MetricSample` event per metric per
     /// peer into its own ring, folds final counters into the metric
-    /// blocks and builds the swarm aggregate.
+    /// blocks and builds the swarm aggregate. The last part is the count
+    /// of events the rings ever recorded.
     fn finish(
         mut self,
         now: f64,
         peers: &[(u32, PeerCounters, i64)],
         chain_lengths: &[u32],
         terminations: &[(&'static str, u64)],
-    ) -> (SwarmTelemetry, Vec<PeerRing>, Vec<FlightDump>) {
+    ) -> (SwarmTelemetry, Vec<PeerRing>, Vec<FlightDump>, u64) {
         for &(id, c, goodwill) in peers {
             self.metric(id).finish(c, goodwill);
             let samples = [
@@ -325,35 +326,8 @@ impl TelemetryState {
             .zip(&self.tracers)
             .filter_map(|(id, t)| Some((id, t.as_ref()?.records())))
             .collect();
-        (swarm, rings, self.recorder.into_dumps())
-    }
-}
-
-/// Maps a transport injection to its obs event kind. `Deliver` is never
-/// recorded as an injection, hence `None`.
-fn chaos_kind(action: ChaosAction) -> Option<ChaosKind> {
-    Some(match action {
-        ChaosAction::Deliver => return None,
-        ChaosAction::Corrupt(FrameMutation::BitFlip { .. }) => ChaosKind::BitFlip,
-        ChaosAction::Corrupt(FrameMutation::Truncate { .. }) => ChaosKind::Truncate,
-        ChaosAction::Corrupt(FrameMutation::OversizeLen) => ChaosKind::OversizeLen,
-        ChaosAction::Duplicate => ChaosKind::Duplicate,
-        ChaosAction::Reorder => ChaosKind::Reorder,
-        ChaosAction::Reset => ChaosKind::Reset,
-    })
-}
-
-/// Maps a receiver-side reject cause to its obs event kind.
-fn reject_kind(cause: &RejectCause) -> RejectKind {
-    match cause {
-        RejectCause::Reset => RejectKind::Reset,
-        RejectCause::Malformed(e) => match e {
-            FrameError::Oversized { .. } => RejectKind::Oversized,
-            FrameError::UnknownKind(_) => RejectKind::UnknownKind,
-            FrameError::ChecksumMismatch { .. } => RejectKind::ChecksumMismatch,
-            FrameError::TruncatedStream => RejectKind::Truncated,
-            FrameError::Control(_) | FrameError::TruncatedBody => RejectKind::Malformed,
-        },
+        let emitted = self.tracers.iter().flatten().map(Tracer::emitted).sum();
+        (swarm, rings, self.recorder.into_dumps(), emitted)
     }
 }
 
@@ -448,7 +422,8 @@ pub struct SwarmReport {
     /// Order-sensitive digest of every delivered frame — two runs with
     /// the same seed must agree bit-for-bit.
     pub fingerprint: u64,
-    /// obs events recorded during the run.
+    /// Events recorded into the per-peer telemetry rings (overwritten
+    /// ones included); 0 when telemetry is off.
     pub events_recorded: u64,
     /// `(peer id, completion time)` for every completed peer.
     pub completion_times: Vec<(u32, f64)>,
@@ -473,20 +448,17 @@ pub struct SwarmReport {
     /// (default decisions included); 0 outside explore mode.
     pub sched_decisions: u64,
     /// End-of-run safety oracles that failed, in a fixed order; empty
-    /// on a clean run. Superset view: `ok()` covers key-release,
-    /// plaintext and completion — this list adds the ledger and
-    /// quarantine-evidence oracles.
+    /// on a clean run.
     pub failed_oracles: Vec<OracleKind>,
 }
 
 impl SwarmReport {
-    /// `true` when the run satisfied every acceptance invariant: all
-    /// compliant leechers done, all plaintexts byte-identical, and zero
-    /// unreciprocated key releases.
+    /// `true` when the run passed every end-of-run safety oracle: zero
+    /// unreciprocated key releases, consistent §II-D2 ledgers,
+    /// byte-identical plaintexts, every compliant leecher done, and no
+    /// quarantine without a frame reject behind it.
     pub fn ok(&self) -> bool {
-        self.completed_compliant == self.total_compliant
-            && self.plaintext_ok
-            && self.violations.is_empty()
+        self.failed_oracles.is_empty()
     }
 }
 
@@ -503,7 +475,6 @@ struct RejoinSlot {
 /// its checkpoint was re-keyed to — loot intact, ledgers wiped.
 struct WhitewashSlot {
     rejoin: RejoinSlot,
-    prior: u32,
     operator: usize,
 }
 
@@ -646,7 +617,6 @@ pub struct SwarmHarness<T: Transport> {
     peers: PeerTable,
     tracker: Tracker,
     observer: Observer,
-    tracer: Tracer,
     rng: SimRng,
     fingerprint: u64,
     /// Encoding buffer `fold` reuses for every delivered frame.
@@ -724,11 +694,6 @@ impl<T: Transport> SwarmHarness<T> {
             peers: PeerTable::default(),
             tracker: Tracker::with_shards(Tracker::shards_for(expected_peak)),
             observer,
-            tracer: if cfg.trace_capacity > 0 {
-                Tracer::with_capacity(cfg.trace_capacity)
-            } else {
-                Tracer::disabled()
-            },
             rng: SimRng::new(cfg.seed ^ 0x7A_C4E4),
             fingerprint: 0x5EED_F00D,
             fold_buf: Vec::new(),
@@ -946,7 +911,7 @@ impl<T: Transport> SwarmHarness<T> {
     fn audit(&mut self, d: &Delivery, now: f64) {
         let violations_before = self.observer.violations.len();
         let false_before = self.observer.false_reports;
-        self.observer.observe(d, &mut self.tracer, now);
+        self.observer.observe(d);
         if let Some(tel) = self.telemetry.as_mut() {
             tel.on_delivery(d, now);
             if self.observer.violations.len() > violations_before {
@@ -999,18 +964,7 @@ impl<T: Transport> SwarmHarness<T> {
         woke: &mut BTreeSet<u32>,
     ) {
         while !pending.is_empty() {
-            let p = self.perturb.as_mut().expect("explore mode");
-            let (step, arity) = (p.step(), pending.len() as u32);
-            let act = p.decide(&pending);
-            let pick = match act {
-                Act::Defer => u32::MAX,
-                Act::Pick(i) => i,
-            };
-            // Only non-default decisions are worth a trace event.
-            if pick != 0 {
-                trace_event!(self.tracer, now, Event::ScheduleChoice { step, arity, pick });
-            }
-            match act {
+            match self.perturb.as_mut().expect("explore mode").decide(&pending) {
                 // Punt the whole due set a tick: the ready set re-runs
                 // them on the next transport poll.
                 Act::Defer => self.ready.extend(pending.drain(..)),
@@ -1098,7 +1052,6 @@ impl<T: Transport> SwarmHarness<T> {
                 self.cfg.seed,
             );
             self.enroll(id, peer, Entry::Fresh)?;
-            trace_event!(self.tracer, now, Event::PeerJoin { peer: id, compliant: true });
             self.greet(id, None, now)?;
             self.churn_joined += 1;
         }
@@ -1148,40 +1101,20 @@ impl<T: Transport> SwarmHarness<T> {
             .collect();
         for id in departed {
             self.departed_handled.insert(id);
-            trace_event!(self.tracer, now, Event::PeerDepart { peer: id });
             self.evict(id, now);
         }
     }
 
-    /// Drains the transport's chaos log: injections become trace events;
+    /// Drains the transport's chaos log: injections are counted;
     /// receiver-side rejects feed the receiving peer's strike counter and
     /// may trip a quarantine.
     fn handle_chaos_records(&mut self, now: f64) {
         for rec in self.transport.take_chaos() {
             match rec {
-                ChaosRecord::Inject { from, to, action } => {
-                    self.chaos_injects += 1;
-                    if let Some(kind) = chaos_kind(action) {
-                        trace_event!(self.tracer, now, Event::ChaosInject {
-                            from: from.0,
-                            to: to.0,
-                            kind,
-                        });
-                    }
-                }
+                ChaosRecord::Inject { .. } => self.chaos_injects += 1,
                 ChaosRecord::Reject(rej) => {
-                    trace_event!(self.tracer, now, Event::FrameReject {
-                        peer: rej.to.0,
-                        offender: rej.from.0,
-                        kind: reject_kind(&rej.cause),
-                    });
                     if let Some(peer) = self.peers.get_mut(rej.to.0) {
                         if let Some(until) = peer.on_frame_reject(now, rej.from) {
-                            trace_event!(self.tracer, now, Event::PeerQuarantine {
-                                peer: rej.to.0,
-                                offender: rej.from.0,
-                                until,
-                            });
                             if let Some(tel) = self.telemetry.as_mut() {
                                 tel.on_quarantine(rej.to.0, now, until);
                             }
@@ -1205,10 +1138,6 @@ impl<T: Transport> SwarmHarness<T> {
             self.enroll(id, peer, Entry::Returning)?;
             self.observer.note_rejoined(id);
             self.rejoins += 1;
-            trace_event!(self.tracer, now, Event::PeerRejoin {
-                peer: id,
-                generation: slot.generation,
-            });
             self.greet(id, None, now)?;
         }
         Ok(())
@@ -1226,7 +1155,6 @@ impl<T: Transport> SwarmHarness<T> {
             let Some(peer) = self.peers.remove(victim.0) else { continue };
             let checkpoint = reload(&peer.checkpoint());
             self.crashes += 1;
-            trace_event!(self.tracer, now, Event::PeerCrash { peer: victim.0 });
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.flight("crash", now);
             }
@@ -1308,7 +1236,6 @@ impl<T: Transport> SwarmHarness<T> {
         let checkpoint = reload(&peer.checkpoint().with_id(new_id));
         attack.colluders.unregister(NodeId(id));
         attack.operators[op].live_id = None;
-        trace_event!(self.tracer, now, Event::PeerDepart { peer: id });
         self.evict(id, now);
         attack.pending_whitewash.push(WhitewashSlot {
             rejoin: RejoinSlot {
@@ -1316,7 +1243,6 @@ impl<T: Transport> SwarmHarness<T> {
                 generation: checkpoint.generation() + 1,
                 checkpoint,
             },
-            prior: id,
             operator: op,
         });
     }
@@ -1339,11 +1265,6 @@ impl<T: Transport> SwarmHarness<T> {
             self.observer.note_attacker(id, strategy_label(&strategy), group.map(|g| g.0));
             attack.operators[slot.operator].rebirth(id, held, now);
             attack.whitewash_rejoins += 1;
-            trace_event!(self.tracer, now, Event::WhitewashRejoin {
-                peer: id,
-                prior: slot.prior,
-                generation: slot.rejoin.generation,
-            });
             self.greet(id, Some(&mut attack.rng), now)?;
         }
         Ok(())
@@ -1429,7 +1350,8 @@ impl<T: Transport> SwarmHarness<T> {
             None => (None, 0),
         };
         let completed_by_strategy = self.completed_by_strategy();
-        let (telemetry, peer_rings, flight_dumps) = self.finish_telemetry(quarantines);
+        let (telemetry, peer_rings, flight_dumps, events_recorded) =
+            self.finish_telemetry(quarantines);
         SwarmReport {
             backend: self.transport.backend(),
             peers: self.cfg.peers,
@@ -1472,7 +1394,7 @@ impl<T: Transport> SwarmHarness<T> {
             ledger_ok,
             transport: self.transport.stats(),
             fingerprint: self.fingerprint,
-            events_recorded: self.tracer.emitted(),
+            events_recorded,
             completion_times,
             peer_counters,
             telemetry,
@@ -1484,15 +1406,14 @@ impl<T: Transport> SwarmHarness<T> {
         }
     }
 
-    /// Records the safety-oracle sweep — the invariant set the schedule
+    /// Captures the safety-oracle sweep — the invariant set the schedule
     /// explorer searches against, audited on *every* run. Each failure
-    /// lands in the trace and trips the flight recorder, so a violating
-    /// interleaving carries its causal context out.
+    /// trips the flight recorder, so a violating interleaving carries its
+    /// causal context out in [`SwarmReport::flight_dumps`].
     fn note_failed_oracles(&mut self, failed: &[OracleKind]) {
         let now = self.transport.now();
-        for &oracle in failed {
-            trace_event!(self.tracer, now, Event::OracleViolation { oracle });
-            if let Some(tel) = self.telemetry.as_mut() {
+        if let Some(tel) = self.telemetry.as_mut() {
+            for _ in failed {
                 tel.flight("oracle", now);
             }
         }
@@ -1526,8 +1447,8 @@ impl<T: Transport> SwarmHarness<T> {
     fn finish_telemetry(
         &mut self,
         quarantines: u64,
-    ) -> (Option<SwarmTelemetry>, Vec<PeerRing>, Vec<FlightDump>) {
-        let Some(tel) = self.telemetry.take() else { return (None, Vec::new(), Vec::new()) };
+    ) -> (Option<SwarmTelemetry>, Vec<PeerRing>, Vec<FlightDump>, u64) {
+        let Some(tel) = self.telemetry.take() else { return (None, Vec::new(), Vec::new(), 0) };
         let tel_peers: Vec<(u32, PeerCounters, i64)> = self
             .peers
             .iter()
@@ -1539,13 +1460,13 @@ impl<T: Transport> SwarmHarness<T> {
             ("crash", self.crashes),
             ("quarantine", quarantines),
         ];
-        let (swarm, rings, dumps) = tel.finish(
+        let (swarm, rings, dumps, emitted) = tel.finish(
             self.transport.now(),
             &tel_peers,
             &self.observer.chain_lengths(),
             &terminations,
         );
-        (Some(swarm), rings, dumps)
+        (Some(swarm), rings, dumps, emitted)
     }
 }
 
@@ -1603,7 +1524,21 @@ mod tests {
         assert_eq!(report.completed_compliant, report.total_compliant);
         assert!(report.uploads > 0);
         assert!(report.key_releases > 0);
-        assert!(report.events_recorded > 0, "obs tracing wired in");
+        assert_eq!(report.events_recorded, 0, "telemetry off records nothing");
+    }
+
+    #[test]
+    fn events_recorded_counts_every_telemetry_ring_record() {
+        // A small capacity makes the rings overwrite, so the count of
+        // emitted events exceeds what the rings still hold.
+        let cfg = SwarmConfig { telemetry: true, trace_capacity: 16, ..SwarmConfig::default() };
+        let report = run_swarm(cfg).expect("run");
+        // A ring's sequence numbers count its emitted events from 0.
+        let emitted: u64 =
+            report.peer_rings.iter().map(|(_, r)| r.last().map_or(0, |rec| rec.seq + 1)).sum();
+        let held: usize = report.peer_rings.iter().map(|(_, r)| r.len()).sum();
+        assert_eq!(report.events_recorded, emitted);
+        assert!(report.events_recorded > held as u64, "{} vs {held}", report.events_recorded);
     }
 
     #[test]
@@ -1797,7 +1732,7 @@ mod tests {
     fn departure_exercises_escrow() {
         let cfg = SwarmConfig {
             peers: 10,
-            net: NetConfig { depart_on_complete: true, ..NetConfig::default() },
+            net: NetConfig { depart_on_complete: true },
             ..SwarmConfig::default()
         };
         let report = run_swarm(cfg).expect("run");
@@ -2082,7 +2017,7 @@ mod tests {
         let ids = [42u32, 3, 7, 0];
         let peers: Vec<(u32, PeerCounters, i64)> =
             ids.iter().map(|&id| (id, PeerCounters::default(), 0i64)).collect();
-        let (swarm, rings, _) = tel.finish(1.0, &peers, &[2, 3], &[("gift", 1)]);
+        let (swarm, rings, _, _) = tel.finish(1.0, &peers, &[2, 3], &[("gift", 1)]);
         let got: Vec<u32> = swarm.peers.iter().map(|m| m.peer).collect();
         assert_eq!(got, vec![0, 3, 7, 42]);
         let ring_ids: Vec<u32> = rings.iter().map(|&(id, _)| id).collect();

@@ -56,8 +56,8 @@ pub use frame::{
 pub use harness::{run_swarm, Observer, SwarmConfig, SwarmHarness, SwarmReport};
 pub use sched::TimerWheel;
 pub use strategy::{
-    strategy_label, AttackerState, ColluderRegistry, FreeRiderConfig, GroupId, NetStrategy,
-    Strategy, RECHOKE_PERIOD, WHITEWASH_PATIENCE, WHITEWASH_REJOIN_DELAY,
+    strategy_label, AttackerState, ColluderRegistry, FreeRiderConfig, GroupId, Strategy,
+    RECHOKE_PERIOD, WHITEWASH_PATIENCE, WHITEWASH_REJOIN_DELAY,
 };
 pub use telemetry::{FlightDump, FlightRecorder, PeerTelemetry, SwarmTelemetry};
 pub use runtime::{

@@ -19,14 +19,13 @@
 //! of the transaction it reciprocates) so chain-length statistics are
 //! comparable with the fluid simulator's.
 //!
-//! This module sees frames, peer ids and the obs tracer — nothing from
-//! `runtime.rs` and no harness state — so the oracle shares no code
-//! with the implementation it audits.
+//! This module sees frames and peer ids — nothing from `runtime.rs` and
+//! no harness state — so the oracle shares no code with the
+//! implementation it audits.
 
 use crate::frame::Frame;
 use crate::transport::Delivery;
 use std::collections::{BTreeMap, BTreeSet};
-use tchain_obs::{trace_event, Event, Tracer};
 use tchain_proto::wire::Message;
 
 #[derive(Debug)]
@@ -113,7 +112,7 @@ pub struct Observer {
 }
 
 impl Observer {
-    pub(crate) fn observe(&mut self, d: &Delivery, tracer: &mut Tracer, now: f64) {
+    pub(crate) fn observe(&mut self, d: &Delivery) {
         // A chaos-fabricated duplicate is wire noise, not a sender action:
         // auditing the second copy would re-register live transactions
         // (erasing `reported` and flagging the donor's later, legal key
@@ -172,12 +171,6 @@ impl Observer {
                             self.sybil_checks += 1;
                             if self.groups.get(&py) == Some(g) {
                                 self.sybil_collisions += 1;
-                                trace_event!(tracer, now, Event::SybilCollision {
-                                    donor: from,
-                                    requestor: to,
-                                    payee: py,
-                                    piece: p,
-                                });
                             }
                         }
                         // A re-upload of the same triple is a genuinely
@@ -216,18 +209,9 @@ impl Observer {
                 if self.seeders.contains(&from) && self.attackers.contains_key(&to) {
                     self.seeder_leakage += 1;
                 }
-                trace_event!(tracer, now, Event::TxnStart {
-                    txn: pack(from, to, p),
-                    chain: chain as u64,
-                    donor: from,
-                    requestor: to,
-                    payee,
-                    piece: p,
-                });
             }
             Message::ReceptionReport { requestor, piece } => {
                 self.reports += 1;
-                let mut falsified = false;
                 if !self.departed.contains(&to) {
                     // Detection soundness: a truthful report is always
                     // preceded on the wire by the reciprocation it
@@ -241,37 +225,20 @@ impl Observer {
                         .is_some_and(|rs| rs.contains(&requestor.0));
                     if let Some(t) = self.txns.get_mut(&(to, requestor.0, piece.0)) {
                         if t.payee == Some(from) {
-                            if !truthful {
-                                falsified = true;
-                                if !t.reported {
-                                    t.false_report = true;
-                                    self.false_reports += 1;
-                                    self.false_report_log.push((from, to, requestor.0, piece.0));
-                                    trace_event!(tracer, now, Event::FalseReport {
-                                        txn: pack(to, requestor.0, piece.0),
-                                        reporter: from,
-                                        donor: to,
-                                        requestor: requestor.0,
-                                        piece: piece.0,
-                                    });
-                                }
+                            if !truthful && !t.reported {
+                                t.false_report = true;
+                                self.false_reports += 1;
+                                self.false_report_log.push((from, to, requestor.0, piece.0));
                             }
                             t.reported = true;
                         }
                     }
                 }
-                trace_event!(tracer, now, Event::ReportSent {
-                    txn: pack(to, requestor.0, piece.0),
-                    from,
-                    to,
-                    falsified,
-                });
             }
             Message::KeyRelease { piece, requestor, .. } => {
                 let p = piece.0;
                 self.key_releases += 1;
-                let escrowed = self.classify_key(from, to, p, requestor.map(|r| r.0));
-                match escrowed {
+                match self.classify_key(from, to, p, requestor.map(|r| r.0)) {
                     Some(true) => self.escrow_transfers += 1,
                     Some(false) => {}
                     None => {
@@ -295,12 +262,6 @@ impl Observer {
                         ));
                     }
                 }
-                trace_event!(tracer, now, Event::KeySent {
-                    txn: pack(from, to, p),
-                    from,
-                    to,
-                    escrowed: escrowed == Some(true),
-                });
             }
             _ => {}
         }
@@ -427,9 +388,4 @@ impl Observer {
     pub fn chain_lengths(&self) -> Vec<u32> {
         self.chains.iter().map(|c| c.len).collect()
     }
-}
-
-/// Packs a `(donor, requestor, piece)` triple into one transaction id.
-pub(crate) fn pack(a: u32, b: u32, p: u32) -> u64 {
-    (u64::from(a) << 42) | (u64::from(b) << 21) | u64::from(p)
 }

@@ -29,7 +29,7 @@
 use crate::content::{digest, Content};
 use crate::frame::Frame;
 use crate::neighbors::Neighborhood;
-use crate::strategy::{NetStrategy, Strategy};
+use crate::strategy::Strategy;
 use std::collections::BTreeMap;
 use tchain_crypto::{KeyId, Keyring, PieceKey};
 use tchain_proto::wire::{Message, KEY_WIRE_SIZE};
@@ -81,25 +81,20 @@ const MAX_RETRIES: u32 = 4;
 /// (byzantine strike policy).
 const STRIKE_LIMIT: u32 = 3;
 
+/// Seconds a quarantined neighbor is excluded from donor rounds and payee
+/// designation. Quarantine is deliberately temporary: under injected chaos
+/// the "offender" is innocent, so a bounded exclusion keeps false
+/// positives from starving the swarm.
+const QUARANTINE_SECS: f64 = 30.0;
+
 /// Tunables of the net runtime. The protocol parameters the paper fixes
 /// are the constants above; completed, non-departing leechers always keep
 /// seeding (§II-D3).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetConfig {
     /// Leechers depart the moment they complete, handing §II-B4 escrow
     /// keys to the designated payees.
     pub depart_on_complete: bool,
-    /// Seconds a quarantined neighbor is excluded from donor rounds and
-    /// payee designation. Quarantine is deliberately temporary: under
-    /// injected chaos the "offender" is innocent, so a bounded exclusion
-    /// keeps false positives from starving the swarm.
-    pub quarantine_secs: f64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig { depart_on_complete: false, quarantine_secs: 30.0 }
-    }
 }
 
 /// A transaction where this peer is the donor, keyed by
@@ -197,7 +192,7 @@ pub struct PeerCounters {
 pub struct PeerRuntime {
     id: NodeId,
     role: PeerRole,
-    /// Behavioural strategy, consulted (via [`crate::NetStrategy`]) at
+    /// Behavioural strategy, consulted (via its capability methods) at
     /// every protocol fork. Derived from `role` by [`PeerRuntime::new`]
     /// for back-compat; [`PeerRuntime::with_strategy`] sets it freely.
     /// Not checkpointed — an operator's brain survives its identities,
@@ -402,7 +397,7 @@ impl PeerRuntime {
     /// Records a rejected frame (or reset) attributed to `offender`.
     ///
     /// Every reject is a strike; at `STRIKE_LIMIT` strikes
-    /// the offender enters quarantine for [`NetConfig::quarantine_secs`]
+    /// the offender enters quarantine for `QUARANTINE_SECS`
     /// and the counter resets. Returns the quarantine expiry when this
     /// reject tripped the limit. Quarantine only withholds *new goodwill*
     /// (donor rounds, payee designation); existing obligations toward the
@@ -417,7 +412,7 @@ impl PeerRuntime {
         *strikes += 1;
         if *strikes >= STRIKE_LIMIT {
             *strikes = 0;
-            let until = now + self.cfg.quarantine_secs;
+            let until = now + QUARANTINE_SECS;
             self.quarantined.insert(offender.0, until);
             self.counters.quarantines += 1;
             Some(until)
@@ -567,7 +562,7 @@ impl PeerRuntime {
             Some(p) => {
                 // Owed even when the piece is already held via another
                 // chain: the donor is waiting for the reciprocation.
-                if self.strategy.serve_uploads() {
+                if self.strategy.uploads() {
                     self.obligations.push(Obligation {
                         donor: from.0,
                         piece: piece.0,
@@ -583,7 +578,7 @@ impl PeerRuntime {
 
     /// Donor side of §II-B2 steps 3–4: a report unlocks the key release.
     fn handle_report(&mut self, _now: f64, reporter: u32, requestor: u32, piece: u32, out: &mut Outbox) {
-        if !self.strategy.serve_uploads() {
+        if !self.strategy.uploads() {
             return;
         }
         let Some(txn) = self.donor_txns.get_mut(&(requestor, piece)) else {
@@ -746,7 +741,7 @@ impl PeerRuntime {
     /// designated requestor has reciprocated; keys for requestors still
     /// owing stay held.
     fn try_escrow_forward(&mut self, donor: u32, piece: u32, out: &mut Outbox) {
-        if !self.strategy.serve_uploads() {
+        if !self.strategy.uploads() {
             return;
         }
         let Some(seen) = self.recips_seen.get(&(donor, piece)) else {
@@ -783,7 +778,7 @@ impl PeerRuntime {
         }
         self.have.set(PieceId(piece));
         self.plain[piece as usize] = Some(bytes);
-        if self.strategy.serve_uploads() {
+        if self.strategy.uploads() {
             for t in self.neighbors.ids() {
                 out.push((NodeId(t), Frame::Control(Message::Have { piece: PieceId(piece) })));
             }
@@ -806,7 +801,7 @@ impl PeerRuntime {
         // Expired quarantines lift here, so within one tick the map
         // holds exactly the active exclusions.
         self.quarantined.retain(|_, &mut until| until > now);
-        if self.strategy.serve_uploads() {
+        if self.strategy.uploads() {
             self.process_obligations(now, out);
             self.fire_retries(now, out);
         }
@@ -1719,25 +1714,24 @@ mod tests {
 
     #[test]
     fn strike_limit_quarantines_then_expires() {
-        let cfg = NetConfig { quarantine_secs: 10.0, ..NetConfig::default() };
-        let mut p = PeerRuntime::new(NodeId(1), PeerRole::Compliant, content(), cfg, 7);
+        let mut p = PeerRuntime::new(NodeId(1), PeerRole::Compliant, content(), NetConfig::default(), 7);
         let bad = NodeId(9);
         assert_eq!(p.on_frame_reject(1.0, bad), None);
         assert_eq!(p.on_frame_reject(1.5, bad), None);
         assert!(!p.is_quarantining(bad));
         let until = p.on_frame_reject(2.0, bad);
-        assert_eq!(until, Some(12.0), "third strike quarantines");
+        assert_eq!(until, Some(32.0), "third strike quarantines");
         assert!(p.is_quarantining(bad));
         assert_eq!(p.counters().frame_rejects, 3);
         assert_eq!(p.counters().quarantines, 1);
         let mut out = Outbox::new();
-        p.on_tick(11.0, &mut out);
+        p.on_tick(31.0, &mut out);
         assert!(p.is_quarantining(bad), "quarantine holds until expiry");
-        p.on_tick(12.5, &mut out);
+        p.on_tick(32.5, &mut out);
         assert!(!p.is_quarantining(bad), "quarantine lifts after expiry");
         // Strikes were reset at quarantine time: re-offending restarts
         // the count instead of instantly re-quarantining.
-        assert_eq!(p.on_frame_reject(13.0, bad), None);
+        assert_eq!(p.on_frame_reject(33.0, bad), None);
     }
 
     #[test]
@@ -1763,7 +1757,7 @@ mod tests {
         );
         // After expiry the same tick logic serves it again.
         out.clear();
-        seeder.on_tick(1.0 + seeder.cfg.quarantine_secs + 1.0, &mut out);
+        seeder.on_tick(1.0 + QUARANTINE_SECS + 1.0, &mut out);
         assert!(
             out.iter().any(|(to, f)| *to == NodeId(1) && matches!(f, Frame::PieceData { .. })),
             "donations resume after quarantine expiry: {out:?}"
@@ -1989,8 +1983,7 @@ mod tests {
 
     fn differential_run(role: PeerRole, seed: u64, steps: usize, pieces: usize) {
         let c = Content::new(0xD1FF, pieces, 32);
-        let cfg = NetConfig { quarantine_secs: 12.0, ..NetConfig::default() };
-        let mut p = PeerRuntime::new(NodeId(0), role, c.clone(), cfg, seed);
+        let mut p = PeerRuntime::new(NodeId(0), role, c.clone(), NetConfig::default(), seed);
         let mut rng = SimRng::new(seed ^ 0x1D3A);
         let mut out = Outbox::new();
         let mut now = 0.0;
@@ -2078,7 +2071,11 @@ mod tests {
                 }
                 8 | 9 => {
                     now += rng.range(0.1, 8.0);
+                    let quarantined = p.quarantined.len();
                     p.on_tick(now, &mut out);
+                    if p.quarantined.len() < quarantined {
+                        *seen.entry("quarantine expired").or_default() += 1;
+                    }
                 }
                 10 => {
                     // An upload naming a payee we may never have met: the
@@ -2139,6 +2136,7 @@ mod tests {
             "gone: unknown",
             "obligation to an unmet payee",
             "quarantine",
+            "quarantine expired",
         ] {
             assert!(seen.get(what).copied().unwrap_or(0) > 0, "{role:?}: never exercised {what}: {seen:?}");
         }

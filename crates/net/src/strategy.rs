@@ -3,10 +3,10 @@
 //! The fluid simulators consult `tchain-attacks::Strategy` at every
 //! behavioural fork; this module ports the same vocabulary onto the
 //! executable runtime. A [`PeerRuntime`](crate::PeerRuntime) carries a
-//! [`Strategy`] and consults it (through the [`NetStrategy`] decision
-//! interface) wherever the protocol forks:
+//! [`Strategy`] and consults its capability methods wherever the
+//! protocol forks:
 //!
-//! * **Upload scheduling** — `serve_uploads()` gates reciprocation
+//! * **Upload scheduling** — `uploads()` gates reciprocation
 //!   obligations, escrow forwarding, `Have` broadcasts and report
 //!   handling; a free-rider of any flavour withholds all of them
 //!   (§III-A2 zero upload).
@@ -50,48 +50,6 @@ pub const WHITEWASH_PATIENCE: f64 = 30.0;
 /// one — a real whitewasher needs a new port/address, not a new brain.
 pub const WHITEWASH_REJOIN_DELAY: f64 = 5.0;
 
-/// The decision interface the runtime consults at behavioural forks.
-///
-/// Implemented for the shared `tchain-attacks::Strategy` so the fluid
-/// drivers and the wire runtime read one vocabulary; a trait (rather
-/// than inherent methods) so tests can drive the runtime with bespoke
-/// adversaries without growing the shared crate.
-pub trait NetStrategy {
-    /// Serve reciprocation obligations, escrow forwards, `Have`
-    /// broadcasts, donor duties? `false` is §III-A2 zero upload.
-    fn serve_uploads(&self) -> bool;
-    /// Re-query the tracker every [`RECHOKE_PERIOD`] and accept all
-    /// connections (§IV-C)?
-    fn large_view(&self) -> bool;
-    /// Discard the identity after extracting a free piece (§IV-C)?
-    fn whitewash(&self) -> bool;
-    /// Colluder/Sybil set, if the operator runs one (§III-A4, §IV-D).
-    fn collusion_group(&self) -> Option<GroupId>;
-    /// Any manipulation beyond zero upload? Gates the harness's attack
-    /// state so manipulation-free runs stay draw-for-draw identical.
-    fn manipulates(&self) -> bool {
-        self.large_view() || self.whitewash() || self.collusion_group().is_some()
-    }
-}
-
-impl NetStrategy for Strategy {
-    fn serve_uploads(&self) -> bool {
-        self.uploads()
-    }
-
-    fn large_view(&self) -> bool {
-        self.free_rider().is_some_and(|c| c.large_view)
-    }
-
-    fn whitewash(&self) -> bool {
-        self.free_rider().is_some_and(|c| c.whitewash)
-    }
-
-    fn collusion_group(&self) -> Option<GroupId> {
-        self.free_rider().and_then(|c| c.collude)
-    }
-}
-
 /// Stable scenario label for per-strategy report breakdowns.
 pub fn strategy_label(s: &Strategy) -> &'static str {
     match s.free_rider() {
@@ -118,11 +76,6 @@ pub struct AttackerState {
     pub progress_pieces: usize,
     /// Time of the last observed progress (or identity birth).
     pub progress_at: f64,
-    /// Pieces extracted by the *current* identity (whitewash only
-    /// fires once the identity has gained something worth keeping).
-    pub pieces_this_identity: usize,
-    /// Whitewash rejoins performed so far.
-    pub rejoins: u64,
 }
 
 impl AttackerState {
@@ -134,15 +87,12 @@ impl AttackerState {
             next_requery: now + RECHOKE_PERIOD,
             progress_pieces: 0,
             progress_at: now,
-            pieces_this_identity: 0,
-            rejoins: 0,
         }
     }
 
     /// Folds the current piece count in; returns `true` on progress.
     pub fn note_progress(&mut self, pieces: usize, now: f64) -> bool {
         if pieces > self.progress_pieces {
-            self.pieces_this_identity += pieces - self.progress_pieces;
             self.progress_pieces = pieces;
             self.progress_at = now;
             true
@@ -163,14 +113,11 @@ impl AttackerState {
     }
 
     /// Re-arms the progress clock for a fresh identity `id` at `now`
-    /// (piece holdings carry over — whitewashers keep their loot —
-    /// but the per-identity extraction counter resets).
+    /// (piece holdings carry over — whitewashers keep their loot).
     pub fn rebirth(&mut self, id: u32, pieces: usize, now: f64) {
         self.live_id = Some(id);
         self.progress_pieces = pieces;
         self.progress_at = now;
-        self.pieces_this_identity = 0;
-        self.rejoins += 1;
         self.next_requery = now + RECHOKE_PERIOD;
     }
 }
@@ -178,24 +125,6 @@ impl AttackerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strategy_capabilities_map_onto_the_trait() {
-        let c = Strategy::Compliant;
-        assert!(c.serve_uploads() && !c.large_view() && !c.whitewash());
-        assert!(c.collusion_group().is_none() && !NetStrategy::manipulates(&c));
-
-        let plain = Strategy::zero_upload();
-        assert!(!plain.serve_uploads() && !NetStrategy::manipulates(&plain));
-
-        let a = Strategy::aggressive_free_rider();
-        assert!(!a.serve_uploads() && a.large_view() && a.whitewash());
-        assert!(a.collusion_group().is_none() && NetStrategy::manipulates(&a));
-
-        let k = Strategy::colluding_free_rider(GroupId(7));
-        assert_eq!(k.collusion_group(), Some(GroupId(7)));
-        assert!(NetStrategy::manipulates(&k));
-    }
 
     #[test]
     fn labels_are_stable() {
@@ -215,8 +144,6 @@ mod tests {
         assert!(st.should_whitewash(10.0 + WHITEWASH_PATIENCE + 0.1));
         st.rebirth(9, 2, 50.0);
         assert_eq!(st.live_id, Some(9));
-        assert_eq!(st.rejoins, 1);
-        assert_eq!(st.pieces_this_identity, 0, "per-identity extraction counter resets");
         assert!(!st.should_whitewash(50.0 + WHITEWASH_PATIENCE), "rebirth re-arms the clock");
         assert!(st.should_whitewash(50.0 + WHITEWASH_PATIENCE + 0.1));
     }

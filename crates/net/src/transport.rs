@@ -29,7 +29,7 @@ use crate::frame::{CausalMeta, Frame, FrameDecoder, FrameError, MAX_FRAME_BODY};
 use std::collections::BTreeMap;
 use tchain_sim::{
     ChaosAction, ChaosPlan, ChaosState, DelayQueue, FaultPlan, FaultState, FrameMutation, NodeId,
-    Route,
+    Route, REORDER_DELAY,
 };
 
 /// One delivered frame.
@@ -411,7 +411,7 @@ impl ChannelMesh {
                 );
             }
             ChaosAction::Reorder => {
-                let held = at + self.chaos.reorder_delay();
+                let held = at + REORDER_DELAY;
                 self.enqueue_reordered(held, Queued::Deliver(Delivery { from, to, frame, meta, duplicated: false }));
             }
             ChaosAction::Reset => {
@@ -864,8 +864,7 @@ mod tests {
 
     #[test]
     fn reorder_overtakes_link_fifo() {
-        let reorder_only =
-            ChaosPlan { reorder_prob: 1.0, reorder_delay: 1.0, ..ChaosPlan::corrupting(5, 0.0) };
+        let reorder_only = ChaosPlan { reorder_prob: 1.0, ..ChaosPlan::corrupting(5, 0.0) };
         // Only the first frame is reordered; the rest pass a fresh mesh
         // where chaos applies per-frame, so use a plan with p=1 for frame
         // one then observe later clean frames overtaking it.
@@ -873,7 +872,7 @@ mod tests {
         m.register(NodeId(1)).unwrap();
         m.register(NodeId(2)).unwrap();
         m.send(NodeId(1), NodeId(2), ctrl(0)).unwrap();
-        // All frames get reordered by +1.0s here, but each later send's
+        // All frames get reordered by +REORDER_DELAY here, but each later send's
         // extra delay lands at a later absolute time, so FIFO *within the
         // reordered set* would still hold. Instead check the floor was
         // not raised: a subsequent clean mesh frame (reorder disabled) is
@@ -881,7 +880,7 @@ mod tests {
         let early = m.advance().unwrap();
         assert!(early.is_empty(), "held frame must not deliver next tick");
         let mut seen = Vec::new();
-        for _ in 0..20 {
+        for _ in 0..30 {
             seen.extend(m.advance().unwrap());
         }
         assert_eq!(seen.len(), 1, "held frame eventually delivers");

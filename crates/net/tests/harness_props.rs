@@ -232,7 +232,7 @@ fn escrow_obligations_survive_departure_interleavings() {
             pieces: 12,
             piece_len: 256,
             seed,
-            net: NetConfig { depart_on_complete: true, ..NetConfig::default() },
+            net: NetConfig { depart_on_complete: true },
             churn,
             ..SwarmConfig::default()
         };

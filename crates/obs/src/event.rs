@@ -38,25 +38,6 @@ json_enum! {
 }
 
 json_enum! {
-    /// What the chaos layer did to a frame in flight.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum ChaosKind {
-        /// One byte of the encoding was XOR-mangled.
-        BitFlip,
-        /// The encoding was cut short.
-        Truncate,
-        /// The length prefix was rewritten past the codec bound.
-        OversizeLen,
-        /// The frame was delivered twice.
-        Duplicate,
-        /// The frame was held back past later traffic on its link.
-        Reorder,
-        /// The connection was reset mid-stream.
-        Reset,
-    }
-}
-
-json_enum! {
     /// Which protocol frame a causal send/receive telemetry event tagged.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum WireMsg {
@@ -119,25 +100,6 @@ json_enum! {
         /// Quarantines were imposed with zero frame rejects on record — a
         /// strike policy firing without evidence.
         Quarantine,
-    }
-}
-
-json_enum! {
-    /// Why a receiver rejected a frame or stream.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RejectKind {
-        /// Length prefix above the codec bound.
-        Oversized,
-        /// Unknown frame kind byte.
-        UnknownKind,
-        /// Header checksum did not match the body.
-        ChecksumMismatch,
-        /// Body failed strict decoding.
-        Malformed,
-        /// The stream ended inside a frame.
-        Truncated,
-        /// The connection was reset.
-        Reset,
     }
 }
 
@@ -306,40 +268,6 @@ json_enum! {
             /// Scheduled delivery time (simulated seconds).
             until: f64,
         },
-        /// The chaos layer injected a byzantine fault into a frame.
-        ChaosInject {
-            /// Sender of the targeted frame.
-            from: u32,
-            /// Intended recipient.
-            to: u32,
-            /// What was done to it.
-            kind: ChaosKind,
-        },
-        /// A receiver rejected a frame or stream from a peer.
-        FrameReject {
-            /// The rejecting receiver.
-            peer: u32,
-            /// The apparent offender (sending side of the link).
-            offender: u32,
-            /// Why it was rejected.
-            kind: RejectKind,
-        },
-        /// A peer crossed the strike limit and was quarantined.
-        PeerQuarantine {
-            /// The peer applying the quarantine.
-            peer: u32,
-            /// The quarantined offender.
-            offender: u32,
-            /// Quarantine expiry on the local clock, seconds.
-            until: f64,
-        },
-        /// A crashed peer rejoined the swarm from a checkpoint.
-        PeerRejoin {
-            /// The rejoining peer.
-            peer: u32,
-            /// Restart generation (0 = original incarnation).
-            generation: u32,
-        },
         /// A causally tagged frame left this peer (telemetry layer).
         FrameSent {
             /// Transaction span the frame belongs to.
@@ -366,62 +294,6 @@ json_enum! {
             metric: MetricName,
             /// The counter value.
             value: u64,
-        },
-        /// A designated-payee upload landed with its requestor and payee in
-        /// the same Sybil/colluder group — the §III-A4 exploit precondition.
-        SybilCollision {
-            /// The (deceived) donor.
-            donor: u32,
-            /// The requestor identity.
-            requestor: u32,
-            /// The designated payee identity (same operator/ring).
-            payee: u32,
-            /// The piece in flight.
-            piece: u32,
-        },
-        /// A reception report not preceded by the reciprocation upload it
-        /// attests — a §IV-D collusive false report.
-        FalseReport {
-            /// Packed transaction id.
-            txn: u64,
-            /// The ring mate that filed the report (the designated payee).
-            reporter: u32,
-            /// The deceived donor the report was sent to.
-            donor: u32,
-            /// The requestor the report vouches for.
-            requestor: u32,
-            /// The piece whose reception was falsely attested.
-            piece: u32,
-        },
-        /// A whitewashing operator rejoined under a fresh identity,
-        /// carrying its pieces but presenting as a newcomer (§IV-C).
-        WhitewashRejoin {
-            /// The fresh identity.
-            peer: u32,
-            /// The discarded identity.
-            prior: u32,
-            /// Restart generation of the fresh incarnation.
-            generation: u32,
-        },
-        /// The explore-mode scheduler took a non-default action at a
-        /// decision point (default = run the lowest-id due peer). The
-        /// recorded stream of these choices *is* the replayable schedule.
-        ScheduleChoice {
-            /// Global decision index within the run (counts every decision,
-            /// default or not).
-            step: u64,
-            /// Runnable candidates at the decision point.
-            arity: u32,
-            /// Index picked into the ascending-id candidate list;
-            /// `u32::MAX` means the whole due set was deferred a tick.
-            pick: u32,
-        },
-        /// An end-of-run safety oracle failed. Emitted once per failed
-        /// oracle before the report is sealed, so traces and the flight
-        /// recorder capture the violation in causal context.
-        OracleViolation {
-            /// Which oracle failed.
-            oracle: OracleKind,
         },
     }
 }
@@ -534,25 +406,6 @@ mod tests {
         let e = Event::CtrlDropped { from: 1, to: 2 };
         let s = json::to_string(&e);
         assert!(s.contains(&format!("\"type\":\"{}\"", e.name())), "{s}");
-    }
-
-    #[test]
-    fn adversary_events_roundtrip() {
-        let events = [
-            Event::SybilCollision { donor: 1, requestor: 8, payee: 9, piece: 3 },
-            Event::FalseReport { txn: 77, reporter: 9, donor: 1, requestor: 8, piece: 3 },
-            Event::WhitewashRejoin { peer: 12, prior: 8, generation: 2 },
-        ];
-        assert_eq!(events[0].name(), "sybil_collision");
-        assert_eq!(events[1].name(), "false_report");
-        assert_eq!(events[2].name(), "whitewash_rejoin");
-        for e in events {
-            let r = TraceRecord::plain(1.0, 0, e);
-            let s = json::to_string(&r);
-            assert!(s.contains(&format!("\"type\":\"{}\"", r.event.name())), "{s}");
-            let back: TraceRecord = json::from_str(&s).unwrap();
-            assert_eq!(back, r);
-        }
     }
 
     #[test]

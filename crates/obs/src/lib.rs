@@ -40,10 +40,7 @@ mod registry;
 mod ring;
 mod tracer;
 
-pub use event::{
-    ChaosKind, EndCause, Event, MetricName, OracleKind, RejectKind, RetryMsg, TraceRecord,
-    WireMsg,
-};
+pub use event::{EndCause, Event, MetricName, OracleKind, RetryMsg, TraceRecord, WireMsg};
 pub use export::{
     merge_traces, to_causal_chrome_trace, to_chrome_trace, to_jsonl, validate_causal,
     validate_jsonl,

@@ -40,11 +40,6 @@ impl StatsRegistry {
         }
     }
 
-    /// Increment the named counter by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Overwrite the named gauge with `value`.
     pub fn set(&mut self, name: &str, value: u64) {
         self.metrics.insert(name.to_string(), value);
@@ -328,7 +323,7 @@ mod tests {
     #[test]
     fn counters_accumulate_and_gauges_overwrite() {
         let mut r = StatsRegistry::new();
-        r.incr("a");
+        r.add("a", 1);
         r.add("a", 4);
         r.set("g", 9);
         r.set("g", 2);
@@ -340,8 +335,8 @@ mod tests {
     #[test]
     fn snapshot_is_sorted() {
         let mut r = StatsRegistry::new();
-        r.incr("zeta");
-        r.incr("alpha");
+        r.add("zeta", 1);
+        r.add("alpha", 1);
         let snap = r.snapshot();
         let keys: Vec<&str> = snap.keys().map(|s| s.as_str()).collect();
         assert_eq!(keys, vec!["alpha", "zeta"]);

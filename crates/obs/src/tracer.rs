@@ -216,7 +216,7 @@ mod tests {
         let sent = tr.tick(); // clock value carried on an outgoing frame
         tr.record(0.5, Event::PeerDepart { peer: 5 });
         tr.witness(100); // remote frame carried a much larger clock
-        tr.record(1.0, Event::PeerRejoin { peer: 5, generation: 1 });
+        tr.record(1.0, Event::PeerCrash { peer: 5 });
         let recs = tr.records();
         assert_eq!(recs.iter().map(|r| r.origin).collect::<Vec<_>>(), vec![Some(5); 3]);
         let clocks: Vec<u64> = recs.iter().map(|r| r.lamport.unwrap()).collect();

@@ -6,8 +6,8 @@
 
 use tchain_obs::json::{self, Error};
 use tchain_obs::{
-    to_jsonl, validate_jsonl, ChaosKind, EndCause, Event, MetricName, OracleKind, Phase,
-    RejectKind, RetryMsg, TraceRecord, WireMsg,
+    to_jsonl, validate_jsonl, EndCause, Event, MetricName, OracleKind, Phase, RetryMsg,
+    TraceRecord, WireMsg,
 };
 use tchain_sim::{ensure, ensure_eq, forall, sized};
 
@@ -49,11 +49,9 @@ macro_rules! name_table_tests {
 name_table_tests!(
     end_cause_names: EndCause,
     retry_msg_names: RetryMsg,
-    chaos_kind_names: ChaosKind,
     wire_msg_names: WireMsg,
     metric_name_names: MetricName,
     oracle_kind_names: OracleKind,
-    reject_kind_names: RejectKind,
     phase_names: Phase
 );
 
@@ -69,7 +67,7 @@ fn one_of_each() -> Vec<Event> {
         Event::ChainOpen { chain: 2, seeder: true },
         Event::ChainClose { chain: 2, length: 9, cause: EndCause::Stalled },
         Event::Retry { txn: 1, msg: RetryMsg::Report, attempt: 2 },
-        Event::KeyEscrowed { txn: 1 },
+        Event::KeyEscrowed { txn: (1 << 53) + 1 },
         Event::WatchdogClose { txn: 1 },
         Event::PayeeReassigned { txn: 1 },
         Event::Unchoke { peer: 1, target: 2, optimistic: true },
@@ -79,18 +77,9 @@ fn one_of_each() -> Vec<Event> {
         Event::PeerCrash { peer: 1 },
         Event::CtrlDropped { from: 1, to: 2 },
         Event::CtrlDelayed { from: 1, to: 2, until: 0.1 + 0.2 },
-        Event::ChaosInject { from: 1, to: 2, kind: ChaosKind::OversizeLen },
-        Event::FrameReject { peer: 1, offender: 2, kind: RejectKind::ChecksumMismatch },
-        Event::PeerQuarantine { peer: 1, offender: 2, until: 1e21 },
-        Event::PeerRejoin { peer: 1, generation: 3 },
         Event::FrameSent { span: 7, to: 2, msg: WireMsg::PieceData },
         Event::FrameReceived { span: 7, from: 1, msg: WireMsg::Key },
         Event::MetricSample { peer: 1, metric: MetricName::KeysReceived, value: u64::MAX },
-        Event::SybilCollision { donor: 1, requestor: 8, payee: 9, piece: 3 },
-        Event::FalseReport { txn: (1 << 53) + 1, reporter: 9, donor: 1, requestor: 8, piece: 3 },
-        Event::WhitewashRejoin { peer: 12, prior: 8, generation: 2 },
-        Event::ScheduleChoice { step: 40, arity: 3, pick: u32::MAX },
-        Event::OracleViolation { oracle: OracleKind::KeyRelease },
     ]
 }
 

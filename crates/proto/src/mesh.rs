@@ -138,21 +138,11 @@ impl Mesh {
     }
 
     /// Local-Rarest-First selection: among pieces `source` has and
-    /// `chooser` is missing, pick one minimizing availability among
-    /// `chooser`'s neighbors; ties broken uniformly.
-    pub fn lrf_pick(
-        &self,
-        chooser: NodeId,
-        chooser_have: &Bitfield,
-        source_have: &Bitfield,
-        rng: &mut SimRng,
-    ) -> Option<PieceId> {
-        self.lrf_pick_where(chooser, chooser_have, source_have, rng, |_| true)
-    }
-
-    /// LRF restricted by an extra predicate — used for newcomer
-    /// bootstrapping (§II-D1), where the donor must pick a piece that *both*
-    /// the requestor and the payee need.
+    /// `chooser` is missing and `keep` accepts, pick one minimizing
+    /// availability among `chooser`'s neighbors; ties broken uniformly.
+    /// The predicate serves newcomer bootstrapping (§II-D1), where the
+    /// donor must pick a piece that *both* the requestor and the payee
+    /// need.
     pub fn lrf_pick_where(
         &self,
         chooser: NodeId,
@@ -352,7 +342,7 @@ mod tests {
         // from the seeder; the chooser must avoid the common piece 0.
         for _ in 0..20 {
             let have = t.get(chooser).have.clone();
-            let p = m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng).unwrap();
+            let p = m.lrf_pick_where(chooser, &have, &t.get(s).have, &mut rng, |_| true).unwrap();
             assert_ne!(p, PieceId(0));
         }
     }
@@ -366,7 +356,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
             let have = t.get(chooser).have.clone();
-            let p = m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng).unwrap();
+            let p = m.lrf_pick_where(chooser, &have, &t.get(s).have, &mut rng, |_| true).unwrap();
             seen.insert(p);
         }
         assert!(seen.len() > 8, "tie-breaking should spread choices, got {}", seen.len());
@@ -394,6 +384,6 @@ mod tests {
         let other = t.add(Role::Leecher, 1.0, 0.0, 4, true);
         m.connect(chooser, other, &t);
         let have = t.get(chooser).have.clone();
-        assert!(m.lrf_pick(chooser, &have, &t.get(other).have, &mut rng).is_none());
+        assert!(m.lrf_pick_where(chooser, &have, &t.get(other).have, &mut rng, |_| true).is_none());
     }
 }

@@ -20,6 +20,10 @@
 
 use crate::rng::SimRng;
 
+/// Extra seconds a reordered frame is held, so later traffic on its link
+/// overtakes it.
+pub const REORDER_DELAY: f64 = 2.0;
+
 /// How a corrupted frame's bytes are mangled.
 ///
 /// Offsets and masks are drawn by [`ChaosState::action`] against the
@@ -81,10 +85,9 @@ pub struct ChaosPlan {
     pub corrupt_prob: f64,
     /// Probability a frame is delivered twice.
     pub duplicate_prob: f64,
-    /// Probability a frame is held back past later traffic.
+    /// Probability a frame is held back past later traffic
+    /// ([`REORDER_DELAY`]).
     pub reorder_prob: f64,
-    /// Extra seconds a reordered frame is held.
-    pub reorder_delay: f64,
     /// Probability a frame triggers a mid-stream connection reset.
     pub reset_prob: f64,
     /// Scheduled crash-restart events.
@@ -105,7 +108,6 @@ impl ChaosPlan {
             corrupt_prob: 0.0,
             duplicate_prob: 0.0,
             reorder_prob: 0.0,
-            reorder_delay: 2.0,
             reset_prob: 0.0,
             crash_restarts: Vec::new(),
         }
@@ -158,10 +160,6 @@ impl ChaosPlan {
         assert!(
             self.corrupt_prob + self.duplicate_prob + self.reorder_prob + self.reset_prob <= 1.0,
             "chaos action probabilities must sum to at most 1"
-        );
-        assert!(
-            self.reorder_delay.is_finite() && self.reorder_delay > 0.0,
-            "reorder_delay must be positive"
         );
         for c in &self.crash_restarts {
             assert!(c.at.is_finite() && c.at >= 0.0, "crash time must be finite");
@@ -242,12 +240,6 @@ impl ChaosState {
             1 => FrameMutation::Truncate { keep: self.rng.below(frame_len) },
             _ => FrameMutation::OversizeLen,
         }
-    }
-
-    /// Extra delay applied to a reordered frame.
-    #[inline]
-    pub fn reorder_delay(&self) -> f64 {
-        self.plan.reorder_delay
     }
 
     /// `true` when a scheduled crash-restart event is due at or before

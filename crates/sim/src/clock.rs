@@ -80,13 +80,6 @@ impl Periodic {
         Periodic { period, next: period }
     }
 
-    /// Creates a timer whose first firing is at `start` and then every
-    /// `period` seconds. Useful to stagger peers' rechoke rounds.
-    pub fn starting_at(period: f64, start: f64) -> Self {
-        assert!(period > 0.0 && period.is_finite(), "period must be positive");
-        Periodic { period, next: start }
-    }
-
     /// Returns `true` (and schedules the following firing) if the timer is
     /// due at time `now`. A very large jump in `now` fires only once; the
     /// next deadline is re-anchored past `now` so timers never "catch up"
@@ -150,13 +143,5 @@ mod tests {
         assert!(!p.fire(96.0));
         assert!(!p.fire(99.9));
         assert!(p.fire(100.0));
-    }
-
-    #[test]
-    fn staggered_start() {
-        let mut p = Periodic::starting_at(10.0, 3.0);
-        assert!(!p.fire(2.0));
-        assert!(p.fire(3.0));
-        assert!(p.fire(13.0));
     }
 }

@@ -179,18 +179,6 @@ impl FlowScheduler {
         }
     }
 
-    /// Changes a live flow's weight. Returns `false` for stale handles.
-    pub fn set_weight(&mut self, id: FlowId, weight: f64) -> bool {
-        assert!(weight > 0.0, "flow weight must be positive");
-        match self.slots.get_mut(id.slot as usize) {
-            Some(Some(f)) if f.id == id => {
-                f.weight = weight;
-                true
-            }
-            _ => false,
-        }
-    }
-
     fn detach(&mut self, f: &Flow) {
         let list = &mut self.by_src[f.src.index()];
         if let Some(p) = list.iter().position(|x| *x == f.id) {
@@ -464,7 +452,6 @@ mod tests {
         let mut done = Vec::new();
         fs.advance(1.0, &mut done);
         assert!(fs.get(f).is_none());
-        assert!(!fs.set_weight(f, 2.0));
         // The slot is recycled with a new generation.
         let g = fs.start(n(0), n(2), 10.0, 1.0, 0);
         assert_ne!(f, g);

@@ -51,7 +51,7 @@ pub mod queue;
 mod rng;
 mod units;
 
-pub use chaos::{ChaosAction, ChaosPlan, ChaosState, CrashRestart, FrameMutation};
+pub use chaos::{ChaosAction, ChaosPlan, ChaosState, CrashRestart, FrameMutation, REORDER_DELAY};
 pub use churn::{ChurnEvent, ChurnPlan, ChurnState, ChurnStats};
 pub use clock::{Clock, Periodic};
 pub use fault::{CrashSpec, FaultPlan, FaultState, FaultStats, LatencyModel, Route};

@@ -254,12 +254,6 @@ impl SchedPerturber {
         SchedPerturber { step: 0, recorded: Vec::new(), mode }
     }
 
-    /// The global decision index the *next* [`SchedPerturber::decide`]
-    /// call will consume.
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
     /// Decides what to do with the current pending candidate set
     /// (ascending peer ids, non-empty). Consumes one decision step and
     /// records the action when it is non-default.

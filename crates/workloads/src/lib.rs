@@ -135,16 +135,6 @@ impl CapacityClasses {
         &self.classes_kbps
     }
 
-    /// Lowest class in bytes/s (Fig. 5's 400 Kbps leecher).
-    pub fn min_bytes_per_sec(&self) -> f64 {
-        self.classes_kbps.iter().copied().fold(f64::INFINITY, f64::min) * 1000.0 / 8.0
-    }
-
-    /// Highest class in bytes/s (Fig. 5's 1200 Kbps leecher).
-    pub fn max_bytes_per_sec(&self) -> f64 {
-        self.classes_kbps.iter().copied().fold(0.0, f64::max) * 1000.0 / 8.0
-    }
-
     /// Mean class rate in bytes/s (used for the "optimal" line of
     /// Fig. 3(a): a fluid lower bound of file size over mean upload rate).
     pub fn mean_bytes_per_sec(&self) -> f64 {
@@ -210,8 +200,6 @@ mod tests {
     #[test]
     fn capacity_classes_cover_range() {
         let c = CapacityClasses::default();
-        assert_eq!(c.min_bytes_per_sec(), 50_000.0);
-        assert_eq!(c.max_bytes_per_sec(), 150_000.0);
         assert_eq!(c.mean_bytes_per_sec(), 100_000.0);
         let caps = c.assign(5000, 9);
         assert!(caps.iter().all(|&x| (50_000.0..=150_000.0).contains(&x)));

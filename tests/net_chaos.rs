@@ -7,7 +7,8 @@
 //! without a reciprocation behind them, and same-seed chaos runs stay
 //! bit-identical.
 
-use tchain::net::{run_swarm, SwarmConfig};
+use tchain::net::{canary_armed, run_swarm, scenario_config, scenarios, SwarmConfig, SwarmReport};
+use tchain_obs::OracleKind;
 use tchain::sim::{ChaosPlan, FaultPlan, LatencyModel};
 
 fn chaotic(chaos: ChaosPlan) -> SwarmConfig {
@@ -26,7 +27,6 @@ fn latent(seed: u64, latency: LatencyModel) -> SwarmConfig {
         chaos: ChaosPlan {
             seed: seed ^ 0xC4,
             reorder_prob: 0.03,
-            reorder_delay: 2.0,
             duplicate_prob: 0.02,
             ..ChaosPlan::none()
         },
@@ -141,4 +141,75 @@ fn quarantines_are_bounded_and_do_not_starve_the_swarm() {
     let report = run_swarm(chaotic(ChaosPlan::corrupting(5, 0.08))).expect("run");
     assert!(report.ok(), "violations: {:?}", report.violations);
     assert!(report.quarantines > 0, "8 % corruption should trip the strike limit");
+}
+
+/// The report's field-level view of each end-of-run safety oracle.
+fn oracles_from_fields(r: &SwarmReport) -> Vec<OracleKind> {
+    [
+        (!r.violations.is_empty(), OracleKind::KeyRelease),
+        (!r.ledger_ok, OracleKind::Ledger),
+        (!r.plaintext_ok, OracleKind::Plaintext),
+        (
+            r.completed_compliant != r.total_compliant,
+            OracleKind::Completion,
+        ),
+        (
+            r.quarantines > 0 && r.frame_rejects == 0,
+            OracleKind::Quarantine,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(failed, oracle)| failed.then_some(oracle))
+    .collect()
+}
+
+#[test]
+fn one_verdict_per_run() {
+    // Every schedule-exploration scenario at its default interleaving,
+    // plus the two hardest cells of the `net_chaos` quick sweep at its
+    // CI seed: `ok()` is exactly "no safety oracle failed", and every
+    // oracle agrees with the report field it reads.
+    let seed = 0xC405;
+    let quick = SwarmConfig {
+        peers: 10,
+        pieces: 24,
+        seed,
+        max_ticks: 40_000,
+        ..SwarmConfig::default()
+    };
+    let mut runs: Vec<(String, SwarmConfig)> = scenarios()
+        .iter()
+        .map(|name| {
+            (
+                name.to_string(),
+                scenario_config(name, seed).expect("known scenario"),
+            )
+        })
+        .collect();
+    runs.push((
+        "byzantine-mix-8pct".into(),
+        SwarmConfig {
+            chaos: ChaosPlan::byzantine(seed ^ 0xB12A, 0.08),
+            ..quick.clone()
+        },
+    ));
+    runs.push((
+        "crash-restart-25pct".into(),
+        SwarmConfig {
+            chaos: ChaosPlan::corrupting(seed ^ 0xC4A5, 0.02).with_crash_restart(8.0, 0.25, 6.0),
+            ..quick
+        },
+    ));
+    for (name, cfg) in runs {
+        let r = run_swarm(cfg).expect("mesh transport");
+        assert_eq!(r.failed_oracles, oracles_from_fields(&r), "{name}");
+        assert_eq!(r.ok(), r.failed_oracles.is_empty(), "{name}");
+        // The canary build seeds a ledger bug the crash scenario must find.
+        assert!(
+            r.ok() || canary_armed(),
+            "{name}: {:?} {:?}",
+            r.failed_oracles,
+            r.violations
+        );
+    }
 }

@@ -59,7 +59,7 @@ fn free_riders_starve_at_scale() {
 #[test]
 fn departure_escrow_holds_at_scale() {
     let cfg = SwarmConfig {
-        net: NetConfig { depart_on_complete: true, ..NetConfig::default() },
+        net: NetConfig { depart_on_complete: true },
         ..base16()
     };
     let report = run_swarm(cfg).expect("run");
