@@ -120,11 +120,6 @@ impl Keyring {
     pub fn minted(&self) -> u64 {
         self.next
     }
-
-    /// Number of keys currently held (unreleased).
-    pub fn held_count(&self) -> usize {
-        self.held.len()
-    }
 }
 
 #[cfg(test)]
@@ -135,13 +130,11 @@ mod tests {
     fn mint_release_roundtrip() {
         let mut ring = Keyring::new(1);
         let (id, k) = ring.mint();
-        assert_eq!(ring.held_count(), 1);
         let data = vec![1u8, 2, 3, 4, 5];
         let ct = k.apply_to_vec(&data);
         assert_ne!(ct, data);
         let released = ring.release(id).unwrap();
         assert_eq!(released.apply_to_vec(&ct), data);
-        assert_eq!(ring.held_count(), 0);
     }
 
     #[test]

@@ -97,14 +97,13 @@ pub fn run(scale: Scale) -> Vec<Row> {
             let v = &variants[vi];
             let plan = flash_plan(scale.standard_swarm() / 2, v.fr, RiderMode::Aggressive, seed);
             let mut sw = TChainSwarm::new(v.spec, v.cfg, plan, seed);
-            let wall = std::time::Instant::now();
             sw.run_until_done();
             let ct = sw.base().completion_times(true);
             let time =
                 (!ct.is_empty()).then(|| ct.iter().sum::<f64>() / ct.len() as f64);
             let util = sw.base().mean_uplink_utilization();
             let (d, i) = sw.reciprocity_split();
-            (time, util, d, i, wall.elapsed().as_secs_f64(), sw.metrics())
+            (time, util, d, i, sw.metrics())
         },
     );
     meta.note_failures(&sw.failures);
@@ -115,10 +114,10 @@ pub fn run(scale: Scale) -> Vec<Row> {
         let mut direct = 0u64;
         let mut indirect = 0u64;
         for _ in 0..runs {
-            let Some((time, util, d, i, wall, metrics)) = outs.next().flatten() else {
+            let Some((time, util, d, i, metrics)) = outs.next().flatten() else {
                 continue;
             };
-            meta.note_run(wall);
+            meta.note_run();
             meta.absorb_metrics(&metrics);
             times.extend(time);
             utils.push(util);

@@ -33,7 +33,6 @@ pub fn run(scale: Scale) -> Data {
         &[()],
         |_| ("§III analytical models".to_string(), 42),
         |_| {
-            let wall = std::time::Instant::now();
             let d = PieceDistribution::uniform(100);
             let p = BootstrapParams::default();
             let s0 = BootstrapState { x: 300.0, y: 0.0, n: 600.0 };
@@ -64,13 +63,13 @@ pub fn run(scale: Scale) -> Data {
                 ));
             }
             let data = Data { trajectories, omegas, prop31, prop32, collusion };
-            (data, k, wall.elapsed().as_secs_f64())
+            (data, k)
         },
     );
     meta.note_failures(&cell.failures);
     let (data, k) = match cell.cells.pop().flatten() {
-        Some((data, k, wall)) => {
-            meta.note_run(wall);
+        Some((data, k)) => {
+            meta.note_run();
             (data, k)
         }
         None => (

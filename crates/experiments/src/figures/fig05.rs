@@ -46,7 +46,6 @@ pub fn run(scale: Scale) -> Vec<Timeline> {
                     targets.push((id, cap));
                 }
             }
-            let wall = std::time::Instant::now();
             sw.run_until_done();
             let mut out = Vec::new();
             for (id, cap) in targets {
@@ -61,13 +60,13 @@ pub fn run(scale: Scale) -> Vec<Timeline> {
                     decrypted: tl.decrypted.downsample(24).iter().collect(),
                 });
             }
-            (out, wall.elapsed().as_secs_f64())
+            out
         },
     );
     meta.note_failures(&cell.failures);
     let out = match cell.cells.pop().flatten() {
-        Some((out, wall)) => {
-            meta.note_run(wall);
+        Some(out) => {
+            meta.note_run();
             out
         }
         None => Vec::new(),

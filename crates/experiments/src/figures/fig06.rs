@@ -46,7 +46,6 @@ pub fn run(scale: Scale) -> Data {
                 trace_plan(n, 0.0, RiderMode::Aggressive, seed),
                 seed,
             );
-            let wall = std::time::Instant::now();
             let mut sampler = SimRng::new(seed ^ 0xD1FF);
             let mut piece_differences = Vec::new();
             let horizon = match scale {
@@ -85,13 +84,13 @@ pub fn run(scale: Scale) -> Data {
                 }
                 t += step;
             }
-            (piece_differences, wall.elapsed().as_secs_f64())
+            piece_differences
         },
     );
     meta.note_failures(&crawl.failures);
     let piece_differences = match crawl.cells.pop().flatten() {
-        Some((pd, wall)) => {
-            meta.note_run(wall);
+        Some(pd) => {
+            meta.note_run();
             pd
         }
         None => Vec::new(),

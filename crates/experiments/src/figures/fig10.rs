@@ -45,7 +45,6 @@ pub fn run(scale: Scale) -> Vec<Census> {
             };
             let mut sw =
                 TChainSwarm::new(spec, TChainConfig::default(), plan, seed);
-            let wall = std::time::Instant::now();
             match stop {
                 None => sw.run_until_done(),
                 Some(t) => sw.run_to(t),
@@ -55,13 +54,13 @@ pub fn run(scale: Scale) -> Vec<Census> {
                 chains: sw.chain_series().downsample(24).iter().collect(),
                 leechers: sw.leecher_series().downsample(24).iter().collect(),
             };
-            (census, wall.elapsed().as_secs_f64(), sw.metrics())
+            (census, sw.metrics())
         },
     );
     meta.note_failures(&sw.failures);
     let mut out = Vec::new();
-    for (census, wall, metrics) in sw.cells.into_iter().flatten() {
-        meta.note_run(wall);
+    for (census, metrics) in sw.cells.into_iter().flatten() {
+        meta.note_run();
         meta.absorb_metrics(&metrics);
         out.push(census);
     }

@@ -38,7 +38,6 @@ pub fn run(scale: Scale) -> Data {
                 flash_plan(scale.standard_swarm(), 0.0, RiderMode::Aggressive, seed),
                 seed,
             );
-            let wall = std::time::Instant::now();
             let mut cumulative = Vec::new();
             let mut next_sample = 0.0;
             loop {
@@ -56,13 +55,13 @@ pub fn run(scale: Scale) -> Data {
                     break;
                 }
             }
-            (cumulative, wall.elapsed().as_secs_f64(), sw.metrics())
+            (cumulative, sw.metrics())
         },
     );
     meta.note_failures(&stepping.failures);
     let cumulative = match stepping.cells.pop().flatten() {
-        Some((cumulative, wall, metrics)) => {
-            meta.note_run(wall);
+        Some((cumulative, metrics)) => {
+            meta.note_run();
             meta.absorb_metrics(&metrics);
             cumulative
         }
@@ -87,19 +86,14 @@ pub fn run(scale: Scale) -> Data {
                 Scale::Quick => 2_000.0,
                 Scale::Paper => 8_000.0,
             };
-            let wall = std::time::Instant::now();
             sw.run_to(horizon);
-            (
-                (fr_pct, sw.chain_stats().opportunistic_fraction()),
-                wall.elapsed().as_secs_f64(),
-                sw.metrics(),
-            )
+            ((fr_pct, sw.chain_stats().opportunistic_fraction()), sw.metrics())
         },
     );
     meta.note_failures(&sw.failures);
     let mut opportunistic_by_fr = Vec::new();
-    for (point, wall, metrics) in sw.cells.into_iter().flatten() {
-        meta.note_run(wall);
+    for (point, metrics) in sw.cells.into_iter().flatten() {
+        meta.note_run();
         meta.absorb_metrics(&metrics);
         opportunistic_by_fr.push(point);
     }

@@ -43,7 +43,6 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use std::time::Instant;
 use tchain_analysis::collusion::ps_exact;
 use super::net_swarm::fluid_leg;
 use tchain_attacks::{FreeRiderConfig, GroupId, Strategy};
@@ -214,10 +213,9 @@ fn scenario_safe(name: &str, r: &SwarmReport) -> bool {
 
 /// Runs one adversarial scenario twice (determinism gate) and audits it.
 fn attack_point(name: &str, cfg: &SwarmConfig, meta: &mut RunMeta) -> (AttackPoint, SwarmReport) {
-    let t = Instant::now();
     let report = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
     let rerun = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
-    meta.note_run(t.elapsed().as_secs_f64());
+    meta.note_run();
     let deterministic = report.fingerprint == rerun.fingerprint
         && report.ticks == rerun.ticks
         && report.false_reports == rerun.false_reports
@@ -264,10 +262,9 @@ fn attack_point(name: &str, cfg: &SwarmConfig, meta: &mut RunMeta) -> (AttackPoi
 /// free-rider starvation — must agree exactly; chain statistics agree
 /// in shape (ratio band [0.25, 4.0], as in `net_swarm`).
 fn cross_check(net: &AttackPoint, pieces: usize, seed: u64, meta: &mut RunMeta) -> FluidCrossCheck {
-    let t = Instant::now();
     let (sim_rate, sim_fr_done, sim_mcl) =
         fluid_leg(net.total_compliant as usize, net.adversaries as usize, pieces, seed);
-    meta.note_run(t.elapsed().as_secs_f64());
+    meta.note_run();
     let net_rate = if net.total_compliant == 0 {
         1.0
     } else {

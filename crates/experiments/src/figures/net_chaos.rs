@@ -14,7 +14,6 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use std::time::Instant;
 use tchain_net::{run_swarm, SwarmConfig};
 use tchain_sim::ChaosPlan;
 
@@ -83,10 +82,9 @@ fn chaos_point(
     cfg: SwarmConfig,
     meta: &mut RunMeta,
 ) -> ChaosPoint {
-    let t = Instant::now();
     let report = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
     let rerun = run_swarm(cfg).expect("mesh transport cannot fail");
-    meta.note_run(t.elapsed().as_secs_f64());
+    meta.note_run();
     let deterministic = report.fingerprint == rerun.fingerprint
         && report.ticks == rerun.ticks
         && report.chaos_injects == rerun.chaos_injects;

@@ -20,7 +20,6 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use std::time::Instant;
 use tchain_net::explore::{
     canary_armed, explore, run_with_plan, scenario_config, scenarios, ExploreConfig,
 };
@@ -57,8 +56,6 @@ tchain_obs::json_struct! {
         pub witness_file: Option<String>,
         /// Record → replay → replay kept one bit-identical fingerprint.
         pub replay_identical: bool,
-        /// Wall seconds the scenario's search took.
-        pub wall_s: f64,
         /// This build's expectation held (clean search normally; found +
         /// shrunk ledger bug for the crash scenario under the canary).
         pub safe: bool,
@@ -95,7 +92,6 @@ fn explore_point(
 ) -> ExplorePoint {
     let base = scenario_config(scenario, seed).expect("grid scenario");
     let search_seed = splitmix64(seed ^ (index << 8));
-    let t = Instant::now();
     let out = explore(scenario, &base, search_seed, cfg);
 
     // Replayability proof: sample one fresh perturbed run, then replay
@@ -113,8 +109,7 @@ fn explore_point(
         && replay_b.fingerprint == recorded.fingerprint
         && replay_a.ticks == recorded.ticks
         && replay_b.ticks == recorded.ticks;
-    let wall_s = t.elapsed().as_secs_f64();
-    meta.note_run(wall_s);
+    meta.note_run();
 
     let mut witness_file = None;
     let dir = crate::output::results_dir();
@@ -169,7 +164,6 @@ fn explore_point(
         shrink_runs: failure.map(|f| f.shrink_runs),
         witness_file,
         replay_identical,
-        wall_s,
         safe,
     }
 }

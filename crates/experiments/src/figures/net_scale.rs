@@ -3,12 +3,12 @@
 //! Not a paper figure — the PR 8 scale experiment. Sweeps swarm size
 //! with and without a membership churn schedule (staggered joins, a
 //! flash crowd, a voluntary §II-B4 departure wave, all proportional to
-//! N), audits every frame, reruns each point at the same seed to pin
-//! bit-identity, and records ticks per wall-clock second at every N.
+//! N), audits every frame and reruns each point at the same seed to pin
+//! bit-identity. Harness speed is perfbench's to measure
+//! (`net.harness.ticks_per_s`), so the document holds no host timing.
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use std::time::Instant;
 use tchain_net::{run_swarm, SwarmConfig};
 use tchain_sim::ChurnPlan;
 
@@ -40,10 +40,6 @@ tchain_obs::json_struct! {
         pub escrow_transfers: u64,
         /// Ticks executed.
         pub ticks: u64,
-        /// Wall-clock seconds for the audited indexed run.
-        pub wall_s: f64,
-        /// Harness ticks per wall-clock second (indexed scheduler).
-        pub ticks_per_s: f64,
         /// Order-sensitive digest of every delivered frame (hex).
         pub fingerprint: String,
         /// Same-seed rerun produced a bit-identical fingerprint.
@@ -83,11 +79,9 @@ fn scale_point(peers: u32, churn: bool, base: &SwarmConfig, meta: &mut RunMeta) 
         churn: if churn { churn_for(peers) } else { ChurnPlan::none() },
         ..base.clone()
     };
-    let t = Instant::now();
     let report = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
-    let wall_s = t.elapsed().as_secs_f64();
     let rerun = run_swarm(cfg).expect("mesh transport cannot fail");
-    meta.note_run(wall_s);
+    meta.note_run();
     let deterministic = report.fingerprint == rerun.fingerprint
         && report.ticks == rerun.ticks
         && report.completion_times == rerun.completion_times;
@@ -106,8 +100,6 @@ fn scale_point(peers: u32, churn: bool, base: &SwarmConfig, meta: &mut RunMeta) 
         ledger_ok: report.ledger_ok,
         escrow_transfers: report.escrow_transfers,
         ticks: report.ticks,
-        wall_s,
-        ticks_per_s: report.ticks as f64 / wall_s.max(1e-9),
         fingerprint: format!("{:016x}", report.fingerprint),
         deterministic,
         safe,
@@ -150,7 +142,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetScaleDoc {
                 p.violations.to_string(),
                 if p.ledger_ok { "ok" } else { "DRIFT" }.to_string(),
                 p.escrow_transfers.to_string(),
-                format!("{:.0}", p.ticks_per_s),
+                p.ticks.to_string(),
                 if p.deterministic { "yes" } else { "NO" }.to_string(),
                 if p.safe { "ok" } else { "UNSAFE" }.to_string(),
             ]
@@ -160,7 +152,7 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetScaleDoc {
         "net_scale: swarm size × churn (indexed scheduler, audited)",
         &[
             "scenario", "compliant", "peers±churn", "violations", "ledger", "escrow",
-            "ticks/s", "deterministic", "safety",
+            "ticks", "deterministic", "safety",
         ],
         &rows,
     );

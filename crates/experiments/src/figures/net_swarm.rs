@@ -20,7 +20,6 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use std::time::Instant;
 use tchain_attacks::{FluidDriver, PeerPlan};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig};
@@ -111,9 +110,8 @@ tchain_obs::json_struct! {
 }
 
 fn net_point(name: &str, cfg: SwarmConfig, meta: &mut RunMeta) -> NetPoint {
-    let t = Instant::now();
     let report = run_swarm(cfg).expect("mesh transport cannot fail");
-    meta.note_run(t.elapsed().as_secs_f64());
+    meta.note_run();
     NetPoint {
         scenario: name.to_string(),
         peers: report.peers,
@@ -166,14 +164,13 @@ pub(crate) fn fluid_leg(
 /// Builds the cross-check from the free-rider net scenario and the
 /// matching fluid run.
 fn cross_check(net: &NetPoint, seed: u64, meta: &mut RunMeta) -> CrossCheck {
-    let t = Instant::now();
     let (sim_rate, sim_fr_done, sim_mcl) = fluid_leg(
         net.total_compliant as usize,
         net.free_riders as usize,
         net.pieces,
         seed,
     );
-    meta.note_run(t.elapsed().as_secs_f64());
+    meta.note_run();
     let net_rate = if net.total_compliant == 0 {
         1.0
     } else {

@@ -23,7 +23,6 @@ use crate::output::{persist, print_table, results_dir, RunMeta};
 use crate::scale::Scale;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::Instant;
 use tchain_net::{run_swarm, SwarmConfig, SwarmReport};
 use tchain_obs::{merge_traces, to_causal_chrome_trace, to_jsonl, validate_causal};
 use tchain_sim::ChaosPlan;
@@ -96,11 +95,9 @@ fn write_artifact(dir: &Path, name: &str, body: &str) {
     }
 }
 
-fn timed_run(cfg: SwarmConfig, meta: &mut RunMeta) -> SwarmReport {
-    let t = Instant::now();
-    let report = run_swarm(cfg).expect("mesh transport cannot fail");
-    meta.note_run(t.elapsed().as_secs_f64());
-    report
+fn counted_run(cfg: SwarmConfig, meta: &mut RunMeta) -> SwarmReport {
+    meta.note_run();
+    run_swarm(cfg).expect("mesh transport cannot fail")
 }
 
 /// Runs the telemetry acceptance at the default seed.
@@ -125,19 +122,19 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetTelemetryDoc {
     };
     let mut meta = RunMeta::default();
 
-    let baseline = timed_run(base.clone(), &mut meta);
-    let rerun = timed_run(base.clone(), &mut meta);
+    let baseline = counted_run(base.clone(), &mut meta);
+    let rerun = counted_run(base.clone(), &mut meta);
     let disabled_deterministic = baseline.fingerprint == rerun.fingerprint
         && baseline.ticks == rerun.ticks
         && baseline.completion_times == rerun.completion_times;
 
-    let traced = timed_run(SwarmConfig { telemetry: true, ..base.clone() }, &mut meta);
+    let traced = counted_run(SwarmConfig { telemetry: true, ..base.clone() }, &mut meta);
     let telemetry_invisible = traced.fingerprint == baseline.fingerprint
         && traced.ticks == baseline.ticks
         && traced.completion_times == baseline.completion_times;
 
     // Chaos leg: corruption trips quarantines, which trip the recorder.
-    let chaotic = timed_run(
+    let chaotic = counted_run(
         SwarmConfig {
             telemetry: true,
             chaos: ChaosPlan::corrupting(seed ^ 0xF11, 0.05),
@@ -172,10 +169,6 @@ pub fn run_with_seed(scale: Scale, seed: u64) -> NetTelemetryDoc {
     for (i, dump) in chaotic.flight_dumps.iter().enumerate() {
         write_artifact(&dir, &format!("{prefix}.flight{i}.jsonl"), &dump.to_jsonl());
     }
-
-    let mut registry = tchain_obs::StatsRegistry::new();
-    tel.export_stats("net_telemetry", &mut registry);
-    meta.absorb_metrics(&registry.snapshot());
 
     let ring_sizes: BTreeMap<u32, usize> =
         traced.peer_rings.iter().map(|(id, r)| (*id, r.len())).collect();

@@ -46,7 +46,6 @@ pub fn run(scale: Scale) -> Data {
         &[()],
         |_| ("cipher throughput measurement".to_string(), 0),
         |_| {
-            let wall = std::time::Instant::now();
             let mut ring = Keyring::new(1);
             let (_, key) = ring.mint();
             let mut piece = vec![0u8; PIECE];
@@ -65,7 +64,7 @@ pub fn run(scale: Scale) -> Data {
             let throughput = PIECE as f64 * f64::from(PASSES) / batch.as_secs_f64();
             let enc = EncryptionOverhead::from_throughput(throughput);
             let gb = 1024.0 * 1024.0 * 1024.0;
-            let data = Data {
+            Data {
                 cipher_bytes_per_sec: throughput,
                 cipher_kernel: tchain_crypto::chacha::kernel().to_string(),
                 encryption_overhead: enc.overhead_fraction(gb, 1_000_000.0),
@@ -75,14 +74,13 @@ pub fn run(scale: Scale) -> Data {
                     32.0,
                 ),
                 chain_slots_100: tchain_analysis::overhead::chain_completion_slots(100),
-            };
-            (data, wall.elapsed().as_secs_f64())
+            }
         },
     );
     meta.note_failures(&cell.failures);
     let data = match cell.cells.pop().flatten() {
-        Some((data, wall)) => {
-            meta.note_run(wall);
+        Some(data) => {
+            meta.note_run();
             data
         }
         None => Data {

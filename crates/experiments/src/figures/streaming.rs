@@ -124,7 +124,6 @@ pub fn run(scale: Scale) -> Vec<Row> {
             for &v in &viewers {
                 sw.telemetry_mut().watch(v);
             }
-            let wall = std::time::Instant::now();
             sw.run_until_done();
             let completion: Vec<f64> = sw.base().completion_times(true);
             let mut playbacks = Vec::new();
@@ -137,7 +136,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
                     playbacks.push(pb);
                 }
             }
-            (playbacks, completion, wall.elapsed().as_secs_f64(), sw.metrics())
+            (playbacks, completion, sw.metrics())
         },
     );
     meta.note_failures(&sw.failures);
@@ -148,10 +147,10 @@ pub fn run(scale: Scale) -> Vec<Row> {
         let mut stalled = Vec::new();
         let mut completion = Vec::new();
         for _ in 0..runs {
-            let Some((playbacks, ct, wall, metrics)) = outs.next().flatten() else {
+            let Some((playbacks, ct, metrics)) = outs.next().flatten() else {
                 continue;
             };
-            meta.note_run(wall);
+            meta.note_run();
             meta.absorb_metrics(&metrics);
             completion.extend(ct);
             for pb in playbacks {

@@ -54,14 +54,14 @@ fn mark(ratio: f64) -> Cell {
 }
 
 /// Runs one mini-swarm and returns the free-riders' progress ratio —
-/// (FR pieces/time) / (compliant pieces/time) — plus the run's wall
-/// clock and metric snapshot for the caller's [`RunMeta`].
+/// (FR pieces/time) / (compliant pieces/time) — plus the run's metric
+/// snapshot for the caller's [`RunMeta`].
 pub fn progress_ratio(
     proto: Proto,
     fr: FreeRiderConfig,
     colluding: bool,
     seed: u64,
-) -> (f64, f64, tchain_obs::MetricMap) {
+) -> (f64, tchain_obs::MetricMap) {
     let n = 36;
     let mut plan = flash_plan(n, 0.0, RiderMode::Aggressive, seed);
     for i in 0..8usize {
@@ -74,13 +74,12 @@ pub fn progress_ratio(
     }
     let spec = proto.file_spec(2.0);
     let horizon = 900.0;
-    let wall = std::time::Instant::now();
     let mut sw = build_swarm(proto, spec, RunOpts::default(), plan, seed, FaultPlan::none());
     sw.run_to(horizon);
     let (fr_rate, compliant_rate) = rates(sw.base(), horizon);
     let metrics = sw.metrics();
     let ratio = if compliant_rate <= 0.0 { 0.0 } else { fr_rate / compliant_rate };
-    (ratio, wall.elapsed().as_secs_f64(), metrics)
+    (ratio, metrics)
 }
 
 fn rates(base: &tchain_proto::SwarmBase, horizon: f64) -> (f64, f64) {
@@ -173,8 +172,8 @@ pub fn run(scale: Scale) -> Vec<Row> {
             // A panicked mini-swarm scores as NaN (rendered bare, like the
             // structural rows) rather than sinking the whole table.
             let ratio = match outs.next().flatten() {
-                Some((ratio, wall, metrics)) => {
-                    meta.note_run(wall);
+                Some((ratio, metrics)) => {
+                    meta.note_run();
                     meta.absorb_metrics(&metrics);
                     ratio
                 }

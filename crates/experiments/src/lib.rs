@@ -20,9 +20,7 @@ pub mod runner;
 mod scale;
 mod scenario;
 
-pub use output::{
-    deterministic_view, fmt_opt, persist, print_table, results_dir, save, save_with_meta, RunMeta,
-};
+pub use output::{fmt_opt, persist, print_table, results_dir, save_with_meta, RunMeta};
 pub use runner::{
     effective_jobs, parse_jobs_args, parse_net_args, parse_u64_flag, set_jobs, sweep,
     take_failures, FailedCell, NetArgs, Sweep,

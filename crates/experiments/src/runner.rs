@@ -265,11 +265,6 @@ where
     Sweep { cells: out, failures }
 }
 
-/// [`sweep`] for a single guarded cell (figures that are one simulation).
-pub fn guarded_run<T: Send>(figure: &str, scenario: &str, seed: u64, f: impl Fn() -> T + Sync) -> Option<T> {
-    sweep(figure, &[()], |_| (scenario.to_string(), seed), |_| f()).cells.pop().flatten()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,15 +361,6 @@ mod tests {
     #[test]
     fn effective_jobs_is_positive() {
         assert!(effective_jobs() >= 1);
-    }
-
-    #[test]
-    fn guarded_run_returns_value_or_none() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(guarded_run("g", "ok", 1, || 41 + 1), Some(42));
-        let r: Option<u32> = guarded_run("g", "bad", 2, || panic!("nope"));
-        assert!(r.is_none());
-        take_failures();
     }
 
     #[test]

@@ -51,7 +51,8 @@ pub struct SwarmConfig {
     pub seed: u64,
     /// Peer-level protocol tunables.
     pub net: NetConfig,
-    /// Fault plan for the mesh transport (loss/latency/partitions).
+    /// Fault plan for the mesh transport: frame loss and a latency
+    /// model. It must schedule no crashes (crash peers through `chaos`).
     pub plan: FaultPlan,
     /// Byzantine chaos plan: frame corruption, duplication, reordering,
     /// resets and crash-restart schedules.
@@ -317,7 +318,7 @@ impl TelemetryState {
                 swarm.note_termination(cause, n);
             }
         }
-        // Copied, not moved out with `into_records`: the report outlives
+        // Copied out of the rings, not moved: the report outlives
         // the run, and exact-size copies made here pack together, where a
         // ring's own buffer sits wherever it last grew, among state the
         // run is about to free (moving measured 3.6 MiB more peak RSS on

@@ -17,24 +17,7 @@
 
 use crate::runtime::PeerCounters;
 use std::collections::BTreeMap;
-use tchain_obs::{
-    to_jsonl, Log2Histogram, PrometheusWriter, StatsRegistry, TelemetrySnapshot, TraceRecord,
-    Tracer,
-};
-
-/// Histogram name: PieceData arrival → KeyRelease arrival at the
-/// requestor (how long a reciprocation is held hostage).
-pub const HIST_REQUEST_KEY_LATENCY: &str = "request_key_latency_ms";
-/// Histogram name: PieceUpload sent → ReceptionReport back at the donor.
-pub const HIST_PIECE_RTT: &str = "piece_rtt_ms";
-/// Histogram name: report retransmissions per peer per run.
-pub const HIST_REPORT_RETRIES: &str = "report_retries";
-/// Histogram name: §II-B4 escrow handoff → rule-3 forward at the payee.
-pub const HIST_ESCROW_DWELL: &str = "escrow_dwell_ms";
-/// Histogram name: quarantine durations imposed on offenders.
-pub const HIST_QUARANTINE: &str = "quarantine_ms";
-/// Histogram name: transactions per incentive chain (swarm-level).
-pub const HIST_CHAIN_LENGTH: &str = "chain_length";
+use tchain_obs::{to_jsonl, Log2Histogram, PrometheusWriter, TraceRecord, Tracer};
 
 /// Converts transport virtual seconds to the integer milliseconds the
 /// histograms bucket. Negative or NaN intervals clamp to zero.
@@ -92,33 +75,6 @@ impl PeerTelemetry {
         self.goodwill = goodwill;
         self.report_retries.observe(counters.report_retries);
     }
-
-    /// This peer's metrics as a mergeable [`TelemetrySnapshot`].
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
-        s.add("uploads", self.uploads());
-        s.add("downloads", self.downloads());
-        s.add("reports_sent", self.counters.reports_sent);
-        s.add("report_retries", self.counters.report_retries);
-        s.add("keys_sent", self.counters.keys_sent);
-        s.add("escrow_held", self.counters.escrowed);
-        s.add("frame_rejects", self.counters.frame_rejects);
-        s.add("quarantines", self.counters.quarantines);
-        for (name, h) in self.histograms() {
-            *s.histograms.entry(name.to_string()).or_default() = *h;
-        }
-        s
-    }
-
-    fn histograms(&self) -> [(&'static str, &Log2Histogram); 5] {
-        [
-            (HIST_REQUEST_KEY_LATENCY, &self.request_key_latency),
-            (HIST_PIECE_RTT, &self.piece_rtt),
-            (HIST_REPORT_RETRIES, &self.report_retries),
-            (HIST_ESCROW_DWELL, &self.escrow_dwell),
-            (HIST_QUARANTINE, &self.quarantine),
-        ]
-    }
 }
 
 /// Swarm-level aggregation: the fold of every peer's telemetry plus the
@@ -162,32 +118,6 @@ impl SwarmTelemetry {
             return 1.0;
         }
         (sum * sum) / (xs.len() as f64 * sq)
-    }
-
-    /// The swarm fold of every peer snapshot plus the swarm-only
-    /// histograms — merge-order independent by construction.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
-        for p in &self.peers {
-            s.merge(&p.snapshot());
-        }
-        *s.histograms.entry(HIST_CHAIN_LENGTH.to_string()).or_default() = self.chain_lengths;
-        for (cause, n) in &self.terminations {
-            s.add(&format!("terminations_{cause}"), *n);
-        }
-        s
-    }
-
-    /// Dumps the swarm fold into a [`StatsRegistry`] under `prefix`
-    /// (counter totals plus `.count`/`.sum` per histogram), and sets the
-    /// fairness index in parts-per-million (the registry is integral).
-    pub fn export_stats(&self, prefix: &str, reg: &mut StatsRegistry) {
-        use tchain_obs::ExportStats;
-        self.snapshot().export_stats(prefix, reg);
-        reg.set(
-            &format!("{prefix}.fairness_ppm"),
-            (self.fairness_index() * 1_000_000.0).round() as u64,
-        );
     }
 
     /// Prometheus text-format (0.0.4) exposition: per-peer counters and
@@ -381,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_folds_peers_and_prometheus_has_the_headline_series() {
+    fn prometheus_has_the_headline_series() {
         let mut s = SwarmTelemetry {
             peers: vec![peer(1, 4, 2), peer(2, 3, 5)],
             ..SwarmTelemetry::default()
@@ -392,12 +322,6 @@ mod tests {
         s.note_termination("gift", 2);
         s.note_termination("crash", 1);
 
-        let snap = s.snapshot();
-        assert_eq!(snap.counters.get("uploads"), Some(&7));
-        assert_eq!(snap.counters.get("downloads"), Some(&7));
-        assert_eq!(snap.counters.get("terminations_gift"), Some(&2));
-        assert_eq!(snap.histograms[HIST_CHAIN_LENGTH].count(), 2);
-
         let prom = s.to_prometheus();
         assert!(prom.contains("# TYPE tchain_fairness_index gauge"));
         assert!(prom.contains("tchain_fairness_index "));
@@ -406,12 +330,6 @@ mod tests {
         assert!(prom.contains("tchain_peer_uploads{peer=\"1\"} 4"));
         assert!(prom.contains("tchain_terminations{cause=\"crash\"} 1"));
         assert!(prom.contains("tchain_request_key_latency_ms_bucket{peer=\"1\",le=\"3\"} 1"));
-
-        let mut reg = StatsRegistry::new();
-        s.export_stats("swarm", &mut reg);
-        assert_eq!(reg.get("swarm.uploads"), 7);
-        assert_eq!(reg.get("swarm.chain_length.count"), 2);
-        assert!(reg.get("swarm.fairness_ppm") > 0);
     }
 
     #[test]

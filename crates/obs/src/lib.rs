@@ -47,8 +47,7 @@ pub use export::{
 };
 pub use profile::{Phase, PhaseProfile, PhaseProfiler, PhaseSummary, HIST_BUCKETS};
 pub use registry::{
-    ExportStats, Log2Histogram, MetricMap, PrometheusWriter, StatsRegistry, TelemetrySnapshot,
-    LOG2_BUCKETS,
+    ExportStats, Log2Histogram, MetricMap, PrometheusWriter, StatsRegistry, LOG2_BUCKETS,
 };
 pub use ring::EventRing;
 pub use tracer::Tracer;

@@ -85,28 +85,6 @@ impl PhaseProfile {
         self.phases.iter().map(|p| p.total_ns).sum()
     }
 
-    /// Fold another profile into this one (aggregating across runs):
-    /// calls and totals add, maxima take the max, histograms sum
-    /// bucket-wise. Phases are matched by name; unseen phases append.
-    pub fn merge(&mut self, other: &PhaseProfile) {
-        for o in &other.phases {
-            match self.phases.iter_mut().find(|p| p.phase == o.phase) {
-                Some(p) => {
-                    p.calls += o.calls;
-                    p.total_ns += o.total_ns;
-                    p.max_ns = p.max_ns.max(o.max_ns);
-                    if p.hist_log2_ns.len() < o.hist_log2_ns.len() {
-                        p.hist_log2_ns.resize(o.hist_log2_ns.len(), 0);
-                    }
-                    for (i, &c) in o.hist_log2_ns.iter().enumerate() {
-                        p.hist_log2_ns[i] += c;
-                    }
-                }
-                None => self.phases.push(o.clone()),
-            }
-        }
-    }
-
     /// Render a human-readable per-phase table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -259,44 +237,6 @@ mod tests {
         assert!(s.max_ns >= s.mean_ns());
         assert_eq!(s.hist_log2_ns.iter().sum::<u64>(), 3);
         assert!(!prof.render_table().is_empty());
-    }
-
-    #[test]
-    fn merge_aggregates_by_phase_name() {
-        let mut a = PhaseProfile {
-            phases: vec![PhaseSummary {
-                phase: "rechoke".into(),
-                calls: 2,
-                total_ns: 100,
-                max_ns: 80,
-                hist_log2_ns: vec![1, 1],
-            }],
-        };
-        let b = PhaseProfile {
-            phases: vec![
-                PhaseSummary {
-                    phase: "rechoke".into(),
-                    calls: 1,
-                    total_ns: 50,
-                    max_ns: 120,
-                    hist_log2_ns: vec![0, 0, 1],
-                },
-                PhaseSummary {
-                    phase: "sampling".into(),
-                    calls: 4,
-                    total_ns: 10,
-                    max_ns: 5,
-                    hist_log2_ns: vec![4],
-                },
-            ],
-        };
-        a.merge(&b);
-        assert_eq!(a.phases.len(), 2);
-        let r = &a.phases[0];
-        assert_eq!((r.calls, r.total_ns, r.max_ns), (3, 150, 120));
-        assert_eq!(r.hist_log2_ns, vec![1, 1, 1]);
-        assert_eq!(a.phases[1].phase, "sampling");
-        assert_eq!(a.total_ns(), 160);
     }
 
     #[test]

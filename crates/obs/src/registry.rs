@@ -7,11 +7,9 @@
 //! deterministic (sorted) order into `results/*.json`.
 //!
 //! The telemetry layer adds [`Log2Histogram`] (fixed 33-bucket
-//! power-of-two latency histograms — no allocation, exact merge),
-//! [`TelemetrySnapshot`] (a mergeable bundle of counters + histograms a
-//! peer runtime can hand to an aggregator; merging is associative and
-//! commutative, so fold order never changes the result), and
-//! [`PrometheusWriter`] (text-format exposition of all of the above).
+//! power-of-two latency histograms, no allocation) and
+//! [`PrometheusWriter`] (text-format exposition of counters, gauges and
+//! those histograms).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -82,9 +80,7 @@ pub const LOG2_BUCKETS: usize = 33;
 ///
 /// Bucket 0 holds exact zeros; bucket `i` (1..=31) holds values in
 /// `[2^(i-1), 2^i)`; bucket 32 holds everything ≥ `2^31`. The shape is
-/// fixed so two histograms merge by element-wise addition — exact,
-/// associative, and commutative, which is what lets per-peer telemetry
-/// fold into swarm aggregates in any order.
+/// fixed, so every histogram exposes the same Prometheus `le` labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; LOG2_BUCKETS],
@@ -150,15 +146,6 @@ impl Log2Histogram {
         &self.buckets
     }
 
-    /// Element-wise merge of another histogram into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
     /// Smallest `le` bound covering at least `q` (0..=1) of the mass,
     /// `None` when empty or the mass sits in the overflow bucket.
     pub fn quantile_le(&self, q: f64) -> Option<u64> {
@@ -174,64 +161,6 @@ impl Log2Histogram {
             }
         }
         None
-    }
-}
-
-/// A mergeable bundle of named counters and histograms — the unit of
-/// telemetry a peer runtime exports and an aggregator folds.
-///
-/// `merge` is associative and commutative (counter addition saturates,
-/// histogram merge is element-wise), so folding N peer snapshots gives
-/// one result regardless of fold order or grouping — the property the
-/// deterministic parallel runner needs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TelemetrySnapshot {
-    /// Monotone counters, sorted by name.
-    pub counters: MetricMap,
-    /// Named histograms, sorted by name.
-    pub histograms: BTreeMap<String, Log2Histogram>,
-}
-
-impl TelemetrySnapshot {
-    /// Empty snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `delta` to a named counter.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v = v.saturating_add(delta);
-        } else {
-            self.counters.insert(name.to_string(), delta);
-        }
-    }
-
-    /// Record one observation into a named histogram.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms.entry(name.to_string()).or_default().observe(value);
-    }
-
-    /// Fold another snapshot into this one.
-    pub fn merge(&mut self, other: &Self) {
-        for (name, v) in &other.counters {
-            self.add(name, *v);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
-    }
-}
-
-impl ExportStats for TelemetrySnapshot {
-    fn export_stats(&self, prefix: &str, reg: &mut StatsRegistry) {
-        for (name, v) in &self.counters {
-            reg.add(&format!("{prefix}.{name}"), *v);
-        }
-        for (name, h) in &self.histograms {
-            reg.add(&format!("{prefix}.{name}.count"), h.count());
-            reg.add(&format!("{prefix}.{name}.sum"), h.sum());
-        }
     }
 }
 
@@ -387,60 +316,5 @@ mod tests {
         assert!(text.contains("tchain_rtt_bucket{peer=\"3\",le=\"+Inf\"} 3"), "{text}");
         assert!(text.contains("tchain_rtt_sum{peer=\"3\"} 43"), "{text}");
         assert!(text.contains("tchain_rtt_count{peer=\"3\"} 3"), "{text}");
-    }
-
-    #[test]
-    fn telemetry_snapshot_exports_into_registry() {
-        let mut snap = TelemetrySnapshot::new();
-        snap.add("uploads", 4);
-        snap.observe("rtt", 7);
-        snap.observe("rtt", 9);
-        let mut reg = StatsRegistry::new();
-        snap.export_stats("net.peer0", &mut reg);
-        assert_eq!(reg.get("net.peer0.uploads"), 4);
-        assert_eq!(reg.get("net.peer0.rtt.count"), 2);
-        assert_eq!(reg.get("net.peer0.rtt.sum"), 16);
-    }
-
-    /// Folding per-peer snapshots on 1, 2 or 4 threads gives identical
-    /// aggregates — merge order independence in the concrete shape the
-    /// parallel experiment runner uses.
-    #[test]
-    fn merged_snapshot_is_identical_across_thread_counts() {
-        let per_peer: Vec<TelemetrySnapshot> = (0u64..16)
-            .map(|p| {
-                let mut s = TelemetrySnapshot::new();
-                s.add("uploads", p * 3 + 1);
-                s.observe("rtt", p * p);
-                s.observe("dwell", 1 << (p % 20));
-                s
-            })
-            .collect();
-        let mut folds: Vec<TelemetrySnapshot> = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let chunk = per_peer.len().div_ceil(threads);
-            let partials: Vec<TelemetrySnapshot> = std::thread::scope(|scope| {
-                let handles: Vec<_> = per_peer
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let mut acc = TelemetrySnapshot::new();
-                            for s in part {
-                                acc.merge(s);
-                            }
-                            acc
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("fold thread")).collect()
-            });
-            let mut total = TelemetrySnapshot::new();
-            for p in &partials {
-                total.merge(p);
-            }
-            folds.push(total);
-        }
-        assert_eq!(folds[0], folds[1]);
-        assert_eq!(folds[1], folds[2]);
     }
 }

@@ -85,14 +85,6 @@ impl EventRing {
         self.iter().skip(self.len().saturating_sub(n))
     }
 
-    /// Consume the ring, yielding its records oldest-first. The buffer is
-    /// rotated in place, not copied.
-    pub fn into_vec(self) -> Vec<TraceRecord> {
-        let mut buf = self.buf;
-        buf.rotate_left(self.head);
-        buf
-    }
-
     /// Drop all buffered records (the buffer and counters are retained).
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -240,8 +232,6 @@ mod tests {
                     "tail({n}) differs, cap {cap}, after push {seq}"
                 );
             }
-            let all: Vec<TraceRecord> = ring.iter().copied().collect();
-            ensure_eq!(ring.into_vec(), all, "into_vec, cap {cap}");
             Ok(())
         });
     }

@@ -109,12 +109,6 @@ impl Tracer {
         self.ring.iter().flat_map(move |ring| ring.tail(n))
     }
 
-    /// Consumes the tracer, yielding its buffered records oldest-first
-    /// without copying them. Empty when disabled.
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.ring.map_or_else(Vec::new, EventRing::into_vec)
-    }
-
     /// Number of records currently buffered, zero when disabled.
     pub fn len(&self) -> usize {
         self.ring.as_ref().map_or(0, EventRing::len)
@@ -138,17 +132,6 @@ impl Tracer {
     /// Records lost to ring overwrite, zero when disabled.
     pub fn overwritten(&self) -> u64 {
         self.ring.as_ref().map_or(0, |r| r.overwritten())
-    }
-
-    /// Serialize the buffered records as JSONL (one record per line).
-    pub fn to_jsonl(&self) -> String {
-        crate::export::to_jsonl(&self.records())
-    }
-
-    /// Serialize the buffered records as a Chrome `trace_event` JSON
-    /// document loadable in Perfetto / `chrome://tracing`.
-    pub fn to_chrome_trace(&self) -> String {
-        crate::export::to_chrome_trace(&self.records())
     }
 }
 
@@ -235,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn tail_and_into_records_agree_with_records() {
+    fn tail_agrees_with_records() {
         let mut tr = Tracer::for_peer(2, 3);
         for i in 0..5 {
             tr.record(i as f64, Event::PeerDepart { peer: i });
@@ -244,9 +227,7 @@ mod tests {
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.tail(2).copied().collect::<Vec<_>>(), all[1..]);
         assert_eq!(tr.tail(9).copied().collect::<Vec<_>>(), all);
-        assert_eq!(tr.into_records(), all);
         assert_eq!(Tracer::disabled().tail(4).count(), 0);
-        assert!(Tracer::disabled().into_records().is_empty());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Property tests (`tchain_sim::forall`) for the telemetry primitives in
-//! `tchain_obs::registry`. They live here rather than beside the code:
+//! Property tests (`tchain_sim::forall`) for `tchain_obs::registry`'s
+//! [`Log2Histogram`]. They live here rather than beside the code:
 //! `tchain-sim` depends on `tchain-obs`, so only an integration test sees
 //! one `tchain_obs`.
 
-use tchain_obs::{Log2Histogram, TelemetrySnapshot, LOG2_BUCKETS};
-use tchain_sim::{ensure, ensure_eq, forall, sized, SimRng};
+use tchain_obs::{Log2Histogram, LOG2_BUCKETS};
+use tchain_sim::{ensure, ensure_eq, forall, sized};
 
 const CASES: u32 = 256;
 
@@ -34,44 +34,6 @@ fn prop_bucket_boundaries() {
         }
         ensure_eq!(h.count(), values.len() as u64);
         ensure_eq!(h.buckets().iter().sum::<u64>(), values.len() as u64);
-        Ok(())
-    });
-}
-
-/// A snapshot built from 0..24 random `(name, value, is_histogram)` ops
-/// over a tiny closed name set.
-fn snapshot(rng: &mut SimRng, size: usize) -> TelemetrySnapshot {
-    const NAMES: [&str; 3] = ["uploads", "rtt", "dwell"];
-    let mut s = TelemetrySnapshot::new();
-    for _ in 0..sized(rng, size, 0, 24) {
-        let (name, v) = (NAMES[rng.below(3)], rng.below(1_000_000) as u64);
-        if rng.chance(0.5) {
-            s.observe(name, v);
-        } else {
-            s.add(name, v);
-        }
-    }
-    s
-}
-
-/// Snapshot merge is commutative and associative: any fold order over
-/// three randomly built snapshots agrees.
-#[test]
-fn prop_merge_commutes_and_associates() {
-    forall(0x3E26E, CASES, |rng, size| {
-        let (sa, sb, sc) = (snapshot(rng, size), snapshot(rng, size), snapshot(rng, size));
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb.clone();
-        ba.merge(&sa);
-        ensure_eq!(ab, ba);
-        let mut ab_c = ab.clone();
-        ab_c.merge(&sc);
-        let mut bc = sb.clone();
-        bc.merge(&sc);
-        let mut a_bc = sa.clone();
-        a_bc.merge(&bc);
-        ensure_eq!(ab_c, a_bc);
         Ok(())
     });
 }

@@ -148,11 +148,6 @@ impl PeerTable {
     pub fn iter_alive(&self) -> impl Iterator<Item = &Peer> {
         self.peers.iter().filter(|p| p.alive())
     }
-
-    /// Number of live peers.
-    pub fn alive_count(&self) -> usize {
-        self.peers.iter().filter(|p| p.alive()).count()
-    }
 }
 
 #[cfg(test)]
@@ -190,6 +185,5 @@ mod tests {
         t.get_mut(l).left_time = Some(20.0);
         assert!(!t.alive(l));
         assert_eq!(t.get(l).residence(25.0), 10.0);
-        assert_eq!(t.alive_count(), 0);
     }
 }

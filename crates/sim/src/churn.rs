@@ -246,11 +246,6 @@ impl ChurnState {
         self.cursor >= self.arrivals.len() && self.dcursor >= self.departures.len()
     }
 
-    /// Arrivals the full plan will ever produce.
-    pub fn total_arrivals(&self) -> usize {
-        self.arrivals.len()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> ChurnStats {
         self.stats
@@ -337,6 +332,5 @@ mod tests {
     fn total_joins_counts_every_arrival() {
         let plan = ChurnPlan::none().with_joins(0.0, 3, 1.0).with_flash_crowd(9.0, 4);
         assert_eq!(plan.total_joins(), 7);
-        assert_eq!(ChurnState::new(&plan).total_arrivals(), 7);
     }
 }

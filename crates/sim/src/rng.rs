@@ -145,15 +145,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform choice of an index into a slice, or `None` if empty.
-    pub fn choose_index<T>(&mut self, xs: &[T]) -> Option<usize> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(self.below(xs.len()))
-        }
-    }
-
     /// Samples `k` distinct elements (or all, if fewer) uniformly without
     /// replacement, preserving no particular order.
     pub fn sample<T: Copy>(&mut self, xs: &[T], k: usize) -> Vec<T> {
@@ -378,7 +369,7 @@ mod tests {
             out.push(r.choose(&xs[..0]).map_or(u64::MAX, |&x| u64::from(x)));
             for len in [1, 3, 48] {
                 out.push(r.choose(&xs[..len]).map_or(u64::MAX, |&x| u64::from(x)));
-                out.push(r.choose_index(&xs[..len]).map_or(u64::MAX, |i| i as u64));
+                out.push(r.below(len) as u64);
             }
             let mut v = xs.clone();
             r.shuffle(&mut v);

@@ -30,20 +30,6 @@ pub fn flash_crowd(n: usize, window: f64, seed: u64) -> Vec<f64> {
     t
 }
 
-/// Join times for a homogeneous Poisson process with `rate` arrivals per
-/// second, truncated to `n` arrivals.
-pub fn poisson(n: usize, rate: f64, seed: u64) -> Vec<f64> {
-    assert!(rate > 0.0, "rate must be positive");
-    let mut rng = SimRng::new(seed ^ 0x9015_5015_0000_0000);
-    let mut t = 0.0;
-    (0..n)
-        .map(|_| {
-            t += rng.exp(rate);
-            t
-        })
-        .collect()
-}
-
 /// Synthetic release-day tracker trace: a short initial surge followed by
 /// an exponentially decaying Poisson arrival rate with mild diurnal
 /// modulation. Substitutes for the RedHat 9 trace of §IV-E.
@@ -169,13 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_gap_matches_rate() {
-        let t = poisson(20_000, 2.0, 3);
-        let mean_gap = t.last().unwrap() / t.len() as f64;
-        assert!((mean_gap - 0.5).abs() < 0.02, "mean gap {mean_gap}");
-    }
-
-    #[test]
     fn trace_rate_decays() {
         let m = TraceModel::default();
         assert!(m.rate_at(0.0) > m.rate_at(m.half_life * 4.0));
@@ -223,10 +202,6 @@ mod tests {
         assert_eq!(
             flash_crowd(3, 10.0, 42),
             [4.223967777421491, 7.047523312485209, 7.340007793655231]
-        );
-        assert_eq!(
-            poisson(3, 2.0, 42),
-            [0.5625733811894549, 0.6490095914299095, 0.9710026403430118]
         );
         assert_eq!(
             TraceModel::default().arrivals(3, 42),

@@ -159,7 +159,7 @@ fn fig03_flash_crowd_cell_matches_fixture() {
 #[test]
 fn table2_large_view_cell_matches_fixture() {
     let cfg = FreeRiderConfig { large_view: true, ..Default::default() };
-    let (ratio, _wall, metrics) = progress_ratio(Proto::TChain, cfg, false, TABLE2_SEED);
+    let (ratio, metrics) = progress_ratio(Proto::TChain, cfg, false, TABLE2_SEED);
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"feature\": \"Large-view-exploit\",");
     let _ = writeln!(s, "  \"proto\": \"T-Chain\",");

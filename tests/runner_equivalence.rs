@@ -1,14 +1,16 @@
 //! Thread-count equivalence: a sweep executed with `--jobs 1`, `--jobs 2`
 //! and `--jobs <max>` must produce byte-identical results — per-cell
-//! outcomes, trace JSONL exports, and the persisted results documents
-//! (after stripping the single host-measured line with
-//! [`deterministic_view`]).
+//! outcomes, trace JSONL exports, and the persisted results documents.
+//! A persisted document is a pure function of code, scale and seed, so
+//! rerunning a figure at the same seed rewrites the same bytes.
 
+use std::path::PathBuf;
 use std::sync::Mutex;
 
+use tchain_experiments::figures::{net_explore, net_scale};
 use tchain_experiments::{
-    deterministic_view, flash_plan, results_dir, run_proto, save_with_meta, set_jobs, sweep,
-    take_failures, Horizon, Proto, RiderMode, RunMeta, RunOpts, RunOutcome,
+    flash_plan, results_dir, run_proto, save_with_meta, set_jobs, sweep, take_failures, Horizon,
+    Proto, RiderMode, RunMeta, RunOpts, RunOutcome, Scale,
 };
 use tchain_obs::to_jsonl;
 
@@ -86,9 +88,8 @@ fn outcomes_and_traces_identical_for_jobs_1_2_max() {
 }
 
 /// The full persistence path: aggregate each sweep into a `RunMeta`,
-/// write the `{"meta": …, "data": …}` document, and require the
-/// deterministic view of the file bytes to be identical for every
-/// worker count.
+/// write the `{"meta": …, "data": …}` document, and require the file
+/// bytes to be identical for every worker count.
 #[test]
 fn persisted_documents_identical_for_jobs_1_2_max() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -108,7 +109,7 @@ fn persisted_documents_identical_for_jobs_1_2_max() {
                 .collect();
             let path = save_with_meta("equiv", &format!("jobs{jobs}"), &data, &meta).unwrap();
             assert_eq!(path.parent().unwrap(), results_dir());
-            deterministic_view(&std::fs::read_to_string(path).unwrap())
+            std::fs::read_to_string(path).unwrap()
         })
     };
     let one = doc_for(1);
@@ -117,11 +118,42 @@ fn persisted_documents_identical_for_jobs_1_2_max() {
     std::env::remove_var("TCHAIN_RESULTS");
     std::fs::remove_dir_all(&dir).ok();
     // Different scale tags name different files but identical content:
-    // the deterministic view must not depend on the worker count.
+    // the bytes must not depend on the worker count.
     assert_eq!(one, two, "persisted document differs between --jobs 1 and --jobs 2");
     assert_eq!(one, many, "persisted document differs between --jobs 1 and --jobs max");
-    assert!(one.contains("\"sim\""), "envelope keeps the sim meta");
-    assert!(!one.contains("wall_clock_s"), "host line must be stripped");
+    assert!(one.contains("\"failed_cells\""), "envelope keeps the run meta");
+    take_failures();
+}
+
+/// Runs `figure` twice into a scratch results directory and returns the
+/// two documents it persisted as `name.quick.json`.
+fn persisted_twice(name: &str, figure: impl Fn()) -> (String, String) {
+    let dir: PathBuf = std::env::temp_dir().join(format!("tchain-rerun-{name}"));
+    std::env::set_var("TCHAIN_RESULTS", &dir);
+    let path = dir.join(format!("{name}.quick.json"));
+    let read = || {
+        figure();
+        std::fs::read_to_string(&path).unwrap()
+    };
+    let docs = (read(), read());
+    std::env::remove_var("TCHAIN_RESULTS");
+    std::fs::remove_dir_all(&dir).ok();
+    docs
+}
+
+/// The net runtime's documents carry no host timing: a same-seed rerun
+/// of `net_scale` and `net_explore` persists the same bytes.
+#[test]
+fn net_documents_identical_for_a_repeated_seed() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (a, b) = persisted_twice("net_scale", || {
+        assert!(net_scale::run(Scale::Quick).all_safe);
+    });
+    assert_eq!(a, b, "net_scale document differs between same-seed runs");
+    let (a, b) = persisted_twice("net_explore", || {
+        assert!(net_explore::run(Scale::Quick).all_safe);
+    });
+    assert_eq!(a, b, "net_explore document differs between same-seed runs");
     take_failures();
 }
 
