@@ -1,6 +1,6 @@
 //! Byzantine chaos sweep over the executable peer runtime
 //! (`tchain-net`): frame corruption, duplication, reordering, resets,
-//! and crash-restart rejoin from checkpoints. `--quick` / `--paper`
+//! and crash-restart rejoin. `--quick` / `--paper`
 //! flags or `TCHAIN_SCALE=quick|paper`; `--seed N` reruns the sweep at
 //! a different master seed (the CI acceptance job uses two).
 //!

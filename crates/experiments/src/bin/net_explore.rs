@@ -10,7 +10,7 @@
 //! normally that is *zero* oracle violations plus bit-identical
 //! schedule replay; under `RUSTFLAGS="--cfg tchain_canary"` (the
 //! mutation drill) the crash scenario must instead FIND the seeded
-//! restore() ledger bug and shrink its witness to ≤ 50 choices.
+//! restart() ledger bug and shrink its witness to ≤ 50 choices.
 fn main() {
     let args = tchain_experiments::parse_net_args("net_explore", 0xE5B0);
     let (scale, seed) = (args.scale, args.seed);
@@ -30,7 +30,7 @@ fn main() {
     if !doc.all_safe {
         if canary {
             eprintln!(
-                "net_explore: CANARY DRILL FAILED — the seeded restore() ledger bug was \
+                "net_explore: CANARY DRILL FAILED — the seeded restart() ledger bug was \
                  not found and shrunk within budget"
             );
         } else {

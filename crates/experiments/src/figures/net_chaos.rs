@@ -43,9 +43,9 @@ tchain_obs::json_struct! {
         pub frame_rejects: u64,
         /// Quarantines imposed by the strike policy.
         pub quarantines: u64,
-        /// Abrupt crashes executed / checkpoint rejoins completed.
+        /// Abrupt crashes executed.
         pub crashes: u64,
-        /// Checkpoint rejoins completed.
+        /// Crashed peers that came back under their own id.
         pub rejoins: u64,
         /// Key releases over the §II-B4 escrow path.
         pub escrow_transfers: u64,

@@ -14,7 +14,7 @@
 //! Each scenario also proves replayability: one sampled schedule is
 //! re-run twice from its recording and all three fingerprints must be
 //! bit-identical. Under `RUSTFLAGS="--cfg tchain_canary"` the binary
-//! flips into drill mode: the seeded `restore()` ledger mutation must
+//! flips into drill mode: the seeded `restart()` ledger mutation must
 //! be *found* in the crash scenario and shrunk to ≤ 50 choices —
 //! proving the searcher has teeth, not just green lights.
 

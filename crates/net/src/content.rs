@@ -14,7 +14,7 @@
 //! every delivered frame (every swarm fingerprint, witness and CI pin).
 //! Changing it re-blesses both. It is free in the third: the piece table
 //! behind [`Content::verify`] is process-local — never sent,
-//! checkpointed or folded — and would follow a change silently.
+//! stored or folded — and would follow a change silently.
 
 use std::sync::{Arc, OnceLock};
 use tchain_sim::splitmix64;

@@ -19,7 +19,7 @@
 //! sizes; `tests/schedule_replay.rs` pins previously shrunk witnesses,
 //! and the `net_explore` experiment runs the budgeted search in CI.
 //! The engine's teeth are proven by a mutation canary: building with
-//! `RUSTFLAGS="--cfg tchain_canary"` re-arms the PR 9 `restore()`
+//! `RUSTFLAGS="--cfg tchain_canary"` re-arms the PR 9 `restart()`
 //! ledger bug, which the search must find and shrink.
 //!
 //! [`SwarmHarness`]: crate::SwarmHarness
@@ -30,7 +30,7 @@ use crate::strategy::{GroupId, Strategy};
 use tchain_obs::OracleKind;
 use tchain_sim::{splitmix64, ChaosPlan, ChurnPlan, ExplorePlan, FaultPlan, Schedule};
 
-/// `true` when this build carries the seeded `restore()` ledger
+/// `true` when this build carries the seeded `restart()` ledger
 /// mutation (`RUSTFLAGS="--cfg tchain_canary"`). The canary drill
 /// expects the explorer to find it; everything else expects it off.
 pub fn canary_armed() -> bool {

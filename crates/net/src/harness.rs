@@ -16,7 +16,7 @@
 use crate::content::{digest, Content};
 use crate::frame::{CausalMeta, Frame};
 pub use crate::observer::Observer;
-use crate::runtime::{Checkpoint, NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
+use crate::runtime::{NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
 use crate::sched::TimerWheel;
 use crate::strategy::{
     strategy_label, AttackerState, ColluderRegistry, Strategy, RECHOKE_PERIOD,
@@ -383,7 +383,7 @@ pub struct SwarmReport {
     pub quarantines: u64,
     /// Abrupt crash-restart crashes executed.
     pub crashes: u64,
-    /// Checkpoint rejoins completed.
+    /// Crashed peers that came back under their own id.
     pub rejoins: u64,
     /// Peers that joined mid-run from the churn schedule.
     pub churn_joins: u64,
@@ -463,17 +463,16 @@ impl SwarmReport {
     }
 }
 
-/// A checkpointed peer waiting out a delay before it comes back: a
-/// crash victim's jittered outage or, inside a [`WhitewashSlot`], a
+/// A peer's next incarnation waiting out a delay before it comes back:
+/// a crash victim's jittered outage or, inside a [`WhitewashSlot`], a
 /// whitewasher's rejoin delay.
 struct RejoinSlot {
     at: f64,
-    generation: u32,
-    checkpoint: Checkpoint,
+    peer: PeerRuntime,
 }
 
 /// A whitewashed operator waiting to come back under the fresh identity
-/// its checkpoint was re-keyed to — loot intact, ledgers wiped.
+/// it was reborn with — loot intact, ledgers wiped.
 struct WhitewashSlot {
     rejoin: RejoinSlot,
     operator: usize,
@@ -488,15 +487,9 @@ fn take_due<S>(pending: &mut Vec<S>, now: f64, slot: impl Fn(&S) -> &RejoinSlot)
     *pending = later;
     due.sort_by(|a, b| {
         let (a, b) = (slot(a), slot(b));
-        a.at.total_cmp(&b.at).then(a.checkpoint.id().cmp(&b.checkpoint.id()))
+        a.at.total_cmp(&b.at).then(a.peer.id().cmp(&b.peer.id()))
     });
     due
-}
-
-/// Round-trips a checkpoint through its byte encoding, so a comeback
-/// exercises exactly what a process reloading a file on disk would.
-fn reload(checkpoint: &Checkpoint) -> Checkpoint {
-    Checkpoint::from_bytes(&checkpoint.to_bytes()).expect("own encoding")
 }
 
 /// Frames staged for the transport, `(from, to, frame)` in send order.
@@ -512,7 +505,7 @@ enum Entry {
     /// An id the transport has never seen: boot, churn join, whitewash
     /// rebirth.
     Fresh,
-    /// A crashed id coming back from its checkpoint.
+    /// A crashed id coming back as its restarted successor.
     Returning,
 }
 
@@ -565,7 +558,7 @@ impl AttackState {
 /// The live peers, indexed by the ids the harness mints in sequence
 /// (0..peers at boot, then `next_id`), so the table is dense and index
 /// order is ascending-id order. A crash or whitewash empties its id's
-/// slot; a restore refills it under the same id. Ids off the wire never
+/// slot; a restart refills it under the same id. Ids off the wire never
 /// index it: only `get`/`get_mut` see outside ids, and read `None` past
 /// the end.
 #[derive(Default)]
@@ -836,19 +829,6 @@ impl<T: Transport> SwarmHarness<T> {
                 self.wheel.hasten(pid, now);
             }
         }
-    }
-
-    /// Rebuilds a runtime from its checkpoint under a fresh
-    /// generation-salted RNG and keyring.
-    fn revive(&self, slot: &RejoinSlot) -> PeerRuntime {
-        PeerRuntime::restore(
-            &slot.checkpoint,
-            self.content.clone(),
-            self.cfg.net,
-            self.cfg.seed,
-            slot.generation,
-        )
-        .expect("checkpoint was taken from this swarm's content")
     }
 
     fn mint_id(&mut self) -> u32 {
@@ -1130,12 +1110,11 @@ impl<T: Transport> SwarmHarness<T> {
         }
     }
 
-    /// Restores crashed peers whose outage has elapsed: rebuild the
-    /// runtime from its checkpoint, reconnect and re-bootstrap.
+    /// Brings back crashed peers whose outage has elapsed: the
+    /// restarted successor reconnects and re-bootstraps.
     fn handle_rejoins(&mut self, now: f64) -> Result<(), NetError> {
-        for slot in take_due(&mut self.pending_rejoin, now, |s| s) {
-            let id = slot.checkpoint.id().0;
-            let peer = self.revive(&slot);
+        for RejoinSlot { peer, .. } in take_due(&mut self.pending_rejoin, now, |s| s) {
+            let id = peer.id().0;
             self.enroll(id, peer, Entry::Returning)?;
             self.observer.note_rejoined(id);
             self.rejoins += 1;
@@ -1144,9 +1123,9 @@ impl<T: Transport> SwarmHarness<T> {
         Ok(())
     }
 
-    /// Fires due crash-restart events: victims are checkpointed, torn
-    /// out of the swarm with no §II-B4 goodbye, and scheduled to rejoin
-    /// after a jittered outage.
+    /// Fires due crash-restart events: victims are torn out of the swarm
+    /// with no §II-B4 goodbye, and their restarted successors scheduled
+    /// to rejoin after a jittered outage.
     fn handle_crashes(&mut self, now: f64) {
         if !self.chaos.crash_due(now) {
             return;
@@ -1154,17 +1133,14 @@ impl<T: Transport> SwarmHarness<T> {
         let alive = self.live_compliant();
         for (victim, restart_after) in self.chaos.crash_victims(now, &alive) {
             let Some(peer) = self.peers.remove(victim.0) else { continue };
-            let checkpoint = reload(&peer.checkpoint());
+            let peer = peer.restart(self.cfg.seed);
             self.crashes += 1;
             if let Some(tel) = self.telemetry.as_mut() {
                 tel.flight("crash", now);
             }
             self.evict(victim.0, now);
-            self.pending_rejoin.push(RejoinSlot {
-                at: now + self.chaos.backoff_jitter(restart_after),
-                generation: checkpoint.generation() + 1,
-                checkpoint,
-            });
+            let at = now + self.chaos.backoff_jitter(restart_after);
+            self.pending_rejoin.push(RejoinSlot { at, peer });
         }
     }
 
@@ -1226,45 +1202,37 @@ impl<T: Transport> SwarmHarness<T> {
     }
 
     /// §IV-C whitewash: tear the live identity `id` out with no §II-B4
-    /// goodbye (crash-style teardown), keep the loot via checkpoint,
-    /// and queue a rejoin under a fresh id. Neighbors see a vanished
+    /// goodbye (crash-style teardown), keep the loot in a rebirth under
+    /// a fresh id, and queue its rejoin. Neighbors see a vanished
     /// peer; the returnee is "treated as another newcomer".
     fn whitewash(&mut self, attack: &mut AttackState, op: usize, id: u32, now: f64) {
-        let peer = self.peers.remove(id).expect("live identity");
-        let new_id = self.mint_id();
-        // `with_id` wipes the neighbor-facing ledgers that belonged to
+        let new_id = NodeId(self.mint_id());
+        // The rebirth leaves the neighbour-facing ledgers behind with
         // the dead identity.
-        let checkpoint = reload(&peer.checkpoint().with_id(new_id));
+        let peer = self.peers.remove(id).expect("live identity").rebirth(new_id, self.cfg.seed);
         attack.colluders.unregister(NodeId(id));
         attack.operators[op].live_id = None;
         self.evict(id, now);
         attack.pending_whitewash.push(WhitewashSlot {
-            rejoin: RejoinSlot {
-                at: now + WHITEWASH_REJOIN_DELAY,
-                generation: checkpoint.generation() + 1,
-                checkpoint,
-            },
+            rejoin: RejoinSlot { at: now + WHITEWASH_REJOIN_DELAY, peer },
             operator: op,
         });
     }
 
-    /// Settles due whitewash rejoins: restore from the re-identified
-    /// checkpoint, re-adopt the operator's strategy and enter as a
+    /// Settles due whitewash rejoins: the reborn peer enters as a
     /// newcomer — the transport has never seen the fresh id.
     fn settle_whitewash(&mut self, attack: &mut AttackState, now: f64) -> Result<(), NetError> {
-        for slot in take_due(&mut attack.pending_whitewash, now, |w| &w.rejoin) {
-            let id = slot.rejoin.checkpoint.id().0;
-            let strategy = attack.operators[slot.operator].strategy;
-            let mut peer = self.revive(&slot.rejoin);
-            peer.adopt_strategy(strategy);
-            let held = peer.have_count();
+        for WhitewashSlot { rejoin: RejoinSlot { peer, .. }, operator } in
+            take_due(&mut attack.pending_whitewash, now, |w| &w.rejoin)
+        {
+            let (id, strategy, held) = (peer.id().0, peer.strategy(), peer.have_count());
             self.enroll(id, peer, Entry::Fresh)?;
             let group = strategy.collusion_group();
             if let Some(g) = group {
                 attack.colluders.register(NodeId(id), g);
             }
             self.observer.note_attacker(id, strategy_label(&strategy), group.map(|g| g.0));
-            attack.operators[slot.operator].rebirth(id, held, now);
+            attack.operators[operator].rebirth(id, held, now);
             attack.whitewash_rejoins += 1;
             self.greet(id, Some(&mut attack.rng), now)?;
         }
@@ -1427,18 +1395,15 @@ impl<T: Transport> SwarmHarness<T> {
         let leechers = self
             .peers
             .values()
-            .filter(|p| p.role() != PeerRole::Seeder && (p.is_complete() || !p.departed()))
-            .map(|p| (p.strategy(), p.is_complete()));
-        let mid_whitewash = self.attack.iter().flat_map(|attack| {
-            attack.pending_whitewash.iter().map(|slot| {
-                let held = slot.rejoin.checkpoint.held_pieces();
-                (attack.operators[slot.operator].strategy, held == self.cfg.pieces)
-            })
-        });
+            .filter(|p| p.role() != PeerRole::Seeder && (p.is_complete() || !p.departed()));
+        let mid_whitewash = self
+            .attack
+            .iter()
+            .flat_map(|attack| attack.pending_whitewash.iter().map(|slot| &slot.rejoin.peer));
         let mut ledger: BTreeMap<&'static str, (u32, u32)> = BTreeMap::new();
-        for (strategy, complete) in leechers.chain(mid_whitewash) {
-            let entry = ledger.entry(strategy_label(&strategy)).or_insert((0, 0));
-            entry.0 += u32::from(complete);
+        for peer in leechers.chain(mid_whitewash) {
+            let entry = ledger.entry(strategy_label(&peer.strategy())).or_insert((0, 0));
+            entry.0 += u32::from(peer.is_complete());
             entry.1 += 1;
         }
         ledger
@@ -1563,7 +1528,7 @@ mod tests {
         let crashed = t.remove(2).expect("live");
         assert!(t.get(2).is_none() && t.get_mut(2).is_none() && t.remove(2).is_none());
         assert_eq!(ids(&t), [0, 1, 3, 4]);
-        // The restore comes back under the same id.
+        // The restart comes back under the same id.
         t.insert(2, crashed);
         assert_eq!(ids(&t), [0, 1, 2, 3, 4]);
         // A whitewash leaves id 3 and is reborn under the next minted id.
@@ -1580,13 +1545,11 @@ mod tests {
         let cfg = SwarmConfig::default();
         let peers = cfg.peers as usize;
         let mesh = ChannelMesh::with_chaos(cfg.plan.clone(), cfg.chaos.clone(), cfg.tick_dt);
-        let harness = SwarmHarness::new(mesh, cfg).expect("boot");
+        let mut harness = SwarmHarness::new(mesh, cfg).expect("boot");
         assert_eq!(harness.content.table_refs(), 1 + peers);
-        let checkpoint = harness.peers.get(0).expect("seeder").checkpoint();
-        let slot = RejoinSlot { at: 0.0, generation: 1, checkpoint };
-        let revived = harness.revive(&slot);
-        assert_eq!(harness.content.table_refs(), 2 + peers, "restore keeps the clone it is handed");
-        assert!(revived.is_complete(), "the seeder's checkpoint restores against the shared manifest");
+        let revived = harness.peers.remove(0).expect("seeder").restart(harness.cfg.seed);
+        assert_eq!(harness.content.table_refs(), 1 + peers, "the restart keeps the peer's own clone");
+        assert!(revived.is_complete(), "the seeder comes back whole");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! into a typed [`FrameError`], and [`TcpLoopback`] surfaces a real
 //! stream that stops decoding or dies mid-frame the same way; receivers
 //! convert rejects into strikes and temporary quarantines; and a
-//! crash-restart schedule kills peers abruptly and rejoins them from a
-//! serialized [`Checkpoint`]. The harness orchestrates all of it and
+//! crash-restart schedule kills peers abruptly and rejoins their
+//! [`PeerRuntime::restart`] successors. The harness orchestrates all of it and
 //! asserts that safety (byte-exact plaintexts, zero unreciprocated key
 //! releases) survives.
 //!
@@ -60,9 +60,7 @@ pub use strategy::{
     RECHOKE_PERIOD, WHITEWASH_PATIENCE, WHITEWASH_REJOIN_DELAY,
 };
 pub use telemetry::{FlightDump, FlightRecorder, PeerTelemetry, SwarmTelemetry};
-pub use runtime::{
-    Checkpoint, CheckpointError, NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime,
-};
+pub use runtime::{NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
 pub use tcp::TcpLoopback;
 pub use transport::{
     ChannelMesh, ChaosRecord, Delivery, FrameReject, NetError, RejectCause, Transport,

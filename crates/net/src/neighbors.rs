@@ -21,8 +21,8 @@
 //! The tables change only through the four mutators
 //! [`Neighborhood::meet`], [`Neighborhood::learn_bitfield`],
 //! [`Neighborhood::learn_have`] and [`Neighborhood::forget`]; the fields
-//! are private so nothing else can. The index is derived state: it is
-//! not checkpointed, and a restored peer starts with an empty
+//! are private so nothing else can. The index is derived state: a crash
+//! loses it, and a restarted or reborn peer starts with an empty
 //! neighbourhood.
 //!
 //! This is the wire runtime's twin of `tchain_proto::Mesh`, which keeps

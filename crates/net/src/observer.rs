@@ -334,9 +334,9 @@ impl Observer {
         self.departed.insert(id);
     }
 
-    /// Records that a crashed `id` rejoined from a checkpoint: it acts on
-    /// delivered frames again, so the departed-peer audit carve-outs no
-    /// longer apply to it.
+    /// Records that a crashed `id` rejoined as its restarted successor:
+    /// it acts on delivered frames again, so the departed-peer audit
+    /// carve-outs no longer apply to it.
     pub fn note_rejoined(&mut self, id: u32) {
         self.departed.remove(&id);
     }

@@ -195,8 +195,8 @@ pub struct PeerRuntime {
     /// Behavioural strategy, consulted (via its capability methods) at
     /// every protocol fork. Derived from `role` by [`PeerRuntime::new`]
     /// for back-compat; [`PeerRuntime::with_strategy`] sets it freely.
-    /// Not checkpointed — an operator's brain survives its identities,
-    /// so the harness re-adopts it after every restore.
+    /// Every reincarnation keeps it: an operator's brain survives its
+    /// identities.
     strategy: Strategy,
     cfg: NetConfig,
     content: Content,
@@ -235,8 +235,8 @@ pub struct PeerRuntime {
     /// tick; a quarantined neighbor is skipped by donor rounds and payee
     /// designation but keeps its obligations (liveness over punishment).
     quarantined: BTreeMap<u32, f64>,
-    /// Restart incarnation: 0 for the original process, bumped by each
-    /// crash-restart [`PeerRuntime::restore`].
+    /// Incarnation: 0 for the original process, bumped by each
+    /// [`PeerRuntime::restart`] and [`PeerRuntime::rebirth`].
     generation: u32,
     complete_at: Option<f64>,
     departed: bool,
@@ -267,16 +267,30 @@ impl PeerRuntime {
         seed: u64,
         strategy: Strategy,
     ) -> Self {
+        let mut peer = Self::incarnation(id, role, strategy, content, cfg, seed, 0);
+        if role == PeerRole::Seeder {
+            let pieces = peer.content.pieces();
+            peer.have = Bitfield::full(pieces);
+            peer.plain = (0..pieces as u32).map(|i| Some(peer.content.piece(i))).collect();
+        }
+        peer
+    }
+
+    /// Incarnation `generation` of peer `id`, holding nothing. The
+    /// generation salts the RNG and keyring streams; the salt is 0 for
+    /// the original process, so generation 0 draws exactly the streams
+    /// of an unsalted peer.
+    fn incarnation(
+        id: NodeId,
+        role: PeerRole,
+        strategy: Strategy,
+        content: Content,
+        cfg: NetConfig,
+        seed: u64,
+        generation: u32,
+    ) -> Self {
         let pieces = content.pieces();
-        let (have, plain) = if role == PeerRole::Seeder {
-            let mut plain = Vec::with_capacity(pieces);
-            for i in 0..pieces {
-                plain.push(Some(content.piece(i as u32)));
-            }
-            (Bitfield::full(pieces), plain)
-        } else {
-            (Bitfield::new(pieces), vec![None; pieces])
-        };
+        let salt = u64::from(generation).wrapping_mul(0xA076_1D64_78BD_642F);
         PeerRuntime {
             id,
             role,
@@ -284,10 +298,10 @@ impl PeerRuntime {
             cfg,
             content,
             arm_retries: false,
-            rng: SimRng::new(seed ^ u64::from(id.0).wrapping_mul(0x9E37_79B9)),
-            keyring: Keyring::new(seed ^ (u64::from(id.0) << 32) ^ 0x5EED),
-            have,
-            plain,
+            rng: SimRng::new(seed ^ u64::from(id.0).wrapping_mul(0x9E37_79B9) ^ salt),
+            keyring: Keyring::new(seed ^ (u64::from(id.0) << 32) ^ 0x5EED ^ salt),
+            have: Bitfield::new(pieces),
+            plain: vec![None; pieces],
             neighbors: Neighborhood::new(pieces),
             donor_txns: BTreeMap::new(),
             active_donations: 0,
@@ -300,7 +314,7 @@ impl PeerRuntime {
             gifted: BTreeMap::new(),
             strikes: BTreeMap::new(),
             quarantined: BTreeMap::new(),
-            generation: 0,
+            generation,
             complete_at: None,
             departed: false,
             counters: PeerCounters::default(),
@@ -327,14 +341,6 @@ impl PeerRuntime {
     /// The peer's behavioural strategy.
     pub fn strategy(&self) -> Strategy {
         self.strategy
-    }
-
-    /// Re-adopts a strategy after a restore: checkpoints carry the
-    /// wire-visible state only, and the operator driving an identity is
-    /// not wire-visible — the harness re-injects it on rejoin (both the
-    /// crash-restart and the whitewash path).
-    pub fn adopt_strategy(&mut self, strategy: Strategy) {
-        self.strategy = strategy;
     }
 
     /// `true` when every piece is held.
@@ -376,7 +382,7 @@ impl PeerRuntime {
         self.counters.uploaded as i64 - got as i64
     }
 
-    /// Restart incarnation (0 = original, bumped per crash-restart).
+    /// Incarnation (0 = original, bumped per restart or rebirth).
     pub fn generation(&self) -> u32 {
         self.generation
     }
@@ -1251,437 +1257,80 @@ impl PeerRuntime {
     }
 
     // ------------------------------------------------------------------
-    // Crash-restart checkpointing
+    // Reincarnation: crash-restart and whitewash
     // ------------------------------------------------------------------
 
-    /// Snapshots the state a crashed peer needs to rejoin: the piece set
-    /// (indices only — plaintext is regenerable from [`Content`]), the
-    /// §II-D2 ledger, §II-B4 escrow held as payee, the reciprocations
-    /// witnessed for escrow forwarding, the gift log and the counters.
+    /// The next incarnation after a crash (§II-B4 rejoin): the same id
+    /// comes back with what a process keeps on disk — everything
+    /// [`Self::rebirth`] keeps, plus the §II-B4 escrow it holds as payee,
+    /// the reciprocations it witnessed for forwarding that escrow, and
+    /// its gift log's keys, aged out as ancient so it may re-gift at
+    /// once.
     ///
-    /// Deliberately *not* checkpointed: in-flight ciphertexts, donor
-    /// transactions, obligations and retry timers. A crash loses them on
-    /// a real machine too; the swarm recovers through the existing stall
-    /// sweep and re-donation machinery, which is exactly the recovery
-    /// path the chaos harness asserts on. The ledger snapshot is kept
-    /// for post-mortems but [`PeerRuntime::restore`] does not reapply
-    /// it — its counts track the donor transactions that died with the
-    /// process.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            id: self.id.0,
-            role: self.role,
-            generation: self.generation,
-            pieces: self.content.pieces() as u32,
-            complete_at: self.complete_at,
-            counters: self.counters,
-            held: (0..self.content.pieces() as u32)
-                .filter(|&i| self.plain[i as usize].is_some())
-                .collect(),
-            ledger: self.ledger.iter().map(|(&n, &k)| (n, k)).collect(),
-            escrow: self
-                .escrow
-                .iter()
-                .flat_map(|(&(d, p), held)| held.iter().map(move |&(r, k)| (d, p, r, k)))
-                .collect(),
-            recips_seen: self
-                .recips_seen
-                .iter()
-                .flat_map(|(&(d, p), rs)| rs.iter().map(move |&r| (d, p, r)))
-                .collect(),
-            gifted: self.gifted.keys().copied().collect(),
-        }
-    }
-
-    /// Rebuilds a peer from a checkpoint after a crash.
-    ///
-    /// `generation` names the new incarnation (checkpoint generation + 1
-    /// under the harness) and salts the restored RNG and keyring streams
-    /// — a restarted peer must mint fresh keys, never reuse its dead
-    /// incarnation's. Plaintext is regenerated from `content` for every
-    /// held piece. Neighbors start empty: the peer re-registers with the
-    /// tracker and re-bootstraps, which is the §II-B4 rejoin protocol.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] when the checkpoint does not fit
-    /// `content` or names an unknown role.
-    pub fn restore(
-        cp: &Checkpoint,
-        content: Content,
-        cfg: NetConfig,
-        seed: u64,
-        generation: u32,
-    ) -> Result<Self, CheckpointError> {
-        if cp.pieces as usize != content.pieces() {
-            return Err(CheckpointError::PieceOutOfRange);
-        }
-        let mut have = Bitfield::new(content.pieces());
-        let mut plain = vec![None; content.pieces()];
-        for &i in &cp.held {
-            if i as usize >= content.pieces() {
-                return Err(CheckpointError::PieceOutOfRange);
-            }
-            have.set(PieceId(i));
-            plain[i as usize] = Some(content.piece(i));
-        }
-        let salt = u64::from(generation).wrapping_mul(0xA076_1D64_78BD_642F);
-        let mut escrow: BTreeMap<(u32, u32), EscrowedKeys> = BTreeMap::new();
-        for &(d, p, r, k) in &cp.escrow {
-            escrow.entry((d, p)).or_default().push((r, k));
-        }
-        let mut recips_seen: BTreeMap<(u32, u32), std::collections::BTreeSet<u32>> =
-            BTreeMap::new();
-        for &(d, p, r) in &cp.recips_seen {
-            recips_seen.entry((d, p)).or_default().insert(r);
-        }
-        Ok(PeerRuntime {
-            id: NodeId(cp.id),
-            role: cp.role,
-            strategy: match cp.role {
-                PeerRole::FreeRider => Strategy::zero_upload(),
-                _ => Strategy::Compliant,
-            },
-            cfg,
-            content,
-            arm_retries: false,
-            rng: SimRng::new(seed ^ u64::from(cp.id).wrapping_mul(0x9E37_79B9) ^ salt),
-            keyring: Keyring::new(seed ^ (u64::from(cp.id) << 32) ^ 0x5EED ^ salt),
-            have,
-            plain,
-            neighbors: Neighborhood::new(cp.pieces as usize),
-            donor_txns: BTreeMap::new(),
-            active_donations: 0,
-            // The §II-D2 ledger counts *unreported donor transactions*,
-            // and those died with the crashed process — restoring the
-            // checkpointed counts would leave entries nothing can ever
-            // decrement (reports for unknown txns are dropped as stale,
-            // and the stall sweep only touches live txns). The ledger
-            // restarts at zero with the transactions it tracks; the
-            // checkpoint still carries the counts for post-mortems.
-            //
-            // `tchain_canary` deliberately resurrects the pre-fix
-            // behaviour (checkpointed counts reloaded wholesale) as a
-            // seeded mutation: the schedule-exploration engine must
-            // find this `ledger_consistent` break and shrink it, or
-            // its oracle set has no teeth. Never enable outside the
-            // explore drill.
-            #[cfg(not(tchain_canary))]
-            ledger: BTreeMap::new(),
-            #[cfg(tchain_canary)]
-            ledger: cp.ledger.iter().copied().collect(),
-            pending_in: BTreeMap::new(),
-            obligations: Vec::new(),
-            retries: Vec::new(),
-            escrow,
-            recips_seen,
-            // Gift send times are not checkpointed; age them out as
-            // ancient so the restarted peer may re-gift immediately.
-            gifted: cp.gifted.iter().map(|&k| (k, f64::NEG_INFINITY)).collect(),
-            strikes: BTreeMap::new(),
-            quarantined: BTreeMap::new(),
-            generation,
-            complete_at: cp.complete_at,
-            departed: false,
-            counters: cp.counters,
-        })
-    }
-}
-
-/// Serializable snapshot of the durable state of one [`PeerRuntime`]
-/// (see [`PeerRuntime::checkpoint`] for what is and is not included).
-///
-/// [`Checkpoint::to_bytes`]/[`Checkpoint::from_bytes`] give a versioned,
-/// fully hand-rolled little-endian encoding — a crashed process could
-/// genuinely persist and reload it; the in-process harness round-trips it
-/// to prove that.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    id: u32,
-    role: PeerRole,
-    generation: u32,
-    pieces: u32,
-    complete_at: Option<f64>,
-    counters: PeerCounters,
-    held: Vec<u32>,
-    ledger: Vec<(u32, u32)>,
-    /// Flattened §II-B4 escrow: `(donor, piece, requestor, key bytes)`.
-    escrow: Vec<(u32, u32, u32, [u8; KEY_WIRE_SIZE])>,
-    /// Flattened reciprocation witness set: `(donor, piece, requestor)`.
-    recips_seen: Vec<(u32, u32, u32)>,
-    gifted: Vec<(u32, u32)>,
-}
-
-/// Errors from [`Checkpoint::from_bytes`] and [`PeerRuntime::restore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// The byte buffer ended inside a field.
-    Truncated,
-    /// The magic prefix was not `TCKP`.
-    BadMagic,
-    /// Unknown format version.
-    BadVersion,
-    /// Unknown role byte.
-    BadRole,
-    /// A held piece index (or the piece count) does not fit the content.
-    PieceOutOfRange,
-    /// Bytes remained after the last field.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let what = match self {
-            CheckpointError::Truncated => "checkpoint truncated",
-            CheckpointError::BadMagic => "bad checkpoint magic",
-            CheckpointError::BadVersion => "unsupported checkpoint version",
-            CheckpointError::BadRole => "unknown role byte",
-            CheckpointError::PieceOutOfRange => "piece index out of range for content",
-            CheckpointError::TrailingBytes => "trailing bytes after checkpoint",
-        };
-        f.write_str(what)
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-const CHECKPOINT_MAGIC: [u8; 4] = *b"TCKP";
-const CHECKPOINT_VERSION: u16 = 2;
-
-struct CpReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> CpReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or(CheckpointError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CheckpointError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Element count with a sanity bound: no list can have more entries
-    /// than bytes remaining, so a corrupt count fails fast instead of
-    /// attempting a giant allocation.
-    fn count(&mut self) -> Result<usize, CheckpointError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(n)
-    }
-}
-
-impl Checkpoint {
-    /// The checkpointed peer's id.
-    pub fn id(&self) -> NodeId {
-        NodeId(self.id)
-    }
-
-    /// The incarnation this snapshot was taken from.
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-
-    /// The same snapshot re-keyed to a different wire identity — the
-    /// whitewash move (§IV-C): the operator keeps every piece it
-    /// extracted but presents them under a brand-new id, so deceived
-    /// neighbors treat it as another newcomer. Neighbor-facing ledger
-    /// state is dropped along with the old identity (those relations
-    /// belong to the dead id; carrying them would leak the linkage the
-    /// whitewasher is laundering away).
-    pub fn with_id(&self, id: u32) -> Checkpoint {
-        Checkpoint {
-            id,
-            ledger: Vec::new(),
-            escrow: Vec::new(),
-            recips_seen: Vec::new(),
-            gifted: Vec::new(),
-            ..self.clone()
-        }
-    }
-
-    /// Number of pieces held at crash time.
-    pub fn held_pieces(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Escrowed key entries held as payee at crash time.
-    pub fn escrow_entries(&self) -> usize {
-        self.escrow.len()
-    }
-
-    /// Versioned little-endian encoding.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            64 + 4 * self.held.len()
-                + 8 * self.ledger.len()
-                + (12 + KEY_WIRE_SIZE) * self.escrow.len()
-                + 12 * self.recips_seen.len()
-                + 8 * self.gifted.len(),
-        );
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.id.to_le_bytes());
-        out.push(match self.role {
-            PeerRole::Seeder => 0,
-            PeerRole::Compliant => 1,
-            PeerRole::FreeRider => 2,
-        });
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.extend_from_slice(&self.pieces.to_le_bytes());
-        match self.complete_at {
-            Some(t) => {
-                out.push(1);
-                out.extend_from_slice(&t.to_bits().to_le_bytes());
-            }
-            None => out.push(0),
-        }
-        let c = &self.counters;
-        for v in [
-            c.decrypted,
-            c.unencrypted,
-            c.keys_sent,
-            c.reports_sent,
-            c.report_retries,
-            c.stalled_txns,
-            c.escrowed,
-            c.frame_rejects,
-            c.quarantines,
-            c.uploaded,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.held.len() as u32).to_le_bytes());
-        for &p in &self.held {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.ledger.len() as u32).to_le_bytes());
-        for &(n, k) in &self.ledger {
-            out.extend_from_slice(&n.to_le_bytes());
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.escrow.len() as u32).to_le_bytes());
-        for &(d, p, r, key) in &self.escrow {
-            out.extend_from_slice(&d.to_le_bytes());
-            out.extend_from_slice(&p.to_le_bytes());
-            out.extend_from_slice(&r.to_le_bytes());
-            out.extend_from_slice(&key);
-        }
-        out.extend_from_slice(&(self.recips_seen.len() as u32).to_le_bytes());
-        for &(d, p, r) in &self.recips_seen {
-            out.extend_from_slice(&d.to_le_bytes());
-            out.extend_from_slice(&p.to_le_bytes());
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.gifted.len() as u32).to_le_bytes());
-        for &(r, p) in &self.gifted {
-            out.extend_from_slice(&r.to_le_bytes());
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-        out
-    }
-
-    /// Strict decode of [`Checkpoint::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError`] on truncation, bad magic/version/role
-    /// or trailing bytes — a corrupt checkpoint is never half-loaded.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = CpReader { buf: bytes, pos: 0 };
-        if r.take(4)? != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if r.u16()? != CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion);
-        }
-        let id = r.u32()?;
-        let role = match r.u8()? {
-            0 => PeerRole::Seeder,
-            1 => PeerRole::Compliant,
-            2 => PeerRole::FreeRider,
-            _ => return Err(CheckpointError::BadRole),
-        };
-        let generation = r.u32()?;
-        let pieces = r.u32()?;
-        let complete_at = match r.u8()? {
-            0 => None,
-            _ => Some(f64::from_bits(r.u64()?)),
-        };
-        let counters = PeerCounters {
-            decrypted: r.u64()?,
-            unencrypted: r.u64()?,
-            keys_sent: r.u64()?,
-            reports_sent: r.u64()?,
-            report_retries: r.u64()?,
-            stalled_txns: r.u64()?,
-            escrowed: r.u64()?,
-            frame_rejects: r.u64()?,
-            quarantines: r.u64()?,
-            uploaded: r.u64()?,
-        };
-        let mut held = Vec::with_capacity(r.count()?);
-        for _ in 0..held.capacity() {
-            held.push(r.u32()?);
-        }
-        let mut ledger = Vec::with_capacity(r.count()?);
-        for _ in 0..ledger.capacity() {
-            ledger.push((r.u32()?, r.u32()?));
-        }
-        let mut escrow = Vec::with_capacity(r.count()?);
-        for _ in 0..escrow.capacity() {
-            let (d, p, rq) = (r.u32()?, r.u32()?, r.u32()?);
-            let mut key = [0u8; KEY_WIRE_SIZE];
-            key.copy_from_slice(r.take(KEY_WIRE_SIZE)?);
-            escrow.push((d, p, rq, key));
-        }
-        let mut recips_seen = Vec::with_capacity(r.count()?);
-        for _ in 0..recips_seen.capacity() {
-            recips_seen.push((r.u32()?, r.u32()?, r.u32()?));
-        }
-        let mut gifted = Vec::with_capacity(r.count()?);
-        for _ in 0..gifted.capacity() {
-            gifted.push((r.u32()?, r.u32()?));
-        }
-        if r.pos != bytes.len() {
-            return Err(CheckpointError::TrailingBytes);
-        }
-        Ok(Checkpoint {
-            id,
-            role,
-            generation,
-            pieces,
-            complete_at,
-            counters,
-            held,
-            ledger,
+    /// Everything not named here is what a crash loses on a real machine
+    /// too: donor transactions and the §II-D2 ledger that counts them,
+    /// in-flight ciphertexts, obligations, retry timers, strikes,
+    /// quarantines and the neighbourhood. The swarm recovers through the
+    /// stall sweep and re-donation — the recovery path the chaos harness
+    /// asserts on — and the peer re-registers with the tracker and
+    /// re-bootstraps. `seed` is the swarm seed the peer was built with.
+    pub fn restart(mut self, seed: u64) -> Self {
+        let escrow = std::mem::take(&mut self.escrow);
+        let recips_seen = std::mem::take(&mut self.recips_seen);
+        let gifted = std::mem::take(&mut self.gifted)
+            .into_keys()
+            .map(|k| (k, f64::NEG_INFINITY))
+            .collect();
+        // `tchain_canary` deliberately resurrects a fixed bug — the
+        // crashed incarnation's ledger carried over wholesale, counting
+        // transactions that died with the process, which nothing can
+        // ever decrement — as a seeded mutation: the schedule-exploration
+        // engine must find this `ledger_consistent` break and shrink it,
+        // or its oracle set has no teeth. Never enable outside the
+        // explore drill.
+        #[cfg(tchain_canary)]
+        let ledger = std::mem::take(&mut self.ledger);
+        let id = self.id;
+        PeerRuntime {
             escrow,
             recips_seen,
             gifted,
-        })
+            #[cfg(tchain_canary)]
+            ledger,
+            ..self.rebirth(id, seed)
+        }
+    }
+
+    /// The next incarnation under a different wire identity `id`: the
+    /// whitewash move (§IV-C). The operator keeps its strategy, every
+    /// piece it extracted, its completion time and its counters, but
+    /// presents them as a brand-new peer, so deceived neighbours treat
+    /// it as another newcomer. Every relation of the dead identity —
+    /// escrow, witnessed reciprocations, gifts, the ledger — stays
+    /// behind with it: carrying them would leak the linkage the
+    /// whitewasher is laundering away.
+    ///
+    /// The held plaintext moves with the peer rather than being
+    /// regenerated: every held piece passed `Content::verify`, so the
+    /// two are equal. Both reincarnations bump the generation, which
+    /// salts the RNG and keyring: a successor never replays its dead
+    /// incarnation's draws or re-mints its keys.
+    pub fn rebirth(self, id: NodeId, seed: u64) -> Self {
+        PeerRuntime {
+            have: self.have,
+            plain: self.plain,
+            complete_at: self.complete_at,
+            counters: self.counters,
+            ..Self::incarnation(
+                id,
+                self.role,
+                self.strategy,
+                self.content,
+                self.cfg,
+                seed,
+                self.generation + 1,
+            )
+        }
     }
 }
 
@@ -1764,76 +1413,70 @@ mod tests {
         );
     }
 
-    #[test]
-    fn checkpoint_roundtrips_through_bytes() {
-        let c = content();
-        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
-        // Fabricate durable state across every checkpointed table.
-        let mut out = Outbox::new();
-        p.complete_piece(3.0, 2, c.piece(2), &mut out);
-        p.ledger.insert(7, 2);
-        p.escrow.insert((9, 1), vec![(4, [0xAB; KEY_WIRE_SIZE])]);
-        p.recips_seen.entry((9, 1)).or_default().insert(4);
-        p.gifted.insert((6, 0), 2.0);
-        p.counters.decrypted = 1;
-        p.counters.frame_rejects = 5;
-        let cp = p.checkpoint();
-        assert_eq!(cp.held_pieces(), 1);
-        assert_eq!(cp.escrow_entries(), 1);
-        let bytes = cp.to_bytes();
-        let back = Checkpoint::from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(back, cp);
-    }
-
-    #[test]
-    fn restore_rebuilds_plaintext_and_salts_the_rng() {
-        let c = content();
+    /// A leecher holding pieces 2 and 6, plus its `twin`: built and
+    /// driven identically, so their RNG streams agree draw for draw.
+    fn two_piece_leecher(c: &Content) -> PeerRuntime {
         let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
         let mut out = Outbox::new();
         p.complete_piece(3.0, 2, c.piece(2), &mut out);
         p.complete_piece(4.0, 6, c.piece(6), &mut out);
-        let cp = p.checkpoint();
-        let mut r = PeerRuntime::restore(&cp, c.clone(), NetConfig::default(), 11, cp.generation() + 1)
-            .expect("restore");
-        assert_eq!(r.generation(), 1);
-        assert_eq!(r.have_count(), 2);
-        assert_eq!(r.piece_bytes(2).unwrap(), &c.piece(2)[..], "plaintext regenerated");
-        assert_eq!(r.piece_bytes(6).unwrap(), &c.piece(6)[..]);
-        assert_eq!(r.neighbors.len(), 0, "rejoin starts with a fresh neighbor set");
-        assert!(!r.departed());
-        // The restored incarnation's RNG stream must differ from the
-        // original's (fresh generation salt), or restarted peers would
-        // replay their dead incarnation's choices.
-        let (orig, restored): (Vec<u64>, Vec<u64>) = (
-            (0..8).map(|_| p.rng.f64().to_bits()).collect(),
-            (0..8).map(|_| r.rng.f64().to_bits()).collect(),
-        );
-        assert_ne!(orig, restored);
+        p
     }
 
     #[test]
-    fn corrupt_checkpoints_are_typed_errors() {
-        let p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, content(), NetConfig::default(), 11);
-        let bytes = p.checkpoint().to_bytes();
-        assert_eq!(Checkpoint::from_bytes(&bytes[..3]), Err(CheckpointError::Truncated));
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert_eq!(Checkpoint::from_bytes(&bad_magic), Err(CheckpointError::BadMagic));
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 0xFF;
-        assert_eq!(Checkpoint::from_bytes(&bad_version), Err(CheckpointError::BadVersion));
-        let mut bad_role = bytes.clone();
-        bad_role[10] = 9;
-        assert_eq!(Checkpoint::from_bytes(&bad_role), Err(CheckpointError::BadRole));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(Checkpoint::from_bytes(&trailing), Err(CheckpointError::TrailingBytes));
-        // A checkpoint for different content is refused at restore time.
-        let other = Content::new(1, 4, 64);
-        let err = PeerRuntime::restore(&p.checkpoint(), other, NetConfig::default(), 11, 1)
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err, CheckpointError::PieceOutOfRange);
+    fn restart_keeps_plaintext_and_salts_the_rng() {
+        let c = content();
+        let mut twin = two_piece_leecher(&c);
+        let mut r = two_piece_leecher(&c).restart(11);
+        assert_eq!(r.id(), NodeId(5));
+        assert_eq!(r.generation(), 1);
+        assert_eq!(r.have_count(), 2);
+        assert_eq!(r.piece_bytes(2).unwrap(), &c.piece(2)[..], "plaintext kept");
+        assert_eq!(r.piece_bytes(6).unwrap(), &c.piece(6)[..]);
+        assert_eq!(r.neighbors.len(), 0, "rejoin starts with a fresh neighbor set");
+        assert!(!r.departed());
+        // The restarted incarnation's RNG stream must differ from the
+        // original's (fresh generation salt), or restarted peers would
+        // replay their dead incarnation's choices.
+        let (orig, restarted): (Vec<u64>, Vec<u64>) = (
+            (0..8).map(|_| twin.rng.f64().to_bits()).collect(),
+            (0..8).map(|_| r.rng.f64().to_bits()).collect(),
+        );
+        assert_ne!(orig, restarted);
+    }
+
+    #[test]
+    fn rebirth_keeps_loot_and_drops_relations() {
+        let c = content();
+        let loaded = || {
+            let mut p = two_piece_leecher(&c);
+            p.ledger.insert(7, 2);
+            p.escrow.insert((9, 1), vec![(4, [0xAB; KEY_WIRE_SIZE])]);
+            p.recips_seen.entry((9, 1)).or_default().insert(4);
+            p.gifted.insert((6, 0), 2.0);
+            p.counters.decrypted = 2;
+            p.counters.frame_rejects = 5;
+            p
+        };
+        let before = loaded();
+        let r = loaded().rebirth(NodeId(40), 11);
+        assert_eq!(r.id(), NodeId(40), "the fresh identity");
+        assert_eq!(r.generation(), before.generation() + 1);
+        assert_eq!(r.have_count(), 2);
+        assert_eq!(r.piece_bytes(6).unwrap(), &c.piece(6)[..], "loot kept");
+        assert_eq!(r.completion_time(), before.completion_time());
+        assert_eq!(r.counters(), before.counters());
+        assert_eq!(r.escrow_held(), 0, "escrow belongs to the dead identity");
+        assert!(r.ledger_consistent());
+        assert!(r.recips_seen.is_empty() && r.gifted.is_empty());
+        // A crash keeps the same relations a whitewash drops.
+        let s = loaded().restart(11);
+        assert_eq!(s.id(), NodeId(5));
+        assert_eq!(s.escrow_held(), 1);
+        assert_eq!(s.escrow, before.escrow);
+        assert_eq!(s.recips_seen, before.recips_seen);
+        assert_eq!(s.gifted.keys().collect::<Vec<_>>(), [&(6, 0)]);
+        assert!(s.gifted.values().all(|&sent| sent == f64::NEG_INFINITY), "gifts age out");
     }
 
     #[test]
@@ -2187,7 +1830,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_comes_back_with_an_empty_consistent_index() {
+    fn restart_comes_back_with_an_empty_consistent_index() {
         let c = content();
         let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
         let mut out = Outbox::new();
@@ -2196,9 +1839,8 @@ mod tests {
         p.on_frame(0.0, NodeId(3), Frame::Control(Message::bitfield(&Bitfield::new(c.pieces()))), &mut out);
         p.neighbors.assert_consistent();
         assert_eq!(p.neighbors.incomplete().count(), 2);
-        let cp = Checkpoint::from_bytes(&p.checkpoint().to_bytes()).expect("roundtrip");
-        let r = PeerRuntime::restore(&cp, c.clone(), NetConfig::default(), 11, 1).expect("restore");
-        assert_eq!(r.neighbors.len(), 0, "the index is derived state, not checkpointed");
+        let r = p.restart(11);
+        assert_eq!(r.neighbors.len(), 0, "the index is derived state, lost in a crash");
         assert_eq!(r.neighbors.incomplete().count(), 0);
         r.neighbors.assert_consistent();
         assert_eq!(r.neighbors.rarest_of(0..c.pieces() as u32), Some(0));

@@ -19,9 +19,10 @@
 //!   identity once it has stalled — no new plaintext piece — for
 //!   [`WHITEWASH_PATIENCE`] seconds, then rejoin as a fresh newcomer
 //!   after [`WHITEWASH_REJOIN_DELAY`] (§IV-C "treated as another
-//!   newcomer by the deceived neighbor"). The harness reuses the
-//!   crash-restart checkpoint plumbing minus the §II-B4 handoff — a
-//!   whitewasher keeps its loot and tells nobody it is leaving.
+//!   newcomer by the deceived neighbor"). The harness tears the
+//!   identity out like a crash — no §II-B4 handoff — and brings back
+//!   its `PeerRuntime::rebirth`: a whitewasher keeps its loot and tells
+//!   nobody it is leaving.
 //! * **Sybil / collusion** — `collusion_group()` names the operator's
 //!   [`GroupId`]. The Sybil exploit fires only when a transaction's
 //!   requestor *and* payee land in the same group (§III-A4); ring

@@ -82,8 +82,8 @@ fn whitewash_never_corrupts_ledger_under_churn() {
 }
 
 /// Whitewash resets composed with byzantine frame chaos and a
-/// crash-restart wave: corrupted frames, quarantines, checkpoint
-/// rejoins and whitewash rebirths all reuse pieces of the same
+/// crash-restart wave: corrupted frames, quarantines, crash restarts
+/// and whitewash rebirths all reuse pieces of the same
 /// identity plumbing, and none of the combinations may leak a key
 /// or corrupt a ledger.
 #[test]

@@ -9,8 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use tchain_net::{
-    run_swarm, Checkpoint, Content, NetConfig, Outbox, PeerRole, PeerRuntime, SwarmConfig,
-    TimerWheel,
+    run_swarm, Content, NetConfig, Outbox, PeerRole, PeerRuntime, SwarmConfig, TimerWheel,
 };
 use tchain_sim::{ensure, ensure_eq, forall, sized, ChaosPlan, ChurnPlan, NodeId, SimRng};
 
@@ -255,12 +254,11 @@ fn escrow_obligations_survive_departure_interleavings() {
     });
 }
 
-/// TCKP v2: whatever state a driven peer has accumulated by a random
-/// crash point, its checkpoint survives the byte codec bitwise, and
-/// the restored incarnation keeps the counters and holdings while
-/// bumping its generation (the keyring/RNG salt input).
+/// Whatever state a driven peer has accumulated by a random crash
+/// point, its restarted incarnation keeps the counters, holdings and
+/// escrow while bumping its generation (the keyring/RNG salt input).
 #[test]
-fn checkpoint_v2_roundtrip_survives_random_crash_points() {
+fn restart_keeps_durable_state_at_random_crash_points() {
     forall(0x7C4B2, 12, |rng, _| {
         let seed = swarm_seed(rng);
         let (pieces, crash_step) = (int(rng, 2, 7) as usize, int(rng, 2, 48) as u32);
@@ -292,26 +290,20 @@ fn checkpoint_v2_roundtrip_survives_random_crash_points() {
             seeder.on_tick(now, &mut from_seeder);
             leecher.on_tick(now, &mut from_leecher);
         }
-        let cp = leecher.checkpoint();
-        let bytes = cp.to_bytes();
-        let back = Checkpoint::from_bytes(&bytes).expect("decode own encoding");
-        ensure_eq!(&back, &cp, "TCKP v2 byte round-trip drifted");
-        ensure_eq!(back.to_bytes(), bytes, "re-encode is not bitwise stable");
-
-        let restored = PeerRuntime::restore(
-            &cp,
-            mk(),
-            NetConfig::default(),
-            seed ^ 1,
-            cp.generation() + 1,
-        )
-        .expect("restore from own checkpoint");
-        ensure_eq!(restored.generation(), cp.generation() + 1);
-        ensure_eq!(restored.counters(), leecher.counters(), "counters lost in restore");
-        ensure_eq!(restored.have_count(), cp.held_pieces());
+        let (generation, counters, held, escrow) = (
+            leecher.generation(),
+            leecher.counters(),
+            leecher.have_count(),
+            leecher.escrow_held(),
+        );
+        let restarted = leecher.restart(seed ^ 1);
+        ensure_eq!(restarted.generation(), generation + 1);
+        ensure_eq!(restarted.counters(), counters, "counters lost in restart");
+        ensure_eq!(restarted.have_count(), held);
+        ensure_eq!(restarted.escrow_held(), escrow, "escrow lost in restart");
         let content = mk();
         for i in 0..pieces as u32 {
-            if let Some(bytes) = restored.piece_bytes(i) {
+            if let Some(bytes) = restarted.piece_bytes(i) {
                 ensure_eq!(bytes, &content.piece(i)[..], "piece {} corrupted", i);
             }
         }
@@ -319,20 +311,20 @@ fn checkpoint_v2_roundtrip_survives_random_crash_points() {
             // A restart forgives k-pending debt; the fresh ledger must be
             // trivially consistent (the canary mutation breaks exactly
             // this, which is how the explore drill finds it).
-            ensure!(restored.ledger_consistent());
+            ensure!(restarted.ledger_consistent());
         }
         Ok(())
     });
 }
 
-/// Swarm-level crash-restore: random crash fraction/timing stacked on
+/// Swarm-level crash-restart: random crash fraction/timing stacked on
 /// a random join wave still drains to completion with every oracle
-/// clean, and the whole run — checkpoints, generation-salted rejoin
-/// keyrings included — is fingerprint-deterministic.
+/// clean, and the whole run — generation-salted rejoin keyrings
+/// included — is fingerprint-deterministic.
 #[test]
 fn crash_restore_under_churn_keeps_invariants_and_determinism() {
     if cfg!(tchain_canary) {
-        // The seeded restore() mutation makes these runs fail their
+        // The seeded restart() mutation makes these runs fail their
         // ledger oracle on purpose; the drill asserts that elsewhere.
         return;
     }
@@ -359,13 +351,13 @@ fn crash_restore_under_churn_keeps_invariants_and_determinism() {
         };
         let a = run_swarm(cfg.clone()).expect("mesh transport");
         let b = run_swarm(cfg).expect("mesh transport");
-        ensure_eq!(a.fingerprint, b.fingerprint, "crash-restore made the run nondeterministic");
+        ensure_eq!(a.fingerprint, b.fingerprint, "crash-restart made the run nondeterministic");
         ensure_eq!(a.ticks, b.ticks);
         ensure!(a.crashes > 0, "schedule must actually crash peers");
-        ensure_eq!(a.rejoins, a.crashes, "every crashed peer must restore and rejoin");
+        ensure_eq!(a.rejoins, a.crashes, "every crashed peer must restart and rejoin");
         ensure!(a.violations.is_empty(), "key release violation: {:?}", a.violations);
         ensure!(a.plaintext_ok);
-        ensure!(a.ledger_ok, "restored ledgers drifted");
+        ensure!(a.ledger_ok, "restarted ledgers drifted");
         ensure_eq!(a.completed_compliant, a.total_compliant);
         Ok(())
     });

@@ -7,8 +7,8 @@
 //! arrive *wrong*. Frames can be bit-flipped, truncated or given a bogus
 //! length prefix; delivered twice; held back so later traffic overtakes
 //! them; or cut off by a mid-stream connection reset. Independently, a
-//! crash-restart schedule kills peers abruptly and brings them back from
-//! a checkpoint after a configurable outage.
+//! crash-restart schedule kills peers abruptly and brings them back,
+//! holdings intact, after a configurable outage.
 //!
 //! The discipline is the same as `fault.rs`: all randomness comes from a
 //! dedicated RNG stream seeded by the plan itself, so enabling chaos never
@@ -64,7 +64,7 @@ pub enum ChaosAction {
 
 /// One scheduled crash-restart: at `at`, a fraction of the alive
 /// compliant leechers crash abruptly — no §II-B4 goodbye — and rejoin
-/// from a checkpoint roughly `restart_after` seconds later (the exact
+/// under the same id roughly `restart_after` seconds later (the exact
 /// outage is jittered by [`ChaosState::backoff_jitter`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashRestart {

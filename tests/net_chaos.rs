@@ -113,8 +113,8 @@ fn quarter_crash_restart_rejoins_and_completes() {
     let report = run_swarm(chaotic(chaos)).expect("run");
     assert!(report.ok(), "violations: {:?}", report.violations);
     assert!(report.crashes > 0, "the crash event must fire");
-    assert_eq!(report.rejoins, report.crashes, "every crashed peer rejoins from checkpoint");
-    assert!(report.plaintext_ok, "restored peers re-derive byte-identical plaintexts");
+    assert_eq!(report.rejoins, report.crashes, "every crashed peer rejoins");
+    assert!(report.plaintext_ok, "restarted peers keep byte-identical plaintexts");
 }
 
 #[test]

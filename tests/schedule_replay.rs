@@ -59,7 +59,7 @@ fn witness_set_is_exactly_the_committed_list() {
 #[test]
 fn every_witness_replays_to_its_recorded_verdict() {
     if canary_armed() {
-        // The seeded restore() mutation flips crash-scenario ledger
+        // The seeded restart() mutation flips crash-scenario ledger
         // verdicts on purpose; the drill builds assert that elsewhere.
         eprintln!("skipping: tchain_canary build");
         return;
