@@ -3,7 +3,7 @@
 //! Both propositions give *sufficient conditions* under which T-Chain's
 //! bootstrapping rate beats the BitTorrent-like model's. The functions
 //! here evaluate the conditions and the actual one-step rates, so tests
-//! (and the `analysis` experiment binary) can confirm the implications
+//! (and the `tchain analysis` experiment) can confirm the implications
 //! numerically across parameter sweeps.
 
 use crate::bootstrap::{

@@ -5,7 +5,7 @@
 //! until reciprocation (§II-B). §III-C argues the cost is negligible
 //! ("0.715 ms per 128 KB piece"); `perfbench/` reports the same quantity for
 //! this implementation as `crypto.mib_s` on `swarm_bulk`, and the `overhead`
-//! figure (`tchain-experiments --bin overhead`) times one pass over the
+//! figure (`tchain overhead`) times one pass over the
 //! paper's 128 KB piece.
 //!
 //! Because encryption is XOR with a keystream, `apply` both encrypts and

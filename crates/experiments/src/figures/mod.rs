@@ -1,5 +1,7 @@
 //! One module per paper figure/table; each exposes `run(Scale)` printing
-//! the paper-style rows and persisting JSON under `results/`.
+//! the paper-style rows and persisting JSON under `results/`. The five
+//! seeded net experiments take `run(Scale, seed)` instead (`net_explore`
+//! also a PCT budget) and state their canonical seed as `SEED`.
 
 pub mod ablations;
 pub mod analysis_sec3;

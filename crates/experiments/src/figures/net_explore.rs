@@ -13,7 +13,7 @@
 //!
 //! Each scenario also proves replayability: one sampled schedule is
 //! re-run twice from its recording and all three fingerprints must be
-//! bit-identical. Under `RUSTFLAGS="--cfg tchain_canary"` the binary
+//! bit-identical. Under `RUSTFLAGS="--cfg tchain_canary"` the command
 //! flips into drill mode: the seeded `restart()` ledger mutation must
 //! be *found* in the crash scenario and shrunk to ≤ 50 choices —
 //! proving the searcher has teeth, not just green lights.
@@ -168,20 +168,13 @@ fn explore_point(
     }
 }
 
-/// Runs the exploration sweep at the default seed.
-pub fn run(scale: Scale) -> NetExploreDoc {
-    run_with_seed(scale, 0xE5B0)
-}
+/// The canonical master seed: the committed documents are run at it.
+pub const SEED: u64 = 0xE5B0;
 
-/// Runs the exploration sweep at an explicit seed (CI uses two) with
-/// the scale's default budget.
-pub fn run_with_seed(scale: Scale, seed: u64) -> NetExploreDoc {
-    run_with_budget(scale, seed, None)
-}
-
-/// Runs the exploration sweep with an explicit per-scenario PCT run
-/// budget (`None` = the scale default: 12 quick, 48 paper).
-pub fn run_with_budget(scale: Scale, seed: u64, budget: Option<u32>) -> NetExploreDoc {
+/// Runs the exploration sweep under `seed` (CI uses two) with a
+/// per-scenario PCT run budget (`None` = the scale default: 12 quick,
+/// 48 paper).
+pub fn run(scale: Scale, seed: u64, budget: Option<u32>) -> NetExploreDoc {
     let budget = budget.unwrap_or(match scale {
         Scale::Quick => 12,
         Scale::Paper => 48,

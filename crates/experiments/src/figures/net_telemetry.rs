@@ -100,13 +100,11 @@ fn counted_run(cfg: SwarmConfig, meta: &mut RunMeta) -> SwarmReport {
     run_swarm(cfg).expect("mesh transport cannot fail")
 }
 
-/// Runs the telemetry acceptance at the default seed.
-pub fn run(scale: Scale) -> NetTelemetryDoc {
-    run_with_seed(scale, 0x7E1E)
-}
+/// The canonical master seed: the committed documents are run at it.
+pub const SEED: u64 = 0x7E1E;
 
-/// Runs the telemetry acceptance at an explicit seed (CI runs two).
-pub fn run_with_seed(scale: Scale, seed: u64) -> NetTelemetryDoc {
+/// Runs the telemetry acceptance under `seed` (CI runs two).
+pub fn run(scale: Scale, seed: u64) -> NetTelemetryDoc {
     let (peers, pieces, piece_len) = match scale {
         Scale::Quick => (16u32, 24usize, 1024usize),
         Scale::Paper => (24u32, 48usize, 2048usize),

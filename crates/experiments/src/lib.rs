@@ -1,10 +1,10 @@
 //! # tchain-experiments — regenerating every table and figure
 //!
 //! The §IV evaluation as runnable code. Each figure has a module under
-//! [`figures`] and a thin binary (`fig03` … `fig13`, `table2`,
-//! `overhead`, `analysis`, `all`). Scale with `TCHAIN_SCALE=quick|paper`
-//! (see [`Scale`]); results are printed as paper-style rows and persisted
-//! as JSON under `results/`.
+//! [`figures`] and a subcommand of the `tchain` binary (`tchain fig03`
+//! … `fig13`, `table2`, `overhead`, `analysis`, `all`). Scale with
+//! `TCHAIN_SCALE=quick|paper` (see [`Scale`]); results are printed as
+//! paper-style rows and persisted as JSON under `results/`.
 //!
 //! ```no_run
 //! use tchain_experiments::{figures, Scale};
@@ -21,10 +21,7 @@ mod scale;
 mod scenario;
 
 pub use output::{fmt_opt, persist, print_table, results_dir, save_with_meta, RunMeta};
-pub use runner::{
-    effective_jobs, parse_jobs_args, parse_net_args, parse_u64_flag, set_jobs, sweep,
-    take_failures, FailedCell, NetArgs, Sweep,
-};
+pub use runner::{effective_jobs, set_jobs, sweep, take_failures, FailedCell, Sweep};
 pub use scale::Scale;
 pub use scenario::{
     flash_plan, run_proto, run_proto_with_faults, trace_plan, Horizon, Proto, RiderMode, RunOpts,

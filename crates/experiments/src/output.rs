@@ -1,6 +1,6 @@
 //! Result persistence and table printing.
 //!
-//! Every figure binary prints the paper-style rows to stdout *and* writes
+//! Every figure prints the paper-style rows to stdout *and* writes
 //! a JSON document under `results/` so EXPERIMENTS.md numbers are
 //! regenerable and diffable.
 

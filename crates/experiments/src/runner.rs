@@ -11,22 +11,18 @@
 //! identical for any worker count — including 1, which runs the exact
 //! same guarded code path inline.
 //!
-//! Worker count: `--jobs N` on any experiment binary (see
-//! [`parse_jobs_args`]), the `TCHAIN_JOBS` environment variable, or the
-//! machine's available parallelism, in that precedence order.
+//! Worker count: `tchain <experiment> --jobs N` (see [`set_jobs`]),
+//! otherwise the machine's available parallelism.
 //!
 //! A cell that panics does not torch the sweep: the panic is caught,
 //! the cell's slot stays empty ([`None`]) and a [`FailedCell`] record —
 //! scenario label, seed, panic message — is kept both on the returned
-//! [`Sweep`] and in a process-wide registry that `--bin all` drains into
+//! [`Sweep`] and in a process-wide registry that `tchain all` drains into
 //! its end-of-run summary ([`take_failures`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-
-use crate::scale::Scale;
 
 /// Process-wide `--jobs` override (0 = unset).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -40,103 +36,12 @@ pub fn set_jobs(n: usize) {
     JOBS_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// Scans process arguments for `--jobs N` / `--jobs=N` and applies the
-/// override. Every experiment binary calls this first; unknown arguments
-/// are left alone for the binary's own parsing.
-pub fn parse_jobs_args() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        let a = &args[i];
-        let parsed = if let Some(v) = a.strip_prefix("--jobs=") {
-            v.parse::<usize>().ok()
-        } else if a == "--jobs" {
-            args.get(i + 1).and_then(|v| v.parse::<usize>().ok())
-        } else {
-            None
-        };
-        if let Some(n) = parsed {
-            set_jobs(n.max(1));
-            return;
-        }
-        i += 1;
-    }
-}
-
-/// The flags the `net_*` binaries share, plus whatever else was passed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetArgs {
-    /// `--quick` / `--paper`; otherwise `TCHAIN_SCALE`.
-    pub scale: Scale,
-    /// `--seed N` (hex or decimal); otherwise the binary's default.
-    pub seed: u64,
-    /// Every other argument, in order, for the binary's own parsing
-    /// (`--budget N`, `check <files>`).
-    pub rest: Vec<String>,
-}
-
-/// Parses the process arguments of a `net_*` binary: applies `--jobs`
-/// (see [`parse_jobs_args`]), then `--quick` / `--paper` / `--seed N`.
-/// A malformed seed prints `<bin>: bad --seed …` and exits with status 2.
-pub fn parse_net_args(bin: &str, default_seed: u64) -> NetArgs {
-    parse_jobs_args();
-    net_flags(std::env::args().skip(1), Scale::from_env(), default_seed)
-        .unwrap_or_else(|bad| bad_flag(bin, "--seed", &bad))
-}
-
-/// Parses the value of a numeric flag a `net_*` binary handles itself,
-/// `0x`-prefixed hex or decimal; exits with status 2 on anything else.
-pub fn parse_u64_flag(bin: &str, flag: &str, v: &str) -> u64 {
-    parse_u64(v).unwrap_or_else(|| bad_flag(bin, flag, v))
-}
-
-fn bad_flag(bin: &str, flag: &str, v: &str) -> ! {
-    eprintln!("{bin}: bad {flag} {v:?}, expected a u64");
-    std::process::exit(2)
-}
-
-fn parse_u64(v: &str) -> Option<u64> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
-}
-
-/// The pure half of [`parse_net_args`]; `Err` carries a bad seed value.
-fn net_flags(
-    mut args: impl Iterator<Item = String>,
-    mut scale: Scale,
-    mut seed: u64,
-) -> Result<NetArgs, String> {
-    let mut rest = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--paper" => scale = Scale::Paper,
-            "--seed" => {
-                if let Some(v) = args.next() {
-                    seed = parse_u64(&v).ok_or(v)?;
-                }
-            }
-            _ => rest.push(a),
-        }
-    }
-    Ok(NetArgs { scale, seed, rest })
-}
-
 /// The worker count [`sweep`] will use: the [`set_jobs`] override if
-/// present, else `TCHAIN_JOBS`, else available parallelism.
+/// present, else available parallelism.
 pub fn effective_jobs() -> usize {
     let forced = JOBS_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
-    }
-    if let Ok(v) = std::env::var("TCHAIN_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -173,7 +78,7 @@ impl<T> Sweep<T> {
     }
 }
 
-/// Drains the process-wide failed-cell registry (used by `--bin all` for
+/// Drains the process-wide failed-cell registry (used by `tchain all` for
 /// its end-of-sweep summary).
 pub fn take_failures() -> Vec<FailedCell> {
     std::mem::take(&mut *FAILURES.lock().unwrap_or_else(|e| e.into_inner()))
@@ -278,38 +183,6 @@ mod tests {
         let r = f();
         JOBS_OVERRIDE.store(prev, Ordering::SeqCst);
         r
-    }
-
-    #[test]
-    fn net_flags_take_hex_and_decimal_seeds_and_keep_the_rest() {
-        let parse = |args: &[&str]| {
-            net_flags(args.iter().map(|a| a.to_string()), Scale::Quick, 0xC405)
-        };
-        assert_eq!(parse(&[]), Ok(NetArgs { scale: Scale::Quick, seed: 0xC405, rest: vec![] }));
-        assert_eq!(parse(&["--seed", "0xBEEF"]).unwrap().seed, 0xBEEF);
-        assert_eq!(parse(&["--seed", "0Xbeef"]).unwrap().seed, 0xBEEF);
-        assert_eq!(parse(&["--seed", "48879"]).unwrap().seed, 48879);
-        assert_eq!(parse(&["--seed"]).unwrap().seed, 0xC405, "a trailing --seed is ignored");
-        let mixed = parse(&["--jobs", "2", "--paper", "--budget", "9", "--seed", "7", "check"]);
-        assert_eq!(
-            mixed,
-            Ok(NetArgs {
-                scale: Scale::Paper,
-                seed: 7,
-                rest: ["--jobs", "2", "--budget", "9", "check"].map(String::from).to_vec(),
-            })
-        );
-        assert_eq!(parse(&["--paper", "--quick"]).unwrap().scale, Scale::Quick, "last wins");
-    }
-
-    #[test]
-    fn malformed_numbers_are_rejected_not_defaulted() {
-        for bad in ["zzz", "0x", "0xg1", "-1", "1.5", "", "18446744073709551616"] {
-            assert_eq!(parse_u64(bad), None, "{bad:?}");
-            let got = net_flags(["--seed".to_string(), bad.to_string()].into_iter(), Scale::Quick, 1);
-            assert_eq!(got, Err(bad.to_string()), "the bad value is what gets reported");
-        }
-        assert_eq!(parse_u64("18446744073709551615"), Some(u64::MAX));
     }
 
     #[test]

@@ -717,13 +717,7 @@ impl<T: Transport> SwarmHarness<T> {
         };
         for id in 0..harness.cfg.peers {
             let strategy = strategy_of.get(&id).copied().unwrap_or_default();
-            let role = if id == 0 {
-                PeerRole::Seeder
-            } else if strategy.is_free_rider() {
-                PeerRole::FreeRider
-            } else {
-                PeerRole::Compliant
-            };
+            let role = if id == 0 { PeerRole::Seeder } else { PeerRole::Leecher };
             let (net, seed) = (harness.cfg.net, harness.cfg.seed);
             let content = harness.content.clone();
             let peer = PeerRuntime::with_strategy(NodeId(id), role, content, net, seed, strategy);
@@ -1027,7 +1021,7 @@ impl<T: Transport> SwarmHarness<T> {
             let id = self.mint_id();
             let peer = PeerRuntime::new(
                 NodeId(id),
-                PeerRole::Compliant,
+                PeerRole::Leecher,
                 self.content.clone(),
                 self.cfg.net,
                 self.cfg.seed,
@@ -1062,7 +1056,7 @@ impl<T: Transport> SwarmHarness<T> {
     fn live_compliant(&self) -> Vec<NodeId> {
         self.peers
             .values()
-            .filter(|p| p.role() == PeerRole::Compliant && !p.departed())
+            .filter(|p| p.is_compliant_leecher() && !p.departed())
             .map(PeerRuntime::id)
             .collect()
     }
@@ -1245,7 +1239,7 @@ impl<T: Transport> SwarmHarness<T> {
             && self
                 .peers
                 .values()
-                .filter(|p| p.role() == PeerRole::Compliant)
+                .filter(|p| p.is_compliant_leecher())
                 // A voluntary departure that left incomplete is out of
                 // the completion set — it can never finish. Without
                 // churn `departed` implies `is_complete`, so this is
@@ -1277,11 +1271,10 @@ impl<T: Transport> SwarmHarness<T> {
     /// Audits the finished run and assembles its [`SwarmReport`].
     fn report(mut self, ticks: u64) -> SwarmReport {
         let plaintext_ok = self.plaintexts_ok();
-        let completed = |role: PeerRole| {
-            self.peers.values().filter(|p| p.role() == role && p.is_complete()).count() as u32
-        };
-        let completed_compliant = completed(PeerRole::Compliant);
-        let completed_free_riders = completed(PeerRole::FreeRider);
+        let done =
+            || self.peers.values().filter(|p| p.role() == PeerRole::Leecher && p.is_complete());
+        let completed_compliant = done().filter(|p| p.strategy().uploads()).count() as u32;
+        let completed_free_riders = done().filter(|p| p.strategy().is_free_rider()).count() as u32;
         // From the scenario, not the survivors: a peer still waiting out
         // its crash outage at the deadline must count as incomplete.
         // Churn joins raise the target; a voluntary departure that left
@@ -1511,7 +1504,7 @@ mod tests {
     fn peer_table_iterates_ascending_through_crash_restore_and_rebirth() {
         let content = Content::new(1, 4, 16);
         let peer =
-            |id| PeerRuntime::new(NodeId(id), PeerRole::Compliant, content.clone(), NetConfig::default(), 1);
+            |id| PeerRuntime::new(NodeId(id), PeerRole::Leecher, content.clone(), NetConfig::default(), 1);
         // `keys`, `iter` and `values` walk the same peers, each under its
         // own id.
         let ids = |t: &PeerTable| {

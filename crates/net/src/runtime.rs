@@ -39,15 +39,14 @@ use tchain_sim::{NodeId, SimRng};
 /// Outgoing frames produced by one peer callback.
 pub type Outbox = Vec<(NodeId, Frame)>;
 
-/// What the peer does with the protocol.
+/// Where the peer starts. Whether it follows the protocol is its
+/// [`Strategy`]'s call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerRole {
     /// Holds the full file from t=0 and initiates chains (§II-B1).
     Seeder,
-    /// Follows the protocol: reciprocates, reports, announces.
-    Compliant,
-    /// Downloads and hoards: never reciprocates, reports or serves.
-    FreeRider,
+    /// Starts empty and downloads.
+    Leecher,
 }
 
 /// §II-D2 flow-control bound: a neighbor with `k` un-reciprocated pieces
@@ -193,8 +192,8 @@ pub struct PeerRuntime {
     id: NodeId,
     role: PeerRole,
     /// Behavioural strategy, consulted (via its capability methods) at
-    /// every protocol fork. Derived from `role` by [`PeerRuntime::new`]
-    /// for back-compat; [`PeerRuntime::with_strategy`] sets it freely.
+    /// every protocol fork. [`PeerRuntime::new`] makes the peer
+    /// compliant; [`PeerRuntime::with_strategy`] sets it freely.
     /// Every reincarnation keeps it: an operator's brain survives its
     /// identities.
     strategy: Strategy,
@@ -244,21 +243,16 @@ pub struct PeerRuntime {
 }
 
 impl PeerRuntime {
-    /// Builds a peer. Seeders start with the full file; everyone else
-    /// starts empty.
+    /// Builds a compliant peer. Seeders start with the full file;
+    /// leechers start empty.
     pub fn new(id: NodeId, role: PeerRole, content: Content, cfg: NetConfig, seed: u64) -> Self {
-        let strategy = match role {
-            PeerRole::FreeRider => Strategy::zero_upload(),
-            _ => Strategy::Compliant,
-        };
-        Self::with_strategy(id, role, content, cfg, seed, strategy)
+        Self::with_strategy(id, role, content, cfg, seed, Strategy::Compliant)
     }
 
     /// Builds a peer with an explicit behavioural [`Strategy`]. The
-    /// role still decides starting holdings (seeders begin full) and
-    /// donor scheduling class; the strategy decides everything the
-    /// adversary engine forks on. `new` is `with_strategy` with the
-    /// strategy derived from the role.
+    /// role decides starting holdings (seeders begin full) and donor
+    /// scheduling class; the strategy decides everything the adversary
+    /// engine forks on, free-riding included.
     pub fn with_strategy(
         id: NodeId,
         role: PeerRole,
@@ -336,6 +330,12 @@ impl PeerRuntime {
     /// The peer's role.
     pub fn role(&self) -> PeerRole {
         self.role
+    }
+
+    /// A leecher that follows the protocol: the population whose
+    /// completion a swarm run is judged by.
+    pub(crate) fn is_compliant_leecher(&self) -> bool {
+        self.role == PeerRole::Leecher && self.strategy.uploads()
     }
 
     /// The peer's behavioural strategy.
@@ -812,14 +812,11 @@ impl PeerRuntime {
             self.fire_retries(now, out);
         }
         self.stall_sweep(now, out);
-        let donating = self.role == PeerRole::Seeder
-            || (self.role == PeerRole::Compliant
-                && self.is_complete()
-                && !self.cfg.depart_on_complete);
-        if donating {
+        let done = self.is_compliant_leecher() && self.is_complete();
+        if self.role == PeerRole::Seeder || (done && !self.cfg.depart_on_complete) {
             self.donor_round(now, out);
         }
-        if self.role == PeerRole::Compliant && self.is_complete() && self.cfg.depart_on_complete {
+        if done && self.cfg.depart_on_complete {
             self.depart(out);
         }
     }
@@ -1347,8 +1344,8 @@ mod tests {
         // Satellite: two peers who lost the same frame must not
         // retransmit in lockstep — their jittered delays diverge while
         // staying inside the ±20 % band.
-        let mut a = PeerRuntime::new(NodeId(1), PeerRole::Compliant, content(), NetConfig::default(), 42);
-        let mut b = PeerRuntime::new(NodeId(2), PeerRole::Compliant, content(), NetConfig::default(), 42);
+        let mut a = PeerRuntime::new(NodeId(1), PeerRole::Leecher, content(), NetConfig::default(), 42);
+        let mut b = PeerRuntime::new(NodeId(2), PeerRole::Leecher, content(), NetConfig::default(), 42);
         let mut identical = 0;
         for _ in 0..64 {
             let (x, y) = (a.jittered(2.0), b.jittered(2.0));
@@ -1363,7 +1360,7 @@ mod tests {
 
     #[test]
     fn strike_limit_quarantines_then_expires() {
-        let mut p = PeerRuntime::new(NodeId(1), PeerRole::Compliant, content(), NetConfig::default(), 7);
+        let mut p = PeerRuntime::new(NodeId(1), PeerRole::Leecher, content(), NetConfig::default(), 7);
         let bad = NodeId(9);
         assert_eq!(p.on_frame_reject(1.0, bad), None);
         assert_eq!(p.on_frame_reject(1.5, bad), None);
@@ -1416,7 +1413,7 @@ mod tests {
     /// A leecher holding pieces 2 and 6, plus its `twin`: built and
     /// driven identically, so their RNG streams agree draw for draw.
     fn two_piece_leecher(c: &Content) -> PeerRuntime {
-        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
+        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Leecher, c.clone(), NetConfig::default(), 11);
         let mut out = Outbox::new();
         p.complete_piece(3.0, 2, c.piece(2), &mut out);
         p.complete_piece(4.0, 6, c.piece(6), &mut out);
@@ -1486,7 +1483,7 @@ mod tests {
         // the only message bounds-checked. Every wire-supplied index past
         // the file is now the "wrong swarm" silent drop.
         let c = Content::new(0xC0FFEE, 4, 64);
-        let mut p = PeerRuntime::new(NodeId(1), PeerRole::Compliant, c, NetConfig::default(), 7);
+        let mut p = PeerRuntime::new(NodeId(1), PeerRole::Leecher, c, NetConfig::default(), 7);
         let mut out = Outbox::new();
         p.bootstrap(&[NodeId(2)], &mut out);
         out.clear();
@@ -1794,7 +1791,7 @@ mod tests {
 
     #[test]
     fn neighborhood_index_matches_the_full_scans_for_a_growing_leecher() {
-        differential_run(PeerRole::Compliant, 0xBEEF, 2500, 12);
+        differential_run(PeerRole::Leecher, 0xBEEF, 2500, 12);
     }
 
     /// Two words per slot: a piece past the first word must land in, and
@@ -1802,7 +1799,7 @@ mod tests {
     #[test]
     fn neighborhood_index_matches_the_full_scans_at_65_pieces() {
         differential_run(PeerRole::Seeder, 0x65_5EED, 1000, 65);
-        differential_run(PeerRole::Compliant, 0x65_BEEF, 1000, 65);
+        differential_run(PeerRole::Leecher, 0x65_BEEF, 1000, 65);
     }
 
     #[test]
@@ -1832,7 +1829,7 @@ mod tests {
     #[test]
     fn restart_comes_back_with_an_empty_consistent_index() {
         let c = content();
-        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Compliant, c.clone(), NetConfig::default(), 11);
+        let mut p = PeerRuntime::new(NodeId(5), PeerRole::Leecher, c.clone(), NetConfig::default(), 11);
         let mut out = Outbox::new();
         p.bootstrap(&[NodeId(1), NodeId(2)], &mut out);
         p.on_frame(0.0, NodeId(1), Frame::Control(Message::bitfield(&Bitfield::full(c.pieces()))), &mut out);

@@ -425,7 +425,7 @@ use tchain_proto::wire::KEY_WIRE_SIZE;
 fn well_formed_frames_naming_pieces_outside_the_file_change_nothing() {
     const PIECES: u32 = 4;
     let content = Content::new(0xF022, PIECES as usize, 64);
-    let mut peer = PeerRuntime::new(NodeId(1), PeerRole::Compliant, content, NetConfig::default(), 9);
+    let mut peer = PeerRuntime::new(NodeId(1), PeerRole::Leecher, content, NetConfig::default(), 9);
     let mut out = Outbox::new();
     peer.bootstrap(&[NodeId(0), NodeId(2)], &mut out);
     out.clear();

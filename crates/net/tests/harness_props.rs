@@ -266,7 +266,7 @@ fn restart_keeps_durable_state_at_random_crash_points() {
         let mut seeder =
             PeerRuntime::new(NodeId(0), PeerRole::Seeder, mk(), NetConfig::default(), seed);
         let mut leecher =
-            PeerRuntime::new(NodeId(1), PeerRole::Compliant, mk(), NetConfig::default(), seed ^ 1);
+            PeerRuntime::new(NodeId(1), PeerRole::Leecher, mk(), NetConfig::default(), seed ^ 1);
         let mut from_seeder = Outbox::new();
         let mut from_leecher = Outbox::new();
         seeder.bootstrap(&[NodeId(1)], &mut from_seeder);

@@ -147,11 +147,11 @@ fn persisted_twice(name: &str, figure: impl Fn()) -> (String, String) {
 fn net_documents_identical_for_a_repeated_seed() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (a, b) = persisted_twice("net_scale", || {
-        assert!(net_scale::run(Scale::Quick).all_safe);
+        assert!(net_scale::run(Scale::Quick, net_scale::SEED).all_safe);
     });
     assert_eq!(a, b, "net_scale document differs between same-seed runs");
     let (a, b) = persisted_twice("net_explore", || {
-        assert!(net_explore::run(Scale::Quick).all_safe);
+        assert!(net_explore::run(Scale::Quick, net_explore::SEED, None).all_safe);
     });
     assert_eq!(a, b, "net_explore document differs between same-seed runs");
     take_failures();
