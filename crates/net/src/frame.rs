@@ -11,8 +11,9 @@
 //! ```
 //!
 //! with `kind` 1 = control (body is a strict [`Message`] encoding) and
-//! `kind` 2 = piece data (`[u32 piece LE][payload]`); kinds 3 and 4 are
-//! their [`CausalMeta`]-stamped twins. The checksum is the crate's one
+//! `kind` 2 = piece data (`[u32 piece LE][payload]`), the only two kinds.
+//! A telemetry stamp is never encoded: it rides beside the frame, in
+//! [`crate::Delivery::meta`]. The checksum is the crate's one
 //! [`digest`] over the body, seeded with `kind` and folded to 32 bits
 //! (see [`frame_checksum`]); it exists because byzantine corruption of
 //! some payloads — a flipped bit in a `KeyRelease` key, say — would
@@ -43,51 +44,6 @@ pub const MAX_FRAME_BODY: u32 = MAX_CIPHERTEXT_LEN + 1024;
 
 const KIND_CONTROL: u8 = 1;
 const KIND_PIECE_DATA: u8 = 2;
-const KIND_CONTROL_META: u8 = 3;
-const KIND_PIECE_META: u8 = 4;
-
-/// Encoded size of a [`CausalMeta`] block.
-pub const CAUSAL_META_LEN: usize = 20;
-
-/// Optional causal telemetry stamp carried in front of a frame body.
-///
-/// Kinds 3 and 4 are the meta-bearing twins of the control and
-/// piece-data kinds: their body is `[origin u32][lamport u64][span u64]`
-/// (all LE) followed by the ordinary inner body. Telemetry-disabled
-/// peers emit kinds 1 and 2, so the wire image of a disabled run is
-/// byte-identical to one built before this header existed; the checksum
-/// covers the meta block too, so the bit-flip fuzz guarantee extends to
-/// these kinds unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CausalMeta {
-    /// Sending peer.
-    pub origin: u32,
-    /// Sender's Lamport clock at send time.
-    pub lamport: u64,
-    /// Packed transaction span the frame belongs to (0 = none).
-    pub span: u64,
-}
-
-impl CausalMeta {
-    /// The 20-byte LE encoding.
-    pub fn to_bytes(&self) -> [u8; CAUSAL_META_LEN] {
-        let mut b = [0u8; CAUSAL_META_LEN];
-        b[..4].copy_from_slice(&self.origin.to_le_bytes());
-        b[4..12].copy_from_slice(&self.lamport.to_le_bytes());
-        b[12..].copy_from_slice(&self.span.to_le_bytes());
-        b
-    }
-
-    /// Decode from exactly [`CAUSAL_META_LEN`] bytes.
-    fn from_bytes(b: &[u8]) -> Self {
-        CausalMeta {
-            origin: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-            lamport: u64::from_le_bytes([b[4], b[5], b[6], b[7], b[8], b[9], b[10], b[11]]),
-            span: u64::from_le_bytes([b[12], b[13], b[14], b[15], b[16], b[17], b[18], b[19]]),
-        }
-    }
-}
-
 /// The header checksum: [`digest`] of the body seeded with `kind`, its
 /// two halves folded into the 4-byte header field.
 ///
@@ -115,8 +71,10 @@ pub enum Frame {
     /// A protocol control message.
     Control(Message),
     /// The encrypted (or, for a §II-B3 termination upload, plaintext)
-    /// bytes of one piece. Always preceded on the same link by the
-    /// [`Message::PieceUpload`] header that describes it.
+    /// bytes of one piece, sent right behind the [`Message::PieceUpload`]
+    /// header that describes it. A FIFO link delivers the header first;
+    /// when the header is lost, or a chaos reorder lets the payload
+    /// overtake it, the receiver drops the payload as an orphan.
     PieceData {
         /// Which piece the payload carries.
         piece: PieceId,
@@ -176,14 +134,35 @@ impl From<DecodeError> for FrameError {
 }
 
 impl Frame {
-    /// Appends the framed encoding (`[len][kind][checksum][body]`) to `out`.
+    /// Appends the framed encoding (`[len][kind][checksum][body]`) to
+    /// `out`: the one encoder. The body is written straight into `out`
+    /// behind a reserved header, which is patched once the body can be
+    /// checksummed where it lies.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.encode_with_meta_into(None, out);
+        let start = out.len();
+        out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        let kind = match self {
+            Frame::Control(msg) => {
+                msg.encode_into(out);
+                KIND_CONTROL
+            }
+            Frame::PieceData { piece, payload } => {
+                out.extend_from_slice(&piece.0.to_le_bytes());
+                out.extend_from_slice(payload);
+                KIND_PIECE_DATA
+            }
+        };
+        let (header, body) = out[start..].split_at_mut(FRAME_HEADER_LEN);
+        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[4] = kind;
+        header[5..].copy_from_slice(&frame_checksum(kind, body).to_le_bytes());
     }
 
     /// The framed encoding as a fresh vector.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with_meta(None)
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
     }
 
     /// Exact framed size in bytes, header included.
@@ -193,50 +172,6 @@ impl Frame {
                 Frame::Control(msg) => msg.encoded_len(),
                 Frame::PieceData { payload, .. } => 4 + payload.len(),
             }
-    }
-
-    /// Appends the framed encoding with an optional [`CausalMeta`] stamp:
-    /// the one encoder. The body is written straight into `out` behind a
-    /// reserved header, which is patched once the body can be checksummed
-    /// where it lies.
-    ///
-    /// `None` yields the same bytes as a telemetry-unaware sender, which
-    /// is what keeps disabled runs bit-identical on the wire.
-    pub fn encode_with_meta_into(&self, meta: Option<&CausalMeta>, out: &mut Vec<u8>) {
-        let kind = match (self, meta) {
-            (Frame::Control(_), None) => KIND_CONTROL,
-            (Frame::PieceData { .. }, None) => KIND_PIECE_DATA,
-            (Frame::Control(_), Some(_)) => KIND_CONTROL_META,
-            (Frame::PieceData { .. }, Some(_)) => KIND_PIECE_META,
-        };
-        let start = out.len();
-        out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-        if let Some(meta) = meta {
-            out.extend_from_slice(&meta.to_bytes());
-        }
-        match self {
-            Frame::Control(msg) => msg.encode_into(out),
-            Frame::PieceData { piece, payload } => {
-                out.extend_from_slice(&piece.0.to_le_bytes());
-                out.extend_from_slice(payload);
-            }
-        }
-        let (header, body) = out[start..].split_at_mut(FRAME_HEADER_LEN);
-        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        header[4] = kind;
-        header[5..].copy_from_slice(&frame_checksum(kind, body).to_le_bytes());
-    }
-
-    /// The meta-stamped framed encoding as a fresh vector.
-    pub fn encode_with_meta(&self, meta: Option<&CausalMeta>) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len_with_meta(meta.is_some()));
-        self.encode_with_meta_into(meta, &mut out);
-        out
-    }
-
-    /// Exact framed size with or without a meta stamp.
-    pub fn encoded_len_with_meta(&self, has_meta: bool) -> usize {
-        self.encoded_len() + if has_meta { CAUSAL_META_LEN } else { 0 }
     }
 }
 
@@ -319,20 +254,6 @@ impl FrameDecoder {
     /// needed. After an `Err` the stream is corrupt and the caller should
     /// drop the connection (strict framing has no resync point).
     ///
-    /// Discards any [`CausalMeta`] stamp; telemetry-aware receivers use
-    /// [`FrameDecoder::next_frame_meta`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`FrameError`] on an oversized, unknown, corrupt or
-    /// malformed frame.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        Ok(self.next_frame_meta()?.map(|(frame, _)| frame))
-    }
-
-    /// Pops the next complete frame together with its [`CausalMeta`]
-    /// stamp, if the sender attached one.
-    ///
     /// Header fields are validated as soon as their bytes arrive — an
     /// oversized length prefix is rejected after 4 bytes, before any
     /// allocation for the claimed body.
@@ -341,7 +262,7 @@ impl FrameDecoder {
     ///
     /// Returns a [`FrameError`] on an oversized, unknown, corrupt or
     /// malformed frame.
-    pub fn next_frame_meta(&mut self) -> Result<Option<(Frame, Option<CausalMeta>)>, FrameError> {
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
         let avail = &self.buf[self.head..self.tail];
         if avail.len() < 4 {
             return Ok(None);
@@ -354,7 +275,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         let kind = avail[4];
-        if !(KIND_CONTROL..=KIND_PIECE_META).contains(&kind) {
+        if kind != KIND_CONTROL && kind != KIND_PIECE_DATA {
             return Err(FrameError::UnknownKind(kind));
         }
         if avail.len() < FRAME_HEADER_LEN {
@@ -370,44 +291,32 @@ impl FrameDecoder {
         if got != expected {
             return Err(FrameError::ChecksumMismatch { expected, got });
         }
-        let (meta, inner) = if kind == KIND_CONTROL_META || kind == KIND_PIECE_META {
-            if body.len() < CAUSAL_META_LEN {
+        let frame = if kind == KIND_CONTROL {
+            Frame::Control(Message::decode(body)?)
+        } else {
+            if body.len() < 4 {
                 return Err(FrameError::TruncatedBody);
             }
-            (
-                Some(CausalMeta::from_bytes(&body[..CAUSAL_META_LEN])),
-                &body[CAUSAL_META_LEN..],
-            )
-        } else {
-            (None, body)
-        };
-        let frame = match kind {
-            KIND_CONTROL | KIND_CONTROL_META => Frame::Control(Message::decode(inner)?),
-            _ => {
-                if inner.len() < 4 {
-                    return Err(FrameError::TruncatedBody);
-                }
-                let piece = PieceId(u32::from_le_bytes([inner[0], inner[1], inner[2], inner[3]]));
-                Frame::PieceData { piece, payload: inner[4..].to_vec() }
-            }
+            let piece = PieceId(u32::from_le_bytes([body[0], body[1], body[2], body[3]]));
+            Frame::PieceData { piece, payload: body[4..].to_vec() }
         };
         self.head += total;
         if self.head == self.tail {
             (self.head, self.tail) = (0, 0);
         }
-        Ok(Some((frame, meta)))
+        Ok(Some(frame))
     }
 
     /// Drains every complete frame currently buffered into `out`, in
-    /// stream order, each paired with its [`CausalMeta`] stamp if any.
+    /// stream order, each with the bytes it took on the wire (header
+    /// included).
     ///
     /// This is the batched-dispatch entry: one transport poll can land
-    /// several frames (merged reads), a frame can straddle two reads
-    /// (split reads), and meta-stamped frames can interleave plain ones
-    /// mid-batch — the drain decodes exactly as many whole frames as
+    /// several frames (merged reads) and a frame can straddle two reads
+    /// (split reads) — the drain decodes exactly as many whole frames as
     /// the buffer holds and leaves any trailing partial frame buffered
     /// for the next poll. Equivalent to calling
-    /// [`FrameDecoder::next_frame_meta`] in a loop.
+    /// [`FrameDecoder::next_frame`] in a loop.
     ///
     /// # Errors
     ///
@@ -415,14 +324,14 @@ impl FrameDecoder {
     /// incremental path would; frames decoded before the bad one are
     /// already in `out` (the caller processes them, then drops the
     /// connection — strict framing has no resync point).
-    pub fn drain_frames(
-        &mut self,
-        out: &mut Vec<(Frame, Option<CausalMeta>)>,
-    ) -> Result<(), FrameError> {
-        while let Some(item) = self.next_frame_meta()? {
-            out.push(item);
+    pub fn drain_frames(&mut self, out: &mut Vec<(Frame, usize)>) -> Result<(), FrameError> {
+        loop {
+            let before = self.buffered();
+            match self.next_frame()? {
+                Some(frame) => out.push((frame, before - self.buffered())),
+                None => return Ok(()),
+            }
         }
-        Ok(())
     }
 
     /// Declares the stream finished (peer closed or reset the link).
@@ -475,28 +384,25 @@ mod tests {
     }
 
     #[test]
-    fn the_in_place_checksum_is_frame_checksum_of_the_body_for_all_four_kinds() {
-        let meta = CausalMeta { origin: 7, lamport: 0x1234_5678_9ABC, span: 42 };
+    fn the_in_place_checksum_is_frame_checksum_of_the_body_for_both_kinds() {
         let mut kinds = Vec::new();
         // Behind other bytes, so the header is patched at an offset.
         let mut out = vec![0xEE; 5];
         for f in frames() {
-            for meta in [None, Some(&meta)] {
-                let start = out.len();
-                f.encode_with_meta_into(meta, &mut out);
-                let enc = &out[start..];
-                assert_eq!(enc, f.encode_with_meta(meta));
-                assert_eq!(enc.len(), f.encoded_len_with_meta(meta.is_some()));
-                let body = &enc[FRAME_HEADER_LEN..];
-                assert_eq!(enc[..4], (body.len() as u32).to_le_bytes());
-                assert_eq!(enc[5..FRAME_HEADER_LEN], frame_checksum(enc[4], body).to_le_bytes());
-                kinds.push(enc[4]);
-            }
+            let start = out.len();
+            f.encode_into(&mut out);
+            let enc = &out[start..];
+            assert_eq!(enc, f.encode());
+            assert_eq!(enc.len(), f.encoded_len());
+            let body = &enc[FRAME_HEADER_LEN..];
+            assert_eq!(enc[..4], (body.len() as u32).to_le_bytes());
+            assert_eq!(enc[5..FRAME_HEADER_LEN], frame_checksum(enc[4], body).to_le_bytes());
+            kinds.push(enc[4]);
         }
         assert_eq!(out[..5], [0xEE; 5]);
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds, [KIND_CONTROL, KIND_PIECE_DATA, KIND_CONTROL_META, KIND_PIECE_META]);
+        assert_eq!(kinds, [KIND_CONTROL, KIND_PIECE_DATA]);
     }
 
     /// Decodes `wire` as one whole stream; a frame that never completes
@@ -582,9 +488,11 @@ mod tests {
 
     #[test]
     fn unknown_kind_rejected() {
-        let mut dec = FrameDecoder::new();
-        dec.push(&[0, 0, 0, 0, 9]);
-        assert_eq!(dec.next_frame(), Err(FrameError::UnknownKind(9)));
+        for kind in [0, 3, 4, 255] {
+            let mut dec = FrameDecoder::new();
+            dec.push(&[0, 0, 0, 0, kind]);
+            assert_eq!(dec.next_frame(), Err(FrameError::UnknownKind(kind)));
+        }
     }
 
     #[test]
@@ -621,64 +529,6 @@ mod tests {
         assert_eq!(dec.finish(), Err(FrameError::TruncatedStream));
         dec.push(&enc[enc.len() - 1..]);
         assert_eq!(dec.next_frame(), Ok(Some(f)));
-    }
-
-    #[test]
-    fn meta_stamp_roundtrips_and_plain_decoder_ignores_it() {
-        let meta = CausalMeta { origin: 7, lamport: 0x1234_5678_9ABC, span: 42 };
-        for f in frames() {
-            let enc = f.encode_with_meta(Some(&meta));
-            assert_eq!(enc.len(), f.encoded_len_with_meta(true));
-            assert_eq!(enc.len(), f.encoded_len() + CAUSAL_META_LEN);
-            let mut dec = FrameDecoder::new();
-            dec.push(&enc);
-            let (got, got_meta) = dec.next_frame_meta().expect("clean").expect("complete");
-            assert_eq!(got, f);
-            assert_eq!(got_meta, Some(meta));
-            // The meta-unaware entry point yields the same frame.
-            let mut dec = FrameDecoder::new();
-            dec.push(&enc);
-            assert_eq!(dec.next_frame(), Ok(Some(f.clone())));
-            // And a None meta produces the legacy byte image exactly.
-            assert_eq!(f.encode_with_meta(None), f.encode());
-        }
-    }
-
-    #[test]
-    fn meta_frame_shorter_than_meta_block_rejected() {
-        // kind 3 with a 4-byte body: checksum valid, meta block missing.
-        let body = [1u8, 2, 3, 4];
-        let mut bytes = vec![4, 0, 0, 0, KIND_CONTROL_META];
-        bytes.extend_from_slice(&frame_checksum(KIND_CONTROL_META, &body).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        let mut dec = FrameDecoder::new();
-        dec.push(&bytes);
-        assert_eq!(dec.next_frame_meta(), Err(FrameError::TruncatedBody));
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_detected_on_meta_frames() {
-        let meta = CausalMeta { origin: 3, lamport: 99, span: 0xDEAD };
-        let f = Frame::Control(Message::ReceptionReport {
-            requestor: NodeId(4),
-            piece: PieceId(7),
-        });
-        let enc = f.encode_with_meta(Some(&meta));
-        for byte in 0..enc.len() {
-            for bit in 0..8u8 {
-                let mut mutated = enc.clone();
-                mutated[byte] ^= 1 << bit;
-                let mut dec = FrameDecoder::new();
-                dec.push(&mutated);
-                match dec.next_frame_meta() {
-                    Ok(None) => assert_eq!(dec.finish(), Err(FrameError::TruncatedStream)),
-                    Ok(Some(got)) => {
-                        panic!("flip byte {byte} bit {bit} decoded silently as {got:?}")
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
     }
 
     #[test]

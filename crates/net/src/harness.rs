@@ -14,7 +14,7 @@
 //! is a composition of three primitives: `enroll`, `greet` and `evict`.
 
 use crate::content::{digest, Content};
-use crate::frame::{CausalMeta, Frame};
+use crate::frame::Frame;
 pub use crate::observer::Observer;
 use crate::runtime::{NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
 use crate::sched::TimerWheel;
@@ -23,7 +23,9 @@ use crate::strategy::{
     WHITEWASH_REJOIN_DELAY,
 };
 use crate::telemetry::{virt_ms, FlightDump, FlightRecorder, PeerTelemetry, SwarmTelemetry};
-use crate::transport::{ChannelMesh, ChaosRecord, Delivery, NetError, Transport, TransportStats};
+use crate::transport::{
+    CausalMeta, ChannelMesh, ChaosRecord, Delivery, NetError, Transport, TransportStats,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tchain_obs::{Event, MetricName, OracleKind, TraceRecord, Tracer, WireMsg};
 use tchain_proto::{Tracker, LIST_SIZE};
@@ -73,10 +75,11 @@ pub struct SwarmConfig {
     /// Capacity of each per-peer telemetry ring (0 means the default,
     /// 4096). Read only when `telemetry` is set.
     pub trace_capacity: usize,
-    /// Swarm telemetry: per-peer causal tracers (Lamport-stamped frame
-    /// metadata on the wire), metric histograms, swarm aggregation and
-    /// the flight recorder. Off by default — a disabled run sends
-    /// byte-identical frames and keeps its fingerprint.
+    /// Swarm telemetry: per-peer causal tracers (a Lamport stamp rides
+    /// beside each frame in [`Delivery::meta`], never on the wire),
+    /// metric histograms, swarm aggregation and the flight recorder. Off
+    /// by default; either way the same bytes are sent and the
+    /// fingerprint is the same.
     pub telemetry: bool,
 }
 
@@ -194,7 +197,7 @@ impl TelemetryState {
     /// Stamps an outgoing frame: ticks the sender's Lamport clock,
     /// records a `FrameSent` for span-carrying messages (the record
     /// itself is the tick, so the stamp equals the event's clock) and
-    /// returns the wire metadata.
+    /// returns the stamp the transport carries beside the frame.
     fn on_send(&mut self, now: f64, from: u32, to: u32, frame: &Frame) -> CausalMeta {
         let view = wire_view(from, to, frame);
         let tracer = self.tracer(from);

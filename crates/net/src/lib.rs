@@ -7,10 +7,12 @@
 //! incremental framing layer ([`Frame`], [`FrameDecoder`]) carrying
 //! `tchain-proto` control messages plus bulk [`Frame::PieceData`] whose
 //! payloads are genuinely ChaCha20-encrypted with `tchain-crypto`
-//! per-transaction keys; a [`PeerRuntime`] state machine implementing
-//! the §II-B triangle protocol (payee designation, reciprocate-before-
-//! key, §II-B3 termination, §II-B4 escrow, §II-D1 forward
-//! re-encryption, §II-D2 flow control, §II-D3 opportunistic seeding);
+//! per-transaction keys — two frame kinds, with a telemetry
+//! [`CausalMeta`] stamp riding beside a frame in memory, never on the
+//! wire; a [`PeerRuntime`] state machine implementing the §II-B
+//! triangle protocol (payee designation, reciprocate-before-key, §II-B3
+//! termination, §II-B4 escrow, §II-D1 forward re-encryption, §II-D2
+//! flow control, §II-D3 opportunistic seeding);
 //! and a [`SwarmHarness`] that boots N peers in one process, runs a
 //! flash crowd to completion and audits every key release on the wire.
 //!
@@ -50,8 +52,7 @@ pub use explore::{
     canary_armed, scenario_config, scenarios, ExploreConfig, ExploreOutcome, Witness,
 };
 pub use frame::{
-    frame_checksum, CausalMeta, Frame, FrameDecoder, FrameError, CAUSAL_META_LEN,
-    FRAME_HEADER_LEN, MAX_FRAME_BODY,
+    frame_checksum, Frame, FrameDecoder, FrameError, FRAME_HEADER_LEN, MAX_FRAME_BODY,
 };
 pub use harness::{run_swarm, Observer, SwarmConfig, SwarmHarness, SwarmReport};
 pub use sched::TimerWheel;
@@ -63,6 +64,6 @@ pub use telemetry::{FlightDump, FlightRecorder, PeerTelemetry, SwarmTelemetry};
 pub use runtime::{NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
 pub use tcp::TcpLoopback;
 pub use transport::{
-    ChannelMesh, ChaosRecord, Delivery, FrameReject, NetError, RejectCause, Transport,
-    TransportStats,
+    CausalMeta, ChannelMesh, ChaosRecord, Delivery, FrameReject, NetError, RejectCause,
+    Transport, TransportStats,
 };

@@ -517,16 +517,17 @@ impl PeerRuntime {
         }
     }
 
-    /// Bulk arrival: pair the payload with its header (FIFO links
-    /// guarantee header-first; an orphan payload means the header was
-    /// lost, and the stall machinery owns that case).
+    /// Bulk arrival: pair the payload with its header. A FIFO link
+    /// delivers the header first; a payload with no header pending is
+    /// dropped as an orphan — its header was lost, or a chaos reorder let
+    /// the payload overtake it — and the stall machinery owns that case.
     fn on_piece_data(&mut self, now: f64, from: NodeId, piece: PieceId, payload: Vec<u8>, out: &mut Outbox) {
         if !self.in_file(piece) {
             return;
         }
         let key = (from.0, piece.0);
         let Some(entry) = self.pending_in.get_mut(&key) else {
-            return; // orphan data: header dropped by the lossy control plane
+            return; // orphan data: header lost or overtaken
         };
         if entry.work.is_some() || payload.len() != entry.ciphertext_len as usize {
             return; // duplicate or mangled
@@ -975,7 +976,9 @@ impl PeerRuntime {
 
     /// Works through owed reciprocations (§II-B2): a real piece the payee
     /// wants if we have one, else the §II-D1 forward of the pending
-    /// ciphertext, else the §II-B3 unencrypted termination.
+    /// ciphertext. An obligation neither can meet stays queued and is
+    /// dropped once it is older than [`STALL_TIMEOUT`]; no branch here
+    /// falls back to the §II-B3 termination.
     fn process_obligations(&mut self, now: f64, out: &mut Outbox) {
         let mut keep = Vec::new();
         let obligations = std::mem::take(&mut self.obligations);

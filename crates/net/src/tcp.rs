@@ -16,10 +16,12 @@
 //! [`FrameReject`] via [`Transport::take_chaos`], while every other link
 //! keeps flowing. A sender whose socket comes back reset reopens it on
 //! the next send. The backend injects no chaos of its own: a send writes
-//! the frame's encoding as is. Byzantine schedules belong to the
-//! deterministic [`ChannelMesh`](crate::ChannelMesh).
+//! the frame's encoding as is, and a telemetry stamp handed to
+//! `send_meta` is dropped (the default [`Transport::send_meta`]).
+//! Byzantine schedules belong to the deterministic
+//! [`ChannelMesh`](crate::ChannelMesh).
 
-use crate::frame::{CausalMeta, Frame, FrameDecoder, FrameError};
+use crate::frame::{Frame, FrameDecoder, FrameError};
 use crate::transport::{
     ChaosRecord, Delivery, FrameReject, NetError, RejectCause, Transport, TransportStats,
 };
@@ -107,10 +109,7 @@ impl Conn {
     /// decoding into `frames` after every read so the buffer holds about
     /// one frame. Frames decoded before the stream ended or went corrupt
     /// are in `frames` either way.
-    fn drain_read(
-        &mut self,
-        frames: &mut Vec<(Frame, Option<CausalMeta>)>,
-    ) -> Result<ReadEnd, NetError> {
+    fn drain_read(&mut self, frames: &mut Vec<(Frame, usize)>) -> Result<ReadEnd, NetError> {
         loop {
             match self.decoder.read_from(&mut self.stream) {
                 Ok(0) => return Ok(ReadEnd::Closed),
@@ -272,16 +271,6 @@ impl Transport for TcpLoopback {
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, frame: Frame) -> Result<(), NetError> {
-        self.send_meta(from, to, frame, None)
-    }
-
-    fn send_meta(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        frame: Frame,
-        meta: Option<CausalMeta>,
-    ) -> Result<(), NetError> {
         if !self.listeners.contains_key(&to.0) {
             return Err(NetError::UnknownPeer(to));
         }
@@ -290,7 +279,7 @@ impl Transport for TcpLoopback {
             self.stats.dropped += 1;
             return Ok(());
         }
-        self.write(from, to, |buf| frame.encode_with_meta_into(meta.as_ref(), buf))
+        self.write(from, to, |buf| frame.encode_into(buf))
     }
 
     fn advance(&mut self) -> Result<Vec<Delivery>, NetError> {
@@ -315,21 +304,21 @@ impl Transport for TcpLoopback {
         self.accept_new()?;
         let mut out = Vec::new();
         let mut dead_in = Vec::new();
-        let mut batch: Vec<(Frame, Option<CausalMeta>)> = Vec::new();
+        let mut batch = Vec::new();
         for (&(owner, from), conn) in self.inbound.iter_mut() {
             // Batched dispatch: one poll decodes every complete frame
             // the reads landed (merged reads yield several, split reads
             // leave the partial tail buffered for the next poll).
             batch.clear();
             let end = conn.drain_read(&mut batch)?;
-            for (frame, meta) in batch.drain(..) {
+            for (frame, wire_len) in batch.drain(..) {
                 if self.gone.contains(&owner) {
                     self.stats.dropped += 1;
                     continue;
                 }
                 self.stats.delivered += 1;
-                self.stats.bytes_delivered += frame.encoded_len() as u64;
-                out.push(Delivery { from: NodeId(from), to: NodeId(owner), frame, meta, duplicated: false });
+                self.stats.bytes_delivered += wire_len as u64;
+                out.push(Delivery { from: NodeId(from), to: NodeId(owner), frame, meta: None, duplicated: false });
             }
             // A corrupt stream has no resync point and a stream that
             // ended inside a frame is a reset from the receiver's point
@@ -638,25 +627,21 @@ mod tests {
     }
 
     #[test]
-    fn meta_stamps_cross_real_sockets() {
+    fn stamped_frames_cross_real_sockets_bare() {
         let Some(mut t) = try_pair() else {
             eprintln!("skipping: loopback TCP unavailable");
             return;
         };
-        let meta = CausalMeta { origin: 1, lamport: 11, span: 900 };
-        t.send_meta(
-            NodeId(1),
-            NodeId(2),
-            Frame::Control(Message::Have { piece: PieceId(8) }),
-            Some(meta),
-        )
-        .expect("send");
-        t.send(NodeId(1), NodeId(2), Frame::Control(Message::Have { piece: PieceId(9) }))
-            .expect("send");
-        let got = pump(&mut t, 2);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].meta, Some(meta), "stamp survives the wire");
-        assert_eq!(got[1].meta, None, "unstamped frame stays unstamped");
+        // A stamp is never encoded: the stamped frame goes out as its
+        // bare bytes and arrives without one.
+        let meta = crate::CausalMeta { origin: 1, lamport: 11, span: 900 };
+        let frame = Frame::PieceData { piece: PieceId(8), payload: vec![3; 300] };
+        t.send_meta(NodeId(1), NodeId(2), frame.clone(), Some(meta)).expect("send");
+        let got = pump(&mut t, 1);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].frame, frame, "the frame arrives byte-equal");
+        assert_eq!(got[0].meta, None, "the stamp does not cross the socket");
+        assert_eq!(t.stats().bytes_delivered, frame.encoded_len() as u64, "no stamp bytes");
     }
 
     #[test]

@@ -25,12 +25,28 @@
 //! frame (the mutation was survivable) or a typed [`FrameError`] surfaced
 //! as a [`FrameReject`] through [`Transport::take_chaos`].
 
-use crate::frame::{CausalMeta, Frame, FrameDecoder, FrameError, MAX_FRAME_BODY};
+use crate::frame::{Frame, FrameDecoder, FrameError, MAX_FRAME_BODY};
 use std::collections::BTreeMap;
 use tchain_sim::{
     ChaosAction, ChaosPlan, ChaosState, DelayQueue, FaultPlan, FaultState, FrameMutation, NodeId,
     Route, REORDER_DELAY,
 };
+
+/// A causal telemetry stamp: who sent a frame, at which Lamport time,
+/// for which transaction.
+///
+/// It rides beside its frame in memory, in [`Delivery::meta`], and is
+/// never encoded: the wire carries the bare frame whether telemetry is on
+/// or off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CausalMeta {
+    /// Sending peer.
+    pub origin: u32,
+    /// Sender's Lamport clock at send time.
+    pub lamport: u64,
+    /// Packed transaction span the frame belongs to (0 = none).
+    pub span: u64,
+}
 
 /// One delivered frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,11 +178,11 @@ pub trait Transport {
 
     /// Queues one frame with an optional [`CausalMeta`] telemetry stamp.
     ///
-    /// The default discards the stamp and forwards to [`Transport::send`]
-    /// — a meta-unaware backend stays correct, it just yields deliveries
-    /// with `meta: None`. Backends that carry the stamp must not let it
-    /// perturb the delivery schedule (chaos/fault draws key on the bare
-    /// frame length).
+    /// The default discards the stamp and forwards to [`Transport::send`],
+    /// so the delivery carries `meta: None`; `TcpLoopback` uses it, as a
+    /// stamp is never encoded onto a socket. [`ChannelMesh`] hands the stamp
+    /// to the receiver in [`Delivery::meta`] without letting it perturb
+    /// the delivery schedule (chaos/fault draws key on the frame length).
     ///
     /// # Errors
     ///
@@ -357,9 +373,9 @@ impl ChannelMesh {
 
     /// Runs one frame through the chaos layer and schedules the outcome.
     ///
-    /// The chaos draw keys on the *bare* frame length (meta excluded), so
-    /// attaching telemetry stamps cannot change which frames get hit —
-    /// same-seed schedules match with telemetry on or off.
+    /// The chaos draw keys on the frame's encoded length, which a stamp
+    /// does not change, so attaching telemetry stamps cannot change which
+    /// frames get hit — same-seed schedules match with telemetry on or off.
     fn dispatch(&mut self, at: f64, from: NodeId, to: NodeId, frame: Frame, meta: Option<CausalMeta>) {
         if !self.chaos.active() {
             self.enqueue(at, Queued::Deliver(Delivery { from, to, frame, meta, duplicated: false }));
@@ -374,7 +390,7 @@ impl ChannelMesh {
                 self.enqueue(at, Queued::Deliver(Delivery { from, to, frame, meta, duplicated: false }));
             }
             ChaosAction::Corrupt(mutation) => {
-                // Mutation targets the bare wire image; any meta stamp is
+                // Mutation targets the wire image; any meta stamp is
                 // considered destroyed with the frame.
                 let mut bytes = frame.encode();
                 apply_mutation(&mut bytes, mutation);

@@ -1,10 +1,12 @@
 //! Frame codec edge cases: zero-length frames, max-length frames, bogus
-//! length prefixes, and delivery split across arbitrary poll boundaries.
+//! length prefixes and kinds, and delivery split across arbitrary poll
+//! boundaries.
 //!
 //! These run against the public API only — the same surface the chaos
-//! layer mutates — and pin down the codec's contract: every input either
-//! yields a complete, checksum-verified [`Frame`] or a typed
-//! [`FrameError`]; nothing panics and nothing desyncs silently.
+//! layer mutates — and pin down the codec's contract: the wire has two
+//! frame kinds (1 control, 2 piece data), and every input either yields
+//! a complete, checksum-verified [`Frame`] or a typed [`FrameError`];
+//! nothing panics and nothing desyncs silently.
 
 use tchain_net::{
     frame_checksum, Frame, FrameDecoder, FrameError, FRAME_HEADER_LEN, MAX_FRAME_BODY,
@@ -190,41 +192,37 @@ fn unknown_kind_byte_is_rejected() {
 // The batched read path (`FrameDecoder::drain_frames`, used by the TCP
 // transport's per-poll loop) must be observationally identical to the
 // one-frame-at-a-time path whatever the wire chunking: frames split
-// across reads, many frames merged into one read, and causal-meta
-// frames interleaved mid-batch. A seeded generator builds valid streams
-// and the tests replay them under random chunkings; a second pass flips
-// one byte and demands a typed error with the pre-mutation prefix
-// intact.
+// across reads and many frames merged into one read. A seeded generator
+// builds valid streams and the tests replay them under random
+// chunkings; a second pass flips one byte and demands a typed error
+// with the pre-mutation prefix intact.
 // ---------------------------------------------------------------------
 
-use tchain_net::CausalMeta;
-
-/// Draws a random valid frame and whether it carries a causal header.
-fn gen_frame(rng: &mut SimRng, i: u32) -> (Frame, Option<CausalMeta>) {
-    let frame = match rng.below(4) {
+/// Draws a random valid frame.
+fn gen_frame(rng: &mut SimRng, i: u32) -> Frame {
+    match rng.below(4) {
         0 => Frame::Control(Message::Have { piece: PieceId(i) }),
         1 => Frame::Control(Message::ReceptionReport { requestor: NodeId(rng.below(40) as u32), piece: PieceId(i) }),
         2 => Frame::PieceData { piece: PieceId(i), payload: vec![i as u8; rng.below(200)] },
         _ => Frame::PieceData { piece: PieceId(i), payload: Vec::new() },
-    };
-    let meta = (rng.below(2) == 0).then(|| CausalMeta {
-        origin: rng.below(64) as u32,
-        lamport: rng.below(1 << 20) as u64,
-        span: rng.below(1 << 16) as u64,
-    });
-    (frame, meta)
+    }
 }
 
 /// Encodes a generated stream, returning the byte stream and the byte
 /// offset where each frame starts.
-fn encode_stream(items: &[(Frame, Option<CausalMeta>)]) -> (Vec<u8>, Vec<usize>) {
+fn encode_stream(items: &[Frame]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut starts = Vec::with_capacity(items.len());
-    for (frame, meta) in items {
+    for frame in items {
         starts.push(bytes.len());
-        bytes.extend_from_slice(&frame.encode_with_meta(meta.as_ref()));
+        frame.encode_into(&mut bytes);
     }
     (bytes, starts)
+}
+
+/// `items` as `drain_frames` yields them: each with its wire length.
+fn sized(items: &[Frame]) -> Vec<(Frame, usize)> {
+    items.iter().map(|f| (f.clone(), f.encoded_len())).collect()
 }
 
 #[test]
@@ -239,8 +237,8 @@ fn batched_drain_equals_frame_at_a_time_under_random_chunking() {
         let mut reference = FrameDecoder::new();
         reference.push(&stream);
         let mut expect = Vec::new();
-        while let Some(item) = reference.next_frame_meta().expect("valid stream") {
-            expect.push(item);
+        while let Some(frame) = reference.next_frame().expect("valid stream") {
+            expect.push(frame);
         }
         reference.finish().expect("clean stream");
         assert_eq!(expect, items, "encode/decode roundtrip");
@@ -259,34 +257,8 @@ fn batched_drain_equals_frame_at_a_time_under_random_chunking() {
             dec.drain_frames(&mut got).expect("valid stream");
         }
         dec.finish().expect("clean stream");
-        assert_eq!(got, items, "round {round}: batched drain diverged from reference");
+        assert_eq!(got, sized(&items), "round {round}: batched drain diverged from reference");
     }
-}
-
-#[test]
-fn meta_frames_interleaved_mid_batch_keep_their_headers() {
-    // Alternating bare/meta frames delivered as ONE read: the batch
-    // walker must attach each causal header to exactly its own frame.
-    let items: Vec<(Frame, Option<CausalMeta>)> = (0..12u32)
-        .map(|i| {
-            let frame = Frame::Control(Message::Have { piece: PieceId(i) });
-            let meta = (i % 2 == 1).then(|| CausalMeta {
-                origin: i,
-                lamport: u64::from(i) * 7 + 1,
-                span: u64::from(i),
-            });
-            (frame, meta)
-        })
-        .collect();
-    let (stream, _) = encode_stream(&items);
-    let mut dec = FrameDecoder::new();
-    dec.push(&stream);
-    let mut got = Vec::new();
-    dec.drain_frames(&mut got).expect("valid stream");
-    dec.finish().expect("clean stream");
-    assert_eq!(got, items);
-    assert!(got.iter().step_by(2).all(|(_, m)| m.is_none()));
-    assert!(got.iter().skip(1).step_by(2).all(|(_, m)| m.is_some()));
 }
 
 #[test]
@@ -348,7 +320,7 @@ fn single_bit_flip_yields_typed_error_and_intact_prefix() {
         );
         assert_eq!(
             got.as_slice(),
-            &items[..got.len()],
+            &sized(&items)[..got.len()],
             "round {round}: pre-mutation prefix corrupted"
         );
     }
@@ -406,7 +378,7 @@ fn reading_from_a_ragged_source_equals_push_and_drain() {
         assert_eq!(got, expect, "round {round}: frames before the end differ");
         assert_eq!(end, expect_end, "round {round}: the stream ended differently");
         if round % 3 == 0 {
-            assert_eq!((got, end), (items, Ok(())), "round {round}: clean stream");
+            assert_eq!((got, end), (sized(&items), Ok(())), "round {round}: clean stream");
         }
     }
 }

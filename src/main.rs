@@ -12,7 +12,21 @@ use tchain::experiments::{
     RunOpts, Scale,
 };
 
-const USAGE: &str = "tchain — T-Chain (ICDCS'15) reproduction
+/// `run --protocol`'s names, each with the protocol it selects. The
+/// parser, `--list-protocols` and the usage text all read this table.
+const PROTOCOLS: [(&str, Proto); 5] = [
+    ("tchain", Proto::TChain),
+    ("bittorrent", Proto::Baseline(Baseline::BitTorrent)),
+    ("propshare", Proto::Baseline(Baseline::PropShare)),
+    ("fairtorrent", Proto::Baseline(Baseline::FairTorrent)),
+    ("random-bt", Proto::Baseline(Baseline::RandomBt)),
+];
+
+/// The text `tchain help` prints.
+fn usage() -> String {
+    let protocols = PROTOCOLS.map(|(name, _)| name).join(" | ");
+    format!(
+        "tchain — T-Chain (ICDCS'15) reproduction
 
 USAGE:
     tchain run [OPTIONS]                     simulate one swarm
@@ -32,7 +46,7 @@ count (default: available parallelism; the documents do not depend on it).
 Seeds are decimal or 0x-prefixed hex.
 
 RUN OPTIONS:
-    --protocol <p>      tchain | bittorrent | propshare | fairtorrent | random-bt
+    --protocol <p>      {protocols}
                         (default: tchain)
     --peers <n>         leechers joining as a flash crowd     (default: 60)
     --file-mib <f>      shared file size in MiB               (default: 4)
@@ -41,7 +55,14 @@ RUN OPTIONS:
     --seed <s>          RNG seed                              (default: 42)
     --horizon <t>       stop at simulated time t instead of at completion
     --list-protocols    print the protocol names and exit
-";
+"
+    )
+}
+
+/// `run --list-protocols`: one `name  legend` line per protocol.
+fn protocol_list() -> String {
+    PROTOCOLS.iter().map(|(name, proto)| format!("{name:<11}  {proto}\n")).collect()
+}
 
 /// An experiment's entry point: scale, seed and PCT budget in, whether
 /// the run was safe out. Its documents are persisted under `results/`.
@@ -176,14 +197,12 @@ fn parse_run(rest: &[&str]) -> Result<Cmd, String> {
     while let Some(&flag) = it.next() {
         match flag {
             "--protocol" => {
-                sim.protocol = match value::<String>(flag, it.next())?.to_lowercase().as_str() {
-                    "tchain" | "t-chain" => Proto::TChain,
-                    "bittorrent" | "bt" => Proto::Baseline(Baseline::BitTorrent),
-                    "propshare" => Proto::Baseline(Baseline::PropShare),
-                    "fairtorrent" => Proto::Baseline(Baseline::FairTorrent),
-                    "random-bt" | "randombt" => Proto::Baseline(Baseline::RandomBt),
-                    other => return Err(format!("unknown protocol '{other}'")),
-                }
+                let name: String = value(flag, it.next())?;
+                sim.protocol = PROTOCOLS
+                    .iter()
+                    .find(|(n, _)| n.eq_ignore_ascii_case(&name))
+                    .map(|&(_, proto)| proto)
+                    .ok_or_else(|| format!("unknown protocol '{name}'"))?;
             }
             "--peers" => sim.peers = value(flag, it.next())?,
             "--file-mib" => sim.file_mib = value(flag, it.next())?,
@@ -225,15 +244,15 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match parse(&args) {
         Err(e) => {
-            eprintln!("tchain: {e}\n\n{USAGE}");
+            eprintln!("tchain: {e}\n\n{}", usage());
             2
         }
         Ok(Cmd::Help) => {
-            print!("{USAGE}");
+            print!("{}", usage());
             0
         }
         Ok(Cmd::ListProtocols) => {
-            Proto::with_random_bt().iter().for_each(|p| println!("{p}"));
+            print!("{}", protocol_list());
             0
         }
         Ok(Cmd::Run(sim)) => {
@@ -451,6 +470,8 @@ mod tests {
             &["run", "--peers", "0"],
             &["run", "--free-riders", "1.5"],
             &["run", "--protocol", "gnutella"],
+            &["run", "--protocol", "Original BT"],
+            &["run", "--protocol", "bt"],
             &["help", "fig03"],
         ] {
             assert!(parse_strs(args).is_err(), "{args:?} must be rejected");
@@ -473,5 +494,27 @@ mod tests {
         );
         assert_eq!(parse_strs(&["run", "--list-protocols"]), Ok(Cmd::ListProtocols));
         assert_eq!(parse_strs(&["help"]), Ok(Cmd::Help));
+    }
+
+    #[test]
+    fn every_listed_protocol_name_parses_back_to_its_protocol() {
+        let usage = usage();
+        let usage_line = usage.lines().find(|l| l.contains("--protocol <p>")).expect("documented");
+        let documented: Vec<&str> = usage_line.split_whitespace().skip(2).step_by(2).collect();
+        let listing = protocol_list();
+        let mut listed = Vec::new();
+        for (line, proto) in listing.lines().zip(PROTOCOLS.map(|(_, p)| p)) {
+            let (name, legend) = line.split_once("  ").expect("`name  legend`");
+            assert_eq!(legend.trim_start(), proto.name(), "{line:?}");
+            match parse_strs(&["run", "--protocol", name]) {
+                Ok(Cmd::Run(sim)) => assert_eq!(sim.protocol, proto, "{line:?}"),
+                other => panic!("{name:?} parsed to {other:?}"),
+            }
+            listed.push(name);
+        }
+        assert_eq!(listed, documented, "the usage text names what --list-protocols lists");
+        for proto in Proto::with_random_bt() {
+            assert!(PROTOCOLS.iter().any(|&(_, p)| p == proto), "{proto} has no name");
+        }
     }
 }

@@ -74,6 +74,7 @@ fn telemetry_disabled_runs_stay_bit_identical_and_stamps_are_invisible() {
     assert_eq!(c.ticks, a.ticks);
     assert_eq!(c.completion_times, a.completion_times);
     assert_eq!(c.peer_counters, a.peer_counters);
+    assert_eq!(c.transport, a.transport, "telemetry on delivers the same bytes");
 }
 
 #[test]
