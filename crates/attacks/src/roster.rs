@@ -103,21 +103,14 @@ impl Roster {
         self.member(id).plan.strategy
     }
 
-    /// The crash victims of the step at `now`, in DESIGN.md §4's draw
-    /// order: first the peers whose [`PeerPlan::crash_at`] is due
-    /// (skipping any that already left), then the victims of the
-    /// `FaultPlan` fraction events due, drawn over the leechers still alive
-    /// once those planned victims are gone. Empty, and draw-free, when
-    /// nothing is due. The caller crashes every returned peer, in order.
-    pub fn due_crashes(&mut self, base: &mut SwarmBase, now: f64) -> Vec<NodeId> {
+    /// The crash victims of the step at `now`: the peers whose
+    /// [`PeerPlan::crash_at`] is due, skipping any that already left, in
+    /// DESIGN.md §4's order. Draws nothing. The caller crashes every
+    /// returned peer, in order.
+    pub fn due_crashes(&mut self, base: &SwarmBase, now: f64) -> Vec<NodeId> {
         let due = take_due(&mut self.planned_crashes, |c| c.0 <= now);
-        let mut victims: Vec<NodeId> =
+        let victims: Vec<NodeId> =
             due.into_iter().map(|c| c.1).filter(|&id| base.peers.alive(id)).collect();
-        if base.faults.crash_due(now) {
-            let mut alive = base.alive_leechers();
-            alive.retain(|id| !victims.contains(id));
-            victims.extend(base.faults.crash_victims(now, &alive));
-        }
         self.crashes += victims.len() as u64;
         victims
     }
@@ -339,19 +332,12 @@ fn take_due<T>(v: &mut Vec<T>, is_due: impl Fn(&T) -> bool) -> Vec<T> {
 mod tests {
     use super::*;
     use tchain_proto::FileSpec;
-    use tchain_sim::FaultPlan;
 
-    /// A seeded substrate under `faults`, clock at `t`.
-    fn faulty_base_at(t: f64, faults: FaultPlan) -> SwarmBase {
-        let file = FileSpec::custom(8, 65536.0, 65536.0);
-        let mut b = SwarmBase::with_faults(file, 7, faults);
+    /// A seeded substrate, clock at `t`.
+    fn base_at(t: f64) -> SwarmBase {
+        let mut b = SwarmBase::new(FileSpec::custom(8, 65536.0, 65536.0), 7);
         tick_to(&mut b, t);
         b
-    }
-
-    /// A seeded fault-free substrate, clock at `t`.
-    fn base_at(t: f64) -> SwarmBase {
-        faulty_base_at(t, FaultPlan::none())
     }
 
     fn tick_to(b: &mut SwarmBase, t: f64) {
@@ -459,41 +445,23 @@ mod tests {
             PeerPlan::compliant(5.0, 100.0).crashing_at(2.0),
             PeerPlan::compliant(5.0, 100.0).crashing_at(9.0),
             PeerPlan::compliant(5.0, 100.0),
+            PeerPlan::compliant(5.0, 100.0).crashing_at(12.0),
         ];
         let mut b = base_at(5.0);
         let mut r = Roster::new(plan, 0.0, false);
         assert!(r.plans_crash());
-        assert!(r.due_crashes(&mut b, 5.0).is_empty(), "nothing is scheduled before admission");
+        assert!(r.due_crashes(&b, 5.0).is_empty(), "nothing is scheduled before admission");
         let ids: Vec<NodeId> = r.admit_due(&mut b, 5.0).into_iter().map(|(id, _)| id).collect();
-        assert!(r.due_crashes(&mut b, 4.0).is_empty(), "a past crash time clamps up to the join");
-        assert_eq!(r.due_crashes(&mut b, 5.0), [ids[0]]);
-        assert!(r.due_crashes(&mut b, 8.0).is_empty());
-        assert_eq!(r.due_crashes(&mut b, 9.0), [ids[1]]);
-        assert!(r.due_crashes(&mut b, 1e9).is_empty(), "each crash fires once; the third has none");
-        assert_eq!(r.crashes(), 2);
+        assert!(r.due_crashes(&b, 4.0).is_empty(), "a past crash time clamps up to the join");
+        assert_eq!(r.due_crashes(&b, 5.0), [ids[0]]);
+        assert!(r.due_crashes(&b, 8.0).is_empty());
+        assert_eq!(r.due_crashes(&b, 9.0), [ids[1]]);
+        tick_to(&mut b, 10.0);
+        b.depart(ids[3]);
+        assert!(r.due_crashes(&b, 12.0).is_empty(), "a victim that already left is skipped");
+        assert!(r.due_crashes(&b, 1e9).is_empty(), "each crash fires once; the third has none");
+        assert_eq!(r.crashes(), 2, "the departed victim is not counted");
         assert!(!Roster::new(vec![PeerPlan::compliant(0.0, 1.0)], 0.0, false).plans_crash());
-    }
-
-    #[test]
-    fn planned_crashes_go_first_and_sit_out_the_fraction_draw() {
-        // Five leechers; the second plans a crash at t = 5, the step in
-        // which the fault plan also crashes a fraction of the leechers.
-        let mut plan = vec![PeerPlan::compliant(1.0, 100.0); 5];
-        plan[1] = plan[1].crashing_at(5.0);
-        // round(0.5 × 4) = 2 but round(0.5 × 5) = 3; at 1.0 a pool that
-        // still held the planned victim would hand it out twice.
-        for (fraction, drawn) in [(0.5, 2), (1.0, 4)] {
-            let mut b = faulty_base_at(1.0, FaultPlan::none().with_crash(5.0, fraction));
-            let mut r = Roster::new(plan.clone(), 0.0, false);
-            let ids: Vec<NodeId> = r.admit_due(&mut b, 1.0).into_iter().map(|(id, _)| id).collect();
-            assert!(r.due_crashes(&mut b, 4.0).is_empty(), "nothing due before t = 5");
-            tick_to(&mut b, 5.0);
-            let victims = r.due_crashes(&mut b, 5.0);
-            assert_eq!(victims[0], ids[1], "the planned victim crashes first");
-            assert!(!victims[1..].contains(&ids[1]), "and is absent from the fraction draw");
-            assert_eq!(victims.len(), 1 + drawn, "the draw is over the other four leechers");
-            assert_eq!(r.crashes(), victims.len() as u64);
-        }
     }
 
     #[test]

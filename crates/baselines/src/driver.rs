@@ -137,9 +137,9 @@ impl BaselineSwarm {
     /// Builds a baseline swarm under a fault-injection plan. Baselines
     /// have no report/key control plane; faults manifest as lost
     /// unchoke/block-start messages (the transfer simply does not start
-    /// this round and is retried at the next rechoke), lost tracker
-    /// queries, and abrupt peer crashes. [`FaultPlan::none()`] reproduces
-    /// [`BaselineSwarm::new`] bit for bit.
+    /// this round and is retried at the next rechoke) and lost tracker
+    /// queries. [`FaultPlan::none()`] reproduces [`BaselineSwarm::new`]
+    /// bit for bit.
     pub fn with_faults(
         file: FileSpec,
         cfg: BaselineConfig,
@@ -171,11 +171,6 @@ impl BaselineSwarm {
     /// The policy this swarm runs.
     pub fn policy(&self) -> Baseline {
         self.policy
-    }
-
-    /// Blocks transferred so far.
-    pub fn blocks_moved(&self) -> u64 {
-        self.blocks_moved
     }
 
     // ------------------------------------------------------------------
@@ -656,7 +651,7 @@ impl FluidDriver for BaselineSwarm {
     fn step(&mut self) {
         let now = self.base.clock.tick();
         let p = self.base.profiler.begin();
-        for id in self.roster.due_crashes(&mut self.base, now) {
+        for id in self.roster.due_crashes(&self.base, now) {
             self.crash_peer(id, now);
         }
         self.roster.admit_due(&mut self.base, now);
@@ -727,7 +722,7 @@ mod tests {
     fn bittorrent_compliant_swarm_finishes() {
         let sw = run_policy(Baseline::BitTorrent, 16, 1);
         assert_eq!(sw.base().completion_times(true).len(), 16);
-        assert!(sw.blocks_moved() > 0);
+        assert!(sw.blocks_moved > 0);
     }
 
     #[test]

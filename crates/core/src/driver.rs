@@ -41,9 +41,7 @@ use std::collections::{HashMap, VecDeque};
 use tchain_attacks::{ColluderRegistry, FluidDriver, PeerPlan, Roster, Strategy};
 use tchain_metrics::{RecoveryCounters, TimeSeries};
 use tchain_obs::{trace_event, EndCause, Event, ExportStats, Phase, RetryMsg, StatsRegistry};
-use tchain_proto::{
-    Bitfield, ControlMsg, Envelope, FileSpec, Peer, PieceId, Role, SendOutcome, SwarmBase, DT,
-};
+use tchain_proto::{Bitfield, ControlMsg, Envelope, FileSpec, Peer, PieceId, Role, SwarmBase, DT};
 use tchain_sim::{DelayQueue, FaultPlan, Flow, IdHash, NodeId, Periodic};
 
 /// Concurrent chain-initiation uploads the seeder keeps in flight ("the
@@ -937,21 +935,13 @@ impl TChainSwarm {
             now,
             Event::ReportSent { txn: parent.pack(), from: reporter.0, to: donor.0, falsified }
         );
-        let env = Envelope {
-            from: reporter,
-            to: donor,
-            msg: ControlMsg::Report { txn: parent.pack(), falsified },
-            sent_at: now,
-        };
-        match self.base.send_control(env) {
-            SendOutcome::Delivered(env) => self.handle_ctrl(env, now),
-            SendOutcome::Scheduled(_) | SendOutcome::Dropped => {
-                // Colluders do not retransmit their lies; compliant payees
-                // retry with backoff until the cap.
-                if !falsified {
-                    self.arm_retry(parent, RetryKind::Report { falsified }, attempt, now);
-                }
-            }
+        let msg = ControlMsg::Report { txn: parent.pack(), falsified };
+        match self.base.send_control(Envelope { from: reporter, to: donor, msg }) {
+            Some(env) => self.handle_ctrl(env, now),
+            // Colluders do not retransmit their lies; compliant payees
+            // retry with backoff until the cap.
+            None if falsified => {}
+            None => self.arm_retry(parent, RetryKind::Report { falsified }, attempt, now),
         }
     }
 
@@ -1014,17 +1004,10 @@ impl TChainSwarm {
                 escrowed: via_escrow,
             }
         );
-        let env = Envelope {
-            from,
-            to: requestor,
-            msg: ControlMsg::Key { txn: parent.pack() },
-            sent_at: now,
-        };
-        match self.base.send_control(env) {
-            SendOutcome::Delivered(env) => self.handle_ctrl(env, now),
-            SendOutcome::Scheduled(_) | SendOutcome::Dropped => {
-                self.arm_retry(parent, RetryKind::Key, attempt, now);
-            }
+        let msg = ControlMsg::Key { txn: parent.pack() };
+        match self.base.send_control(Envelope { from, to: requestor, msg }) {
+            Some(env) => self.handle_ctrl(env, now),
+            None => self.arm_retry(parent, RetryKind::Key, attempt, now),
         }
     }
 
@@ -1382,7 +1365,7 @@ impl FluidDriver for TChainSwarm {
     fn step(&mut self) {
         let now = self.base.clock.tick();
         let p = self.base.profiler.begin();
-        for id in self.roster.due_crashes(&mut self.base, now) {
+        for id in self.roster.due_crashes(&self.base, now) {
             self.crash_peer(id, now);
         }
         self.process_arrivals(now);

@@ -12,7 +12,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, run_proto_with_faults, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_baselines::Baseline;
 use tchain_metrics::{RecoveryCounters, Summary};
 use tchain_sim::FaultPlan;
@@ -65,15 +65,8 @@ pub fn run(scale: Scale) -> Vec<Point> {
             } else {
                 FaultPlan::lossy(seed ^ 0x1055, loss)
             };
-            run_proto_with_faults(
-                proto,
-                scale.file_mib(),
-                plan,
-                seed,
-                Horizon::CompliantDone,
-                RunOpts::default(),
-                faults,
-            )
+            let opts = RunOpts { faults, ..RunOpts::default() };
+            run_proto(proto, scale.file_mib(), plan, seed, Horizon::CompliantDone, opts)
         },
     );
     meta.note_failures(&sw.failures);

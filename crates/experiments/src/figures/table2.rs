@@ -17,7 +17,6 @@ use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
 use tchain_baselines::dandelion::CreditServer;
 use tchain_baselines::eigentrust::{Actor, EigenTrustModel};
 use tchain_proto::Role;
-use tchain_sim::FaultPlan;
 
 tchain_obs::json_struct! {
     /// A measured Table II cell.
@@ -74,7 +73,7 @@ pub fn progress_ratio(
     }
     let spec = proto.file_spec(2.0);
     let horizon = 900.0;
-    let mut sw = build_swarm(proto, spec, RunOpts::default(), plan, seed, FaultPlan::none());
+    let mut sw = build_swarm(proto, spec, RunOpts::default(), plan, seed);
     sw.run_to(horizon);
     let (fr_rate, compliant_rate) = rates(sw.base(), horizon);
     let metrics = sw.metrics();

@@ -24,6 +24,5 @@ pub use output::{fmt_opt, persist, print_table, results_dir, save_with_meta, Run
 pub use runner::{effective_jobs, set_jobs, sweep, take_failures, FailedCell, Sweep};
 pub use scale::Scale;
 pub use scenario::{
-    flash_plan, run_proto, run_proto_with_faults, trace_plan, Horizon, Proto, RiderMode, RunOpts,
-    RunOutcome,
+    flash_plan, run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts, RunOutcome,
 };

@@ -213,6 +213,9 @@ pub struct RunOpts {
     pub trace_capacity: Option<usize>,
     /// Profile the driver main loop per [`tchain_obs::Phase`].
     pub profile: bool,
+    /// The loss-and-latency link model of the control plane
+    /// ([`FaultPlan::none()`] by default: instantaneous and reliable).
+    pub faults: FaultPlan,
 }
 
 /// Runs one protocol over one plan and collects the uniform outcome.
@@ -223,20 +226,6 @@ pub fn run_proto(
     seed: u64,
     horizon: Horizon,
     opts: RunOpts,
-) -> RunOutcome {
-    run_proto_with_faults(proto, file_mib, plan, seed, horizon, opts, FaultPlan::none())
-}
-
-/// Runs one protocol under a fault-injection plan. With
-/// [`FaultPlan::none()`] this is exactly [`run_proto`].
-pub fn run_proto_with_faults(
-    proto: Proto,
-    file_mib: f64,
-    plan: Vec<PeerPlan>,
-    seed: u64,
-    horizon: Horizon,
-    opts: RunOpts,
-    faults: FaultPlan,
 ) -> RunOutcome {
     let spec = match opts.custom_pieces {
         Some(n) => {
@@ -250,7 +239,7 @@ pub fn run_proto_with_faults(
         None => proto.file_spec(file_mib),
     };
     let wall_start = Instant::now();
-    let mut sw = build_swarm(proto, spec, opts, plan, seed, faults);
+    let mut sw = build_swarm(proto, spec, opts, plan, seed);
     if let Some(cap) = opts.trace_capacity {
         sw.base_mut().enable_tracing(cap);
     }
@@ -284,7 +273,6 @@ pub(crate) fn build_swarm(
     opts: RunOpts,
     plan: Vec<PeerPlan>,
     seed: u64,
-    faults: FaultPlan,
 ) -> Box<dyn FluidDriver> {
     match proto {
         Proto::TChain => {
@@ -293,14 +281,14 @@ pub(crate) fn build_swarm(
                 replace_on_finish: opts.replace_on_finish,
                 ..Default::default()
             };
-            Box::new(TChainSwarm::with_faults(file, cfg, plan, seed, faults))
+            Box::new(TChainSwarm::with_faults(file, cfg, plan, seed, opts.faults))
         }
         Proto::Baseline(b) => {
             let cfg = BaselineConfig {
                 initial_piece_fraction: opts.initial_piece_fraction,
                 replace_on_finish: opts.replace_on_finish,
             };
-            Box::new(BaselineSwarm::with_faults(file, cfg, b, plan, seed, faults))
+            Box::new(BaselineSwarm::with_faults(file, cfg, b, plan, seed, opts.faults))
         }
     }
 }

@@ -104,13 +104,6 @@ impl Default for SwarmConfig {
     }
 }
 
-impl SwarmConfig {
-    /// Boot-time free-riders (any flavour) in the scenario.
-    pub fn free_rider_count(&self) -> u32 {
-        self.strategies.iter().filter(|(_, s)| s.is_free_rider()).count() as u32
-    }
-}
-
 /// Packs a `(donor, requestor, piece)` triple into one transaction id.
 fn pack(a: u32, b: u32, p: u32) -> u64 {
     (u64::from(a) << 42) | (u64::from(b) << 21) | u64::from(p)
@@ -667,7 +660,7 @@ impl<T: Transport> SwarmHarness<T> {
             assert!(id < cfg.peers, "strategy assigned to unknown peer {id}");
             assert!(strategy_of.insert(id, s).is_none(), "duplicate strategy for peer {id}");
         }
-        let boot_free_riders = cfg.free_rider_count();
+        let boot_free_riders = strategy_of.values().filter(|s| s.is_free_rider()).count() as u32;
         assert!(boot_free_riders < cfg.peers, "leave at least the seeder compliant");
         cfg.churn.validate();
         let content = Content::new(cfg.seed ^ 0x0C04_7E47, cfg.pieces, cfg.piece_len);
@@ -1438,7 +1431,7 @@ impl<T: Transport> SwarmHarness<T> {
 ///
 /// Propagates any transport-level [`NetError`].
 pub fn run_swarm(cfg: SwarmConfig) -> Result<SwarmReport, NetError> {
-    let mesh = ChannelMesh::with_chaos(cfg.plan.clone(), cfg.chaos.clone(), cfg.tick_dt);
+    let mesh = ChannelMesh::with_chaos(cfg.plan, cfg.chaos.clone(), cfg.tick_dt);
     SwarmHarness::new(mesh, cfg)?.run()
 }
 
@@ -1540,7 +1533,7 @@ mod tests {
     fn every_peer_and_every_revival_shares_the_harness_digest_table() {
         let cfg = SwarmConfig::default();
         let peers = cfg.peers as usize;
-        let mesh = ChannelMesh::with_chaos(cfg.plan.clone(), cfg.chaos.clone(), cfg.tick_dt);
+        let mesh = ChannelMesh::with_chaos(cfg.plan, cfg.chaos.clone(), cfg.tick_dt);
         let mut harness = SwarmHarness::new(mesh, cfg).expect("boot");
         assert_eq!(harness.content.table_refs(), 1 + peers);
         let revived = harness.peers.remove(0).expect("seeder").restart(harness.cfg.seed);

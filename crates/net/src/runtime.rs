@@ -387,12 +387,6 @@ impl PeerRuntime {
         self.generation
     }
 
-    /// `true` while `peer` is quarantined (between a strike-limit breach
-    /// and the lazy expiry sweep of [`PeerRuntime::on_tick`]).
-    pub fn is_quarantining(&self, peer: NodeId) -> bool {
-        self.quarantined.contains_key(&peer.0)
-    }
-
     /// Deterministic ±20 % jitter drawn from this peer's own RNG stream.
     /// Retry schedules use it so peers who lost the same frame do not
     /// retransmit in lockstep (a thundering-herd de-correlator).
@@ -509,7 +503,7 @@ impl PeerRuntime {
                 );
             }
             Message::ReceptionReport { requestor, piece } => {
-                self.handle_report(now, from.0, requestor.0, piece.0, out);
+                self.handle_report(from.0, requestor.0, piece.0, out);
             }
             Message::KeyRelease { piece, requestor, key } => {
                 self.on_key(now, from.0, piece.0, requestor.map(|r| r.0), key, out);
@@ -547,7 +541,7 @@ impl PeerRuntime {
             if d0 == self.id.0 {
                 // Direct reciprocity (§II-B2): we are donor and payee
                 // in one; the report is internal.
-                self.handle_report(now, self.id.0, from.0, p0, out);
+                self.handle_report(self.id.0, from.0, p0, out);
             } else {
                 self.send_report(now, d0, from.0, p0, out);
             }
@@ -584,7 +578,7 @@ impl PeerRuntime {
     }
 
     /// Donor side of §II-B2 steps 3–4: a report unlocks the key release.
-    fn handle_report(&mut self, _now: f64, reporter: u32, requestor: u32, piece: u32, out: &mut Outbox) {
+    fn handle_report(&mut self, reporter: u32, requestor: u32, piece: u32, out: &mut Outbox) {
         if !self.strategy.uploads() {
             return;
         }
@@ -1367,17 +1361,17 @@ mod tests {
         let bad = NodeId(9);
         assert_eq!(p.on_frame_reject(1.0, bad), None);
         assert_eq!(p.on_frame_reject(1.5, bad), None);
-        assert!(!p.is_quarantining(bad));
+        assert!(!p.quarantined.contains_key(&bad.0));
         let until = p.on_frame_reject(2.0, bad);
         assert_eq!(until, Some(32.0), "third strike quarantines");
-        assert!(p.is_quarantining(bad));
+        assert!(p.quarantined.contains_key(&bad.0));
         assert_eq!(p.counters().frame_rejects, 3);
         assert_eq!(p.counters().quarantines, 1);
         let mut out = Outbox::new();
         p.on_tick(31.0, &mut out);
-        assert!(p.is_quarantining(bad), "quarantine holds until expiry");
+        assert!(p.quarantined.contains_key(&bad.0), "quarantine holds until expiry");
         p.on_tick(32.5, &mut out);
-        assert!(!p.is_quarantining(bad), "quarantine lifts after expiry");
+        assert!(!p.quarantined.contains_key(&bad.0), "quarantine lifts after expiry");
         // Strikes were reset at quarantine time: re-offending restarts
         // the count instead of instantly re-quarantining.
         assert_eq!(p.on_frame_reject(33.0, bad), None);

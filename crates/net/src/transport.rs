@@ -308,16 +308,9 @@ impl ChannelMesh {
     ///
     /// # Panics
     ///
-    /// Panics if `tick_dt` is not positive, or if `plan` schedules crash
-    /// events: the mesh only routes frames, so they would never fire. Crash
-    /// peers on the wire with `ChaosPlan::with_crash_restart`.
+    /// Panics if `tick_dt` is not positive.
     pub fn with_chaos(plan: FaultPlan, chaos: ChaosPlan, tick_dt: f64) -> Self {
         assert!(tick_dt > 0.0, "tick_dt must be positive");
-        assert!(
-            plan.crashes.is_empty(),
-            "ChannelMesh ignores FaultPlan crash events; crash peers with \
-             ChaosPlan::with_crash_restart"
-        );
         // Per-link floors only where they can bind. Without a latency
         // model every send is scheduled at `now + tick_dt`, so every
         // floor a send raises is at most the current `now + tick_dt` and
@@ -617,12 +610,6 @@ mod tests {
             m.send(NodeId(1), NodeId(9), ctrl(0)),
             Err(NetError::UnknownPeer(NodeId(9)))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "crash peers with ChaosPlan::with_crash_restart")]
-    fn fault_plan_crash_events_are_rejected() {
-        ChannelMesh::new(FaultPlan::none().with_crash(5.0, 0.25), 0.1);
     }
 
     #[test]
@@ -946,7 +933,7 @@ mod tests {
     fn same_plan_same_schedule() {
         let plan = FaultPlan::lossy(11, 0.3).with_latency(LatencyModel::Exp { mean: 0.4 });
         let run = || {
-            let mut m = ChannelMesh::new(plan.clone(), 0.1);
+            let mut m = ChannelMesh::new(plan, 0.1);
             m.register(NodeId(1)).unwrap();
             m.register(NodeId(2)).unwrap();
             let mut log = Vec::new();

@@ -44,19 +44,6 @@ pub struct Envelope {
     pub to: NodeId,
     /// Payload.
     pub msg: ControlMsg,
-    /// When the sender issued it.
-    pub sent_at: f64,
-}
-
-/// What happened to a sent control message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SendOutcome {
-    /// Delivered synchronously: handle the returned envelope now.
-    Delivered(Envelope),
-    /// Parked for delivery at the given time.
-    Scheduled(f64),
-    /// Lost (loss probability or partition).
-    Dropped,
 }
 
 #[cfg(test)]
@@ -69,7 +56,6 @@ mod tests {
             from: NodeId(1),
             to: NodeId(2),
             msg: ControlMsg::Report { txn: 7, falsified: false },
-            sent_at: 3.5,
         };
         let f = e;
         assert_eq!(e, f, "copyable and comparable");

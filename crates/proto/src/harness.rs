@@ -10,7 +10,7 @@
 //! plan-based membership, and the drivers in `tchain-core` and
 //! `tchain-baselines` layer their protocol logic on top.
 
-use crate::control::{Envelope, SendOutcome};
+use crate::control::Envelope;
 use crate::{Bitfield, FileSpec, Mesh, PeerTable, PieceId, Role, Tracker};
 use tchain_obs::{trace_event, Event, PhaseProfiler, Tracer};
 use tchain_sim::{Clock, DelayQueue, FaultPlan, FaultState, Flow, FlowScheduler, NodeId, Route, SimRng};
@@ -109,14 +109,13 @@ impl SwarmBase {
         self.profiler = PhaseProfiler::enabled();
     }
 
-    /// Routes a control message through the fault layer. Returns
-    /// [`SendOutcome::Delivered`] with the envelope when it should be
-    /// handled synchronously (always the case without faults), otherwise
-    /// parks or drops it.
-    pub fn send_control(&mut self, env: Envelope) -> SendOutcome {
+    /// Routes a control message through the fault layer. Returns the
+    /// envelope when it should be handled synchronously (always the case
+    /// without faults); `None` when it was parked for later or lost.
+    pub fn send_control(&mut self, env: Envelope) -> Option<Envelope> {
         let now = self.clock.now();
         match self.faults.route(now) {
-            Route::Now => SendOutcome::Delivered(env),
+            Route::Now => Some(env),
             Route::At(t) => {
                 trace_event!(
                     self.trace,
@@ -124,7 +123,7 @@ impl SwarmBase {
                     Event::CtrlDelayed { from: env.from.0, to: env.to.0, until: t }
                 );
                 self.ctrl.push(t, env);
-                SendOutcome::Scheduled(t)
+                None
             }
             Route::Dropped => {
                 trace_event!(
@@ -132,7 +131,7 @@ impl SwarmBase {
                     now,
                     Event::CtrlDropped { from: env.from.0, to: env.to.0 }
                 );
-                SendOutcome::Dropped
+                None
             }
         }
     }
@@ -191,7 +190,7 @@ impl SwarmBase {
     /// can be lost, in which case the peer retries on a later tick.
     pub fn maybe_refill(&mut self, id: NodeId) {
         if self.mesh.degree(id) < REFILL_BELOW {
-            if self.faults.tracker_query_lost(self.clock.now()) {
+            if self.faults.tracker_query_lost() {
                 return;
             }
             self.acquire_neighbors(id, MAX_NEIGHBORS);
@@ -352,9 +351,8 @@ mod tests {
             from: NodeId(1),
             to: NodeId(2),
             msg: crate::control::ControlMsg::Key { txn: 9 },
-            sent_at: 0.0,
         };
-        assert_eq!(b.send_control(env), SendOutcome::Delivered(env));
+        assert_eq!(b.send_control(env), Some(env));
         assert!(b.poll_control().is_none(), "nothing ever queued");
         assert!(b.ctrl.is_empty());
     }
@@ -368,14 +366,14 @@ mod tests {
             from: NodeId(1),
             to: NodeId(2),
             msg: crate::control::ControlMsg::Report { txn: 1, falsified: false },
-            sent_at: 0.0,
         };
-        assert_eq!(b.send_control(env), SendOutcome::Scheduled(2.5));
+        assert_eq!(b.send_control(env), None, "parked, not handled now");
         assert!(b.poll_control().is_none(), "not due yet");
-        while b.clock.now() < 2.5 {
-            b.clock.tick();
-        }
-        assert_eq!(b.poll_control(), Some(env));
+        b.clock.tick();
+        b.clock.tick();
+        assert!(b.poll_control().is_none(), "still not due at t = 2");
+        b.clock.tick();
+        assert_eq!(b.poll_control(), Some(env), "due at the first tick past 2.5");
         assert!(b.poll_control().is_none());
     }
 

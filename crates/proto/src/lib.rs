@@ -32,7 +32,7 @@ mod piece;
 mod tracker;
 pub mod wire;
 
-pub use control::{ControlMsg, Envelope, SendOutcome};
+pub use control::{ControlMsg, Envelope};
 pub use harness::{SwarmBase, DT, LIST_SIZE, MAX_TIME};
 pub use mesh::Mesh;
 pub use peer::{Peer, PeerTable, Role};

@@ -2,11 +2,11 @@
 //! connection resets and crash-restart schedules.
 //!
 //! [`FaultPlan`](crate::FaultPlan) models a *well-behaved but lossy*
-//! network: messages vanish or arrive late, peers die and stay dead. A
-//! [`ChaosPlan`] models the uglier half of a real deployment — bytes that
-//! arrive *wrong*. Frames can be bit-flipped, truncated or given a bogus
-//! length prefix; delivered twice; held back so later traffic overtakes
-//! them; or cut off by a mid-stream connection reset. Independently, a
+//! network: messages vanish or arrive late. A [`ChaosPlan`] models the
+//! uglier half of a real deployment — bytes that arrive *wrong*. Frames
+//! can be bit-flipped, truncated or given a bogus length prefix;
+//! delivered twice; held back so later traffic overtakes them; or cut off
+//! by a mid-stream connection reset. Independently, a
 //! crash-restart schedule kills peers abruptly and brings them back,
 //! holdings intact, after a configurable outage.
 //!

@@ -1,18 +1,19 @@
-//! Fault injection: lossy/delayed control plane and peer crashes.
+//! The link model: a lossy, delayed control plane.
 //!
 //! The paper (§III-C) treats reception reports, decryption keys and
 //! tracker queries as instantaneous and reliable. A [`FaultPlan`] breaks
 //! that assumption deterministically: control messages can be dropped with
 //! a configured probability or delayed by a configured latency
-//! distribution, and peers can crash abruptly mid-transaction (distinct
-//! from the graceful §II-B4 departure). All randomness comes from a dedicated RNG stream seeded by
+//! distribution. It describes delivery only; peers crash through their
+//! own plans (`PeerPlan::crash_at` in the fluid drivers,
+//! [`ChaosPlan::with_crash_restart`](crate::ChaosPlan::with_crash_restart)
+//! on the wire). All randomness comes from a dedicated RNG stream seeded by
 //! the plan itself, so enabling faults never perturbs the driver's main
 //! RNG — and `FaultPlan::none()` takes a branch-only fast path that draws
 //! nothing, keeping fault-free runs bit-identical to a build without this
 //! module.
 
 use crate::rng::SimRng;
-use crate::NodeId;
 
 /// Latency distribution for delivered (non-dropped) control messages.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -51,18 +52,8 @@ impl LatencyModel {
     }
 }
 
-/// One scheduled crash event: at time `at`, a fraction of the currently
-/// alive leechers die abruptly — no goodbye, no §II-B4 handover.
+/// A deterministic loss-and-latency schedule for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashSpec {
-    /// Simulation time of the crash.
-    pub at: f64,
-    /// Fraction of alive leechers to kill, in `[0, 1]`.
-    pub fraction: f64,
-}
-
-/// A deterministic fault-injection schedule for one run.
-#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault RNG stream (independent of the run seed).
     pub seed: u64,
@@ -70,8 +61,6 @@ pub struct FaultPlan {
     pub drop_prob: f64,
     /// Latency applied to delivered control messages.
     pub latency: LatencyModel,
-    /// Scheduled crash events.
-    pub crashes: Vec<CrashSpec>,
 }
 
 impl Default for FaultPlan {
@@ -84,12 +73,7 @@ impl FaultPlan {
     /// The empty plan: nothing fails, and the runtime takes a zero-cost
     /// synchronous path (no RNG draws, no queueing).
     pub fn none() -> Self {
-        FaultPlan {
-            seed: 0,
-            drop_prob: 0.0,
-            latency: LatencyModel::None,
-            crashes: Vec::new(),
-        }
+        FaultPlan { seed: 0, drop_prob: 0.0, latency: LatencyModel::None }
     }
 
     /// A pure message-loss plan.
@@ -103,12 +87,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a crash event.
-    pub fn with_crash(mut self, at: f64, fraction: f64) -> Self {
-        self.crashes.push(CrashSpec { at, fraction });
-        self
-    }
-
     /// `true` when the plan has a latency model, i.e. a delivered control
     /// message may be scheduled later than the next tick.
     pub fn has_latency(&self) -> bool {
@@ -117,21 +95,31 @@ impl FaultPlan {
 
     /// `true` when the plan injects no faults at all.
     pub fn is_none(&self) -> bool {
-        self.drop_prob <= 0.0 && self.latency.is_none() && self.crashes.is_empty()
+        self.drop_prob <= 0.0 && self.latency.is_none()
     }
 
-    /// Panics if any parameter is out of range.
+    /// Panics if any parameter is out of range. Latencies must be finite:
+    /// an infinite one would kill a link for good, hang the uniform draw
+    /// or zero the exponential rate.
     pub fn validate(&self) {
         assert!((0.0..=1.0).contains(&self.drop_prob), "drop_prob must be in [0,1]");
-        for c in &self.crashes {
-            assert!(c.at.is_finite() && c.at >= 0.0, "crash time must be finite");
-            assert!((0.0..=1.0).contains(&c.fraction), "crash fraction must be in [0,1]");
-        }
-        if let LatencyModel::Uniform { lo, hi } = self.latency {
-            assert!(lo >= 0.0 && lo < hi, "uniform latency needs 0 <= lo < hi");
-        }
-        if let LatencyModel::Exp { mean } = self.latency {
-            assert!(mean > 0.0, "exponential latency mean must be positive");
+        match self.latency {
+            LatencyModel::None => {}
+            LatencyModel::Fixed(d) => {
+                assert!(d.is_finite() && d >= 0.0, "fixed latency must be finite and >= 0");
+            }
+            LatencyModel::Uniform { lo, hi } => {
+                assert!(
+                    hi.is_finite() && lo >= 0.0 && lo < hi,
+                    "uniform latency needs finite 0 <= lo < hi"
+                );
+            }
+            LatencyModel::Exp { mean } => {
+                assert!(
+                    mean.is_finite() && mean > 0.0,
+                    "exponential latency mean must be finite and positive"
+                );
+            }
         }
     }
 }
@@ -160,26 +148,23 @@ pub struct FaultStats {
     pub tracker_dropped: u64,
 }
 
-/// Runtime state of a [`FaultPlan`]: its private RNG stream, the crash
-/// schedule cursor and delivery counters.
+/// Runtime state of a [`FaultPlan`]: its private RNG stream and delivery
+/// counters.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     plan: FaultPlan,
     rng: SimRng,
     active: bool,
-    next_crash: usize,
     stats: FaultStats,
 }
 
 impl FaultState {
-    /// Instantiates runtime state for a plan. Crash events are sorted by
-    /// time so they fire in order regardless of how the plan was built.
-    pub fn new(mut plan: FaultPlan) -> Self {
+    /// Instantiates runtime state for a plan.
+    pub fn new(plan: FaultPlan) -> Self {
         plan.validate();
-        plan.crashes.sort_by(|a, b| a.at.total_cmp(&b.at));
         let active = !plan.is_none();
         let rng = SimRng::new(plan.seed ^ 0xFA17_FA17_FA17_FA17);
-        FaultState { plan, rng, active, next_crash: 0, stats: FaultStats::default() }
+        FaultState { plan, rng, active, stats: FaultStats::default() }
     }
 
     /// `true` when any fault can occur. Drivers use this to skip fault
@@ -219,9 +204,9 @@ impl FaultState {
         }
     }
 
-    /// Whether a tracker query issued at `now` is lost. Queries share the
-    /// control plane's loss probability.
-    pub fn tracker_query_lost(&mut self, _now: f64) -> bool {
+    /// Whether a tracker query is lost. Queries share the control plane's
+    /// loss probability.
+    pub fn tracker_query_lost(&mut self) -> bool {
         if !self.active || self.plan.drop_prob <= 0.0 {
             return false;
         }
@@ -230,30 +215,6 @@ impl FaultState {
             self.stats.tracker_dropped += 1;
         }
         lost
-    }
-
-    /// `true` when a scheduled crash event is due at or before `now`.
-    #[inline]
-    pub fn crash_due(&self, now: f64) -> bool {
-        self.plan.crashes.get(self.next_crash).is_some_and(|c| c.at <= now)
-    }
-
-    /// Consumes all crash events due at `now` and picks their victims from
-    /// `alive` (typically the alive leechers), without replacement within
-    /// one event. Victim counts round to nearest.
-    pub fn crash_victims(&mut self, now: f64, alive: &[NodeId]) -> Vec<NodeId> {
-        let mut victims = Vec::new();
-        while let Some(c) = self.plan.crashes.get(self.next_crash) {
-            if c.at > now {
-                break;
-            }
-            let pool: Vec<NodeId> =
-                alive.iter().copied().filter(|id| !victims.contains(id)).collect();
-            let k = (c.fraction * pool.len() as f64).round() as usize;
-            victims.extend(self.rng.sample(&pool, k));
-            self.next_crash += 1;
-        }
-        victims
     }
 }
 
@@ -268,8 +229,7 @@ mod tests {
         let before = st.rng.clone().f64();
         for i in 0..100u32 {
             assert_eq!(st.route(i as f64), Route::Now);
-            assert!(!st.tracker_query_lost(i as f64));
-            assert!(!st.crash_due(i as f64));
+            assert!(!st.tracker_query_lost());
         }
         // The RNG stream was never consumed.
         assert_eq!(st.rng.f64().to_bits(), before.to_bits());
@@ -279,7 +239,7 @@ mod tests {
     #[test]
     fn has_latency_names_the_latency_model_only() {
         assert!(!FaultPlan::none().has_latency());
-        assert!(!FaultPlan::lossy(1, 0.5).with_crash(1.0, 0.5).has_latency());
+        assert!(!FaultPlan::lossy(1, 0.5).has_latency());
         assert!(FaultPlan::none().with_latency(LatencyModel::Fixed(0.0)).has_latency());
         assert!(FaultPlan::none().with_latency(LatencyModel::Exp { mean: 1.0 }).has_latency());
     }
@@ -287,7 +247,7 @@ mod tests {
     #[test]
     fn same_plan_same_routing() {
         let plan = FaultPlan::lossy(9, 0.3).with_latency(LatencyModel::Exp { mean: 0.5 });
-        let mut a = FaultState::new(plan.clone());
+        let mut a = FaultState::new(plan);
         let mut b = FaultState::new(plan);
         for i in 0..500u32 {
             let ra = a.route(i as f64);
@@ -330,37 +290,26 @@ mod tests {
     }
 
     #[test]
-    fn crash_victims_come_from_the_pool() {
-        let plan = FaultPlan::none().with_crash(10.0, 0.5);
-        let mut st = FaultState::new(plan);
-        assert!(st.active());
-        assert!(!st.crash_due(9.9));
-        assert!(st.crash_due(10.0));
-        let alive: Vec<NodeId> = (0..10).map(NodeId).collect();
-        let victims = st.crash_victims(10.0, &alive);
-        assert_eq!(victims.len(), 5);
-        let mut v = victims.clone();
-        v.sort_unstable();
-        v.dedup();
-        assert_eq!(v.len(), 5, "no duplicate victims");
-        assert!(victims.iter().all(|v| alive.contains(v)));
-        assert!(!st.crash_due(11.0), "event consumed");
-    }
-
-    #[test]
-    fn crash_events_fire_in_time_order() {
-        // Built out of order; FaultState sorts.
-        let plan = FaultPlan::none().with_crash(30.0, 1.0).with_crash(5.0, 0.0);
-        let mut st = FaultState::new(plan);
-        assert!(st.crash_due(5.0));
-        assert!(st.crash_victims(5.0, &[NodeId(1)]).is_empty(), "0% event kills nobody");
-        assert!(!st.crash_due(29.9));
-        assert_eq!(st.crash_victims(30.0, &[NodeId(1)]), vec![NodeId(1)]);
-    }
-
-    #[test]
     #[should_panic(expected = "drop_prob")]
     fn validate_rejects_bad_probability() {
         FaultState::new(FaultPlan::lossy(0, 1.5));
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_latency() {
+        let bad = [
+            LatencyModel::Fixed(f64::INFINITY),
+            LatencyModel::Fixed(f64::NAN),
+            LatencyModel::Fixed(-1.0),
+            LatencyModel::Uniform { lo: 0.0, hi: f64::INFINITY },
+            LatencyModel::Uniform { lo: 0.0, hi: f64::NAN },
+            LatencyModel::Exp { mean: f64::INFINITY },
+            LatencyModel::Exp { mean: f64::NAN },
+        ];
+        for latency in bad {
+            let plan = FaultPlan::none().with_latency(latency);
+            let rejected = std::panic::catch_unwind(|| plan.validate()).is_err();
+            assert!(rejected, "{latency:?} must not validate");
+        }
     }
 }

@@ -19,9 +19,8 @@
 //! Control messages (reception reports, decryption keys, tracker queries)
 //! are "several orders of magnitude" smaller than file pieces (paper §III-C)
 //! and are modelled as instantaneous by default. A [`FaultPlan`] changes
-//! that: it can drop or delay control messages and crash peers
-//! mid-transaction, all deterministically from its own seed (see [`fault`]
-//! and [`DelayQueue`]).
+//! that: it can drop or delay control messages, deterministically from
+//! its own seed (see [`fault`] and [`DelayQueue`]).
 //!
 //! ```
 //! use tchain_sim::{FlowScheduler, NodeId, kbps};
@@ -54,7 +53,7 @@ mod units;
 pub use chaos::{ChaosAction, ChaosPlan, ChaosState, CrashRestart, FrameMutation, REORDER_DELAY};
 pub use churn::{ChurnEvent, ChurnPlan, ChurnState, ChurnStats};
 pub use clock::{Clock, Periodic};
-pub use fault::{CrashSpec, FaultPlan, FaultState, FaultStats, LatencyModel, Route};
+pub use fault::{FaultPlan, FaultState, FaultStats, LatencyModel, Route};
 pub use flow::{Flow, FlowId, FlowScheduler, FlowStats};
 pub use forall::{forall, sized, FULL_SIZE};
 pub use perturb::{Act, Choice, ExplorePlan, SchedPerturber, Schedule};

@@ -16,9 +16,7 @@ use std::path::PathBuf;
 use tchain_attacks::FreeRiderConfig;
 use tchain_baselines::Baseline;
 use tchain_experiments::figures::table2::progress_ratio;
-use tchain_experiments::{
-    flash_plan, run_proto, run_proto_with_faults, Horizon, Proto, RiderMode, RunOpts, RunOutcome,
-};
+use tchain_experiments::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts, RunOutcome};
 use tchain_sim::FaultPlan;
 
 /// Fixed fig03-style cell: `(n << 8) | r` with n = 24, r = 0.
@@ -218,23 +216,28 @@ fn baseline_whitewash_cells_match_fixtures() {
 }
 
 /// T-Chain under every membership event at once: Fig. 13 replacement
-/// churn, Fig. 6(b) pre-occupied pieces, a planned `crash_at` peer and a
-/// [`FaultPlan`] crash fraction.
+/// churn, Fig. 6(b) pre-occupied pieces and two planned `crash_at` peers,
+/// over a lossy control plane.
 #[test]
 fn tchain_churn_crash_cell_matches_fixture() {
     let mut plan = flash_plan(LIFECYCLE_SWARM, 0.25, RiderMode::Aggressive, LIFECYCLE_SEED);
     plan[4] = plan[4].crashing_at(plan[4].at + 15.0);
-    let out = run_proto_with_faults(
+    plan[10] = plan[10].crashing_at(15.0);
+    let out = run_proto(
         Proto::TChain,
         1.0,
         plan,
         LIFECYCLE_SEED,
         Horizon::Fixed(400.0),
-        RunOpts { replace_on_finish: true, initial_piece_fraction: 0.1, ..Default::default() },
-        FaultPlan::lossy(LIFECYCLE_SEED, 0.05).with_crash(30.0, 0.2),
+        RunOpts {
+            replace_on_finish: true,
+            initial_piece_fraction: 0.1,
+            faults: FaultPlan::lossy(LIFECYCLE_SEED, 0.05),
+            ..Default::default()
+        },
     );
     assert!(out.compliant_times.len() > 18, "replacements joined and finished too");
-    assert!(out.recovery.crashes >= 2, "the planned crash and the crash fraction both fired");
+    assert_eq!(out.recovery.crashes, 2, "both planned crashes fired");
     check_golden("tchain_churn_crash.json", &summarize(&out));
 }
 

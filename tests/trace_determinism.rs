@@ -1,9 +1,7 @@
 //! Observability invariants: the event trace is deterministic per seed,
 //! and turning tracing/profiling on must not perturb the simulation.
 
-use tchain_experiments::{
-    flash_plan, run_proto, run_proto_with_faults, Horizon, Proto, RiderMode, RunOpts,
-};
+use tchain_experiments::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_obs::{to_chrome_trace, to_jsonl, validate_jsonl, Event};
 use tchain_sim::FaultPlan;
 
@@ -17,15 +15,8 @@ fn run_once(traced: bool, faults: FaultPlan) -> tchain_experiments::RunOutcome {
     let seed = 0xD3;
     let plan = flash_plan(18, 0.25, RiderMode::Aggressive, seed);
     let opts = if traced { traced_opts() } else { RunOpts::default() };
-    run_proto_with_faults(
-        Proto::TChain,
-        1.0,
-        plan,
-        seed,
-        Horizon::ExtendForFreeRiders(2500.0),
-        opts,
-        faults,
-    )
+    let opts = RunOpts { faults, ..opts };
+    run_proto(Proto::TChain, 1.0, plan, seed, Horizon::ExtendForFreeRiders(2500.0), opts)
 }
 
 #[test]
@@ -107,15 +98,8 @@ fn traced_sweep_is_jobs_invariant() {
             |&s| (format!("seed {s:#x}"), s),
             |&s| {
                 let plan = flash_plan(14, 0.25, RiderMode::Aggressive, s);
-                run_proto_with_faults(
-                    Proto::TChain,
-                    1.0,
-                    plan,
-                    s,
-                    Horizon::ExtendForFreeRiders(2000.0),
-                    traced_opts(),
-                    FaultPlan::lossy(s, 0.1),
-                )
+                let opts = RunOpts { faults: FaultPlan::lossy(s, 0.1), ..traced_opts() };
+                run_proto(Proto::TChain, 1.0, plan, s, Horizon::ExtendForFreeRiders(2000.0), opts)
             },
         );
         set_jobs(0);
