@@ -3,7 +3,7 @@
 //! size. Each is removed/swept in isolation against the same workload.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
 use tchain_attacks::FluidDriver;
@@ -26,8 +26,8 @@ tchain_obs::json_struct! {
     }
 }
 
-/// One ablation variant: a config/file-spec/workload combination whose
-/// `runs` repeats become individual runner cells.
+/// One ablation variant: a config/file-spec/workload combination, one
+/// point of the sweep.
 struct Variant {
     label: String,
     cfg: TChainConfig,
@@ -39,7 +39,6 @@ struct Variant {
 pub fn run(scale: Scale) -> Vec<Row> {
     let spec = Proto::TChain.file_spec(scale.file_mib());
     let base = TChainConfig::default();
-    let mut rows = Vec::new();
     let mut meta = RunMeta::default();
     let mut variants = Vec::new();
     // Flow-control k sweep (§II-D2 fixes k = 2).
@@ -83,18 +82,13 @@ pub fn run(scale: Scale) -> Vec<Row> {
         });
     }
     let runs = scale.runs().min(4);
-    let mut cells = Vec::new();
-    for vi in 0..variants.len() {
-        for r in 0..runs {
-            cells.push((vi, 0xAB00 | r as u64));
-        }
-    }
-    let sw = sweep(
+    let groups = sweep_points(
         "ablations",
-        &cells,
-        |&(vi, seed)| (variants[vi].label.clone(), seed),
-        |&(vi, seed)| {
-            let v = &variants[vi];
+        &mut meta,
+        &variants,
+        |_| (0..runs).map(|r| 0xAB00 | r as u64).collect(),
+        |v| v.label.clone(),
+        |v, seed| {
             let plan = flash_plan(scale.standard_swarm() / 2, v.fr, RiderMode::Aggressive, seed);
             let mut sw = TChainSwarm::new(v.spec, v.cfg, plan, seed);
             sw.run_until_done();
@@ -102,35 +96,26 @@ pub fn run(scale: Scale) -> Vec<Row> {
             let time =
                 (!ct.is_empty()).then(|| ct.iter().sum::<f64>() / ct.len() as f64);
             let util = sw.base().mean_uplink_utilization();
-            let (d, i) = sw.reciprocity_split();
-            (time, util, d, i, sw.metrics())
+            let (direct, indirect) = sw.reciprocity_split();
+            ((time, util, direct, indirect), sw.metrics())
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for v in &variants {
-        let mut times = Vec::new();
-        let mut utils = Vec::new();
-        let mut direct = 0u64;
-        let mut indirect = 0u64;
-        for _ in 0..runs {
-            let Some((time, util, d, i, metrics)) = outs.next().flatten() else {
-                continue;
-            };
-            meta.note_run();
-            meta.absorb_metrics(&metrics);
-            times.extend(time);
-            utils.push(util);
-            direct += d;
-            indirect += i;
-        }
-        rows.push(Row {
-            variant: v.label.clone(),
-            completion: Summary::of(&times),
-            utilization: utils.iter().sum::<f64>() / utils.len().max(1) as f64,
-            direct_fraction: direct as f64 / (direct + indirect).max(1) as f64,
-        });
-    }
+    let rows: Vec<Row> = variants
+        .iter()
+        .zip(groups)
+        .map(|(v, outs)| {
+            let times: Vec<f64> = outs.iter().filter_map(|o| o.0).collect();
+            let util: f64 = outs.iter().map(|o| o.1).sum();
+            let direct: u64 = outs.iter().map(|o| o.2).sum();
+            let indirect: u64 = outs.iter().map(|o| o.3).sum();
+            Row {
+                variant: v.label.clone(),
+                completion: Summary::of(&times),
+                utilization: util / outs.len().max(1) as f64,
+                direct_fraction: direct as f64 / (direct + indirect).max(1) as f64,
+            }
+        })
+        .collect();
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -2,15 +2,16 @@
 //! proposition checks and the collusion probability.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use tchain_analysis::bootstrap::{trajectory, BootstrapParams, BootstrapState, PieceDistribution};
 use tchain_analysis::collusion::{ps_exact, ps_monte_carlo, ps_paper};
 use tchain_analysis::propositions::{prop31_condition, prop32_condition};
+use tchain_obs::MetricMap;
 
 tchain_obs::json_struct! {
     /// Analytical results bundle.
-    #[derive(Debug)]
+    #[derive(Debug, Default)]
     pub struct Data {
         /// `(t, BT un-bootstrapped fraction, T-Chain fraction)`.
         pub trajectories: Vec<(usize, f64, f64)>,
@@ -28,11 +29,13 @@ tchain_obs::json_struct! {
 /// Evaluates the §III models and prints their tables.
 pub fn run(scale: Scale) -> Data {
     let mut meta = RunMeta::default();
-    let mut cell = sweep(
+    let (data, k) = sweep_points(
         "analysis",
+        &mut meta,
         &[()],
-        |_| ("§III analytical models".to_string(), 42),
-        |_| {
+        |_| vec![42],
+        |_| "§III analytical models".to_string(),
+        |_, _| {
             let d = PieceDistribution::uniform(100);
             let p = BootstrapParams::default();
             let s0 = BootstrapState { x: 300.0, y: 0.0, n: 600.0 };
@@ -63,26 +66,13 @@ pub fn run(scale: Scale) -> Data {
                 ));
             }
             let data = Data { trajectories, omegas, prop31, prop32, collusion };
-            (data, k)
+            ((data, k), MetricMap::new())
         },
-    );
-    meta.note_failures(&cell.failures);
-    let (data, k) = match cell.cells.pop().flatten() {
-        Some((data, k)) => {
-            meta.note_run();
-            (data, k)
-        }
-        None => (
-            Data {
-                trajectories: Vec::new(),
-                omegas: (0.0, 0.0),
-                prop31: false,
-                prop32: false,
-                collusion: Vec::new(),
-            },
-            0.0,
-        ),
-    };
+    )
+    .into_iter()
+    .flatten()
+    .next()
+    .unwrap_or_default();
     let rows: Vec<Vec<String>> = data
         .trajectories
         .iter()

@@ -2,7 +2,7 @@
 //! free-riders, all four protocols plus the fluid optimum.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
@@ -23,61 +23,39 @@ tchain_obs::json_struct! {
     }
 }
 
-/// One runner cell: a single `(protocol, swarm size, repeat)` simulation.
-struct Cell {
-    proto: Proto,
-    n: usize,
-    seed: u64,
-}
-
 /// Runs Fig. 3 and returns its points (also printed and saved).
 pub fn run(scale: Scale) -> Vec<Point> {
-    let mut points = Vec::new();
     let mut meta = RunMeta::default();
     let optimal =
         Proto::TChain.file_spec(scale.file_mib()).file_size()
             / CapacityClasses::default().mean_bytes_per_sec();
-    let mut cells = Vec::new();
-    for proto in Proto::main_four() {
-        for &n in &scale.swarm_sizes() {
-            for r in 0..scale.runs() {
-                cells.push(Cell { proto, n, seed: (n as u64) << 8 | r as u64 });
-            }
-        }
-    }
-    let file_mib = scale.file_mib();
-    let sw = sweep(
+    let grid = cross(Proto::main_four(), &scale.swarm_sizes());
+    let groups = sweep_points(
         "fig03",
-        &cells,
-        |c| (format!("{} n={}", c.proto.name(), c.n), c.seed),
-        |c| {
-            let plan = flash_plan(c.n, 0.0, RiderMode::Aggressive, c.seed);
-            run_proto(c.proto, file_mib, plan, c.seed, Horizon::CompliantDone, RunOpts::default())
+        &mut meta,
+        &grid,
+        |&(_, n)| (0..scale.runs()).map(|r| (n as u64) << 8 | r as u64).collect(),
+        |&(proto, n)| format!("{} n={n}", proto.name()),
+        |&(proto, n), seed| {
+            let plan = flash_plan(n, 0.0, RiderMode::Aggressive, seed);
+            let opts = RunOpts::default();
+            run_proto(proto, scale.file_mib(), plan, seed, Horizon::CompliantDone, opts)
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for proto in Proto::main_four() {
-        for &n in &scale.swarm_sizes() {
-            let mut times = Vec::new();
-            let mut utils = Vec::new();
-            for _ in 0..scale.runs() {
-                if let Some(out) = outs.next().flatten() {
-                    meta.absorb(&out);
-                    if let Some(m) = out.mean_compliant() {
-                        times.push(m);
-                    }
-                    utils.push(out.uplink_utilization);
-                }
-            }
-            points.push(Point {
+    let points: Vec<Point> = grid
+        .iter()
+        .zip(groups)
+        .map(|(&(proto, n), outs)| {
+            let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
+            let utils: Vec<f64> = outs.iter().map(|o| o.uplink_utilization).collect();
+            Point {
                 proto: proto.name().to_string(),
                 swarm: n,
                 completion: Summary::of(&times),
                 utilization: Summary::of(&utils),
-            });
-        }
-    }
+            }
+        })
+        .collect();
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

@@ -1,7 +1,7 @@
 //! Fig. 4: T-Chain under (a) file-size and (b) swarm-size sweeps.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
@@ -17,61 +17,34 @@ tchain_obs::json_struct! {
     }
 }
 
-/// One runner cell of either sweep.
-struct Cell {
-    mib: f64,
-    n: usize,
-    seed: u64,
-}
-
 /// Runs Fig. 4 and returns the two series.
 pub fn run(scale: Scale) -> Data {
     let runs = scale.runs().min(4); // sweeps multiply quickly
     let mut meta = RunMeta::default();
-    let mut cells = Vec::new();
-    for &mib in &scale.file_sweep_mib() {
-        for r in 0..runs {
-            let seed = (mib as u64) << 8 | r as u64;
-            cells.push(Cell { mib, n: scale.standard_swarm(), seed });
-        }
-    }
-    for &n in &scale.swarm_sweep() {
-        for r in 0..runs {
-            let seed = (n as u64) << 8 | r as u64 | 0xF4;
-            cells.push(Cell { mib: scale.file_mib(), n, seed });
-        }
-    }
-    let sw = sweep(
+    // `(file MiB, swarm size, seed base)`: the file sweep, then the swarm sweep.
+    let files = scale.file_sweep_mib();
+    let by_file = files.iter().map(|&mib| (mib, scale.standard_swarm(), (mib as u64) << 8));
+    let by_swarm =
+        scale.swarm_sweep().into_iter().map(|n| (scale.file_mib(), n, (n as u64) << 8 | 0xF4));
+    let grid: Vec<(f64, usize, u64)> = by_file.chain(by_swarm).collect();
+    let groups = sweep_points(
         "fig04",
-        &cells,
-        |c| (format!("T-Chain {} MiB n={}", c.mib, c.n), c.seed),
-        |c| {
-            let plan = flash_plan(c.n, 0.0, RiderMode::Aggressive, c.seed);
-            run_proto(Proto::TChain, c.mib, plan, c.seed, Horizon::CompliantDone, RunOpts::default())
+        &mut meta,
+        &grid,
+        |&(_, _, base)| (0..runs).map(|r| base | r as u64).collect(),
+        |&(mib, n, _)| format!("T-Chain {mib} MiB n={n}"),
+        |&(mib, n, _), seed| {
+            let plan = flash_plan(n, 0.0, RiderMode::Aggressive, seed);
+            run_proto(Proto::TChain, mib, plan, seed, Horizon::CompliantDone, RunOpts::default())
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    let mut collect = |meta: &mut RunMeta| {
-        let mut times = Vec::new();
-        for _ in 0..runs {
-            if let Some(out) = outs.next().flatten() {
-                meta.absorb(&out);
-                times.extend(out.mean_compliant());
-            }
-        }
-        Summary::of(&times)
-    };
-    let mut file_sweep = Vec::new();
-    for &mib in &scale.file_sweep_mib() {
-        let s = collect(&mut meta);
-        file_sweep.push((mib, s));
-    }
-    let mut swarm_sweep = Vec::new();
-    for &n in &scale.swarm_sweep() {
-        let s = collect(&mut meta);
-        swarm_sweep.push((n, s));
-    }
+    let mut series = grid.iter().zip(groups).map(|(&(mib, n, _), outs)| {
+        let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
+        (mib, n, Summary::of(&times))
+    });
+    let file_sweep: Vec<(f64, Summary)> =
+        series.by_ref().take(files.len()).map(|(mib, _, s)| (mib, s)).collect();
+    let swarm_sweep: Vec<(usize, Summary)> = series.map(|(_, n, s)| (n, s)).collect();
     let rows: Vec<Vec<String>> =
         file_sweep.iter().map(|(m, s)| vec![format!("{m}"), format!("{s}")]).collect();
     print_table("Fig. 4(a): T-Chain completion time vs file size", &["MiB", "completion (s)"], &rows);

@@ -2,11 +2,12 @@
 //! the slowest (400 Kbps) and fastest (1200 Kbps) leechers.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
 use tchain_attacks::FluidDriver;
 use tchain_core::{TChainConfig, TChainSwarm};
+use tchain_obs::MetricMap;
 use tchain_sim::{kbps, NodeId};
 
 tchain_obs::json_struct! {
@@ -26,11 +27,13 @@ tchain_obs::json_struct! {
 pub fn run(scale: Scale) -> Vec<Timeline> {
     let seed = 55;
     let mut meta = RunMeta::default();
-    let mut cell = sweep(
+    let groups = sweep_points(
         "fig05",
+        &mut meta,
         &[()],
-        |_| ("T-Chain piece timelines".to_string(), seed),
-        |_| {
+        |_| vec![seed],
+        |_| "T-Chain piece timelines".to_string(),
+        |_, seed| {
             let plan = flash_plan(scale.standard_swarm(), 0.0, RiderMode::Aggressive, seed);
             // NodeIds are assigned in arrival order (seeder is 0); pick the
             // first leecher of each extreme capacity.
@@ -60,17 +63,10 @@ pub fn run(scale: Scale) -> Vec<Timeline> {
                     decrypted: tl.decrypted.downsample(24).iter().collect(),
                 });
             }
-            out
+            (out, MetricMap::new())
         },
     );
-    meta.note_failures(&cell.failures);
-    let out = match cell.cells.pop().flatten() {
-        Some(out) => {
-            meta.note_run();
-            out
-        }
-        None => Vec::new(),
-    };
+    let out: Vec<Timeline> = groups.into_iter().flatten().flatten().collect();
     for t in &out {
         let rows: Vec<Vec<String>> = t
             .encrypted

@@ -4,12 +4,13 @@
 //! initial pieces on T-Chain completion time.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
 use tchain_attacks::FluidDriver;
 use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_metrics::Summary;
+use tchain_obs::MetricMap;
 use tchain_proto::Role;
 use tchain_sim::SimRng;
 
@@ -34,11 +35,13 @@ pub fn run(scale: Scale) -> Data {
     let n = scale.standard_swarm();
     let spec = Proto::Baseline(Baseline::BitTorrent).file_spec(scale.file_mib());
     let mut meta = RunMeta::default();
-    let mut crawl = sweep(
+    let crawl = sweep_points(
         "fig06",
+        &mut meta,
         &[()],
-        |_| ("BitTorrent instrumented crawl".to_string(), seed),
-        |_| {
+        |_| vec![seed],
+        |_| "BitTorrent instrumented crawl".to_string(),
+        |_, seed| {
             let mut sw = BaselineSwarm::new(
                 spec,
                 BaselineConfig::default(),
@@ -84,31 +87,20 @@ pub fn run(scale: Scale) -> Data {
                 }
                 t += step;
             }
-            piece_differences
+            (piece_differences, MetricMap::new())
         },
     );
-    meta.note_failures(&crawl.failures);
-    let piece_differences = match crawl.cells.pop().flatten() {
-        Some(pd) => {
-            meta.note_run();
-            pd
-        }
-        None => Vec::new(),
-    };
+    let piece_differences: Vec<(f64, f64)> = crawl.into_iter().flatten().flatten().collect();
     // (b) Pre-occupied initial pieces sweep for T-Chain.
     const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.9];
     let runs = scale.runs().min(4);
-    let mut cells = Vec::new();
-    for frac in FRACTIONS {
-        for r in 0..runs {
-            cells.push((frac, 0x6B00 | r as u64));
-        }
-    }
-    let sw = sweep(
+    let groups = sweep_points(
         "fig06",
-        &cells,
-        |&(frac, seed)| (format!("T-Chain initial={frac}"), seed),
-        |&(frac, seed)| {
+        &mut meta,
+        &FRACTIONS,
+        |_| (0..runs).map(|r| 0x6B00 | r as u64).collect(),
+        |&frac| format!("T-Chain initial={frac}"),
+        |&frac, seed| {
             let plan = flash_plan(scale.standard_swarm(), 0.0, RiderMode::Aggressive, seed);
             run_proto(
                 Proto::TChain,
@@ -120,19 +112,14 @@ pub fn run(scale: Scale) -> Data {
             )
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    let mut initial_fraction_sweep = Vec::new();
-    for frac in FRACTIONS {
-        let mut times = Vec::new();
-        for _ in 0..runs {
-            if let Some(out) = outs.next().flatten() {
-                meta.absorb(&out);
-                times.extend(out.mean_compliant());
-            }
-        }
-        initial_fraction_sweep.push((frac, Summary::of(&times)));
-    }
+    let initial_fraction_sweep: Vec<(f64, Summary)> = FRACTIONS
+        .iter()
+        .zip(groups)
+        .map(|(&frac, outs)| {
+            let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
+            (frac, Summary::of(&times))
+        })
+        .collect();
     let rows: Vec<Vec<String>> = piece_differences
         .iter()
         .map(|(t, d)| vec![format!("{t:.0}"), format!("{d:.0}")])

@@ -2,7 +2,7 @@
 //! compliant vs free-rider completion times per protocol.
 
 use crate::output::{fmt_opt, persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
@@ -31,21 +31,15 @@ pub fn run_with_mode(scale: Scale, mode: RiderMode, tag: &str, title: &str) -> V
         Scale::Quick => 8_000.0,
         Scale::Paper => 50_000.0,
     };
-    let mut points = Vec::new();
     let mut meta = RunMeta::default();
-    let mut cells = Vec::new();
-    for proto in Proto::main_four() {
-        for &n in &scale.swarm_sizes() {
-            for r in 0..scale.runs() {
-                cells.push((proto, n, (n as u64) << 8 | r as u64 | 0x70));
-            }
-        }
-    }
-    let sw = sweep(
+    let grid = cross(Proto::main_four(), &scale.swarm_sizes());
+    let groups = sweep_points(
         tag,
-        &cells,
-        |&(proto, n, seed)| (format!("{} n={} 25% FR", proto.name(), n), seed),
-        |&(proto, n, seed)| {
+        &mut meta,
+        &grid,
+        |&(_, n)| (0..scale.runs()).map(|r| (n as u64) << 8 | r as u64 | 0x70).collect(),
+        |&(proto, n)| format!("{} n={n} 25% FR", proto.name()),
+        |&(proto, n), seed| {
             let plan = flash_plan(n, 0.25, mode, seed);
             run_proto(
                 proto,
@@ -57,33 +51,24 @@ pub fn run_with_mode(scale: Scale, mode: RiderMode, tag: &str, title: &str) -> V
             )
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for proto in Proto::main_four() {
-        for &n in &scale.swarm_sizes() {
-            let mut ct = Vec::new();
-            let mut frt = Vec::new();
-            let mut finished = 0usize;
-            let mut total = 0usize;
-            for _ in 0..scale.runs() {
-                let Some(out) = outs.next().flatten() else {
-                    continue;
-                };
-                meta.absorb(&out);
-                ct.extend(out.mean_compliant());
-                frt.extend(out.mean_free_rider());
-                finished += out.free_rider_times.len();
-                total += out.free_rider_times.len() + out.unfinished_free_riders;
-            }
-            points.push(Point {
+    let points: Vec<Point> = grid
+        .iter()
+        .zip(groups)
+        .map(|(&(proto, n), outs)| {
+            let ct: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
+            let frt: Vec<f64> = outs.iter().filter_map(|o| o.mean_free_rider()).collect();
+            let finished: usize = outs.iter().map(|o| o.free_rider_times.len()).sum();
+            let never: usize = outs.iter().map(|o| o.unfinished_free_riders).sum();
+            let total = finished + never;
+            Point {
                 proto: proto.name().to_string(),
                 swarm: n,
                 compliant: Summary::of(&ct),
                 free_rider: if frt.is_empty() { None } else { Some(Summary::of(&frt)) },
                 fr_finish_fraction: if total == 0 { 0.0 } else { finished as f64 / total as f64 },
-            });
-        }
-    }
+            }
+        })
+        .collect();
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

@@ -3,7 +3,7 @@
 //! a warm-up prefix).
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
 use crate::scenario::{run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
@@ -28,23 +28,17 @@ pub fn run(scale: Scale) -> Vec<Point> {
         Scale::Quick => 20_000.0,
         Scale::Paper => 100_000.0,
     };
-    let mut points = Vec::new();
     let mut meta = RunMeta::default();
     const FR_PCTS: [u32; 4] = [0, 10, 25, 50];
     let runs = scale.runs().min(3);
-    let mut cells = Vec::new();
-    for proto in Proto::main_four() {
-        for fr_pct in FR_PCTS {
-            for r in 0..runs {
-                cells.push((proto, fr_pct, (fr_pct as u64) << 8 | r as u64 | 0x90));
-            }
-        }
-    }
-    let sw = sweep(
+    let grid = cross(Proto::main_four(), &FR_PCTS);
+    let groups = sweep_points(
         "fig09",
-        &cells,
-        |&(proto, fr_pct, seed)| (format!("{} {fr_pct}% FR trace", proto.name()), seed),
-        |&(proto, fr_pct, seed)| {
+        &mut meta,
+        &grid,
+        |&(_, fr_pct)| (0..runs).map(|r| (fr_pct as u64) << 8 | r as u64 | 0x90).collect(),
+        |&(proto, fr_pct)| format!("{} {fr_pct}% FR trace", proto.name()),
+        |&(proto, fr_pct), seed| {
             let frac = fr_pct as f64 / 100.0;
             // Enough arrivals that `measure` compliant leechers can finish
             // despite the free-rider share.
@@ -60,16 +54,12 @@ pub fn run(scale: Scale) -> Vec<Point> {
             )
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for proto in Proto::main_four() {
-        for fr_pct in FR_PCTS {
+    let points: Vec<Point> = grid
+        .iter()
+        .zip(groups)
+        .map(|(&(proto, fr_pct), outs)| {
             let mut times = Vec::new();
-            for _ in 0..runs {
-                let Some(out) = outs.next().flatten() else {
-                    continue;
-                };
-                meta.absorb(&out);
+            for out in outs {
                 let steady: Vec<f64> = out
                     .compliant_times
                     .iter()
@@ -81,13 +71,9 @@ pub fn run(scale: Scale) -> Vec<Point> {
                     times.push(steady.iter().sum::<f64>() / steady.len() as f64);
                 }
             }
-            points.push(Point {
-                proto: proto.name().to_string(),
-                fr_pct,
-                compliant: Summary::of(&times),
-            });
-        }
-    }
+            Point { proto: proto.name().to_string(), fr_pct, compliant: Summary::of(&times) }
+        })
+        .collect();
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| vec![p.proto.clone(), format!("{}%", p.fr_pct), format!("{}", p.compliant)])

@@ -2,7 +2,7 @@
 //! under (a) a flash crowd and (b) trace arrivals.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
 use tchain_attacks::FluidDriver;
@@ -31,12 +31,14 @@ pub fn run(scale: Scale) -> Vec<Census> {
         Scale::Quick => 2_500.0,
         Scale::Paper => 8_000.0,
     };
-    let cells = [("flash crowd", seed, None), ("trace", seed + 1, Some(horizon))];
-    let sw = sweep(
+    let scenarios = [("flash crowd", seed, None), ("trace", seed + 1, Some(horizon))];
+    let groups = sweep_points(
         "fig10",
-        &cells,
-        |&(label, seed, _)| (label.to_string(), seed),
-        |&(label, seed, stop)| {
+        &mut meta,
+        &scenarios,
+        |&(_, seed, _)| vec![seed],
+        |&(label, _, _)| label.to_string(),
+        |&(label, _, stop), seed| {
             let plan = match stop {
                 None => flash_plan(scale.standard_swarm(), 0.0, RiderMode::Aggressive, seed),
                 Some(_) => {
@@ -57,13 +59,7 @@ pub fn run(scale: Scale) -> Vec<Census> {
             (census, sw.metrics())
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut out = Vec::new();
-    for (census, metrics) in sw.cells.into_iter().flatten() {
-        meta.note_run();
-        meta.absorb_metrics(&metrics);
-        out.push(census);
-    }
+    let out: Vec<Census> = groups.into_iter().flatten().collect();
     for c in &out {
         let rows: Vec<Vec<String>> = c
             .chains

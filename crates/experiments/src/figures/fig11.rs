@@ -3,7 +3,7 @@
 //! fraction vs free-rider share under trace arrivals.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
 use tchain_attacks::FluidDriver;
@@ -27,11 +27,13 @@ pub fn run(scale: Scale) -> Data {
     // (a) manual stepping to sample cumulative origins.
     let seed = 110;
     let mut meta = RunMeta::default();
-    let mut stepping = sweep(
+    let stepping = sweep_points(
         "fig11",
+        &mut meta,
         &[()],
-        |_| ("chains by origin (flash crowd)".to_string(), seed),
-        |_| {
+        |_| vec![seed],
+        |_| "chains by origin (flash crowd)".to_string(),
+        |_, seed| {
             let mut sw = TChainSwarm::new(
                 spec,
                 TChainConfig::default(),
@@ -58,23 +60,15 @@ pub fn run(scale: Scale) -> Data {
             (cumulative, sw.metrics())
         },
     );
-    meta.note_failures(&stepping.failures);
-    let cumulative = match stepping.cells.pop().flatten() {
-        Some((cumulative, metrics)) => {
-            meta.note_run();
-            meta.absorb_metrics(&metrics);
-            cumulative
-        }
-        None => Vec::new(),
-    };
+    let cumulative: Vec<(f64, u64, u64)> = stepping.into_iter().flatten().flatten().collect();
     // (b) trace with free-rider sweep.
-    let cells: Vec<(u32, u64)> =
-        [0u32, 25, 50].iter().map(|&p| (p, 0xB0 | p as u64)).collect();
-    let sw = sweep(
+    let groups = sweep_points(
         "fig11",
-        &cells,
-        |&(fr_pct, seed)| (format!("opportunistic {fr_pct}% FR trace"), seed),
-        |&(fr_pct, seed)| {
+        &mut meta,
+        &[0u32, 25, 50],
+        |&fr_pct| vec![0xB0 | fr_pct as u64],
+        |&fr_pct| format!("opportunistic {fr_pct}% FR trace"),
+        |&fr_pct, seed| {
             let n = scale.standard_swarm();
             let mut sw = TChainSwarm::new(
                 spec,
@@ -90,13 +84,7 @@ pub fn run(scale: Scale) -> Data {
             ((fr_pct, sw.chain_stats().opportunistic_fraction()), sw.metrics())
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut opportunistic_by_fr = Vec::new();
-    for (point, metrics) in sw.cells.into_iter().flatten() {
-        meta.note_run();
-        meta.absorb_metrics(&metrics);
-        opportunistic_by_fr.push(point);
-    }
+    let opportunistic_by_fr: Vec<(u32, f64)> = groups.into_iter().flatten().collect();
     let rows: Vec<Vec<String>> = cumulative
         .iter()
         .step_by((cumulative.len() / 20).max(1))

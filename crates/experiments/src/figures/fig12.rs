@@ -1,7 +1,7 @@
 //! Fig. 12: fairness-factor CDFs without and with 25 % free-riders.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
 use crate::scenario::{run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Cdf;
@@ -30,23 +30,17 @@ pub fn run(scale: Scale) -> Vec<Curve> {
         Scale::Quick => 20_000.0,
         Scale::Paper => 100_000.0,
     };
-    let mut curves = Vec::new();
     let mut meta = RunMeta::default();
     const FR_PCTS: [u32; 2] = [0, 25];
     let runs = scale.runs().min(3);
-    let mut cells = Vec::new();
-    for fr_pct in FR_PCTS {
-        for proto in Proto::main_four() {
-            for r in 0..runs {
-                cells.push((proto, fr_pct, (fr_pct as u64) << 8 | r as u64 | 0xC0));
-            }
-        }
-    }
-    let sw = sweep(
+    let grid = cross(FR_PCTS, &Proto::main_four());
+    let groups = sweep_points(
         "fig12",
-        &cells,
-        |&(proto, fr_pct, seed)| (format!("{} fairness {fr_pct}% FR", proto.name()), seed),
-        |&(proto, fr_pct, seed)| {
+        &mut meta,
+        &grid,
+        |&(fr_pct, _)| (0..runs).map(|r| (fr_pct as u64) << 8 | r as u64 | 0xC0).collect(),
+        |&(fr_pct, proto)| format!("{} fairness {fr_pct}% FR", proto.name()),
+        |&(fr_pct, proto), seed| {
             let frac = fr_pct as f64 / 100.0;
             let arrivals = ((measure as f64 * 1.3) / (1.0 - frac).max(0.2)).ceil() as usize;
             let plan = trace_plan(arrivals, frac, RiderMode::Aggressive, seed);
@@ -60,31 +54,26 @@ pub fn run(scale: Scale) -> Vec<Curve> {
             )
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for fr_pct in FR_PCTS {
-        for proto in Proto::main_four() {
-            let mut factors = Vec::new();
-            for _ in 0..runs {
-                let Some(out) = outs.next().flatten() else {
-                    continue;
-                };
-                meta.absorb(&out);
-                // Last `pop` finished compliant leechers (steady state).
-                let skip = out.fairness.len().saturating_sub(pop);
-                factors.extend(out.fairness.iter().copied().skip(skip));
-            }
+    let curves: Vec<Curve> = grid
+        .iter()
+        .zip(groups)
+        .map(|(&(fr_pct, proto), outs)| {
+            // Last `pop` finished compliant leechers of each run (steady state).
+            let factors = outs
+                .iter()
+                .flat_map(|o| o.fairness.iter().copied().skip(o.fairness.len().saturating_sub(pop)))
+                .collect();
             let cdf = Cdf::new(factors);
             let deciles: Vec<f64> =
                 (1..=10).map(|d| cdf.quantile(d as f64 / 10.0)).collect();
-            curves.push(Curve {
+            Curve {
                 proto: proto.name().to_string(),
                 fr_pct,
                 over_125: 1.0 - cdf.at(1.25),
                 deciles,
-            });
-        }
-    }
+            }
+        })
+        .collect();
     let rows: Vec<Vec<String>> = curves
         .iter()
         .map(|c| {

@@ -3,7 +3,7 @@
 //! including Random BitTorrent.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
@@ -31,28 +31,19 @@ pub fn run(scale: Scale) -> Vec<Point> {
     };
     let window = scale.small_file_window();
     let n = scale.small_file_swarm();
-    let mut points = Vec::new();
     let mut meta = RunMeta::default();
     const FR_PCTS: [u32; 2] = [0, 50];
     let runs = scale.runs().min(3);
-    let mut cells = Vec::new();
-    for fr_pct in FR_PCTS {
-        for proto in Proto::with_random_bt() {
-            for &pieces in &piece_counts {
-                for r in 0..runs {
-                    let seed = (pieces as u64) << 9 | (fr_pct as u64) << 1 | r as u64;
-                    cells.push((proto, fr_pct, pieces, seed));
-                }
-            }
-        }
-    }
-    let sw = sweep(
+    let grid = cross(cross(FR_PCTS, &Proto::with_random_bt()), &piece_counts);
+    let groups = sweep_points(
         "fig13",
-        &cells,
-        |&(proto, fr_pct, pieces, seed)| {
-            (format!("{} {pieces}p {fr_pct}% FR churn", proto.name()), seed)
+        &mut meta,
+        &grid,
+        |&((fr_pct, _), pieces)| {
+            (0..runs).map(|r| (pieces as u64) << 9 | (fr_pct as u64) << 1 | r as u64).collect()
         },
-        |&(proto, fr_pct, pieces, seed)| {
+        |&((fr_pct, proto), pieces)| format!("{} {pieces}p {fr_pct}% FR churn", proto.name()),
+        |&((fr_pct, proto), pieces), seed| {
             let plan = flash_plan(n, fr_pct as f64 / 100.0, RiderMode::Aggressive, seed);
             run_proto(
                 proto,
@@ -68,28 +59,19 @@ pub fn run(scale: Scale) -> Vec<Point> {
             )
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for fr_pct in FR_PCTS {
-        for proto in Proto::with_random_bt() {
-            for &pieces in &piece_counts {
-                let mut tp = Vec::new();
-                for _ in 0..runs {
-                    let Some(out) = outs.next().flatten() else {
-                        continue;
-                    };
-                    meta.absorb(&out);
-                    tp.push(out.mean_goodput * 8.0 / 1000.0); // → Kbps
-                }
-                points.push(Point {
-                    proto: proto.name().to_string(),
-                    fr_pct,
-                    pieces,
-                    throughput_kbps: Summary::of(&tp),
-                });
+    let points: Vec<Point> = grid
+        .iter()
+        .zip(groups)
+        .map(|(&((fr_pct, proto), pieces), outs)| {
+            let tp: Vec<f64> = outs.iter().map(|o| o.mean_goodput * 8.0 / 1000.0).collect(); // Kbps
+            Point {
+                proto: proto.name().to_string(),
+                fr_pct,
+                pieces,
+                throughput_kbps: Summary::of(&tp),
             }
-        }
-    }
+        })
+        .collect();
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

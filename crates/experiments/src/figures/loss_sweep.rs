@@ -10,7 +10,7 @@
 //! offers, so they bracket the cost of T-Chain's extra round trips.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_baselines::Baseline;
@@ -42,23 +42,22 @@ pub fn run(scale: Scale) -> Vec<Point> {
     };
     let protos = [Proto::Baseline(Baseline::FairTorrent), Proto::TChain];
     let losses: [f64; 5] = [0.0, 0.05, 0.10, 0.20, 0.30];
-    let mut points = Vec::new();
     let mut meta = RunMeta::default();
     let runs = scale.runs().min(3);
-    let mut cells = Vec::new();
+    // `(protocol, loss, seed base)`; a run's seed is its base ^ its repeat.
+    let mut grid = Vec::new();
     for (pi, &proto) in protos.iter().enumerate() {
         for (li, &loss) in losses.iter().enumerate() {
-            for r in 0..runs {
-                let seed = ((li as u64) << 10) ^ ((pi as u64) << 6) ^ (r as u64) ^ 0xFA7;
-                cells.push((proto, loss, seed));
-            }
+            grid.push((proto, loss, ((li as u64) << 10) ^ ((pi as u64) << 6) ^ 0xFA7));
         }
     }
-    let sw = sweep(
+    let groups = sweep_points(
         "loss_sweep",
-        &cells,
-        |&(proto, loss, seed)| (format!("{} loss={loss}", proto.name()), seed),
-        |&(proto, loss, seed)| {
+        &mut meta,
+        &grid,
+        |&(_, _, base)| (0..runs).map(|r| base ^ r as u64).collect(),
+        |&(proto, loss, _)| format!("{} loss={loss}", proto.name()),
+        |&(proto, loss, _), seed| {
             let plan = flash_plan(n, 0.0, RiderMode::Aggressive, seed);
             let faults = if loss == 0.0 {
                 FaultPlan::none()
@@ -69,33 +68,24 @@ pub fn run(scale: Scale) -> Vec<Point> {
             run_proto(proto, scale.file_mib(), plan, seed, Horizon::CompliantDone, opts)
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for &proto in protos.iter() {
-        for &loss in losses.iter() {
-            let mut times = Vec::new();
-            let mut unfinished = 0usize;
+    let points: Vec<Point> = grid
+        .iter()
+        .zip(groups)
+        .map(|(&(proto, loss, _), outs)| {
+            let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
             let mut recovery = RecoveryCounters::default();
-            for _ in 0..runs {
-                let Some(out) = outs.next().flatten() else {
-                    continue;
-                };
-                meta.absorb(&out);
-                if let Some(m) = out.mean_compliant() {
-                    times.push(m);
-                }
-                unfinished += out.unfinished_compliant;
+            for out in &outs {
                 recovery.merge(&out.recovery);
             }
-            points.push(Point {
+            Point {
                 proto: proto.name().to_string(),
                 loss_pct: (loss * 100.0).round() as u32,
                 completion: Summary::of(&times),
-                unfinished,
+                unfinished: outs.iter().map(|o| o.unfinished_compliant).sum(),
                 recovery,
-            });
-        }
-    }
+            }
+        })
+        .collect();
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

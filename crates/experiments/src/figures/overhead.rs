@@ -3,14 +3,15 @@
 //! perfbench's `crypto.mib_s` times).
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use tchain_analysis::EncryptionOverhead;
 use tchain_crypto::Keyring;
+use tchain_obs::MetricMap;
 
 tchain_obs::json_struct! {
     /// Measured overhead summary.
-    #[derive(Debug)]
+    #[derive(Debug, Default)]
     pub struct Data {
         /// Measured ChaCha20 throughput, bytes/second, over one 128 KiB
         /// piece: the fastest of [`BATCHES`] batches.
@@ -41,11 +42,13 @@ const PASSES: u32 = 64;
 /// Measures the cipher and prints the §III-C table.
 pub fn run(scale: Scale) -> Data {
     let mut meta = RunMeta::default();
-    let mut cell = sweep(
+    let data = sweep_points(
         "overhead",
+        &mut meta,
         &[()],
-        |_| ("cipher throughput measurement".to_string(), 0),
-        |_| {
+        |_| vec![0],
+        |_| "cipher throughput measurement".to_string(),
+        |_, _| {
             let mut ring = Keyring::new(1);
             let (_, key) = ring.mint();
             let mut piece = vec![0u8; PIECE];
@@ -64,7 +67,7 @@ pub fn run(scale: Scale) -> Data {
             let throughput = PIECE as f64 * f64::from(PASSES) / batch.as_secs_f64();
             let enc = EncryptionOverhead::from_throughput(throughput);
             let gb = 1024.0 * 1024.0 * 1024.0;
-            Data {
+            let data = Data {
                 cipher_bytes_per_sec: throughput,
                 cipher_kernel: tchain_crypto::chacha::kernel().to_string(),
                 encryption_overhead: enc.overhead_fraction(gb, 1_000_000.0),
@@ -74,23 +77,14 @@ pub fn run(scale: Scale) -> Data {
                     32.0,
                 ),
                 chain_slots_100: tchain_analysis::overhead::chain_completion_slots(100),
-            }
+            };
+            (data, MetricMap::new())
         },
-    );
-    meta.note_failures(&cell.failures);
-    let data = match cell.cells.pop().flatten() {
-        Some(data) => {
-            meta.note_run();
-            data
-        }
-        None => Data {
-            cipher_bytes_per_sec: 0.0,
-            cipher_kernel: String::new(),
-            encryption_overhead: 0.0,
-            space_overhead: 0.0,
-            chain_slots_100: 0,
-        },
-    };
+    )
+    .into_iter()
+    .flatten()
+    .next()
+    .unwrap_or_default();
     print_table(
         "§III-C overheads (measured cipher)",
         &["metric", "value", "paper"],

@@ -9,7 +9,7 @@
 //! stalled time.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, Proto, RiderMode};
 use tchain_attacks::FluidDriver;
@@ -102,20 +102,15 @@ pub fn run(scale: Scale) -> Vec<Row> {
         ("window = 32", PieceSelection::Streaming { window: 32 }),
         ("window = 8", PieceSelection::Streaming { window: 8 }),
     ];
-    let mut rows = Vec::new();
     let mut meta = RunMeta::default();
     let runs = scale.runs().min(3);
-    let mut cells = Vec::new();
-    for (label, policy) in policies {
-        for r in 0..runs {
-            cells.push((label, policy, 0x57 | (r as u64) << 8));
-        }
-    }
-    let sw = sweep(
+    let groups = sweep_points(
         "streaming",
-        &cells,
-        |&(label, _, seed)| (label.to_string(), seed),
-        |&(_, policy, seed)| {
+        &mut meta,
+        &policies,
+        |_| (0..runs).map(|r| 0x57 | (r as u64) << 8).collect(),
+        |&(label, _)| label.to_string(),
+        |&(_, policy), seed| {
             let plan = flash_plan(n, 0.0, RiderMode::Aggressive, seed);
             let cfg = TChainConfig { piece_selection: policy, ..Default::default() };
             let mut sw = TChainSwarm::new(spec, cfg, plan, seed);
@@ -136,37 +131,27 @@ pub fn run(scale: Scale) -> Vec<Row> {
                     playbacks.push(pb);
                 }
             }
-            (playbacks, completion, sw.metrics())
+            ((playbacks, completion), sw.metrics())
         },
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for (label, _) in policies {
-        let mut startup = Vec::new();
-        let mut rebuf = Vec::new();
-        let mut stalled = Vec::new();
-        let mut completion = Vec::new();
-        for _ in 0..runs {
-            let Some((playbacks, ct, metrics)) = outs.next().flatten() else {
-                continue;
-            };
-            meta.note_run();
-            meta.absorb_metrics(&metrics);
-            completion.extend(ct);
-            for pb in playbacks {
-                startup.push(pb.startup_delay);
-                rebuf.push(pb.rebuffer_events as f64);
-                stalled.push(pb.rebuffer_time);
+    let rows: Vec<Row> = policies
+        .iter()
+        .zip(groups)
+        .map(|(&(label, _), outs)| {
+            let playbacks: Vec<&Playback> = outs.iter().flat_map(|(pbs, _)| pbs).collect();
+            let startup: Vec<f64> = playbacks.iter().map(|pb| pb.startup_delay).collect();
+            let rebuf: Vec<f64> = playbacks.iter().map(|pb| pb.rebuffer_events as f64).collect();
+            let stalled: Vec<f64> = playbacks.iter().map(|pb| pb.rebuffer_time).collect();
+            let completion: Vec<f64> = outs.iter().flat_map(|(_, ct)| ct).copied().collect();
+            Row {
+                policy: label.to_string(),
+                startup: Summary::of(&startup),
+                rebuffers: Summary::of(&rebuf),
+                stalled: Summary::of(&stalled),
+                completion: Summary::of(&completion),
             }
-        }
-        rows.push(Row {
-            policy: label.to_string(),
-            startup: Summary::of(&startup),
-            rebuffers: Summary::of(&rebuf),
-            stalled: Summary::of(&stalled),
-            completion: Summary::of(&completion),
-        });
-    }
+        })
+        .collect();
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

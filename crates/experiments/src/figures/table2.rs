@@ -10,7 +10,7 @@
 //! (simplicity, TTP reliance) are properties of the designs themselves.
 
 use crate::output::{persist, print_table, RunMeta};
-use crate::runner::sweep;
+use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
 use crate::scenario::{build_swarm, flash_plan, Proto, RiderMode, RunOpts};
 use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
@@ -142,7 +142,6 @@ pub fn run(scale: Scale) -> Vec<Row> {
     let large_view = FreeRiderConfig { large_view: true, ..Default::default() };
     let whitewash = FreeRiderConfig { large_view: true, whitewash: true, ..Default::default() };
     let protos = Proto::main_four();
-    let mut rows = Vec::new();
     let mut meta = RunMeta::default();
 
     let attack_rows: [(&str, FreeRiderConfig, bool); 4] = [
@@ -151,42 +150,28 @@ pub fn run(scale: Scale) -> Vec<Row> {
         ("Sybil or Whitewashing", whitewash, false),
         ("Collusion (false reports)", whitewash, true),
     ];
-    let mut jobs = Vec::new();
-    for &(name, cfg, colluding) in &attack_rows {
-        for &p in protos.iter() {
-            jobs.push((name, p, cfg, colluding));
-        }
-    }
-    let sw = sweep(
+    let grid = cross(attack_rows, &protos);
+    let groups = sweep_points(
         "table2",
-        &jobs,
-        |&(name, p, _, _)| (format!("{name} vs {}", p.name()), 0x72),
-        |&(_, p, cfg, colluding)| progress_ratio(p, cfg, colluding, 0x72),
+        &mut meta,
+        &grid,
+        |_| vec![0x72],
+        |&((name, _, _), p)| format!("{name} vs {}", p.name()),
+        |&((_, cfg, colluding), p), seed| progress_ratio(p, cfg, colluding, seed),
     );
-    meta.note_failures(&sw.failures);
-    let mut outs = sw.cells.into_iter();
-    for (name, _, _) in attack_rows {
-        let mut cells: Vec<Cell> = Vec::new();
-        for _ in protos.iter() {
-            // A panicked mini-swarm scores as NaN (rendered bare, like the
-            // structural rows) rather than sinking the whole table.
-            let ratio = match outs.next().flatten() {
-                Some((ratio, metrics)) => {
-                    meta.note_run();
-                    meta.absorb_metrics(&metrics);
-                    ratio
-                }
-                None => f64::NAN,
-            };
-            cells.push(mark(ratio));
-        }
+    // A panicked mini-swarm scores as NaN (rendered bare, like the
+    // structural rows) rather than sinking the whole table.
+    let ratios: Vec<f64> = groups.iter().map(|g| g.first().copied().unwrap_or(f64::NAN)).collect();
+    let mut rows = Vec::new();
+    for ((name, _, _), measured) in attack_rows.iter().zip(ratios.chunks(protos.len())) {
+        let mut cells: Vec<Cell> = measured.iter().copied().map(mark).collect();
         // EigenTrust / Dandelion model columns.
-        let et = match name {
+        let et = match *name {
             "Collusion (false reports)" => eigentrust_ratio(Actor::Colluder, 20),
             _ => eigentrust_ratio(Actor::FreeRider, 20),
         };
         cells.push(mark(et));
-        let dd = match name {
+        let dd = match *name {
             "Sybil or Whitewashing" => dandelion_whitewash_ratio(),
             _ => 0.0, // credit accounting blocks plain free-riding
         };

@@ -12,7 +12,7 @@
 //!   and the unified metric snapshot.
 
 use crate::output::{persist, print_table, results_dir, RunMeta};
-use crate::runner::sweep;
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts, RunOutcome};
 use tchain_obs::{to_chrome_trace, to_jsonl};
@@ -41,11 +41,13 @@ pub fn run(scale: Scale) -> RunOutcome {
     let n = (scale.standard_swarm() / 4).max(12);
     let seed = 0x7ACE;
     let mut meta = RunMeta::default();
-    let mut cell = sweep(
+    let out = sweep_points(
         "trace",
+        &mut meta,
         &[()],
-        |_| (format!("traced flash crowd n={n}"), seed),
-        |_| {
+        |_| vec![seed],
+        |_| format!("traced flash crowd n={n}"),
+        |_, seed| {
             let plan = flash_plan(n, 0.25, RiderMode::Aggressive, seed);
             run_proto(
                 Proto::TChain,
@@ -56,9 +58,11 @@ pub fn run(scale: Scale) -> RunOutcome {
                 RunOpts { trace_capacity: Some(RING_CAPACITY), profile: true, ..Default::default() },
             )
         },
-    );
-    meta.note_failures(&cell.failures);
-    let out = cell.cells.pop().flatten().unwrap_or_default();
+    )
+    .into_iter()
+    .flatten()
+    .next()
+    .unwrap_or_default();
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -80,7 +84,6 @@ pub fn run(scale: Scale) -> RunOutcome {
         .map(|(k, v)| vec![k.clone(), v.to_string()])
         .collect();
     print_table("trace run: unified metric snapshot", &["metric", "value"], &rows);
-    meta.absorb(&out);
     let data = Data {
         swarm: n as u64,
         events_recorded: out.trace_records.len() as u64,

@@ -33,22 +33,14 @@ tchain_obs::json_struct! {
 }
 
 impl RunMeta {
-    /// Folds one run's bookkeeping into the batch record.
-    pub fn absorb(&mut self, out: &RunOutcome) {
-        self.runs += 1;
-        self.peak_event_depth = self.peak_event_depth.max(out.peak_event_depth as u64);
-        self.absorb_metrics(&out.metrics);
-    }
-
-    /// Counts a run driven outside [`crate::run_proto`] (figure modules
-    /// that step a swarm directly).
+    /// Counts a run booked outside [`crate::runner::sweep_points`] (the
+    /// net experiments, which drive the wire runtime directly).
     pub fn note_run(&mut self) {
         self.runs += 1;
     }
 
-    /// Sums a driver metric snapshot into the batch (for directly-driven
-    /// swarms, pairs with [`RunMeta::note_run`]).
-    pub fn absorb_metrics(&mut self, metrics: &MetricMap) {
+    /// Sums a driver metric snapshot into the batch.
+    pub(crate) fn absorb_metrics(&mut self, metrics: &MetricMap) {
         for (k, &v) in metrics {
             let slot = self.metrics.entry(k.clone()).or_insert(0);
             *slot = slot.saturating_add(v);
@@ -57,8 +49,39 @@ impl RunMeta {
 
     /// Records a sweep's panicked cells into the batch (they are part of
     /// the persisted run summary, not a reason to abort the figure).
-    pub fn note_failures(&mut self, failures: &[FailedCell]) {
+    pub(crate) fn note_failures(&mut self, failures: &[FailedCell]) {
         self.failed_cells.extend_from_slice(failures);
+    }
+}
+
+/// A completed cell's output, as [`crate::runner::sweep_points`] books
+/// it into its figure's [`RunMeta`].
+pub trait Absorb {
+    /// What the figure keeps once the cell is booked.
+    type Booked;
+    /// Books one run into `meta` and hands back what the figure keeps.
+    fn book(self, meta: &mut RunMeta) -> Self::Booked;
+}
+
+/// A [`crate::run_proto`] run: its run, event-ring peak and metrics.
+impl Absorb for RunOutcome {
+    type Booked = RunOutcome;
+    fn book(self, meta: &mut RunMeta) -> RunOutcome {
+        meta.runs += 1;
+        meta.peak_event_depth = meta.peak_event_depth.max(self.peak_event_depth as u64);
+        meta.absorb_metrics(&self.metrics);
+        self
+    }
+}
+
+/// A directly driven swarm's value and metric snapshot (an empty map for
+/// a cell with no driver metrics): its run and metrics.
+impl<T> Absorb for (T, MetricMap) {
+    type Booked = T;
+    fn book(self, meta: &mut RunMeta) -> T {
+        meta.runs += 1;
+        meta.absorb_metrics(&self.1);
+        self.0
     }
 }
 
@@ -169,14 +192,18 @@ mod tests {
         let mut meta = RunMeta::default();
         let mut out = RunOutcome { peak_event_depth: 7, ..Default::default() };
         out.metrics.insert("txns.completed".into(), 3);
-        meta.absorb(&out);
+        let mut out = out.book(&mut meta);
         out.peak_event_depth = 4;
-        meta.absorb(&out);
+        let metrics = out.book(&mut meta).metrics;
         assert_eq!(meta.runs, 2);
         assert_eq!(meta.peak_event_depth, 7, "peak takes the max");
         assert_eq!(meta.metrics["txns.completed"], 6, "metrics sum");
+        assert_eq!(("value", metrics).book(&mut meta), "value");
+        assert_eq!(meta.metrics["txns.completed"], 9);
+        ((), MetricMap::new()).book(&mut meta);
+        assert_eq!(meta.metrics["txns.completed"], 9, "an empty map books a run only");
         meta.note_run();
-        assert_eq!(meta.runs, 3);
+        assert_eq!(meta.runs, 5);
     }
 
     #[test]

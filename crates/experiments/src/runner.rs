@@ -1,28 +1,37 @@
 //! Deterministic parallel experiment runner.
 //!
-//! Every figure expands its sweep into a flat list of *cells* — one
-//! `(scenario, seed)` simulation each — and hands them to [`sweep`],
-//! which executes them on a work-stealing `std::thread::scope` pool and
-//! reassembles the results in canonical (submission) order. Because each
-//! cell owns its RNG, its swarm, its tracer ring and its
+//! A figure states its grid once: it hands [`sweep_points`] its points
+//! (protocol × swarm size, file size, free-rider share, …), each point's
+//! seeds, a label and a cell function. The runner flattens that into
+//! *cells* — one `(point, seed)` simulation each — point by point, runs
+//! them through [`sweep`] and books every completed cell into the
+//! figure's [`RunMeta`] ([`Absorb`]), returning each point's outputs in
+//! point order.
+//!
+//! [`sweep`] executes the cells on a work-stealing `std::thread::scope`
+//! pool and reassembles the results in canonical (submission) order.
+//! Because each cell owns its RNG, its swarm, its tracer ring and its
 //! [`crate::RunOutcome`], and because every aggregation step (CDFs,
-//! [`crate::RunMeta`] merges, table rows) happens single-threaded after
-//! the pool joins, the persisted `results/*.json` and trace JSONL are
+//! [`RunMeta`] booking, table rows) happens single-threaded after the
+//! pool joins, the persisted `results/*.json` and trace JSONL are
 //! identical for any worker count — including 1, which runs the exact
 //! same guarded code path inline.
 //!
-//! Worker count: `tchain <experiment> --jobs N` (see [`set_jobs`]),
+//! Worker count: `tchain <fluid experiment> --jobs N` (see [`set_jobs`]),
 //! otherwise the machine's available parallelism.
 //!
 //! A cell that panics does not torch the sweep: the panic is caught,
 //! the cell's slot stays empty ([`None`]) and a [`FailedCell`] record —
-//! scenario label, seed, panic message — is kept both on the returned
-//! [`Sweep`] and in a process-wide registry that `tchain all` drains into
-//! its end-of-run summary ([`take_failures`]).
+//! scenario label, seed, panic message — is kept on the returned
+//! [`Sweep`], in the figure's [`RunMeta`] (by [`sweep_points`]) and in a
+//! process-wide registry that `tchain all` drains into its end-of-run
+//! summary ([`take_failures`]). A panicked cell books no run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+use crate::output::{Absorb, RunMeta};
 
 /// Process-wide `--jobs` override (0 = unset).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -69,13 +78,6 @@ pub struct Sweep<T> {
     pub cells: Vec<Option<T>>,
     /// Panicked cells, in submission order.
     pub failures: Vec<FailedCell>,
-}
-
-impl<T> Sweep<T> {
-    /// The completed outcomes in canonical order (panicked cells skipped).
-    pub fn into_ok(self) -> Vec<T> {
-        self.cells.into_iter().flatten().collect()
-    }
 }
 
 /// Drains the process-wide failed-cell registry (used by `tchain all` for
@@ -170,6 +172,52 @@ where
     Sweep { cells: out, failures }
 }
 
+/// Every `(a, b)` pair, `outer` varying slowest: a figure's two axes as
+/// one point list for [`sweep_points`].
+pub fn cross<A: Copy, B: Copy>(outer: impl IntoIterator<Item = A>, inner: &[B]) -> Vec<(A, B)> {
+    outer.into_iter().flat_map(|a| inner.iter().map(move |&b| (a, b))).collect()
+}
+
+/// Runs a figure's grid: every seed of every point, through [`sweep`].
+///
+/// Cells are submitted point by point, each point's seeds in order;
+/// `label` names a point's cells in failure records. The panicked cells
+/// go into `meta.failed_cells`, every completed one is booked into
+/// `meta` in submission order, and the result holds one group per point,
+/// in point order, of its completed cells' booked outputs.
+pub fn sweep_points<P, T>(
+    figure: &str,
+    meta: &mut RunMeta,
+    points: &[P],
+    seeds: impl Fn(&P) -> Vec<u64>,
+    label: impl Fn(&P) -> String + Sync,
+    run: impl Fn(&P, u64) -> T + Sync,
+) -> Vec<Vec<T::Booked>>
+where
+    P: Sync,
+    T: Absorb + Send,
+{
+    let cells: Vec<(usize, u64)> = points
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| seeds(p).into_iter().map(move |seed| (i, seed)))
+        .collect();
+    let sw = sweep(
+        figure,
+        &cells,
+        |&(i, seed)| (label(&points[i]), seed),
+        |&(i, seed)| run(&points[i], seed),
+    );
+    meta.note_failures(&sw.failures);
+    let mut groups: Vec<Vec<T::Booked>> = points.iter().map(|_| Vec::new()).collect();
+    for (&(i, _), out) in cells.iter().zip(sw.cells) {
+        if let Some(out) = out {
+            groups[i].push(out.book(meta));
+        }
+    }
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,11 +239,11 @@ mod tests {
         let cells: Vec<u64> = (0..37).collect();
         let run = |jobs| {
             with_jobs(jobs, || {
-                sweep("t", &cells, |&c| (format!("c{c}"), c), |&c| c * 3).into_ok()
+                sweep("t", &cells, |&c| (format!("c{c}"), c), |&c| c * 3).cells
             })
         };
         let seq = run(1);
-        assert_eq!(seq, cells.iter().map(|c| c * 3).collect::<Vec<_>>());
+        assert_eq!(seq, cells.iter().map(|c| Some(c * 3)).collect::<Vec<_>>());
         for jobs in [2, 3, 8] {
             assert_eq!(run(jobs), seq, "jobs={jobs} must reassemble canonically");
         }
@@ -229,6 +277,47 @@ mod tests {
         // The process-wide registry saw it too.
         let drained = take_failures();
         assert!(drained.iter().any(|f| f.figure == "boom" && f.seed == 4));
+    }
+
+    #[test]
+    fn grouped_sweep_books_completed_cells_in_point_order() {
+        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Points of 0, 1 and 3 seeds; seed 21 panics.
+        let points = [("none", vec![]), ("one", vec![10u64]), ("three", vec![20, 21, 22])];
+        let run = |jobs| {
+            with_jobs(jobs, || {
+                let mut meta = RunMeta::default();
+                let groups = sweep_points(
+                    "grouped",
+                    &mut meta,
+                    &points,
+                    |p| p.1.clone(),
+                    |p| p.0.to_string(),
+                    |_, seed| {
+                        if seed == 21 {
+                            panic!("seed {seed} exploded");
+                        }
+                        (seed * 2, tchain_obs::MetricMap::from([("cells".to_string(), 1)]))
+                    },
+                );
+                (groups, meta)
+            })
+        };
+        let (groups, meta) = run(1);
+        assert_eq!(groups, vec![vec![], vec![20], vec![40, 44]], "point order, no panicked cell");
+        assert_eq!(meta.failed_cells.len(), 1);
+        assert_eq!(meta.failed_cells[0].scenario, "three");
+        assert_eq!(meta.failed_cells[0].seed, 21);
+        assert_eq!(meta.runs, 3, "a panicked cell books no run");
+        assert_eq!(meta.metrics["cells"], 3);
+        for jobs in [2, 3] {
+            let (alt, alt_meta) = run(jobs);
+            assert_eq!(alt, groups, "jobs={jobs}");
+            assert_eq!(alt_meta.failed_cells, meta.failed_cells, "jobs={jobs}");
+            assert_eq!(alt_meta.runs, meta.runs, "jobs={jobs}");
+            assert_eq!(alt_meta.metrics, meta.metrics, "jobs={jobs}");
+        }
+        take_failures();
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! CPU-hours; the default **quick** profile shrinks sizes ~4–10× while
 //! preserving every shape the figures argue about (who wins, by what
 //! factor, where crossovers sit). Select with the `TCHAIN_SCALE`
-//! environment variable: `quick` (default) or `paper`. EXPERIMENTS.md
+//! environment variable: `quick` (the default, also when empty) or
+//! `paper`, in any ASCII case; any other value is refused. EXPERIMENTS.md
 //! records which profile produced each number.
 
 /// Experiment scaling profile.
@@ -17,12 +18,22 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `TCHAIN_SCALE` (`quick`/`paper`); defaults to quick.
-    pub fn from_env() -> Self {
-        match std::env::var("TCHAIN_SCALE").unwrap_or_default().to_lowercase().as_str() {
-            "paper" => Scale::Paper,
-            _ => Scale::Quick,
+    /// Parses a `TCHAIN_SCALE` value: empty is quick, `quick` and `paper`
+    /// in any ASCII case name theirs, and anything else is `None`.
+    pub fn parse(value: &str) -> Option<Self> {
+        match value.to_ascii_lowercase().as_str() {
+            "" | "quick" => Some(Scale::Quick),
+            "paper" => Some(Scale::Paper),
+            _ => None,
         }
+    }
+
+    /// Reads `TCHAIN_SCALE` (unset is quick); `Err` names a value that is
+    /// no scale.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("TCHAIN_SCALE").unwrap_or_default();
+        let scale = value.to_str().and_then(Scale::parse);
+        scale.ok_or_else(|| format!("unknown TCHAIN_SCALE {value:?}, expected quick or paper"))
     }
 
     /// Profile name for result files.
@@ -132,10 +143,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_quick() {
-        // (Environment is not set in tests.)
-        if std::env::var("TCHAIN_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Quick);
+    fn empty_is_quick_and_names_match_in_any_case() {
+        for (value, scale) in [
+            ("", Scale::Quick),
+            ("quick", Scale::Quick),
+            ("QUICK", Scale::Quick),
+            ("paper", Scale::Paper),
+            ("Paper", Scale::Paper),
+        ] {
+            assert_eq!(Scale::parse(value), Some(scale), "{value:?}");
+        }
+    }
+
+    #[test]
+    fn anything_else_is_no_scale() {
+        for value in ["papr", "papers", " paper", "quick ", "full", "1", "pàper"] {
+            assert_eq!(Scale::parse(value), None, "{value:?}");
         }
     }
 

@@ -30,20 +30,23 @@ fn usage() -> String {
 
 USAGE:
     tchain run [OPTIONS]                     simulate one swarm
-    tchain <experiment> [--jobs N]           regenerate its results/ documents
-    tchain <seeded experiment> [--seed S] [--jobs N]
-    tchain net_explore [--seed S] [--budget N] [--jobs N]
+    tchain <fluid experiment> [--jobs N]     regenerate its results/ documents
+    tchain net_swarm
+    tchain <seeded experiment> [--seed S]
+    tchain net_explore [--seed S] [--budget N]
     tchain trace check <file.jsonl>
     tchain net_telemetry check <merged.jsonl> <exposition.prom>
 
-Experiments: fig03 … fig13, table2, ablations, streaming, overhead, analysis,
-loss_sweep, trace, all (those, in that order) and net_swarm. Seeded ones:
-net_attacks, net_chaos, net_scale, net_telemetry, net_explore. A seeded run
-that is unsafe, or `all` with a panicked cell, exits 1.
+Fluid experiments: fig03 … fig13, table2, ablations, streaming, overhead,
+analysis, loss_sweep, trace, all (those, in that order). Net experiments:
+net_swarm and the seeded ones, net_attacks, net_chaos, net_scale,
+net_telemetry, net_explore. A seeded run that is unsafe, or `all` with a
+panicked cell, exits 1.
 
-TCHAIN_SCALE=quick|paper sets the scale (default: quick); --jobs N the worker
-count (default: available parallelism; the documents do not depend on it).
-Seeds are decimal or 0x-prefixed hex.
+TCHAIN_SCALE=quick|paper sets the scale (unset or empty: quick; any other
+value exits 2). --jobs N sets a fluid experiment's worker count (default:
+available parallelism; the documents do not depend on it). Seeds are
+decimal or 0x-prefixed hex.
 
 RUN OPTIONS:
     --protocol <p>      {protocols}
@@ -69,7 +72,9 @@ fn protocol_list() -> String {
 type Entry = fn(Scale, u64, Option<u32>) -> bool;
 
 /// Every experiment command, with its canonical seed when it takes
-/// `--seed`. `all` runs the ones listed before it, in order.
+/// `--seed`. `all` runs the ones listed before it, in order; those and
+/// `all` are the fluid experiments, which sweep cells on the runner's
+/// pool and so take `--jobs` ([`sweeps`]).
 const EXPERIMENTS: [(&str, Option<u64>, Entry); 25] = [
     ("fig03", None, |s, _, _| done(f::fig03::run(s))),
     ("fig04", None, |s, _, _| done(f::fig04::run(s))),
@@ -101,6 +106,12 @@ const EXPERIMENTS: [(&str, Option<u64>, Entry); 25] = [
         f::net_explore::run(s, seed, b).all_safe
     }),
 ];
+
+/// Whether `name` is `all` or an experiment listed before it: the
+/// commands whose cells run on the runner's pool.
+fn sweeps(name: &str) -> bool {
+    name == "all" || EXPERIMENTS.iter().take_while(|e| e.0 != "all").any(|e| e.0 == name)
+}
 
 /// The verdict of an experiment that has none to give.
 fn done<T>(_: T) -> bool {
@@ -164,7 +175,7 @@ fn parse_experiment(name: &str, rest: &[&str]) -> Result<Cmd, String> {
     let mut it = rest.iter();
     while let Some(&flag) = it.next() {
         let takes = match flag {
-            "--jobs" => true,
+            "--jobs" => sweeps(name),
             "--seed" => seed.is_some(),
             "--budget" => name == "net_explore",
             _ => false,
@@ -268,19 +279,28 @@ fn main() {
     exit(code)
 }
 
-/// Runs one experiment and returns the exit code: 1 when it was unsafe
-/// (for `all`: a cell panicked), else 0. With the `tchain_canary` cfg,
-/// `net_explore` is the mutation drill and its `all_safe` means the
-/// seeded bug was found and shrunk.
+/// Runs one experiment and returns the exit code: 2 when `TCHAIN_SCALE`
+/// names no scale (nothing runs), 1 when it was unsafe (for `all`: a
+/// cell panicked), else 0. With the `tchain_canary` cfg, `net_explore`
+/// is the mutation drill and its `all_safe` means the seeded bug was
+/// found and shrunk.
 fn experiment(name: &str, jobs: Option<usize>, seed: Option<u64>, budget: Option<u32>) -> i32 {
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("tchain: {e}\n\n{}", usage());
+            return 2;
+        }
+    };
     if let Some(n) = jobs {
         set_jobs(n);
     }
-    let scale = Scale::from_env();
     let canary = name == "net_explore" && tchain::net::canary_armed();
+    let jobs_note = sweeps(name).then(|| format!(" | jobs: {}", effective_jobs()));
+    let jobs_note = jobs_note.unwrap_or_default();
     let seed_note = seed.map(|s| format!(" | seed: {s:#x}")).unwrap_or_default();
     let drill = if canary { " | CANARY DRILL" } else { "" };
-    println!("[{name} | scale: {} | jobs: {}{seed_note}{drill}]", scale.name(), effective_jobs());
+    println!("[{name} | scale: {}{jobs_note}{seed_note}{drill}]", scale.name());
     let seed = seed.unwrap_or_default();
     let mut entry = EXPERIMENTS.iter().filter(|&&(n, _, _)| n == name);
     if !entry.all(|&(_, _, run)| run(scale, seed, budget)) {
@@ -419,13 +439,8 @@ mod tests {
         assert_eq!(seed_of(&["run"]), Some(42));
         assert_eq!(seed_of(&["run", "--seed", "0x2A"]), Some(42), "run takes hex seeds too");
         assert_eq!(
-            parse_strs(&["net_explore", "--jobs", "2", "--budget", "0x9", "--seed", "7"]),
-            Ok(Cmd::Experiment {
-                name: "net_explore",
-                jobs: Some(2),
-                seed: Some(7),
-                budget: Some(9)
-            })
+            parse_strs(&["net_explore", "--budget", "0x9", "--seed", "7"]),
+            Ok(Cmd::Experiment { name: "net_explore", jobs: None, seed: Some(7), budget: Some(9) })
         );
     }
 
@@ -459,6 +474,8 @@ mod tests {
             &["fig03", "--jobs", "0"],
             &["fig03", "--jobs=2"],
             &["fig03", "--jobs"],
+            &["net_scale", "--jobs", "2"],
+            &["net_swarm", "--jobs", "1"],
             &["net_chaos", "--seed"],
             &["net_explore", "--budget", "0x100000000"],
             &["fig03", "extra"],
@@ -480,10 +497,20 @@ mod tests {
 
     #[test]
     fn every_experiment_and_check_is_a_command() {
+        let mut fluid = 0;
         for (name, _, _) in EXPERIMENTS {
+            let bare = parse_strs(&[name]);
+            assert!(matches!(bare, Ok(Cmd::Experiment { jobs: None, .. })), "{name}: {bare:?}");
             let jobs = parse_strs(&[name, "--jobs", "3"]);
-            assert!(matches!(jobs, Ok(Cmd::Experiment { jobs: Some(3), .. })), "{name}: {jobs:?}");
+            if sweeps(name) {
+                fluid += 1;
+                let ok = matches!(jobs, Ok(Cmd::Experiment { jobs: Some(3), .. }));
+                assert!(ok, "{name}: {jobs:?}");
+            } else {
+                assert!(jobs.is_err(), "{name} runs no sweep, so it takes no --jobs");
+            }
         }
+        assert_eq!(fluid, 19, "fig03 … trace and all");
         assert_eq!(
             parse_strs(&["trace", "check", "t.jsonl"]),
             Ok(Cmd::Check { jsonl: "t.jsonl".into(), prom: None })

@@ -8,9 +8,10 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use tchain_experiments::figures::{net_explore, net_scale};
+use tchain_experiments::runner::cross;
 use tchain_experiments::{
-    flash_plan, results_dir, run_proto, save_with_meta, set_jobs, sweep, take_failures, Horizon,
-    Proto, RiderMode, RunMeta, RunOpts, RunOutcome, Scale,
+    flash_plan, results_dir, run_proto, save_with_meta, set_jobs, sweep, sweep_points,
+    take_failures, Horizon, Proto, RiderMode, RunMeta, RunOpts, RunOutcome, Scale,
 };
 use tchain_obs::to_jsonl;
 
@@ -29,39 +30,37 @@ fn max_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2)
 }
 
-/// A small but non-trivial job list: two protocols × three seeds, with
+/// A small but non-trivial grid: two protocols × three seeds, with
 /// free-riders and tracing on, so the cells have uneven costs and the
 /// work-stealing schedule actually varies between worker counts.
+const PROTOS: [Proto; 2] = [Proto::TChain, Proto::Baseline(tchain_baselines::Baseline::BitTorrent)];
+const SEEDS: [u64; 3] = [0xE1, 0xE2, 0xE3];
+
 fn cells() -> Vec<(Proto, u64)> {
-    let mut v = Vec::new();
-    for proto in [Proto::TChain, Proto::Baseline(tchain_baselines::Baseline::BitTorrent)] {
-        for seed in [0xE1u64, 0xE2, 0xE3] {
-            v.push((proto, seed));
-        }
-    }
-    v
+    cross(PROTOS, &SEEDS)
+}
+
+fn run_cell(proto: Proto, seed: u64) -> RunOutcome {
+    let plan = flash_plan(14, 0.25, RiderMode::Aggressive, seed);
+    run_proto(
+        proto,
+        1.0,
+        plan,
+        seed,
+        Horizon::ExtendForFreeRiders(2000.0),
+        RunOpts { trace_capacity: Some(1 << 14), profile: true, ..Default::default() },
+    )
 }
 
 fn run_cells() -> Vec<RunOutcome> {
-    let cs = cells();
     let sw = sweep(
         "runner-equivalence",
-        &cs,
+        &cells(),
         |c| (format!("{} seed={:#x}", c.0.name(), c.1), c.1),
-        |c| {
-            let plan = flash_plan(14, 0.25, RiderMode::Aggressive, c.1);
-            run_proto(
-                c.0,
-                1.0,
-                plan,
-                c.1,
-                Horizon::ExtendForFreeRiders(2000.0),
-                RunOpts { trace_capacity: Some(1 << 14), profile: true, ..Default::default() },
-            )
-        },
+        |&(proto, seed)| run_cell(proto, seed),
     );
     assert!(sw.failures.is_empty(), "equivalence cells must not panic: {:?}", sw.failures);
-    sw.into_ok()
+    sw.cells.into_iter().flatten().collect()
 }
 
 #[test]
@@ -87,9 +86,10 @@ fn outcomes_and_traces_identical_for_jobs_1_2_max() {
     take_failures();
 }
 
-/// The full persistence path: aggregate each sweep into a `RunMeta`,
-/// write the `{"meta": …, "data": …}` document, and require the file
-/// bytes to be identical for every worker count.
+/// The full persistence path the figures take: the grouped sweep books
+/// every cell into a `RunMeta`, the figure writes the `{"meta": …,
+/// "data": …}` document, and the file bytes must be identical for every
+/// worker count.
 #[test]
 fn persisted_documents_identical_for_jobs_1_2_max() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -97,15 +97,24 @@ fn persisted_documents_identical_for_jobs_1_2_max() {
     std::env::set_var("TCHAIN_RESULTS", &dir);
     let doc_for = |jobs: usize| -> String {
         with_jobs(jobs, || {
-            let outs = run_cells();
             let mut meta = RunMeta::default();
-            for o in &outs {
-                meta.absorb(o);
-            }
-            // The figure "data": per-cell mean completion + utilization.
-            let data: Vec<(f64, f64)> = outs
+            let groups = sweep_points(
+                "runner-equivalence",
+                &mut meta,
+                &PROTOS,
+                |_| SEEDS.to_vec(),
+                |proto| proto.name().to_string(),
+                |&proto, seed| run_cell(proto, seed),
+            );
+            assert_eq!(meta.runs, cells().len() as u64);
+            // The figure "data": per-point mean completions + utilizations.
+            let data: Vec<Vec<(f64, f64)>> = groups
                 .iter()
-                .map(|o| (o.mean_compliant().unwrap_or(-1.0), o.uplink_utilization))
+                .map(|outs| {
+                    outs.iter()
+                        .map(|o| (o.mean_compliant().unwrap_or(-1.0), o.uplink_utilization))
+                        .collect()
+                })
                 .collect();
             let path = save_with_meta("equiv", &format!("jobs{jobs}"), &data, &meta).unwrap();
             assert_eq!(path.parent().unwrap(), results_dir());

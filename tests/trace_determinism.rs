@@ -104,7 +104,7 @@ fn traced_sweep_is_jobs_invariant() {
         );
         set_jobs(0);
         assert!(sw.failures.is_empty(), "traced cells must not panic");
-        sw.into_ok()
+        sw.cells.into_iter().flatten().collect::<Vec<_>>()
     };
     let sequential = run_all(1);
     let parallel = run_all(2);
