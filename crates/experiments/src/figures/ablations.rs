@@ -5,8 +5,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, Proto, RiderMode};
-use tchain_attacks::FluidDriver;
+use crate::scenario::{completion, drive, flash_plan, Horizon, Proto, RiderMode};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
 use tchain_proto::FileSpec;
@@ -91,26 +90,20 @@ pub fn run(scale: Scale) -> Vec<Row> {
         |v, seed| {
             let plan = flash_plan(scale.standard_swarm() / 2, v.fr, RiderMode::Aggressive, seed);
             let mut sw = TChainSwarm::new(v.spec, v.cfg, plan, seed);
-            sw.run_until_done();
-            let ct = sw.base().completion_times(true);
-            let time =
-                (!ct.is_empty()).then(|| ct.iter().sum::<f64>() / ct.len() as f64);
-            let util = sw.base().mean_uplink_utilization();
-            let (direct, indirect) = sw.reciprocity_split();
-            ((time, util, direct, indirect), sw.metrics())
+            let out = drive(&mut sw, Horizon::CompliantDone);
+            (sw.reciprocity_split(), out)
         },
     );
     let rows: Vec<Row> = variants
         .iter()
         .zip(groups)
         .map(|(v, outs)| {
-            let times: Vec<f64> = outs.iter().filter_map(|o| o.0).collect();
-            let util: f64 = outs.iter().map(|o| o.1).sum();
-            let direct: u64 = outs.iter().map(|o| o.2).sum();
-            let indirect: u64 = outs.iter().map(|o| o.3).sum();
+            let util: f64 = outs.iter().map(|(_, o)| o.uplink_utilization).sum();
+            let direct: u64 = outs.iter().map(|((d, _), _)| d).sum();
+            let indirect: u64 = outs.iter().map(|((_, i), _)| i).sum();
             Row {
                 variant: v.label.clone(),
-                completion: Summary::of(&times),
+                completion: completion(outs.iter().map(|(_, o)| o)),
                 utilization: util / outs.len().max(1) as f64,
                 direct_fraction: direct as f64 / (direct + indirect).max(1) as f64,
             }

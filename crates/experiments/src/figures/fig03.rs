@@ -4,7 +4,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::{completion, flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
 use tchain_workloads::CapacityClasses;
 
@@ -46,12 +46,11 @@ pub fn run(scale: Scale) -> Vec<Point> {
         .iter()
         .zip(groups)
         .map(|(&(proto, n), outs)| {
-            let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
             let utils: Vec<f64> = outs.iter().map(|o| o.uplink_utilization).collect();
             Point {
                 proto: proto.name().to_string(),
                 swarm: n,
-                completion: Summary::of(&times),
+                completion: completion(&outs),
                 utilization: Summary::of(&utils),
             }
         })

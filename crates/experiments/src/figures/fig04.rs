@@ -3,7 +3,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::{completion, flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
 
 tchain_obs::json_struct! {
@@ -38,10 +38,8 @@ pub fn run(scale: Scale) -> Data {
             run_proto(Proto::TChain, mib, plan, seed, Horizon::CompliantDone, RunOpts::default())
         },
     );
-    let mut series = grid.iter().zip(groups).map(|(&(mib, n, _), outs)| {
-        let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
-        (mib, n, Summary::of(&times))
-    });
+    let mut series =
+        grid.iter().zip(groups).map(|(&(mib, n, _), outs)| (mib, n, completion(&outs)));
     let file_sweep: Vec<(f64, Summary)> =
         series.by_ref().take(files.len()).map(|(mib, _, s)| (mib, s)).collect();
     let swarm_sweep: Vec<(usize, Summary)> = series.map(|(_, n, s)| (n, s)).collect();

@@ -4,10 +4,8 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, Proto, RiderMode};
-use tchain_attacks::FluidDriver;
+use crate::scenario::{drive, flash_plan, Horizon, Proto, RiderMode};
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_obs::MetricMap;
 use tchain_sim::{kbps, NodeId};
 
 tchain_obs::json_struct! {
@@ -49,24 +47,24 @@ pub fn run(scale: Scale) -> Vec<Timeline> {
                     targets.push((id, cap));
                 }
             }
-            sw.run_until_done();
-            let mut out = Vec::new();
-            for (id, cap) in targets {
-                // A watched id with no samples (e.g. the peer never exchanged
-                // a piece) just drops out of the figure.
-                let Some(tl) = sw.telemetry().timeline(id) else {
-                    continue;
-                };
-                out.push(Timeline {
-                    capacity_kbps: cap,
-                    encrypted: tl.encrypted.downsample(24).iter().collect(),
-                    decrypted: tl.decrypted.downsample(24).iter().collect(),
-                });
-            }
-            (out, MetricMap::new())
+            let out = drive(&mut sw, Horizon::CompliantDone);
+            // A watched id with no samples (e.g. the peer never exchanged
+            // a piece) just drops out of the figure.
+            let timelines: Vec<Timeline> = targets
+                .into_iter()
+                .filter_map(|(id, cap)| {
+                    let tl = sw.telemetry().timeline(id)?;
+                    Some(Timeline {
+                        capacity_kbps: cap,
+                        encrypted: tl.encrypted.downsample(24).iter().collect(),
+                        decrypted: tl.decrypted.downsample(24).iter().collect(),
+                    })
+                })
+                .collect();
+            (timelines, out)
         },
     );
-    let out: Vec<Timeline> = groups.into_iter().flatten().flatten().collect();
+    let out: Vec<Timeline> = groups.into_iter().flatten().flat_map(|(tl, _)| tl).collect();
     for t in &out {
         let rows: Vec<Vec<String>> = t
             .encrypted

@@ -6,11 +6,12 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::{
+    completion, flash_plan, run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts, RunOutcome,
+};
 use tchain_attacks::FluidDriver;
 use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_metrics::Summary;
-use tchain_obs::MetricMap;
 use tchain_proto::Role;
 use tchain_sim::SimRng;
 
@@ -42,13 +43,9 @@ pub fn run(scale: Scale) -> Data {
         |_| vec![seed],
         |_| "BitTorrent instrumented crawl".to_string(),
         |_, seed| {
-            let mut sw = BaselineSwarm::new(
-                spec,
-                BaselineConfig::default(),
-                Baseline::BitTorrent,
-                trace_plan(n, 0.0, RiderMode::Aggressive, seed),
-                seed,
-            );
+            let plan = trace_plan(n, 0.0, RiderMode::Aggressive, seed);
+            let cfg = BaselineConfig::default();
+            let mut sw = BaselineSwarm::new(spec, cfg, Baseline::BitTorrent, plan, seed);
             let mut sampler = SimRng::new(seed ^ 0xD1FF);
             let mut piece_differences = Vec::new();
             let horizon = match scale {
@@ -87,10 +84,11 @@ pub fn run(scale: Scale) -> Data {
                 }
                 t += step;
             }
-            (piece_differences, MetricMap::new())
+            (piece_differences, RunOutcome::of(&sw, Horizon::Fixed(horizon)))
         },
     );
-    let piece_differences: Vec<(f64, f64)> = crawl.into_iter().flatten().flatten().collect();
+    let piece_differences: Vec<(f64, f64)> =
+        crawl.into_iter().flatten().flat_map(|(d, _)| d).collect();
     // (b) Pre-occupied initial pieces sweep for T-Chain.
     const FRACTIONS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 0.9];
     let runs = scale.runs().min(4);
@@ -115,10 +113,7 @@ pub fn run(scale: Scale) -> Data {
     let initial_fraction_sweep: Vec<(f64, Summary)> = FRACTIONS
         .iter()
         .zip(groups)
-        .map(|(&frac, outs)| {
-            let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
-            (frac, Summary::of(&times))
-        })
+        .map(|(&frac, outs)| (frac, completion(&outs)))
         .collect();
     let rows: Vec<Vec<String>> = piece_differences
         .iter()

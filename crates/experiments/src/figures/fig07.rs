@@ -4,7 +4,7 @@
 use crate::output::{fmt_opt, persist, print_table, RunMeta};
 use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::{completion, flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_metrics::Summary;
 
 tchain_obs::json_struct! {
@@ -55,7 +55,6 @@ pub fn run_with_mode(scale: Scale, mode: RiderMode, tag: &str, title: &str) -> V
         .iter()
         .zip(groups)
         .map(|(&(proto, n), outs)| {
-            let ct: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
             let frt: Vec<f64> = outs.iter().filter_map(|o| o.mean_free_rider()).collect();
             let finished: usize = outs.iter().map(|o| o.free_rider_times.len()).sum();
             let never: usize = outs.iter().map(|o| o.unfinished_free_riders).sum();
@@ -63,7 +62,7 @@ pub fn run_with_mode(scale: Scale, mode: RiderMode, tag: &str, title: &str) -> V
             Point {
                 proto: proto.name().to_string(),
                 swarm: n,
-                compliant: Summary::of(&ct),
+                compliant: completion(&outs),
                 free_rider: if frt.is_empty() { None } else { Some(Summary::of(&frt)) },
                 fr_finish_fraction: if total == 0 { 0.0 } else { finished as f64 / total as f64 },
             }

@@ -5,7 +5,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
-use crate::scenario::{run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::{run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts, RunOutcome};
 use tchain_metrics::Summary;
 
 tchain_obs::json_struct! {
@@ -21,13 +21,25 @@ tchain_obs::json_struct! {
     }
 }
 
-/// Runs Fig. 9.
-pub fn run(scale: Scale) -> Vec<Point> {
-    let (measure, exclude) = scale.trace_completions();
+/// The steady-state trace cell Figs. 9 and 12 share: enough arrivals that
+/// the scale's measured count of compliant leechers can finish despite
+/// the free-rider share, run until they have.
+pub(crate) fn trace_cell(scale: Scale, proto: Proto, fr_pct: u32, seed: u64) -> RunOutcome {
+    let (measure, _) = scale.trace_completions();
     let horizon = match scale {
         Scale::Quick => 20_000.0,
         Scale::Paper => 100_000.0,
     };
+    let frac = fr_pct as f64 / 100.0;
+    let arrivals = ((measure as f64 * 1.3) / (1.0 - frac).max(0.2)).ceil() as usize;
+    let plan = trace_plan(arrivals, frac, RiderMode::Aggressive, seed);
+    let horizon = Horizon::CompliantCount(measure, horizon);
+    run_proto(proto, scale.trace_file_mib(), plan, seed, horizon, RunOpts::default())
+}
+
+/// Runs Fig. 9.
+pub fn run(scale: Scale) -> Vec<Point> {
+    let (measure, exclude) = scale.trace_completions();
     let mut meta = RunMeta::default();
     const FR_PCTS: [u32; 4] = [0, 10, 25, 50];
     let runs = scale.runs().min(3);
@@ -38,21 +50,7 @@ pub fn run(scale: Scale) -> Vec<Point> {
         &grid,
         |&(_, fr_pct)| (0..runs).map(|r| (fr_pct as u64) << 8 | r as u64 | 0x90).collect(),
         |&(proto, fr_pct)| format!("{} {fr_pct}% FR trace", proto.name()),
-        |&(proto, fr_pct), seed| {
-            let frac = fr_pct as f64 / 100.0;
-            // Enough arrivals that `measure` compliant leechers can finish
-            // despite the free-rider share.
-            let arrivals = ((measure as f64 * 1.3) / (1.0 - frac).max(0.2)).ceil() as usize;
-            let plan = trace_plan(arrivals, frac, RiderMode::Aggressive, seed);
-            run_proto(
-                proto,
-                scale.trace_file_mib(),
-                plan,
-                seed,
-                Horizon::CompliantCount(measure, horizon),
-                RunOpts::default(),
-            )
-        },
+        |&(proto, fr_pct), seed| trace_cell(scale, proto, fr_pct, seed),
     );
     let points: Vec<Point> = grid
         .iter()

@@ -4,8 +4,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
-use tchain_attacks::FluidDriver;
+use crate::scenario::{drive, flash_plan, trace_plan, Horizon, Proto, RiderMode};
 use tchain_core::{TChainConfig, TChainSwarm};
 
 tchain_obs::json_struct! {
@@ -45,21 +44,17 @@ pub fn run(scale: Scale) -> Vec<Census> {
                     trace_plan(scale.standard_swarm() * 2, 0.0, RiderMode::Aggressive, seed)
                 }
             };
-            let mut sw =
-                TChainSwarm::new(spec, TChainConfig::default(), plan, seed);
-            match stop {
-                None => sw.run_until_done(),
-                Some(t) => sw.run_to(t),
-            }
+            let mut sw = TChainSwarm::new(spec, TChainConfig::default(), plan, seed);
+            let out = drive(&mut sw, stop.map_or(Horizon::CompliantDone, Horizon::Fixed));
             let census = Census {
                 scenario: label.into(),
                 chains: sw.chain_series().downsample(24).iter().collect(),
                 leechers: sw.leecher_series().downsample(24).iter().collect(),
             };
-            (census, sw.metrics())
+            (census, out)
         },
     );
-    let out: Vec<Census> = groups.into_iter().flatten().collect();
+    let out: Vec<Census> = groups.into_iter().flatten().map(|(census, _)| census).collect();
     for c in &out {
         let rows: Vec<Vec<String>> = c
             .chains

@@ -5,7 +5,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, trace_plan, Proto, RiderMode};
+use crate::scenario::{drive, flash_plan, trace_plan, Horizon, Proto, RiderMode, RunOutcome};
 use tchain_attacks::FluidDriver;
 use tchain_core::{TChainConfig, TChainSwarm};
 
@@ -34,12 +34,8 @@ pub fn run(scale: Scale) -> Data {
         |_| vec![seed],
         |_| "chains by origin (flash crowd)".to_string(),
         |_, seed| {
-            let mut sw = TChainSwarm::new(
-                spec,
-                TChainConfig::default(),
-                flash_plan(scale.standard_swarm(), 0.0, RiderMode::Aggressive, seed),
-                seed,
-            );
+            let plan = flash_plan(scale.standard_swarm(), 0.0, RiderMode::Aggressive, seed);
+            let mut sw = TChainSwarm::new(spec, TChainConfig::default(), plan, seed);
             let mut cumulative = Vec::new();
             let mut next_sample = 0.0;
             loop {
@@ -50,17 +46,15 @@ pub fn run(scale: Scale) -> Data {
                     cumulative.push((now, s.created_by_seeder, s.created_by_leechers));
                     next_sample += 25.0;
                 }
-                let done = sw.base().peers.iter().all(|p| {
-                    p.role != tchain_proto::Role::Leecher || p.done_time.is_some() || !p.alive()
-                });
-                if (done && now > 20.0) || now > 20_000.0 {
+                if sw.roster().settled(sw.base()) {
                     break;
                 }
             }
-            (cumulative, sw.metrics())
+            (cumulative, RunOutcome::of(&sw, Horizon::CompliantDone))
         },
     );
-    let cumulative: Vec<(f64, u64, u64)> = stepping.into_iter().flatten().flatten().collect();
+    let cumulative: Vec<(f64, u64, u64)> =
+        stepping.into_iter().flatten().flat_map(|(c, _)| c).collect();
     // (b) trace with free-rider sweep.
     let groups = sweep_points(
         "fig11",
@@ -70,21 +64,18 @@ pub fn run(scale: Scale) -> Data {
         |&fr_pct| format!("opportunistic {fr_pct}% FR trace"),
         |&fr_pct, seed| {
             let n = scale.standard_swarm();
-            let mut sw = TChainSwarm::new(
-                spec,
-                TChainConfig::default(),
-                trace_plan(n, fr_pct as f64 / 100.0, RiderMode::Aggressive, seed),
-                seed,
-            );
+            let plan = trace_plan(n, fr_pct as f64 / 100.0, RiderMode::Aggressive, seed);
+            let mut sw = TChainSwarm::new(spec, TChainConfig::default(), plan, seed);
             let horizon = match scale {
                 Scale::Quick => 2_000.0,
                 Scale::Paper => 8_000.0,
             };
-            sw.run_to(horizon);
-            ((fr_pct, sw.chain_stats().opportunistic_fraction()), sw.metrics())
+            let out = drive(&mut sw, Horizon::Fixed(horizon));
+            ((fr_pct, sw.chain_stats().opportunistic_fraction()), out)
         },
     );
-    let opportunistic_by_fr: Vec<(u32, f64)> = groups.into_iter().flatten().collect();
+    let opportunistic_by_fr: Vec<(u32, f64)> =
+        groups.into_iter().flatten().map(|(point, _)| point).collect();
     let rows: Vec<Vec<String>> = cumulative
         .iter()
         .step_by((cumulative.len() / 20).max(1))

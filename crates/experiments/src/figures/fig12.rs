@@ -1,9 +1,10 @@
 //! Fig. 12: fairness-factor CDFs without and with 25 % free-riders.
 
+use crate::figures::fig09::trace_cell;
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
-use crate::scenario::{run_proto, trace_plan, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::Proto;
 use tchain_metrics::Cdf;
 
 tchain_obs::json_struct! {
@@ -24,12 +25,7 @@ tchain_obs::json_struct! {
 
 /// Runs Fig. 12.
 pub fn run(scale: Scale) -> Vec<Curve> {
-    let (measure, _) = scale.trace_completions();
     let pop = scale.fairness_population();
-    let horizon = match scale {
-        Scale::Quick => 20_000.0,
-        Scale::Paper => 100_000.0,
-    };
     let mut meta = RunMeta::default();
     const FR_PCTS: [u32; 2] = [0, 25];
     let runs = scale.runs().min(3);
@@ -40,19 +36,7 @@ pub fn run(scale: Scale) -> Vec<Curve> {
         &grid,
         |&(fr_pct, _)| (0..runs).map(|r| (fr_pct as u64) << 8 | r as u64 | 0xC0).collect(),
         |&(fr_pct, proto)| format!("{} fairness {fr_pct}% FR", proto.name()),
-        |&(fr_pct, proto), seed| {
-            let frac = fr_pct as f64 / 100.0;
-            let arrivals = ((measure as f64 * 1.3) / (1.0 - frac).max(0.2)).ceil() as usize;
-            let plan = trace_plan(arrivals, frac, RiderMode::Aggressive, seed);
-            run_proto(
-                proto,
-                scale.trace_file_mib(),
-                plan,
-                seed,
-                Horizon::CompliantCount(measure, horizon),
-                RunOpts::default(),
-            )
-        },
+        |&(fr_pct, proto), seed| trace_cell(scale, proto, fr_pct, seed),
     );
     let curves: Vec<Curve> = grid
         .iter()

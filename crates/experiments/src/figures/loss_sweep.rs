@@ -12,7 +12,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
+use crate::scenario::{completion, flash_plan, run_proto, Horizon, Proto, RiderMode, RunOpts};
 use tchain_baselines::Baseline;
 use tchain_metrics::{RecoveryCounters, Summary};
 use tchain_sim::FaultPlan;
@@ -27,8 +27,6 @@ tchain_obs::json_struct! {
         pub loss_pct: u32,
         /// Mean ± CI compliant completion time.
         pub completion: Summary,
-        /// Compliant leechers that never finished (summed over runs).
-        pub unfinished: usize,
         /// Recovery counters merged over runs.
         pub recovery: RecoveryCounters,
     }
@@ -72,7 +70,6 @@ pub fn run(scale: Scale) -> Vec<Point> {
         .iter()
         .zip(groups)
         .map(|(&(proto, loss, _), outs)| {
-            let times: Vec<f64> = outs.iter().filter_map(|o| o.mean_compliant()).collect();
             let mut recovery = RecoveryCounters::default();
             for out in &outs {
                 recovery.merge(&out.recovery);
@@ -80,8 +77,7 @@ pub fn run(scale: Scale) -> Vec<Point> {
             Point {
                 proto: proto.name().to_string(),
                 loss_pct: (loss * 100.0).round() as u32,
-                completion: Summary::of(&times),
-                unfinished: outs.iter().map(|o| o.unfinished_compliant).sum(),
+                completion: completion(&outs),
                 recovery,
             }
         })
@@ -93,7 +89,6 @@ pub fn run(scale: Scale) -> Vec<Point> {
                 p.proto.clone(),
                 format!("{}%", p.loss_pct),
                 format!("{}", p.completion),
-                p.unfinished.to_string(),
                 p.recovery.ctrl_dropped.to_string(),
                 p.recovery.retransmissions.to_string(),
                 p.recovery.keys_escrowed.to_string(),
@@ -103,7 +98,7 @@ pub fn run(scale: Scale) -> Vec<Point> {
         .collect();
     print_table(
         "Loss sweep: completion-time degradation vs control-plane loss rate",
-        &["protocol", "loss", "completion (s)", "DNF", "dropped", "retx", "escrows", "watchdog"],
+        &["protocol", "loss", "completion (s)", "dropped", "retx", "escrows", "watchdog"],
         &rows,
     );
     persist("loss_sweep", scale.name(), &points, &meta);

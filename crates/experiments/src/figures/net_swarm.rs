@@ -20,6 +20,7 @@
 
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
+use crate::scenario::{drive, Horizon};
 use tchain_attacks::{FluidDriver, PeerPlan};
 use tchain_core::{TChainConfig, TChainSwarm};
 use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig};
@@ -139,7 +140,7 @@ fn net_point(name: &str, cfg: SwarmConfig, meta: &mut RunMeta) -> NetPoint {
 /// Fluid-simulator leg of a sim-vs-net cross-check (here and in
 /// `net_attacks`): a flash crowd with the same compliant/free-rider split
 /// and piece count, driven to compliant completion. Returns (compliant
-/// rate, free-riders done, mean chain length over ended chains).
+/// rate, free-rider identities done, mean chain length over ended chains).
 pub(crate) fn fluid_leg(
     compliant: usize,
     free_riders: usize,
@@ -154,8 +155,8 @@ pub(crate) fn fluid_leg(
         plan.push(PeerPlan::free_rider(0.5 + i as f64 * 0.05, kbps(800.0)));
     }
     let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, seed);
-    sw.run_until_done();
-    let rate = sw.base().completion_times(true).len() as f64 / compliant as f64;
+    let out = drive(&mut sw, Horizon::CompliantDone);
+    let rate = out.compliant_times.len() as f64 / compliant as f64;
     let fr_done =
         sw.base().peers.iter().filter(|p| !p.compliant && p.done_time.is_some()).count();
     (rate, fr_done, sw.chain_stats().mean_length())

@@ -11,7 +11,7 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::sweep_points;
 use crate::scale::Scale;
-use crate::scenario::{flash_plan, Proto, RiderMode};
+use crate::scenario::{drive, flash_plan, Horizon, Proto, RiderMode};
 use tchain_attacks::FluidDriver;
 use tchain_core::{PieceSelection, TChainConfig, TChainSwarm};
 use tchain_metrics::Summary;
@@ -119,8 +119,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
             for &v in &viewers {
                 sw.telemetry_mut().watch(v);
             }
-            sw.run_until_done();
-            let completion: Vec<f64> = sw.base().completion_times(true);
+            let out = drive(&mut sw, Horizon::CompliantDone);
             let mut playbacks = Vec::new();
             for &v in &viewers {
                 let Some(tl) = sw.telemetry().timeline(v) else { continue };
@@ -131,7 +130,7 @@ pub fn run(scale: Scale) -> Vec<Row> {
                     playbacks.push(pb);
                 }
             }
-            ((playbacks, completion), sw.metrics())
+            (playbacks, out)
         },
     );
     let rows: Vec<Row> = policies
@@ -142,7 +141,8 @@ pub fn run(scale: Scale) -> Vec<Row> {
             let startup: Vec<f64> = playbacks.iter().map(|pb| pb.startup_delay).collect();
             let rebuf: Vec<f64> = playbacks.iter().map(|pb| pb.rebuffer_events as f64).collect();
             let stalled: Vec<f64> = playbacks.iter().map(|pb| pb.rebuffer_time).collect();
-            let completion: Vec<f64> = outs.iter().flat_map(|(_, ct)| ct).copied().collect();
+            let completion: Vec<f64> =
+                outs.iter().flat_map(|(_, o)| &o.compliant_times).copied().collect();
             Row {
                 policy: label.to_string(),
                 startup: Summary::of(&startup),

@@ -12,7 +12,9 @@
 use crate::output::{persist, print_table, RunMeta};
 use crate::runner::{cross, sweep_points};
 use crate::scale::Scale;
-use crate::scenario::{build_swarm, flash_plan, Proto, RiderMode, RunOpts};
+use crate::scenario::{
+    build_swarm, drive, flash_plan, Horizon, Proto, RiderMode, RunOpts, RunOutcome,
+};
 use tchain_attacks::{FreeRiderConfig, GroupId, PeerPlan, Strategy};
 use tchain_baselines::dandelion::CreditServer;
 use tchain_baselines::eigentrust::{Actor, EigenTrustModel};
@@ -53,14 +55,14 @@ fn mark(ratio: f64) -> Cell {
 }
 
 /// Runs one mini-swarm and returns the free-riders' progress ratio —
-/// (FR pieces/time) / (compliant pieces/time) — plus the run's metric
-/// snapshot for the caller's [`RunMeta`].
+/// (FR pieces/time) / (compliant pieces/time) — plus the run's outcome
+/// for the caller's [`RunMeta`].
 pub fn progress_ratio(
     proto: Proto,
     fr: FreeRiderConfig,
     colluding: bool,
     seed: u64,
-) -> (f64, tchain_obs::MetricMap) {
+) -> (f64, RunOutcome) {
     let n = 36;
     let mut plan = flash_plan(n, 0.0, RiderMode::Aggressive, seed);
     for i in 0..8usize {
@@ -74,11 +76,10 @@ pub fn progress_ratio(
     let spec = proto.file_spec(2.0);
     let horizon = 900.0;
     let mut sw = build_swarm(proto, spec, RunOpts::default(), plan, seed);
-    sw.run_to(horizon);
+    let out = drive(&mut *sw, Horizon::Fixed(horizon));
     let (fr_rate, compliant_rate) = rates(sw.base(), horizon);
-    let metrics = sw.metrics();
     let ratio = if compliant_rate <= 0.0 { 0.0 } else { fr_rate / compliant_rate };
-    (ratio, metrics)
+    (ratio, out)
 }
 
 fn rates(base: &tchain_proto::SwarmBase, horizon: f64) -> (f64, f64) {
@@ -161,7 +162,8 @@ pub fn run(scale: Scale) -> Vec<Row> {
     );
     // A panicked mini-swarm scores as NaN (rendered bare, like the
     // structural rows) rather than sinking the whole table.
-    let ratios: Vec<f64> = groups.iter().map(|g| g.first().copied().unwrap_or(f64::NAN)).collect();
+    let ratios: Vec<f64> =
+        groups.iter().map(|g| g.first().map_or(f64::NAN, |(ratio, _)| *ratio)).collect();
     let mut rows = Vec::new();
     for ((name, _, _), measured) in attack_rows.iter().zip(ratios.chunks(protos.len())) {
         let mut cells: Vec<Cell> = measured.iter().copied().map(mark).collect();

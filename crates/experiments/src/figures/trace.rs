@@ -87,7 +87,7 @@ pub fn run(scale: Scale) -> RunOutcome {
     let data = Data {
         swarm: n as u64,
         events_recorded: out.trace_records.len() as u64,
-        peak_event_depth: out.peak_event_depth as u64,
+        peak_event_depth: out.metrics.get("trace.peak_depth").copied().unwrap_or(0),
         sim_time: out.sim_time,
     };
     persist("trace", scale.name(), &data, &meta);

@@ -8,8 +8,8 @@
 //!
 //! A fluid figure states its grid once, as a point list with each
 //! point's seeds, and [`sweep_points`] runs it: it owns the cell order,
-//! books every completed cell into the figure's [`RunMeta`] ([`Absorb`])
-//! and hands back each point's outputs (see [`runner`]).
+//! books every completed cell the verdict passes ([`Absorb`],
+//! [`RunOutcome::verdict`]) and hands back each point's outputs.
 //!
 //! ```no_run
 //! use tchain_experiments::{figures, Scale};

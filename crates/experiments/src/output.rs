@@ -23,9 +23,8 @@ tchain_obs::json_struct! {
     pub struct RunMeta {
         /// Simulator runs absorbed into this record.
         pub runs: u64,
-        /// Largest event-ring high-water mark seen (0 with tracing off).
-        pub peak_event_depth: u64,
-        /// Cells that panicked and were skipped by the runner.
+        /// Cells that panicked, or that the verdict failed, in submission
+        /// order; none of them is booked or averaged.
         pub failed_cells: Vec<FailedCell>,
         /// Named metrics from the stats registry, summed across runs.
         pub metrics: MetricMap,
@@ -46,12 +45,6 @@ impl RunMeta {
             *slot = slot.saturating_add(v);
         }
     }
-
-    /// Records a sweep's panicked cells into the batch (they are part of
-    /// the persisted run summary, not a reason to abort the figure).
-    pub(crate) fn note_failures(&mut self, failures: &[FailedCell]) {
-        self.failed_cells.extend_from_slice(failures);
-    }
 }
 
 /// A completed cell's output, as [`crate::runner::sweep_points`] books
@@ -59,29 +52,41 @@ impl RunMeta {
 pub trait Absorb {
     /// What the figure keeps once the cell is booked.
     type Booked;
-    /// Books one run into `meta` and hands back what the figure keeps.
-    fn book(self, meta: &mut RunMeta) -> Self::Booked;
+    /// Books one run into `meta` and hands back what the figure keeps, or
+    /// leaves `meta` alone and returns why the cell failed
+    /// ([`RunOutcome::verdict`]).
+    fn book(self, meta: &mut RunMeta) -> Result<Self::Booked, String>;
 }
 
-/// A [`crate::run_proto`] run: its run, event-ring peak and metrics.
+/// A swarm's outcome: its run and metrics, if the verdict passes it.
 impl Absorb for RunOutcome {
     type Booked = RunOutcome;
-    fn book(self, meta: &mut RunMeta) -> RunOutcome {
+    fn book(self, meta: &mut RunMeta) -> Result<RunOutcome, String> {
+        self.verdict()?;
         meta.runs += 1;
-        meta.peak_event_depth = meta.peak_event_depth.max(self.peak_event_depth as u64);
         meta.absorb_metrics(&self.metrics);
-        self
+        Ok(self)
     }
 }
 
-/// A directly driven swarm's value and metric snapshot (an empty map for
-/// a cell with no driver metrics): its run and metrics.
+/// A swarm's outcome beside what the cell read from the swarm itself:
+/// booked as the outcome alone.
+impl<T> Absorb for (T, RunOutcome) {
+    type Booked = (T, RunOutcome);
+    fn book(self, meta: &mut RunMeta) -> Result<(T, RunOutcome), String> {
+        let (extras, out) = self;
+        Ok((extras, out.book(meta)?))
+    }
+}
+
+/// A cell with no swarm (analysis, overhead): its value and a metric
+/// snapshot, booked as a run and its metrics.
 impl<T> Absorb for (T, MetricMap) {
     type Booked = T;
-    fn book(self, meta: &mut RunMeta) -> T {
+    fn book(self, meta: &mut RunMeta) -> Result<T, String> {
         meta.runs += 1;
         meta.absorb_metrics(&self.1);
-        self.0
+        Ok(self.0)
     }
 }
 
@@ -190,25 +195,36 @@ mod tests {
     #[test]
     fn run_meta_absorbs_runs() {
         let mut meta = RunMeta::default();
-        let mut out = RunOutcome { peak_event_depth: 7, ..Default::default() };
+        let mut out = RunOutcome::default();
         out.metrics.insert("txns.completed".into(), 3);
-        let mut out = out.book(&mut meta);
-        out.peak_event_depth = 4;
-        let metrics = out.book(&mut meta).metrics;
+        let out = out.book(&mut meta).unwrap();
+        let (extras, out) = ("extras", out).book(&mut meta).unwrap();
+        assert_eq!(extras, "extras");
         assert_eq!(meta.runs, 2);
-        assert_eq!(meta.peak_event_depth, 7, "peak takes the max");
         assert_eq!(meta.metrics["txns.completed"], 6, "metrics sum");
-        assert_eq!(("value", metrics).book(&mut meta), "value");
+        assert_eq!(("value", out.metrics).book(&mut meta), Ok("value"));
         assert_eq!(meta.metrics["txns.completed"], 9);
-        ((), MetricMap::new()).book(&mut meta);
+        ((), MetricMap::new()).book(&mut meta).unwrap();
         assert_eq!(meta.metrics["txns.completed"], 9, "an empty map books a run only");
         meta.note_run();
         assert_eq!(meta.runs, 5);
     }
 
     #[test]
+    fn a_stranded_outcome_books_nothing() {
+        let mut meta = RunMeta::default();
+        let mut out = RunOutcome { stranded: 3, unfinished_compliant: 3, ..Default::default() };
+        out.compliant_times = vec![1.0; 7];
+        out.metrics.insert("txns.completed".into(), 3);
+        let reason = ("extras", out).book(&mut meta).unwrap_err();
+        assert!(reason.starts_with("stranded: 3 of 10 compliant leechers unfinished"), "{reason}");
+        assert_eq!(meta.runs, 0);
+        assert!(meta.metrics.is_empty());
+    }
+
+    #[test]
     fn meta_envelope_has_fixed_shape() {
-        let mut meta = RunMeta { runs: 2, peak_event_depth: 5, ..Default::default() };
+        let mut meta = RunMeta { runs: 2, ..Default::default() };
         meta.metrics.insert("txns.completed".into(), 3);
         let doc = meta_document(&vec![1u64, 2], &meta);
         assert_eq!(
@@ -216,7 +232,6 @@ mod tests {
             r#"{
   "meta": {
     "runs": 2,
-    "peak_event_depth": 5,
     "failed_cells": [],
     "metrics": {
       "txns.completed": 3
@@ -232,13 +247,15 @@ mod tests {
 
     #[test]
     fn failed_cells_are_persisted() {
-        let mut meta = RunMeta::default();
-        meta.note_failures(&[crate::runner::FailedCell {
-            figure: "figXX".into(),
-            scenario: "T-Chain n=50".into(),
-            seed: 42,
-            panic: "boom".into(),
-        }]);
+        let meta = RunMeta {
+            failed_cells: vec![crate::runner::FailedCell {
+                figure: "figXX".into(),
+                scenario: "T-Chain n=50".into(),
+                seed: 42,
+                panic: "boom".into(),
+            }],
+            ..Default::default()
+        };
         let doc = meta_document(&Vec::<u64>::new(), &meta);
         assert!(doc.contains("figXX"));
         assert!(doc.contains("boom"));

@@ -25,13 +25,15 @@
 //! scenario label, seed, panic message — is kept on the returned
 //! [`Sweep`], in the figure's [`RunMeta`] (by [`sweep_points`]) and in a
 //! process-wide registry that `tchain all` drains into its end-of-run
-//! summary ([`take_failures`]). A panicked cell books no run.
+//! summary ([`take_failures`]). [`sweep_points`] records a cell the
+//! verdict fails ([`crate::RunOutcome::verdict`]) alike. Neither books a run.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::output::{Absorb, RunMeta};
+use crate::scenario::STRANDED;
 
 /// Process-wide `--jobs` override (0 = unset).
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -56,7 +58,7 @@ pub fn effective_jobs() -> usize {
 }
 
 tchain_obs::json_struct! {
-    /// One cell that panicked during a sweep.
+    /// One cell that panicked during a sweep, or that the verdict failed.
     #[derive(Debug, Clone, PartialEq)]
     pub struct FailedCell {
         /// Figure / experiment the cell belongs to.
@@ -65,8 +67,16 @@ tchain_obs::json_struct! {
         pub scenario: String,
         /// The cell's seed.
         pub seed: u64,
-        /// Panic payload, stringified.
+        /// Why it failed: the panic payload, stringified, or the verdict's
+        /// reason (`stranded: …`).
         pub panic: String,
+    }
+}
+
+impl FailedCell {
+    /// Whether the verdict failed the cell, rather than a panic.
+    pub fn stranded(&self) -> bool {
+        self.panic.starts_with(STRANDED)
     }
 }
 
@@ -181,10 +191,11 @@ pub fn cross<A: Copy, B: Copy>(outer: impl IntoIterator<Item = A>, inner: &[B]) 
 /// Runs a figure's grid: every seed of every point, through [`sweep`].
 ///
 /// Cells are submitted point by point, each point's seeds in order;
-/// `label` names a point's cells in failure records. The panicked cells
-/// go into `meta.failed_cells`, every completed one is booked into
-/// `meta` in submission order, and the result holds one group per point,
-/// in point order, of its completed cells' booked outputs.
+/// `label` names a point's cells in failure records. Every completed cell
+/// is booked into `meta` in submission order. The panicked cells and the
+/// ones [`Absorb::book`] refuses go into `meta.failed_cells`, also in
+/// submission order, and the result holds one group per point, in point
+/// order, of the booked cells' outputs.
 pub fn sweep_points<P, T>(
     figure: &str,
     meta: &mut RunMeta,
@@ -208,11 +219,19 @@ where
         |&(i, seed)| (label(&points[i]), seed),
         |&(i, seed)| run(&points[i], seed),
     );
-    meta.note_failures(&sw.failures);
+    let mut panics = sw.failures.into_iter();
     let mut groups: Vec<Vec<T::Booked>> = points.iter().map(|_| Vec::new()).collect();
-    for (&(i, _), out) in cells.iter().zip(sw.cells) {
-        if let Some(out) = out {
-            groups[i].push(out.book(meta));
+    for (&(i, seed), out) in cells.iter().zip(sw.cells) {
+        match out.map(|out| out.book(meta)) {
+            Some(Ok(booked)) => groups[i].push(booked),
+            Some(Err(panic)) => {
+                let scenario = label(&points[i]);
+                let cell = FailedCell { figure: figure.to_string(), scenario, seed, panic };
+                // `sweep` registered the panics; a refusal joins them here.
+                record_failures(std::slice::from_ref(&cell));
+                meta.failed_cells.push(cell);
+            }
+            None => meta.failed_cells.extend(panics.next()),
         }
     }
     groups
@@ -221,6 +240,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOutcome;
 
     /// Serializes tests that touch the process-wide override/registry.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -282,8 +302,9 @@ mod tests {
     #[test]
     fn grouped_sweep_books_completed_cells_in_point_order() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Points of 0, 1 and 3 seeds; seed 21 panics.
-        let points = [("none", vec![]), ("one", vec![10u64]), ("three", vec![20, 21, 22])];
+        // Points of 0, 1 and 4 seeds; seed 21 panics and seed 23 strands
+        // 2 of its 5 compliant leechers.
+        let points = [("none", vec![]), ("one", vec![10u64]), ("four", vec![20, 21, 22, 23])];
         let run = |jobs| {
             with_jobs(jobs, || {
                 let mut meta = RunMeta::default();
@@ -297,19 +318,38 @@ mod tests {
                         if seed == 21 {
                             panic!("seed {seed} exploded");
                         }
-                        (seed * 2, tchain_obs::MetricMap::from([("cells".to_string(), 1)]))
+                        let stranded = if seed == 23 { 2 } else { 0 };
+                        let out = RunOutcome {
+                            compliant_times: vec![1.0; 3],
+                            unfinished_compliant: stranded,
+                            stranded,
+                            sim_time: 50_000.0,
+                            metrics: tchain_obs::MetricMap::from([("cells".to_string(), 1)]),
+                            ..Default::default()
+                        };
+                        (seed * 2, out)
                     },
                 );
+                let groups: Vec<Vec<u64>> =
+                    groups.into_iter().map(|g| g.into_iter().map(|(v, _)| v).collect()).collect();
                 (groups, meta)
             })
         };
         let (groups, meta) = run(1);
-        assert_eq!(groups, vec![vec![], vec![20], vec![40, 44]], "point order, no panicked cell");
-        assert_eq!(meta.failed_cells.len(), 1);
-        assert_eq!(meta.failed_cells[0].scenario, "three");
-        assert_eq!(meta.failed_cells[0].seed, 21);
-        assert_eq!(meta.runs, 3, "a panicked cell books no run");
+        assert_eq!(groups, vec![vec![], vec![20], vec![40, 44]], "point order, no failed cell");
+        let failed: Vec<(&str, u64)> =
+            meta.failed_cells.iter().map(|f| (f.scenario.as_str(), f.seed)).collect();
+        assert_eq!(failed, [("four", 21), ("four", 23)]);
+        assert!(!meta.failed_cells[0].stranded());
+        assert!(meta.failed_cells[1].stranded());
+        assert_eq!(
+            meta.failed_cells[1].panic,
+            "stranded: 2 of 5 compliant leechers unfinished at t = 50000 s"
+        );
+        assert_eq!(meta.runs, 3, "a panicked or stranded cell books no run");
         assert_eq!(meta.metrics["cells"], 3);
+        let registered = take_failures();
+        assert_eq!(registered.iter().filter(|f| f.stranded()).count(), 1);
         for jobs in [2, 3] {
             let (alt, alt_meta) = run(jobs);
             assert_eq!(alt, groups, "jobs={jobs}");

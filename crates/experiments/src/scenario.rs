@@ -1,12 +1,13 @@
 //! Scenario builders: workloads × strategies → peer plans, plus the
-//! protocol-agnostic run wrapper the figure modules share.
+//! protocol-agnostic run wrapper, horizon loop ([`drive`]) and verdict
+//! ([`RunOutcome::verdict`]) every fluid figure cell shares.
 
 use std::time::Instant;
 
 use tchain_attacks::{FluidDriver, GroupId, PeerPlan, Strategy};
 use tchain_baselines::{Baseline, BaselineConfig, BaselineSwarm};
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_metrics::RecoveryCounters;
+use tchain_metrics::{RecoveryCounters, Summary};
 use tchain_obs::{MetricMap, PhaseProfile, TraceRecord};
 use tchain_proto::{FileSpec, Role};
 use tchain_sim::FaultPlan;
@@ -167,12 +168,13 @@ pub struct RunOutcome {
     /// Fault-layer delivery statistics and recovery tallies (all zero on
     /// a fault-free run with no departures triggering escrow).
     pub recovery: RecoveryCounters,
-    /// Host wall-clock seconds the run took. Measurement only — never
-    /// fed back into the simulation, so it varies across hosts while the
-    /// simulated results stay deterministic.
+    /// Compliant leechers a run-to-done horizon left unfinished (0 under
+    /// [`Horizon::Fixed`] and [`Horizon::CompliantCount`]).
+    pub stranded: usize,
+    /// Host wall-clock seconds [`run_proto`] took (0 elsewhere).
+    /// Measurement only — never fed back into the simulation, so it varies
+    /// across hosts while the simulated results stay deterministic.
     pub wall_clock_s: f64,
-    /// High-water mark of the event ring (0 when tracing was off).
-    pub peak_event_depth: usize,
     /// Per-phase wall-clock profile (empty unless profiling was on).
     pub phases: PhaseProfile,
     /// Unified named-metric snapshot from the driver's stats registry.
@@ -181,9 +183,10 @@ pub struct RunOutcome {
     pub trace_records: Vec<TraceRecord>,
 }
 
-/// Extra horizon to run past compliant completion so baseline free-riders
-/// can finish (their Fig. 7(b) completion times are far beyond the
-/// compliant ones).
+/// How a [`RunOutcome::verdict`] reason begins.
+pub(crate) const STRANDED: &str = "stranded: ";
+
+/// Where a fluid run stops.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Horizon {
     /// Stop when all planned compliant leechers finished.
@@ -246,14 +249,21 @@ pub fn run_proto(
     if opts.profile {
         sw.base_mut().enable_profiling();
     }
+    let mut out = drive(&mut *sw, horizon);
+    // Last, so the reading covers the collection as well.
+    out.wall_clock_s = wall_start.elapsed().as_secs_f64();
+    out
+}
+
+/// Runs a swarm to `horizon` and collects its outcome: the one horizon
+/// loop every fluid cell shares.
+pub(crate) fn drive(sw: &mut dyn FluidDriver, horizon: Horizon) -> RunOutcome {
     match horizon {
         Horizon::CompliantDone => sw.run_until_done(),
         Horizon::Fixed(t) => sw.run_to(t),
         Horizon::ExtendForFreeRiders(t) => {
             sw.run_until_done();
-            if sw.base().clock.now() < t {
-                sw.run_to(t);
-            }
+            sw.run_to(t);
         }
         Horizon::CompliantCount(k, max_t) => {
             while sw.base().clock.now() < max_t && sw.base().completion_times(true).len() < k {
@@ -262,7 +272,7 @@ pub fn run_proto(
             }
         }
     }
-    collect(&*sw, spec.piece_size, wall_start)
+    RunOutcome::of(sw, horizon)
 }
 
 /// Constructs the driver for `proto` — the one place the two swarm types
@@ -293,52 +303,61 @@ pub(crate) fn build_swarm(
     }
 }
 
-fn collect(sw: &dyn FluidDriver, piece_size: f64, wall_start: Instant) -> RunOutcome {
-    let base = sw.base();
-    let now = base.clock.now();
-    let mut compliant: Vec<(f64, f64, Option<f64>)> = Vec::new();
-    let (rider_durations, unfinished_free_riders) = sw.free_rider_results();
-    let mut unfinished_compliant = 0;
-    let mut goodput_sum = 0.0;
-    let mut goodput_n = 0usize;
-    for p in base.peers.iter() {
-        if p.role != Role::Leecher {
-            continue;
-        }
-        match (p.compliant, p.done_time) {
-            (true, Some(d)) => compliant.push((d, d - p.join_time, sw.fairness_of(p))),
-            (true, None) => unfinished_compliant += 1,
-            (false, _) => {} // free-riders handled by lineage above
-        }
-        if p.compliant {
+impl RunOutcome {
+    /// Reduces a swarm that ran to `horizon` to its outcome.
+    pub(crate) fn of(sw: &dyn FluidDriver, horizon: Horizon) -> RunOutcome {
+        let base = sw.base();
+        let now = base.clock.now();
+        let mut compliant: Vec<(f64, f64, Option<f64>)> = Vec::new();
+        let (rider_durations, unfinished_free_riders) = sw.free_rider_results();
+        let unfinished_compliant = base.unfinished(true);
+        let mut goodput_sum = 0.0;
+        let mut goodput_n = 0usize;
+        // Free-riders are summarised by lineage above.
+        for p in base.peers.iter().filter(|p| p.role == Role::Leecher && p.compliant) {
+            if let Some(d) = p.done_time {
+                compliant.push((d, d - p.join_time, sw.fairness_of(p)));
+            }
             let res = p.residence(now);
             if res > 1.0 {
-                goodput_sum += p.pieces_down as f64 * piece_size / res;
+                goodput_sum += p.pieces_down as f64 * base.file.piece_size / res;
                 goodput_n += 1;
             }
         }
+        compliant.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let stranded = match horizon {
+            Horizon::CompliantDone | Horizon::ExtendForFreeRiders(_) => unfinished_compliant,
+            Horizon::Fixed(_) | Horizon::CompliantCount(..) => 0,
+        };
+        RunOutcome {
+            compliant_times: compliant.iter().map(|c| c.1).collect(),
+            free_rider_times: rider_durations,
+            unfinished_compliant,
+            unfinished_free_riders,
+            uplink_utilization: base.mean_uplink_utilization(),
+            fairness: compliant.iter().filter_map(|c| c.2).collect(),
+            mean_goodput: if goodput_n == 0 { 0.0 } else { goodput_sum / goodput_n as f64 },
+            sim_time: now,
+            recovery: sw.recovery_counters(),
+            stranded,
+            wall_clock_s: 0.0,
+            phases: base.profiler.profile(),
+            metrics: sw.metrics(),
+            trace_records: base.trace.records(),
+        }
     }
-    compliant.sort_by(|a, b| a.0.total_cmp(&b.0));
-    RunOutcome {
-        compliant_times: compliant.iter().map(|c| c.1).collect(),
-        free_rider_times: rider_durations,
-        unfinished_compliant,
-        unfinished_free_riders,
-        uplink_utilization: base.mean_uplink_utilization(),
-        fairness: compliant.iter().filter_map(|c| c.2).collect(),
-        mean_goodput: if goodput_n == 0 { 0.0 } else { goodput_sum / goodput_n as f64 },
-        sim_time: now,
-        recovery: sw.recovery_counters(),
-        peak_event_depth: base.trace.peak_depth(),
-        phases: base.profiler.profile(),
-        metrics: sw.metrics(),
-        trace_records: base.trace.records(),
-        // Last, so the reading covers the collection above as well.
-        wall_clock_s: wall_start.elapsed().as_secs_f64(),
-    }
-}
 
-impl RunOutcome {
+    /// The one verdict on a cell: `Err` with the reason when its
+    /// run-to-done horizon left compliant leechers unfinished — a stalled
+    /// swarm, not a fast one, so no figure may average it.
+    pub fn verdict(&self) -> Result<(), String> {
+        let (n, t) = (self.compliant_times.len() + self.unfinished_compliant, self.sim_time);
+        match self.stranded {
+            0 => Ok(()),
+            k => Err(format!("{STRANDED}{k} of {n} compliant leechers unfinished at t = {t:.0} s")),
+        }
+    }
+
     /// Mean compliant download completion time, if any finished.
     pub fn mean_compliant(&self) -> Option<f64> {
         mean(&self.compliant_times)
@@ -371,6 +390,12 @@ impl RunOutcome {
             && self.recovery == other.recovery
             && sim_metrics(&self.metrics) == sim_metrics(&other.metrics)
     }
+}
+
+/// Mean ± CI over runs of each run's mean compliant completion time.
+pub(crate) fn completion<'a>(outs: impl IntoIterator<Item = &'a RunOutcome>) -> Summary {
+    let means: Vec<f64> = outs.into_iter().filter_map(RunOutcome::mean_compliant).collect();
+    Summary::of(&means)
 }
 
 fn mean(xs: &[f64]) -> Option<f64> {
@@ -437,6 +462,34 @@ mod tests {
         );
         assert!(out.compliant_times.len() <= 8);
         assert!(out.sim_time >= 300.0);
+    }
+
+    #[test]
+    fn only_a_run_to_done_horizon_can_strand() {
+        // One leecher joins within 10 s and cannot fetch 4 MiB by 12 s.
+        let plan = flash_plan(1, 0.0, RiderMode::Aggressive, 6);
+        let mut sw = build_swarm(Proto::TChain, FileSpec::tchain(4.0), RunOpts::default(), plan, 6);
+        let early = drive(&mut *sw, Horizon::Fixed(12.0));
+        assert_eq!((early.unfinished_compliant, early.stranded), (1, 0));
+        assert!(early.verdict().is_ok(), "a fixed horizon strands no one");
+        let stalled = RunOutcome::of(&*sw, Horizon::CompliantDone);
+        assert_eq!(stalled.stranded, 1);
+        let reason = stalled.verdict().unwrap_err();
+        let stem = "stranded: 1 of 1 compliant leechers unfinished at t = ";
+        assert!(reason.starts_with(stem), "{reason}");
+    }
+
+    /// ROADMAP 18: the seeder becomes unreachable and, at HEAD, 145 of the
+    /// 200 compliant leechers of this Fig. 3 cell (seed `200 << 8 | 3`)
+    /// end at the 50 000 s cap. Takes about 7 s in release.
+    #[test]
+    #[ignore = "ROADMAP 18: 145 of 200 compliant leechers strand"]
+    fn fig03_tchain_n200_seed_51203_leaves_no_compliant_leecher_behind() {
+        let seed = 200 << 8 | 3;
+        let plan = flash_plan(200, 0.0, RiderMode::Aggressive, seed);
+        let opts = RunOpts::default();
+        let out = run_proto(Proto::TChain, 8.0, plan, seed, Horizon::CompliantDone, opts);
+        assert_eq!(out.verdict(), Ok(()));
     }
 
     #[test]

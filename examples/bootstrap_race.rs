@@ -42,11 +42,10 @@ fn main() {
     let plan: Vec<PeerPlan> =
         times.into_iter().zip(caps).map(|(at, c)| PeerPlan::compliant(at, c)).collect();
     let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, 5);
-    // Track first-piece times by sampling.
+    // Track first-piece times by sampling, until every leecher has joined
+    // and finished (the `run_until_done` stop condition).
     let mut first_piece: Vec<Option<f64>> = vec![None; n + 1];
-    while sw.base().peers.iter_alive().any(|p| p.role == Role::Leecher)
-        && sw.base().clock.now() < 5_000.0
-    {
+    while !sw.roster().settled(sw.base()) {
         sw.step();
         let now = sw.base().clock.now();
         for p in sw.base().peers.iter_alive() {

@@ -41,7 +41,8 @@ Fluid experiments: fig03 … fig13, table2, ablations, streaming, overhead,
 analysis, loss_sweep, trace, all (those, in that order). Net experiments:
 net_swarm and the seeded ones, net_attacks, net_chaos, net_scale,
 net_telemetry, net_explore. A seeded run that is unsafe, or `all` with a
-panicked cell, exits 1.
+panicked cell, exits 1. `all` also lists the cells that ran to done but
+left compliant leechers unfinished; those do not change its exit status.
 
 TCHAIN_SCALE=quick|paper sets the scale (unset or empty: quick; any other
 value exits 2). --jobs N sets a fluid experiment's worker count (default:
@@ -315,21 +316,30 @@ fn experiment(name: &str, jobs: Option<usize>, seed: Option<u64>, budget: Option
 }
 
 /// Every experiment listed before `all`, in order; false when a cell
-/// panicked.
+/// panicked. Stranded cells are listed but do not fail it yet: ROADMAP
+/// item 18 brings their count to 0 and then makes them fail it too.
 fn all(scale: Scale) -> bool {
     for &(_, _, run) in EXPERIMENTS.iter().take_while(|&&(n, _, _)| n != "all") {
         run(scale, 0, None);
     }
-    let failures = take_failures();
-    if failures.is_empty() {
+    let (stranded, panicked): (Vec<_>, Vec<_>) =
+        take_failures().into_iter().partition(|f| f.stranded());
+    if stranded.is_empty() && panicked.is_empty() {
         println!("\nall experiments completed; no failed cells");
         return true;
     }
-    eprintln!("\n{} cell(s) panicked and were skipped:", failures.len());
-    for f in &failures {
-        eprintln!("  [{}] {} (seed {:#x}): {}", f.figure, f.scenario, f.seed, f.panic);
+    for (cells, what) in [
+        (&stranded, "left compliant leechers unfinished and were not averaged"),
+        (&panicked, "panicked and were skipped"),
+    ] {
+        if !cells.is_empty() {
+            eprintln!("\n{} cell(s) {what}:", cells.len());
+        }
+        for f in cells {
+            eprintln!("  [{}] {} (seed {:#x}): {}", f.figure, f.scenario, f.seed, f.panic);
+        }
     }
-    false
+    panicked.is_empty()
 }
 
 /// The file at `path`; `Err` is exit code 2.

@@ -157,7 +157,7 @@ fn fig03_flash_crowd_cell_matches_fixture() {
 #[test]
 fn table2_large_view_cell_matches_fixture() {
     let cfg = FreeRiderConfig { large_view: true, ..Default::default() };
-    let (ratio, metrics) = progress_ratio(Proto::TChain, cfg, false, TABLE2_SEED);
+    let (ratio, out) = progress_ratio(Proto::TChain, cfg, false, TABLE2_SEED);
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"feature\": \"Large-view-exploit\",");
     let _ = writeln!(s, "  \"proto\": \"T-Chain\",");
@@ -165,7 +165,7 @@ fn table2_large_view_cell_matches_fixture() {
     let _ = writeln!(s, "  \"progress_ratio\": {},", jf(ratio));
     s.push_str("  \"metrics\": {");
     let mut first = true;
-    for (k, v) in metrics.iter().filter(|(k, _)| !k.starts_with("trace.")) {
+    for (k, v) in out.metrics.iter().filter(|(k, _)| !k.starts_with("trace.")) {
         if !first {
             s.push_str(", ");
         }

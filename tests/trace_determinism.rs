@@ -44,9 +44,9 @@ fn same_seed_byte_identical_jsonl_under_faults() {
 fn tracing_off_regression_fault_free() {
     let plain = run_once(false, FaultPlan::none());
     let traced = run_once(true, FaultPlan::none());
-    assert_eq!(plain.peak_event_depth, 0);
+    assert!(!plain.metrics.contains_key("trace.peak_depth"));
     assert!(plain.trace_records.is_empty());
-    assert!(traced.peak_event_depth > 0);
+    assert!(traced.metrics["trace.peak_depth"] > 0);
     assert!(
         plain.deterministic_eq(&traced),
         "tracing perturbed the simulation:\nplain  {:?}\ntraced {:?}",
