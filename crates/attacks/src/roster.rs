@@ -248,8 +248,11 @@ pub trait FluidDriver {
         RecoveryCounters::default()
     }
 
-    /// Runs until every planned compliant leecher finished or departed,
-    /// or [`MAX_TIME`] elapses.
+    /// Runs until the roster is [settled](Roster::settled): every planned
+    /// peer has arrived, no whitewash rejoin is pending, and every
+    /// compliant leecher finished or departed; or until [`MAX_TIME`]
+    /// elapses. A whitewashing free-rider's deferred rejoins keep the run
+    /// going after the last compliant leecher is done.
     fn run_until_done(&mut self) {
         self.step();
         while !self.roster().settled(self.base()) {

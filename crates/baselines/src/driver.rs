@@ -487,9 +487,14 @@ impl BaselineSwarm {
                     let d_have = &self.base.peers.get(d).have;
                     let u_have = &self.base.peers.get(u).have;
                     let in_flight = &self.states[d.index()].in_flight;
-                    self.base.mesh.lrf_pick_where(d, d_have, u_have, &mut self.base.rng, |p| {
-                        !in_flight.has(p)
-                    })
+                    self.base.mesh.lrf_pick(
+                        d,
+                        d_have,
+                        u_have,
+                        &mut self.base.rng,
+                        u32::MAX,
+                        &[in_flight],
+                    )
                 };
                 match picked {
                     Some(p) => {

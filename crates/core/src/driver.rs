@@ -556,12 +556,13 @@ impl TChainSwarm {
                     let d_have = &self.base.peers.get(donor).have;
                     let x_have = &self.base.peers.get(x).have;
                     let expecting = &self.states[requestor.index()].expecting;
-                    self.base.mesh.lrf_pick_where(
+                    self.base.mesh.lrf_pick(
                         requestor,
                         r_have,
                         d_have,
                         &mut self.base.rng,
-                        |p| p.0 < bound && !x_have.has(p) && !expecting.has(p),
+                        bound,
+                        &[x_have, expecting],
                     )
                 };
                 if let Some(p) = piece {
@@ -593,12 +594,13 @@ impl TChainSwarm {
                 let r_have = &self.base.peers.get(requestor).have;
                 let d_have = &self.base.peers.get(donor).have;
                 let expecting = &self.states[requestor.index()].expecting;
-                self.base.mesh.lrf_pick_where(
+                self.base.mesh.lrf_pick(
                     requestor,
                     r_have,
                     d_have,
                     &mut self.base.rng,
-                    |p| p.0 < bound && !expecting.has(p),
+                    bound,
+                    &[expecting],
                 )
             };
             return piece.map(|p| (p, None));
@@ -608,9 +610,14 @@ impl TChainSwarm {
             let r_have = &self.base.peers.get(requestor).have;
             let d_have = &self.base.peers.get(donor).have;
             let expecting = &self.states[requestor.index()].expecting;
-            self.base.mesh.lrf_pick_where(requestor, r_have, d_have, &mut self.base.rng, |p| {
-                p.0 < bound && !expecting.has(p)
-            })
+            self.base.mesh.lrf_pick(
+                requestor,
+                r_have,
+                d_have,
+                &mut self.base.rng,
+                bound,
+                &[expecting],
+            )
         }?;
         let (payee, banned) = self.select_payee(donor, requestor, piece);
         if payee.is_none() && banned {
@@ -1178,9 +1185,14 @@ impl TChainSwarm {
                     let p_have = &self.base.peers.get(payee).have;
                     let r_have = &self.base.peers.get(r).have;
                     let expecting = &self.states[payee.index()].expecting;
-                    self.base.mesh.lrf_pick_where(payee, p_have, r_have, &mut self.base.rng, |p| {
-                        p.0 < bound && !expecting.has(p)
-                    })
+                    self.base.mesh.lrf_pick(
+                        payee,
+                        p_have,
+                        r_have,
+                        &mut self.base.rng,
+                        bound,
+                        &[expecting],
+                    )
                 };
                 if let Some(p2) = piece2 {
                     // §II-B1: if the payee is not a neighbor, connect first.

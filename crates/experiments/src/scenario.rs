@@ -189,7 +189,10 @@ pub(crate) const STRANDED: &str = "stranded: ";
 /// Where a fluid run stops.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Horizon {
-    /// Stop when all planned compliant leechers finished.
+    /// Stop with [`FluidDriver::run_until_done`]: once every planned
+    /// peer has arrived, no whitewash rejoin is pending and every
+    /// compliant leecher finished or departed. Whitewashing free-riders
+    /// can therefore run on well past the last compliant completion.
     CompliantDone,
     /// Run to a fixed simulated time.
     Fixed(f64),

@@ -6,7 +6,7 @@
 //! the chooser's neighbors (§II-A), breaking ties uniformly at random.
 
 use crate::peer::PeerTable;
-use crate::piece::{Bitfield, PieceId};
+use crate::piece::{BitIter, Bitfield, PieceId};
 use tchain_sim::{NodeId, SimRng};
 
 /// Symmetric neighbor relations plus per-peer piece availability counts.
@@ -60,12 +60,8 @@ impl Mesh {
         self.ensure(b);
         self.neighbors[a.index()].push(b);
         self.neighbors[b.index()].push(a);
-        for p in peers.get(b).have.iter_set() {
-            self.avail[a.index()][p.index()] += 1;
-        }
-        for p in peers.get(a).have.iter_set() {
-            self.avail[b.index()][p.index()] += 1;
-        }
+        fold(&mut self.avail[a.index()], &peers.get(b).have, |n, s| *n += s);
+        fold(&mut self.avail[b.index()], &peers.get(a).have, |n, s| *n += s);
         true
     }
 
@@ -85,12 +81,8 @@ impl Mesh {
         if let Some(p) = list.iter().position(|&x| x == a) {
             list.swap_remove(p);
         }
-        for p in peers.get(b).have.iter_set() {
-            self.avail[a.index()][p.index()] -= 1;
-        }
-        for p in peers.get(a).have.iter_set() {
-            self.avail[b.index()][p.index()] -= 1;
-        }
+        fold(&mut self.avail[a.index()], &peers.get(b).have, |n, s| *n -= s);
+        fold(&mut self.avail[b.index()], &peers.get(a).have, |n, s| *n -= s);
         true
     }
 
@@ -111,10 +103,7 @@ impl Mesh {
             if let Some(p) = list.iter().position(|&x| x == id) {
                 list.swap_remove(p);
             }
-            let avail = &mut self.avail[n.index()];
-            for p in have.iter_set() {
-                avail[p.index()] -= 1;
-            }
+            fold(&mut self.avail[n.index()], have, |n, s| *n -= s);
         }
         self.avail[id.index()] = Vec::new();
         ns
@@ -137,33 +126,36 @@ impl Mesh {
         self.avail[id.index()][p.index()]
     }
 
-    /// Local-Rarest-First selection: among pieces `source` has and
-    /// `chooser` is missing and `keep` accepts, pick one minimizing
-    /// availability among `chooser`'s neighbors; ties broken uniformly.
-    /// The predicate serves newcomer bootstrapping (§II-D1), where the
-    /// donor must pick a piece that *both* the requestor and the payee
-    /// need.
-    pub fn lrf_pick_where(
+    /// Local-Rarest-First selection: among pieces below `bound` that
+    /// `source` has, `chooser` is missing and no `exclude` set holds, pick
+    /// one minimizing availability among `chooser`'s neighbors; ties
+    /// broken uniformly. `bound` is the streaming window's edge (§VI;
+    /// `u32::MAX` for none). The exclusions are the chooser's pieces
+    /// already in flight and, for newcomer bootstrapping (§II-D1), the
+    /// payee's pieces, since the donor must pick a piece that *both* the
+    /// requestor and the payee need.
+    ///
+    /// Candidates are formed a word (64 pieces) at a time and visited in
+    /// ascending order, so the tie-break draws follow the piece order.
+    pub fn lrf_pick(
         &self,
         chooser: NodeId,
         chooser_have: &Bitfield,
         source_have: &Bitfield,
         rng: &mut SimRng,
-        mut keep: impl FnMut(PieceId) -> bool,
+        bound: u32,
+        exclude: &[&Bitfield],
     ) -> Option<PieceId> {
         let avail = self.avail.get(chooser.index())?;
+        let candidates = candidates(chooser_have, source_have, bound, exclude);
         if avail.is_empty() {
             // Chooser never connected: fall back to uniform choice.
-            let cands: Vec<PieceId> =
-                chooser_have.missing_from(source_have).filter(|&p| keep(p)).collect();
+            let cands: Vec<PieceId> = candidates.collect();
             return rng.choose(&cands).copied();
         }
         let mut best: Option<(u16, PieceId)> = None;
         let mut ties = 0u32;
-        for p in chooser_have.missing_from(source_have) {
-            if !keep(p) {
-                continue;
-            }
+        for p in candidates {
             let a = avail[p.index()];
             match best {
                 None => {
@@ -187,6 +179,79 @@ impl Mesh {
         }
         best.map(|(_, p)| p)
     }
+}
+
+/// `SPREAD[b][k]` is bit `k` of `b`: one bitfield byte as eight
+/// availability lanes.
+const SPREAD: [[u16; 8]; 256] = {
+    let mut t = [[0; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            t[b][k] = (b >> k & 1) as u16;
+            k += 1;
+        }
+        b += 1;
+    }
+    t
+};
+
+/// Applies `lane` to each count in `avail` and the matching bit of `have`
+/// (0 or 1), eight pieces per bitfield byte; zero bytes are skipped. With
+/// `*n -= s`, a debug build still panics on an underflowing count.
+fn fold(avail: &mut [u16], have: &Bitfield, lane: impl Fn(&mut u16, u16)) {
+    for (wi, &word) in have.words().iter().enumerate() {
+        if word == 0 {
+            continue;
+        }
+        for (bi, byte) in word.to_le_bytes().into_iter().enumerate() {
+            if byte == 0 {
+                continue;
+            }
+            let spread = &SPREAD[byte as usize];
+            let base = (wi * 8 + bi) * 8;
+            match avail.get_mut(base..base + 8) {
+                Some(lanes) => {
+                    for (n, &s) in lanes.iter_mut().zip(spread) {
+                        lane(n, s);
+                    }
+                }
+                // The file's last, partial byte: padding bits are zero.
+                None => {
+                    for (n, &s) in avail[base..].iter_mut().zip(spread) {
+                        lane(n, s);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The LRF candidates in ascending order, formed a word at a time as
+/// `!chooser & source & !exclude… & below(bound)`; words at or past
+/// `bound` are never read.
+fn candidates<'a>(
+    chooser: &'a Bitfield,
+    source: &'a Bitfield,
+    bound: u32,
+    exclude: &'a [&Bitfield],
+) -> impl Iterator<Item = PieceId> + 'a {
+    debug_assert_eq!(chooser.len(), source.len());
+    debug_assert!(exclude.iter().all(|e| e.len() == chooser.len()));
+    let bound = bound as usize;
+    let words = chooser.words().len().min(bound.div_ceil(64));
+    (0..words).flat_map(move |wi| {
+        let mut word = !chooser.words()[wi] & source.words()[wi];
+        for e in exclude {
+            word &= !e.words()[wi];
+        }
+        let base = wi * 64;
+        if bound - base < 64 {
+            word &= (1u64 << (bound - base)) - 1;
+        }
+        BitIter { word, base: base as u32 }
+    })
 }
 
 #[cfg(test)]
@@ -280,10 +345,12 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn availability_equals_a_recount_under_membership_churn() {
-        forall(0x3E5B_A7A1, 256, |rng, size| {
-            let pieces = 1 + rng.below(130);
+    /// Random connects, disconnects, announces, removals and
+    /// re-admissions over a file of `pieces(rng)` pieces, checked against
+    /// a recount after every step.
+    fn churn_against_recount(seed: u64, cases: u32, pieces: impl Fn(&mut SimRng) -> usize) {
+        forall(seed, cases, |rng, size| {
+            let pieces = pieces(rng);
             let n = 2 + rng.below(11);
             let (mut t, mut m) = (PeerTable::new(), Mesh::new(pieces));
             for _ in 0..n {
@@ -327,6 +394,161 @@ mod tests {
     }
 
     #[test]
+    fn availability_equals_a_recount_under_membership_churn() {
+        churn_against_recount(0x3E5B_A7A1, 256, |rng| 1 + rng.below(130));
+    }
+
+    /// The paper's 24 MiB file is 384 pieces; one more leaves a partial
+    /// last byte and word.
+    #[test]
+    fn availability_equals_a_recount_under_churn_on_385_pieces() {
+        churn_against_recount(0x3E5B_A7A2, 64, |_| 385);
+    }
+
+    /// File lengths at and around the byte and word edges.
+    const EDGE_LENGTHS: [usize; 9] = [1, 7, 9, 63, 64, 65, 127, 384, 385];
+
+    fn random_bitfield(rng: &mut SimRng, len: usize) -> Bitfield {
+        let mut bf = Bitfield::new(len);
+        // Densities from empty to full, so zero bytes and full words occur.
+        let density = rng.below(5);
+        for p in 0..len {
+            if rng.below(4) < density {
+                bf.set(PieceId(p as u32));
+            }
+        }
+        bf
+    }
+
+    #[test]
+    fn fold_equals_a_per_piece_recount() {
+        forall(0xF01D_0001, 256, |rng, _| {
+            let len = match rng.below(2) {
+                0 => EDGE_LENGTHS[rng.below(EDGE_LENGTHS.len())],
+                _ => 1 + rng.below(500),
+            };
+            let start: Vec<u16> = (0..len).map(|_| rng.below(1000) as u16).collect();
+            let have = random_bitfield(rng, len);
+            let mut folded = start.clone();
+            fold(&mut folded, &have, |n, s| *n += s);
+            let mut recount = start.clone();
+            for p in have.iter_set() {
+                recount[p.index()] += 1;
+            }
+            ensure_eq!(folded, recount, "fold in at len {len}");
+            fold(&mut folded, &have, |n, s| *n -= s);
+            ensure_eq!(folded, start, "fold in then out at len {len}");
+            Ok(())
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn fold_out_underflow_panics_in_debug() {
+        let mut counts = vec![1u16, 0, 1];
+        let mut have = Bitfield::new(3);
+        have.set(PieceId(1));
+        fold(&mut counts, &have, |n, s| *n -= s);
+    }
+
+    /// The per-piece LRF scan the word kernel replaced: every piece
+    /// `source` has and `chooser` lacks is offered to `keep`, in order.
+    fn reference_pick(
+        m: &Mesh,
+        chooser: NodeId,
+        chooser_have: &Bitfield,
+        source_have: &Bitfield,
+        rng: &mut SimRng,
+        mut keep: impl FnMut(PieceId) -> bool,
+    ) -> Option<PieceId> {
+        let avail = m.avail.get(chooser.index())?;
+        if avail.is_empty() {
+            let cands: Vec<PieceId> =
+                chooser_have.missing_from(source_have).filter(|&p| keep(p)).collect();
+            return rng.choose(&cands).copied();
+        }
+        let mut best: Option<(u16, PieceId)> = None;
+        let mut ties = 0u32;
+        for p in chooser_have.missing_from(source_have) {
+            if !keep(p) {
+                continue;
+            }
+            let a = avail[p.index()];
+            match best {
+                None => {
+                    best = Some((a, p));
+                    ties = 1;
+                }
+                Some((b, _)) if a < b => {
+                    best = Some((a, p));
+                    ties = 1;
+                }
+                Some((b, _)) if a == b => {
+                    ties += 1;
+                    if rng.below(ties as usize) == 0 {
+                        best = Some((a, p));
+                    }
+                }
+                _ => {}
+            }
+        }
+        best.map(|(_, p)| p)
+    }
+
+    #[test]
+    fn lrf_pick_matches_the_per_piece_scan() {
+        forall(0x1F2F_0001, 512, |rng, _| {
+            let pieces = match rng.below(2) {
+                0 => EDGE_LENGTHS[rng.below(EDGE_LENGTHS.len())],
+                _ => 1 + rng.below(450),
+            };
+            let n = 2 + rng.below(7);
+            let (mut t, mut m) = (PeerTable::new(), Mesh::new(pieces));
+            for _ in 0..n {
+                let id = t.add(Role::Leecher, 1.0, 0.0, pieces, true);
+                t.get_mut(id).have = random_bitfield(rng, pieces);
+            }
+            // Peer 0 may stay unconnected: the uniform fallback.
+            let first = rng.below(2);
+            for _ in 0..rng.below(3 * n) {
+                let (a, b) = (first + rng.below(n - first), first + rng.below(n - first));
+                m.connect(NodeId(a as u32), NodeId(b as u32), &t);
+            }
+            for _ in 0..8 {
+                // Peer n has no table at all.
+                let chooser = NodeId(rng.below(n + 1) as u32);
+                let source = NodeId(rng.below(n) as u32);
+                let chooser_have = if chooser.index() < n {
+                    t.get(chooser).have.clone()
+                } else {
+                    random_bitfield(rng, pieces)
+                };
+                let bound = match rng.below(4) {
+                    0 => 0,
+                    1 => rng.below(pieces) as u32,
+                    2 => (pieces + rng.below(70)) as u32,
+                    _ => u32::MAX,
+                };
+                let exclude: Vec<Bitfield> =
+                    (0..rng.below(3)).map(|_| random_bitfield(rng, pieces)).collect();
+                let refs: Vec<&Bitfield> = exclude.iter().collect();
+                let source_have = &t.get(source).have;
+                let mut r_pick = rng.fork(1);
+                let mut r_ref = r_pick.clone();
+                let want = reference_pick(&m, chooser, &chooser_have, source_have, &mut r_ref, |p| {
+                    p.0 < bound && !exclude.iter().any(|e| e.has(p))
+                });
+                let got =
+                    m.lrf_pick(chooser, &chooser_have, source_have, &mut r_pick, bound, &refs);
+                ensure_eq!(got, want, "{pieces} pieces, chooser {chooser}, bound {bound}");
+                ensure_eq!(r_pick.u64(), r_ref.u64(), "rng after the pick ({pieces} pieces)");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
     fn lrf_prefers_rarest() {
         let (mut t, mut m, mut rng) = setup(4);
         let chooser = t.add(Role::Leecher, 1.0, 0.0, 4, true);
@@ -342,7 +564,7 @@ mod tests {
         // from the seeder; the chooser must avoid the common piece 0.
         for _ in 0..20 {
             let have = t.get(chooser).have.clone();
-            let p = m.lrf_pick_where(chooser, &have, &t.get(s).have, &mut rng, |_| true).unwrap();
+            let p = m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng, u32::MAX, &[]).unwrap();
             assert_ne!(p, PieceId(0));
         }
     }
@@ -356,25 +578,29 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
             let have = t.get(chooser).have.clone();
-            let p = m.lrf_pick_where(chooser, &have, &t.get(s).have, &mut rng, |_| true).unwrap();
+            let p = m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng, u32::MAX, &[]).unwrap();
             seen.insert(p);
         }
         assert!(seen.len() > 8, "tie-breaking should spread choices, got {}", seen.len());
     }
 
     #[test]
-    fn lrf_where_respects_filter() {
+    fn lrf_respects_exclusions_and_bound() {
         let (mut t, mut m, mut rng) = setup(8);
         let chooser = t.add(Role::Leecher, 1.0, 0.0, 8, true);
         let s = t.add(Role::Seeder, 1.0, 0.0, 8, true);
         m.connect(chooser, s, &t);
         let have = t.get(chooser).have.clone();
-        let p = m
-            .lrf_pick_where(chooser, &have, &t.get(s).have, &mut rng, |p| p == PieceId(5))
-            .unwrap();
-        assert_eq!(p, PieceId(5));
-        let none = m.lrf_pick_where(chooser, &have, &t.get(s).have, &mut rng, |_| false);
+        let mut all_but_5 = Bitfield::full(8);
+        all_but_5.unset(PieceId(5));
+        let p = m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng, u32::MAX, &[&all_but_5]);
+        assert_eq!(p, Some(PieceId(5)));
+        let everything = Bitfield::full(8);
+        let none = m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng, u32::MAX, &[&everything]);
         assert!(none.is_none());
+        let p = m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng, 1, &[]);
+        assert_eq!(p, Some(PieceId(0)), "a bound of 1 leaves piece 0 only");
+        assert!(m.lrf_pick(chooser, &have, &t.get(s).have, &mut rng, 0, &[]).is_none());
     }
 
     #[test]
@@ -384,6 +610,6 @@ mod tests {
         let other = t.add(Role::Leecher, 1.0, 0.0, 4, true);
         m.connect(chooser, other, &t);
         let have = t.get(chooser).have.clone();
-        assert!(m.lrf_pick_where(chooser, &have, &t.get(other).have, &mut rng, |_| true).is_none());
+        assert!(m.lrf_pick(chooser, &have, &t.get(other).have, &mut rng, u32::MAX, &[]).is_none());
     }
 }

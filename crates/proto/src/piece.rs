@@ -264,9 +264,10 @@ impl Bitfield {
     }
 }
 
-struct BitIter {
-    word: u64,
-    base: u32,
+/// The set bits of one word, ascending, as pieces numbered from `base`.
+pub(crate) struct BitIter {
+    pub(crate) word: u64,
+    pub(crate) base: u32,
 }
 
 impl Iterator for BitIter {
