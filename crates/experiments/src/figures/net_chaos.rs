@@ -9,12 +9,13 @@
 //! audited frame-by-frame and must preserve the T-Chain safety
 //! properties: all compliant leechers assemble byte-identical files and
 //! zero key releases travel without a reciprocation behind them. Each
-//! scenario is also run twice at the same seed and the frame-stream
-//! fingerprints compared — chaos injection must stay deterministic.
+//! scenario is also run twice at the same seed, and the rerun must be
+//! the same run — chaos injection must stay deterministic.
 
+use super::net_swarm::{all_safe, audited_run, sweep_scenarios};
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use tchain_net::{run_swarm, SwarmConfig};
+use tchain_net::{SwarmConfig, SwarmReport};
 use tchain_sim::ChaosPlan;
 
 tchain_obs::json_struct! {
@@ -55,7 +56,7 @@ tchain_obs::json_struct! {
         pub ticks: u64,
         /// Order-sensitive digest of every delivered frame (hex).
         pub fingerprint: String,
-        /// Same-seed rerun produced a bit-identical fingerprint.
+        /// Same-seed rerun was the same run.
         pub deterministic: bool,
         /// Every safety oracle passed (`SwarmReport::ok`) + determinism.
         pub safe: bool,
@@ -75,24 +76,18 @@ tchain_obs::json_struct! {
     }
 }
 
+/// A chaos scenario: label, chaos rate, crash fraction and config.
+type Scenario = (String, f64, f64, SwarmConfig);
+
 fn chaos_point(
-    name: &str,
-    chaos_rate: f64,
-    crash_fraction: f64,
-    cfg: SwarmConfig,
-    meta: &mut RunMeta,
+    (name, chaos_rate, crash_fraction, _): &Scenario,
+    report: &SwarmReport,
+    deterministic: bool,
 ) -> ChaosPoint {
-    let report = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
-    let rerun = run_swarm(cfg).expect("mesh transport cannot fail");
-    meta.note_run();
-    let deterministic = report.fingerprint == rerun.fingerprint
-        && report.ticks == rerun.ticks
-        && report.chaos_injects == rerun.chaos_injects;
-    let safe = report.ok() && deterministic;
     ChaosPoint {
-        scenario: name.to_string(),
-        chaos_rate,
-        crash_fraction,
+        scenario: name.clone(),
+        chaos_rate: *chaos_rate,
+        crash_fraction: *crash_fraction,
         peers: report.peers,
         completed_compliant: report.completed_compliant,
         total_compliant: report.total_compliant,
@@ -108,7 +103,7 @@ fn chaos_point(
         ticks: report.ticks,
         fingerprint: format!("{:016x}", report.fingerprint),
         deterministic,
-        safe,
+        safe: report.ok() && deterministic,
     }
 }
 
@@ -130,29 +125,23 @@ pub fn run(scale: Scale, seed: u64) -> NetChaosDoc {
         max_ticks: 40_000,
         ..SwarmConfig::default()
     };
-    let mut meta = RunMeta::default();
-    let mut points = Vec::new();
-    for (i, rate) in [0.0, 0.02, 0.05, 0.10].into_iter().enumerate() {
-        points.push(chaos_point(
-            &format!("corrupt-{}pct", (rate * 100.0) as u32),
-            rate,
-            0.0,
-            SwarmConfig {
-                chaos: ChaosPlan::corrupting(seed ^ (0xC0 + i as u64), rate),
-                ..base.clone()
-            },
-            &mut meta,
-        ));
-    }
-    points.push(chaos_point(
-        "byzantine-mix-8pct",
+    let mut scenarios: Vec<Scenario> = [0.0, 0.02, 0.05, 0.10]
+        .into_iter()
+        .enumerate()
+        .map(|(i, rate)| {
+            let chaos = ChaosPlan::corrupting(seed ^ (0xC0 + i as u64), rate);
+            let name = format!("corrupt-{}pct", (rate * 100.0) as u32);
+            (name, rate, 0.0, SwarmConfig { chaos, ..base.clone() })
+        })
+        .collect();
+    scenarios.push((
+        "byzantine-mix-8pct".into(),
         0.08,
         0.0,
         SwarmConfig { chaos: ChaosPlan::byzantine(seed ^ 0xB12A, 0.08), ..base.clone() },
-        &mut meta,
     ));
-    points.push(chaos_point(
-        "crash-restart-25pct",
+    scenarios.push((
+        "crash-restart-25pct".into(),
         0.02,
         0.25,
         SwarmConfig {
@@ -160,9 +149,14 @@ pub fn run(scale: Scale, seed: u64) -> NetChaosDoc {
                 .with_crash_restart(8.0, 0.25, 6.0),
             ..base.clone()
         },
-        &mut meta,
     ));
-    let all_safe = points.iter().all(|p| p.safe);
+    let mut meta = RunMeta::default();
+    let label = |s: &Scenario| s.0.clone();
+    let runs =
+        sweep_scenarios("net_chaos", &mut meta, &scenarios, seed, label, |s| audited_run(&s.3));
+    let points: Vec<ChaosPoint> =
+        runs.iter().map(|(s, (report, det))| chaos_point(s, report, *det)).collect();
+    let all_safe = all_safe(&meta, points.iter().map(|p| p.safe));
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

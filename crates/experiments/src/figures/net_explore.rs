@@ -12,18 +12,20 @@
 //! minimal witness and dumped under `results/` for replay.
 //!
 //! Each scenario also proves replayability: one sampled schedule is
-//! re-run twice from its recording and all three fingerprints must be
-//! bit-identical. Under `RUSTFLAGS="--cfg tchain_canary"` the command
-//! flips into drill mode: the seeded `restart()` ledger mutation must
-//! be *found* in the crash scenario and shrunk to ≤ 50 choices —
-//! proving the searcher has teeth, not just green lights.
+//! re-run twice from its recording and both replays must be the same
+//! run as the recording (`SwarmReport::same_run`). Under
+//! `RUSTFLAGS="--cfg tchain_canary"` the command flips into drill mode:
+//! the seeded `restart()` ledger mutation must be *found* in the crash
+//! scenario and shrunk to ≤ 50 choices — proving the searcher has teeth,
+//! not just green lights.
 
+use super::net_swarm::{all_safe, sweep_scenarios};
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
 use tchain_net::explore::{
     canary_armed, explore, run_with_plan, scenario_config, scenarios, ExploreConfig,
 };
-use tchain_obs::OracleKind;
+use tchain_obs::{MetricMap, OracleKind};
 use tchain_sim::{splitmix64, ExplorePlan};
 
 /// Witnesses at or below this size count as "shrunk" for the canary
@@ -54,7 +56,7 @@ tchain_obs::json_struct! {
         pub shrink_runs: Option<u32>,
         /// Witness file dumped under `results/`.
         pub witness_file: Option<String>,
-        /// Record → replay → replay kept one bit-identical fingerprint.
+        /// The recording and both its replays were the same run.
         pub replay_identical: bool,
         /// This build's expectation held (clean search normally; found +
         /// shrunk ledger bug for the crash scenario under the canary).
@@ -82,20 +84,20 @@ tchain_obs::json_struct! {
     }
 }
 
+/// One scenario's search as a runner cell, booked as one run.
 fn explore_point(
     scenario: &str,
     seed: u64,
     index: u64,
     cfg: &ExploreConfig,
     scale: Scale,
-    meta: &mut RunMeta,
-) -> ExplorePoint {
+) -> (ExplorePoint, MetricMap) {
     let base = scenario_config(scenario, seed).expect("grid scenario");
     let search_seed = splitmix64(seed ^ (index << 8));
     let out = explore(scenario, &base, search_seed, cfg);
 
     // Replayability proof: sample one fresh perturbed run, then replay
-    // its recorded schedule twice; all three fingerprints must agree.
+    // its recorded schedule twice; all three must be the same run.
     let probe = ExplorePlan::Pct {
         seed: splitmix64(search_seed ^ 0xF1D0),
         depth: cfg.depth,
@@ -105,11 +107,7 @@ fn explore_point(
     let sched = recorded.schedule.clone().unwrap_or_default();
     let replay_a = run_with_plan(&base, &ExplorePlan::Replay(sched.clone()));
     let replay_b = run_with_plan(&base, &ExplorePlan::Replay(sched));
-    let replay_identical = replay_a.fingerprint == recorded.fingerprint
-        && replay_b.fingerprint == recorded.fingerprint
-        && replay_a.ticks == recorded.ticks
-        && replay_b.ticks == recorded.ticks;
-    meta.note_run();
+    let replay_identical = replay_a.same_run(&recorded) && replay_b.same_run(&recorded);
 
     let mut witness_file = None;
     let dir = crate::output::results_dir();
@@ -142,7 +140,7 @@ fn explore_point(
             out.failure.is_none()
         };
     let failure = out.failure.as_ref();
-    ExplorePoint {
+    let point = ExplorePoint {
         scenario: scenario.to_string(),
         runs: out.runs,
         budget: cfg.budget,
@@ -165,7 +163,8 @@ fn explore_point(
         witness_file,
         replay_identical,
         safe,
-    }
+    };
+    (point, MetricMap::new())
 }
 
 /// The canonical master seed: the committed documents are run at it.
@@ -180,12 +179,13 @@ pub fn run(scale: Scale, seed: u64, budget: Option<u32>) -> NetExploreDoc {
         Scale::Paper => 48,
     });
     let cfg = ExploreConfig { budget, ..ExploreConfig::default() };
+    let grid: Vec<(u64, &str)> = (0..).zip(scenarios().iter().copied()).collect();
     let mut meta = RunMeta::default();
-    let mut points = Vec::new();
-    for (i, scenario) in scenarios().iter().enumerate() {
-        points.push(explore_point(scenario, seed, i as u64, &cfg, scale, &mut meta));
-    }
-    let all_safe = points.iter().all(|p| p.safe);
+    let runs = sweep_scenarios("net_explore", &mut meta, &grid, seed, |s| s.1.to_string(), |s| {
+        explore_point(s.1, seed, s.0, &cfg, scale)
+    });
+    let points: Vec<ExplorePoint> = runs.into_iter().map(|(_, p)| p).collect();
+    let all_safe = all_safe(&meta, points.iter().map(|p| p.safe));
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

@@ -7,9 +7,10 @@
 //! bit-identity. Harness speed is perfbench's to measure
 //! (`net.harness.ticks_per_s`), so the document holds no host timing.
 
+use super::net_swarm::{all_safe, audited_run, sweep_scenarios};
 use crate::output::{persist, print_table, RunMeta};
 use crate::scale::Scale;
-use tchain_net::{run_swarm, SwarmConfig};
+use tchain_net::{SwarmConfig, SwarmReport};
 use tchain_sim::ChurnPlan;
 
 tchain_obs::json_struct! {
@@ -42,7 +43,7 @@ tchain_obs::json_struct! {
         pub ticks: u64,
         /// Order-sensitive digest of every delivered frame (hex).
         pub fingerprint: String,
-        /// Same-seed rerun produced a bit-identical fingerprint.
+        /// Same-seed rerun was the same run.
         pub deterministic: bool,
         /// Every safety oracle passed (`SwarmReport::ok`) + determinism.
         pub safe: bool,
@@ -73,24 +74,16 @@ fn churn_for(peers: u32) -> ChurnPlan {
         .with_departures(55.0, 0.15)
 }
 
-fn scale_point(peers: u32, churn: bool, base: &SwarmConfig, meta: &mut RunMeta) -> ScalePoint {
-    let cfg = SwarmConfig {
-        peers,
-        churn: if churn { churn_for(peers) } else { ChurnPlan::none() },
-        ..base.clone()
-    };
-    let report = run_swarm(cfg.clone()).expect("mesh transport cannot fail");
-    let rerun = run_swarm(cfg).expect("mesh transport cannot fail");
-    meta.note_run();
-    let deterministic = report.fingerprint == rerun.fingerprint
-        && report.ticks == rerun.ticks
-        && report.completion_times == rerun.completion_times;
+/// The `(N, churn)` cell's label.
+fn label(&(peers, churn): &(u32, bool)) -> String {
+    format!("n{peers}{}", if churn { "-churn" } else { "" })
+}
 
-    let safe = report.ok() && deterministic;
+fn scale_point(cell: &(u32, bool), report: &SwarmReport, deterministic: bool) -> ScalePoint {
     ScalePoint {
-        scenario: format!("n{peers}{}", if churn { "-churn" } else { "" }),
-        peers,
-        churn,
+        scenario: label(cell),
+        peers: cell.0,
+        churn: cell.1,
         churn_joins: report.churn_joins,
         churn_departs: report.churn_departs,
         completed_compliant: report.completed_compliant,
@@ -102,7 +95,7 @@ fn scale_point(peers: u32, churn: bool, base: &SwarmConfig, meta: &mut RunMeta) 
         ticks: report.ticks,
         fingerprint: format!("{:016x}", report.fingerprint),
         deterministic,
-        safe,
+        safe: report.ok() && deterministic,
     }
 }
 
@@ -123,13 +116,15 @@ pub fn run(scale: Scale, seed: u64) -> NetScaleDoc {
         max_ticks: 40_000,
         ..SwarmConfig::default()
     };
+    let cells: Vec<(u32, bool)> = sizes.iter().flat_map(|&n| [(n, false), (n, true)]).collect();
     let mut meta = RunMeta::default();
-    let mut points = Vec::new();
-    for &n in sizes {
-        points.push(scale_point(n, false, &base, &mut meta));
-        points.push(scale_point(n, true, &base, &mut meta));
-    }
-    let all_safe = points.iter().all(|p| p.safe);
+    let runs = sweep_scenarios("net_scale", &mut meta, &cells, seed, label, |&(peers, churn)| {
+        let churn = if churn { churn_for(peers) } else { ChurnPlan::none() };
+        audited_run(&SwarmConfig { peers, churn, ..base.clone() })
+    });
+    let points: Vec<ScalePoint> =
+        runs.iter().map(|(cell, (report, det))| scale_point(cell, report, *det)).collect();
+    let all_safe = all_safe(&meta, points.iter().map(|p| p.safe));
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {

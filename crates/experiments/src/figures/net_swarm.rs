@@ -18,12 +18,14 @@
 //! [0.25, 4.0]; dimensionless, seeds averaged, documented in DESIGN.md
 //! §8.
 
-use crate::output::{persist, print_table, RunMeta};
+use crate::output::{persist, print_table, Absorb, RunMeta};
+use crate::runner::sweep_points;
 use crate::scale::Scale;
 use crate::scenario::{drive, Horizon};
 use tchain_attacks::{FluidDriver, PeerPlan};
 use tchain_core::{TChainConfig, TChainSwarm};
-use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig};
+use tchain_net::{run_swarm, NetConfig, Strategy, SwarmConfig, SwarmReport};
+use tchain_obs::MetricMap;
 use tchain_proto::FileSpec;
 use tchain_sim::{kbps, FaultPlan};
 
@@ -105,14 +107,12 @@ tchain_obs::json_struct! {
     pub struct NetSwarmDoc {
         /// Audited net-runtime scenarios.
         pub scenarios: Vec<NetPoint>,
-        /// Net-vs-fluid cross-check.
-        pub cross_check: CrossCheck,
+        /// Net-vs-fluid cross-check (`null` when the free-rider cell failed).
+        pub cross_check: Option<CrossCheck>,
     }
 }
 
-fn net_point(name: &str, cfg: SwarmConfig, meta: &mut RunMeta) -> NetPoint {
-    let report = run_swarm(cfg).expect("mesh transport cannot fail");
-    meta.note_run();
+fn net_point(name: &str, report: &SwarmReport) -> NetPoint {
     NetPoint {
         scenario: name.to_string(),
         peers: report.peers,
@@ -137,42 +137,69 @@ fn net_point(name: &str, cfg: SwarmConfig, meta: &mut RunMeta) -> NetPoint {
     }
 }
 
-/// Fluid-simulator leg of a sim-vs-net cross-check (here and in
-/// `net_attacks`): a flash crowd with the same compliant/free-rider split
-/// and piece count, driven to compliant completion. Returns (compliant
-/// rate, free-rider identities done, mean chain length over ended chains).
-pub(crate) fn fluid_leg(
-    compliant: usize,
-    free_riders: usize,
-    pieces: usize,
+/// One wire run of `cfg` as a runner cell, booked as a run.
+pub fn wire_run(cfg: &SwarmConfig) -> (SwarmReport, MetricMap) {
+    (run_swarm(cfg.clone()).expect("mesh transport cannot fail"), MetricMap::new())
+}
+
+/// One audited wire run of `cfg` as a runner cell, booked as one run:
+/// the report, and whether a same-seed rerun was the same run
+/// ([`SwarmReport::same_run`]).
+pub fn audited_run(cfg: &SwarmConfig) -> ((SwarmReport, bool), MetricMap) {
+    let (report, metrics) = wire_run(cfg);
+    let deterministic = report.same_run(&wire_run(cfg).0);
+    ((report, deterministic), metrics)
+}
+
+/// Runs a net experiment's scenarios on the runner's pool through
+/// [`sweep_points`], one point per scenario and one cell at `seed` each,
+/// booked into `meta`. Returns every booked scenario beside its cell's
+/// output, in scenario order. A scenario whose cell panicked is missing:
+/// it is in `meta.failed_cells`, and [`all_safe`] fails the experiment.
+pub fn sweep_scenarios<'a, S, T>(
+    figure: &str,
+    meta: &mut RunMeta,
+    scenarios: &'a [S],
     seed: u64,
-) -> (f64, usize, f64) {
-    let file = FileSpec::custom(pieces, 64.0 * 1024.0, 64.0 * 1024.0);
+    label: impl Fn(&S) -> String + Sync,
+    cell: impl Fn(&S) -> T + Sync,
+) -> Vec<(&'a S, T::Booked)>
+where
+    S: Sync,
+    T: Absorb + Send,
+{
+    let groups = sweep_points(figure, meta, scenarios, |_| vec![seed], label, |s, _| cell(s));
+    scenarios.iter().zip(groups).flat_map(|(s, g)| g.into_iter().map(move |o| (s, o))).collect()
+}
+
+/// A net experiment's verdict: no cell failed and every booked scenario
+/// is `safe`.
+pub fn all_safe(meta: &RunMeta, mut safe: impl Iterator<Item = bool>) -> bool {
+    meta.failed_cells.is_empty() && safe.all(|s| s)
+}
+
+/// The sim-vs-net cross-check of a net run with free-riders (here and
+/// in `net_attacks`): the fluid driver runs a flash crowd with the same
+/// compliant/free-rider split and piece count to compliant completion,
+/// at the same seed. The incentive argument — compliant completion,
+/// free-rider starvation, no unreciprocated key release — must agree
+/// exactly; chain statistics agree in shape (ratio band [0.25, 4.0]).
+pub fn cross_check(net: &SwarmReport, seed: u64) -> CrossCheck {
+    let compliant = net.total_compliant as usize;
+    let file = FileSpec::custom(net.pieces, 64.0 * 1024.0, 64.0 * 1024.0);
     let mut plan: Vec<PeerPlan> = (0..compliant)
         .map(|i| PeerPlan::compliant(0.4 + i as f64 * 0.05, kbps(800.0)))
         .collect();
-    for i in 0..free_riders {
-        plan.push(PeerPlan::free_rider(0.5 + i as f64 * 0.05, kbps(800.0)));
+    for i in 0..net.free_riders {
+        plan.push(PeerPlan::free_rider(0.5 + f64::from(i) * 0.05, kbps(800.0)));
     }
     let mut sw = TChainSwarm::new(file, TChainConfig::default(), plan, seed);
     let out = drive(&mut sw, Horizon::CompliantDone);
-    let rate = out.compliant_times.len() as f64 / compliant as f64;
-    let fr_done =
+    let sim_rate = out.compliant_times.len() as f64 / compliant as f64;
+    let sim_fr_done =
         sw.base().peers.iter().filter(|p| !p.compliant && p.done_time.is_some()).count();
-    (rate, fr_done, sw.chain_stats().mean_length())
-}
-
-/// Builds the cross-check from the free-rider net scenario and the
-/// matching fluid run.
-fn cross_check(net: &NetPoint, seed: u64, meta: &mut RunMeta) -> CrossCheck {
-    let (sim_rate, sim_fr_done, sim_mcl) = fluid_leg(
-        net.total_compliant as usize,
-        net.free_riders as usize,
-        net.pieces,
-        seed,
-    );
-    meta.note_run();
-    let net_rate = if net.total_compliant == 0 {
+    let sim_mcl = sw.chain_stats().mean_length();
+    let net_rate = if compliant == 0 {
         1.0
     } else {
         f64::from(net.completed_compliant) / f64::from(net.total_compliant)
@@ -182,7 +209,7 @@ fn cross_check(net: &NetPoint, seed: u64, meta: &mut RunMeta) -> CrossCheck {
         && sim_rate == 1.0
         && net.completed_free_riders == 0
         && sim_fr_done == 0
-        && net.violations == 0
+        && net.violations.is_empty()
         && (0.25..=4.0).contains(&ratio);
     CrossCheck {
         seed,
@@ -195,6 +222,31 @@ fn cross_check(net: &NetPoint, seed: u64, meta: &mut RunMeta) -> CrossCheck {
         chain_len_ratio: ratio,
         within_tolerance: within,
     }
+}
+
+/// Books [`cross_check`] of `net` as one more runner cell of `figure`
+/// and prints its verdict; `None` when `net` is `None` (its own cell
+/// failed) or when this cell panics.
+pub(crate) fn book_cross_check(
+    figure: &str,
+    meta: &mut RunMeta,
+    net: Option<&SwarmReport>,
+    seed: u64,
+) -> Option<CrossCheck> {
+    let fluid = |net: &&SwarmReport| (cross_check(net, seed), MetricMap::new());
+    let label = |_: &&SwarmReport| "cross-check".to_string();
+    let (_, cross) = sweep_scenarios(figure, meta, net.as_slice(), seed, label, fluid).pop()?;
+    println!(
+        "cross-check vs the fluid driver: compliant {:.2}/{:.2}, free-riders {}/{}, \
+         chain-length ratio {:.2} (band 0.25–4.0) -> {}",
+        cross.net_compliant_rate,
+        cross.sim_compliant_rate,
+        cross.net_free_riders_done,
+        cross.sim_free_riders_done,
+        cross.chain_len_ratio,
+        if cross.within_tolerance { "within tolerance" } else { "OUT OF TOLERANCE" }
+    );
+    Some(cross)
 }
 
 /// Runs the net-swarm experiment and the sim-vs-net cross-check.
@@ -211,10 +263,9 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
         seed,
         ..SwarmConfig::default()
     };
-    let mut meta = RunMeta::default();
-    let scenarios = vec![
-        net_point("clean", base.clone(), &mut meta),
-        net_point(
+    let configs = [
+        ("clean", base.clone()),
+        (
             "free-rider",
             SwarmConfig {
                 strategies: vec![
@@ -223,26 +274,20 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
                 ],
                 ..base.clone()
             },
-            &mut meta,
         ),
-        net_point(
+        (
             "lossy-10pct",
-            SwarmConfig {
-                plan: FaultPlan::lossy(seed ^ 0x1055, 0.10),
-                ..base.clone()
-            },
-            &mut meta,
+            SwarmConfig { plan: FaultPlan::lossy(seed ^ 0x1055, 0.10), ..base.clone() },
         ),
-        net_point(
+        (
             "departure-escrow",
-            SwarmConfig {
-                net: NetConfig { depart_on_complete: true },
-                ..base.clone()
-            },
-            &mut meta,
+            SwarmConfig { net: NetConfig { depart_on_complete: true }, ..base.clone() },
         ),
     ];
-    let cross = cross_check(&scenarios[1], seed, &mut meta);
+    let mut meta = RunMeta::default();
+    let label = |s: &(&str, SwarmConfig)| s.0.to_string();
+    let runs = sweep_scenarios("net_swarm", &mut meta, &configs, seed, label, |s| wire_run(&s.1));
+    let scenarios: Vec<NetPoint> = runs.iter().map(|(s, r)| net_point(s.0, r)).collect();
     let rows: Vec<Vec<String>> = scenarios
         .iter()
         .map(|p| {
@@ -268,16 +313,8 @@ pub fn run(scale: Scale) -> NetSwarmDoc {
         ],
         &rows,
     );
-    println!(
-        "cross-check vs fluid sim: compliant {:.2}/{:.2}, free-riders {}/{}, \
-         chain-length ratio {:.2} (band 0.25–4.0) -> {}",
-        cross.net_compliant_rate,
-        cross.sim_compliant_rate,
-        cross.net_free_riders_done,
-        cross.sim_free_riders_done,
-        cross.chain_len_ratio,
-        if cross.within_tolerance { "within tolerance" } else { "OUT OF TOLERANCE" }
-    );
+    let free_rider = runs.iter().find(|(s, _)| s.0 == "free-rider").map(|(_, r)| r);
+    let cross = book_cross_check("net_swarm", &mut meta, free_rider, seed);
     let doc = NetSwarmDoc { scenarios, cross_check: cross };
     persist("net_swarm", scale.name(), &doc, &meta);
     doc

@@ -5,11 +5,11 @@
 //! flash-crowd swarm three ways at the same seed:
 //!
 //! 1. telemetry **off** (baseline),
-//! 2. telemetry **off** again — the two fingerprints must agree
-//!    bit-for-bit (the disabled path stays deterministic),
-//! 3. telemetry **on** — the fingerprint must equal the baseline's
-//!    (Lamport stamps ride the wire as metadata the fingerprint and
-//!    chaos draws never see),
+//! 2. telemetry **off** again — the same run as the baseline
+//!    (`SwarmReport::same_run`: the disabled path stays deterministic),
+//! 3. telemetry **on** — the same run as the baseline too (Lamport
+//!    stamps ride the wire as metadata the fingerprint and chaos draws
+//!    never see),
 //!
 //! then a fourth chaos run with telemetry on to exercise the flight
 //! recorder. The telemetry run's per-peer causal rings are written as
@@ -19,11 +19,12 @@
 //! (no arrow may point backward in Lamport order), and the swarm
 //! aggregate is exposed as a Prometheus text exposition (`.prom`).
 
+use super::net_swarm::{sweep_scenarios, wire_run};
 use crate::output::{persist, print_table, results_dir, RunMeta};
 use crate::scale::Scale;
 use std::collections::BTreeMap;
 use std::path::Path;
-use tchain_net::{run_swarm, SwarmConfig, SwarmReport};
+use tchain_net::SwarmConfig;
 use tchain_obs::{merge_traces, to_causal_chrome_trace, to_jsonl, validate_causal};
 use tchain_sim::ChaosPlan;
 
@@ -49,8 +50,9 @@ tchain_obs::json_struct! {
 }
 
 tchain_obs::json_struct! {
-    /// The persisted document.
-    #[derive(Debug)]
+    /// The persisted document; the default, unsafe one when a run's cell
+    /// failed.
+    #[derive(Debug, Default)]
     pub struct NetTelemetryDoc {
         /// Master seed of all four runs.
         pub seed: u64,
@@ -58,9 +60,9 @@ tchain_obs::json_struct! {
         pub peers: u32,
         /// Baseline delivered-frame fingerprint (hex).
         pub fingerprint: String,
-        /// Two telemetry-disabled runs agreed bit-for-bit.
+        /// Two telemetry-disabled runs were the same run.
         pub disabled_deterministic: bool,
-        /// The telemetry-enabled run kept the baseline fingerprint.
+        /// The telemetry-enabled run was the baseline's run.
         pub telemetry_invisible: bool,
         /// Records in the merged causal trace.
         pub causal_records: usize,
@@ -95,11 +97,6 @@ fn write_artifact(dir: &Path, name: &str, body: &str) {
     }
 }
 
-fn counted_run(cfg: SwarmConfig, meta: &mut RunMeta) -> SwarmReport {
-    meta.note_run();
-    run_swarm(cfg).expect("mesh transport cannot fail")
-}
-
 /// The canonical master seed: the committed documents are run at it.
 pub const SEED: u64 = 0x7E1E;
 
@@ -118,28 +115,34 @@ pub fn run(scale: Scale, seed: u64) -> NetTelemetryDoc {
         trace_capacity: 1 << 15,
         ..SwarmConfig::default()
     };
+    let configs = [
+        ("baseline", base.clone()),
+        ("rerun", base.clone()),
+        ("traced", SwarmConfig { telemetry: true, ..base.clone() }),
+        // Chaos leg: corruption trips quarantines, which trip the recorder.
+        (
+            "chaotic",
+            SwarmConfig {
+                telemetry: true,
+                chaos: ChaosPlan::corrupting(seed ^ 0xF11, 0.05),
+                ..base.clone()
+            },
+        ),
+    ];
     let mut meta = RunMeta::default();
-
-    let baseline = counted_run(base.clone(), &mut meta);
-    let rerun = counted_run(base.clone(), &mut meta);
-    let disabled_deterministic = baseline.fingerprint == rerun.fingerprint
-        && baseline.ticks == rerun.ticks
-        && baseline.completion_times == rerun.completion_times;
-
-    let traced = counted_run(SwarmConfig { telemetry: true, ..base.clone() }, &mut meta);
-    let telemetry_invisible = traced.fingerprint == baseline.fingerprint
-        && traced.ticks == baseline.ticks
-        && traced.completion_times == baseline.completion_times;
-
-    // Chaos leg: corruption trips quarantines, which trip the recorder.
-    let chaotic = counted_run(
-        SwarmConfig {
-            telemetry: true,
-            chaos: ChaosPlan::corrupting(seed ^ 0xF11, 0.05),
-            ..base.clone()
-        },
-        &mut meta,
-    );
+    let label = |s: &(&str, SwarmConfig)| s.0.to_string();
+    let runs = sweep_scenarios("net_telemetry", &mut meta, &configs, seed, label, |s| {
+        wire_run(&s.1)
+    });
+    let reports: Vec<_> = runs.into_iter().map(|(_, report)| report).collect();
+    let Ok([baseline, rerun, traced, chaotic]) = <[_; 4]>::try_from(reports) else {
+        // A run's cell failed: the document is the default, unsafe one.
+        let doc = NetTelemetryDoc { seed, peers, ..NetTelemetryDoc::default() };
+        persist("net_telemetry", scale.name(), &doc, &meta);
+        return doc;
+    };
+    let disabled_deterministic = baseline.same_run(&rerun);
+    let telemetry_invisible = traced.same_run(&baseline);
 
     let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {

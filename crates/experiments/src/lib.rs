@@ -6,9 +6,10 @@
 //! `TCHAIN_SCALE=quick|paper` (see [`Scale`]); results are printed as
 //! paper-style rows and persisted as JSON under `results/`.
 //!
-//! A fluid figure states its grid once, as a point list with each
-//! point's seeds, and [`sweep_points`] runs it: it owns the cell order,
-//! books every completed cell the verdict passes ([`Absorb`],
+//! A figure states its grid once, as a point list with each point's
+//! seeds (a net experiment: one point per scenario), and
+//! [`sweep_points`] runs it: it owns the cell order, books every
+//! completed cell the verdict passes ([`Absorb`],
 //! [`RunOutcome::verdict`]) and hands back each point's outputs.
 //!
 //! ```no_run

@@ -32,12 +32,6 @@ tchain_obs::json_struct! {
 }
 
 impl RunMeta {
-    /// Counts a run booked outside [`crate::runner::sweep_points`] (the
-    /// net experiments, which drive the wire runtime directly).
-    pub fn note_run(&mut self) {
-        self.runs += 1;
-    }
-
     /// Sums a driver metric snapshot into the batch.
     pub(crate) fn absorb_metrics(&mut self, metrics: &MetricMap) {
         for (k, &v) in metrics {
@@ -79,8 +73,9 @@ impl<T> Absorb for (T, RunOutcome) {
     }
 }
 
-/// A cell with no swarm (analysis, overhead): its value and a metric
-/// snapshot, booked as a run and its metrics.
+/// A cell with no fluid swarm (analysis, overhead, every net
+/// experiment's wire run): its value and a metric snapshot, booked as a
+/// run and its metrics.
 impl<T> Absorb for (T, MetricMap) {
     type Booked = T;
     fn book(self, meta: &mut RunMeta) -> Result<T, String> {
@@ -206,8 +201,7 @@ mod tests {
         assert_eq!(meta.metrics["txns.completed"], 9);
         ((), MetricMap::new()).book(&mut meta).unwrap();
         assert_eq!(meta.metrics["txns.completed"], 9, "an empty map books a run only");
-        meta.note_run();
-        assert_eq!(meta.runs, 5);
+        assert_eq!(meta.runs, 4);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! identical for any worker count — including 1, which runs the exact
 //! same guarded code path inline.
 //!
-//! Worker count: `tchain <fluid experiment> --jobs N` (see [`set_jobs`]),
+//! Worker count: `tchain <experiment> --jobs N` (see [`set_jobs`]),
 //! otherwise the machine's available parallelism.
 //!
 //! A cell that panics does not torch the sweep: the panic is caught,

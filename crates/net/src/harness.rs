@@ -457,6 +457,38 @@ impl SwarmReport {
     pub fn ok(&self) -> bool {
         self.failed_oracles.is_empty()
     }
+
+    /// `true` when `other` is the same run: equal in every field except
+    /// the four telemetry outputs (`telemetry`, `peer_rings`,
+    /// `flight_dumps`, `events_recorded`), which observe the run without
+    /// steering it. A same-seed rerun, the run with telemetry on, and a
+    /// replay of an explore-mode run's recorded schedule are each the
+    /// same run as the original.
+    pub fn same_run(&self, other: &SwarmReport) -> bool {
+        // Each field is named once, in a pattern without `..`: a new
+        // field does not compile until it is classified here.
+        macro_rules! equal_except {
+            ([$($same:ident),* $(,)?], [$($telemetry:ident),* $(,)?]) => {{
+                let SwarmReport { $($same: _,)* $($telemetry: _,)* } = self;
+                true $(&& self.$same == other.$same)*
+            }};
+        }
+        equal_except!(
+            [
+                backend, peers, free_riders, pieces, ticks, elapsed, completed_compliant,
+                total_compliant, completed_free_riders, plaintext_ok, violations,
+                chains_started, mean_chain_len, max_chain_len, chains_terminated, uploads,
+                gifts, reports, key_releases, escrow_transfers, chaos_injects, frame_rejects,
+                quarantines, crashes, rejoins, churn_joins, churn_departs,
+                completed_by_strategy, false_reports, false_report_log, colluder_gain,
+                altruism_leaked, seeder_leakage, gift_leakage, sybil_checks,
+                sybil_collisions, whitewash_rejoins, tracker_queries, ledger_ok, transport,
+                fingerprint, completion_times, peer_counters, schedule, sched_decisions,
+                failed_oracles,
+            ],
+            [telemetry, peer_rings, flight_dumps, events_recorded]
+        )
+    }
 }
 
 /// A peer's next incarnation waiting out a delay before it comes back:
@@ -1608,11 +1640,7 @@ mod tests {
         };
         let a = run_swarm(cfg.clone()).expect("a");
         let b = run_swarm(cfg).expect("b");
-        assert_eq!(a.fingerprint, b.fingerprint, "attack runs must stay deterministic");
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.false_reports, b.false_reports);
-        assert_eq!(a.whitewash_rejoins, b.whitewash_rejoins);
-        assert_eq!(a.completion_times, b.completion_times);
+        assert!(a.same_run(&b), "attack runs must stay deterministic");
     }
 
     #[test]
@@ -1697,9 +1725,22 @@ mod tests {
         let cfg = SwarmConfig { peers: 6, ..SwarmConfig::default() };
         let a = run_swarm(cfg.clone()).expect("run a");
         let b = run_swarm(cfg).expect("run b");
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.completion_times, b.completion_times);
+        assert!(a.same_run(&b));
+    }
+
+    #[test]
+    fn same_run_ignores_only_the_telemetry_outputs() {
+        let cfg = SwarmConfig { peers: 6, ..SwarmConfig::default() };
+        let a = run_swarm(cfg.clone()).expect("run a");
+        let traced = run_swarm(SwarmConfig { telemetry: true, ..cfg.clone() }).expect("traced");
+        assert!(traced.events_recorded > 0 && traced.telemetry.is_some());
+        assert!(a.same_run(&traced) && traced.same_run(&a), "telemetry observes the run only");
+        let other = run_swarm(SwarmConfig { seed: cfg.seed ^ 1, ..cfg.clone() }).expect("other");
+        assert!(!a.same_run(&other), "a different seed is a different run");
+        let mut rerun = run_swarm(cfg).expect("rerun");
+        assert!(a.same_run(&rerun));
+        rerun.ticks += 1;
+        assert!(!a.same_run(&rerun), "one differing field is a different run");
     }
 
     #[test]
@@ -1752,11 +1793,7 @@ mod tests {
         };
         let a = run_swarm(cfg.clone()).expect("run a");
         let b = run_swarm(cfg).expect("run b");
-        assert_eq!(a.fingerprint, b.fingerprint, "chaos runs must stay deterministic");
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.chaos_injects, b.chaos_injects);
-        assert_eq!(a.crashes, b.crashes);
-        assert_eq!(a.completion_times, b.completion_times);
+        assert!(a.same_run(&b), "chaos runs must stay deterministic");
     }
 
     #[test]
@@ -1765,12 +1802,7 @@ mod tests {
         let cfg = SwarmConfig { telemetry: true, ..SwarmConfig::default() };
         let on = run_swarm(cfg).expect("on");
         assert!(on.ok(), "violations: {:?}", on.violations);
-        assert_eq!(
-            on.fingerprint, off.fingerprint,
-            "causal stamps must not perturb the delivered-frame stream"
-        );
-        assert_eq!(on.ticks, off.ticks);
-        assert_eq!(on.completion_times, off.completion_times);
+        assert!(on.same_run(&off), "causal stamps must not perturb the run");
 
         assert_eq!(on.peer_rings.len() as u32, on.peers, "every peer traced");
         let rings: Vec<Vec<TraceRecord>> =
@@ -1944,11 +1976,7 @@ mod tests {
         };
         let a = run_swarm(cfg.clone()).expect("a");
         let b = run_swarm(cfg).expect("b");
-        assert_eq!(a.fingerprint, b.fingerprint, "churn must stay deterministic");
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.churn_joins, b.churn_joins);
-        assert_eq!(a.churn_departs, b.churn_departs);
-        assert_eq!(a.completion_times, b.completion_times);
+        assert!(a.same_run(&b), "churn must stay deterministic");
     }
 
     #[test]

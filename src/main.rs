@@ -8,8 +8,8 @@ use std::process::exit;
 use tchain::baselines::Baseline;
 use tchain::experiments::figures as f;
 use tchain::experiments::{
-    effective_jobs, flash_plan, run_proto, set_jobs, take_failures, Horizon, Proto, RiderMode,
-    RunOpts, Scale,
+    effective_jobs, flash_plan, run_proto, set_jobs, take_failures, FailedCell, Horizon, Proto,
+    RiderMode, RunOpts, Scale,
 };
 
 /// `run --protocol`'s names, each with the protocol it selects. The
@@ -30,22 +30,22 @@ fn usage() -> String {
 
 USAGE:
     tchain run [OPTIONS]                     simulate one swarm
-    tchain <fluid experiment> [--jobs N]     regenerate its results/ documents
-    tchain net_swarm
-    tchain <seeded experiment> [--seed S]
-    tchain net_explore [--seed S] [--budget N]
+    tchain <experiment> [--jobs N]           regenerate its results/ documents
+    tchain <seeded experiment> [--jobs N] [--seed S]
+    tchain net_explore [--jobs N] [--seed S] [--budget N]
     tchain trace check <file.jsonl>
     tchain net_telemetry check <merged.jsonl> <exposition.prom>
 
 Fluid experiments: fig03 … fig13, table2, ablations, streaming, overhead,
 analysis, loss_sweep, trace, all (those, in that order). Net experiments:
 net_swarm and the seeded ones, net_attacks, net_chaos, net_scale,
-net_telemetry, net_explore. A seeded run that is unsafe, or `all` with a
-panicked cell, exits 1. `all` also lists the cells that ran to done but
-left compliant leechers unfinished; those do not change its exit status.
+net_telemetry, net_explore. An experiment with a panicked cell, or a
+seeded one that is unsafe, exits 1. It also lists the cells that ran to
+done but left compliant leechers unfinished; those do not change its exit
+status.
 
 TCHAIN_SCALE=quick|paper sets the scale (unset or empty: quick; any other
-value exits 2). --jobs N sets a fluid experiment's worker count (default:
+value exits 2). --jobs N sets an experiment's worker count (default:
 available parallelism; the documents do not depend on it). Seeds are
 decimal or 0x-prefixed hex.
 
@@ -73,9 +73,9 @@ fn protocol_list() -> String {
 type Entry = fn(Scale, u64, Option<u32>) -> bool;
 
 /// Every experiment command, with its canonical seed when it takes
-/// `--seed`. `all` runs the ones listed before it, in order; those and
-/// `all` are the fluid experiments, which sweep cells on the runner's
-/// pool and so take `--jobs` ([`sweeps`]).
+/// `--seed`. `all` runs the ones listed before it, in order: the fluid
+/// experiments. Every experiment runs its cells on the runner's pool and
+/// so takes `--jobs`.
 const EXPERIMENTS: [(&str, Option<u64>, Entry); 25] = [
     ("fig03", None, |s, _, _| done(f::fig03::run(s))),
     ("fig04", None, |s, _, _| done(f::fig04::run(s))),
@@ -107,12 +107,6 @@ const EXPERIMENTS: [(&str, Option<u64>, Entry); 25] = [
         f::net_explore::run(s, seed, b).all_safe
     }),
 ];
-
-/// Whether `name` is `all` or an experiment listed before it: the
-/// commands whose cells run on the runner's pool.
-fn sweeps(name: &str) -> bool {
-    name == "all" || EXPERIMENTS.iter().take_while(|e| e.0 != "all").any(|e| e.0 == name)
-}
 
 /// The verdict of an experiment that has none to give.
 fn done<T>(_: T) -> bool {
@@ -176,7 +170,7 @@ fn parse_experiment(name: &str, rest: &[&str]) -> Result<Cmd, String> {
     let mut it = rest.iter();
     while let Some(&flag) = it.next() {
         let takes = match flag {
-            "--jobs" => sweeps(name),
+            "--jobs" => true,
             "--seed" => seed.is_some(),
             "--budget" => name == "net_explore",
             _ => false,
@@ -281,8 +275,8 @@ fn main() {
 }
 
 /// Runs one experiment and returns the exit code: 2 when `TCHAIN_SCALE`
-/// names no scale (nothing runs), 1 when it was unsafe (for `all`: a
-/// cell panicked), else 0. With the `tchain_canary` cfg, `net_explore`
+/// names no scale (nothing runs), 1 when a cell panicked or it was
+/// unsafe, else 0. With the `tchain_canary` cfg, `net_explore`
 /// is the mutation drill and its `all_safe` means the seeded bug was
 /// found and shrunk.
 fn experiment(name: &str, jobs: Option<usize>, seed: Option<u64>, budget: Option<u32>) -> i32 {
@@ -297,14 +291,19 @@ fn experiment(name: &str, jobs: Option<usize>, seed: Option<u64>, budget: Option
         set_jobs(n);
     }
     let canary = name == "net_explore" && tchain::net::canary_armed();
-    let jobs_note = sweeps(name).then(|| format!(" | jobs: {}", effective_jobs()));
-    let jobs_note = jobs_note.unwrap_or_default();
     let seed_note = seed.map(|s| format!(" | seed: {s:#x}")).unwrap_or_default();
     let drill = if canary { " | CANARY DRILL" } else { "" };
-    println!("[{name} | scale: {}{jobs_note}{seed_note}{drill}]", scale.name());
+    println!("[{name} | scale: {} | jobs: {}{seed_note}{drill}]", scale.name(), effective_jobs());
     let seed = seed.unwrap_or_default();
     let mut entry = EXPERIMENTS.iter().filter(|&&(n, _, _)| n == name);
-    if !entry.all(|&(_, _, run)| run(scale, seed, budget)) {
+    let safe = entry.all(|&(_, _, run)| run(scale, seed, budget));
+    // Stranded cells do not fail an experiment yet: ROADMAP item 18
+    // brings their count to 0 and then makes them fail it too.
+    let (stranded, panicked): (Vec<_>, Vec<_>) =
+        take_failures().into_iter().partition(|f| f.stranded());
+    list_failures(&stranded, "left compliant leechers unfinished and were not averaged");
+    list_failures(&panicked, "panicked and were skipped");
+    if !safe || !panicked.is_empty() {
         let why = if canary { "CANARY DRILL FAILED — bug not found" } else { "FAILED" };
         eprintln!("{name}: {why} — see the output above");
         return 1;
@@ -315,31 +314,23 @@ fn experiment(name: &str, jobs: Option<usize>, seed: Option<u64>, budget: Option
     0
 }
 
-/// Every experiment listed before `all`, in order; false when a cell
-/// panicked. Stranded cells are listed but do not fail it yet: ROADMAP
-/// item 18 brings their count to 0 and then makes them fail it too.
+/// Every experiment listed before `all`, in order; [`experiment`]
+/// judges their cells.
 fn all(scale: Scale) -> bool {
     for &(_, _, run) in EXPERIMENTS.iter().take_while(|&&(n, _, _)| n != "all") {
         run(scale, 0, None);
     }
-    let (stranded, panicked): (Vec<_>, Vec<_>) =
-        take_failures().into_iter().partition(|f| f.stranded());
-    if stranded.is_empty() && panicked.is_empty() {
-        println!("\nall experiments completed; no failed cells");
-        return true;
+    true
+}
+
+/// Lists failed cells on stderr under a heading saying what they `did`.
+fn list_failures(cells: &[FailedCell], did: &str) {
+    if !cells.is_empty() {
+        eprintln!("\n{} cell(s) {did}:", cells.len());
     }
-    for (cells, what) in [
-        (&stranded, "left compliant leechers unfinished and were not averaged"),
-        (&panicked, "panicked and were skipped"),
-    ] {
-        if !cells.is_empty() {
-            eprintln!("\n{} cell(s) {what}:", cells.len());
-        }
-        for f in cells {
-            eprintln!("  [{}] {} (seed {:#x}): {}", f.figure, f.scenario, f.seed, f.panic);
-        }
+    for f in cells {
+        eprintln!("  [{}] {} (seed {:#x}): {}", f.figure, f.scenario, f.seed, f.panic);
     }
-    panicked.is_empty()
 }
 
 /// The file at `path`; `Err` is exit code 2.
@@ -484,8 +475,6 @@ mod tests {
             &["fig03", "--jobs", "0"],
             &["fig03", "--jobs=2"],
             &["fig03", "--jobs"],
-            &["net_scale", "--jobs", "2"],
-            &["net_swarm", "--jobs", "1"],
             &["net_chaos", "--seed"],
             &["net_explore", "--budget", "0x100000000"],
             &["fig03", "extra"],
@@ -507,20 +496,21 @@ mod tests {
 
     #[test]
     fn every_experiment_and_check_is_a_command() {
-        let mut fluid = 0;
         for (name, _, _) in EXPERIMENTS {
             let bare = parse_strs(&[name]);
             assert!(matches!(bare, Ok(Cmd::Experiment { jobs: None, .. })), "{name}: {bare:?}");
             let jobs = parse_strs(&[name, "--jobs", "3"]);
-            if sweeps(name) {
-                fluid += 1;
-                let ok = matches!(jobs, Ok(Cmd::Experiment { jobs: Some(3), .. }));
-                assert!(ok, "{name}: {jobs:?}");
-            } else {
-                assert!(jobs.is_err(), "{name} runs no sweep, so it takes no --jobs");
-            }
+            let ok = matches!(jobs, Ok(Cmd::Experiment { jobs: Some(3), .. }));
+            assert!(ok, "every experiment runs on the pool, so {name} takes --jobs: {jobs:?}");
         }
-        assert_eq!(fluid, 19, "fig03 … trace and all");
+        let explore = Cmd::Experiment {
+            name: "net_explore",
+            jobs: Some(2),
+            seed: Some(7),
+            budget: Some(3),
+        };
+        let args = ["net_explore", "--jobs", "2", "--seed", "7", "--budget", "3"];
+        assert_eq!(parse_strs(&args), Ok(explore));
         assert_eq!(
             parse_strs(&["trace", "check", "t.jsonl"]),
             Ok(Cmd::Check { jsonl: "t.jsonl".into(), prom: None })

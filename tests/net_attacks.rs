@@ -11,11 +11,9 @@
 //! `tchain::analysis` at shape level.
 
 use tchain::analysis::collusion::{ps_exact, ps_monte_carlo};
-use tchain::attacks::{FluidDriver, FreeRiderConfig, GroupId, PeerPlan, Strategy};
-use tchain::core::{TChainConfig, TChainSwarm};
+use tchain::attacks::{FreeRiderConfig, GroupId, Strategy};
+use tchain::experiments::figures::net_swarm::cross_check;
 use tchain::net::{run_swarm, SwarmConfig};
-use tchain::proto::FileSpec;
-use tchain::sim::kbps;
 
 /// The §IV-C acceptance shape: 32 peers, a quarter of them aggressive.
 fn aggressive32() -> SwarmConfig {
@@ -50,40 +48,21 @@ fn aggressive_quarter_starves_on_the_wire_and_matches_the_fluid_driver() {
     // Fluid-sim attack driver on the same scenario shape: the §IV-C
     // free-rider completion ratio must agree (both zero) and every
     // compliant leecher completes in both stacks.
-    let file = FileSpec::custom(net.pieces, 64.0 * 1024.0, 64.0 * 1024.0);
-    let mut plan: Vec<PeerPlan> = (0..net.total_compliant)
-        .map(|i| PeerPlan::compliant(0.4 + f64::from(i) * 0.05, kbps(800.0)))
-        .collect();
-    for i in 0..net.free_riders {
-        plan.push(PeerPlan::free_rider(0.5 + f64::from(i) * 0.05, kbps(800.0)));
-    }
-    let mut sim =
-        TChainSwarm::new(file, TChainConfig::default(), plan, 0xA77C);
-    sim.run_until_done();
+    let cross = cross_check(&net, 0xA77C);
+    assert_eq!(cross.sim_compliant_rate, 1.0, "fluid sim: every compliant leecher completes");
     assert_eq!(
-        sim.base().completion_times(true).len(),
-        net.total_compliant as usize,
-        "fluid sim: every compliant leecher completes"
-    );
-    let sim_fr_done =
-        sim.base().peers.iter().filter(|p| !p.compliant && p.done_time.is_some()).count();
-    assert_eq!(
-        (net.completed_free_riders, sim_fr_done),
+        (cross.net_free_riders_done, cross.sim_free_riders_done),
         (0, 0),
         "free-rider completion ratio agrees across the stacks"
     );
+    assert!(cross.within_tolerance, "{cross:?}");
 }
 
 #[test]
 fn aggressive_runs_are_bit_identical_under_one_seed() {
     let a = run_swarm(aggressive32()).expect("run a");
     let b = run_swarm(aggressive32()).expect("run b");
-    assert_eq!(a.fingerprint, b.fingerprint, "frame-stream digest diverged");
-    assert_eq!(a.ticks, b.ticks);
-    assert_eq!(a.whitewash_rejoins, b.whitewash_rejoins);
-    assert_eq!(a.tracker_queries, b.tracker_queries);
-    assert_eq!(a.completion_times, b.completion_times);
-    assert_eq!(a.peer_counters, b.peer_counters);
+    assert!(a.same_run(&b), "a same-seed rerun is the same run");
 }
 
 #[test]

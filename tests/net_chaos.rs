@@ -122,14 +122,8 @@ fn same_seed_chaos_runs_are_bit_identical() {
     let mk = || chaotic(ChaosPlan::byzantine(3, 0.06).with_crash_restart(8.0, 0.25, 6.0));
     let a = run_swarm(mk()).expect("run a");
     let b = run_swarm(mk()).expect("run b");
-    assert_eq!(a.fingerprint, b.fingerprint, "frame-stream digest");
-    assert_eq!(a.ticks, b.ticks);
-    assert_eq!(a.chaos_injects, b.chaos_injects);
-    assert_eq!(a.frame_rejects, b.frame_rejects);
-    assert_eq!(a.crashes, b.crashes);
-    assert_eq!(a.rejoins, b.rejoins);
-    assert_eq!(a.completion_times, b.completion_times);
-    assert_eq!(a.peer_counters, b.peer_counters);
+    assert!(a.crashes > 0 && a.chaos_injects > 0, "the rerun must cover chaos and crashes");
+    assert!(a.same_run(&b), "a same-seed chaos rerun is the same run");
 }
 
 #[test]

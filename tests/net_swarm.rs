@@ -5,11 +5,9 @@
 //! only against reception reports (§II-B), every frame audited by the
 //! harness observer.
 
-use tchain::attacks::{FluidDriver, PeerPlan};
-use tchain::core::{TChainConfig, TChainSwarm};
+use tchain::experiments::figures::net_swarm::{all_safe, audited_run, cross_check};
+use tchain::experiments::{sweep_points, take_failures, RunMeta};
 use tchain::net::{run_swarm, NetConfig, Strategy, SwarmConfig};
-use tchain::proto::FileSpec;
-use tchain::sim::kbps;
 
 fn base16() -> SwarmConfig {
     SwarmConfig { peers: 16, seed: 0x4E75, ..SwarmConfig::default() }
@@ -43,10 +41,7 @@ fn sixteen_peer_swarm_completes_with_exact_plaintexts() {
 fn same_seed_runs_are_bit_identical() {
     let a = run_swarm(base16()).expect("run a");
     let b = run_swarm(base16()).expect("run b");
-    assert_eq!(a.fingerprint, b.fingerprint, "frame-stream digest");
-    assert_eq!(a.ticks, b.ticks);
-    assert_eq!(a.completion_times, b.completion_times);
-    assert_eq!(a.peer_counters, b.peer_counters);
+    assert!(a.same_run(&b), "a same-seed rerun is the same run");
 }
 
 #[test]
@@ -70,7 +65,8 @@ fn departure_escrow_holds_at_scale() {
     );
 }
 
-/// Sim-vs-net cross-check. The fluid simulator and the net runtime share
+/// Sim-vs-net cross-check (`net_swarm::cross_check`, the one the
+/// experiments persist). The fluid simulator and the net runtime share
 /// protocol semantics but not clocks or piece scheduling, so the
 /// comparison is exact only where the incentive argument is exact —
 /// compliant completion and free-rider starvation — and shape-level for
@@ -80,39 +76,46 @@ fn departure_escrow_holds_at_scale() {
 fn net_runtime_agrees_with_fluid_simulator() {
     let net = run_swarm(base16_free_riders()).expect("run");
     assert!(net.ok(), "violations: {:?}", net.violations);
-
-    let file = FileSpec::custom(net.pieces, 64.0 * 1024.0, 64.0 * 1024.0);
-    let mut plan: Vec<PeerPlan> = (0..net.total_compliant)
-        .map(|i| PeerPlan::compliant(0.4 + f64::from(i) * 0.05, kbps(800.0)))
-        .collect();
-    for i in 0..net.free_riders {
-        plan.push(PeerPlan::free_rider(0.5 + f64::from(i) * 0.05, kbps(800.0)));
-    }
-    let mut sim =
-        TChainSwarm::new(file, TChainConfig::default(), plan, 0x4E75);
-    sim.run_until_done();
-
-    // Hard invariants agree exactly.
-    assert_eq!(
-        sim.base().completion_times(true).len(),
-        net.total_compliant as usize,
-        "fluid sim: every compliant leecher completes"
-    );
-    let sim_fr_done =
-        sim.base().peers.iter().filter(|p| !p.compliant && p.done_time.is_some()).count();
-    assert_eq!(sim_fr_done, 0, "fluid sim starves free-riders too");
     assert_eq!(net.completed_free_riders, 0);
 
+    let cross = cross_check(&net, 0x4E75);
+    // Hard invariants agree exactly.
+    assert_eq!(cross.sim_compliant_rate, 1.0, "fluid sim: every compliant leecher completes");
+    assert_eq!(cross.sim_free_riders_done, 0, "fluid sim starves free-riders too");
     // Chain statistics agree in shape.
-    let sim_mcl = sim.chain_stats().mean_length();
-    assert!(sim_mcl > 0.0, "fluid sim built chains");
-    let ratio = net.mean_chain_len / sim_mcl;
+    assert!(cross.sim_mean_chain_len > 0.0, "fluid sim built chains");
     assert!(
-        (0.25..=4.0).contains(&ratio),
-        "mean chain length diverged: net {:.2} vs sim {:.2} (ratio {ratio:.2})",
-        net.mean_chain_len,
-        sim_mcl
+        (0.25..=4.0).contains(&cross.chain_len_ratio),
+        "mean chain length diverged: {cross:?}"
     );
+    assert!(cross.within_tolerance, "{cross:?}");
+}
+
+/// A net experiment's cell that panics — `SwarmHarness::new` refuses a
+/// one-peer swarm — does not abort the sweep: it lands in
+/// `meta.failed_cells`, books no run, and fails the experiment's verdict.
+#[test]
+fn a_panicking_wire_cell_fails_its_experiment() {
+    let cfgs = [SwarmConfig { peers: 1, ..base16() }, base16()];
+    let mut meta = RunMeta::default();
+    let runs = sweep_points(
+        "net-panic",
+        &mut meta,
+        &cfgs,
+        |cfg| vec![cfg.seed],
+        |cfg| format!("{} peers", cfg.peers),
+        |cfg, _| audited_run(cfg),
+    );
+    take_failures();
+    assert_eq!(meta.failed_cells.len(), 1, "{:?}", meta.failed_cells);
+    let failed = &meta.failed_cells[0];
+    assert_eq!((failed.scenario.as_str(), failed.seed), ("1 peers", 0x4E75));
+    assert!(failed.panic.contains("a swarm needs a seeder and a leecher"), "{failed:?}");
+    assert_eq!(meta.runs, 1, "the failed cell books no run");
+    assert!(runs[0].is_empty());
+    let booked: Vec<bool> = runs[1].iter().map(|(r, det)| r.ok() && *det).collect();
+    assert_eq!(booked, [true], "the healthy cell is booked, safe and deterministic");
+    assert!(!all_safe(&meta, booked.into_iter()), "a failed cell makes the experiment unsafe");
 }
 
 // ---------------------------------------------------------------------
@@ -148,8 +151,7 @@ fn sixty_four_peer_churning_swarm_holds_invariants_and_determinism() {
     assert!(a.churn_departs > 0);
     assert_eq!(a.completed_compliant, a.total_compliant);
     let b = run_swarm(cfg()).expect("run b");
-    assert_eq!(a.fingerprint, b.fingerprint, "same-seed churn rerun must be bit-identical");
-    assert_eq!(a.completion_times, b.completion_times);
+    assert!(a.same_run(&b), "a same-seed churn rerun must be the same run");
 }
 
 /// PR 8 acceptance: a 256-peer churning swarm completes with zero

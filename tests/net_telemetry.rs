@@ -61,20 +61,11 @@ fn sixteen_peer_rings_merge_into_one_causally_consistent_trace() {
 fn telemetry_disabled_runs_stay_bit_identical_and_stamps_are_invisible() {
     let a = run_swarm(base16(false)).expect("run a");
     let b = run_swarm(base16(false)).expect("run b");
-    assert_eq!(a.fingerprint, b.fingerprint, "disabled runs bit-identical");
-    assert_eq!(a.ticks, b.ticks);
-    assert_eq!(a.completion_times, b.completion_times);
-    assert_eq!(a.peer_counters, b.peer_counters);
+    assert!(a.same_run(&b), "disabled runs are the same run");
 
     let c = run_swarm(base16(true)).expect("run c");
-    assert_eq!(
-        c.fingerprint, a.fingerprint,
-        "telemetry stamps must not perturb the delivered-frame stream"
-    );
-    assert_eq!(c.ticks, a.ticks);
-    assert_eq!(c.completion_times, a.completion_times);
-    assert_eq!(c.peer_counters, a.peer_counters);
-    assert_eq!(c.transport, a.transport, "telemetry on delivers the same bytes");
+    assert!(c.telemetry.is_some() && c.events_recorded > 0);
+    assert!(c.same_run(&a), "telemetry stamps must not perturb the run");
 }
 
 #[test]

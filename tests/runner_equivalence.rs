@@ -134,35 +134,41 @@ fn persisted_documents_identical_for_jobs_1_2_max() {
     take_failures();
 }
 
-/// Runs `figure` twice into a scratch results directory and returns the
-/// two documents it persisted as `name.quick.json`.
-fn persisted_twice(name: &str, figure: impl Fn()) -> (String, String) {
+/// Runs `figure` once per worker count in `jobs` into a scratch results
+/// directory and returns the documents it persisted as `name.quick.json`.
+fn persisted_at(name: &str, jobs: &[usize], figure: impl Fn()) -> Vec<String> {
     let dir: PathBuf = std::env::temp_dir().join(format!("tchain-rerun-{name}"));
     std::env::set_var("TCHAIN_RESULTS", &dir);
     let path = dir.join(format!("{name}.quick.json"));
-    let read = || {
-        figure();
-        std::fs::read_to_string(&path).unwrap()
-    };
-    let docs = (read(), read());
+    let docs = jobs
+        .iter()
+        .map(|&n| {
+            with_jobs(n, &figure);
+            std::fs::read_to_string(&path).unwrap()
+        })
+        .collect();
     std::env::remove_var("TCHAIN_RESULTS");
     std::fs::remove_dir_all(&dir).ok();
     docs
 }
 
-/// The net runtime's documents carry no host timing: a same-seed rerun
-/// of `net_scale` and `net_explore` persists the same bytes.
+/// The net runtime's documents carry no host timing and its cells run on
+/// the runner's pool: a same-seed rerun of `net_scale` and `net_explore`
+/// persists the same bytes, at `--jobs 1` as at the maximum.
 #[test]
 fn net_documents_identical_for_a_repeated_seed() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (a, b) = persisted_twice("net_scale", || {
+    let jobs = [max_jobs(), max_jobs(), 1];
+    let docs = persisted_at("net_scale", &jobs, || {
         assert!(net_scale::run(Scale::Quick, net_scale::SEED).all_safe);
     });
-    assert_eq!(a, b, "net_scale document differs between same-seed runs");
-    let (a, b) = persisted_twice("net_explore", || {
+    assert_eq!(docs[0], docs[1], "net_scale document differs between same-seed runs");
+    assert_eq!(docs[0], docs[2], "net_scale document differs between --jobs max and 1");
+    let docs = persisted_at("net_explore", &jobs, || {
         assert!(net_explore::run(Scale::Quick, net_explore::SEED, None).all_safe);
     });
-    assert_eq!(a, b, "net_explore document differs between same-seed runs");
+    assert_eq!(docs[0], docs[1], "net_explore document differs between same-seed runs");
+    assert_eq!(docs[0], docs[2], "net_explore document differs between --jobs max and 1");
     take_failures();
 }
 
