@@ -17,7 +17,7 @@ use crate::content::{digest, Content};
 use crate::frame::Frame;
 pub use crate::observer::Observer;
 use crate::runtime::{NetConfig, Outbox, PeerCounters, PeerRole, PeerRuntime};
-use crate::sched::TimerWheel;
+use crate::sched::{IdSet, TimerWheel};
 use crate::strategy::{
     strategy_label, AttackerState, ColluderRegistry, Strategy, RECHOKE_PERIOD,
     WHITEWASH_REJOIN_DELAY,
@@ -643,7 +643,7 @@ pub struct SwarmHarness<T: Transport> {
     fingerprint: u64,
     /// Encoding buffer `fold` reuses for every delivered frame.
     fold_buf: Vec<u8>,
-    departed_handled: BTreeSet<u32>,
+    departed_handled: IdSet,
     /// Harness-side view of the chaos plan: crash schedule + backoff
     /// jitter. Frame-level injections live in the transport's own state.
     chaos: ChaosState,
@@ -654,9 +654,11 @@ pub struct SwarmHarness<T: Transport> {
     telemetry: Option<TelemetryState>,
     /// Timer index over peers: each armed peer has one authoritative
     /// wake time; `ready` collects peers that received frames this tick
-    /// and must run `on_tick` regardless.
+    /// and must run `on_tick` regardless; `woke` holds the peers that
+    /// ran this tick plus its churn victims (see [`Self::tick_due`]).
     wheel: TimerWheel,
-    ready: BTreeSet<u32>,
+    ready: IdSet,
+    woke: IdSet,
     /// Scheduling decision stream, alive only under
     /// [`SwarmConfig::explore`], so plain runs make zero extra work per
     /// tick.
@@ -719,7 +721,7 @@ impl<T: Transport> SwarmHarness<T> {
             rng: SimRng::new(cfg.seed ^ 0x7A_C4E4),
             fingerprint: 0x5EED_F00D,
             fold_buf: Vec::new(),
-            departed_handled: BTreeSet::new(),
+            departed_handled: IdSet::default(),
             chaos: ChaosState::new(chaos_plan),
             pending_rejoin: Vec::new(),
             chaos_injects: 0,
@@ -729,7 +731,8 @@ impl<T: Transport> SwarmHarness<T> {
                 TelemetryState::new(if cfg.trace_capacity > 0 { cfg.trace_capacity } else { 4096 })
             }),
             wheel: TimerWheel::new(),
-            ready: BTreeSet::new(),
+            ready: IdSet::default(),
+            woke: IdSet::default(),
             perturb: cfg.explore.as_ref().map(SchedPerturber::new),
             churn: (!cfg.churn.is_none()).then(|| ChurnState::new(&cfg.churn)),
             next_id: cfg.peers,
@@ -769,9 +772,9 @@ impl<T: Transport> SwarmHarness<T> {
             let deliveries = self.transport.advance()?;
             let now = self.transport.now();
             let mut staged = self.dispatch(deliveries, now);
-            let woke = self.tick_due(now, &mut staged);
+            self.tick_due(now, &mut staged);
             self.flush(staged)?;
-            self.membership(now, woke)?;
+            self.membership(now)?;
             if self.compliant_done() {
                 // A few grace ticks drain in-flight frames so trailing
                 // key releases still pass under the observer's eye.
@@ -931,41 +934,43 @@ impl<T: Transport> SwarmHarness<T> {
         self.fold(d);
     }
 
-    /// Runs `on_tick` on this tick's peers and returns who ran — the
-    /// only peers whose departure flag can have flipped (`on_tick` sets
-    /// it on depart-on-complete; churn adds its victims later).
+    /// Runs `on_tick` on this tick's peers and records who ran in
+    /// `woke` — the only peers whose departure flag can have flipped
+    /// (`on_tick` sets it on depart-on-complete; churn adds its victims
+    /// later).
     ///
-    /// That is the union of due timers and frame receivers, visited in
+    /// That is the union of due timers and frame receivers: the ready
+    /// set, with the wheel's due peers added in place. It is visited in
     /// ascending id order — the order an every-peer scan uses; every
     /// skipped peer is quiescent (see `PeerRuntime::next_wake`), so the
     /// staged stream matches the full scan's bit for bit. The scan
-    /// survives as the reference in this module's tests.
-    fn tick_due(&mut self, now: f64, staged: &mut Staged) -> BTreeSet<u32> {
+    /// survives as the reference in this module's tests. The set goes
+    /// back as the next tick's (cleared) ready set, so no tick allocates.
+    fn tick_due(&mut self, now: f64, staged: &mut Staged) {
+        self.woke.clear();
         #[cfg(test)]
         if tests::SCAN_EVERY_PEER.get() { return tests::scan_every_peer(self, now, staged); }
-        let mut woke = BTreeSet::new();
         let mut due = std::mem::take(&mut self.ready);
         self.wheel.pop_due(now, &mut due);
         if self.perturb.is_some() {
-            self.tick_perturbed(due.into_iter().collect(), now, staged, &mut woke);
+            let pending = due.iter().collect();
+            due.clear();
+            // Deferrals land in the next tick's ready set.
+            self.ready = due;
+            self.tick_perturbed(pending, now, staged);
         } else {
-            for id in due {
-                self.tick_peer(id, now, staged, &mut woke);
+            for id in due.iter() {
+                self.tick_peer(id, now, staged);
             }
+            due.clear();
+            self.ready = due;
         }
-        woke
     }
 
     /// Explore mode: the run-order decision point goes through the
     /// perturber. `Pick(0)` at every step reproduces the ascending-id
     /// loop exactly.
-    fn tick_perturbed(
-        &mut self,
-        mut pending: Vec<u32>,
-        now: f64,
-        staged: &mut Staged,
-        woke: &mut BTreeSet<u32>,
-    ) {
+    fn tick_perturbed(&mut self, mut pending: Vec<u32>, now: f64, staged: &mut Staged) {
         while !pending.is_empty() {
             match self.perturb.as_mut().expect("explore mode").decide(&pending) {
                 // Punt the whole due set a tick: the ready set re-runs
@@ -973,7 +978,7 @@ impl<T: Transport> SwarmHarness<T> {
                 Act::Defer => self.ready.extend(pending.drain(..)),
                 Act::Pick(i) => {
                     let id = pending.remove(i as usize);
-                    self.tick_peer(id, now, staged, woke);
+                    self.tick_peer(id, now, staged);
                 }
             }
         }
@@ -982,7 +987,7 @@ impl<T: Transport> SwarmHarness<T> {
     /// Runs one due peer's `on_tick` and re-arms it — the body of the
     /// scheduler's visit, shared verbatim by explore mode so a
     /// perturbed run differs from production only in visit *order*.
-    fn tick_peer(&mut self, id: u32, now: f64, staged: &mut Staged, woke: &mut BTreeSet<u32>) {
+    fn tick_peer(&mut self, id: u32, now: f64, staged: &mut Staged) {
         let Some(peer) = self.peers.get_mut(id) else {
             self.wheel.cancel(id);
             return;
@@ -1005,7 +1010,7 @@ impl<T: Transport> SwarmHarness<T> {
             self.wheel.schedule(id, now);
             staged.extend(stage(NodeId(id), out));
         }
-        woke.insert(id);
+        self.woke.insert(id);
     }
 
     fn flush(
@@ -1029,9 +1034,9 @@ impl<T: Transport> SwarmHarness<T> {
     /// churn, chaos and attack streams are each drawn from exactly once
     /// per tick, and a peer torn down early in the list is gone for the
     /// steps after it.
-    fn membership(&mut self, now: f64, mut woke: BTreeSet<u32>) -> Result<(), NetError> {
-        self.handle_churn(now, &mut woke)?;
-        self.handle_departures(now, &woke);
+    fn membership(&mut self, now: f64) -> Result<(), NetError> {
+        self.handle_churn(now)?;
+        self.handle_departures(now);
         self.handle_chaos_records(now);
         self.handle_rejoins(now)?;
         self.handle_crashes(now);
@@ -1043,7 +1048,7 @@ impl<T: Transport> SwarmHarness<T> {
     /// the §II-B4 escrow handoff via [`PeerRuntime::leave`] on victims
     /// drawn from the churn stream's own seeded RNG. Victims land in
     /// `woke` so the departure sweep handles them this tick.
-    fn handle_churn(&mut self, now: f64, woke: &mut BTreeSet<u32>) -> Result<(), NetError> {
+    fn handle_churn(&mut self, now: f64) -> Result<(), NetError> {
         let Some(mut churn) = self.churn.take() else { return Ok(()) };
         for _ in 0..churn.joins_due(now) {
             let id = self.mint_id();
@@ -1072,7 +1077,7 @@ impl<T: Transport> SwarmHarness<T> {
                 peer.leave(&mut out);
                 self.flush(stage(victim, out))?;
                 self.churn_departed += 1;
-                woke.insert(victim.0);
+                self.woke.insert(victim.0);
             }
         }
         self.churn = Some(churn);
@@ -1093,14 +1098,14 @@ impl<T: Transport> SwarmHarness<T> {
     /// departure flag only flips inside `on_tick` (depart-on-complete)
     /// or a churn `leave`, so `woke` — the peers that ran this tick plus
     /// the churn victims — holds everyone who can newly carry it.
-    fn handle_departures(&mut self, now: f64, woke: &BTreeSet<u32>) {
-        let departed: Vec<u32> = woke
+    fn handle_departures(&mut self, now: f64) {
+        let departed: Vec<u32> = self
+            .woke
             .iter()
-            .filter(|id| {
+            .filter(|&id| {
                 !self.departed_handled.contains(id)
-                    && self.peers.get(**id).is_some_and(PeerRuntime::departed)
+                    && self.peers.get(id).is_some_and(PeerRuntime::departed)
             })
-            .copied()
             .collect();
         for id in departed {
             self.departed_handled.insert(id);
@@ -1484,16 +1489,14 @@ mod tests {
         h: &mut SwarmHarness<T>,
         now: f64,
         staged: &mut Staged,
-    ) -> BTreeSet<u32> {
+    ) {
         h.ready.clear();
-        let mut woke = BTreeSet::new();
         for (id, peer) in h.peers.iter_mut() {
             let mut out: Outbox = Vec::new();
             peer.on_tick(now, &mut out);
             staged.extend(stage(NodeId(id), out));
-            woke.insert(id);
+            h.woke.insert(id);
         }
-        woke
     }
 
     /// `run_swarm` under [`scan_every_peer`].
